@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import numpy as np
+
 from . import groups as G_
 from . import targets as T_
 
@@ -65,10 +67,6 @@ def target_identity_like(el):
             T_.Permutation.identity(el.size),
             [target_identity_like(b) for b in el.bells])
     raise TypeError(f"unknown target element {el!r}")
-
-
-def _fmt_family(family, field=None):
-    return family
 
 
 class ApproxCertificate:
@@ -135,13 +133,33 @@ class ApproxCertificate:
 
     @classmethod
     def from_json(cls, obj):
+        """Decode a certificate; malformed input raises CertificateError."""
+        try:
+            return cls._decode(obj)
+        except CertificateError:
+            raise
+        except KeyError as e:
+            raise CertificateError(f"certificate lacks field {e}") from e
+        except (TypeError, ValueError, AttributeError, IndexError) as e:
+            raise CertificateError(f"malformed certificate: {e}") from e
+
+    @classmethod
+    def _decode(cls, obj):
         group = G_.group_from_descriptor(obj["group"])
+        B = G_.ball(group, obj["n"])
         fin_group = None
         if "target_group" in obj:
             fin_group = T_.TableMetricGroup.from_json(obj["target_group"])
+        if not obj["assignments"]:
+            raise CertificateError("certificate has no assignments")
         assignments = {}
         for item in obj["assignments"]:
             p = group.parse(item["element"])
+            if p not in B:
+                raise CertificateError(
+                    f"element {item['element']} lies outside B({obj['n']})")
+            if p in assignments:
+                raise CertificateError(f"duplicate element {item['element']}")
             assignments[p] = T_.target_from_json(item["target"], fin_group=fin_group)
         eps = obj["epsilon"]
         default = T_.family_epsilon(obj["family"])
@@ -253,10 +271,13 @@ class GraphCertificate:
 
 
 class VerificationReport:
-    def __init__(self, passed, n, epsilon, defect, defect_witness,
+    """Outcome of one verification; ``failed`` names the conditions that
+    do not hold ("defect" for (1), "separation" for (2))."""
+
+    def __init__(self, failed, n, epsilon, defect, defect_witness,
                  separation, separation_witness, pairs_checked,
                  separation_pairs, margin, notes=None):
-        self.passed = passed
+        self.failed = tuple(failed)
         self.n = n
         self.epsilon = epsilon
         self.defect = defect
@@ -267,6 +288,23 @@ class VerificationReport:
         self.separation_pairs = separation_pairs
         self.margin = margin
         self.notes = notes or []
+
+    @property
+    def passed(self):
+        return not self.failed
+
+    def failure_summary(self):
+        """One line per failed condition: value, threshold and witness."""
+        lines = []
+        if "defect" in self.failed:
+            lines.append(f"condition (1) fails: defect {self.defect} is not "
+                         f"below 1/{self.n}, witness {self.defect_witness}")
+        if "separation" in self.failed:
+            lines.append(f"condition (2) fails: separation {self.separation} "
+                         f"is not above eps - 1/{self.n} = "
+                         f"{float(self.epsilon) - 1.0 / self.n:.6g}, "
+                         f"witness {self.separation_witness}")
+        return "; ".join(lines)
 
     def to_json(self):
         def num(x):
@@ -295,79 +333,79 @@ class VerificationReport:
                 f"separation={float(self.separation):.6g})")
 
 
-def _metrics_for_family(family):
-    """(condition-1 metric, condition-2 metric) selectors."""
-    if family == "hyp-projective" or family == "lin-projective":
-        return (lambda a, b: a.dist(b)), (lambda a, b: a.pdist(b))
-    return (lambda a, b: a.dist(b)), (lambda a, b: a.dist(b))
+def _failed_conditions(defect, separation, n, epsilon, exact, margin):
+    """Names of the strict conditions that fail; floats fail closed by margin."""
+    thr1 = Fraction(1, n)
+    thr2 = epsilon - thr1 if isinstance(epsilon, Fraction) \
+        else float(epsilon) - 1.0 / n
+    if exact:
+        ok1 = defect < thr1
+        ok2 = separation > thr2
+    else:
+        ok1 = float(defect) < float(thr1) - margin
+        ok2 = float(separation) > float(thr2) + margin
+    return [name for name, ok in (("defect", ok1), ("separation", ok2))
+            if not ok]
 
 
-def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None, ball_cap=None):
+def _defect_sweep(B, rows, zero):
+    """Max of d(pi(g) pi(h), pi(gh)) over g, h, gh in B.
+
+    Returns (max, (g, h, gh) slots of the first pair attaining it or None
+    when the max is zero, number of pairs).
+    """
+    table = B.products()
+    worst, wit, pairs = zero, None, 0
+    for i in range(len(B)):
+        js = np.flatnonzero(table[i] >= 0)
+        ts = table[i, js]
+        pairs += len(js)
+        d, r = rows.max_defect(i, js, ts)
+        if d > worst:
+            worst, wit = d, (i, int(js[r]), int(ts[r]))
+    return worst, wit, pairs
+
+
+def _separation_sweep(B, nearest):
+    """Min distance over distinct pairs of B, with ``nearest`` a batch row
+    query: (min or None when |B| = 1, slots of the first such pair, pairs)."""
+    size = len(B)
+    best, wit = None, None
+    for i in range(size - 1):
+        d, r = nearest(i, np.arange(i + 1, size))
+        if best is None or d < best:
+            best, wit = d, (i, i + 1 + r)
+    return best, wit, size * (size - 1) // 2
+
+
+def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None):
     """Check Def-style conditions (1) and (2) on the ball; strict, fail closed."""
     n = cert.n if at_n is None else at_n
     if at_n is not None and at_n > cert.n:
         raise CertificateError("cannot verify above the certificate's n")
-    ball_cap = ball_cap or G_.DEFAULT_BALL_CAP
-    B = G_.ball(cert.group, n, cap=ball_cap)
-    for p in B:
-        cert.target(p)  # raises on missing assignment
+    B = G_.ball(cert.group, n)
+    targets = [cert.target(p) for p in B]  # raises on missing assignment
     fast = _verify_translation_fast(cert, B, n, margin)
     if fast is not None:
         return fast
-    d1, d2 = _metrics_for_family(cert.family)
-    thr1 = Fraction(1, n)
-    thr2 = cert.epsilon - thr1 if isinstance(cert.epsilon, Fraction) \
-        else float(cert.epsilon) - 1.0 / n
-
-    grp = cert.group
-    elems = B.elements
-    targets = [cert.assignments[p] for p in elems]
     exact = all(_is_exact(t) for t in targets)
+    rows = T_.batch(targets)
+    worst_def, def_slots, pairs = _defect_sweep(
+        B, rows, Fraction(0) if exact else 0.0)
+    projective = cert.family in ("hyp-projective", "lin-projective")
+    worst_sep, sep_slots, sep_pairs = _separation_sweep(
+        B, rows.min_pdist if projective else rows.min_dist)
+    if worst_sep is None:
+        worst_sep = cert.epsilon if exact else float(cert.epsilon)
 
-    worst_def = Fraction(0) if exact else 0.0
-    def_wit = None
-    pairs = 0
-    use_np = None
-    if cert.family not in ("hyp-projective", "lin-projective"):
-        use_np = _numpy_perm_path(targets)
-    if use_np is not None:
-        worst_def, def_wit, pairs, worst_sep, sep_wit, sep_pairs = \
-            _verify_perm_numpy(cert, B, use_np)
-    else:
-        for i, g in enumerate(elems):
-            tg = targets[i]
-            for j, h in enumerate(elems):
-                gh = grp.mul(g, h)
-                if gh not in B:
-                    continue
-                pairs += 1
-                d = d1(tg.mul(targets[j]), cert.assignments[gh])
-                if d > worst_def:
-                    worst_def = d
-                    def_wit = [grp.fmt(g), grp.fmt(h), grp.fmt(gh)]
-        worst_sep = None
-        sep_wit = None
-        sep_pairs = 0
-        for i in range(len(elems)):
-            for j in range(i + 1, len(elems)):
-                sep_pairs += 1
-                d = d2(targets[i], targets[j])
-                if worst_sep is None or d < worst_sep:
-                    worst_sep = d
-                    sep_wit = [grp.fmt(elems[i]), grp.fmt(elems[j])]
-        if worst_sep is None:
-            worst_sep = cert.epsilon if exact else float(cert.epsilon)
-
-    if exact:
-        ok1 = worst_def < thr1
-        ok2 = Fraction(worst_sep) > thr2 if isinstance(worst_sep, (int, Fraction)) \
-            else worst_sep > float(thr2)
-    else:
-        ok1 = float(worst_def) < float(thr1) - margin
-        ok2 = float(worst_sep) > float(thr2) + margin
+    def fmt(slots):
+        return None if slots is None \
+            else [cert.group.fmt(B.elements[s]) for s in slots]
+    failed = _failed_conditions(worst_def, worst_sep, n, cert.epsilon,
+                                exact, margin)
     return VerificationReport(
-        ok1 and ok2, n, cert.epsilon, worst_def, def_wit, worst_sep, sep_wit,
-        pairs, sep_pairs, margin if not exact else 0.0,
+        failed, n, cert.epsilon, worst_def, fmt(def_slots), worst_sep,
+        fmt(sep_slots), pairs, sep_pairs, margin if not exact else 0.0,
         notes=["exact arithmetic" if exact else "floating metric, margin applied"])
 
 
@@ -406,7 +444,6 @@ def _verify_translation_fast(cert, B, n, margin):
         seen[s] = p
     worst_sep = Fraction(0) if collision else Fraction(1)
     thr2 = Fraction(cert.epsilon) - Fraction(1, n)
-    ok = worst_sep > thr2
     if collision:
         wit = collision
     elif len(B) > 1:
@@ -414,88 +451,9 @@ def _verify_translation_fast(cert, B, n, margin):
     else:
         wit = None
     return VerificationReport(
-        ok, n, cert.epsilon, Fraction(0), None, worst_sep, wit,
-        pairs, sep_pairs, 0.0,
+        [] if worst_sep > thr2 else ["separation"], n, cert.epsilon,
+        Fraction(0), None, worst_sep, wit, pairs, sep_pairs, 0.0,
         notes=["translation-certificate fast path (exact)"])
-
-
-_NUMPY_MIN_WORK = 2_000_000
-
-
-def _numpy_perm_path(targets):
-    """Bulk Hamming arithmetic for permutation-backed certificates."""
-    if not targets:
-        return None
-    if all(isinstance(t, T_.Permutation) for t in targets):
-        perms, unitary = targets, False
-    elif all(isinstance(t, T_.PermUnitary) for t in targets):
-        perms, unitary = [t.perm for t in targets], True
-    else:
-        return None
-    k = perms[0].k
-    if len(targets) * len(targets) * k < _NUMPY_MIN_WORK:
-        return None
-    import numpy as np
-    return np.array([p.images for p in perms], dtype=np.int64), unitary
-
-
-def _verify_perm_numpy(cert, B, path):
-    """Row-vectorized defect/separation sweep over permutation images.
-
-    For unitary-wrapped permutations distances are reported in the
-    Hilbert-Schmidt scale via d_HS = sqrt(2 d_Ham).
-    """
-    import math
-    import numpy as np
-    P, unitary = path
-    grp = cert.group
-    elems = B.elements
-    k = P.shape[1]
-    worst_moved = -1
-    def_wit = None
-    pairs = 0
-    nb = len(elems)
-    for i, g in enumerate(elems):
-        valid = []
-        prods = []
-        for j, h in enumerate(elems):
-            gh = grp.mul(g, h)
-            if gh in B:
-                valid.append(j)
-                prods.append(B.index(gh))
-        if not valid:
-            continue
-        pairs += len(valid)
-        composed = P[i][P[valid]]
-        moved = np.count_nonzero(composed != P[prods], axis=1)
-        a = int(np.argmax(moved))
-        if int(moved[a]) > worst_moved:
-            worst_moved = int(moved[a])
-            def_wit = [grp.fmt(g), grp.fmt(elems[valid[a]]),
-                       grp.fmt(elems[prods[a]])]
-    best_agree = -1
-    sep_wit = None
-    sep_pairs = nb * (nb - 1) // 2
-    for i in range(nb - 1):
-        agree = np.count_nonzero(P[i] == P[i + 1:], axis=1)
-        a = int(np.argmax(agree))
-        if int(agree[a]) > best_agree:
-            best_agree = int(agree[a])
-            sep_wit = [grp.fmt(elems[i]), grp.fmt(elems[i + 1 + a])]
-    if worst_moved < 0:
-        worst_moved = 0
-    if best_agree < 0:
-        worst_sep = Fraction(1) if not unitary else math.sqrt(2.0)
-        sep_wit = None
-        worst_def = Fraction(0) if not unitary else 0.0
-        return worst_def, def_wit, pairs, worst_sep, sep_wit, sep_pairs
-    if unitary:
-        worst_def = math.sqrt(2.0 * worst_moved / k)
-        worst_sep = math.sqrt(2.0 * (k - best_agree) / k)
-    else:
-        worst_def = Fraction(worst_moved, k)
-        worst_sep = Fraction(k - best_agree, k)
-    return worst_def, def_wit, pairs, worst_sep, sep_wit, sep_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +490,6 @@ def _verify_words(h, n, cap, margin, relator_mode):
     e_t = target_identity_like(first)
     exact = _is_exact(first)
     eps = h.epsilon
-    thr1 = Fraction(1, n)
-    thr2 = eps - thr1 if isinstance(eps, Fraction) else float(eps) - 1.0 / n
     e_g = grp.identity()
 
     worst_triv = Fraction(0) if exact else 0.0
@@ -581,15 +537,10 @@ def _verify_words(h, n, cap, margin, relator_mode):
         notes.append("relator mode: only relators constrained near identity")
     if worst_sep is None:
         worst_sep = eps if exact else float(eps)
-    if exact:
-        ok1 = worst_triv < thr1
-        ok2 = worst_sep > thr2
-    else:
-        ok1 = float(worst_triv) < float(thr1) - margin
-        ok2 = float(worst_sep) > float(thr2) + margin
     notes.append(f"words checked: {count}")
     return VerificationReport(
-        ok1 and ok2, n, eps, worst_triv, triv_wit, worst_sep, sep_wit,
+        _failed_conditions(worst_triv, worst_sep, n, eps, exact, margin),
+        n, eps, worst_triv, triv_wit, worst_sep, sep_wit,
         count, count, margin if not exact else 0.0, notes=notes)
 
 
@@ -710,9 +661,9 @@ def _reverse_inv(word):
 # ---------------------------------------------------------------------------
 # graph certificates
 
-def verify_graph(gc, group, ball_cap=None):
+def verify_graph(gc, group):
     """Fraction of vertices whose labeled n-ball is isomorphic to B(n)."""
-    B = G_.ball(group, gc.n, cap=ball_cap or G_.DEFAULT_BALL_CAP)
+    B = G_.ball(group, gc.n)
     labels = [lab for lab, _ in group.generators()]
     good = 0
     for v in gc.vertices:
@@ -800,14 +751,8 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0,
     e_t = target_identity_like(first)
     e_g = grp.identity()
 
-    eps0 = Fraction(0) if exact else 0.0
-    for g in B:
-        for h in B:
-            gh = grp.mul(g, h)
-            if gh in B:
-                d = targets[g].mul(targets[h]).dist(targets[gh])
-                if d > eps0:
-                    eps0 = d
+    eps0, _, _ = _defect_sweep(B, T_.batch([targets[g] for g in B]),
+                               Fraction(0) if exact else 0.0)
     if exact:
         eps0 = eps0 + Fraction(1, 10 ** 12)
     else:

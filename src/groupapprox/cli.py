@@ -115,7 +115,10 @@ def _field_from_label(label):
     if t in ("Q", "q"):
         return T_.FieldQ()
     if t.startswith("F") and t[1:].isdigit():
-        return T_.FieldFp(int(t[1:]))
+        try:
+            return T_.FieldFp(int(t[1:]))
+        except ValueError as e:
+            raise UsageError(str(e))
     raise UsageError(f"unknown field {label!r} (use Q or Fp)")
 
 
@@ -241,8 +244,8 @@ def cmd_construct(args):
 
 
 def cmd_verify(args):
-    cert = load_certificate(args.cert)
     try:
+        cert = load_certificate(args.cert)
         if isinstance(cert, C_.HomCertificate):
             if args.at_n is None:
                 raise UsageError("word-level verification needs --at-n")
@@ -260,7 +263,7 @@ def cmd_verify(args):
             cert, seed=args.seed)
     _emit(canonical_json(report), args.out)
     if not rep.passed:
-        raise VerifyFailure("certificate failed verification")
+        raise VerifyFailure(rep.failure_summary())
     if args.lemma_suite and not report.get("lemma_suite", {}).get("pass",
                                                                   True):
         raise VerifyFailure("lemma consistency suite failed")
@@ -409,9 +412,6 @@ def build_parser():
     p.add_argument("--config", help="flat key=value config file; flags win")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized checks (default 0)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="upper bound on parallelism (runs are sequential "
-                        "and deterministic)")
     sub = p.add_subparsers(dest="command", metavar="command")
     p.sub_parsers = {}
 
@@ -501,13 +501,11 @@ def main(argv=None):
             if unknown:
                 raise UsageError(f"unknown config keys {sorted(unknown)}")
         args = parser.parse_args(argv)
-        if args.workers < 1:
-            raise UsageError("--workers must be at least 1")
         if not getattr(args, "command", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, C_.CertificateError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
     except VerifyFailure as e:

@@ -6,6 +6,8 @@ word-metric balls, certificates and searches are reproducible byte for byte.
 """
 from __future__ import annotations
 
+import numpy as np
+
 
 class BallCapExceeded(Exception):
     """Raised when ball enumeration would exceed the configured element cap."""
@@ -53,20 +55,6 @@ class Group:
     def descriptor(self):
         raise NotImplementedError
 
-    def conjugate(self, g, a):
-        return self.mul(self.mul(g, a), self.inv(g))
-
-    def commutator(self, a, b):
-        return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
-
-    def word(self, labels):
-        """Evaluate a word given as generator labels."""
-        table = dict(self.generators())
-        g = self.identity()
-        for lab in labels:
-            g = self.mul(g, table[lab])
-        return g
-
     def __repr__(self):
         return self.fmt_descriptor()
 
@@ -85,9 +73,11 @@ class Group:
 
 
 class Ball:
-    """Word-metric ball B(n): canonically ordered elements plus length map."""
+    """Word-metric ball B(n) of a group: canonically ordered elements (the
+    identity first) plus length map."""
 
-    def __init__(self, radius, elements, lengths):
+    def __init__(self, group, radius, elements, lengths):
+        self.group = group
         self.radius = radius
         self.elements = elements
         self.lengths = lengths
@@ -107,6 +97,18 @@ class Ball:
 
     def length(self, p):
         return self.lengths[p]
+
+    def products(self):
+        """Product table: an int32 |B| x |B| array whose entry [i, j] is the
+        slot of elements[i] * elements[j], or -1 when that product leaves
+        the ball."""
+        mul, slot = self.group.mul, self._index.get
+        els = self.elements
+        # filled row by row, so no |B|^2 list of Python ints is built
+        table = np.empty((len(els), len(els)), dtype=np.int32)
+        for i, g in enumerate(els):
+            table[i] = [slot(mul(g, h), -1) for h in els]
+        return table
 
 
 DEFAULT_BALL_CAP = 10 ** 6
@@ -138,20 +140,12 @@ def ball(G, n, cap=DEFAULT_BALL_CAP):
         if not nxt:
             break
     elements = sorted(lengths, key=lambda p: (lengths[p], G.key(p)))
-    return Ball(n, elements, lengths)
+    return Ball(G, n, elements, lengths)
 
 
 def growth(G, n, cap=DEFAULT_BALL_CAP):
     """|B(n)|, the growth function."""
     return len(ball(G, n, cap=cap))
-
-
-def multiply(G, a, b):
-    return G.mul(a, b)
-
-
-def inverse(G, a):
-    return G.inv(a)
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +345,6 @@ class Heisenberg(Group):
         if len(v) != 2 * self.l + 1:
             raise ValueError(f"expected {2 * self.l + 1} coordinates in {s!r}")
         return (v[:self.l], v[self.l:2 * self.l], v[2 * self.l])
-
-    def to_matrix(self, p):
-        """(l+2)x(l+2) upper-unitriangular integer matrix of the element."""
-        a, b, c = p
-        n = self.l + 2
-        m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i in range(self.l):
-            m[0][1 + i] = a[i]
-            m[1 + i][n - 1] = b[i]
-        m[0][n - 1] = c
-        return tuple(tuple(row) for row in m)
 
     def descriptor(self):
         return {"kind": self.kind, "params": {"l": self.l}}
@@ -614,9 +597,6 @@ class WreathProduct(Group):
 def Lamplighter(base):
     """base wr Z, e.g. the classical lamplighter for base = Z/2."""
     return WreathProduct(base, FreeAbelian(1), kind="Lamplighter")
-
-
-_KINDS = {}
 
 
 def group_from_descriptor(d):
@@ -894,11 +874,6 @@ def index_subgroup_of_Z(m):
         embed=lambda h: (m * h[0],),
         restrict=lambda p: (p[0] // m,) if p[0] % m == 0 else None,
         reps=[(i,) for i in range(m)])
-
-
-def quotient_map(desc, p):
-    """Canonical image of p under the quotient descriptor (exact hom)."""
-    return desc.map(p)
 
 
 # ---------------------------------------------------------------------------

@@ -154,17 +154,13 @@ def sofic_exact_oracle(G, n, k_max, budget=200_000):
     B = G_.ball(G, n)
     if len(B) > 9 or k_max > 7:
         raise ValueError("oracle guarded to tiny balls and k_max <= 7")
-    elems = [p for p in B.elements]
-    e = G.identity()
-    elems.remove(e)
-    # precompute product triples (i, j, target slot) over non-identity slots
-    idx = {p: i for i, p in enumerate(elems)}
-    triples = []
-    for i, g in enumerate(elems):
-        for j, h in enumerate(elems):
-            gh = G.mul(g, h)
-            if gh in B:
-                triples.append((i, j, None if gh == e else idx[gh]))
+    # the identity holds ball slot 0; the search assigns the other slots,
+    # and product triples (i, j, target) use their indices shifted by one,
+    # with target None for a product equal to the identity
+    elems = B.elements[1:]
+    triples = [(i, j, None if t == 0 else t - 1)
+               for i, row in enumerate(B.products()[1:, 1:].tolist())
+               for j, t in enumerate(row) if t >= 0]
     state = {"nodes": 0}
 
     def refute_or_find(k):
@@ -508,20 +504,9 @@ def le_f_growth(G, n, catalog, budget=500_000, complete=False):
     map from B(n). Provenance is upper unless the catalog is declared
     complete up to the returned size."""
     B = G_.ball(G, n)
-    elems = list(B.elements)
-    e = G.identity()
-    order = sorted(
-        range(len(elems)),
-        key=lambda i: (B.length(elems[i]), G.key(elems[i])))
-    elems = [elems[i] for i in order]
-    assert elems[0] == e
-    triples = []
-    idx = {p: i for i, p in enumerate(elems)}
-    for i, g in enumerate(elems):
-        for j, h in enumerate(elems):
-            t = idx.get(G.mul(g, h))
-            if t is not None:
-                triples.append((i, j, t))
+    elems = B.elements  # identity first, at slot 0
+    triples = [(i, j, t) for i, row in enumerate(B.products().tolist())
+               for j, t in enumerate(row) if t >= 0]
 
     state = {"nodes": 0}
 

@@ -468,11 +468,6 @@ class ImplicitTensorUnitary:
                 "power": self.power}
 
 
-def tensor_amplify(base, power):
-    """Implicit tensor power with trace-based distance queries."""
-    return ImplicitTensorUnitary(base, power)
-
-
 # ---------------------------------------------------------------------------
 # exact fields and rank matrices
 
@@ -517,6 +512,9 @@ class FieldQ:
 
 class FieldFp:
     def __init__(self, p):
+        # inv() uses Fermat's little theorem, which needs p prime
+        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            raise ValueError(f"F{p} is not a field: {p} is not prime")
         self.p = p
         self.label = f"F{p}"
 
@@ -1089,11 +1087,6 @@ class WreathMetricGroup:
                                 labels=labels, validate=False), idx
 
 
-def wreath_fin_distance(a, b):
-    """d_{G wr F} on finite wreath elements (1 whenever tops differ)."""
-    return a.dist(b)
-
-
 class PermWreathElement:
     """Element of Sym(A) x| G_alpha^A with the coordinate-sum metric:
 
@@ -1152,23 +1145,86 @@ class PermWreathElement:
                 "bells": [b.to_json() for b in self.bells]}
 
 
-def perm_wreath_distance(a, b):
-    return a.dist(b)
-
-
 # ---------------------------------------------------------------------------
-# commutator-contractive predicate (constant left configurable)
+# batched distances
 
-def is_cc(group, C):
-    """Check d([a,b],e) <= C d(a,e) d(b,e) exhaustively on a table group."""
-    e = group.identity_index
-    for a in range(group.order):
-        for b in range(group.order):
-            comm = group.mul(group.mul(a, b),
-                             group.mul(group.inv(a), group.inv(b)))
-            if group.dist(comm, e) > C * group.dist(a, e) * group.dist(b, e):
-                return False
-    return True
+def batch(images):
+    """Distances from one image of a fixed list to many others.
+
+    Row queries return the extreme distance and its position in the row.
+    Lists of Permutation or of PermUnitary are compared as one integer image
+    array; every other list (CyclicPerm included, whose scalar mul/dist are
+    O(1) closed forms) calls its scalar mul/dist/pdist. Either way a row's
+    value equals the scalar extreme.
+    """
+    if all(isinstance(t, Permutation) for t in images):
+        return _PermRows([t.images for t in images], hamming=True)
+    if all(isinstance(t, PermUnitary) for t in images):
+        return _PermRows([t.perm.images for t in images], hamming=False)
+    return _ScalarRows(images)
+
+
+def _first_extreme(values, pick):
+    """(extreme value, first position attaining it) of a nonempty iterable."""
+    pos, value = pick(enumerate(values), key=lambda iv: iv[1])
+    return value, pos
+
+
+class _ScalarRows:
+    def __init__(self, images):
+        self.images = images
+
+    def max_defect(self, i, js, ts):
+        """Max over r of d(x_i x_js[r], x_ts[r]), and the first such r."""
+        x, ims = self.images[i], self.images
+        return _first_extreme((x.mul(ims[j]).dist(ims[t])
+                               for j, t in zip(js.tolist(), ts.tolist())), max)
+
+    def min_dist(self, i, js):
+        """Min over r of d(x_i, x_js[r]), and the first such r."""
+        x, ims = self.images[i], self.images
+        return _first_extreme((x.dist(ims[j]) for j in js.tolist()), min)
+
+    def min_pdist(self, i, js):
+        """Min over r of the projective distance of x_i and x_js[r]."""
+        x, ims = self.images[i], self.images
+        return _first_extreme((x.pdist(ims[j]) for j in js.tolist()), min)
+
+
+class _PermRows:
+    """Rows over an integer image array; distances come from moved-point
+    counts, converted with the scalar formulas: Fraction(moved, k) for
+    Hamming, sqrt(2 - 2 tau) with tau = fixed/k for Hilbert-Schmidt, whose
+    projective form coincides because tau >= 0."""
+
+    def __init__(self, images, hamming):
+        self.P = np.array(images, dtype=np.int32)
+        self.k = self.P.shape[1]
+        self.hamming = hamming
+
+    def _value(self, moved):
+        if self.hamming:
+            return Fraction(moved, self.k)
+        t = (self.k - moved) / self.k
+        return math.sqrt(max(0.0, 2.0 - 2.0 * t))
+
+    def max_defect(self, i, js, ts):
+        P = self.P
+        composed = np.take(P[i], np.take(P, js, axis=0))
+        moved = np.count_nonzero(composed != np.take(P, ts, axis=0), axis=1)
+        r = int(np.argmax(moved))
+        return self._value(int(moved[r])), r
+
+    def min_dist(self, i, js):
+        moved = np.count_nonzero(self.P[i] != np.take(self.P, js, axis=0),
+                                 axis=1)
+        r = int(np.argmin(moved))
+        return self._value(int(moved[r])), r
+
+    def min_pdist(self, i, js):
+        if self.hamming:
+            raise TypeError("the Hamming metric has no projective form")
+        return self.min_dist(i, js)
 
 
 # ---------------------------------------------------------------------------

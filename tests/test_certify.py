@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupapprox import groups as G_
 from groupapprox import targets as T_
@@ -89,25 +90,144 @@ def test_translation_fast_path_matches_generic():
     assert slow.separation_pairs == fast.separation_pairs
 
 
-def test_numpy_path_matches_generic(monkeypatch):
-    L = G_.LatticeHNF(G_.FreeAbelian(2), [(1, 3), (0, 8)])
-    cert = X_.from_quotient(G_.FreeAbelian(2), L, 1, "sofic")
-    generic = C_.verify_D(cert)
-    monkeypatch.setattr(C_, "_NUMPY_MIN_WORK", 0)
-    vectorized = C_.verify_D(cert)
-    assert vectorized.passed == generic.passed
-    assert Fraction(vectorized.defect) == Fraction(generic.defect)
-    assert Fraction(vectorized.separation) == Fraction(generic.separation)
-    assert vectorized.pairs_checked == generic.pairs_checked
+def _reference_verify(cert, margin=C_.DEFAULT_FLOAT_MARGIN):
+    """Plain double loop over scalar mul/dist: the sweep's reference."""
+    grp = cert.group
+    B = G_.ball(grp, cert.n)
+    els = B.elements
+    imgs = [cert.assignments[p] for p in els]
+    exact = all(C_._is_exact(t) for t in imgs)
+    projective = cert.family in ("hyp-projective", "lin-projective")
+    defect, def_wit, pairs = (Fraction(0) if exact else 0.0), None, 0
+    for i, g in enumerate(els):
+        for j, h in enumerate(els):
+            gh = grp.mul(g, h)
+            if gh not in B:
+                continue
+            pairs += 1
+            d = imgs[i].mul(imgs[j]).dist(cert.assignments[gh])
+            if d > defect:
+                defect, def_wit = d, [grp.fmt(g), grp.fmt(h), grp.fmt(gh)]
+    sep, sep_wit, sep_pairs = None, None, 0
+    for i in range(len(els)):
+        for j in range(i + 1, len(els)):
+            sep_pairs += 1
+            d = imgs[i].pdist(imgs[j]) if projective else imgs[i].dist(imgs[j])
+            if sep is None or d < sep:
+                sep, sep_wit = d, [grp.fmt(els[i]), grp.fmt(els[j])]
+    thr1 = Fraction(1, cert.n)
+    thr2 = float(cert.epsilon) - 1.0 / cert.n
+    if exact:
+        thr2 = cert.epsilon - thr1 if isinstance(cert.epsilon, Fraction) else thr2
+        passed = defect < thr1 and sep > thr2
+    else:
+        passed = (defect < float(thr1) - margin) and (sep > thr2 + margin)
+    return {"passed": passed, "defect": defect, "defect_witness": def_wit,
+            "separation": sep, "separation_witness": sep_wit,
+            "pairs_checked": pairs, "separation_pairs": sep_pairs}
 
 
-def test_numpy_path_matches_generic_unitary(monkeypatch):
+def _replace(cert, p, target, family=None):
+    assignments = dict(cert.assignments)
+    assignments[p] = target
+    return C_.ApproxCertificate(cert.group, cert.n, family or cert.family,
+                                assignments, epsilon=cert.epsilon,
+                                fin_group=cert.fin_group)
+
+
+def _sweep_certificates():
+    Z2 = G_.FreeAbelian(2)
+    perm = X_.from_quotient(Z2, G_.LatticeHNF(Z2, [(1, 3), (0, 8)]), 1,
+                            "sofic")
+    yield "permutation", perm
+    yield "permutation-mutated", _replace(perm, (1, 0), perm.target((0, 1)))
+    cyc = cyclic(3)
+    yield "cyclic-nontranslation", _replace(cyc, (1,), T_.CyclicPerm(7, 2))
     hyp = X_.perm_to_hyp(cyclic(8), 2)
-    generic = C_.verify_D(hyp)
-    monkeypatch.setattr(C_, "_NUMPY_MIN_WORK", 0)
-    vectorized = C_.verify_D(hyp)
-    assert vectorized.passed and generic.passed
-    assert abs(vectorized.separation - generic.separation) < 1e-12
+    yield "perm-unitary", hyp
+    yield "perm-unitary-mutated", _replace(hyp, (2,), hyp.target((-1,)))
+    yield "perm-unitary-projective", _replace(hyp, (0,), hyp.target((0,)),
+                                              family="hyp-projective")
+    m, theta = 9, 0.11
+    dense = {p: T_.perm_to_unitary(T_.CyclicPerm(m, p[0]))
+             for p in G_.ball(Z, 2)}
+    phases = np.eye(m, dtype=complex)
+    phases[0, 0] = np.exp(1j * theta)
+    dense[(1,)] = T_.UnitaryMatrix(phases @ dense[(1,)].entries, check=False)
+    yield "unitary", C_.ApproxCertificate(Z, 2, "hyp", dense)
+    lin = X_.perm_to_lin(cyclic(2), T_.FieldFp(2))
+    yield "rank", lin
+    yield "rank-mutated", _replace(lin, (1,), lin.target((2,)))
+    fin = X_.exact_finite(G_.FiniteCyclic(5), 2, family="fin")
+    yield "finite", fin
+    yield "finite-mutated", _replace(fin, 1, fin.target(2))
+    tensor = {p: T_.ImplicitTensorUnitary(
+        T_.AugmentedUnitary(T_.PermUnitary(t.materialize()), 5), 3)
+        for p, t in cyclic(2).assignments.items()}
+    yield "tensor", C_.ApproxCertificate(Z, 2, "hyp-projective", tensor)
+    wreath = {p: T_.PermWreathElement(
+        T_.CyclicPerm(5, p[0]).materialize(),
+        [T_.CyclicPerm(3, p[0] * a).materialize() for a in range(5)])
+        for p in G_.ball(Z, 2)}
+    yield "perm-wreath", C_.ApproxCertificate(Z, 2, "sofic", wreath)
+
+
+@pytest.mark.parametrize("cert", [pytest.param(cert, id=name)
+                                  for name, cert in _sweep_certificates()])
+def test_sweep_matches_reference_loop(cert):
+    rep = C_.verify_D(cert)
+    assert not any("fast path" in note for note in rep.notes)
+    want = _reference_verify(cert)
+    got = {"passed": rep.passed, "defect": rep.defect,
+           "defect_witness": rep.defect_witness,
+           "separation": rep.separation,
+           "separation_witness": rep.separation_witness,
+           "pairs_checked": rep.pairs_checked,
+           "separation_pairs": rep.separation_pairs}
+    assert got == want
+
+
+def _row_images(kind, perms, shifts):
+    k = len(perms[0])
+    if kind == "permutation":
+        return [T_.Permutation(p) for p in perms]
+    if kind == "cyclic-mixed":
+        return [T_.CyclicPerm(k, s) if s % 2 else T_.Permutation(p)
+                for p, s in zip(perms, shifts)]
+    if kind == "perm-unitary":
+        return [T_.PermUnitary(p) for p in perms]
+    return [T_.perm_to_unitary(T_.Permutation(p)) if s % 2 else T_.PermUnitary(p)
+            for p, s in zip(perms, shifts)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batch_rows_equal_scalar_extremes(data):
+    k = data.draw(st.integers(1, 6))
+    count = data.draw(st.integers(1, 6))
+    kind = data.draw(st.sampled_from(
+        ["permutation", "cyclic-mixed", "perm-unitary", "unitary-mixed"]))
+    perms = [data.draw(st.permutations(range(k))) for _ in range(count)]
+    shifts = [data.draw(st.integers(0, 2 * k)) for _ in range(count)]
+    images = _row_images(kind, perms, shifts)
+    slot = st.integers(0, count - 1)
+    i = data.draw(slot)
+    js = data.draw(st.lists(slot, min_size=1, max_size=8))
+    ts = data.draw(st.lists(slot, min_size=len(js), max_size=len(js)))
+    rows = T_.batch(images)
+    x = images[i]
+
+    def check(got, scalar, pick):
+        value, r = got
+        assert value == pick(scalar)
+        assert r == scalar.index(value)
+
+    check(rows.max_defect(i, np.array(js), np.array(ts)),
+          [x.mul(images[j]).dist(images[t]) for j, t in zip(js, ts)], max)
+    check(rows.min_dist(i, np.array(js)), [x.dist(images[j]) for j in js], min)
+    if kind in ("perm-unitary", "unitary-mixed"):
+        check(rows.min_pdist(i, np.array(js)),
+              [x.pdist(images[j]) for j in js], min)
 
 
 # ---------------------------------------------------------------------------

@@ -49,12 +49,6 @@ def test_no_command_prints_help(capsys):
     assert "usage" in err.lower()
 
 
-def test_workers_must_be_positive(capsys):
-    code, _, _ = run(capsys, "--workers", "0", "ball", "--group", "Z",
-                     "--n", "1")
-    assert code == 1
-
-
 # ---------------------------------------------------------------------------
 # construct / verify round trips
 
@@ -82,7 +76,39 @@ def test_verify_catches_single_mutation(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--cert", str(cert))
     assert code == 2
     assert json.loads(out)["pass"] is False
-    assert "verification failure" in err
+    assert "verification failure: condition (1) fails" in err
+    assert "witness ['-1', '1', '0']" in err
+    assert "condition (2) fails" in err and "witness ['1', '2']" in err
+
+
+_MALFORMED = {
+    "empty-assignments": lambda o: o.update(assignments=[]),
+    "missing-target": lambda o: o["assignments"][1].pop("target"),
+    "missing-shift": lambda o: o["assignments"][1]["target"].pop("shift"),
+    "unknown-group-kind": lambda o: o["group"].update(kind="NoSuchGroup"),
+    "duplicate-element":
+        lambda o: o["assignments"].append(dict(o["assignments"][2])),
+    "element-outside-ball":
+        lambda o: o["assignments"][-1].update(element="7"),
+}
+
+
+@pytest.mark.parametrize("case", [*_MALFORMED, "at-n-above-n"])
+def test_malformed_certificate_is_usage_error(tmp_path, capsys, case):
+    cert = tmp_path / "c.json"
+    run(capsys, "construct", "--method", "cyclic-z", "--n", "2",
+        "--out", str(cert))
+    extra = []
+    if case == "at-n-above-n":
+        extra = ["--at-n", "3"]
+    else:
+        obj = json.loads(cert.read_text())
+        _MALFORMED[case](obj)
+        cert.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--cert", str(cert), *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_construct_is_deterministic(tmp_path, capsys):
@@ -113,6 +139,18 @@ def test_perm_to_lin_pipeline(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--cert", str(lin))
     assert code == 0
     assert json.loads(lin.read_text())["family"] == "lin"
+
+
+@pytest.mark.parametrize("field", ["F1", "F4", "F6"])
+def test_perm_to_lin_rejects_non_prime_field(tmp_path, capsys, field):
+    sofic = tmp_path / "s.json"
+    run(capsys, "construct", "--method", "cyclic-z", "--n", "1",
+        "--out", str(sofic))
+    code, out, err = run(capsys, "construct", "--method", "perm-to-lin",
+                         "--input", str(sofic), "--field", field)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "not prime" in err
 
 
 def test_verify_hom_needs_at_n(tmp_path, capsys):

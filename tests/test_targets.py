@@ -142,6 +142,18 @@ def test_projective_rank_distance_fp():
     assert T_.projective_rank_distance(a, b) == 0
 
 
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 6, 9, 91])
+def test_field_fp_rejects_non_primes(p):
+    with pytest.raises(ValueError, match="not prime"):
+        T_.FieldFp(p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 97])
+def test_field_fp_inverts_for_primes(p):
+    F = T_.FieldFp(p)
+    assert all(F.mul(a, F.inv(a)) == 1 for a in range(1, p))
+
+
 # ---------------------------------------------------------------------------
 # block sums
 
