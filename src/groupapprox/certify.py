@@ -25,6 +25,19 @@ class CertificateError(ValueError):
     pass
 
 
+def _decoded(decode, obj):
+    """Run a certificate decoder, turning any decoding failure of malformed
+    input into CertificateError."""
+    try:
+        return decode(obj)
+    except CertificateError:
+        raise
+    except KeyError as e:
+        raise CertificateError(f"certificate lacks field {e}") from e
+    except (TypeError, ValueError, AttributeError, IndexError) as e:
+        raise CertificateError(f"malformed certificate: {e}") from e
+
+
 class UpstreamVerificationError(RuntimeError):
     """A builder precondition (input certificate verification) failed."""
 
@@ -134,14 +147,7 @@ class ApproxCertificate:
     @classmethod
     def from_json(cls, obj):
         """Decode a certificate; malformed input raises CertificateError."""
-        try:
-            return cls._decode(obj)
-        except CertificateError:
-            raise
-        except KeyError as e:
-            raise CertificateError(f"certificate lacks field {e}") from e
-        except (TypeError, ValueError, AttributeError, IndexError) as e:
-            raise CertificateError(f"malformed certificate: {e}") from e
+        return _decoded(cls._decode, obj)
 
     @classmethod
     def _decode(cls, obj):
@@ -191,6 +197,9 @@ class HomCertificate:
         self.provenance = provenance or {}
         first = next(iter(self.images.values()))
         self.dimension = first.dim if dimension is None else dimension
+        for el in self.images.values():
+            if el.dim != self.dimension:
+                raise CertificateError("images disagree on dimension")
         # close under formal inverses
         inv_pairs = _inverse_label_map(group)
         for lab in list(self.images):
@@ -226,19 +235,36 @@ class HomCertificate:
 
     @classmethod
     def from_json(cls, obj):
+        """Decode a certificate; malformed input raises CertificateError."""
+        return _decoded(cls._decode, obj)
+
+    @classmethod
+    def _decode(cls, obj):
         group = G_.group_from_descriptor(obj["group"])
+        labels = {lab for lab, _ in group.generators()}
         fin_group = None
         if "target_group" in obj:
             fin_group = T_.TableMetricGroup.from_json(obj["target_group"])
-        images = {item["generator"]: T_.target_from_json(item["target"],
-                                                         fin_group=fin_group)
-                  for item in obj["images"]}
+        if not obj["images"]:
+            raise CertificateError("certificate has no images")
+        images = {}
+        for item in obj["images"]:
+            lab = item["generator"]
+            if lab not in labels:
+                raise CertificateError(f"group has no generator {lab!r}")
+            if lab in images:
+                raise CertificateError(f"duplicate generator {lab!r}")
+            images[lab] = T_.target_from_json(item["target"], fin_group=fin_group)
+        relators = [tuple(r) for r in obj["relators"]]
+        for r in relators:
+            if not labels.issuperset(r):
+                raise CertificateError(
+                    f"relator {list(r)} uses a label the group lacks")
         eps = obj["epsilon"]
         default = T_.family_epsilon(obj["family"])
         if abs(float(default) - eps) < 1e-12:
             eps = default
-        return cls(group, images, obj["family"],
-                   relators=[tuple(r) for r in obj.get("relators", [])],
+        return cls(group, images, obj["family"], relators=relators,
                    epsilon=eps, dimension=obj["dimension"],
                    fin_group=fin_group, provenance=obj.get("provenance"))
 
@@ -381,6 +407,8 @@ def _separation_sweep(B, nearest):
 def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None):
     """Check Def-style conditions (1) and (2) on the ball; strict, fail closed."""
     n = cert.n if at_n is None else at_n
+    if n < 1:
+        raise CertificateError(f"cannot verify at radius {n}, below 1")
     if at_n is not None and at_n > cert.n:
         raise CertificateError("cannot verify above the certificate's n")
     B = G_.ball(cert.group, n)
@@ -484,6 +512,8 @@ def verify_R(h, n, cap=DEFAULT_WORD_CAP, margin=DEFAULT_FLOAT_MARGIN):
 
 
 def _verify_words(h, n, cap, margin, relator_mode):
+    if n < 1:
+        raise CertificateError(f"cannot verify at word length {n}, below 1")
     grp = h.group
     letters = _letters(grp)
     first = next(iter(h.images.values()))

@@ -153,6 +153,8 @@ def load_certificate(path):
 
 def cmd_ball(args):
     G = _group(args.group)
+    if args.n < 0:
+        raise UsageError("--n must be nonnegative")
     try:
         B = G_.ball(G, args.n, cap=args.cap)
     except G_.BallCapExceeded:

@@ -3,8 +3,19 @@
 Every group exposes a normal-form payload type (nested tuples of ints), a
 symmetric generating set, and deterministic element ordering, so that
 word-metric balls, certificates and searches are reproducible byte for byte.
+
+Word-metric balls come from ``ball()``, the one ball layer. It keeps the
+balls it built in a bounded process-wide memo, so every caller asking for
+the same (group, radius) gets the same ``Ball`` object. Balls are therefore
+read-only: their elements, lengths and product table cannot be written.
 """
 from __future__ import annotations
+
+import json
+import operator
+import threading
+from collections import OrderedDict
+from types import MappingProxyType
 
 import numpy as np
 
@@ -68,20 +79,24 @@ class Group:
         return isinstance(other, Group) and self.descriptor() == other.descriptor()
 
     def __hash__(self):
-        import json
         return hash(json.dumps(self.descriptor(), sort_keys=True))
 
 
 class Ball:
     """Word-metric ball B(n) of a group: canonically ordered elements (the
-    identity first) plus length map."""
+    identity first) plus length map.
+
+    A Ball is shared by every caller of ``ball()`` in the process, so it is
+    read-only: ``elements`` is a tuple, ``lengths`` a read-only mapping and
+    ``products()`` a read-only array."""
 
     def __init__(self, group, radius, elements, lengths):
         self.group = group
         self.radius = radius
-        self.elements = elements
-        self.lengths = lengths
-        self._index = {p: i for i, p in enumerate(elements)}
+        self.elements = tuple(elements)
+        self.lengths = MappingProxyType(lengths)
+        self._index = {p: i for i, p in enumerate(self.elements)}
+        self._products = None
 
     def __len__(self):
         return len(self.elements)
@@ -101,27 +116,65 @@ class Ball:
     def products(self):
         """Product table: an int32 |B| x |B| array whose entry [i, j] is the
         slot of elements[i] * elements[j], or -1 when that product leaves
-        the ball."""
-        mul, slot = self.group.mul, self._index.get
-        els = self.elements
-        # filled row by row, so no |B|^2 list of Python ints is built
-        table = np.empty((len(els), len(els)), dtype=np.int32)
-        for i, g in enumerate(els):
-            table[i] = [slot(mul(g, h), -1) for h in els]
-        return table
+        the ball. Built on the first call and kept; the array is read-only."""
+        if self._products is None:
+            mul, slot = self.group.mul, self._index.get
+            els = self.elements
+            # filled row by row, so no |B|^2 list of Python ints is built
+            table = np.empty((len(els), len(els)), dtype=np.int32)
+            for i, g in enumerate(els):
+                table[i] = [slot(mul(g, h), -1) for h in els]
+            table.flags.writeable = False
+            self._products = table
+        return self._products
 
 
 DEFAULT_BALL_CAP = 10 ** 6
+
+# Distinct (group, radius) balls kept by ball(), least recently used evicted
+# first. The profile/audit/rfgrowth pipelines ask for ~130 distinct balls, so
+# all of them stay resident; the bound keeps a long-lived process from growing
+# without limit.
+_BALL_MEMO_SIZE = 256
+_balls = OrderedDict()
+_balls_lock = threading.Lock()
 
 
 def ball(G, n, cap=DEFAULT_BALL_CAP):
     """Exact ball of radius n around the identity, BFS over the generating set.
 
     Elements are ordered by (word length, payload sort key). Raises
-    BallCapExceeded if the ball would exceed ``cap`` elements.
+    BallCapExceeded if the ball has more than ``cap`` elements; a ball not
+    yet built stops its BFS as soon as it passes the cap.
+
+    Balls are memoized per process by (group descriptor, radius): repeated
+    calls return the same read-only Ball. A BFS aborted by the cap is never
+    kept.
     """
+    # a non-integer radius fails here whether or not its ball is memoized
+    n = operator.index(n)
     if n < 0:
         raise ValueError("radius must be nonnegative")
+    # Group.__eq__'s descriptor equality, serialized once per call
+    key = (json.dumps(G.descriptor(), sort_keys=True), n)
+    with _balls_lock:
+        B = _balls.get(key)
+        if B is not None:
+            _balls.move_to_end(key)
+    if B is None:
+        built = _bfs_ball(G, n, cap)
+        with _balls_lock:
+            B = _balls.setdefault(key, built)
+            if len(_balls) > _BALL_MEMO_SIZE:
+                _balls.popitem(last=False)
+    # checked after a fresh build too: the BFS never counts the identity
+    # against the cap, so a cap below 1 is caught only here
+    if len(B) > cap:
+        raise BallCapExceeded(G, n, cap)
+    return B
+
+
+def _bfs_ball(G, n, cap):
     e = G.identity()
     lengths = {e: 0}
     frontier = [e]
@@ -645,7 +698,6 @@ def parse_group(text):
     if t.startswith("Wreath(") and t.endswith(")"):
         base, top = _split_top(t[len("Wreath("):-1], ";")
         return WreathProduct(parse_group(base), parse_group(top))
-    import json
     try:
         return group_from_descriptor(json.loads(t))
     except json.JSONDecodeError:

@@ -342,7 +342,7 @@ def box_defect_Zd(d, L, n):
     """Defect of the box [0,L)^d at radius n, by the exact overlap formula."""
     if L < 1:
         raise ValueError("box side must be positive")
-    total = Fraction(0)
+    total = 0
     for g in G_.ball(G_.FreeAbelian(d), n):
         overlap = 1
         for a in g:
@@ -351,7 +351,7 @@ def box_defect_Zd(d, L, n):
                 break
             overlap *= L - abs(a)
         total += 2 * (L ** d - overlap)
-    return total / (L ** d)
+    return Fraction(total, L ** d)
 
 
 def _folner_boxes(G, n):

@@ -32,6 +32,12 @@ def test_ball_cap_exit(capsys):
     assert "cap" in err
 
 
+def test_ball_negative_radius_is_usage_error(capsys):
+    code, out, err = run(capsys, "ball", "--group", "Z", "--n", "-1")
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+
+
 def test_bad_group_is_usage_error(capsys):
     code, _, err = run(capsys, "ball", "--group", "E8", "--n", "1")
     assert code == 1 and "error" in err
@@ -93,18 +99,38 @@ _MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", [*_MALFORMED, "at-n-above-n"])
+_MALFORMED_HOM = {
+    "hom-empty-images": lambda o: o.update(images=[]),
+    "hom-missing-images": lambda o: o.pop("images"),
+    "hom-unknown-generator": lambda o: o["images"][0].update(generator="y1"),
+    "hom-missing-relators": lambda o: o.pop("relators"),
+    "hom-mixed-dimension": lambda o: o["images"].append(
+        {"generator": "x1^-1", "target": T_.CyclicPerm(5, 1).to_json()}),
+}
+_AT_N = {"at-n-above-n": "3", "at-n-zero": "0", "hom-at-n-zero": "0"}
+
+
+@pytest.mark.parametrize("case", [*_MALFORMED, *_MALFORMED_HOM, *_AT_N])
 def test_malformed_certificate_is_usage_error(tmp_path, capsys, case):
     cert = tmp_path / "c.json"
-    run(capsys, "construct", "--method", "cyclic-z", "--n", "2",
-        "--out", str(cert))
-    extra = []
-    if case == "at-n-above-n":
-        extra = ["--at-n", "3"]
-    else:
-        obj = json.loads(cert.read_text())
-        _MALFORMED[case](obj)
+    if case.startswith("hom-"):
+        h = C_.HomCertificate(G_.FreeAbelian(1), {"x1": T_.CyclicPerm(7, 1)},
+                              "sofic")
+        obj = h.to_json()
+        if case in _MALFORMED_HOM:
+            _MALFORMED_HOM[case](obj)
+            with pytest.raises(C_.CertificateError):
+                C_.HomCertificate.from_json(obj)
         cert.write_text(json.dumps(obj))
+        extra = ["--at-n", _AT_N.get(case, "2")]
+    else:
+        run(capsys, "construct", "--method", "cyclic-z", "--n", "2",
+            "--out", str(cert))
+        if case in _MALFORMED:
+            obj = json.loads(cert.read_text())
+            _MALFORMED[case](obj)
+            cert.write_text(json.dumps(obj))
+        extra = ["--at-n", _AT_N[case]] if case in _AT_N else []
     code, out, err = run(capsys, "verify", "--cert", str(cert), *extra)
     assert code == 1
     assert out == ""

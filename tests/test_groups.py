@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groupapprox import cli
 from groupapprox import groups as G_
 
 Z = G_.FreeAbelian(1)
@@ -46,6 +47,97 @@ def test_ball_cap():
 
 def _elems(G, r):
     return list(G_.ball(G, r).elements)
+
+
+# ---------------------------------------------------------------------------
+# the memoized ball layer
+
+CATALOG = {
+    "Z": Z,
+    "Z^2": Z2,
+    "F2": G_.Free(2),
+    "Heisenberg(1)": H3,
+    "Z/5": G_.FiniteCyclic(5),
+    "Sym(3)": G_.FiniteSym(3),
+    "Z x Z/3": G_.DirectProduct(Z, G_.FiniteCyclic(3)),
+    "Z/2 wr Z/3": G_.WreathProduct(G_.FiniteCyclic(2), G_.FiniteCyclic(3)),
+    "Lamplighter(Z/2)": G_.Lamplighter(G_.FiniteCyclic(2)),
+}
+
+
+def _bfs_reference(G, n):
+    """(elements in (length, key) order, lengths) by a plain BFS."""
+    lengths = {G.identity(): 0}
+    layer = [G.identity()]
+    for r in range(1, n + 1):
+        layer = [h for h in {G.mul(g, s) for g in layer
+                             for _, s in G.generators()}
+                 if h not in lengths]
+        lengths.update((h, r) for h in layer)
+    return sorted(lengths, key=lambda p: (lengths[p], G.key(p))), lengths
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_memoized_ball_matches_bfs_reference(name):
+    G = CATALOG[name]
+    for n in range(4):
+        want_elements, want_lengths = _bfs_reference(G, n)
+        for B in (G_.ball(G, n), G_.ball(G, n)):  # build or hit, then hit
+            assert list(B.elements) == want_elements
+            assert dict(B.lengths) == want_lengths
+
+
+def test_equal_groups_share_one_ball():
+    assert G_.ball(H3, 4) is G_.ball(H3, 4)
+    again = G_.group_from_descriptor(H3.descriptor())
+    assert again is not H3
+    assert G_.ball(again, 4) is G_.ball(G_.parse_group("Heisenberg(1)"), 4)
+    assert G_.ball(again, 4) is G_.ball(H3, 4)
+    assert G_.ball(H3, 3) is not G_.ball(H3, 4)
+
+
+def test_memo_hit_honours_cap():
+    H = G_.Heisenberg(1)
+    B = G_.ball(H, 5)
+    with pytest.raises(G_.BallCapExceeded):
+        G_.ball(H, 5, cap=10)
+    assert G_.ball(H, 5, cap=len(B)) is B
+    # a one-element ball exceeds cap 0, though the BFS never counts the identity
+    trivial = G_.FiniteCyclic(1)
+    for _ in ("build", "hit"):
+        with pytest.raises(G_.BallCapExceeded):
+            G_.ball(trivial, 2, cap=0)
+    assert cli.main(["ball", "--group", "Heisenberg(1)", "--n", "5",
+                     "--cap", "10"]) == 3
+
+
+def test_capped_build_is_not_kept():
+    with pytest.raises(G_.BallCapExceeded):
+        G_.ball(Z2, 7, cap=20)
+    assert len(G_.ball(Z2, 7)) == 2 * 7 * 7 + 2 * 7 + 1
+
+
+def test_shared_ball_is_read_only():
+    B = G_.ball(H3, 2)
+    with pytest.raises(TypeError):
+        B.elements[0] = B.elements[1]
+    with pytest.raises(TypeError):
+        B.lengths[H3.identity()] = 1
+    table = B.products()
+    assert table is B.products()
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+
+
+def test_evicted_ball_is_rebuilt_equal():
+    B = G_.ball(Z2, 3)
+    # radius-0 balls of cyclic groups no other test asks for
+    for m in range(10 ** 6, 10 ** 6 + G_._BALL_MEMO_SIZE):
+        G_.ball(G_.FiniteCyclic(m), 0)
+    again = G_.ball(Z2, 3)
+    assert again is not B
+    assert again.elements == B.elements
+    assert dict(again.lengths) == dict(B.lengths)
 
 
 @st.composite

@@ -1,7 +1,9 @@
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupapprox import groups as G_
 from groupapprox import construct as X_
@@ -112,11 +114,28 @@ def test_folner_boxes_Z2():
 
 
 def test_box_formula_matches_materialized_defect():
-    import itertools
     for (d, L, n) in ((1, 7, 2), (2, 5, 2), (2, 4, 1)):
         Gd = G_.FreeAbelian(d)
         members = [tuple(v) for v in itertools.product(range(L), repeat=d)]
         assert P_.box_defect_Zd(d, L, n) == X_.folner_defect(Gd, members, n)
+
+
+def _box_defect_reference(d, L, n):
+    """sum over g in the l1 ball B(n) of |A delta (A + g)| / |A|, with the
+    box A = [0, L)^d written out."""
+    box = set(itertools.product(range(L), repeat=d))
+    total = 0
+    for g in itertools.product(range(-n, n + 1), repeat=d):
+        if sum(map(abs, g)) <= n:
+            moved = {tuple(a + x for a, x in zip(v, g)) for v in box}
+            total += len(box ^ moved)
+    return Fraction(total, len(box))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 6), st.integers(0, 4))
+def test_box_defect_matches_brute_force(d, L, n):
+    assert P_.box_defect_Zd(d, L, n) == _box_defect_reference(d, L, n)
 
 
 def test_interval_length_is_tight():
