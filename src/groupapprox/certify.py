@@ -413,7 +413,7 @@ def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None):
         raise CertificateError("cannot verify above the certificate's n")
     B = G_.ball(cert.group, n)
     targets = [cert.target(p) for p in B]  # raises on missing assignment
-    fast = _verify_translation_fast(cert, B, n, margin)
+    fast = _verify_translation_fast(cert, B, n)
     if fast is not None:
         return fast
     exact = all(_is_exact(t) for t in targets)
@@ -437,7 +437,7 @@ def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None):
         notes=["exact arithmetic" if exact else "floating metric, margin applied"])
 
 
-def _verify_translation_fast(cert, B, n, margin):
+def _verify_translation_fast(cert, B, n):
     """Closed-form verification for translation certificates on Z.
 
     Applies when every target is a CyclicPerm with shift g mod m; then the
@@ -574,7 +574,7 @@ def _verify_words(h, n, cap, margin, relator_mode):
         count, count, margin if not exact else 0.0, notes=notes)
 
 
-def geodesic_words(group, m, cap=G_.DEFAULT_BALL_CAP):
+def geodesic_words(group, m):
     """Lexicographically least geodesic word (as label tuple) per ball element.
 
     BFS expanding words in lex order guarantees the first word reaching an
@@ -592,8 +592,8 @@ def geodesic_words(group, m, cap=G_.DEFAULT_BALL_CAP):
                 if hgt not in words:
                     words[hgt] = w + (lab,)
                     nxt.append((hgt, w + (lab,)))
-                    if len(words) > cap:
-                        raise G_.BallCapExceeded(group, m, cap)
+                    if len(words) > G_.DEFAULT_BALL_CAP:
+                        raise G_.BallCapExceeded(group, m, G_.DEFAULT_BALL_CAP)
         frontier = nxt
     return words
 
@@ -603,13 +603,13 @@ def _invert_word(group, word):
     return tuple(inv_lab[lab] for lab in reversed(word))
 
 
-def D_from_W(h, m, cap=DEFAULT_WORD_CAP, margin=DEFAULT_FLOAT_MARGIN):
+def D_from_W(h, m):
     """Ball certificate at m from a homomorphism verified at 3m.
 
     Geodesic representatives are chosen lex-least and inverse-paired
     (w_{g^-1} = w_g^-1), processing ball elements in canonical order.
     """
-    pre = verify_W(h, 3 * m, cap=cap, margin=margin)
+    pre = verify_W(h, 3 * m)
     if not pre.passed:
         raise UpstreamVerificationError(
             f"verify_W failed at {3 * m}: {pre!r}")
@@ -630,19 +630,19 @@ def D_from_W(h, m, cap=DEFAULT_WORD_CAP, margin=DEFAULT_FLOAT_MARGIN):
         grp, m, h.family, assignments, epsilon=h.epsilon,
         fin_group=h.fin_group,
         provenance={"builder": "D_from_W", "upstream_n": 3 * m})
-    rep = verify_D(cert, margin=margin)
+    rep = verify_D(cert)
     if not rep.passed:
         raise UpstreamVerificationError(f"constructed certificate fails: {rep!r}")
     return cert
 
 
-def W_from_D(c, m, margin=DEFAULT_FLOAT_MARGIN, cap=DEFAULT_WORD_CAP):
+def W_from_D(c, m):
     """Homomorphism certificate at m from a ball certificate at 3m^2."""
     need = 3 * m * m
     if c.n < need:
         raise UpstreamVerificationError(
             f"input certificate has n={c.n} < 3m^2={need}")
-    pre = verify_D(c, margin=margin)
+    pre = verify_D(c)
     if not pre.passed:
         raise UpstreamVerificationError(f"verify_D failed: {pre!r}")
     grp = c.group
@@ -653,7 +653,7 @@ def W_from_D(c, m, margin=DEFAULT_FLOAT_MARGIN, cap=DEFAULT_WORD_CAP):
         grp, images, c.family, relators=default_relators(grp),
         epsilon=c.epsilon, fin_group=c.fin_group,
         provenance={"builder": "W_from_D", "upstream_n": c.n})
-    rep = verify_W(hc, m, cap=cap, margin=margin)
+    rep = verify_W(hc, m)
     if not rep.passed:
         raise UpstreamVerificationError(f"induced homomorphism fails: {rep!r}")
     return hc
@@ -763,8 +763,7 @@ def check_delta_solution(relators, elements, delta):
 # ---------------------------------------------------------------------------
 # approximate-homomorphism consistency suite
 
-def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0,
-                            margin=DEFAULT_FLOAT_MARGIN):
+def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
     """Empirical check of the five approximate-homomorphism bounds.
 
     The multiplicativity defect eps0 is measured on pairs with product in the

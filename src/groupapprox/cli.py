@@ -45,9 +45,19 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {o!r}")
 
 
-def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=1,
-                      default=_json_default) + "\n"
+def _write_json(obj, path):
+    """Write obj as canonical JSON (sorted keys, indent 1, final newline) to
+    path, or to stdout for None or "-", streamed without building the text."""
+    if path in (None, "-"):
+        _dump_json(obj, sys.stdout)
+    else:
+        with open(path, "w") as f:
+            _dump_json(obj, f)
+
+
+def _dump_json(obj, f):
+    json.dump(obj, f, sort_keys=True, indent=1, default=_json_default)
+    f.write("\n")
 
 
 def _emit(text, path):
@@ -61,11 +71,13 @@ def _emit(text, path):
 def _parse_range(text):
     """'3' or '1..10' to an inclusive integer range."""
     t = text.strip()
-    if ".." in t:
-        lo, hi = t.split("..", 1)
-        lo, hi = int(lo), int(hi)
-    else:
-        lo = hi = int(t)
+    try:
+        if ".." in t:
+            lo, hi = (int(x) for x in t.split("..", 1))
+        else:
+            lo = hi = int(t)
+    except ValueError:
+        raise UsageError(f"bad range {text!r}")
     if lo < 0 or hi < lo:
         raise UsageError(f"bad range {text!r}")
     return list(range(lo, hi + 1))
@@ -123,6 +135,8 @@ def _field_from_label(label):
 
 
 def _group(text):
+    if text is None:
+        raise UsageError("this command needs --group")
     try:
         return G_.parse_group(text)
     except ValueError as e:
@@ -141,6 +155,8 @@ def _load_json(path):
 
 def load_certificate(path):
     obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path} is not a recognized certificate")
     if "assignments" in obj:
         return C_.ApproxCertificate.from_json(obj)
     if "images" in obj:
@@ -161,7 +177,7 @@ def cmd_ball(args):
         raise ResourceCap(f"ball cap {args.cap} exceeded")
     artifact = {"group": G.descriptor(), "n": args.n, "size": len(B),
                 "elements": [G.fmt(p) for p in B.elements]}
-    _emit(canonical_json(artifact), args.out)
+    _write_json(artifact, args.out)
     return EXIT_OK
 
 
@@ -176,6 +192,26 @@ _NEEDS_N = ("cyclic-z", "from-quotient", "exact-finite", "perm-to-hyp",
             "amplify")
 
 
+def _quotient(G, args):
+    """The finite quotient of G named by --modulus or --lattice."""
+    try:
+        if isinstance(G, G_.Heisenberg):
+            if args.modulus is None:
+                raise UsageError("from-quotient on Heisenberg needs --modulus")
+            return G_.CongruenceMod(G, args.modulus)
+        if not isinstance(G, G_.FreeAbelian):
+            raise UsageError("from-quotient supports Z^d and Heisenberg")
+        if args.lattice:
+            return G_.LatticeHNF(G, _parse_lattice(args.lattice))
+        if args.modulus is not None:
+            return G_.LatticeHNF(G, [tuple(args.modulus if i == j else 0
+                                           for j in range(G.d))
+                                     for i in range(G.d)])
+        raise UsageError("from-quotient needs --lattice or --modulus")
+    except ValueError as e:
+        raise UsageError(f"bad quotient: {e}")
+
+
 def _build(args):
     m = args.method
     if m in _NEEDS_N and args.n is None:
@@ -184,22 +220,8 @@ def _build(args):
         return X_.cyclic_Z(args.n)
     if m == "from-quotient":
         G = _group(args.group)
-        if isinstance(G, G_.Heisenberg):
-            if args.modulus is None:
-                raise UsageError("from-quotient on Heisenberg needs --modulus")
-            Q = G_.CongruenceMod(G, args.modulus)
-        elif isinstance(G, G_.FreeAbelian):
-            if args.lattice:
-                Q = G_.LatticeHNF(G, _parse_lattice(args.lattice))
-            elif args.modulus is not None:
-                Q = G_.LatticeHNF(G, [tuple(args.modulus if i == j else 0
-                                            for j in range(G.d))
-                                      for i in range(G.d)])
-            else:
-                raise UsageError("from-quotient needs --lattice or --modulus")
-        else:
-            raise UsageError("from-quotient supports Z^d and Heisenberg")
-        return X_.from_quotient(G, Q, args.n, args.family)
+        return X_.from_quotient(G, _quotient(G, args), args.n, args.family,
+                                field=_field_from_label(args.field))
     if m == "exact-finite":
         return X_.exact_finite(_group(args.group), args.n, args.family)
     if m == "direct-product":
@@ -237,11 +259,11 @@ def cmd_construct(args):
         raise VerifyFailure(str(e))
     except G_.BallCapExceeded as e:
         raise ResourceCap(str(e))
-    _emit(cert.dumps() + "\n", args.out)
+    _write_json(cert.to_json(), args.out)
     if args.out not in (None, "-"):
         summary = {"family": cert.family, "n": cert.n,
                    "dimension": cert.dimension_json(), "written": args.out}
-        sys.stdout.write(canonical_json(summary))
+        _write_json(summary, None)
     return EXIT_OK
 
 
@@ -263,7 +285,7 @@ def cmd_verify(args):
     if args.lemma_suite and isinstance(cert, C_.ApproxCertificate):
         report["lemma_suite"] = C_.lemma_consistency_suite(
             cert, seed=args.seed)
-    _emit(canonical_json(report), args.out)
+    _write_json(report, args.out)
     if not rep.passed:
         raise VerifyFailure(rep.failure_summary())
     if args.lemma_suite and not report.get("lemma_suite", {}).get("pass",
@@ -332,9 +354,13 @@ def cmd_profile(args):
     if args.format == "json":
         out = curve.to_json()
         if args.slope_window:
-            lo, hi = (int(x) for x in args.slope_window.split(",", 1))
+            try:
+                lo, hi = (int(x) for x in args.slope_window.split(",", 1))
+            except ValueError:
+                raise UsageError(
+                    f"bad slope window {args.slope_window!r} (use LO,HI)")
             out["fit"] = curve.fit_slope((lo, hi))
-        _emit(canonical_json(out), args.out)
+        _write_json(out, args.out)
     else:
         _emit(curve_to_csv(args.group, args.family, curve), args.out)
     return EXIT_OK
@@ -360,7 +386,7 @@ def cmd_folner(args):
     artifact["strategy"] = args.strategy
     artifact["exact_minimum"] = outcome.exact
     artifact["note"] = outcome.note
-    _emit(canonical_json(artifact), args.out)
+    _write_json(artifact, args.out)
     return EXIT_OK
 
 
@@ -376,7 +402,7 @@ def cmd_rfgrowth(args):
         except NotImplementedError as e:
             raise UsageError(str(e))
     if args.format == "json":
-        _emit(canonical_json(curve.to_json()), args.out)
+        _write_json(curve.to_json(), args.out)
     else:
         _emit(curve_to_csv(args.group, "rf", curve), args.out)
     return EXIT_OK
@@ -390,6 +416,8 @@ _AUDIT_BUILDERS = {
 
 
 def cmd_audit(args):
+    if args.n_max is not None and args.n_max < 1:
+        raise UsageError("--n-max must be at least 1")
     wanted = [g.strip() for g in args.groups.split(";")]
     curves = {}
     for label in wanted:
@@ -398,7 +426,7 @@ def cmd_audit(args):
                 f"audit supports {sorted(_AUDIT_BUILDERS)}, not {label!r}")
         curves[label] = _AUDIT_BUILDERS[label](args.n_max)
     report = P_.inequality_audit(curves)
-    _emit(canonical_json(report), args.out)
+    _write_json(report, args.out)
     if not report["pass"]:
         raise VerifyFailure(f"{len(report['violations'])} violations")
     return EXIT_OK

@@ -28,13 +28,27 @@ def _trace(builder, params, n, epsilon, dimension, inputs=None):
     return t
 
 
-def _check(cert, margin=C_.DEFAULT_FLOAT_MARGIN):
-    rep = C_.verify_D(cert, margin=margin)
-    if not rep.passed:
-        raise C_.UpstreamVerificationError(
-            f"builder output failed verification: {rep!r}")
-    cert.provenance.setdefault("verified", rep.to_json()["pass"])
+def _check(cert):
+    _require_verified(cert, "builder output failed verification")
+    cert.provenance.setdefault("verified", True)
     return cert
+
+
+def _require_verified(cert, failure):
+    """Raise UpstreamVerificationError, led by ``failure``, unless cert
+    passes verify_D at the default float margin."""
+    rep = C_.verify_D(cert)
+    if not rep.passed:
+        raise C_.UpstreamVerificationError(f"{failure}: {rep!r}")
+
+
+def _complete_injection(images):
+    """Permutation from a partial injection given as a list of image points
+    (None where unset): the free points are matched up in canonical order."""
+    used = {j for j in images if j is not None}
+    free = iter([j for j in range(len(images)) if j not in used])
+    return T_.Permutation(tuple(next(free) if j is None else j
+                                for j in images))
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +67,11 @@ def _payload_from_json(j):
 
 
 def witness_from_json(obj):
+    """Decode a Folner witness; malformed input raises CertificateError."""
+    return C_._decoded(_decode_witness, obj)
+
+
+def _decode_witness(obj):
     group = G_.group_from_descriptor(obj["group"])
     members = [_payload_from_json(m) for m in obj["members_payload"]]
     return FolnerWitness(group, obj["n"], members,
@@ -112,7 +131,7 @@ class FolnerWitness:
                 "members_payload": [_payload_to_json(a) for a in self.members]}
 
 
-def folner_to_sofic(w, n=None, margin=C_.DEFAULT_FLOAT_MARGIN):
+def folner_to_sofic(w, n=None):
     """Sofic certificate of dimension |A| from a Folner witness.
 
     pi(g) moves a to g*a whenever both lie in A; the leftover points are
@@ -127,29 +146,15 @@ def folner_to_sofic(w, n=None, margin=C_.DEFAULT_FLOAT_MARGIN):
     A = list(w.members)
     pos = {a: i for i, a in enumerate(A)}
     k = len(A)
-    assignments = {}
-    for g in G_.ball(grp, n):
-        images = [None] * k
-        used = set()
-        for i, a in enumerate(A):
-            ga = grp.mul(g, a)
-            j = pos.get(ga)
-            if j is not None:
-                images[i] = j
-                used.add(j)
-        free_dst = [j for j in range(k) if j not in used]
-        it = iter(free_dst)
-        for i in range(k):
-            if images[i] is None:
-                images[i] = next(it)
-        assignments[g] = T_.Permutation(tuple(images))
+    assignments = {g: _complete_injection([pos.get(grp.mul(g, a)) for a in A])
+                   for g in G_.ball(grp, n)}
     cert = C_.ApproxCertificate(
         grp, n, "sofic", assignments,
         provenance=_trace("folner_to_sofic",
                           {"set_size": k, "witness_n": w.n,
                            "witness_defect": float(w.defect)},
                           n, 1, k))
-    return _check(cert, margin)
+    return _check(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +171,7 @@ def _quotient_perms(G, Q, n):
     return perms, residues, idx
 
 
-def from_quotient(G, Q, n, family="sofic", field=None,
-                  margin=C_.DEFAULT_FLOAT_MARGIN):
+def from_quotient(G, Q, n, family="sofic", field=None):
     """Certificate through a finite quotient whose kernel misses B(2n)\\{e}.
 
     The quotient acts on itself by left translation; the permutation picture
@@ -200,10 +204,10 @@ def from_quotient(G, Q, n, family="sofic", field=None,
         provenance=_trace("from_quotient",
                           {"quotient": Q.descriptor(), "family": family},
                           n, float(T_.family_epsilon(family)), k))
-    return _check(cert, margin)
+    return _check(cert)
 
 
-def cyclic_Z(n, margin=C_.DEFAULT_FLOAT_MARGIN):
+def cyclic_Z(n):
     """The translation action of Z on Z/(2n+1): defect 0, separation 1."""
     if n < 1:
         raise BuildError("n must be at least 1")
@@ -213,11 +217,13 @@ def cyclic_Z(n, margin=C_.DEFAULT_FLOAT_MARGIN):
     cert = C_.ApproxCertificate(
         Z, n, "sofic", assignments,
         provenance=_trace("cyclic_Z", {"modulus": m}, n, 1, m))
-    return _check(cert, margin)
+    return _check(cert)
 
 
-def exact_finite(G, n, family="sofic", margin=C_.DEFAULT_FLOAT_MARGIN):
+def exact_finite(G, n, family="sofic"):
     """Left-regular certificate for a finite group; exact at every radius."""
+    if not hasattr(G, "elements"):
+        raise BuildError("exact_finite needs a finite group")
     elems = G.elements()
     idx = {p: i for i, p in enumerate(elems)}
     if family == "sofic":
@@ -237,7 +243,7 @@ def exact_finite(G, n, family="sofic", margin=C_.DEFAULT_FLOAT_MARGIN):
         G, n, family, assignments, fin_group=fin_group,
         provenance=_trace("exact_finite", {"order": len(elems), "family": family},
                           n, 1, len(elems)))
-    return _check(cert, margin)
+    return _check(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +272,7 @@ def _as_perm(t):
     raise BuildError(f"expected a permutation target, got {type(t).__name__}")
 
 
-def induce_finite_index(G, data, c_H, n=None,
-                        margin=C_.DEFAULT_FLOAT_MARGIN):
+def induce_finite_index(G, data, c_H, n=None):
     """Certificate for G from one for a finite-index subgroup.
 
     psi(g) acts on pairs (coset, point): (i, j) -> (alpha_g(i), phi(h_{g,i})(j)).
@@ -318,7 +323,7 @@ def induce_finite_index(G, data, c_H, n=None,
                           {"index": ell, "subgroup_dim": m},
                           n, float(c_H.epsilon), ell * m,
                           inputs=[c_H.provenance]))
-    return _check(cert, margin)
+    return _check(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +366,7 @@ def _combine_product(a, b):
         f"cannot combine {type(a).__name__} with {type(b).__name__}")
 
 
-def direct_product(c_G, c_H, margin=C_.DEFAULT_FLOAT_MARGIN):
+def direct_product(c_G, c_H):
     """Product certificate: permutations act on A x B, matrices by tensor."""
     if c_G.family != c_H.family:
         raise BuildError(
@@ -378,13 +383,13 @@ def direct_product(c_G, c_H, margin=C_.DEFAULT_FLOAT_MARGIN):
                           n, float(c_G.epsilon),
                           c_G.dimension * c_H.dimension,
                           inputs=[c_G.provenance, c_H.provenance]))
-    return _check(cert, margin)
+    return _check(cert)
 
 
 # ---------------------------------------------------------------------------
 # family conversions
 
-def perm_to_hyp(c, n, margin=C_.DEFAULT_FLOAT_MARGIN):
+def perm_to_hyp(c, n):
     """Hyperlinear certificate at n from a sofic one at 2n^2.
 
     Permutation matrices are unitary; d_HS = sqrt(2 d_Ham) turns Hamming
@@ -394,9 +399,7 @@ def perm_to_hyp(c, n, margin=C_.DEFAULT_FLOAT_MARGIN):
         raise BuildError("input must be a sofic certificate")
     if c.n < 2 * n * n:
         raise BuildError(f"need input radius 2n^2 = {2 * n * n}, have {c.n}")
-    pre = C_.verify_D(c, margin=margin)
-    if not pre.passed:
-        raise C_.UpstreamVerificationError(f"input fails at {c.n}: {pre!r}")
+    _require_verified(c, f"input fails at {c.n}")
     assignments = {g: T_.PermUnitary(_as_perm(c.target(g)))
                    for g in G_.ball(c.group, n)}
     cert = C_.ApproxCertificate(
@@ -404,27 +407,23 @@ def perm_to_hyp(c, n, margin=C_.DEFAULT_FLOAT_MARGIN):
         provenance=_trace("perm_to_hyp", {"input_n": c.n}, n,
                           float(T_.SQRT2), c.dimension,
                           inputs=[c.provenance]))
-    return _check(cert, margin)
+    return _check(cert)
 
 
-def perm_to_lin(c, field=None, n=None, margin=C_.DEFAULT_FLOAT_MARGIN):
+def perm_to_lin(c, field=None):
     """Linear-sofic certificate over a field from a sofic one, same radius."""
     if c.family != "sofic":
         raise BuildError("input must be a sofic certificate")
-    if n is None:
-        n = c.n
-    pre = C_.verify_D(c, margin=margin)
-    if not pre.passed:
-        raise C_.UpstreamVerificationError(f"input fails at {c.n}: {pre!r}")
+    _require_verified(c, f"input fails at {c.n}")
     fld = field or T_.FieldQ()
     assignments = {g: T_.perm_to_rank(_as_perm(c.target(g)), fld)
-                   for g in G_.ball(c.group, n)}
+                   for g in G_.ball(c.group, c.n)}
     cert = C_.ApproxCertificate(
-        c.group, n, "lin", assignments,
+        c.group, c.n, "lin", assignments,
         provenance=_trace("perm_to_lin",
                           {"input_n": c.n, "field": fld.descriptor()},
-                          n, 0.25, c.dimension, inputs=[c.provenance]))
-    return _check(cert, margin)
+                          c.n, 0.25, c.dimension, inputs=[c.provenance]))
+    return _check(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +435,7 @@ def amplification_exponent(n):
     return math.ceil(math.log(1 / delta) / math.log(5 / 4)), delta
 
 
-def amplify_projective(c, n, margin=C_.DEFAULT_FLOAT_MARGIN):
+def amplify_projective(c, n):
     """Projective-hyperlinear certificate via tensor powers of padded unitaries.
 
     Each image u is replaced by (u (+) I)^{tensor l}; padding halves the trace
@@ -449,9 +448,7 @@ def amplify_projective(c, n, margin=C_.DEFAULT_FLOAT_MARGIN):
         raise BuildError("input must be a hyperlinear certificate")
     if c.n < 40 * n:
         raise BuildError(f"need input radius 40n = {40 * n}, have {c.n}")
-    pre = C_.verify_D(c, margin=margin)
-    if not pre.passed:
-        raise C_.UpstreamVerificationError(f"input fails at {c.n}: {pre!r}")
+    _require_verified(c, f"input fails at {c.n}")
     ell, delta = amplification_exponent(n)
     k = c.dimension
     assignments = {}
@@ -466,7 +463,7 @@ def amplify_projective(c, n, margin=C_.DEFAULT_FLOAT_MARGIN):
                            "delta": delta},
                           n, float(T_.SQRT2), {"base": 2 * k, "power": ell},
                           inputs=[c.provenance]))
-    return _check(cert, margin)
+    return _check(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +499,7 @@ class QuotientGroup:
         return {"kind": "Quotient", "of": self.desc.descriptor()}
 
 
-def wreath_by_rf(c_G, H, n, quotient, margin=C_.DEFAULT_FLOAT_MARGIN):
+def wreath_by_rf(c_G, H, n, quotient):
     """Certificate for G wr H through a finite quotient H/N.
 
     N must miss B_H(4n) away from the identity, so each coset meets the
@@ -519,9 +516,7 @@ def wreath_by_rf(c_G, H, n, quotient, margin=C_.DEFAULT_FLOAT_MARGIN):
     m = quotient.index
     if c_G.n < m:
         raise BuildError(f"base certificate radius {c_G.n} below index {m}")
-    pre = C_.verify_D(c_G, margin=margin)
-    if not pre.passed:
-        raise C_.UpstreamVerificationError(f"base fails: {pre!r}")
+    _require_verified(c_G, "base fails")
 
     top = QuotientGroup(quotient)
     W = T_.WreathMetricGroup(c_G.fin_group, top)
@@ -554,7 +549,7 @@ def wreath_by_rf(c_G, H, n, quotient, margin=C_.DEFAULT_FLOAT_MARGIN):
         provenance=_trace("wreath_by_rf",
                           {"quotient_index": m, "base_dim": c_G.dimension},
                           n, 1, W.order, inputs=[c_G.provenance]))
-    return _check(cert, margin)
+    return _check(cert)
 
 
 def _measured_multiplicativity(cert, radius):
@@ -592,8 +587,13 @@ def _lamp_functions(H_elems, G_ball):
         yield tuple(zip(H_elems, combo))
 
 
-def wreath_sofic(c_G, c_H, n, lamp_cap=4096, perm_cap=10 ** 6,
-                 margin=C_.DEFAULT_FLOAT_MARGIN):
+# wreath_sofic refuses dimensions above _PERM_CAP, and its bullet checks
+# enumerate at most _LAMP_CAP lamp configurations
+_PERM_CAP = 10 ** 6
+_LAMP_CAP = 4096
+
+
+def wreath_sofic(c_G, c_H, n):
     """Sofic certificate for G wr H from sofic data for G and finite H.
 
     The composite map sends (f, h) to the permutation of A^B x B given by
@@ -618,8 +618,8 @@ def wreath_sofic(c_G, c_H, n, lamp_cap=4096, perm_cap=10 ** 6,
             raise BuildError("top certificate must be the regular representation")
     A = c_G.dimension
     dim = (A ** sizeB) * sizeB
-    if dim > perm_cap:
-        raise BuildError(f"dimension {dim} exceeds cap {perm_cap}")
+    if dim > _PERM_CAP:
+        raise BuildError(f"dimension {dim} exceeds cap {_PERM_CAP}")
 
     e_G = G.identity()
     e_perm = T_.Permutation.identity(A)
@@ -662,15 +662,15 @@ def wreath_sofic(c_G, c_H, n, lamp_cap=4096, perm_cap=10 ** 6,
                           {"lamp_dim": A, "top_size": sizeB},
                           n, 1, dim,
                           inputs=[c_G.provenance, c_H.provenance]))
-    _check(cert, margin)
-    report = _wreath_bullets(c_G, c_H, n, big_perm, lamp_cap)
+    _check(cert)
+    report = _wreath_bullets(c_G, c_H, n, big_perm)
     cert.provenance["wreath_conditions"] = {
         k: (v if isinstance(v, (int, float, bool)) else str(v))
         for k, v in report.items()}
     return cert, report
 
 
-def _wreath_bullets(c_G, c_H, n, big_perm, lamp_cap):
+def _wreath_bullets(c_G, c_H, n, big_perm):
     G = c_G.group
     H = c_H.group
     B_list = H.elements()
@@ -682,7 +682,7 @@ def _wreath_bullets(c_G, c_H, n, big_perm, lamp_cap):
     lamps = []
     for lamp in _lamp_functions(BH_n, BG_n):
         lamps.append({t: v for t, v in lamp if v != G.identity()})
-        if len(lamps) >= lamp_cap:
+        if len(lamps) >= _LAMP_CAP:
             break
 
     # measured input quality on B(4n)
@@ -809,7 +809,7 @@ def coordinate_split(d, n_axes):
     return CoordinateSplit(d, n_axes)
 
 
-def extend_by_amenable(c_N, w, split, n, margin=C_.DEFAULT_FLOAT_MARGIN):
+def extend_by_amenable(c_N, w, split, n):
     """Certificate for G from one for N and a controlled Folner set of G/N.
 
     The image lives in Sym(A) x| G_alpha^A: the permutation part translates
@@ -841,18 +841,8 @@ def extend_by_amenable(c_N, w, split, n, margin=C_.DEFAULT_FLOAT_MARGIN):
     assignments = {}
     for g in G_.ball(G, n):
         qg = split.project_Q(g)
-        images = [None] * size
-        used = set()
         targets_q = [Q.mul(a, qg) for a in A]
-        for i, aq in enumerate(targets_q):
-            j = pos.get(aq)
-            if j is not None:
-                images[i] = j
-                used.add(j)
-        free_dst = iter([j for j in range(size) if j not in used])
-        for i in range(size):
-            if images[i] is None:
-                images[i] = next(free_dst)
+        perm = _complete_injection([pos.get(aq) for aq in targets_q])
         bells = []
         for i, a in enumerate(A):
             lift = split.section(targets_q[i])
@@ -863,8 +853,7 @@ def extend_by_amenable(c_N, w, split, n, margin=C_.DEFAULT_FLOAT_MARGIN):
                 bells.append(c_N.target(split.project_N(arg)))
             except C_.CertificateError as exc:
                 raise BuildError(f"subgroup certificate too small: {exc}")
-        assignments[g] = T_.PermWreathElement(
-            T_.Permutation(tuple(images)), bells)
+        assignments[g] = T_.PermWreathElement(perm, bells)
     cert = C_.ApproxCertificate(
         G, n, "sofic", assignments,
         provenance=_trace("extend_by_amenable",
@@ -872,4 +861,4 @@ def extend_by_amenable(c_N, w, split, n, margin=C_.DEFAULT_FLOAT_MARGIN):
                            "subgroup_dim": c_N.dimension},
                           n, 1, size * c_N.dimension,
                           inputs=[c_N.provenance]))
-    return _check(cert, margin)
+    return _check(cert)

@@ -196,9 +196,9 @@ def _bfs_ball(G, n, cap):
     return Ball(G, n, elements, lengths)
 
 
-def growth(G, n, cap=DEFAULT_BALL_CAP):
+def growth(G, n):
     """|B(n)|, the growth function."""
-    return len(ball(G, n, cap=cap))
+    return len(ball(G, n))
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +764,8 @@ class LatticeHNF:
     def __init__(self, parent, rows):
         if not isinstance(parent, FreeAbelian):
             raise ValueError("LatticeHNF requires a FreeAbelian parent")
+        if not rows or any(len(r) != parent.d for r in rows):
+            raise ValueError(f"lattice rows need {parent.d} coordinates each")
         self.parent = parent
         self.rows = hnf(rows)
         self.index = 1
@@ -796,9 +798,6 @@ class LatticeHNF:
                 rec(i + 1, cur + [x])
         rec(0, [])
         return out
-
-    def act(self, g, residue):
-        return self.reduce(tuple(x + y for x, y in zip(g, residue)))
 
     def residue_key(self, r):
         return r
@@ -854,9 +853,6 @@ class CongruenceMod:
                 for c in range(m):
                     out.append((a, b, c))
         return out
-
-    def act(self, g, residue):
-        return self.map(self.parent.mul(g, residue))
 
     def residue_key(self, r):
         return self.parent.key(r)
@@ -955,9 +951,9 @@ def embedding_axis_in_Z2():
         sub_length=lambda p: abs(p[0]))
 
 
-def embedding_center_heisenberg(l=1):
-    G = Heisenberg(l)
-    zero = (0,) * l
+def embedding_center_heisenberg():
+    G = Heisenberg(1)
+    zero = (0,)
 
     def member(p):
         return p[0] == zero and p[1] == zero
@@ -967,7 +963,7 @@ def embedding_center_heisenberg(l=1):
         sub_length=lambda p: abs(p[2]))
 
 
-def distortion(pair, n, cap=DEFAULT_BALL_CAP):
+def distortion(pair, n):
     """Smallest k >= n with H cap B_G(n) inside B_H(k).
 
     pair is a SubgroupEmbedding (or SubgroupIndexData for mZ <= Z).
@@ -978,7 +974,7 @@ def distortion(pair, n, cap=DEFAULT_BALL_CAP):
             "idx", data.parent,
             member=lambda p: data.restrict(p) is not None,
             sub_length=lambda p: _sub_word_length(data, p))
-    B = ball(pair.parent, n, cap=cap)
+    B = ball(pair.parent, n)
     worst = 0
     for p in B:
         if pair.member(p):

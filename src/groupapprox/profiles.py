@@ -8,8 +8,6 @@ import math
 from fractions import Fraction
 
 from . import groups as G_
-from . import targets as T_
-from . import certify as C_
 from . import construct as X_
 
 INF = float("inf")
@@ -69,14 +67,15 @@ class ProfileCurve:
     def exact(self, n):
         return self._best(n, ("exact",), min)
 
-    def fit_slope(self, window, use="upper"):
-        """Least-squares slope of log(value) against log(n) over [lo, hi]."""
+    def fit_slope(self, window):
+        """Least-squares slope of log(best upper value) against log(n) over
+        [lo, hi]."""
         lo, hi = window
         xs, ys = [], []
         for n in self.ns():
             if not (lo <= n <= hi) or n < 1:
                 continue
-            v = self.best_upper(n) if use == "upper" else self.best_lower(n)
+            v = self.best_upper(n)
             if v is None or v in (0, INF) or isinstance(v, dict):
                 continue
             xs.append(math.log(n))
@@ -265,8 +264,7 @@ class FolnerOutcome:
         return f"FolnerOutcome(size={self.size}, {tag}, {self.note})"
 
 
-def folner_search(G, n, strategy="balls", r_max=None, size_max=None,
-                  subset_budget=2_000_000):
+def folner_search(G, n, strategy="balls", r_max=None, size_max=None):
     """Search for a small Folner set at radius n.
 
     exhaustive: true minimum size over normalized subsets (certifies
@@ -276,7 +274,7 @@ def folner_search(G, n, strategy="balls", r_max=None, size_max=None,
     if n < 1:
         raise ValueError("Folner condition needs n >= 1")
     if strategy == "exhaustive":
-        return _folner_exhaustive(G, n, r_max, size_max, subset_budget)
+        return _folner_exhaustive(G, n, r_max, size_max)
     if strategy == "balls":
         return _folner_balls(G, n, r_max or 20)
     if strategy == "boxes":
@@ -284,7 +282,11 @@ def folner_search(G, n, strategy="balls", r_max=None, size_max=None,
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _folner_exhaustive(G, n, r_max, size_max, subset_budget):
+# the exhaustive Folner search gives up after this many candidate subsets
+_SUBSET_BUDGET = 2_000_000
+
+
+def _folner_exhaustive(G, n, r_max, size_max):
     if r_max is None or size_max is None:
         raise ValueError("exhaustive search needs r_max and size_max")
     is_Z = isinstance(G, G_.FreeAbelian) and G.d == 1
@@ -307,7 +309,7 @@ def _folner_exhaustive(G, n, r_max, size_max, subset_budget):
             candidates = itertools.combinations(window, size)
         for members in candidates:
             checked += 1
-            if checked > subset_budget:
+            if checked > _SUBSET_BUDGET:
                 return FolnerOutcome(None, False,
                                      f"subset budget exhausted ({checked})")
             d = X_.folner_defect(G, members, n)
@@ -427,7 +429,7 @@ def _sublattices_of_index(d, k):
     raise NotImplementedError("sublattice enumeration implemented for d <= 2")
 
 
-def full_rf_growth(G, n, quotient_family="auto", index_cap=None):
+def full_rf_growth(G, n, quotient_family="auto"):
     """Least index of an enumerated finite quotient whose kernel meets B(n)
     only at the identity.
 
@@ -435,12 +437,12 @@ def full_rf_growth(G, n, quotient_family="auto", index_cap=None):
     quotients of the Heisenberg group give upper bounds only.
     """
     if isinstance(G, G_.FreeAbelian):
-        return _rf_growth_lattice(G, n, index_cap)
+        return _rf_growth_lattice(G, n)
     if isinstance(G, G_.Heisenberg):
         if quotient_family in ("auto", "congruence"):
             return _rf_growth_heis_recipe(G, n)
         if quotient_family == "congruence-least":
-            return _rf_growth_heis_least(G, n, index_cap)
+            return _rf_growth_heis_least(G, n)
         raise ValueError(f"unknown quotient family {quotient_family!r}")
     raise NotImplementedError(f"no quotient enumeration for {G.descriptor()}")
 
@@ -453,8 +455,8 @@ def _kernel_avoids(G, Q, n):
     return True
 
 
-def _rf_growth_lattice(G, n, index_cap):
-    cap = index_cap or (n + 1) ** G.d + 1
+def _rf_growth_lattice(G, n):
+    cap = (n + 1) ** G.d + 1
     for k in range(1, cap + 1):
         for rows in _sublattices_of_index(G.d, k):
             Q = G_.LatticeHNF(G, rows)
@@ -484,8 +486,8 @@ def _rf_growth_heis_recipe(G, n):
         detail={"modulus": m, "note": "congruence quotients only"})
 
 
-def _rf_growth_heis_least(G, n, index_cap):
-    cap = index_cap or heisenberg_congruence_modulus(n) + 1
+def _rf_growth_heis_least(G, n):
+    cap = heisenberg_congruence_modulus(n) + 1
     for m in range(2, cap + 1):
         Q = G_.CongruenceMod(G, m)
         if _kernel_avoids(G, Q, n):
@@ -499,10 +501,14 @@ def _rf_growth_heis_least(G, n, index_cap):
 # ---------------------------------------------------------------------------
 # linear-over-finite growth via ball monomorphisms
 
-def le_f_growth(G, n, catalog, budget=500_000, complete=False):
+# le_f_growth gives up (value None) after this many search nodes
+_LE_F_BUDGET = 500_000
+
+
+def le_f_growth(G, n, catalog):
     """Least catalog-group size admitting an injective, ball-multiplicative
-    map from B(n). Provenance is upper unless the catalog is declared
-    complete up to the returned size."""
+    map from B(n). An upper bound: a group outside the catalog may be
+    smaller."""
     B = G_.ball(G, n)
     elems = B.elements  # identity first, at slot 0
     triples = [(i, j, t) for i, row in enumerate(B.products().tolist())
@@ -532,7 +538,7 @@ def le_f_growth(G, n, catalog, budget=500_000, complete=False):
 
         def rec(pos):
             state["nodes"] += 1
-            if state["nodes"] > budget:
+            if state["nodes"] > _LE_F_BUDGET:
                 raise _OracleBudget
             if pos == len(elems):
                 return True
@@ -556,7 +562,7 @@ def le_f_growth(G, n, catalog, budget=500_000, complete=False):
         try:
             if try_target(F):
                 return ProfilePoint(
-                    n, size, "exact" if complete else "upper",
+                    n, size, "upper",
                     detail={"target": F.descriptor(), "nodes": state["nodes"],
                             "ruled_out": tried})
             tried.append(size)
@@ -646,7 +652,7 @@ def _factorial_sofic_lower(beta_n):
     return k
 
 
-def standard_curves_Z(n_max=10, hyp_ns=None, folner_ns=None):
+def standard_curves_Z(n_max=10):
     """The profile family used by the audit for Z."""
     Z = G_.FreeAbelian(1)
     rng = range(1, n_max + 1)
@@ -668,11 +674,11 @@ def standard_curves_Z(n_max=10, hyp_ns=None, folner_ns=None):
         dlin.add(ProfilePoint(n, 2 * n + 1, "upper",
                               detail={"builder": "perm_to_lin"}))
     dhyp = ProfileCurve("Z", "hyp")
-    for n in (hyp_ns or rng):
+    for n in rng:
         dhyp.add(ProfilePoint(n, 2 * (2 * n * n) + 1, "upper",
                               detail={"builder": "perm_to_hyp at 2n^2"}))
     folner = ProfileCurve("Z", "folner")
-    for n in (folner_ns or range(1, 2 * n_max + 1)):
+    for n in range(1, 2 * n_max + 1):
         folner.add(ProfilePoint(n, 2 * n * n * (n + 1), "upper",
                                 detail={"note": "interval"}))
     folner.add(ProfilePoint(1, 4, "exact",

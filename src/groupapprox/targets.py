@@ -492,9 +492,6 @@ class FieldQ:
     def mul(self, a, b):
         return a * b
 
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError
@@ -535,9 +532,6 @@ class FieldFp:
 
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -918,34 +912,18 @@ class TableMetricGroup:
                    identity=obj.get("identity", 0), labels=obj.get("labels"),
                    validate=False)
 
-    @classmethod
-    def from_group(cls, G, metric="trivial"):
-        """Build tables from a catalog group exposing elements()/mul/inv."""
-        elems = G.elements()
-        idx = {p: i for i, p in enumerate(elems)}
-        mul = [[idx[G.mul(a, b)] for b in elems] for a in elems]
-        if metric == "trivial":
-            dist = [[Fraction(0) if i == j else Fraction(1)
-                     for j in range(len(elems))] for i in range(len(elems))]
-        elif metric == "hamming" and hasattr(G, "k"):
-            dist = [[ham_distance(Permutation(a), Permutation(b)) for b in elems]
-                    for a in elems]
-        else:
-            raise ValueError(f"unknown metric {metric!r}")
-        e = idx[G.identity()]
-        labels = [G.fmt(p) for p in elems]
-        return cls(mul, dist, identity=e, labels=labels, validate=False)
 
-
-def trivial_metric_group(order_or_group):
-    """Finite group with the 0/1 metric."""
-    if isinstance(order_or_group, int):
-        m = order_or_group
-        mul = [[(i + j) % m for j in range(m)] for i in range(m)]
-        dist = [[Fraction(0) if i == j else Fraction(1) for j in range(m)]
-                for i in range(m)]
-        return TableMetricGroup(mul, dist, identity=0, validate=False)
-    return TableMetricGroup.from_group(order_or_group, metric="trivial")
+def trivial_metric_group(G):
+    """Tables of a catalog group exposing elements()/mul, with the 0/1
+    metric."""
+    elems = G.elements()
+    idx = {p: i for i, p in enumerate(elems)}
+    mul = [[idx[G.mul(a, b)] for b in elems] for a in elems]
+    dist = [[Fraction(0) if i == j else Fraction(1)
+             for j in range(len(elems))] for i in range(len(elems))]
+    labels = [G.fmt(p) for p in elems]
+    return TableMetricGroup(mul, dist, identity=idx[G.identity()],
+                            labels=labels, validate=False)
 
 
 def quotient_metric_group(desc):
@@ -999,6 +977,10 @@ class FiniteGroupElement:
 
     def to_json(self):
         return {"kind": "fin", "index": self.index}
+
+
+# largest WreathMetricGroup order that to_table() materializes
+_WREATH_TABLE_CAP = 4096
 
 
 class WreathMetricGroup:
@@ -1070,10 +1052,11 @@ class WreathMetricGroup:
                        if x != self.base.identity_index)
         return "{" + sup + "|" + self.top.fmt(self.top_elements[h]) + "}"
 
-    def to_table(self, cap=4096):
+    def to_table(self):
         """Materialize as a TableMetricGroup (for JSON), small orders only."""
-        if self.order > cap:
-            raise ValueError(f"order {self.order} above table cap {cap}")
+        if self.order > _WREATH_TABLE_CAP:
+            raise ValueError(
+                f"order {self.order} above table cap {_WREATH_TABLE_CAP}")
         from itertools import product
         payloads = [(tuple(f), h)
                     for h in range(self.m)
@@ -1230,20 +1213,21 @@ class _PermRows:
 # ---------------------------------------------------------------------------
 # JSON decoding
 
-def target_from_json(obj, fin_group=None, tolerance=1e-9):
-    """Decode a TargetElement; fin elements need their group passed in."""
+def target_from_json(obj, fin_group=None):
+    """Decode a TargetElement; fin elements need their group passed in.
+    Unitaries without a tolerance field get the 1e-9 default."""
     if isinstance(obj, list):
         return Permutation(obj)
     kind = obj.get("kind")
     if kind == "cyclic-perm":
         return CyclicPerm(obj["m"], obj["shift"])
     if kind == "perm-unitary":
-        return PermUnitary(obj["images"], tolerance=obj.get("tolerance", tolerance))
+        return PermUnitary(obj["images"], tolerance=obj.get("tolerance", 1e-9))
     if kind == "unitary":
         k = obj["k"]
         flat = obj["entries"]
         ent = np.array([complex(re, im) for re, im in flat]).reshape(k, k)
-        return UnitaryMatrix(ent, tolerance=obj.get("tolerance", tolerance))
+        return UnitaryMatrix(ent, tolerance=obj.get("tolerance", 1e-9))
     if kind == "augmented-unitary":
         return AugmentedUnitary(target_from_json(obj["inner"]), obj["pad"])
     if kind == "tensor-implicit":
@@ -1260,7 +1244,3 @@ def target_from_json(obj, fin_group=None, tolerance=1e-9):
         bells = [target_from_json(b) for b in obj["bells"]]
         return PermWreathElement(Permutation(obj["perm"]), bells)
     raise ValueError(f"unknown target encoding {obj!r}")
-
-
-def target_to_json(el):
-    return el.to_json()

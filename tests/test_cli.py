@@ -4,6 +4,7 @@ import pytest
 
 from groupapprox import certify as C_
 from groupapprox import cli
+from groupapprox import construct as X_
 from groupapprox import groups as G_
 from groupapprox import targets as T_
 
@@ -177,6 +178,94 @@ def test_perm_to_lin_rejects_non_prime_field(tmp_path, capsys, field):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "not prime" in err
+
+
+def test_from_quotient_lin_uses_field(tmp_path, capsys):
+    path = tmp_path / "l.json"
+    argv = ["construct", "--method", "from-quotient", "--group", "Z",
+            "--modulus", "5", "--n", "2", "--family", "lin"]
+    code, _, _ = run(capsys, *argv, "--field", "F3", "--out", str(path))
+    assert code == 0
+    targets = [a["target"] for a in json.loads(path.read_text())["assignments"]]
+    assert targets and all(t["field"] == {"Fp": 3} for t in targets)
+    code, out, err = run(capsys, *argv, "--field", "F4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "not prime" in err
+
+
+def test_construct_writes_dumps_bytes(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    argv = ["construct", "--method", "from-quotient", "--group", "Z",
+            "--modulus", "7", "--n", "2", "--family", "hyp"]
+    Z = G_.FreeAbelian(1)
+    want = X_.from_quotient(Z, G_.LatticeHNF(Z, [(7,)]), 2, "hyp").dumps()
+    code, _, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert path.read_text() == want + "\n"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == want + "\n"
+
+
+def _witness_argv(tmp_path, mutate):
+    obj = X_.FolnerWitness(G_.FreeAbelian(1), 1,
+                           [(i,) for i in range(4)]).to_json()
+    mutate(obj)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(obj))
+    return ["construct", "--method", "folner-to-sofic", "--witness",
+            str(path), "--n", "1"]
+
+
+def _scalar_cert_argv(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text("5")
+    return ["verify", "--cert", str(path)]
+
+
+_QUOTIENT = ["construct", "--method", "from-quotient", "--n", "1"]
+
+# each case maps a scratch directory to the argv of one malformed invocation
+_BAD_INPUT = {
+    "witness-missing-group":
+        lambda t: _witness_argv(t, lambda o: o.pop("group")),
+    "witness-payload-not-a-list":
+        lambda t: _witness_argv(t, lambda o: o.update(members_payload=5)),
+    "witness-no-members":
+        lambda t: _witness_argv(t, lambda o: o.update(members_payload=[])),
+    "witness-n-not-an-integer":
+        lambda t: _witness_argv(t, lambda o: o.update(n="x")),
+    "certificate-not-an-object": _scalar_cert_argv,
+    "profile-range-not-integers": lambda t: [
+        "profile", "--group", "Z", "--family", "fin", "--n", "1..x"],
+    "rfgrowth-range-not-an-integer": lambda t: [
+        "rfgrowth", "--group", "Z", "--n", "abc"],
+    "slope-window-one-number": lambda t: [
+        "profile", "--group", "Z", "--family", "sofic", "--n", "1..3",
+        "--format", "json", "--slope-window", "2"],
+    "singular-lattice": lambda t: [*_QUOTIENT, "--group", "Z",
+                                   "--lattice", "0"],
+    "lattice-wrong-dimension": lambda t: [*_QUOTIENT, "--group", "Z^2",
+                                          "--lattice", "1"],
+    "zero-modulus": lambda t: [*_QUOTIENT, "--group", "Z", "--modulus", "0"],
+    "zero-heisenberg-modulus": lambda t: [
+        *_QUOTIENT, "--group", "Heisenberg(1)", "--modulus", "0"],
+    "quotient-without-group": lambda t: [*_QUOTIENT, "--modulus", "5"],
+    "exact-finite-on-infinite-group": lambda t: [
+        "construct", "--method", "exact-finite", "--group", "Z", "--n", "1"],
+    "audit-negative-n-max": lambda t: ["audit", "--groups", "Z",
+                                       "--n-max", "-1"],
+    "audit-zero-n-max": lambda t: ["audit", "--groups", "Z", "--n-max", "0"],
+}
+
+
+@pytest.mark.parametrize("case", _BAD_INPUT)
+def test_malformed_input_is_usage_error(tmp_path, capsys, case):
+    code, out, err = run(capsys, *_BAD_INPUT[case](tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_verify_hom_needs_at_n(tmp_path, capsys):

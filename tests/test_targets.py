@@ -276,6 +276,6 @@ def test_target_json_round_trips():
                T_.AugmentedUnitary(T_.PermUnitary(perm), 3),
                T_.perm_to_rank(perm, T_.FieldFp(2)),
                T_.perm_to_rank(perm, T_.FieldQ())):
-        j = T_.target_to_json(el)
+        j = el.to_json()
         back = T_.target_from_json(j)
-        assert T_.target_to_json(back) == j
+        assert back.to_json() == j
