@@ -13,6 +13,7 @@ fail closed at a configurable margin which is carried in the report.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,25 @@ from . import targets as T_
 
 class CertificateError(ValueError):
     pass
+
+
+def _decode_common(obj):
+    """(group, received target table or None, epsilon) of a certificate
+    object: the prologue both certificate kinds decode alike. epsilon must
+    be a finite number > 0 and snaps to its family's exact default."""
+    group = G_.group_from_descriptor(obj["group"])
+    fin_group = None
+    if "target_group" in obj:
+        fin_group = T_.TableMetricGroup.from_json(obj["target_group"])
+    eps = obj["epsilon"]
+    if isinstance(eps, bool) or not isinstance(eps, (int, float)) \
+            or not 0 < eps < math.inf:
+        raise CertificateError(
+            f"epsilon must be a finite number above 0, not {eps!r}")
+    default = T_.family_epsilon(obj["family"])
+    if abs(float(default) - eps) < 1e-12:
+        eps = default
+    return group, fin_group, eps
 
 
 def _decoded(decode, obj):
@@ -151,11 +171,8 @@ class ApproxCertificate:
 
     @classmethod
     def _decode(cls, obj):
-        group = G_.group_from_descriptor(obj["group"])
+        group, fin_group, eps = _decode_common(obj)
         B = G_.ball(group, obj["n"])
-        fin_group = None
-        if "target_group" in obj:
-            fin_group = T_.TableMetricGroup.from_json(obj["target_group"])
         if not obj["assignments"]:
             raise CertificateError("certificate has no assignments")
         assignments = {}
@@ -167,10 +184,6 @@ class ApproxCertificate:
             if p in assignments:
                 raise CertificateError(f"duplicate element {item['element']}")
             assignments[p] = T_.target_from_json(item["target"], fin_group=fin_group)
-        eps = obj["epsilon"]
-        default = T_.family_epsilon(obj["family"])
-        if abs(float(default) - eps) < 1e-12:
-            eps = default
         dim = obj["dimension"]
         if isinstance(dim, dict):
             dim = dim["base"] ** dim["power"]
@@ -240,11 +253,8 @@ class HomCertificate:
 
     @classmethod
     def _decode(cls, obj):
-        group = G_.group_from_descriptor(obj["group"])
+        group, fin_group, eps = _decode_common(obj)
         labels = {lab for lab, _ in group.generators()}
-        fin_group = None
-        if "target_group" in obj:
-            fin_group = T_.TableMetricGroup.from_json(obj["target_group"])
         if not obj["images"]:
             raise CertificateError("certificate has no images")
         images = {}
@@ -260,10 +270,6 @@ class HomCertificate:
             if not labels.issuperset(r):
                 raise CertificateError(
                     f"relator {list(r)} uses a label the group lacks")
-        eps = obj["epsilon"]
-        default = T_.family_epsilon(obj["family"])
-        if abs(float(default) - eps) < 1e-12:
-            eps = default
         return cls(group, images, obj["family"], relators=relators,
                    epsilon=eps, dimension=obj["dimension"],
                    fin_group=fin_group, provenance=obj.get("provenance"))
@@ -359,6 +365,12 @@ class VerificationReport:
                 f"separation={float(self.separation):.6g})")
 
 
+def _require_margin(margin):
+    if not 0 <= margin < math.inf:
+        raise CertificateError(
+            f"margin must be a finite number at least 0, not {margin!r}")
+
+
 def _failed_conditions(defect, separation, n, epsilon, exact, margin):
     """Names of the strict conditions that fail; floats fail closed by margin."""
     thr1 = Fraction(1, n)
@@ -406,6 +418,7 @@ def _separation_sweep(B, nearest):
 
 def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None):
     """Check Def-style conditions (1) and (2) on the ball; strict, fail closed."""
+    _require_margin(margin)
     n = cert.n if at_n is None else at_n
     if n < 1:
         raise CertificateError(f"cannot verify at radius {n}, below 1")
@@ -512,6 +525,7 @@ def verify_R(h, n, cap=DEFAULT_WORD_CAP, margin=DEFAULT_FLOAT_MARGIN):
 
 
 def _verify_words(h, n, cap, margin, relator_mode):
+    _require_margin(margin)
     if n < 1:
         raise CertificateError(f"cannot verify at word length {n}, below 1")
     grp = h.group

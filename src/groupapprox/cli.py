@@ -273,23 +273,28 @@ def cmd_verify(args):
         if isinstance(cert, C_.HomCertificate):
             if args.at_n is None:
                 raise UsageError("word-level verification needs --at-n")
+            if args.lemma_suite:
+                raise UsageError(
+                    "--lemma-suite applies only to element-level certificates")
             rep = (C_.verify_R if args.relators_only else C_.verify_W)(
                 cert, args.at_n, margin=args.margin)
         else:
+            if args.relators_only:
+                raise UsageError(
+                    "--relators-only applies only to word-level certificates")
             rep = C_.verify_D(cert, margin=args.margin, at_n=args.at_n)
     except C_.WordCapExceeded as e:
         raise ResourceCap(str(e))
     except G_.BallCapExceeded as e:
         raise ResourceCap(str(e))
     report = rep.to_json()
-    if args.lemma_suite and isinstance(cert, C_.ApproxCertificate):
+    if args.lemma_suite:
         report["lemma_suite"] = C_.lemma_consistency_suite(
             cert, seed=args.seed)
     _write_json(report, args.out)
     if not rep.passed:
         raise VerifyFailure(rep.failure_summary())
-    if args.lemma_suite and not report.get("lemma_suite", {}).get("pass",
-                                                                  True):
+    if args.lemma_suite and not report["lemma_suite"]["pass"]:
         raise VerifyFailure("lemma consistency suite failed")
     return EXIT_OK
 

@@ -35,11 +35,12 @@ def _check(cert):
 
 
 def _require_verified(cert, failure):
-    """Raise UpstreamVerificationError, led by ``failure``, unless cert
-    passes verify_D at the default float margin."""
+    """The verify_D report of cert at the default float margin; raise
+    UpstreamVerificationError, led by ``failure``, unless it passes."""
     rep = C_.verify_D(cert)
     if not rep.passed:
         raise C_.UpstreamVerificationError(f"{failure}: {rep!r}")
+    return rep
 
 
 def _complete_injection(images):
@@ -178,11 +179,9 @@ def from_quotient(G, Q, n, family="sofic", field=None):
     is reused as unitaries (hyp), rank-metric matrices (lin), or a finite
     metric group (fin) as requested.
     """
-    e = G.identity()
-    for p in G_.ball(G, 2 * n):
-        if p != e and Q.kernel_contains(p):
-            raise BuildError(
-                f"kernel meets B({2 * n}) at {G.fmt(p)}")
+    p = G_.kernel_witness(G, Q, 2 * n)
+    if p is not None:
+        raise BuildError(f"kernel meets B({2 * n}) at {G.fmt(p)}")
     perms, residues, idx = _quotient_perms(G, Q, n)
     k = len(residues)
     if family == "sofic":
@@ -198,7 +197,7 @@ def from_quotient(G, Q, n, family="sofic", field=None):
                        for g in perms}
     else:
         raise BuildError(f"unsupported family {family!r}")
-    fin_group = assignments[e].group if family == "fin" else None
+    fin_group = assignments[G.identity()].group if family == "fin" else None
     cert = C_.ApproxCertificate(
         G, n, family, assignments, fin_group=fin_group,
         provenance=_trace("from_quotient",
@@ -508,11 +507,9 @@ def wreath_by_rf(c_G, H, n, quotient):
     """
     if c_G.family != "fin" or c_G.fin_group is None:
         raise BuildError("base certificate must target a finite metric group")
-    e_H = H.identity()
-    for p in G_.ball(H, 4 * n):
-        if p != e_H and quotient.kernel_contains(p):
-            raise BuildError(
-                f"kernel meets B({4 * n}) at {H.fmt(p)}")
+    p = G_.kernel_witness(H, quotient, 4 * n)
+    if p is not None:
+        raise BuildError(f"kernel meets B({4 * n}) at {H.fmt(p)}")
     m = quotient.index
     if c_G.n < m:
         raise BuildError(f"base certificate radius {c_G.n} below index {m}")
@@ -550,41 +547,6 @@ def wreath_by_rf(c_G, H, n, quotient):
                           {"quotient_index": m, "base_dim": c_G.dimension},
                           n, 1, W.order, inputs=[c_G.provenance]))
     return _check(cert)
-
-
-def _measured_multiplicativity(cert, radius):
-    """(max defect, min distinct-pair distance) of a raw assignment map."""
-    grp = cert.group
-    B = G_.ball(grp, radius)
-    e_t = C_.target_identity_like(next(iter(cert.assignments.values())))
-
-    def img(p):
-        t = cert.assignments.get(p)
-        return e_t if t is None else t
-
-    worst = Fraction(0)
-    for g in B:
-        for h in B:
-            d = img(g).mul(img(h)).dist(img(grp.mul(g, h)))
-            if d > worst:
-                worst = d
-    best = None
-    els = B.elements
-    for i in range(len(els)):
-        for j in range(i + 1, len(els)):
-            d = img(els[i]).dist(img(els[j]))
-            if best is None or d < best:
-                best = d
-    if best is None:
-        best = Fraction(1)
-    return worst, best
-
-
-def _lamp_functions(H_elems, G_ball):
-    """All finitely-supported lamps: support in H_elems, values in G_ball."""
-    values = list(G_ball)
-    for combo in itertools.product(values, repeat=len(H_elems)):
-        yield tuple(zip(H_elems, combo))
 
 
 # wreath_sofic refuses dimensions above _PERM_CAP, and its bullet checks
@@ -631,11 +593,12 @@ def wreath_sofic(c_G, c_H, n):
     lampmul = [[bidx[H.mul(a, b)] for b in B_list] for a in B_list]
     powA = [A ** i for i in range(sizeB)]
 
-    def big_perm(lamp, h):
-        """lamp: dict H-payload -> G-payload (missing = identity)."""
+    def big_perm(p):
+        """p: wreath payload (lamp, h), the lamp a normalized support tuple."""
+        lamp = dict(p[0])
         thetas = [[theta(lamp.get(B_list[lampmul[b][beta]], e_G))
                    for beta in range(sizeB)] for b in range(sizeB)]
-        sig = _as_perm(c_H.target(h)).images
+        sig = _as_perm(c_H.target(p[1])).images
         images = [0] * dim
         for code in range(A ** sizeB):
             rem = code
@@ -652,105 +615,52 @@ def wreath_sofic(c_G, c_H, n):
         return T_.Permutation(tuple(images))
 
     source = G_.WreathProduct(G, H)
-    assignments = {}
-    for p in G_.ball(source, n):
-        assoc, h = p
-        assignments[p] = big_perm(dict(assoc), h)
+    assignments = {p: big_perm(p) for p in G_.ball(source, n)}
     cert = C_.ApproxCertificate(
         source, n, "sofic", assignments,
         provenance=_trace("wreath_sofic",
                           {"lamp_dim": A, "top_size": sizeB},
                           n, 1, dim,
                           inputs=[c_G.provenance, c_H.provenance]))
-    _check(cert)
-    report = _wreath_bullets(c_G, c_H, n, big_perm)
+    rep = _require_verified(cert, "builder output failed verification")
+    cert.provenance["verified"] = True
+    report = _wreath_bullets(c_G, c_H, n, source, big_perm, rep.separation)
     cert.provenance["wreath_conditions"] = {
         k: (v if isinstance(v, (int, float, bool)) else str(v))
         for k, v in report.items()}
     return cert, report
 
 
-def _wreath_bullets(c_G, c_H, n, big_perm):
+def _wreath_bullets(c_G, c_H, n, source, big_perm, sep):
+    """The four structural conditions of wreath_sofic and its measured
+    thresholds; ``sep`` is the separation of the verified certificate."""
     G = c_G.group
     H = c_H.group
-    B_list = H.elements()
-    e_G_lamp = {}
     e_H = H.identity()
-    BH_n = list(G_.ball(H, n))
-    BG_n = list(G_.ball(G, n))
+    BH_n = G_.ball(H, n).elements
+    combos = itertools.product(G_.ball(G, n).elements, repeat=len(BH_n))
+    lamps = [(source.normalize(dict(zip(BH_n, combo))), e_H)
+             for combo in itertools.islice(combos, _LAMP_CAP)]
+    tops = [((), y) for y in BH_n]
 
-    lamps = []
-    for lamp in _lamp_functions(BH_n, BG_n):
-        lamps.append({t: v for t, v in lamp if v != G.identity()})
-        if len(lamps) >= _LAMP_CAP:
-            break
+    def defect(xs, ys):
+        return max(big_perm(x).mul(big_perm(y)).dist(big_perm(source.mul(x, y)))
+                   for x in xs for y in ys)
 
     # measured input quality on B(4n)
-    epsG_mult, sepG = _measured_multiplicativity(c_G, min(4 * n, c_G.n))
-    epsH_mult, sepH = _measured_multiplicativity(c_H, min(4 * n, c_H.n))
-    eps_in = max(epsG_mult, 1 - sepG, epsH_mult, 1 - sepH)
+    def input_epsilon(c):
+        rep = C_.verify_D(c, at_n=min(4 * n, c.n))
+        return max(rep.defect, 1 - rep.separation)
+    eps_in = max(input_epsilon(c_G), input_epsilon(c_H))
 
-    def lamp_product(x, y):
-        # product of (x,1)(y,1) in the wreath group: lamps multiply pointwise
-        out = dict(y)
-        for t, v in x.items():
-            out[t] = G.mul(v, out[t]) if t in out else v
-            if out[t] == G.identity():
-                del out[t]
-        return out
-
-    e1 = Fraction(0)
-    for x in lamps:
-        for y in lamps:
-            lhs = big_perm(lamp_product(x, y), e_H)
-            rhs = big_perm(x, e_H).mul(big_perm(y, e_H))
-            d = lhs.dist(rhs)
-            if d > e1:
-                e1 = d
-    e0 = Fraction(0)
-    for x in BH_n:
-        for y in BH_n:
-            lhs = big_perm(e_G_lamp, x).mul(big_perm(e_G_lamp, y))
-            rhs = big_perm(e_G_lamp, H.mul(x, y))
-            d = lhs.dist(rhs)
-            if d > e0:
-                e0 = d
-    bullet3 = True
-    bullet4 = True
-    for x in lamps:
-        for y in BH_n:
-            lhs3 = big_perm(x, e_H).mul(big_perm(e_G_lamp, y))
-            # (x,1)(1,y) carries the lamp t -> x(y t), support shifted by y^-1
-            shifted = {H.mul(H.inv(y), s): v for s, v in x.items()}
-            rhs3 = big_perm(shifted, y)
-            if lhs3.images != rhs3.images:
-                bullet3 = False
-            lhs4 = big_perm(e_G_lamp, y).mul(big_perm(x, e_H))
-            rhs4 = big_perm(x, y)
-            if lhs4.images != rhs4.images:
-                bullet4 = False
-
-    source = G_.WreathProduct(G, H)
+    e1 = defect(lamps, lamps)
+    e0 = defect(tops, tops)
+    # (x,1)(1,y) carries the lamp t -> x(y t), support shifted by y^-1;
+    # (1,y)(x,1) is (x, y)
+    bullet3 = defect(lamps, tops) == 0
+    bullet4 = defect(tops, lamps) == 0
     Bw = G_.ball(source, n)
-    final = Fraction(0)
-    for z in Bw:
-        for w in Bw:
-            za, zh = z
-            wa, wh = w
-            prod = source.mul(z, w)
-            lhs = big_perm(dict(za), zh).mul(big_perm(dict(wa), wh))
-            rhs = big_perm(dict(prod[0]), prod[1])
-            d = lhs.dist(rhs)
-            if d > final:
-                final = d
-    sep = None
-    els = Bw.elements
-    for i in range(len(els)):
-        for j in range(i + 1, len(els)):
-            a, b = els[i], els[j]
-            d = big_perm(dict(a[0]), a[1]).dist(big_perm(dict(b[0]), b[1]))
-            if sep is None or d < sep:
-                sep = d
+    final = defect(Bw, Bw)
     bh4 = G_.growth(H, min(4 * n, 10))
     bh1 = G_.growth(H, n)
     mult_threshold = 48 * bh4 * bh4 * eps_in
@@ -763,12 +673,12 @@ def _wreath_bullets(c_G, c_H, n, big_perm):
         "final_defect": final,
         "final_defect_bound": e0 + e1,
         "final_defect_ok": final <= e0 + e1,
-        "separation": sep if sep is not None else Fraction(1),
+        "separation": sep,
         "measured_epsilon": eps_in,
         "multiplicativity_threshold": mult_threshold,
         "multiplicativity_ok": final < mult_threshold or final <= e0 + e1,
         "injectivity_threshold": inj_threshold,
-        "injectivity_ok": (sep if sep is not None else Fraction(1)) >= inj_threshold,
+        "injectivity_ok": sep >= inj_threshold,
         "lamps_checked": len(lamps),
         "pass": bullet3 and bullet4 and final <= e0 + e1,
     }

@@ -201,6 +201,16 @@ def growth(G, n):
     return len(ball(G, n))
 
 
+def kernel_witness(G, Q, r):
+    """First non-identity element of B(r), in ball order, lying in the
+    kernel of the quotient descriptor Q; None when the kernel misses it."""
+    e = G.identity()
+    for p in ball(G, r):
+        if p != e and Q.kernel_contains(p):
+            return p
+    return None
+
+
 # ---------------------------------------------------------------------------
 # string helpers
 
@@ -577,7 +587,9 @@ class WreathProduct(Group):
     def identity(self):
         return ((), self.top.identity())
 
-    def _norm(self, fdict):
+    def normalize(self, fdict):
+        """Lamp dict -> support-sorted (position, value) tuple, identity
+        values dropped: the lamp part of a payload."""
         eb = self.base.identity()
         items = [(t, v) for t, v in fdict.items() if v != eb]
         items.sort(key=lambda tv: self.top.key(tv[0]))
@@ -596,7 +608,7 @@ class WreathProduct(Group):
                 out[s] = self.base.mul(v, out[s])
             else:
                 out[s] = v
-        return (self._norm(out), self.top.mul(h0, h1))
+        return (self.normalize(out), self.top.mul(h0, h1))
 
     def inv(self, p):
         f, h = p
@@ -606,7 +618,7 @@ class WreathProduct(Group):
             # (f,h)(g,h^-1) = e forces g(s) = f(h^-1 s)^-1, so the lamp at t
             # moves to h t
             out[self.top.mul(h, t)] = self.base.inv(v)
-        return (self._norm(out), hinv)
+        return (self.normalize(out), hinv)
 
     def generators(self):
         gens = []
@@ -639,7 +651,7 @@ class WreathProduct(Group):
             for item in _split_top(body, ","):
                 pos, val = _split_top(item, ":")
                 out[self.top.parse(pos)] = self.base.parse(val)
-        return (self._norm(out), h)
+        return (self.normalize(out), h)
 
     def descriptor(self):
         return {"kind": self.kind,

@@ -447,20 +447,12 @@ def full_rf_growth(G, n, quotient_family="auto"):
     raise NotImplementedError(f"no quotient enumeration for {G.descriptor()}")
 
 
-def _kernel_avoids(G, Q, n):
-    e = G.identity()
-    for p in G_.ball(G, n):
-        if p != e and Q.kernel_contains(p):
-            return False
-    return True
-
-
 def _rf_growth_lattice(G, n):
     cap = (n + 1) ** G.d + 1
     for k in range(1, cap + 1):
         for rows in _sublattices_of_index(G.d, k):
             Q = G_.LatticeHNF(G, rows)
-            if _kernel_avoids(G, Q, n):
+            if G_.kernel_witness(G, Q, n) is None:
                 return ProfilePoint(
                     n, k, "exact",
                     detail={"kernel": rows,
@@ -479,7 +471,7 @@ def heisenberg_congruence_modulus(n):
 def _rf_growth_heis_recipe(G, n):
     m = heisenberg_congruence_modulus(n)
     Q = G_.CongruenceMod(G, m)
-    if not _kernel_avoids(G, Q, n):
+    if G_.kernel_witness(G, Q, n) is not None:
         raise AssertionError(f"recipe modulus {m} fails at n={n}")
     return ProfilePoint(
         n, Q.index, "upper",
@@ -490,7 +482,7 @@ def _rf_growth_heis_least(G, n):
     cap = heisenberg_congruence_modulus(n) + 1
     for m in range(2, cap + 1):
         Q = G_.CongruenceMod(G, m)
-        if _kernel_avoids(G, Q, n):
+        if G_.kernel_witness(G, Q, n) is None:
             return ProfilePoint(
                 n, Q.index, "upper",
                 detail={"modulus": m,
@@ -587,7 +579,8 @@ def ra_profile(G, n, catalog):
         label = entry.get("label", "?")
         Q = entry["group"]
         Qdesc = entry.get("quotient")  # kernel data, None for G itself
-        if Qdesc is not None and not _kernel_avoids(G, Qdesc, 2 * n):
+        if Qdesc is not None and \
+                G_.kernel_witness(G, Qdesc, 2 * n) is not None:
             detail.append({"quotient": label, "note": "kernel meets B(2n)"})
             continue
         if hasattr(Q, "elements"):

@@ -74,6 +74,19 @@ def test_float_margin_fails_closed():
     assert not C_.verify_D(hyp, margin=1.0).passed
 
 
+@pytest.mark.parametrize("margin", [-1.0, -1e-12, math.nan, math.inf])
+def test_bad_margin_is_rejected(margin):
+    hyp = X_.perm_to_hyp(cyclic(3), 1)
+    h = C_.HomCertificate(Z, {"x1": T_.CyclicPerm(7, 1)}, "sofic")
+    for check in (lambda: C_.verify_D(hyp, margin=margin),
+                  lambda: C_.verify_D(cyclic(3), margin=margin),
+                  lambda: C_.verify_W(h, 2, margin=margin),
+                  lambda: C_.verify_R(h, 2, margin=margin)):
+        with pytest.raises(C_.CertificateError, match="margin"):
+            check()
+    assert C_.verify_D(hyp, margin=0.0).passed
+
+
 def test_translation_fast_path_matches_generic():
     fast = C_.verify_D(cyclic(6))
     assert any("fast path" in note for note in fast.notes)

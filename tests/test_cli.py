@@ -8,6 +8,8 @@ from groupapprox import construct as X_
 from groupapprox import groups as G_
 from groupapprox import targets as T_
 
+Z = G_.FreeAbelian(1)
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -100,6 +102,25 @@ _MALFORMED = {
 }
 
 
+def _identity_targets(obj, eps):
+    """Send every element to the identity and claim separation ``eps``."""
+    for entry in obj["assignments"]:
+        entry["target"]["shift"] = 0
+    obj["epsilon"] = eps
+
+
+_MALFORMED.update({
+    "epsilon-zero": lambda o: _identity_targets(o, 0),
+    "epsilon-negative": lambda o: _identity_targets(o, -5),
+    "epsilon-infinite": lambda o: _identity_targets(o, float("inf")),
+})
+
+
+def _identity_images(obj, eps):
+    obj["images"][0]["target"]["shift"] = 0
+    obj["epsilon"] = eps
+
+
 _MALFORMED_HOM = {
     "hom-empty-images": lambda o: o.update(images=[]),
     "hom-missing-images": lambda o: o.pop("images"),
@@ -107,6 +128,8 @@ _MALFORMED_HOM = {
     "hom-missing-relators": lambda o: o.pop("relators"),
     "hom-mixed-dimension": lambda o: o["images"].append(
         {"generator": "x1^-1", "target": T_.CyclicPerm(5, 1).to_json()}),
+    "hom-epsilon-zero": lambda o: _identity_images(o, 0),
+    "hom-epsilon-negative": lambda o: _identity_images(o, -5),
 }
 _AT_N = {"at-n-above-n": "3", "at-n-zero": "0", "hom-at-n-zero": "0"}
 
@@ -130,6 +153,8 @@ def test_malformed_certificate_is_usage_error(tmp_path, capsys, case):
         if case in _MALFORMED:
             obj = json.loads(cert.read_text())
             _MALFORMED[case](obj)
+            with pytest.raises(C_.CertificateError):
+                C_.ApproxCertificate.from_json(obj)
             cert.write_text(json.dumps(obj))
         extra = ["--at-n", _AT_N[case]] if case in _AT_N else []
     code, out, err = run(capsys, "verify", "--cert", str(cert), *extra)
@@ -223,6 +248,31 @@ def _scalar_cert_argv(tmp_path):
     return ["verify", "--cert", str(path)]
 
 
+def _tampered_hyp_path(tmp_path):
+    """A Hilbert-Schmidt certificate that fails both conditions at the
+    default margin, with the image of 1 replaced by that of 2; a margin
+    of -1 would pass it."""
+    obj = X_.from_quotient(Z, G_.LatticeHNF(Z, [(7,)]), 2, "hyp").to_json()
+    by_element = {a["element"]: a for a in obj["assignments"]}
+    by_element["1"]["target"] = by_element["2"]["target"]
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _hom_path(tmp_path):
+    h = C_.HomCertificate(Z, {"x1": T_.CyclicPerm(7, 1)}, "sofic")
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(h.to_json()))
+    return path
+
+
+def _cyclic_path(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(X_.cyclic_Z(2).dumps())
+    return path
+
+
 _QUOTIENT = ["construct", "--method", "from-quotient", "--n", "1"]
 
 # each case maps a scratch directory to the argv of one malformed invocation
@@ -256,6 +306,20 @@ _BAD_INPUT = {
     "audit-negative-n-max": lambda t: ["audit", "--groups", "Z",
                                        "--n-max", "-1"],
     "audit-zero-n-max": lambda t: ["audit", "--groups", "Z", "--n-max", "0"],
+    "negative-margin": lambda t: [
+        "verify", "--cert", str(_tampered_hyp_path(t)), "--margin", "-1"],
+    "nan-margin": lambda t: [
+        "verify", "--cert", str(_tampered_hyp_path(t)), "--margin", "nan"],
+    "infinite-margin": lambda t: [
+        "verify", "--cert", str(_tampered_hyp_path(t)), "--margin", "inf"],
+    "hom-negative-margin": lambda t: [
+        "verify", "--cert", str(_hom_path(t)), "--at-n", "2",
+        "--margin", "-0.5"],
+    "lemma-suite-on-hom-certificate": lambda t: [
+        "verify", "--cert", str(_hom_path(t)), "--at-n", "2",
+        "--lemma-suite"],
+    "relators-only-on-ball-certificate": lambda t: [
+        "verify", "--cert", str(_cyclic_path(t)), "--relators-only"],
 }
 
 

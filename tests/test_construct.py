@@ -214,15 +214,45 @@ def test_wreath_by_rf_kernel_guard():
         X_.wreath_by_rf(base, Z, 1, quot)
 
 
-def test_wreath_sofic_bullets():
-    c_G = X_.cyclic_Z(1)
-    c_H = X_.exact_finite(G_.FiniteCyclic(2), 1)
-    cert, report = X_.wreath_sofic(c_G, c_H, 1)
-    assert cert.dimension == 18
+# (base certificate, top certificate, n) builders with the pinned dimension,
+# lamps checked, lamp-pair defect and final defect of wreath_sofic
+_WREATH_CASES = {
+    "cyclic-Z1-by-C2": (
+        lambda: (X_.cyclic_Z(1), X_.exact_finite(G_.FiniteCyclic(2), 1), 1),
+        18, 9, 1, 1),
+    "cyclic-Z2-by-C2": (
+        lambda: (X_.cyclic_Z(2), X_.exact_finite(G_.FiniteCyclic(2), 2), 1),
+        50, 9, 0, 0),
+    "C2-by-C3": (
+        lambda: (X_.exact_finite(G_.FiniteCyclic(2), 2),
+                 X_.exact_finite(G_.FiniteCyclic(3), 2), 1),
+        24, 8, 0, 0),
+    "Z-mod-5-by-C2": (
+        lambda: (X_.from_quotient(Z, G_.LatticeHNF(Z, [(5,)]), 2),
+                 X_.exact_finite(G_.FiniteCyclic(2), 2), 1),
+        50, 9, 0, 0),
+}
+
+
+@pytest.mark.parametrize("case", _WREATH_CASES)
+def test_wreath_sofic_bullets(case):
+    build, dim, lamps, lamp_defect, final = _WREATH_CASES[case]
+    c_G, c_H, n = build()
+    cert, report = X_.wreath_sofic(c_G, c_H, n)
+    assert cert.dimension == dim
     assert C_.verify_D(cert).passed
+    assert report["lamps_checked"] == lamps
+    assert report["lamp_pair_defect"] == lamp_defect
+    assert report["top_pair_defect"] == 0
+    assert report["final_defect"] == final
     assert report["shift_identity_exact"]
     assert report["split_identity_exact"]
     assert report["final_defect"] <= report["final_defect_bound"]
+    assert report["separation"] == 1
+    # every input is exact, so the thresholds are the sharp ones
+    assert report["measured_epsilon"] == 0
+    assert report["multiplicativity_threshold"] == 0
+    assert report["injectivity_threshold"] == 1
     assert report["multiplicativity_ok"] and report["injectivity_ok"]
     assert report["pass"]
 

@@ -249,6 +249,16 @@ def test_congruence_mod_heisenberg():
     assert not Q.kernel_contains(x)
 
 
+def test_kernel_witness_is_first_kernel_element_in_ball_order():
+    L = G_.LatticeHNF(Z2, [(1, 0), (0, 3)])  # kernel Z x 3Z
+    assert G_.kernel_witness(Z2, L, 1) == next(
+        p for p in G_.ball(Z2, 1) if p != (0, 0) and L.kernel_contains(p))
+    assert G_.kernel_witness(Z2, G_.LatticeHNF(Z2, [(3, 0), (0, 3)]), 2) \
+        is None
+    assert G_.kernel_witness(H3, G_.CongruenceMod(H3, 3), 2) is None
+    assert G_.kernel_witness(H3, G_.CongruenceMod(H3, 2), 2) is not None
+
+
 def test_congruence_quotient_is_hom():
     Q = G_.CongruenceMod(H3, 2)
     B = G_.ball(H3, 2)
