@@ -77,6 +77,37 @@ def _is_exact(el):
     return isinstance(el, _EXACT_TYPES)
 
 
+_UNITARY_TYPES = (T_.UnitaryMatrix, T_.PermUnitary, T_.AugmentedUnitary,
+                  T_.ImplicitTensorUnitary)
+
+# the target kinds each family admits: the verifier measures a target with
+# its own metric, so a kind outside its family would be checked in the
+# wrong metric
+_FAMILY_TYPES = {
+    "sofic": (T_.Permutation, T_.CyclicPerm, T_.PermWreathElement),
+    "hyp": _UNITARY_TYPES,
+    "hyp-projective": _UNITARY_TYPES,
+    "lin": (T_.RankMatrix,),
+    "lin-projective": (T_.RankMatrix,),
+    "fin": (T_.FiniteGroupElement,),
+}
+
+
+def _require_family_kinds(family, targets):
+    """Raise CertificateError unless the family is known and every target
+    (every bell of a sofic wreath element too) is of one of its kinds."""
+    kinds = _FAMILY_TYPES.get(family)
+    if kinds is None:
+        raise CertificateError(f"unknown family {family!r}")
+    for el in targets:
+        if not isinstance(el, kinds):
+            raise CertificateError(
+                f"a {type(el).__name__} target cannot be in a {family} "
+                f"certificate")
+        if isinstance(el, T_.PermWreathElement):
+            _require_family_kinds(family, el.bells)
+
+
 def target_identity_like(el):
     """Identity element of the target group el lives in."""
     if isinstance(el, T_.Permutation):
@@ -111,6 +142,7 @@ class ApproxCertificate:
         self.n = int(n)
         self.family = family
         self.assignments = dict(assignments)
+        _require_family_kinds(family, self.assignments.values())
         self.epsilon = T_.family_epsilon(family) if epsilon is None else epsilon
         self.fin_group = fin_group
         self.provenance = provenance or {}
@@ -204,6 +236,7 @@ class HomCertificate:
         self.group = group
         self.images = dict(images)  # generator label -> target element
         self.family = family
+        _require_family_kinds(family, self.images.values())
         self.relators = [tuple(r) for r in (relators or [])]
         self.epsilon = T_.family_epsilon(family) if epsilon is None else epsilon
         self.fin_group = fin_group

@@ -159,50 +159,50 @@ def folner_to_sofic(w, n=None):
 
 
 # ---------------------------------------------------------------------------
-# quotient constructions
+# finite groups and finite quotients
 
-def _quotient_perms(G, Q, n):
-    residues = sorted(Q.residues(), key=Q.residue_key)
-    idx = {r: i for i, r in enumerate(residues)}
+def _left_regular(F, image, domain, family, field=None):
+    """Assignments on ``domain`` through the left-regular picture of the
+    finite group F: g acts on F.elements() by left translation by image(g),
+    as a permutation (sofic), a permutation unitary (hyp), a rank matrix
+    over ``field`` (lin) or an element of F's table group (fin).
+
+    Returns (assignments, the table group for fin or None)."""
+    if family not in ("sofic", "hyp", "lin", "fin"):
+        raise BuildError(f"unsupported family {family!r}")
+    elems = F.elements()
+    idx = {x: i for i, x in enumerate(elems)}
+    if family == "fin":
+        table = T_.trivial_metric_group(F)
+        return {g: T_.FiniteGroupElement(table, idx[image(g)])
+                for g in domain}, table
     perms = {}
-    for g in G_.ball(G, n):
-        r = Q.map(g)
-        perms[g] = T_.Permutation(tuple(
-            idx[Q.quotient_mul(r, s)] for s in residues))
-    return perms, residues, idx
+    for g in domain:
+        x = image(g)
+        perms[g] = T_.Permutation(tuple(idx[F.mul(x, y)] for y in elems))
+    if family == "hyp":
+        return {g: T_.PermUnitary(s) for g, s in perms.items()}, None
+    if family == "lin":
+        f = field or T_.FieldQ()
+        return {g: T_.perm_to_rank(s, f) for g, s in perms.items()}, None
+    return perms, None
 
 
 def from_quotient(G, Q, n, family="sofic", field=None):
     """Certificate through a finite quotient whose kernel misses B(2n)\\{e}.
 
-    The quotient acts on itself by left translation; the permutation picture
-    is reused as unitaries (hyp), rank-metric matrices (lin), or a finite
-    metric group (fin) as requested.
+    G acts on the quotient Q by left translation by its image Q.map(g).
     """
     p = G_.kernel_witness(G, Q, 2 * n)
     if p is not None:
         raise BuildError(f"kernel meets B({2 * n}) at {G.fmt(p)}")
-    perms, residues, idx = _quotient_perms(G, Q, n)
-    k = len(residues)
-    if family == "sofic":
-        assignments = perms
-    elif family == "hyp":
-        assignments = {g: T_.PermUnitary(s) for g, s in perms.items()}
-    elif family == "lin":
-        f = field or T_.FieldQ()
-        assignments = {g: T_.perm_to_rank(s, f) for g, s in perms.items()}
-    elif family == "fin":
-        table, _, _ = T_.quotient_metric_group(Q)
-        assignments = {g: T_.FiniteGroupElement(table, idx[Q.map(g)])
-                       for g in perms}
-    else:
-        raise BuildError(f"unsupported family {family!r}")
-    fin_group = assignments[G.identity()].group if family == "fin" else None
+    assignments, fin_group = _left_regular(Q, Q.map, G_.ball(G, n), family,
+                                           field)
     cert = C_.ApproxCertificate(
         G, n, family, assignments, fin_group=fin_group,
         provenance=_trace("from_quotient",
                           {"quotient": Q.descriptor(), "family": family},
-                          n, float(T_.family_epsilon(family)), k))
+                          n, float(T_.family_epsilon(family)), Q.index))
     return _check(cert)
 
 
@@ -220,28 +220,19 @@ def cyclic_Z(n):
 
 
 def exact_finite(G, n, family="sofic"):
-    """Left-regular certificate for a finite group; exact at every radius."""
-    if not hasattr(G, "elements"):
+    """Left-regular certificate for a finite group, the trivial quotient of
+    itself; exact at every radius."""
+    # a finite quotient has elements() too, but no word metric of its own
+    if not (isinstance(G, G_.Group) and hasattr(G, "elements")):
         raise BuildError("exact_finite needs a finite group")
-    elems = G.elements()
-    idx = {p: i for i, p in enumerate(elems)}
-    if family == "sofic":
-        def tgt(g):
-            return T_.Permutation(tuple(idx[G.mul(g, x)] for x in elems))
-        fin_group = None
-    elif family == "fin":
-        table = T_.trivial_metric_group(G)
-        fin_group = table
-
-        def tgt(g):
-            return T_.FiniteGroupElement(table, idx[g])
-    else:
+    if family not in ("sofic", "fin"):
         raise BuildError(f"unsupported family {family!r}")
-    assignments = {g: tgt(g) for g in G_.ball(G, n)}
+    assignments, fin_group = _left_regular(G, lambda g: g, G_.ball(G, n),
+                                           family)
     cert = C_.ApproxCertificate(
         G, n, family, assignments, fin_group=fin_group,
-        provenance=_trace("exact_finite", {"order": len(elems), "family": family},
-                          n, 1, len(elems)))
+        provenance=_trace("exact_finite", {"order": G.order(), "family": family},
+                          n, 1, G.order()))
     return _check(cert)
 
 
@@ -468,36 +459,6 @@ def amplify_projective(c, n):
 # ---------------------------------------------------------------------------
 # wreath products
 
-class QuotientGroup:
-    """Finite quotient H/N presented through a quotient descriptor."""
-
-    def __init__(self, desc):
-        self.desc = desc
-        self._elements = sorted(desc.residues(), key=desc.residue_key)
-        self.order = len(self._elements)
-
-    def elements(self):
-        return list(self._elements)
-
-    def identity(self):
-        return self.desc.identity_residue()
-
-    def mul(self, a, b):
-        return self.desc.quotient_mul(a, b)
-
-    def inv(self, a):
-        return self.desc.quotient_inv(a)
-
-    def key(self, a):
-        return self.desc.residue_key(a)
-
-    def fmt(self, a):
-        return str(a)
-
-    def descriptor(self):
-        return {"kind": "Quotient", "of": self.desc.descriptor()}
-
-
 def wreath_by_rf(c_G, H, n, quotient):
     """Certificate for G wr H through a finite quotient H/N.
 
@@ -515,15 +476,11 @@ def wreath_by_rf(c_G, H, n, quotient):
         raise BuildError(f"base certificate radius {c_G.n} below index {m}")
     _require_verified(c_G, "base fails")
 
-    top = QuotientGroup(quotient)
-    W = T_.WreathMetricGroup(c_G.fin_group, top)
+    W = T_.WreathMetricGroup(c_G.fin_group, quotient)
     source = G_.WreathProduct(c_G.group, H)
-    window = list(G_.ball(H, n))
-    res_order = {top.key(r): i for i, r in enumerate(top.elements())}
     window_slot = {}
-    for kp in window:
-        r = quotient.map(kp)
-        slot = res_order[top.key(r)]
+    for kp in G_.ball(H, n):
+        slot = W.top_index[quotient.map(kp)]
         if slot in window_slot and window_slot[slot] != kp:
             raise BuildError(
                 f"window points {H.fmt(window_slot[slot])} and {H.fmt(kp)} "
@@ -535,7 +492,7 @@ def wreath_by_rf(c_G, H, n, quotient):
     for p in G_.ball(source, n):
         assoc, h = p
         lamp = dict(assoc)
-        f_hat = [e_base] * top.order
+        f_hat = [e_base] * W.m
         for slot, kp in window_slot.items():
             g_val = lamp.get(kp, c_G.group.identity())
             f_hat[slot] = c_G.target(g_val).index
@@ -570,14 +527,12 @@ def wreath_sofic(c_G, c_H, n):
         raise BuildError("wreath_sofic needs a finite top group")
     B_list = H.elements()
     sizeB = len(B_list)
-    bidx = {b: i for i, b in enumerate(B_list)}
-    if c_H.dimension != sizeB:
+    regular, _ = _left_regular(H, lambda h: h, B_list, "sofic")
+    if c_H.dimension != sizeB or any(
+            _as_perm(c_H.target(h)) != regular[h] for h in B_list):
         raise BuildError("top certificate must be the regular representation")
-    for h in B_list:
-        perm = _as_perm(c_H.target(h))
-        expect = tuple(bidx[H.mul(h, b)] for b in B_list)
-        if perm.images != expect:
-            raise BuildError("top certificate must be the regular representation")
+    # lampmul[a][b] is the slot of B_list[a] * B_list[b]
+    lampmul = [regular[a].images for a in B_list]
     A = c_G.dimension
     dim = (A ** sizeB) * sizeB
     if dim > _PERM_CAP:
@@ -585,20 +540,28 @@ def wreath_sofic(c_G, c_H, n):
 
     e_G = G.identity()
     e_perm = T_.Permutation.identity(A)
+    # filled as the call goes: every lamp value's permutation and every
+    # payload's permutation is built once per call
+    thetas = {}
+    built = {}
 
     def theta(g):
-        t = c_G.assignments.get(g)
-        return e_perm if t is None else _as_perm(t)
+        """Image of a lamp value, the identity outside the base ball."""
+        if g not in thetas:
+            t = c_G.assignments.get(g)
+            thetas[g] = e_perm if t is None else _as_perm(t)
+        return thetas[g]
 
-    lampmul = [[bidx[H.mul(a, b)] for b in B_list] for a in B_list]
     powA = [A ** i for i in range(sizeB)]
 
     def big_perm(p):
         """p: wreath payload (lamp, h), the lamp a normalized support tuple."""
+        if p in built:
+            return built[p]
         lamp = dict(p[0])
-        thetas = [[theta(lamp.get(B_list[lampmul[b][beta]], e_G))
-                   for beta in range(sizeB)] for b in range(sizeB)]
-        sig = _as_perm(c_H.target(p[1])).images
+        rows = [[theta(lamp.get(B_list[lampmul[b][beta]], e_G)).images
+                 for beta in range(sizeB)] for b in range(sizeB)]
+        sig = regular[p[1]].images
         images = [0] * dim
         for code in range(A ** sizeB):
             rem = code
@@ -608,11 +571,12 @@ def wreath_sofic(c_G, c_H, n):
                 rem //= A
             for b in range(sizeB):
                 new_code = 0
-                row = thetas[b]
+                row = rows[b]
                 for beta in range(sizeB):
-                    new_code += row[beta].images[coords[beta]] * powA[beta]
+                    new_code += row[beta][coords[beta]] * powA[beta]
                 images[code * sizeB + b] = new_code * sizeB + sig[b]
-        return T_.Permutation(tuple(images))
+        built[p] = T_.Permutation(tuple(images))
+        return built[p]
 
     source = G_.WreathProduct(G, H)
     assignments = {p: big_perm(p) for p in G_.ball(source, n)}
@@ -624,18 +588,20 @@ def wreath_sofic(c_G, c_H, n):
                           inputs=[c_G.provenance, c_H.provenance]))
     rep = _require_verified(cert, "builder output failed verification")
     cert.provenance["verified"] = True
-    report = _wreath_bullets(c_G, c_H, n, source, big_perm, rep.separation)
+    report = _wreath_bullets(cert, c_G, c_H, big_perm, rep.separation)
     cert.provenance["wreath_conditions"] = {
         k: (v if isinstance(v, (int, float, bool)) else str(v))
         for k, v in report.items()}
     return cert, report
 
 
-def _wreath_bullets(c_G, c_H, n, source, big_perm, sep):
-    """The four structural conditions of wreath_sofic and its measured
-    thresholds; ``sep`` is the separation of the verified certificate."""
+def _wreath_bullets(cert, c_G, c_H, big_perm, sep):
+    """The four structural conditions of wreath_sofic's certificate and its
+    measured thresholds; ``sep`` is the verified separation."""
     G = c_G.group
     H = c_H.group
+    n = cert.n
+    source = cert.group
     e_H = H.identity()
     BH_n = G_.ball(H, n).elements
     combos = itertools.product(G_.ball(G, n).elements, repeat=len(BH_n))
@@ -643,9 +609,27 @@ def _wreath_bullets(c_G, c_H, n, source, big_perm, sep):
              for combo in itertools.islice(combos, _LAMP_CAP)]
     tops = [((), y) for y in BH_n]
 
+    def inside(p):
+        return all(v in c_G.assignments for _, v in p[0])
+
     def defect(xs, ys):
-        return max(big_perm(x).mul(big_perm(y)).dist(big_perm(source.mul(x, y)))
-                   for x in xs for y in ys)
+        """Max Hamming distance of big_perm(x) big_perm(y) from
+        big_perm(xy) over the pairs whose lamp values, and those of xy, lie
+        in the base certificate's ball: like verify_D, only products inside
+        the ball are scored."""
+        ys = [y for y in ys if inside(y)]
+        worst = 0
+        for x in xs:
+            if not inside(x):
+                continue
+            px = big_perm(x).images
+            for y in ys:
+                xy = source.mul(x, y)
+                if inside(xy):
+                    pxy = big_perm(xy).images
+                    worst = max(worst, sum(px[j] != t for j, t in
+                                           zip(big_perm(y).images, pxy)))
+        return Fraction(worst, cert.dimension)
 
     # measured input quality on B(4n)
     def input_epsilon(c):
@@ -713,10 +697,6 @@ class CoordinateSplit:
 
     def in_N(self, g):
         return all(g[i] == 0 for i in self.q_axes)
-
-
-def coordinate_split(d, n_axes):
-    return CoordinateSplit(d, n_axes)
 
 
 def extend_by_amenable(c_N, w, split, n):

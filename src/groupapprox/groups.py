@@ -8,9 +8,16 @@ Word-metric balls come from ``ball()``, the one ball layer. It keeps the
 balls it built in a bounded process-wide memo, so every caller asking for
 the same (group, radius) gets the same ``Ball`` object. Balls are therefore
 read-only: their elements, lengths and product table cannot be written.
+
+A finite quotient G -> F (``LatticeHNF``, ``CongruenceMod``) is a finite
+group in the same vocabulary as ``FiniteCyclic`` and ``FiniteSym``:
+``elements()`` in key order, ``identity()``, ``mul``, ``inv``, ``key`` and
+``fmt``, plus ``map`` (the quotient map G -> F), ``kernel_contains`` and
+``index`` (the order of F).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import threading
@@ -763,12 +770,12 @@ def hnf(rows):
 
 
 class LatticeHNF:
-    """Finite-index sublattice of Z^d as a quotient descriptor.
+    """Z^d / L for a finite-index sublattice L, as a finite group.
 
-    Stores the HNF basis; residues are the box {v : 0 <= v_i < H_ii} and
-    reduction subtracts basis rows coordinate by coordinate. Rows are upper
-    triangular, so clearing coordinate i only disturbs later coordinates and
-    a single ascending sweep lands in the box.
+    Stores the HNF basis of L; elements are the box {v : 0 <= v_i < H_ii}
+    and ``map`` subtracts basis rows coordinate by coordinate. Rows are
+    upper triangular, so clearing coordinate i only disturbs later
+    coordinates and a single ascending sweep lands in the box.
     """
 
     kind = "LatticeHNF"
@@ -784,44 +791,35 @@ class LatticeHNF:
         for i in range(parent.d):
             self.index *= self.rows[i][i]
 
-    def reduce(self, v):
-        v = list(v)
+    def map(self, p):
+        v = list(p)
         for i in range(self.parent.d):
             q = v[i] // self.rows[i][i]
             if q:
                 v = [x - q * y for x, y in zip(v, self.rows[i])]
         return tuple(v)
 
-    def map(self, p):
-        return self.reduce(p)
-
     def kernel_contains(self, p):
-        return self.map(p) == self.parent.identity()
+        return self.map(p) == self.identity()
 
-    def residues(self):
-        out = []
-        diag = [self.rows[i][i] for i in range(self.parent.d)]
+    def elements(self):
+        return list(itertools.product(
+            *(range(self.rows[i][i]) for i in range(self.parent.d))))
 
-        def rec(i, cur):
-            if i == len(diag):
-                out.append(tuple(cur))
-                return
-            for x in range(diag[i]):
-                rec(i + 1, cur + [x])
-        rec(0, [])
-        return out
+    def identity(self):
+        return self.parent.identity()
 
-    def residue_key(self, r):
+    def mul(self, r1, r2):
+        return self.map(tuple(x + y for x, y in zip(r1, r2)))
+
+    def inv(self, r):
+        return self.map(tuple(-x for x in r))
+
+    def key(self, r):
         return r
 
-    def quotient_mul(self, r1, r2):
-        return self.reduce(tuple(x + y for x, y in zip(r1, r2)))
-
-    def quotient_inv(self, r):
-        return self.reduce(tuple(-x for x in r))
-
-    def identity_residue(self):
-        return self.parent.identity()
+    def fmt(self, r):
+        return str(r)
 
     def descriptor(self):
         return {"kind": self.kind, "rows": [list(r) for r in self.rows],
@@ -829,7 +827,7 @@ class LatticeHNF:
 
 
 class CongruenceMod:
-    """Congruence quotient of Heisenberg(l): reduce all coordinates mod m."""
+    """Heisenberg(l) with every coordinate reduced mod m, as a finite group."""
 
     kind = "CongruenceMod"
 
@@ -848,35 +846,26 @@ class CongruenceMod:
         return (tuple(x % m for x in a), tuple(x % m for x in b), c % m)
 
     def kernel_contains(self, p):
-        return self.map(p) == self.parent.identity()
+        return self.map(p) == self.identity()
 
-    def residues(self):
-        l = self.parent.l
-        m = self.m
-        out = []
+    def elements(self):
+        vecs = list(itertools.product(range(self.m), repeat=self.parent.l))
+        return [(a, b, c) for a in vecs for b in vecs for c in range(self.m)]
 
-        def vecs():
-            vs = [()]
-            for _ in range(l):
-                vs = [v + (x,) for v in vs for x in range(m)]
-            return vs
-        for a in vecs():
-            for b in vecs():
-                for c in range(m):
-                    out.append((a, b, c))
-        return out
+    def identity(self):
+        return self.parent.identity()
 
-    def residue_key(self, r):
-        return self.parent.key(r)
-
-    def quotient_mul(self, r1, r2):
+    def mul(self, r1, r2):
         return self.map(self.parent.mul(r1, r2))
 
-    def quotient_inv(self, r):
+    def inv(self, r):
         return self.map(self.parent.inv(r))
 
-    def identity_residue(self):
-        return self.parent.identity()
+    def key(self, r):
+        return self.parent.key(r)
+
+    def fmt(self, r):
+        return str(r)
 
     def descriptor(self):
         return {"kind": self.kind, "m": self.m,

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from groupapprox import certify as C_
@@ -113,6 +114,32 @@ _MALFORMED.update({
     "epsilon-zero": lambda o: _identity_targets(o, 0),
     "epsilon-negative": lambda o: _identity_targets(o, -5),
     "epsilon-infinite": lambda o: _identity_targets(o, float("inf")),
+})
+
+
+def _become(obj, cert, family):
+    """Replace the certificate object by that of ``cert``, whose targets
+    pass in its own family, relabelled ``family``."""
+    obj.clear()
+    obj.update(cert.to_json(), family=family)
+
+
+def _z2_certificate(family, identity, other, epsilon=None):
+    return C_.ApproxCertificate(G_.FiniteCyclic(2), 3, family,
+                                {0: identity, 1: other}, epsilon=epsilon)
+
+
+# each passes verification in the metric its targets have but fails in the
+# metric its family names, so it is refused before it is verified
+_MALFORMED.update({
+    # I and -I are 2 apart plainly but coincide projectively
+    "family-with-suffix": lambda o: _become(o, _z2_certificate(
+        "hyp-projective", T_.UnitaryMatrix(np.eye(2)),
+        T_.UnitaryMatrix(-np.eye(2))), "hyp-projective(x)"),
+    # moving 2 of 4 points is Hilbert-Schmidt distance 1, Hamming 1/2
+    "unitary-targets-in-sofic-family": lambda o: _become(o, _z2_certificate(
+        "hyp", T_.PermUnitary(T_.Permutation([0, 1, 2, 3])),
+        T_.PermUnitary(T_.Permutation([1, 0, 2, 3])), epsilon=1), "sofic"),
 })
 
 
@@ -303,6 +330,9 @@ _BAD_INPUT = {
     "quotient-without-group": lambda t: [*_QUOTIENT, "--modulus", "5"],
     "exact-finite-on-infinite-group": lambda t: [
         "construct", "--method", "exact-finite", "--group", "Z", "--n", "1"],
+    "exact-finite-hyp-family": lambda t: [
+        "construct", "--method", "exact-finite", "--group", "Z/5", "--n",
+        "1", "--family", "hyp"],
     "audit-negative-n-max": lambda t: ["audit", "--groups", "Z",
                                        "--n-max", "-1"],
     "audit-zero-n-max": lambda t: ["audit", "--groups", "Z", "--n-max", "0"],

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -34,6 +35,9 @@ def test_exact_finite_regular():
     fin = X_.exact_finite(C6, 2, family="fin")
     assert fin.fin_group is not None
     assert C_.verify_D(fin).passed
+    for G in (Z, G_.LatticeHNF(Z, [(6,)])):  # infinite; no word metric
+        with pytest.raises(X_.BuildError, match="finite group"):
+            X_.exact_finite(G, 1)
 
 
 def test_from_quotient_skew_lattice():
@@ -214,46 +218,81 @@ def test_wreath_by_rf_kernel_guard():
         X_.wreath_by_rf(base, Z, 1, quot)
 
 
-# (base certificate, top certificate, n) builders with the pinned dimension,
-# lamps checked, lamp-pair defect and final defect of wreath_sofic
+# (base certificate, top certificate, n) builders with the pinned dimension
+# and number of lamps checked by wreath_sofic
 _WREATH_CASES = {
     "cyclic-Z1-by-C2": (
         lambda: (X_.cyclic_Z(1), X_.exact_finite(G_.FiniteCyclic(2), 1), 1),
-        18, 9, 1, 1),
+        18, 9),
     "cyclic-Z2-by-C2": (
         lambda: (X_.cyclic_Z(2), X_.exact_finite(G_.FiniteCyclic(2), 2), 1),
-        50, 9, 0, 0),
+        50, 9),
     "C2-by-C3": (
         lambda: (X_.exact_finite(G_.FiniteCyclic(2), 2),
                  X_.exact_finite(G_.FiniteCyclic(3), 2), 1),
-        24, 8, 0, 0),
+        24, 8),
     "Z-mod-5-by-C2": (
         lambda: (X_.from_quotient(Z, G_.LatticeHNF(Z, [(5,)]), 2),
                  X_.exact_finite(G_.FiniteCyclic(2), 2), 1),
-        50, 9, 0, 0),
+        50, 9),
 }
 
 
 @pytest.mark.parametrize("case", _WREATH_CASES)
 def test_wreath_sofic_bullets(case):
-    build, dim, lamps, lamp_defect, final = _WREATH_CASES[case]
+    build, dim, lamps = _WREATH_CASES[case]
     c_G, c_H, n = build()
     cert, report = X_.wreath_sofic(c_G, c_H, n)
     assert cert.dimension == dim
     assert C_.verify_D(cert).passed
     assert report["lamps_checked"] == lamps
-    assert report["lamp_pair_defect"] == lamp_defect
+    # every input is exact and only lamp products inside the base ball are
+    # scored (in cyclic-Z1-by-C2, 1 + 1 = 2 leaves B_Z(1)), so no defect
+    assert report["lamp_pair_defect"] == 0
     assert report["top_pair_defect"] == 0
-    assert report["final_defect"] == final
+    assert report["final_defect"] == 0
+    assert report["final_defect_bound"] == 0
     assert report["shift_identity_exact"]
     assert report["split_identity_exact"]
-    assert report["final_defect"] <= report["final_defect_bound"]
     assert report["separation"] == 1
     # every input is exact, so the thresholds are the sharp ones
     assert report["measured_epsilon"] == 0
     assert report["multiplicativity_threshold"] == 0
     assert report["injectivity_threshold"] == 1
     assert report["multiplicativity_ok"] and report["injectivity_ok"]
+    assert report["pass"]
+
+
+def test_wreath_sofic_builds_each_payload_once(monkeypatch):
+    c_G, c_H = X_.cyclic_Z(3), X_.exact_finite(G_.FiniteCyclic(3), 3)
+    dim = 7 ** 3 * 3
+    built = []
+    init = T_.Permutation.__init__
+
+    def counting(self, images):
+        init(self, images)
+        if self.k == dim:
+            built.append(self.images)
+    monkeypatch.setattr(T_.Permutation, "__init__", counting)
+    cert, report = X_.wreath_sofic(c_G, c_H, 1)
+    monkeypatch.undo()
+    # every payload the bullet sweeps reach: the lamps on B_H(1) with values
+    # in B_Z(1), the tops, the ball B(1) and their products
+    source = cert.group
+    BH = G_.ball(c_H.group, 1).elements
+    lamps = {(source.normalize(dict(zip(BH, vals))), 0)
+             for vals in itertools.product(G_.ball(Z, 1).elements,
+                                           repeat=len(BH))}
+    tops = {((), y) for y in BH}
+    Bw = set(G_.ball(source, 1))
+    payloads = lamps | tops | Bw | {
+        source.mul(x, y) for xs, ys in ((lamps, lamps), (tops, tops),
+                                        (lamps, tops), (tops, lamps),
+                                        (Bw, Bw))
+        for x in xs for y in ys}
+    assert len(built) <= len(payloads)
+    assert report["lamps_checked"] == 27
+    assert report["lamp_pair_defect"] == report["final_defect"] == 0
     assert report["pass"]
 
 
@@ -268,7 +307,7 @@ def test_wreath_sofic_requires_regular_top():
 # extension by an amenable quotient
 
 def test_extend_by_amenable_small():
-    split = X_.coordinate_split(2, [0])
+    split = X_.CoordinateSplit(2, [0])
     w = P_.interval_witness_Z(10, controlled=True)
     c_N = X_.cyclic_Z(20 * w.radius_bound)
     cert = X_.extend_by_amenable(c_N, w, split, 1)
@@ -280,7 +319,7 @@ def test_extend_by_amenable_small():
 
 
 def test_extend_by_amenable_guards():
-    split = X_.coordinate_split(2, [0])
+    split = X_.CoordinateSplit(2, [0])
     w_uncontrolled = P_.interval_witness_Z(10)
     c_N = X_.cyclic_Z(100)
     with pytest.raises(X_.BuildError, match="controlled"):

@@ -210,9 +210,24 @@ def test_lattice_map_is_canonical_hom(a, c, b, v, w):
     rv = L.map(v)
     assert 0 <= rv[0] < a and 0 <= rv[1] < c
     assert L.kernel_contains((v[0] - rv[0], v[1] - rv[1]))
-    # homomorphism into the residue set
-    assert L.map(tuple(x + y for x, y in zip(v, w))) == \
-        L.quotient_mul(L.map(v), L.map(w))
+    # homomorphism into the finite group
+    rw = L.map(w)
+    assert L.map(tuple(x + y for x, y in zip(v, w))) == L.mul(rv, rw)
+    _assert_finite_group_laws(L, rv, rw)
+
+
+def _assert_finite_group_laws(Q, x, y):
+    """elements() is key-sorted with one element per coset, and the group
+    laws hold at x, y and every element z."""
+    els = Q.elements()
+    assert els == sorted(els, key=Q.key)
+    assert len(els) == len(set(els)) == Q.index
+    e = Q.identity()
+    assert e in els and x in els and y in els
+    for z in els:
+        assert Q.mul(e, z) == Q.mul(z, e) == z
+        assert Q.mul(z, Q.inv(z)) == Q.mul(Q.inv(z), z) == e
+        assert Q.mul(Q.mul(x, y), z) == Q.mul(x, Q.mul(y, z))
 
 
 def test_hnf_normalizes_row_span():
@@ -228,20 +243,13 @@ def test_hnf_rejects_singular():
         G_.hnf([(1, 2), (2, 4)])
 
 
-def test_lattice_residues_count():
-    L = G_.LatticeHNF(Z2, [(3, 1), (0, 4)])
-    rs = L.residues()
-    assert len(rs) == L.index == 12
-    assert len(set(rs)) == 12
-
-
 def test_congruence_mod_heisenberg():
     Q = G_.CongruenceMod(H3, 3)
     assert Q.index == 27
     e = H3.identity()
     for p in G_.ball(H3, 4):
         img = Q.map(p)
-        assert Q.kernel_contains(p) == (img == Q.identity_residue())
+        assert Q.kernel_contains(p) == (img == Q.identity())
     # kernel contains the cube of a generator
     x = ((1,), (0,), 0)
     x3 = H3.mul(x, H3.mul(x, x))
@@ -259,12 +267,15 @@ def test_kernel_witness_is_first_kernel_element_in_ball_order():
     assert G_.kernel_witness(H3, G_.CongruenceMod(H3, 2), 2) is not None
 
 
-def test_congruence_quotient_is_hom():
-    Q = G_.CongruenceMod(H3, 2)
-    B = G_.ball(H3, 2)
-    for a in B:
-        for b in B:
-            assert Q.map(H3.mul(a, b)) == Q.quotient_mul(Q.map(a), Q.map(b))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3),
+       st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-9, 9)),
+       st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-9, 9)))
+def test_congruence_quotient_is_hom(m, u, v):
+    Q = G_.CongruenceMod(H3, m)
+    a, b = ((u[0],), (u[1],), u[2]), ((v[0],), (v[1],), v[2])
+    assert Q.map(H3.mul(a, b)) == Q.mul(Q.map(a), Q.map(b))
+    _assert_finite_group_laws(Q, Q.map(a), Q.map(b))
 
 
 # ---------------------------------------------------------------------------

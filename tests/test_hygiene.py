@@ -1,7 +1,10 @@
-"""Every module-level function and class of the package has a user.
+"""Every definition of the package has a user.
 
-A definition counts as used when its name appears somewhere in ``src/``,
-``tests/`` or ``perfbench/`` as a name, an attribute or an import alias.
+The module-level functions, classes and constants of ``src/groupapprox``
+and the public methods of its classes count as used when their name is
+read somewhere in ``src/``, ``tests/`` or ``perfbench/``: as a name, an
+attribute or an import alias. Assigning a name is not reading it, so a
+constant does not count as its own user.
 """
 import ast
 from pathlib import Path
@@ -19,7 +22,8 @@ def _referenced_names():
     names = set()
     for _, tree in _trees("src", "tests", "perfbench"):
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -30,13 +34,33 @@ def _referenced_names():
     return names
 
 
+def _definitions(tree):
+    """(line, name) of each module-level function, class and constant, and
+    of each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                # dunders such as __all__ are read by Python itself
+                if isinstance(target, ast.Name) \
+                        and not target.id.startswith("__"):
+                    yield node.lineno, target.id
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not item.name.startswith("_"):
+                    yield item.lineno, f"{node.name}.{item.name}"
+
+
 def test_every_module_level_definition_is_referenced():
     used = _referenced_names()
     unused = []
     for path, tree in _trees("src/groupapprox"):
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) and node.name not in used:
-                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} "
-                              f"{node.name}")
+        for lineno, name in _definitions(tree):
+            if name.rsplit(".", 1)[-1] not in used:
+                unused.append(f"{path.relative_to(ROOT)}:{lineno} {name}")
     assert not unused, "unreferenced definitions: " + ", ".join(unused)

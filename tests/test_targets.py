@@ -244,16 +244,15 @@ def test_trivial_metric_group():
     assert tg.dist(a.index, b.index) == 1
     prod = a.mul(b)
     assert prod.index == tg.element(0).index
-
-
-def test_quotient_metric_group_law():
+    # a finite quotient is a finite group, tabulated the same way
     L = G_.LatticeHNF(G_.FreeAbelian(2), [(2, 1), (0, 3)])
-    table, residues, idx = T_.quotient_metric_group(L)
-    assert len(residues) == 6
-    for r1 in residues:
-        for r2 in residues:
-            got = table.mul(idx[r1], idx[r2])
-            assert got == idx[L.quotient_mul(r1, r2)]
+    table = T_.trivial_metric_group(L)
+    els = L.elements()
+    assert table.order == len(els) == 6
+    assert table.labels == [str(r) for r in els]
+    for i, r1 in enumerate(els):
+        for j, r2 in enumerate(els):
+            assert table.mul(i, j) == els.index(L.mul(r1, r2))
 
 
 def test_wreath_metric_group_round_trip():
