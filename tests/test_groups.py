@@ -243,6 +243,13 @@ def test_hnf_rejects_singular():
         G_.hnf([(1, 2), (2, 4)])
 
 
+def test_lattice_residues_count():
+    L = G_.LatticeHNF(Z2, [(3, 1), (0, 4)])
+    rs = L.elements()
+    assert len(rs) == L.index == 12
+    assert len(set(rs)) == 12
+
+
 def test_congruence_mod_heisenberg():
     Q = G_.CongruenceMod(H3, 3)
     assert Q.index == 27

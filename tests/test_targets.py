@@ -244,6 +244,9 @@ def test_trivial_metric_group():
     assert tg.dist(a.index, b.index) == 1
     prod = a.mul(b)
     assert prod.index == tg.element(0).index
+
+
+def test_quotient_metric_group_law():
     # a finite quotient is a finite group, tabulated the same way
     L = G_.LatticeHNF(G_.FreeAbelian(2), [(2, 1), (0, 3)])
     table = T_.trivial_metric_group(L)
