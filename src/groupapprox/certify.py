@@ -54,7 +54,8 @@ def _decoded(decode, obj):
         raise
     except KeyError as e:
         raise CertificateError(f"certificate lacks field {e}") from e
-    except (TypeError, ValueError, AttributeError, IndexError) as e:
+    except (TypeError, ValueError, ArithmeticError, AttributeError,
+            IndexError) as e:
         raise CertificateError(f"malformed certificate: {e}") from e
 
 
@@ -551,10 +552,10 @@ def verify_W(h, n, cap=DEFAULT_WORD_CAP, margin=DEFAULT_FLOAT_MARGIN):
     return _verify_words(h, n, cap, margin, relator_mode=False)
 
 
-def verify_R(h, n, cap=DEFAULT_WORD_CAP, margin=DEFAULT_FLOAT_MARGIN):
+def verify_R(h, n, margin=DEFAULT_FLOAT_MARGIN):
     """Relators of length <= n must land < 1/n from the identity; words
     nontrivial in G must stay > eps - 1/n away."""
-    return _verify_words(h, n, cap, margin, relator_mode=True)
+    return _verify_words(h, n, DEFAULT_WORD_CAP, margin, relator_mode=True)
 
 
 def _verify_words(h, n, cap, margin, relator_mode):

@@ -528,9 +528,11 @@ def wreath_sofic(c_G, c_H, n):
     B_list = H.elements()
     sizeB = len(B_list)
     regular, _ = _left_regular(H, lambda h: h, B_list, "sofic")
+    top = c_H.assignments
     if c_H.dimension != sizeB or any(
-            _as_perm(c_H.target(h)) != regular[h] for h in B_list):
-        raise BuildError("top certificate must be the regular representation")
+            h not in top or _as_perm(top[h]) != regular[h] for h in B_list):
+        raise BuildError("top certificate must be the regular representation"
+                         " on all of H")
     # lampmul[a][b] is the slot of B_list[a] * B_list[b]
     lampmul = [regular[a].images for a in B_list]
     A = c_G.dimension

@@ -39,12 +39,10 @@ class ProfilePoint:
 
 
 class ProfileCurve:
-    def __init__(self, group_desc, family, points=None):
+    def __init__(self, group_desc, family):
         self.group_desc = group_desc
         self.family = family
         self.points = []
-        for p in (points or []):
-            self.add(p)
 
     def add(self, point):
         self.points.append(point)

@@ -4,10 +4,12 @@ exact fields with rank distance (plain and projective), finite groups with
 bi-invariant table metrics, and implicit tensor-power / wreath elements.
 
 Exact metrics (Hamming, rank, tables) return fractions.Fraction; the
-Hilbert-Schmidt family returns floats with an explicit tolerance.
+Hilbert-Schmidt family returns floats with an explicit tolerance. A finite
+metric group is integer tables, checked whenever one is built.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -796,75 +798,30 @@ def block_sum(a, b):
 # finite metric groups
 
 class TableMetricGroup:
-    """Finite group by multiplication table with a bi-invariant metric."""
+    """Finite group by an integer product table ``mul``, with the metric
+    d(i, j) = dist[i][j] / den: integer numerators over one common
+    denominator. The constructor proves the group axioms and that d is a
+    bi-invariant metric with values in [0, 1], or raises ValueError."""
 
-    def __init__(self, mul_table, dist_table, identity=0, labels=None,
-                 validate=True):
-        self.mul_table = tuple(tuple(r) for r in mul_table)
-        self.dist_table = tuple(tuple(r) for r in dist_table)
-        self.identity_index = identity
-        self.order = len(self.mul_table)
-        self.labels = list(labels) if labels else [str(i) for i in range(self.order)]
-        self.inv_table = self._invert()
-        if validate:
-            self.validate()
-
-    def _invert(self):
-        e = self.identity_index
-        inv = [None] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.mul_table[a][b] == e:
-                    inv[a] = b
-                    break
-            if inv[a] is None:
-                raise ValueError(f"element {a} has no inverse")
-        return tuple(inv)
-
-    def validate(self, sample=None):
-        """Group axioms, metric axioms and bi-invariance.
-
-        Exhaustive for order <= 64, otherwise on a deterministic sample.
-        """
-        import itertools
-        import random
-        n = self.order
-        e = self.identity_index
-        for a in range(n):
-            if self.mul_table[a][e] != a or self.mul_table[e][a] != a:
-                raise ValueError("identity law fails")
-            if self.dist_table[a][a] != 0:
-                raise ValueError("metric not reflexive")
-            for b in range(n):
-                if self.dist_table[a][b] != self.dist_table[b][a]:
-                    raise ValueError("metric not symmetric")
-                if a != b and not (0 < self.dist_table[a][b] <= 1):
-                    raise ValueError("distance out of range")
-        if n <= 64:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(12345)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(sample or 2000))
-        for a, b, c in triples:
-            ab_c = self.mul_table[self.mul_table[a][b]][c]
-            a_bc = self.mul_table[a][self.mul_table[b][c]]
-            if ab_c != a_bc:
-                raise ValueError("associativity fails")
-            # bi-invariance: d(cab, cbb')..., use d(c a, c b) and d(a c, b c)
-            if self.dist_table[self.mul_table[c][a]][self.mul_table[c][b]] \
-                    != self.dist_table[a][b]:
-                raise ValueError("left invariance fails")
-            if self.dist_table[self.mul_table[a][c]][self.mul_table[b][c]] \
-                    != self.dist_table[a][b]:
-                raise ValueError("right invariance fails")
-            d_ab = self.dist_table[a][b]
-            d_bc = self.dist_table[b][c]
-            d_ac = self.dist_table[a][c]
-            if d_ac > d_ab + d_bc + 1e-12:
-                raise ValueError("triangle inequality fails")
+    def __init__(self, mul, dist, den, identity, labels):
+        M, D = np.asarray(mul), np.asarray(dist)
+        n = self.order = len(M)
+        if not (n and M.shape == D.shape == (n, n) and len(labels) == n
+                and M.dtype.kind == D.dtype.kind == "i"):
+            raise ValueError("need square integer tables and n labels")
+        if type(den) is not int or not 0 < den < 2 ** 63:
+            raise ValueError(f"denominator {den!r} is not an int64 above 0")
+        self.identity_index = self.element(identity).index
+        inv = _check_table(M, D, den, identity)
+        self.mul_table = M.tolist()
+        self.dist_table = D.tolist()
+        self.inv_table = inv.tolist()
+        self.den = den
+        self.labels = list(labels)
 
     def element(self, i):
+        if type(i) is not int or not 0 <= i < self.order:
+            raise ValueError(f"index {i!r} is not an int in range({self.order})")
         return FiniteGroupElement(self, i)
 
     def identity_element(self):
@@ -877,28 +834,84 @@ class TableMetricGroup:
         return self.inv_table[i]
 
     def dist(self, i, j):
-        return self.dist_table[i][j]
+        return Fraction(self.dist_table[i][j], self.den)
 
     def to_json(self):
-        def num(x):
-            if isinstance(x, Fraction):
-                return [x.numerator, x.denominator]
-            return x
+        D = np.array(self.dist_table)
+        g = np.gcd(D, self.den)
         return {"kind": "table",
                 "mul": [list(r) for r in self.mul_table],
-                "dist": [[num(x) for x in r] for r in self.dist_table],
+                "dist": np.stack((D // g, self.den // g), axis=-1).tolist(),
                 "identity": self.identity_index,
                 "labels": self.labels}
 
     @classmethod
     def from_json(cls, obj):
-        def num(x):
-            if isinstance(x, list):
-                return Fraction(x[0], x[1])
-            return x
-        return cls(obj["mul"], [[num(x) for x in r] for r in obj["dist"]],
-                   identity=obj.get("identity", 0), labels=obj.get("labels"),
-                   validate=False)
+        """Decode a table whose distances are [numerator, denominator]
+        integer pairs, brought over their least common denominator."""
+        nums, dens = np.moveaxis(_json_ints(obj["dist"], 3), 2, 0)
+        if (dens <= 0).any() or (nums < 0).any() or (nums > dens).any():
+            raise ValueError("distances must lie in [0, 1]")
+        # a common denominator beyond int64 raises OverflowError here
+        den = math.lcm(*np.unique(dens).tolist())
+        return cls(_json_ints(obj["mul"], 2), nums * (den // dens), den,
+                   obj["identity"], obj["labels"])
+
+
+def _json_ints(rows, depth):
+    """Lists of JSON integers nested ``depth`` deep as an int64 array."""
+    flat = rows
+    for _ in range(depth - 1):
+        flat = itertools.chain.from_iterable(flat)
+    a = np.array(rows)
+    if not set(map(type, flat)) <= {int} or a.dtype.kind != "i":
+        raise ValueError("table entries must be integers within int64")
+    return a
+
+
+def _check_table(M, D, den, e):
+    """Inverses in the group table M with identity e, once D / den is proved
+    a bi-invariant metric in [0, 1]; ValueError otherwise. O(|S| |T|^2)."""
+    n = len(M)
+    r = np.arange(n)
+    if M.min() < 0 or M.max() >= n:
+        raise ValueError("table is not a group: product out of range")
+    if (M[e] != r).any() or (M[:, e] != r).any():
+        raise ValueError("table is not a group: identity law fails")
+    inv = (M == e).argmax(axis=1)
+    if (M[r, inv] != e).any() or (M[inv, r] != e).any():
+        raise ValueError("table is not a group: an element has no inverse")
+    # S grows greedily until right multiplication by S reaches all of T
+    # from e; in a group each new generator at least doubles <S>
+    S, seen = [], r == e
+    while not seen.all():
+        if 2 ** (len(S) + 1) > n:
+            raise ValueError("table is not a group: too many generators")
+        S.append(int(seen.argmin()))
+        frontier = r[seen]
+        while frontier.size:
+            frontier = np.unique(M[np.ix_(frontier, S)])
+            frontier = frontier[~seen[frontier]]
+            seen[frontier] = True
+    # Light's test: the g with (xg)y = x(gy) form a submagma; e, S span T
+    for g in S:
+        if (M[M[:, g]] != M[:, M[g]]).any():
+            raise ValueError("table is not a group: associativity fails")
+    # with l = d(e, .), d(a, b) = l(a^-1 b) gives left invariance and l
+    # constant on S-conjugacy classes right invariance
+    ell = D[e]
+    if (D != ell[M[inv]]).any():
+        raise ValueError("metric is not left-invariant")
+    if ell[e] != 0 or (ell[r != e] <= 0).any() or (ell > den).any():
+        raise ValueError("distances must lie in (0, 1] off the diagonal")
+    if (ell[inv] != ell).any():
+        raise ValueError("metric is not symmetric")
+    for c in S:
+        if (ell[M[M[inv[c]], c]] != ell).any():
+            raise ValueError("metric is not right-invariant")
+    if (ell[M] - ell[:, None] > ell[None, :]).any():
+        raise ValueError("triangle inequality fails")
+    return inv
 
 
 def trivial_metric_group(G):
@@ -907,11 +920,9 @@ def trivial_metric_group(G):
     elems = G.elements()
     idx = {p: i for i, p in enumerate(elems)}
     mul = [[idx[G.mul(a, b)] for b in elems] for a in elems]
-    dist = [[Fraction(0) if i == j else Fraction(1)
-             for j in range(len(elems))] for i in range(len(elems))]
+    dist = 1 - np.eye(len(elems), dtype=np.int64)
     labels = [G.fmt(p) for p in elems]
-    return TableMetricGroup(mul, dist, identity=idx[G.identity()],
-                            labels=labels, validate=False)
+    return TableMetricGroup(mul, dist, 1, idx[G.identity()], labels)
 
 
 class FiniteGroupElement:
@@ -1013,12 +1024,7 @@ class WreathMetricGroup:
     def dist(self, p, q):
         if p[1] != q[1]:
             return Fraction(1)
-        worst = Fraction(0)
-        for i, j in zip(p[0], q[0]):
-            d = self.base.dist(i, j)
-            if d > worst:
-                worst = d
-        return worst
+        return max(self.base.dist(i, j) for i, j in zip(p[0], q[0]))
 
     def payload_label(self, p):
         f, h = p
@@ -1032,17 +1038,19 @@ class WreathMetricGroup:
         if self.order > _WREATH_TABLE_CAP:
             raise ValueError(
                 f"order {self.order} above table cap {_WREATH_TABLE_CAP}")
-        from itertools import product
         payloads = [(tuple(f), h)
                     for h in range(self.m)
-                    for f in product(range(self.base.order), repeat=self.m)]
+                    for f in itertools.product(range(self.base.order),
+                                               repeat=self.m)]
         payloads.sort()
         idx = {p: i for i, p in enumerate(payloads)}
         mul = [[idx[self.mul(a, b)] for b in payloads] for a in payloads]
-        dist = [[self.dist(a, b) for b in payloads] for a in payloads]
+        den = self.base.den
+        dist = [[int(self.dist(a, b) * den) for b in payloads]
+                for a in payloads]
         labels = [self.payload_label(p) for p in payloads]
-        return TableMetricGroup(mul, dist, identity=idx[self.identity_payload()],
-                                labels=labels, validate=False), idx
+        return TableMetricGroup(mul, dist, den, idx[self.identity_payload()],
+                                labels), idx
 
 
 class PermWreathElement:
@@ -1214,7 +1222,7 @@ def target_from_json(obj, fin_group=None):
     if kind == "fin":
         if fin_group is None:
             raise ValueError("finite group element needs its group")
-        return FiniteGroupElement(fin_group, obj["index"])
+        return fin_group.element(obj["index"])
     if kind == "perm-wreath":
         bells = [target_from_json(b) for b in obj["bells"]]
         return PermWreathElement(Permutation(obj["perm"]), bells)

@@ -103,7 +103,7 @@ def test_translation_fast_path_matches_generic():
     assert slow.separation_pairs == fast.separation_pairs
 
 
-def _reference_verify(cert, margin=C_.DEFAULT_FLOAT_MARGIN):
+def _reference_verify(cert):
     """Plain double loop over scalar mul/dist: the sweep's reference."""
     grp = cert.group
     B = G_.ball(grp, cert.n)
@@ -134,6 +134,7 @@ def _reference_verify(cert, margin=C_.DEFAULT_FLOAT_MARGIN):
         thr2 = cert.epsilon - thr1 if isinstance(cert.epsilon, Fraction) else thr2
         passed = defect < thr1 and sep > thr2
     else:
+        margin = C_.DEFAULT_FLOAT_MARGIN
         passed = (defect < float(thr1) - margin) and (sep > thr2 + margin)
     return {"passed": passed, "defect": defect, "defect_witness": def_wit,
             "separation": sep, "separation_witness": sep_wit,
@@ -246,8 +247,8 @@ def test_batch_rows_equal_scalar_extremes(data):
 # ---------------------------------------------------------------------------
 # word-level certificates
 
-def _hom_Z_mod(m, family="sofic"):
-    return C_.HomCertificate(Z, {"x1": T_.CyclicPerm(m, 1)}, family)
+def _hom_Z_mod(m):
+    return C_.HomCertificate(Z, {"x1": T_.CyclicPerm(m, 1)}, "sofic")
 
 
 def test_exact_quotient_hom_passes_W():

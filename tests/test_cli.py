@@ -143,6 +143,70 @@ _MALFORMED.update({
 })
 
 
+def _fin_index(index):
+    """exact_finite(Z/5, 2, "fin") with one assignment's index replaced."""
+    def mutate(obj):
+        _become(obj, X_.exact_finite(G_.FiniteCyclic(5), 2, "fin"), "fin")
+        obj["assignments"][1]["target"]["index"] = index
+    return mutate
+
+
+def _f2_into_non_group(obj):
+    """B(1) of F2 sent injectively into a 5-element table that has the
+    identity and inverse laws and the 0/1 metric but sends every other
+    product to element 1, so it is not associative."""
+    F2 = G_.Free(2)
+    B = G_.ball(F2, 1)
+    e = F2.identity()
+    mul = [[B.index(F2.mul(p, q)) if e in (p, q, F2.mul(p, q)) else 1
+            for q in B] for p in B]
+    obj.clear()
+    obj.update({
+        "group": F2.descriptor(), "family": "fin", "epsilon": 1.0, "n": 1,
+        "dimension": len(B),
+        "target_group": {
+            "kind": "table", "mul": mul, "identity": B.index(e),
+            "dist": [[[int(i != j), 1] for j in range(len(B))]
+                     for i in range(len(B))],
+            "labels": [F2.fmt(p) for p in B]},
+        "assignments": [{"element": F2.fmt(p),
+                         "target": {"kind": "fin", "index": i}}
+                        for i, p in enumerate(B)]})
+
+
+def _sym3_word_metric(obj):
+    """exact_finite(Sym(3), 2, "fin") whose table carries the normalized
+    word metric of the adjacent transpositions, which is left- but not
+    right-invariant; at epsilon 1/2 both conditions would hold."""
+    S3 = G_.FiniteSym(3)
+    B = G_.ball(S3, 3)
+    _become(obj, X_.exact_finite(S3, 2, "fin"), "fin")
+    obj["target_group"]["dist"] = [
+        [[B.length(S3.mul(S3.inv(a), b)), 3] for b in S3.elements()]
+        for a in S3.elements()]
+    obj["epsilon"] = 0.5
+
+
+def _fin_denominators_beyond_int64(obj):
+    """Two distances whose denominators fit in int64 but whose least
+    common multiple does not."""
+    _become(obj, X_.exact_finite(G_.FiniteCyclic(5), 2, "fin"), "fin")
+    obj["target_group"]["dist"][0][1:3] = [[1, 2 ** 40], [1, 3 ** 25]]
+
+
+# the verifier decides only in a checked group table; each of these would
+# otherwise end in a traceback, in a wrapped index or in a pass
+_MALFORMED.update({
+    "fin-index-out-of-range": _fin_index(99),
+    "fin-index-string": _fin_index("2"),
+    "fin-index-negative": _fin_index(-1),
+    "fin-index-bool": _fin_index(True),
+    "fin-table-not-a-group": _f2_into_non_group,
+    "fin-table-word-metric": _sym3_word_metric,
+    "fin-table-denominators-beyond-int64": _fin_denominators_beyond_int64,
+})
+
+
 def _identity_images(obj, eps):
     obj["images"][0]["target"]["shift"] = 0
     obj["epsilon"] = eps

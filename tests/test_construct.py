@@ -301,6 +301,10 @@ def test_wreath_sofic_requires_regular_top():
     c_H = X_.cyclic_Z(1)  # Z top is not finite
     with pytest.raises(X_.BuildError, match="finite top"):
         X_.wreath_sofic(c_G, c_H, 1)
+    # B(1) of Z/5 misses 2 and 3, so the top certificate does not cover H
+    c_H = X_.exact_finite(G_.FiniteCyclic(5), 1)
+    with pytest.raises(X_.BuildError, match="all of H"):
+        X_.wreath_sofic(c_G, c_H, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The module-level functions, classes and constants of ``src/groupapprox``
 and the public methods of its classes count as used when their name is
 read somewhere in ``src/``, ``tests/`` or ``perfbench/``: as a name, an
 attribute or an import alias. Assigning a name is not reading it, so a
-constant does not count as its own user.
+constant does not count as its own user. Likewise every defaulted
+parameter of a function or method is passed, by keyword or by position,
+at some call there.
 """
 import ast
 from pathlib import Path
@@ -64,3 +66,84 @@ def test_every_module_level_definition_is_referenced():
             if name.rsplit(".", 1)[-1] not in used:
                 unused.append(f"{path.relative_to(ROOT)}:{lineno} {name}")
     assert not unused, "unreferenced definitions: " + ", ".join(unused)
+
+
+class _Calls(ast.NodeVisitor):
+    """Every call, keyed by the name of what it calls: a plain name, the
+    attribute of a method call, both branches of ``(f if c else g)(...)``,
+    and ``cls(...)`` inside a class as that class's name. Each call is
+    kept as (positional count, keyword names), the count None when a
+    ``*`` or ``**`` argument could fill any parameter."""
+
+    def __init__(self):
+        self.calls = {}
+        self.classes = []
+
+    def visit_ClassDef(self, node):
+        self.classes.append(node.name)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def _names(self, func):
+        if isinstance(func, ast.IfExp):
+            return self._names(func.body) + self._names(func.orelse)
+        if isinstance(func, ast.Name):
+            if func.id == "cls" and self.classes:
+                return [self.classes[-1]]
+            return [func.id]
+        if isinstance(func, ast.Attribute):
+            return [func.attr]
+        return []
+
+    def visit_Call(self, node):
+        spread = any(isinstance(a, ast.Starred) for a in node.args) \
+            or any(k.arg is None for k in node.keywords)
+        seen = (None if spread else len(node.args),
+                {k.arg for k in node.keywords})
+        for name in self._names(node.func):
+            self.calls.setdefault(name, []).append(seen)
+        self.generic_visit(node)
+
+
+def _defaulted_parameters(tree):
+    """(line, qualified name, callee name, positional index or None,
+    parameter) of each defaulted parameter of each function and method;
+    a method's index does not count self, and __init__ is called by its
+    class's name."""
+    def walk(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from walk(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                skip = 1 if owner and not static else 0
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                callee = owner if node.name == "__init__" else node.name
+                qual = f"{owner}.{node.name}" if owner else node.name
+                for i in range(first, len(positional)):
+                    yield (node.lineno, qual, callee, i - skip,
+                           positional[i].arg)
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield node.lineno, qual, callee, None, arg.arg
+                yield from walk(node.body, None)
+    yield from walk(tree.body, None)
+
+
+def test_every_defaulted_parameter_is_passed():
+    visitor = _Calls()
+    for _, tree in _trees("src", "tests", "perfbench"):
+        visitor.visit(tree)
+    unpassed = []
+    for path, tree in _trees("src/groupapprox"):
+        for lineno, qual, callee, index, param in _defaulted_parameters(tree):
+            if not any(count is None or param in keywords
+                       or index is not None and count > index
+                       for count, keywords in visitor.calls.get(callee, [])):
+                unpassed.append(f"{path.relative_to(ROOT)}:{lineno} "
+                                f"{qual}({param})")
+    assert not unpassed, "defaulted parameters no call passes: " \
+        + ", ".join(unpassed)

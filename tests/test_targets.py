@@ -258,6 +258,162 @@ def test_quotient_metric_group_law():
             assert table.mul(i, j) == els.index(L.mul(r1, r2))
 
 
+def _reference_ok(mul, dist, den, e):
+    """Dense reference for the table check: the group laws and the metric
+    axioms over all pairs, associativity, the triangle inequality and left
+    and right invariance over all triples."""
+    n = len(mul)
+    T = range(n)
+    if not (0 <= e < n and all(0 <= x < n for r in mul for x in r)):
+        return False
+    if any(mul[a][e] != a or mul[e][a] != a for a in T):
+        return False
+    if not all(any(mul[a][b] == e == mul[b][a] for b in T) for a in T):
+        return False
+    for a in T:
+        for b in T:
+            if dist[a][b] != dist[b][a]:
+                return False
+            if not (dist[a][b] == 0 if a == b else 0 < dist[a][b] <= den):
+                return False
+    for a in T:
+        for b in T:
+            for c in T:
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    return False
+                if dist[a][c] > dist[a][b] + dist[b][c]:
+                    return False
+                if dist[mul[c][a]][mul[c][b]] != dist[a][b] \
+                        or dist[mul[a][c]][mul[b][c]] != dist[a][b]:
+                    return False
+    return True
+
+
+def _length_table(G, length, den):
+    """Constructor arguments for G with d(a, b) = length(a^-1 b) / den."""
+    elems = G.elements()
+    idx = {x: i for i, x in enumerate(elems)}
+    mul = [[idx[G.mul(a, b)] for b in elems] for a in elems]
+    dist = [[length(G.mul(G.inv(a), b)) for b in elems] for a in elems]
+    return mul, dist, den, idx[G.identity()], [G.fmt(x) for x in elems]
+
+
+def _sym3_hamming():
+    return _length_table(G_.FiniteSym(3),
+                         lambda p: sum(i != x for i, x in enumerate(p)), 3)
+
+
+def _sym3_word_metric():
+    S3 = G_.FiniteSym(3)
+    B = G_.ball(S3, 3)
+    return _length_table(S3, B.length, max(B.lengths.values()))
+
+
+def _table_args(table):
+    return ([list(r) for r in table.mul_table],
+            [list(r) for r in table.dist_table], table.den,
+            table.identity_index, table.labels)
+
+
+_CHECKED_TABLES = [
+    *(_table_args(T_.trivial_metric_group(G_.FiniteCyclic(m)))
+      for m in range(1, 9)),
+    _table_args(T_.trivial_metric_group(G_.FiniteSym(3))),
+    _table_args(T_.trivial_metric_group(
+        G_.LatticeHNF(G_.FreeAbelian(2), [(2, 0), (0, 3)]))),
+    _table_args(T_.trivial_metric_group(
+        G_.CongruenceMod(G_.Heisenberg(1), 2))),
+    _sym3_hamming(),
+]
+
+
+@pytest.mark.parametrize("args, error", [
+    (_sym3_hamming(), None),
+    # the word metric of the adjacent transpositions is left- but not
+    # right-invariant: s1 has length 1, its conjugate (0 2) length 3
+    (_sym3_word_metric(), "right-invariant"),
+    (_length_table(G_.FiniteCyclic(3), [0, 1, 2].__getitem__, 2),
+     "symmetric"),
+    (_length_table(G_.FiniteCyclic(4), [0, 1, 4, 1].__getitem__, 4),
+     "triangle"),
+])
+def test_table_check_pins(args, error):
+    assert _reference_ok(*args[:4]) == (error is None)
+    if error is None:
+        T_.TableMetricGroup(*args)
+    else:
+        with pytest.raises(ValueError, match=error):
+            T_.TableMetricGroup(*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_check_matches_dense_reference(data):
+    mul, dist, den, e, labels = data.draw(st.sampled_from(_CHECKED_TABLES))
+    mul, dist = [list(r) for r in mul], [list(r) for r in dist]
+    n = len(mul)
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    kind = data.draw(st.sampled_from(["mul", "dist", "rows", "identity"]))
+    if kind == "mul":
+        a, b = data.draw(cell)
+        mul[a][b] = data.draw(st.integers(-1, n))
+    elif kind == "dist":
+        a, b = data.draw(cell)
+        dist[a][b] = data.draw(st.integers(-1, den + 1))
+    elif kind == "rows":
+        a, b = data.draw(cell)
+        mul[a], mul[b] = mul[b], mul[a]
+    else:
+        e = data.draw(st.integers(0, n - 1))
+    if _reference_ok(mul, dist, den, e):
+        table = T_.TableMetricGroup(mul, dist, den, e, labels)
+        assert table.mul_table == mul and table.dist_table == dist
+    else:
+        with pytest.raises(ValueError):
+            T_.TableMetricGroup(mul, dist, den, e, labels)
+
+
+def _set_dist(j, value):
+    return lambda o: o["dist"][0].__setitem__(j, value)
+
+
+# formats no writer produces, and tables whose numbers leave int64
+_BAD_TABLE_JSON = {
+    "bare-integer-distance": _set_dist(1, 1),
+    "float-distance": _set_dist(1, 0.5),
+    "bool-numerator": _set_dist(1, [True, 1]),
+    "zero-denominator": _set_dist(1, [1, 0]),
+    "triple": _set_dist(1, [1, 1, 1]),
+    "beyond-int64": _set_dist(1, [2 ** 64, 2 ** 64]),
+    # each denominator fits, their least common multiple does not
+    "common-denominator-beyond-int64":
+        lambda o: o["dist"][0].__setitem__(slice(1, 3),
+                                           [[1, 2 ** 40], [1, 3 ** 25]]),
+    "string-product": lambda o: o["mul"][0].__setitem__(1, "1"),
+    "no-labels": lambda o: o.pop("labels"),
+    "no-identity": lambda o: o.pop("identity"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_TABLE_JSON)
+def test_table_json_rejects_unwritten_formats(case):
+    obj = T_.trivial_metric_group(G_.FiniteCyclic(3)).to_json()
+    assert T_.TableMetricGroup.from_json(obj).to_json() == obj
+    _BAD_TABLE_JSON[case](obj)
+    with pytest.raises((ValueError, KeyError, OverflowError)):
+        T_.TableMetricGroup.from_json(obj)
+
+
+def test_table_common_denominator_round_trips():
+    table = T_.TableMetricGroup(*_sym3_hamming())
+    obj = table.to_json()
+    assert {tuple(p) for r in obj["dist"] for p in r} \
+        == {(0, 1), (2, 3), (1, 1)}
+    back = T_.TableMetricGroup.from_json(obj)
+    assert back.den == 3 and back.to_json() == obj
+    assert back.dist(0, 5) == table.dist(0, 5)
+
+
 def test_wreath_metric_group_round_trip():
     base = T_.trivial_metric_group(G_.FiniteCyclic(2))
     W = T_.WreathMetricGroup(base, G_.FiniteCyclic(3))
