@@ -70,14 +70,6 @@ class WordCapExceeded(Exception):
 DEFAULT_FLOAT_MARGIN = 1e-9
 DEFAULT_WORD_CAP = 10 ** 6
 
-_EXACT_TYPES = (T_.Permutation, T_.CyclicPerm, T_.RankMatrix,
-                T_.FiniteGroupElement, T_.PermWreathElement)
-
-
-def _is_exact(el):
-    return isinstance(el, _EXACT_TYPES)
-
-
 _UNITARY_TYPES = (T_.UnitaryMatrix, T_.PermUnitary, T_.AugmentedUnitary,
                   T_.ImplicitTensorUnitary)
 
@@ -92,6 +84,10 @@ _FAMILY_TYPES = {
     "lin-projective": (T_.RankMatrix,),
     "fin": (T_.FiniteGroupElement,),
 }
+
+# a family admits only exact kinds or only unitaries, measured in floats
+_EXACT_FAMILIES = {family for family, kinds in _FAMILY_TYPES.items()
+                   if kinds is not _UNITARY_TYPES}
 
 
 def _require_family_kinds(family, targets):
@@ -116,13 +112,13 @@ def target_identity_like(el):
     if isinstance(el, T_.CyclicPerm):
         return T_.CyclicPerm(el.m, 0)
     if isinstance(el, T_.PermUnitary):
-        return T_.PermUnitary(T_.Permutation.identity(el.k), tolerance=el.tolerance)
+        return T_.PermUnitary(T_.Permutation.identity(el.k))
     if isinstance(el, T_.AugmentedUnitary):
         return T_.AugmentedUnitary(target_identity_like(el.inner), el.pad)
     if isinstance(el, T_.ImplicitTensorUnitary):
         return T_.ImplicitTensorUnitary(target_identity_like(el.base), el.power)
     if isinstance(el, T_.UnitaryMatrix):
-        return T_.UnitaryMatrix.identity(el.k, tolerance=el.tolerance)
+        return T_.UnitaryMatrix.identity(el.k)
     if isinstance(el, T_.RankMatrix):
         return T_.RankMatrix.identity(el.k, el.field)
     if isinstance(el, T_.FiniteGroupElement):
@@ -167,8 +163,6 @@ class ApproxCertificate:
         return self.dimension
 
     def to_json(self):
-        B = G_.ball(self.group, self.n)
-        fin_payload_index = None
         obj = {
             "group": self.group.descriptor(),
             "family": self.family,
@@ -177,19 +171,10 @@ class ApproxCertificate:
             "dimension": self.dimension_json(),
         }
         if self.fin_group is not None:
-            fin = self.fin_group
-            if isinstance(fin, T_.WreathMetricGroup):
-                fin, idx = fin.to_table()
-                fin_payload_index = idx
-            obj["target_group"] = fin.to_json()
-        assignments = []
-        for p in B:
-            el = self.assignments[p]
-            enc = el.to_json()
-            if fin_payload_index is not None:
-                enc = {"kind": "fin", "index": fin_payload_index[el.index]}
-            assignments.append({"element": self.group.fmt(p), "target": enc})
-        obj["assignments"] = assignments
+            obj["target_group"] = self.fin_group.to_json()
+        obj["assignments"] = [
+            {"element": self.group.fmt(p), "target": self.assignments[p].to_json()}
+            for p in G_.ball(self.group, self.n)]
         if self.provenance:
             obj["provenance"] = self.provenance
         return obj
@@ -321,21 +306,6 @@ def _inverse_label_map(group):
     return out
 
 
-class GraphCertificate:
-    """Finite S-labeled graph approximating a Cayley graph."""
-
-    def __init__(self, vertices, edges, n, delta):
-        self.vertices = list(vertices)
-        self.edges = dict(edges)  # (vertex, label) -> vertex
-        self.n = int(n)
-        self.delta = delta
-        seen = set()
-        for (v, lab) in self.edges:
-            if (v, lab) in seen:
-                raise CertificateError("duplicate labeled edge")
-            seen.add((v, lab))
-
-
 class VerificationReport:
     """Outcome of one verification; ``failed`` names the conditions that
     do not hold ("defect" for (1), "separation" for (2))."""
@@ -463,7 +433,7 @@ def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None):
     fast = _verify_translation_fast(cert, B, n)
     if fast is not None:
         return fast
-    exact = all(_is_exact(t) for t in targets)
+    exact = cert.family in _EXACT_FAMILIES
     rows = T_.batch(targets)
     worst_def, def_slots, pairs = _defect_sweep(
         B, rows, Fraction(0) if exact else 0.0)
@@ -566,7 +536,7 @@ def _verify_words(h, n, cap, margin, relator_mode):
     letters = _letters(grp)
     first = next(iter(h.images.values()))
     e_t = target_identity_like(first)
-    exact = _is_exact(first)
+    exact = h.family in _EXACT_FAMILIES
     eps = h.epsilon
     e_g = grp.identity()
 
@@ -722,90 +692,11 @@ def default_relators(group):
         rel = []
         for t in ("x1", "y1"):
             tinv = t + "^-1"
-            rel.append((t,) + comm + (tinv,) + _reverse_inv(comm))
+            rel.append((t,) + comm + (tinv,) + _invert_word(group, comm))
         return rel
     if isinstance(group, G_.FiniteCyclic):
         return [("x",) * group.m]
     return []
-
-
-def _reverse_inv(word):
-    out = []
-    for lab in reversed(word):
-        out.append(lab[:-3] if lab.endswith("^-1") else lab + "^-1")
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# graph certificates
-
-def verify_graph(gc, group):
-    """Fraction of vertices whose labeled n-ball is isomorphic to B(n)."""
-    B = G_.ball(group, gc.n)
-    labels = [lab for lab, _ in group.generators()]
-    good = 0
-    for v in gc.vertices:
-        if _vertex_good(gc, group, B, labels, v):
-            good += 1
-    frac = Fraction(good, len(gc.vertices)) if gc.vertices else Fraction(1)
-    passed = frac >= 1 - Fraction(gc.delta) if isinstance(gc.delta, (int, Fraction)) \
-        else float(frac) >= 1 - gc.delta
-    return {"good_fraction": frac, "pass": passed,
-            "vertices": len(gc.vertices)}
-
-
-def _vertex_good(gc, group, B, labels, v):
-    gen = dict(group.generators())
-    image = {group.identity(): v}
-    used = {v}
-    for g in B.elements:
-        if g not in image:
-            return False
-        vg = image[g]
-        for lab in labels:
-            h = group.mul(g, gen[lab])
-            if h not in B:
-                continue
-            w = gc.edges.get((vg, lab))
-            if w is None:
-                return False
-            if h in image:
-                if image[h] != w:
-                    return False
-            else:
-                if w in used:
-                    return False  # injectivity violated
-                image[h] = w
-                used.add(w)
-    return True
-
-
-# ---------------------------------------------------------------------------
-# delta-solutions
-
-def check_delta_solution(relators, elements, delta):
-    """Max relator defect of a tuple; a delta-solution iff max <= delta.
-
-    Relators are free-group words over nonzero ints: i means the i-th tuple
-    element, -i its inverse.
-    """
-    if not elements:
-        raise ValueError("empty tuple")
-    e_t = target_identity_like(elements[0])
-    worst = Fraction(0) if _is_exact(elements[0]) else 0.0
-    wit = None
-    for r in relators:
-        img = e_t
-        for c in r:
-            if not (1 <= abs(c) <= len(elements)):
-                raise ValueError(f"relator letter {c} out of arity")
-            t = elements[abs(c) - 1]
-            img = img.mul(t if c > 0 else t.inv())
-        d = img.dist(e_t)
-        if d > worst:
-            worst = d
-            wit = list(r)
-    return {"max_defect": worst, "pass": worst <= delta, "witness": wit}
 
 
 # ---------------------------------------------------------------------------
@@ -823,9 +714,8 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
     grp = cert.group
     B = G_.ball(grp, cert.n)
     targets = cert.assignments
-    first = next(iter(targets.values()))
-    exact = _is_exact(first)
-    e_t = target_identity_like(first)
+    exact = cert.family in _EXACT_FAMILIES
+    e_t = target_identity_like(next(iter(targets.values())))
     e_g = grp.identity()
 
     eps0, _, _ = _defect_sweep(B, T_.batch([targets[g] for g in B]),

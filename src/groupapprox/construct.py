@@ -476,28 +476,33 @@ def wreath_by_rf(c_G, H, n, quotient):
         raise BuildError(f"base certificate radius {c_G.n} below index {m}")
     _require_verified(c_G, "base fails")
 
-    W = T_.WreathMetricGroup(c_G.fin_group, quotient)
+    top_index = {x: i for i, x in enumerate(quotient.elements())}
     source = G_.WreathProduct(c_G.group, H)
     window_slot = {}
     for kp in G_.ball(H, n):
-        slot = W.top_index[quotient.map(kp)]
+        slot = top_index[quotient.map(kp)]
         if slot in window_slot and window_slot[slot] != kp:
             raise BuildError(
                 f"window points {H.fmt(window_slot[slot])} and {H.fmt(kp)} "
                 f"share a coset")
         window_slot[slot] = kp
 
-    e_base = c_G.fin_group.identity_index
+    # the table's indices follow quotient.elements(), as top_index does
+    base, top = c_G.fin_group, T_.trivial_metric_group(quotient)
+    try:
+        W = T_.wreath_table(base, top)
+    except ValueError as e:
+        raise BuildError(str(e)) from e
     assignments = {}
     for p in G_.ball(source, n):
         assoc, h = p
         lamp = dict(assoc)
-        f_hat = [e_base] * W.m
+        f_hat = [base.identity_index] * m
         for slot, kp in window_slot.items():
             g_val = lamp.get(kp, c_G.group.identity())
             f_hat[slot] = c_G.target(g_val).index
-        h_hat = W.top_index[quotient.map(h)]
-        assignments[p] = T_.FiniteGroupElement(W, (tuple(f_hat), h_hat))
+        assignments[p] = W.element(T_.wreath_index(
+            base, top, f_hat, top_index[quotient.map(h)]))
     cert = C_.ApproxCertificate(
         source, n, "fin", assignments, fin_group=W,
         provenance=_trace("wreath_by_rf",

@@ -1,11 +1,13 @@
 """Approximating metric groups: permutations with Hamming distance, unitaries
 with Hilbert-Schmidt distance (plain and projective), invertible matrices over
 exact fields with rank distance (plain and projective), finite groups with
-bi-invariant table metrics, and implicit tensor-power / wreath elements.
+bi-invariant table metrics, implicit tensor powers and permutation-wreath
+elements.
 
 Exact metrics (Hamming, rank, tables) return fractions.Fraction; the
-Hilbert-Schmidt family returns floats with an explicit tolerance. A finite
-metric group is integer tables, checked whenever one is built.
+Hilbert-Schmidt family returns floats, and unitarity is checked at the one
+UNITARY_TOLERANCE. A finite metric group, a wreath product of two included,
+is integer tables, checked whenever one is built.
 """
 from __future__ import annotations
 
@@ -172,20 +174,24 @@ def ham_distance(a, b):
 # ---------------------------------------------------------------------------
 # unitaries
 
+# the verifier's unitarity tolerance; a received unitary may restate it
+# but not change it
+UNITARY_TOLERANCE = 1e-9
+
+
 class UnitaryMatrix:
-    """Dense unitary with an explicit unitarity tolerance."""
+    """Dense unitary, unitary within UNITARY_TOLERANCE."""
 
-    __slots__ = ("entries", "tolerance")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries, tolerance=1e-9, check=True):
+    def __init__(self, entries, check=True):
         self.entries = np.asarray(entries, dtype=complex)
-        self.tolerance = float(tolerance)
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ValueError("square matrix required")
         if check:
             k = self.entries.shape[0]
             err = np.abs(self.entries.conj().T @ self.entries - np.eye(k)).max()
-            if err > max(self.tolerance, 1e-7 * k):
+            if err > max(UNITARY_TOLERANCE, 1e-7 * k):
                 raise ValueError(f"not unitary within tolerance: defect {err:.3e}")
 
     @property
@@ -197,18 +203,15 @@ class UnitaryMatrix:
         return self.k
 
     @classmethod
-    def identity(cls, k, tolerance=1e-9):
-        return cls(np.eye(k), tolerance=tolerance, check=False)
+    def identity(cls, k):
+        return cls(np.eye(k), check=False)
 
     def mul(self, other):
         other = _as_dense(other)
-        return UnitaryMatrix(self.entries @ other.entries,
-                             tolerance=max(self.tolerance, other.tolerance),
-                             check=False)
+        return UnitaryMatrix(self.entries @ other.entries, check=False)
 
     def inv(self):
-        return UnitaryMatrix(self.entries.conj().T, tolerance=self.tolerance,
-                             check=False)
+        return UnitaryMatrix(self.entries.conj().T, check=False)
 
     def tau(self):
         """Normalized trace tr(u)/k."""
@@ -229,17 +232,16 @@ class UnitaryMatrix:
             for z in row:
                 flat.append([float(z.real), float(z.imag)])
         return {"kind": "unitary", "k": self.k, "entries": flat,
-                "tolerance": self.tolerance}
+                "tolerance": UNITARY_TOLERANCE}
 
 
 class PermUnitary:
     """Permutation matrix kept as the permutation; traces cost O(k)."""
 
-    __slots__ = ("perm", "tolerance")
+    __slots__ = ("perm",)
 
-    def __init__(self, perm, tolerance=1e-9):
+    def __init__(self, perm):
         self.perm = perm if isinstance(perm, Permutation) else Permutation(perm)
-        self.tolerance = float(tolerance)
 
     @property
     def k(self):
@@ -251,18 +253,17 @@ class PermUnitary:
 
     def mul(self, other):
         if isinstance(other, PermUnitary):
-            return PermUnitary(self.perm.mul(other.perm),
-                               tolerance=max(self.tolerance, other.tolerance))
+            return PermUnitary(self.perm.mul(other.perm))
         return _as_dense(self).mul(other)
 
     def inv(self):
-        return PermUnitary(self.perm.inv(), tolerance=self.tolerance)
+        return PermUnitary(self.perm.inv())
 
     def tau(self):
         return self.perm.fixed_points() / self.k
 
     def dense(self):
-        return perm_to_unitary(self.perm, tolerance=self.tolerance)
+        return perm_to_unitary(self.perm)
 
     def dist(self, other):
         return hs_distance(self, other)
@@ -275,7 +276,7 @@ class PermUnitary:
 
     def to_json(self):
         return {"kind": "perm-unitary", "images": list(self.perm.images),
-                "tolerance": self.tolerance}
+                "tolerance": UNITARY_TOLERANCE}
 
 
 class AugmentedUnitary:
@@ -297,10 +298,6 @@ class AugmentedUnitary:
     def dim(self):
         return self.k
 
-    @property
-    def tolerance(self):
-        return self.inner.tolerance
-
     def mul(self, other):
         if isinstance(other, AugmentedUnitary) and other.pad == self.pad:
             return AugmentedUnitary(self.inner.mul(other.inner), self.pad)
@@ -316,7 +313,7 @@ class AugmentedUnitary:
         k = self.k
         out = np.eye(k, dtype=complex)
         out[:self.inner.k, :self.inner.k] = _as_dense(self.inner).entries
-        return UnitaryMatrix(out, tolerance=self.tolerance, check=False)
+        return UnitaryMatrix(out, check=False)
 
     def dist(self, other):
         return hs_distance(self, other)
@@ -374,7 +371,7 @@ def projective_hs_distance(u, v):
     return math.sqrt(max(0.0, 2.0 - 2.0 * abs(t)))
 
 
-def perm_to_unitary(perm, tolerance=1e-9):
+def perm_to_unitary(perm):
     """0/1 permutation matrix; multiplicative for left-action composition."""
     if isinstance(perm, CyclicPerm):
         perm = perm.materialize()
@@ -382,7 +379,7 @@ def perm_to_unitary(perm, tolerance=1e-9):
     m = np.zeros((k, k), dtype=complex)
     for i, v in enumerate(perm.images):
         m[v, i] = 1.0
-    return UnitaryMatrix(m, tolerance=tolerance, check=False)
+    return UnitaryMatrix(m, check=False)
 
 
 class ImplicitTensorUnitary:
@@ -411,10 +408,6 @@ class ImplicitTensorUnitary:
     @property
     def dim_symbolic(self):
         return {"base": self.base.k, "power": self.power}
-
-    @property
-    def tolerance(self):
-        return self.base.tolerance
 
     def mul(self, other):
         self._check(other)
@@ -448,7 +441,7 @@ class ImplicitTensorUnitary:
         out = _as_dense(self.base).entries
         for _ in range(self.power - 1):
             out = np.kron(out, _as_dense(self.base).entries)
-        return UnitaryMatrix(out, tolerance=self.tolerance, check=False)
+        return UnitaryMatrix(out, check=False)
 
     def __repr__(self):
         return f"ImplicitTensorUnitary(base_k={self.base.k}, power={self.power})"
@@ -772,8 +765,7 @@ def block_sum(a, b):
         m = a.k
         return Permutation(list(a.images) + [m + x for x in b.images])
     if isinstance(a, PermUnitary) and isinstance(b, PermUnitary):
-        return PermUnitary(block_sum(a.perm, b.perm),
-                           tolerance=max(a.tolerance, b.tolerance))
+        return PermUnitary(block_sum(a.perm, b.perm))
     if isinstance(a, RankMatrix) and isinstance(b, RankMatrix):
         if a.field.label != b.field.label:
             raise ValueError("field mismatch")
@@ -790,8 +782,7 @@ def block_sum(a, b):
     out = np.zeros((k1 + k2, k1 + k2), dtype=complex)
     out[:k1, :k1] = ua.entries
     out[k1:, k1:] = ub.entries
-    return UnitaryMatrix(out, tolerance=max(ua.tolerance, ub.tolerance),
-                         check=False)
+    return UnitaryMatrix(out, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +907,8 @@ def _check_table(M, D, den, e):
 
 def trivial_metric_group(G):
     """Tables of a finite group (a catalog group or a finite quotient)
-    exposing elements()/mul/fmt, with the 0/1 metric."""
+    exposing elements()/mul/fmt, indexed in elements() order, with the 0/1
+    metric."""
     elems = G.elements()
     idx = {p: i for i, p in enumerate(elems)}
     mul = [[idx[G.mul(a, b)] for b in elems] for a in elems]
@@ -965,92 +957,53 @@ class FiniteGroupElement:
         return {"kind": "fin", "index": self.index}
 
 
-# largest WreathMetricGroup order that to_table() materializes
+# largest wreath_table order that is built
 _WREATH_TABLE_CAP = 4096
 
 
-class WreathMetricGroup:
-    """G_alpha wr F for finite G_alpha and F, with the canonical metric:
+def wreath_index(base, top, f, h):
+    """Index in wreath_table(base, top) of (f, h): f, the base indices at
+    the top elements, read as base-|base| digits, most significant first,
+    then h."""
+    code = 0
+    for x in f:
+        code = code * base.order + x
+    return code * top.order + h
 
-        d((b,x),(b',x')) = max_t d(b(t), b'(t)) if x = x', else 1.
 
-    Elements are (tuple of base indices, index into the top element list);
-    multiplication follows (f0,h0)(f1,h1) = (t -> f0(h1 t) f1(t), h0 h1).
-    """
+def wreath_table(base, top):
+    """base wr top for finite table groups, with the canonical metric
 
-    def __init__(self, base, top):
-        self.base = base  # TableMetricGroup (or compatible)
-        self.top = top    # catalog finite group
-        self.top_elements = sorted(top.elements(), key=top.key)
-        self.top_index = {p: i for i, p in enumerate(self.top_elements)}
-        self.order = (base.order ** len(self.top_elements)) * len(self.top_elements)
-        self.labels = None
+        d((f, h), (f', h')) = max_t d(f(t), f'(t)) if h = h', else 1,
 
-    @property
-    def m(self):
-        return len(self.top_elements)
-
-    def identity_payload(self):
-        return ((self.base.identity_index,) * self.m,
-                self.top_index[self.top.identity()])
-
-    def identity_element(self):
-        return FiniteGroupElement(self, self.identity_payload())
-
-    def element(self, payload):
-        return FiniteGroupElement(self, payload)
-
-    def mul(self, p, q):
-        f0, h0 = p
-        f1, h1 = q
-        t_h1 = self.top_elements[h1]
-        out = []
-        for i, t in enumerate(self.top_elements):
-            j = self.top_index[self.top.mul(t_h1, t)]
-            out.append(self.base.mul(f0[j], f1[i]))
-        h = self.top_index[self.top.mul(self.top_elements[h0], t_h1)]
-        return (tuple(out), h)
-
-    def inv(self, p):
-        f, h = p
-        t_h = self.top_elements[h]
-        hinv = self.top.inv(t_h)
-        out = []
-        for t in self.top_elements:
-            j = self.top_index[self.top.mul(hinv, t)]
-            out.append(self.base.inv(f[j]))
-        return (tuple(out), self.top_index[hinv])
-
-    def dist(self, p, q):
-        if p[1] != q[1]:
-            return Fraction(1)
-        return max(self.base.dist(i, j) for i, j in zip(p[0], q[0]))
-
-    def payload_label(self, p):
-        f, h = p
-        sup = ",".join(f"{self.top.fmt(self.top_elements[i])}:{self.base.labels[x]}"
-                       for i, x in enumerate(f)
-                       if x != self.base.identity_index)
-        return "{" + sup + "|" + self.top.fmt(self.top_elements[h]) + "}"
-
-    def to_table(self):
-        """Materialize as a TableMetricGroup (for JSON), small orders only."""
-        if self.order > _WREATH_TABLE_CAP:
-            raise ValueError(
-                f"order {self.order} above table cap {_WREATH_TABLE_CAP}")
-        payloads = [(tuple(f), h)
-                    for h in range(self.m)
-                    for f in itertools.product(range(self.base.order),
-                                               repeat=self.m)]
-        payloads.sort()
-        idx = {p: i for i, p in enumerate(payloads)}
-        mul = [[idx[self.mul(a, b)] for b in payloads] for a in payloads]
-        den = self.base.den
-        dist = [[int(self.dist(a, b) * den) for b in payloads]
-                for a in payloads]
-        labels = [self.payload_label(p) for p in payloads]
-        return TableMetricGroup(mul, dist, den, idx[self.identity_payload()],
-                                labels), idx
+    and the product (f0, h0)(f1, h1) = (t -> f0(h1 t) f1(t), h0 h1). Indices
+    follow wreath_index; above _WREATH_TABLE_CAP elements, ValueError."""
+    b, m = base.order, top.order
+    order = b ** m * m
+    if order > _WREATH_TABLE_CAP:
+        raise ValueError(f"wreath order {order} above the table cap "
+                         f"{_WREATH_TABLE_CAP}")
+    BM, BD = np.array(base.mul_table), np.array(base.dist_table)
+    TM = np.array(top.mul_table)
+    # F[c] = the digits f of code c, so that wreath_index(f, h) = c m + h
+    weights = b ** np.arange(m - 1, -1, -1)
+    F = np.arange(b ** m)[:, None] // weights % b
+    # mul[c0, h0, c1, h1] = code(t -> f0(h1 t) f1(t)) m + h0 h1
+    code = np.stack([BM[F[:, None, TM[h1]], F[None, :, :]] @ weights
+                     for h1 in range(m)], axis=-1)
+    mul = code[:, None, :, :] * m + TM[None, :, None, :]
+    jump = np.not_equal.outer(np.arange(m), np.arange(m))
+    lamp = BD[F[:, None, :], F[None, :, :]].max(axis=-1)
+    dist = np.where(jump[None, :, None, :], base.den,
+                    lamp[:, None, :, None])
+    e = base.identity_index
+    labels = ["{" + ",".join(f"{top.labels[t]}:{base.labels[x]}"
+                             for t, x in enumerate(f.tolist()) if x != e)
+              + "|" + top.labels[h] + "}"
+              for f in F for h in range(m)]
+    return TableMetricGroup(
+        mul.reshape(order, order), dist.reshape(order, order), base.den,
+        wreath_index(base, top, [e] * m, top.identity_index), labels)
 
 
 class PermWreathElement:
@@ -1198,19 +1151,22 @@ class _PermRows:
 
 def target_from_json(obj, fin_group=None):
     """Decode a TargetElement; fin elements need their group passed in.
-    Unitaries without a tolerance field get the 1e-9 default."""
+    A unitary's tolerance field, if present, must be UNITARY_TOLERANCE."""
     if isinstance(obj, list):
         return Permutation(obj)
     kind = obj.get("kind")
+    if obj.get("tolerance", UNITARY_TOLERANCE) != UNITARY_TOLERANCE:
+        raise ValueError(f"unitarity tolerance {obj['tolerance']!r} is not "
+                         f"the verifier's {UNITARY_TOLERANCE}")
     if kind == "cyclic-perm":
         return CyclicPerm(obj["m"], obj["shift"])
     if kind == "perm-unitary":
-        return PermUnitary(obj["images"], tolerance=obj.get("tolerance", 1e-9))
+        return PermUnitary(obj["images"])
     if kind == "unitary":
         k = obj["k"]
         flat = obj["entries"]
         ent = np.array([complex(re, im) for re, im in flat]).reshape(k, k)
-        return UnitaryMatrix(ent, tolerance=obj.get("tolerance", 1e-9))
+        return UnitaryMatrix(ent)
     if kind == "augmented-unitary":
         return AugmentedUnitary(target_from_json(obj["inner"]), obj["pad"])
     if kind == "tensor-implicit":

@@ -194,6 +194,24 @@ def _fin_denominators_beyond_int64(obj):
     obj["target_group"]["dist"][0][1:3] = [[1, 2 ** 40], [1, 3 ** 25]]
 
 
+def _loose_unitaries(obj):
+    """A hyp certificate on Z at n = 1 whose 1x1 "unitaries" 1, 0.8 and 0.8
+    are unitary only within the tolerance 1.0 that each one states; taken
+    at its word, it verifies."""
+    obj.clear()
+    obj.update({
+        "group": Z.descriptor(), "family": "hyp", "epsilon": 0.5, "n": 1,
+        "dimension": 1,
+        "assignments": [{"element": g, "target": {
+            "kind": "unitary", "k": 1, "entries": [[z, 0.0]],
+            "tolerance": 1.0}} for g, z in (("0", 1.0), ("1", 0.8),
+                                             ("-1", 0.8))]})
+
+
+# unitarity is checked at the verifier's tolerance, not the sender's
+_MALFORMED["unitary-tolerance-loosened"] = _loose_unitaries
+
+
 # the verifier decides only in a checked group table; each of these would
 # otherwise end in a traceback, in a wrapped index or in a pass
 _MALFORMED.update({

@@ -206,6 +206,7 @@ def test_wreath_by_rf():
     base = X_.exact_finite(G_.FiniteCyclic(2), 5, family="fin")
     quot = G_.LatticeHNF(Z, [(5,)])
     cert = X_.wreath_by_rf(base, Z, 1, quot)
+    assert isinstance(cert.fin_group, T_.TableMetricGroup)
     assert cert.fin_group.order == 160
     assert cert.dimension == 160
     assert C_.verify_D(cert).passed
@@ -216,6 +217,13 @@ def test_wreath_by_rf_kernel_guard():
     quot = G_.LatticeHNF(Z, [(3,)])  # 3 inside B(4)
     with pytest.raises(X_.BuildError, match="kernel meets"):
         X_.wreath_by_rf(base, Z, 1, quot)
+
+
+def test_wreath_by_rf_above_table_cap():
+    # Z/2 wr Z/9 has order 2^9 * 9 = 4608
+    base = X_.exact_finite(G_.FiniteCyclic(2), 9, family="fin")
+    with pytest.raises(X_.BuildError, match="4608 above the table cap"):
+        X_.wreath_by_rf(base, Z, 2, G_.LatticeHNF(Z, [(9,)]))
 
 
 # (base certificate, top certificate, n) builders with the pinned dimension

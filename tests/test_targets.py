@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -414,17 +415,67 @@ def test_table_common_denominator_round_trips():
     assert back.dist(0, 5) == table.dist(0, 5)
 
 
-def test_wreath_metric_group_round_trip():
-    base = T_.trivial_metric_group(G_.FiniteCyclic(2))
-    W = T_.WreathMetricGroup(base, G_.FiniteCyclic(3))
-    table, idx = W.to_table()
-    elems = list(idx)
-    assert len(elems) == 2 ** 3 * 3
-    # table multiplication agrees with the structural one
-    for a in elems[:12]:
-        for b in elems[:12]:
-            ia, ib = idx[a], idx[b]
-            assert table.mul(ia, ib) == idx[W.mul(a, b)]
+def _wreath_reference(base, H):
+    """base wr H for a catalog finite group H, pair by pair: payloads (f, h)
+    over H's elements sorted by key, in sorted order, with
+    (f0, h0)(f1, h1) = (t -> f0(h1 t) f1(t), h0 h1), the max/jump metric
+    and the support labels."""
+    top = sorted(H.elements(), key=H.key)
+    at = {x: i for i, x in enumerate(top)}
+    payloads = sorted(itertools.product(
+        itertools.product(range(base.order), repeat=len(top)),
+        range(len(top))))
+
+    def mul(p, q):
+        (f0, h0), (f1, h1) = p, q
+        f = tuple(base.mul(f0[at[H.mul(top[h1], t)]], f1[i])
+                  for i, t in enumerate(top))
+        return f, at[H.mul(top[h0], top[h1])]
+
+    def dist(p, q):
+        if p[1] != q[1]:
+            return Fraction(1)
+        return max(base.dist(x, y) for x, y in zip(p[0], q[0]))
+
+    def label(p):
+        f, h = p
+        return "{" + ",".join(f"{H.fmt(top[i])}:{base.labels[x]}"
+                              for i, x in enumerate(f)
+                              if x != base.identity_index) \
+            + "|" + H.fmt(top[h]) + "}"
+    return payloads, mul, dist, label
+
+
+# Sym(3)-Hamming has distances over 3, and Sym(3) is a non-abelian top
+_WREATH_TABLE_CASES = {
+    "Z2-wr-Z3": lambda: (T_.trivial_metric_group(G_.FiniteCyclic(2)),
+                         G_.FiniteCyclic(3)),
+    "Sym3-Hamming-wr-Z2": lambda: (T_.TableMetricGroup(*_sym3_hamming()),
+                                   G_.FiniteCyclic(2)),
+    "Z2-wr-Sym3": lambda: (T_.trivial_metric_group(G_.FiniteCyclic(2)),
+                           G_.FiniteSym(3)),
+    "Z3-wr-Z2-lattice": lambda: (
+        T_.trivial_metric_group(G_.FiniteCyclic(3)),
+        G_.LatticeHNF(G_.FreeAbelian(2), [(2, 0), (0, 1)])),
+}
+
+
+@pytest.mark.parametrize("case", _WREATH_TABLE_CASES)
+def test_wreath_table_matches_scalar_reference(case):
+    base, H = _WREATH_TABLE_CASES[case]()
+    top = T_.trivial_metric_group(H)
+    W = T_.wreath_table(base, top)
+    payloads, mul, dist, label = _wreath_reference(base, H)
+    idx = {p: i for i, p in enumerate(payloads)}
+    assert [T_.wreath_index(base, top, f, h) for f, h in payloads] \
+        == list(range(W.order))
+    assert W.labels == [label(p) for p in payloads]
+    e = ((base.identity_index,) * top.order, top.identity_index)
+    assert W.identity_index == idx[e]
+    for p in payloads:
+        for q in payloads:
+            assert W.mul(idx[p], idx[q]) == idx[mul(p, q)]
+            assert W.dist(idx[p], idx[q]) == dist(p, q)
 
 
 def test_target_json_round_trips():
