@@ -291,20 +291,15 @@ def induce_finite_index(G, data, c_H, n=None):
             import numpy as np
             M = np.zeros((ell * m, ell * m), dtype=complex)
             for i in range(ell):
-                blk = blocks[i]
-                dense = blk.dense() if hasattr(blk, "dense") else blk.entries
-                M[alpha[i] * m:(alpha[i] + 1) * m, i * m:(i + 1) * m] = dense
+                M[alpha[i] * m:(alpha[i] + 1) * m, i * m:(i + 1) * m] = \
+                    T_._as_dense(blocks[i]).entries
             assignments[g] = T_.UnitaryMatrix(M)
         elif family == "lin":
-            fld = blocks[0].field
-            zero = fld.zero()
-            rows = [[zero] * (ell * m) for _ in range(ell * m)]
+            rows = [[0] * (ell * m) for _ in range(ell * m)]
             for i in range(ell):
-                blk = blocks[i]
                 for r in range(m):
-                    for cc in range(m):
-                        rows[alpha[i] * m + r][i * m + cc] = blk.rows[r][cc]
-            assignments[g] = T_.RankMatrix(rows, fld, check=False)
+                    rows[alpha[i] * m + r][i * m:(i + 1) * m] = blocks[i].rows[r]
+            assignments[g] = T_.RankMatrix(rows, blocks[0].field, check=False)
         else:
             raise BuildError(f"unsupported family {family!r}")
     cert = C_.ApproxCertificate(
@@ -336,22 +331,12 @@ def _combine_product(a, b):
     if isinstance(a, (T_.UnitaryMatrix, T_.PermUnitary)) and \
             isinstance(b, (T_.UnitaryMatrix, T_.PermUnitary)):
         import numpy as np
-        da = a.dense() if isinstance(a, T_.PermUnitary) else a.entries
-        db = b.dense() if isinstance(b, T_.PermUnitary) else b.entries
-        return T_.UnitaryMatrix(np.kron(da, db))
+        return T_.UnitaryMatrix(np.kron(T_._as_dense(a).entries,
+                                        T_._as_dense(b).entries))
     if isinstance(a, T_.RankMatrix) and isinstance(b, T_.RankMatrix):
-        fld = a.field
-        kb = b.k
-        rows = [[fld.zero()] * (a.k * kb) for _ in range(a.k * kb)]
-        for i in range(a.k):
-            for j in range(a.k):
-                x = a.rows[i][j]
-                if x == fld.zero():
-                    continue
-                for r in range(kb):
-                    for cc in range(kb):
-                        rows[i * kb + r][j * kb + cc] = fld.mul(x, b.rows[r][cc])
-        return T_.RankMatrix(rows, fld, check=False)
+        return T_.RankMatrix([[x * y for x in ra for y in rb]
+                              for ra in a.rows for rb in b.rows],
+                             a.field, check=False)
     raise BuildError(
         f"cannot combine {type(a).__name__} with {type(b).__name__}")
 

@@ -6,13 +6,15 @@ elements.
 
 Exact metrics (Hamming, rank, tables) return fractions.Fraction; the
 Hilbert-Schmidt family returns floats, and unitarity is checked at the one
-UNITARY_TOLERANCE. A finite metric group, a wreath product of two included,
+UNITARY_TOLERANCE. A matrix entry over Q is an int or a Fraction, over F_p
+an int in range(p). A finite metric group, a wreath product of two included,
 is integer tables, checked whenever one is built.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -191,7 +193,7 @@ class UnitaryMatrix:
         if check:
             k = self.entries.shape[0]
             err = np.abs(self.entries.conj().T @ self.entries - np.eye(k)).max()
-            if err > max(UNITARY_TOLERANCE, 1e-7 * k):
+            if err > UNITARY_TOLERANCE:
                 raise ValueError(f"not unitary within tolerance: defect {err:.3e}")
 
     @property
@@ -262,9 +264,6 @@ class PermUnitary:
     def tau(self):
         return self.perm.fixed_points() / self.k
 
-    def dense(self):
-        return perm_to_unitary(self.perm)
-
     def dist(self, other):
         return hs_distance(self, other)
 
@@ -309,12 +308,6 @@ class AugmentedUnitary:
     def tau(self):
         return (self.inner.tau() * self.inner.k + self.pad) / self.k
 
-    def dense(self):
-        k = self.k
-        out = np.eye(k, dtype=complex)
-        out[:self.inner.k, :self.inner.k] = _as_dense(self.inner).entries
-        return UnitaryMatrix(out, check=False)
-
     def dist(self, other):
         return hs_distance(self, other)
 
@@ -333,14 +326,17 @@ MATERIALIZE_CAP = 2 ** 10
 
 
 def _as_dense(u):
+    """A unitary element as a dense UnitaryMatrix."""
     if isinstance(u, UnitaryMatrix):
         return u
     if isinstance(u, PermUnitary):
-        return u.dense()
+        return perm_to_unitary(u.perm)
     if isinstance(u, AugmentedUnitary):
         if u.k > MATERIALIZE_CAP:
             raise ValueError(f"refusing to materialize dimension {u.k}")
-        return u.dense()
+        out = np.eye(u.k, dtype=complex)
+        out[:u.inner.k, :u.inner.k] = _as_dense(u.inner).entries
+        return UnitaryMatrix(out, check=False)
     raise TypeError(f"not a unitary element: {u!r}")
 
 
@@ -455,42 +451,30 @@ class ImplicitTensorUnitary:
 # exact fields and rank matrices
 
 class FieldQ:
+    """The rationals. An entry is an exact Python rational, an int or a
+    Fraction; parse and inv give an int when the value is integral."""
+
     label = "Q"
 
-    def from_int(self, n):
-        return Fraction(n)
-
-    def parse(self, s):
-        return Fraction(s)
-
-    def fmt(self, x):
-        return str(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
+    @staticmethod
+    def norm(x):
+        return x
 
     def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError
-        return 1 / Fraction(a)
+        return self.parse(1 / Fraction(a))
 
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
+    @staticmethod
+    def parse(s):
+        x = Fraction(s)
+        return x.numerator if x.denominator == 1 else x
 
     def descriptor(self):
         return "Q"
 
 
 class FieldFp:
+    """The prime field F_p. An entry is an int in range(p)."""
+
     def __init__(self, p):
         # inv() uses Fermat's little theorem, which needs p prime
         if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
@@ -498,34 +482,16 @@ class FieldFp:
         self.p = p
         self.label = f"F{p}"
 
-    def from_int(self, n):
-        return n % self.p
-
-    def parse(self, s):
-        return int(s) % self.p
-
-    def fmt(self, x):
-        return str(x)
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
+    def norm(self, x):
+        return x % self.p
 
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError
         return pow(a, self.p - 2, self.p)
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
+    def parse(self, s):
+        return int(s) % self.p
 
     def descriptor(self):
         return {"Fp": self.p}
@@ -539,56 +505,30 @@ def field_from_descriptor(d):
     raise ValueError(f"unknown field descriptor {d!r}")
 
 
-def _mat_rank(rows, F):
+def _row_reduce(rows, F):
+    """(rank, reduced row echelon form as lists) of a matrix over F."""
     m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
     rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if m[r][col] != F.zero():
-                piv = r
-                break
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        ipv = F.inv(m[row][col])
-        m[row] = [F.mul(x, ipv) for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != F.zero():
-                f = m[r][col]
-                m[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[r], m[row])]
-        row += 1
+        m[rank], m[piv] = m[piv], m[rank]
+        ipv = F.inv(m[rank][col])
+        top = m[rank] = [F.norm(x * ipv) for x in m[rank]]
+        for r, row in enumerate(m):
+            f = row[col]
+            if f and r != rank:
+                m[r] = [F.norm(x - f * y) for x, y in zip(row, top)]
         rank += 1
-        if row == nrows:
-            break
-    return rank
+    return rank, m
 
 
-def _mat_inv(rows, F):
-    k = len(rows)
-    m = [list(r) + [F.one() if i == j else F.zero() for j in range(k)]
-         for i, r in enumerate(rows)]
-    row = 0
-    for col in range(k):
-        piv = None
-        for r in range(row, k):
-            if m[r][col] != F.zero():
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[row], m[piv] = m[piv], m[row]
-        ipv = F.inv(m[row][col])
-        m[row] = [F.mul(x, ipv) for x in m[row]]
-        for r in range(k):
-            if r != row and m[r][col] != F.zero():
-                f = m[r][col]
-                m[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[r], m[row])]
-        row += 1
-    return tuple(tuple(r[k:]) for r in m)
+def _matmul(a, b, F):
+    """The matrix product a b over F, as lists of rows."""
+    cols = list(zip(*b))
+    return [[F.norm(sum(map(operator.mul, row, col))) for col in cols]
+            for row in a]
 
 
 class RankMatrix:
@@ -598,12 +538,11 @@ class RankMatrix:
 
     def __init__(self, rows, field, check=True):
         self.field = field
-        self.rows = tuple(tuple(field.from_int(x) if isinstance(x, int) else x
-                                for x in r) for r in rows)
+        self.rows = tuple(tuple(map(field.norm, r)) for r in rows)
         k = len(self.rows)
         if any(len(r) != k for r in self.rows):
             raise ValueError("square matrix required")
-        if check and _mat_rank(self.rows, field) != k:
+        if check and _row_reduce(self.rows, field)[0] != k:
             raise ValueError("matrix is singular")
 
     @property
@@ -616,29 +555,27 @@ class RankMatrix:
 
     @classmethod
     def identity(cls, k, field):
-        return cls([[field.one() if i == j else field.zero() for j in range(k)]
-                    for i in range(k)], field, check=False)
+        return cls([[int(i == j) for j in range(k)] for i in range(k)], field,
+                   check=False)
+
+    def _check(self, other):
+        if self.field.label != other.field.label or self.k != other.k:
+            raise ValueError("field or size mismatch")
 
     def mul(self, other):
-        F = self.field
-        if F.label != other.field.label:
-            raise ValueError("field mismatch")
-        k = self.k
-        bt = list(zip(*other.rows))
-        out = []
-        for r in self.rows:
-            out.append(tuple(
-                _dot(r, col, F) for col in bt))
-        return RankMatrix(out, F, check=False)
+        self._check(other)
+        return RankMatrix(_matmul(self.rows, other.rows, self.field),
+                          self.field, check=False)
 
     def inv(self):
-        return RankMatrix(_mat_inv(self.rows, self.field), self.field,
-                          check=False)
-
-    def sub(self, other):
-        F = self.field
-        return tuple(tuple(F.sub(x, y) for x, y in zip(r1, r2))
-                     for r1, r2 in zip(self.rows, other.rows))
+        """The inverse, from the reduced form of [A | I]; ValueError when
+        the left block does not reduce to I."""
+        k = self.k
+        eye = RankMatrix.identity(k, self.field).rows
+        _, m = _row_reduce([r + e for r, e in zip(self.rows, eye)], self.field)
+        if any(tuple(r[:k]) != e for r, e in zip(m, eye)):
+            raise ValueError("singular matrix")
+        return RankMatrix([r[k:] for r in m], self.field, check=False)
 
     def dist(self, other):
         return rank_distance(self, other)
@@ -658,85 +595,43 @@ class RankMatrix:
         return f"RankMatrix(k={self.k}, field={self.field.label})"
 
     def to_json(self):
-        F = self.field
-        return {"kind": "rank", "field": F.descriptor(),
-                "entries": [[F.fmt(x) for x in r] for r in self.rows]}
-
-
-def _dot(r, col, F):
-    acc = F.zero()
-    for x, y in zip(r, col):
-        acc = F.add(acc, F.mul(x, y))
-    return acc
+        return {"kind": "rank", "field": self.field.descriptor(),
+                "entries": [[str(x) for x in r] for r in self.rows]}
 
 
 def rank_distance(a, b):
     """rank(a - b)/k, exact."""
-    if a.field.label != b.field.label or a.k != b.k:
-        raise ValueError("field or size mismatch")
-    return Fraction(_mat_rank(a.sub(b), a.field), a.k)
-
-
-def _charpoly_factors(m, F):
-    """Irreducible factors of the characteristic polynomial over F."""
-    import sympy
-    k = len(m)
-    if isinstance(F, FieldQ):
-        sm = sympy.Matrix([[sympy.Rational(x) for x in r] for r in m])
-        poly = sm.charpoly(sympy.Symbol("_t"))
-        _, factors = sympy.factor_list(poly.as_expr())
-    else:
-        sm = sympy.Matrix([[int(x) for x in r] for r in m])
-        poly = sm.charpoly(sympy.Symbol("_t"))
-        _, factors = sympy.factor_list(poly.as_expr(), modulus=F.p)
-    return factors
-
-
-def _poly_eval_matrix(coeffs, M, F):
-    """Evaluate sum coeffs[i] x^i at the matrix M (Horner), exactly."""
-    k = M.k
-    out = None
-    for c in reversed(coeffs):
-        if out is None:
-            out = [[F.from_int(0) for _ in range(k)] for _ in range(k)]
-        else:
-            prod = []
-            bt = list(zip(*M.rows))
-            for r in out:
-                prod.append([_dot(r, col, F) for col in bt])
-            out = prod
-        for i in range(k):
-            out[i][i] = F.add(out[i][i], c)
-    return tuple(tuple(r) for r in out)
+    a._check(b)
+    F = a.field
+    diff = [[F.norm(x - y) for x, y in zip(r, s)]
+            for r, s in zip(a.rows, b.rows)]
+    return Fraction(_row_reduce(diff, F)[0], a.k)
 
 
 def projective_rank_distance(a, b):
     """min over scalars in the algebraic closure of rank(a - lambda b)/k.
 
     Equals (k - g)/k where g is the largest geometric multiplicity of an
-    eigenvalue of b^-1 a; computed from irreducible factors f of the
-    characteristic polynomial as dim ker f(M) / deg f, never by enumerating
-    eigenvalues.
+    eigenvalue of M = b^-1 a; computed from the irreducible factors f of
+    the characteristic polynomial over F as dim ker f(M) / deg f, never by
+    enumerating eigenvalues.
     """
     import sympy
-    if a.field.label != b.field.label or a.k != b.k:
-        raise ValueError("field or size mismatch")
-    F = a.field
-    M = b.inv().mul(a)
-    k = M.k
+    a._check(b)
+    F, k = a.field, a.k
+    M = b.inv().mul(a).rows
+    t = sympy.Symbol("t")
+    domain = sympy.QQ if isinstance(F, FieldQ) else sympy.GF(F.p)
+    charpoly = sympy.Poly(sympy.Matrix(M).charpoly(t), t, domain=domain)
     best = 0
-    for f, _mult in _charpoly_factors(M.rows, F):
-        poly = sympy.Poly(f, sympy.Symbol("_t"))
-        deg = poly.degree()
-        coeffs = list(reversed(poly.all_coeffs()))
-        if isinstance(F, FieldQ):
-            cs = [Fraction(sympy.Rational(c).p, sympy.Rational(c).q) for c in coeffs]
-        else:
-            cs = [int(c) % F.p for c in coeffs]
-        fm = _poly_eval_matrix(cs, M, F)
-        ker = k - _mat_rank(fm, F)
-        geo = ker // deg
-        best = max(best, geo)
+    for f, _mult in charpoly.factor_list()[1]:
+        fM = [[0] * k for _ in range(k)]
+        for c in map(F.parse, map(str, f.all_coeffs())):
+            # Horner: fM <- fM M + c I
+            fM = _matmul(fM, M, F)
+            for i in range(k):
+                fM[i][i] = F.norm(fM[i][i] + c)
+        best = max(best, (k - _row_reduce(fM, F)[0]) // f.degree())
     return Fraction(k - best, k)
 
 
@@ -745,9 +640,9 @@ def perm_to_rank(perm, field):
     if isinstance(perm, CyclicPerm):
         perm = perm.materialize()
     k = perm.k
-    rows = [[field.zero()] * k for _ in range(k)]
+    rows = [[0] * k for _ in range(k)]
     for i, v in enumerate(perm.images):
-        rows[v][i] = field.one()
+        rows[v][i] = 1
     return RankMatrix(rows, field, check=False)
 
 
@@ -769,14 +664,9 @@ def block_sum(a, b):
     if isinstance(a, RankMatrix) and isinstance(b, RankMatrix):
         if a.field.label != b.field.label:
             raise ValueError("field mismatch")
-        F = a.field
-        k1, k2 = a.k, b.k
-        rows = []
-        for i, r in enumerate(a.rows):
-            rows.append(list(r) + [F.zero()] * k2)
-        for i, r in enumerate(b.rows):
-            rows.append([F.zero()] * k1 + list(r))
-        return RankMatrix(rows, F, check=False)
+        return RankMatrix([list(r) + [0] * b.k for r in a.rows]
+                          + [[0] * a.k + list(r) for r in b.rows],
+                          a.field, check=False)
     ua, ub = _as_dense(a), _as_dense(b)
     k1, k2 = ua.k, ub.k
     out = np.zeros((k1 + k2, k1 + k2), dtype=complex)

@@ -194,22 +194,27 @@ def _fin_denominators_beyond_int64(obj):
     obj["target_group"]["dist"][0][1:3] = [[1, 2 ** 40], [1, 3 ** 25]]
 
 
-def _loose_unitaries(obj):
-    """A hyp certificate on Z at n = 1 whose 1x1 "unitaries" 1, 0.8 and 0.8
-    are unitary only within the tolerance 1.0 that each one states; taken
-    at its word, it verifies."""
-    obj.clear()
-    obj.update({
-        "group": Z.descriptor(), "family": "hyp", "epsilon": 0.5, "n": 1,
-        "dimension": 1,
-        "assignments": [{"element": g, "target": {
-            "kind": "unitary", "k": 1, "entries": [[z, 0.0]],
-            "tolerance": 1.0}} for g, z in (("0", 1.0), ("1", 0.8),
-                                             ("-1", 0.8))]})
+def _unitaries_on_Z(values, tolerance):
+    """A hyp certificate on Z at n = 1 whose 1x1 "unitaries" at 0, 1 and -1
+    are ``values``, each stating ``tolerance``."""
+    def mutate(obj):
+        obj.clear()
+        obj.update({
+            "group": Z.descriptor(), "family": "hyp", "epsilon": 0.5, "n": 1,
+            "dimension": 1,
+            "assignments": [{"element": g, "target": {
+                "kind": "unitary", "k": 1, "entries": [[z.real, z.imag]],
+                "tolerance": tolerance}}
+                for g, z in zip(("0", "1", "-1"), map(complex, values))]})
+    return mutate
 
 
-# unitarity is checked at the verifier's tolerance, not the sender's
-_MALFORMED["unitary-tolerance-loosened"] = _loose_unitaries
+# unitarity is checked at the verifier's tolerance, not the sender's: 0.8
+# is unitary only within the stated 1.0, and 1.00000004 is off by 8e-8,
+# above the 1e-9 it states; taken at their word, both verify
+_MALFORMED["unitary-tolerance-loosened"] = _unitaries_on_Z((1, 0.8, 0.8), 1.0)
+_MALFORMED["unitary-off-by-8e-8"] = _unitaries_on_Z((1.00000004, 1j, -1j),
+                                                    T_.UNITARY_TOLERANCE)
 
 
 # the verifier decides only in a checked group table; each of these would
@@ -326,6 +331,26 @@ def test_from_quotient_lin_uses_field(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "not prime" in err
+
+
+def test_direct_product_of_perm_and_dense_unitaries(tmp_path, capsys):
+    """A perm-unitary hyp certificate times a dense unitary one: both factors
+    are densified the same way, and the product verifies."""
+    c = X_.perm_to_hyp(X_.cyclic_Z(8), 2)
+    perm, dense, out = (tmp_path / f"{x}.json" for x in ("p", "d", "out"))
+    perm.write_text(c.dumps())
+    obj = c.to_json()
+    for a in obj["assignments"]:
+        a["target"] = T_.perm_to_unitary(
+            T_.Permutation(a["target"]["images"])).to_json()
+    dense.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "construct", "--method", "direct-product",
+                       "--input", str(perm), "--input2", str(dense),
+                       "--out", str(out))
+    assert code == 0, err
+    assert json.loads(out.read_text())["dimension"] == 289
+    code, _, err = run(capsys, "verify", "--cert", str(out))
+    assert code == 0, err
 
 
 def test_construct_writes_dumps_bytes(tmp_path, capsys):

@@ -117,6 +117,13 @@ def test_induced_certificate_verifies():
         assert C_.verify_D(c).passed
 
 
+def test_induced_hyp_certificate_densifies_perm_unitaries():
+    c = X_.induce_finite_index(Z, G_.index_subgroup_of_Z(2),
+                               X_.perm_to_hyp(X_.cyclic_Z(8), 2), 1)
+    assert c.family == "hyp" and c.dimension == 34
+    assert C_.verify_D(c).passed
+
+
 def test_cocycle_identities():
     data = G_.index_subgroup_of_Z(3)
     rng = random.Random(7)

@@ -1,9 +1,13 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
+# sympy installs its own warning filters on import; importing it here keeps
+# that out of the catch_warnings blocks below
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from groupapprox import targets as T_
@@ -143,6 +147,58 @@ def test_projective_rank_distance_fp():
     assert T_.projective_rank_distance(a, b) == 0
 
 
+def _cycles(perm):
+    """Number of cycles of a permutation, fixed points included."""
+    seen, count = set(), 0
+    for i in range(perm.k):
+        count += i not in seen
+        while i not in seen:
+            seen.add(i)
+            i = perm.images[i]
+    return count
+
+
+_FIELDS = [T_.FieldQ(), T_.FieldFp(2), T_.FieldFp(3)]
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=lambda F: F.label)
+def test_rank_metrics_of_permutations_closed_form(field):
+    """rank(P_s - P_t) = k - cycles(t^-1 s) over every field, and the
+    projective distance is the same: every cycle has the eigenvalue 1 once.
+    Any warning, such as a deprecation inside sympy's factoring, fails."""
+    rng = random.Random(31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(40):
+            k = rng.randint(1, 7)
+            s, t = rand_perm(rng, k), rand_perm(rng, k)
+            want = Fraction(k - _cycles(t.inv().mul(s)), k)
+            a, b = T_.perm_to_rank(s, field), T_.perm_to_rank(t, field)
+            assert T_.rank_distance(a, b) == want
+            assert T_.projective_rank_distance(a, b) == want
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=lambda F: F.label)
+def test_rank_metric_matches_sympy(field):
+    from sympy.polys.matrices import DomainMatrix
+    rng = random.Random(37)
+    for _ in range(40):
+        k = rng.randint(1, 5)
+        a, b = _rand_invertible(rng, k, field), _rand_invertible(rng, k, field)
+        diff = [[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)]
+        if isinstance(field, T_.FieldQ):
+            want = sympy.Matrix(diff).rank()
+        else:
+            want = DomainMatrix.from_list(diff, sympy.ZZ).convert_to(
+                sympy.GF(field.p)).rank()
+        assert T_.rank_distance(a, b) == Fraction(want, k)
+        assert a.mul(a.inv()) == T_.RankMatrix.identity(k, field)
+    # singular over Q, F_2 and F_3 alike
+    singular = T_.RankMatrix([[1, 2], [2, 4]], field, check=False)
+    with pytest.raises(ValueError, match="singular"):
+        singular.inv()
+
+
 @pytest.mark.parametrize("p", [-3, 0, 1, 4, 6, 9, 91])
 def test_field_fp_rejects_non_primes(p):
     with pytest.raises(ValueError, match="not prime"):
@@ -152,7 +208,7 @@ def test_field_fp_rejects_non_primes(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 97])
 def test_field_fp_inverts_for_primes(p):
     F = T_.FieldFp(p)
-    assert all(F.mul(a, F.inv(a)) == 1 for a in range(1, p))
+    assert all(F.norm(a * F.inv(a)) == 1 for a in range(1, p))
 
 
 # ---------------------------------------------------------------------------
