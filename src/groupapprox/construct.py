@@ -161,25 +161,37 @@ def folner_to_sofic(w, n=None):
 # ---------------------------------------------------------------------------
 # finite groups and finite quotients
 
-def _left_regular(F, image, domain, family, field=None):
+def _translations(F, xs):
+    """Left translation of the finite group F by each element x of ``xs``,
+    in order: the list of the slots in F.elements() of x * y, for y in
+    F.elements(). ``groups.quotient_action`` yields the same rows from
+    coordinate arrays for the images of a ball in a finite quotient."""
+    elems = F.elements()
+    idx = {x: i for i, x in enumerate(elems)}
+    for x in xs:
+        yield [idx[F.mul(x, y)] for y in elems]
+
+
+def _left_regular(F, rows, domain, family, field=None):
     """Assignments on ``domain`` through the left-regular picture of the
-    finite group F: g acts on F.elements() by left translation by image(g),
-    as a permutation (sofic), a permutation unitary (hyp), a rank matrix
-    over ``field`` (lin) or an element of F's table group (fin).
+    finite group F: ``rows`` yields, for each g of ``domain`` in order, the
+    left translation by g's image in F as ``_translations`` does, taken as
+    a permutation (sofic), a permutation unitary (hyp), a rank matrix over
+    ``field`` (lin) or an element of F's table group (fin).
 
     Returns (assignments, the table group for fin or None)."""
     if family not in ("sofic", "hyp", "lin", "fin"):
         raise BuildError(f"unsupported family {family!r}")
-    elems = F.elements()
-    idx = {x: i for i, x in enumerate(elems)}
+    # one int object per slot, shared by every assignment
+    ints = list(range(len(F.elements())))
     if family == "fin":
         table = T_.trivial_metric_group(F)
-        return {g: T_.FiniteGroupElement(table, idx[image(g)])
-                for g in domain}, table
-    perms = {}
-    for g in domain:
-        x = image(g)
-        perms[g] = T_.Permutation(tuple(idx[F.mul(x, y)] for y in elems))
+        # x * e = x: a translation sends the identity's slot to its image
+        e = table.identity_index
+        return {g: T_.FiniteGroupElement(table, ints[row[e]])
+                for g, row in zip(domain, rows)}, table
+    perms = {g: T_.Permutation(map(ints.__getitem__, row))
+             for g, row in zip(domain, rows)}
     if family == "hyp":
         return {g: T_.PermUnitary(s) for g, s in perms.items()}, None
     if family == "lin":
@@ -188,16 +200,23 @@ def _left_regular(F, image, domain, family, field=None):
     return perms, None
 
 
+def _require_quotient_of(G, Q):
+    if Q.parent != G:
+        raise BuildError(f"{Q.kind} is a quotient of {Q.parent}, not of {G}")
+
+
 def from_quotient(G, Q, n, family="sofic", field=None):
     """Certificate through a finite quotient whose kernel misses B(2n)\\{e}.
 
     G acts on the quotient Q by left translation by its image Q.map(g).
     """
+    _require_quotient_of(G, Q)
     p = G_.kernel_witness(G, Q, 2 * n)
     if p is not None:
         raise BuildError(f"kernel meets B({2 * n}) at {G.fmt(p)}")
-    assignments, fin_group = _left_regular(Q, Q.map, G_.ball(G, n), family,
-                                           field)
+    B = G_.ball(G, n)
+    assignments, fin_group = _left_regular(Q, G_.quotient_action(Q, B), B,
+                                           family, field)
     cert = C_.ApproxCertificate(
         G, n, family, assignments, fin_group=fin_group,
         provenance=_trace("from_quotient",
@@ -227,7 +246,8 @@ def exact_finite(G, n, family="sofic"):
         raise BuildError("exact_finite needs a finite group")
     if family not in ("sofic", "fin"):
         raise BuildError(f"unsupported family {family!r}")
-    assignments, fin_group = _left_regular(G, lambda g: g, G_.ball(G, n),
+    B = G_.ball(G, n)
+    assignments, fin_group = _left_regular(G, _translations(G, B), B,
                                            family)
     cert = C_.ApproxCertificate(
         G, n, family, assignments, fin_group=fin_group,
@@ -334,6 +354,9 @@ def _combine_product(a, b):
         return T_.UnitaryMatrix(np.kron(T_._as_dense(a).entries,
                                         T_._as_dense(b).entries))
     if isinstance(a, T_.RankMatrix) and isinstance(b, T_.RankMatrix):
+        if a.field.descriptor() != b.field.descriptor():
+            raise BuildError(
+                f"field mismatch: {a.field.label} vs {b.field.label}")
         return T_.RankMatrix([[x * y for x in ra for y in rb]
                               for ra in a.rows for rb in b.rows],
                              a.field, check=False)
@@ -453,6 +476,7 @@ def wreath_by_rf(c_G, H, n, quotient):
     """
     if c_G.family != "fin" or c_G.fin_group is None:
         raise BuildError("base certificate must target a finite metric group")
+    _require_quotient_of(H, quotient)
     p = G_.kernel_witness(H, quotient, 4 * n)
     if p is not None:
         raise BuildError(f"kernel meets B({4 * n}) at {H.fmt(p)}")
@@ -517,7 +541,7 @@ def wreath_sofic(c_G, c_H, n):
         raise BuildError("wreath_sofic needs a finite top group")
     B_list = H.elements()
     sizeB = len(B_list)
-    regular, _ = _left_regular(H, lambda h: h, B_list, "sofic")
+    regular, _ = _left_regular(H, _translations(H, B_list), B_list, "sofic")
     top = c_H.assignments
     if c_H.dimension != sizeB or any(
             h not in top or _as_perm(top[h]) != regular[h] for h in B_list):

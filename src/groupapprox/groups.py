@@ -14,6 +14,17 @@ group in the same vocabulary as ``FiniteCyclic`` and ``FiniteSym``:
 ``elements()`` in key order, ``identity()``, ``mul``, ``inv``, ``key`` and
 ``fmt``, plus ``map`` (the quotient map G -> F), ``kernel_contains`` and
 ``index`` (the order of F).
+
+``FreeAbelian`` and ``Heisenberg`` have a coordinate form: ``coords(p)`` is
+a payload's ints in ``key`` order, ``payloads(X)`` its inverse row by row,
+and ``mul_array(X, Y)`` the group law on broadcasting int64 arrays of such
+rows. Their quotients add ``map_array`` (the quotient map on rows) and
+``slot`` (a residue row's position in ``elements()``). For these groups the
+ball is built one BFS level at a time on arrays, ``Ball.coords()`` holds
+its elements' rows in ball order, and ``Ball.products()``,
+``kernel_witness`` and ``quotient_action`` are array computations. Every
+other group keeps the scalar loops over ``mul``; ``Ball.coords()`` is then
+None.
 """
 from __future__ import annotations
 
@@ -95,14 +106,17 @@ class Ball:
 
     A Ball is shared by every caller of ``ball()`` in the process, so it is
     read-only: ``elements`` is a tuple, ``lengths`` a read-only mapping and
-    ``products()`` a read-only array."""
+    ``coords()`` and ``products()`` read-only arrays."""
 
-    def __init__(self, group, radius, elements, lengths):
+    def __init__(self, group, radius, elements, lengths, coords):
         self.group = group
         self.radius = radius
         self.elements = tuple(elements)
         self.lengths = MappingProxyType(lengths)
         self._index = {p: i for i, p in enumerate(self.elements)}
+        if coords is not None:
+            coords.flags.writeable = False
+        self._coords = coords
         self._products = None
 
     def __len__(self):
@@ -120,20 +134,61 @@ class Ball:
     def length(self, p):
         return self.lengths[p]
 
+    def coords(self):
+        """The elements' coordinate rows in ball order, an int64 |B| x k
+        array, for a group with a coordinate form; None otherwise."""
+        return self._coords
+
     def products(self):
         """Product table: an int32 |B| x |B| array whose entry [i, j] is the
         slot of elements[i] * elements[j], or -1 when that product leaves
         the ball. Built on the first call and kept; the array is read-only."""
         if self._products is None:
-            mul, slot = self.group.mul, self._index.get
-            els = self.elements
-            # filled row by row, so no |B|^2 list of Python ints is built
-            table = np.empty((len(els), len(els)), dtype=np.int32)
-            for i, g in enumerate(els):
-                table[i] = [slot(mul(g, h), -1) for h in els]
+            table = _products_loop(self) if self._coords is None \
+                else _products_array(self)
             table.flags.writeable = False
             self._products = table
         return self._products
+
+
+def _products_loop(B):
+    mul, slot = B.group.mul, B._index.get
+    els = B.elements
+    # filled row by row, so no |B|^2 list of Python ints is built
+    table = np.empty((len(els), len(els)), dtype=np.int32)
+    for i, g in enumerate(els):
+        table[i] = [slot(mul(g, h), -1) for h in els]
+    return table
+
+
+# entries of the largest int64 temporary an array computation over a ball
+# builds at once (512 kB); longer computations run in blocks of rows
+_BLOCK = 1 << 16
+
+
+def _rows(X):
+    """The rows of a 2-d int64 array as one opaque value each, so that rows
+    sort, compare and search as scalars. The byte order is not the
+    numeric one: use it for equality and membership only."""
+    X = np.ascontiguousarray(X)
+    return X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1]))).ravel()
+
+
+def _products_array(B):
+    C = B.coords()
+    size, k = C.shape
+    keys = _rows(C)
+    order = np.argsort(keys)
+    keys = keys[order]
+    table = np.empty((size, size), dtype=np.int32)
+    step = max(1, _BLOCK // (size * k))
+    for i in range(0, size, step):
+        P = B.group.mul_array(C[i:i + step, None], C[None])
+        P = _rows(P.reshape(-1, k))
+        pos = np.minimum(np.searchsorted(keys, P), size - 1)
+        slots = np.where(keys[pos] == P, order[pos], -1)
+        table[i:i + step] = slots.reshape(-1, size)
+    return table
 
 
 DEFAULT_BALL_CAP = 10 ** 6
@@ -182,6 +237,44 @@ def ball(G, n, cap=DEFAULT_BALL_CAP):
 
 
 def _bfs_ball(G, n, cap):
+    if not hasattr(G, "mul_array"):
+        return _bfs_ball_loop(G, n, cap)
+    gens = np.array([G.coords(s) for _, s in G.generators()], dtype=np.int64)
+    k = gens.shape[1]
+    levels = [np.array([G.coords(G.identity())], dtype=np.int64)]
+    total = 1
+    for _ in range(n):
+        reached = G.mul_array(levels[-1][:, None], gens[None]).reshape(-1, k)
+        # the generating set is symmetric, so a neighbour of level r - 1
+        # lies in level r - 2, r - 1 or r
+        level = _new_rows(reached, levels[-2:])
+        if not len(level):
+            break
+        total += len(level)
+        if total > cap:
+            raise BallCapExceeded(G, n, cap)
+        levels.append(level)
+    coords = np.concatenate(levels)
+    elements = G.payloads(coords)
+    lengths = dict(zip(elements, itertools.chain.from_iterable(
+        itertools.repeat(r, len(level)) for r, level in enumerate(levels))))
+    return Ball(G, n, elements, lengths, coords)
+
+
+def _new_rows(rows, old):
+    """The distinct rows of ``rows`` that are no row of an array in ``old``,
+    sorted lexicographically: by (length, key) within one BFS level."""
+    A = np.concatenate(old + [rows])
+    fresh = np.arange(len(A)) >= len(A) - len(rows)
+    # columns left to right, then an old row before an equal fresh one
+    order = np.lexsort((fresh,) + tuple(A.T[::-1]))
+    A, fresh = A[order], fresh[order]
+    first = np.ones(len(A), dtype=bool)
+    first[1:] = (A[1:] != A[:-1]).any(axis=1)
+    return A[first & fresh]
+
+
+def _bfs_ball_loop(G, n, cap):
     e = G.identity()
     lengths = {e: 0}
     frontier = [e]
@@ -200,7 +293,7 @@ def _bfs_ball(G, n, cap):
         if not nxt:
             break
     elements = sorted(lengths, key=lambda p: (lengths[p], G.key(p)))
-    return Ball(G, n, elements, lengths)
+    return Ball(G, n, elements, lengths, None)
 
 
 def growth(G, n):
@@ -210,12 +303,28 @@ def growth(G, n):
 
 def kernel_witness(G, Q, r):
     """First non-identity element of B(r), in ball order, lying in the
-    kernel of the quotient descriptor Q; None when the kernel misses it."""
-    e = G.identity()
-    for p in ball(G, r):
-        if p != e and Q.kernel_contains(p):
-            return p
-    return None
+    kernel of the finite quotient Q of G; None when the kernel misses it."""
+    if Q.parent != G:
+        raise ValueError(f"{Q.kind} is a quotient of {Q.parent}, not of {G}")
+    B = ball(G, r)
+    hits = np.flatnonzero(~Q.map_array(B.coords()[1:]).any(axis=1))
+    return B.elements[hits[0] + 1] if len(hits) else None
+
+
+def quotient_action(Q, B):
+    """Left translation of the finite quotient Q by the image of each
+    element of the ball B of Q.parent: yields, in ball order, the list of
+    the slots in Q.elements() of Q.map(g) * y, for y in Q.elements()."""
+    G = Q.parent
+    X = Q.map_array(B.coords())
+    E = np.array([G.coords(y) for y in Q.elements()], dtype=np.int64)
+    step = max(1, _BLOCK // E.size)
+    for i in range(0, len(X), step):
+        block = Q.slot(Q.map_array(G.mul_array(X[i:i + step, None], E[None])))
+        # one row's Python ints at a time: a block's would raise the peak
+        # memory of a large action by several MB
+        for row in block:
+            yield row.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +388,15 @@ class FreeAbelian(Group):
 
     def key(self, p):
         return p
+
+    def coords(self, p):
+        return p
+
+    def payloads(self, X):
+        return list(zip(*X.T.tolist()))
+
+    def mul_array(self, X, Y):
+        return X + Y
 
     def fmt(self, p):
         if self.d == 1:
@@ -406,6 +524,20 @@ class Heisenberg(Group):
 
     def key(self, p):
         return p[0] + p[1] + (p[2],)
+
+    def coords(self, p):
+        return self.key(p)
+
+    def payloads(self, X):
+        l = self.l
+        cols = X.T.tolist()
+        return list(zip(zip(*cols[:l]), zip(*cols[l:2 * l]), cols[2 * l]))
+
+    def mul_array(self, X, Y):
+        l = self.l
+        Z = X + Y
+        Z[..., 2 * l] += (X[..., :l] * Y[..., l:2 * l]).sum(axis=-1)
+        return Z
 
     def fmt(self, p):
         return "(" + ",".join(str(x) for x in self.key(p)) + ")"
@@ -769,6 +901,13 @@ def hnf(rows):
     return tuple(tuple(r) for r in m)
 
 
+def _box_slot(R, sides):
+    """Positions of the rows R in the box of the given sides listed in key
+    order, the last coordinate fastest: mixed-radix numbers."""
+    weights = np.cumprod([1] + sides[:0:-1])[::-1]
+    return R @ weights
+
+
 class LatticeHNF:
     """Z^d / L for a finite-index sublattice L, as a finite group.
 
@@ -799,12 +938,20 @@ class LatticeHNF:
                 v = [x - q * y for x, y in zip(v, self.rows[i])]
         return tuple(v)
 
+    def map_array(self, X):
+        for i, row in enumerate(self.rows):
+            X = X - (X[..., i] // row[i])[..., None] * np.array(row)
+        return X
+
     def kernel_contains(self, p):
         return self.map(p) == self.identity()
 
     def elements(self):
         return list(itertools.product(
             *(range(self.rows[i][i]) for i in range(self.parent.d))))
+
+    def slot(self, R):
+        return _box_slot(R, [row[i] for i, row in enumerate(self.rows)])
 
     def identity(self):
         return self.parent.identity()
@@ -845,12 +992,18 @@ class CongruenceMod:
         m = self.m
         return (tuple(x % m for x in a), tuple(x % m for x in b), c % m)
 
+    def map_array(self, X):
+        return X % self.m
+
     def kernel_contains(self, p):
         return self.map(p) == self.identity()
 
     def elements(self):
         vecs = list(itertools.product(range(self.m), repeat=self.parent.l))
         return [(a, b, c) for a in vecs for b in vecs for c in range(self.m)]
+
+    def slot(self, R):
+        return _box_slot(R, [self.m] * (2 * self.parent.l + 1))
 
     def identity(self):
         return self.parent.identity()

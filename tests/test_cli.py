@@ -333,6 +333,22 @@ def test_from_quotient_lin_uses_field(tmp_path, capsys):
     assert err.startswith("error: ") and "not prime" in err
 
 
+def test_direct_product_field_mismatch_is_usage_error(tmp_path, capsys):
+    sofic, over_q, over_f5 = (tmp_path / f"{x}.json" for x in ("s", "q", "f5"))
+    run(capsys, "construct", "--method", "cyclic-z", "--n", "1",
+        "--out", str(sofic))
+    for path, field in ((over_q, "Q"), (over_f5, "F5")):
+        code, _, _ = run(capsys, "construct", "--method", "perm-to-lin",
+                         "--input", str(sofic), "--field", field,
+                         "--out", str(path))
+        assert code == 0
+    code, out, err = run(capsys, "construct", "--method", "direct-product",
+                         "--input", str(over_q), "--input2", str(over_f5))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "field mismatch: Q vs F5" in err
+
+
 def test_direct_product_of_perm_and_dense_unitaries(tmp_path, capsys):
     """A perm-unitary hyp certificate times a dense unitary one: both factors
     are densified the same way, and the product verifies."""

@@ -1,9 +1,11 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupapprox import groups as G_
 from groupapprox import targets as T_
@@ -70,6 +72,39 @@ def test_from_quotient_heisenberg_congruence():
     c = X_.from_quotient(H, Q, 1)
     assert c.dimension == 27
     assert C_.verify_D(c).passed
+
+
+# quotients whose kernel misses B(2) \ {e}, so from_quotient builds at n = 1
+RF_QUOTIENTS = [G_.LatticeHNF(Z, [(m,)]) for m in (3, 5, 8)] + [
+    G_.LatticeHNF(Z2, [(3, 1), (0, 5)]), G_.LatticeHNF(Z2, [(5, 0), (0, 3)]),
+    G_.LatticeHNF(G_.FreeAbelian(3), [(3, 1, 2), (0, 3, 1), (0, 0, 3)]),
+    G_.CongruenceMod(G_.Heisenberg(1), 3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(RF_QUOTIENTS),
+       st.sampled_from(["sofic", "hyp", "lin", "fin"]),
+       st.sampled_from([None, T_.FieldFp(3)]))
+def test_quotient_action_matches_the_loop(Q, family, field):
+    G = Q.parent
+    cert = X_.from_quotient(G, Q, 1, family, field)
+    B = G_.ball(G, 1)
+    want, table = X_._left_regular(Q, X_._translations(Q, map(Q.map, B)),
+                                   B, family, field)
+    assert json.dumps([cert.assignments[g].to_json() for g in B]) \
+        == json.dumps([want[g].to_json() for g in B])
+    if family == "fin":
+        assert cert.fin_group.to_json() == table.to_json()
+
+
+@pytest.mark.parametrize("G, Q", [
+    (Z, G_.LatticeHNF(Z2, [(3, 0), (0, 3)])),
+    (G_.Heisenberg(1), G_.LatticeHNF(Z2, [(3, 0), (0, 3)])),
+    (Z2, G_.LatticeHNF(Z, [(7,)])),
+], ids=["Z-by-Z2-lattice", "Heisenberg-by-Z2-lattice", "Z2-by-Z-lattice"])
+def test_from_quotient_rejects_a_quotient_of_another_group(G, Q):
+    with pytest.raises(X_.BuildError, match="is a quotient of"):
+        X_.from_quotient(G, Q, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +184,15 @@ def test_direct_product_dimensions():
     assert C_.verify_D(c).passed
 
 
+def test_direct_product_rejects_a_field_mismatch():
+    over_q = X_.perm_to_lin(X_.cyclic_Z(1), T_.FieldQ())
+    over_f2 = X_.perm_to_lin(X_.cyclic_Z(1), T_.FieldFp(2))
+    with pytest.raises(X_.BuildError, match="field mismatch: Q vs F2"):
+        X_.direct_product(over_q, over_f2)
+    with pytest.raises(X_.BuildError, match="field mismatch: F2 vs Q"):
+        X_.direct_product(over_f2, over_q)
+
+
 def test_direct_product_family_guard():
     hyp = X_.perm_to_hyp(X_.cyclic_Z(2), 1)
     with pytest.raises(X_.BuildError, match="family"):
@@ -224,6 +268,12 @@ def test_wreath_by_rf_kernel_guard():
     quot = G_.LatticeHNF(Z, [(3,)])  # 3 inside B(4)
     with pytest.raises(X_.BuildError, match="kernel meets"):
         X_.wreath_by_rf(base, Z, 1, quot)
+
+
+def test_wreath_by_rf_rejects_a_quotient_of_another_group():
+    base = X_.exact_finite(G_.FiniteCyclic(2), 5, family="fin")
+    with pytest.raises(X_.BuildError, match="is a quotient of"):
+        X_.wreath_by_rf(base, Z, 1, G_.LatticeHNF(Z2, [(5, 0), (0, 5)]))
 
 
 def test_wreath_by_rf_above_table_cap():

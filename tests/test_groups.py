@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +116,17 @@ def test_capped_build_is_not_kept():
     with pytest.raises(G_.BallCapExceeded):
         G_.ball(Z2, 7, cap=20)
     assert len(G_.ball(Z2, 7)) == 2 * 7 * 7 + 2 * 7 + 1
+    with pytest.raises(G_.BallCapExceeded):
+        G_.ball(H3, 7, cap=HEIS_BALL[7] - 1)
+    assert len(G_.ball(H3, 7)) == HEIS_BALL[7]
+
+
+def test_huge_radius_stops_at_the_cap(capsys):
+    start = time.perf_counter()
+    assert cli.main(["ball", "--group", "Heisenberg(1)", "--n", "100000",
+                     "--cap", "100"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "cap" in capsys.readouterr().err
 
 
 def test_shared_ball_is_read_only():
@@ -127,6 +139,10 @@ def test_shared_ball_is_read_only():
     assert table is B.products()
     with pytest.raises(ValueError):
         table[0, 0] = 1
+    coords = B.coords()
+    assert coords is B.coords()
+    with pytest.raises(ValueError):
+        coords[0, 0] = 1
 
 
 def test_evicted_ball_is_rebuilt_equal():
@@ -138,6 +154,81 @@ def test_evicted_ball_is_rebuilt_equal():
     assert again is not B
     assert again.elements == B.elements
     assert dict(again.lengths) == dict(B.lengths)
+
+
+# ---------------------------------------------------------------------------
+# the coordinate arrays against the scalar loops
+
+# (group, largest radius drawn): Z^40 stays at radius 2 (3,281 elements)
+COORDINATE_BALLS = [(Z, 12), (Z2, 6), (G_.FreeAbelian(3), 4),
+                    (G_.FreeAbelian(40), 2), (H3, 5), (G_.Heisenberg(2), 2)]
+
+
+@st.composite
+def coordinate_balls(draw):
+    G, r_max = draw(st.sampled_from(COORDINATE_BALLS))
+    return G, draw(st.integers(0, r_max))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coordinate_balls())
+def test_array_bfs_matches_the_loop(case):
+    G, r = case
+    want = G_._bfs_ball_loop(G, r, G_.DEFAULT_BALL_CAP)
+    got = G_._bfs_ball(G, r, G_.DEFAULT_BALL_CAP)
+    assert got.elements == want.elements
+    assert dict(got.lengths) == dict(want.lengths)
+    assert got.coords().tolist() == [list(G.coords(p)) for p in got.elements]
+    assert want.coords() is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(coordinate_balls())
+def test_array_products_match_the_loop(case):
+    G, r = case
+    B = G_.ball(G, r)
+    if len(B) > 700:  # the loop reference is quadratic in Python
+        r -= 1
+        B = G_.ball(G, r)
+    assert (G_._products_array(B) == G_._products_loop(B)).all()
+
+
+def _kernel_witness_loop(G, Q, r):
+    e = G.identity()
+    return next((p for p in G_.ball(G, r)
+                 if p != e and Q.kernel_contains(p)), None)
+
+
+@st.composite
+def lattices(draw):
+    """An HNF-ready lattice of Z^1, Z^2 or Z^3: an upper triangular basis
+    with positive diagonal, plus a radius."""
+    d = draw(st.integers(1, 3))
+    rows = [tuple(draw(st.integers(1, 7)) if j == i
+                  else draw(st.integers(-6, 6)) if j > i else 0
+                  for j in range(d)) for i in range(d)]
+    return G_.LatticeHNF(G_.FreeAbelian(d), rows), draw(st.integers(0, 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattices())
+def test_kernel_witness_matches_the_loop_on_lattices(case):
+    Q, r = case
+    assert G_.kernel_witness(Q.parent, Q, r) \
+        == _kernel_witness_loop(Q.parent, Q, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([H3, G_.Heisenberg(2)]), st.integers(1, 9),
+       st.integers(0, 4))
+def test_kernel_witness_matches_the_loop_on_congruences(G, m, r):
+    Q = G_.CongruenceMod(G, m)
+    assert G_.kernel_witness(G, Q, r) == _kernel_witness_loop(G, Q, r)
+
+
+def test_kernel_witness_rejects_a_quotient_of_another_group():
+    with pytest.raises(ValueError, match="quotient of FreeAbelian"):
+        G_.kernel_witness(Z, G_.LatticeHNF(Z2, [(3, 0), (0, 3)]), 2)
 
 
 @st.composite
