@@ -194,6 +194,8 @@ _NEEDS_N = ("cyclic-z", "from-quotient", "exact-finite", "perm-to-hyp",
 
 def _quotient(G, args):
     """The finite quotient of G named by --modulus or --lattice."""
+    if args.modulus is not None and args.modulus < 1:
+        raise UsageError("bad quotient: modulus must be >= 1")
     try:
         if isinstance(G, G_.Heisenberg):
             if args.modulus is None:
@@ -216,6 +218,8 @@ def _build(args):
     m = args.method
     if m in _NEEDS_N and args.n is None:
         raise UsageError(f"method {m} needs --n")
+    if args.n is not None and args.n < 1:
+        raise UsageError("--n must be at least 1")
     if m == "cyclic-z":
         return X_.cyclic_Z(args.n)
     if m == "from-quotient":

@@ -161,23 +161,13 @@ def folner_to_sofic(w, n=None):
 # ---------------------------------------------------------------------------
 # finite groups and finite quotients
 
-def _translations(F, xs):
-    """Left translation of the finite group F by each element x of ``xs``,
-    in order: the list of the slots in F.elements() of x * y, for y in
-    F.elements(). ``groups.quotient_action`` yields the same rows from
-    coordinate arrays for the images of a ball in a finite quotient."""
-    elems = F.elements()
-    idx = {x: i for i, x in enumerate(elems)}
-    for x in xs:
-        yield [idx[F.mul(x, y)] for y in elems]
-
-
 def _left_regular(F, rows, domain, family, field=None):
     """Assignments on ``domain`` through the left-regular picture of the
     finite group F: ``rows`` yields, for each g of ``domain`` in order, the
-    left translation by g's image in F as ``_translations`` does, taken as
-    a permutation (sofic), a permutation unitary (hyp), a rank matrix over
-    ``field`` (lin) or an element of F's table group (fin).
+    left translation by g's image in F, the row of ``groups.table(F)`` at
+    that image's slot, taken as a permutation (sofic), a permutation
+    unitary (hyp), a rank matrix over ``field`` (lin) or an element of F's
+    table group (fin).
 
     Returns (assignments, the table group for fin or None)."""
     if family not in ("sofic", "hyp", "lin", "fin"):
@@ -215,8 +205,8 @@ def from_quotient(G, Q, n, family="sofic", field=None):
     if p is not None:
         raise BuildError(f"kernel meets B({2 * n}) at {G.fmt(p)}")
     B = G_.ball(G, n)
-    assignments, fin_group = _left_regular(Q, G_.quotient_action(Q, B), B,
-                                           family, field)
+    assignments, fin_group = _left_regular(
+        Q, G_.quotient_action(Q, B.coords()), B, family, field)
     cert = C_.ApproxCertificate(
         G, n, family, assignments, fin_group=fin_group,
         provenance=_trace("from_quotient",
@@ -247,8 +237,10 @@ def exact_finite(G, n, family="sofic"):
     if family not in ("sofic", "fin"):
         raise BuildError(f"unsupported family {family!r}")
     B = G_.ball(G, n)
-    assignments, fin_group = _left_regular(G, _translations(G, B), B,
-                                           family)
+    slot = {p: i for i, p in enumerate(G.elements())}
+    rows = G_.table(G).tolist()
+    assignments, fin_group = _left_regular(
+        G, [rows[slot[g]] for g in B], B, family)
     cert = C_.ApproxCertificate(
         G, n, family, assignments, fin_group=fin_group,
         provenance=_trace("exact_finite", {"order": G.order(), "family": family},
@@ -485,18 +477,12 @@ def wreath_by_rf(c_G, H, n, quotient):
         raise BuildError(f"base certificate radius {c_G.n} below index {m}")
     _require_verified(c_G, "base fails")
 
-    top_index = {x: i for i, x in enumerate(quotient.elements())}
+    # the slot in quotient.elements() of each window point's coset; the
+    # top h of every payload in B(n) is a window point too
+    BH = G_.ball(H, n)
+    window = dict(zip(BH, quotient.slot(
+        quotient.map_array(BH.coords())).tolist()))
     source = G_.WreathProduct(c_G.group, H)
-    window_slot = {}
-    for kp in G_.ball(H, n):
-        slot = top_index[quotient.map(kp)]
-        if slot in window_slot and window_slot[slot] != kp:
-            raise BuildError(
-                f"window points {H.fmt(window_slot[slot])} and {H.fmt(kp)} "
-                f"share a coset")
-        window_slot[slot] = kp
-
-    # the table's indices follow quotient.elements(), as top_index does
     base, top = c_G.fin_group, T_.trivial_metric_group(quotient)
     try:
         W = T_.wreath_table(base, top)
@@ -507,11 +493,11 @@ def wreath_by_rf(c_G, H, n, quotient):
         assoc, h = p
         lamp = dict(assoc)
         f_hat = [base.identity_index] * m
-        for slot, kp in window_slot.items():
+        for kp, slot in window.items():
             g_val = lamp.get(kp, c_G.group.identity())
             f_hat[slot] = c_G.target(g_val).index
         assignments[p] = W.element(T_.wreath_index(
-            base, top, f_hat, top_index[quotient.map(h)]))
+            base, top, f_hat, window[h]))
     cert = C_.ApproxCertificate(
         source, n, "fin", assignments, fin_group=W,
         provenance=_trace("wreath_by_rf",
@@ -541,14 +527,14 @@ def wreath_sofic(c_G, c_H, n):
         raise BuildError("wreath_sofic needs a finite top group")
     B_list = H.elements()
     sizeB = len(B_list)
-    regular, _ = _left_regular(H, _translations(H, B_list), B_list, "sofic")
+    # lampmul[a][b] is the slot of B_list[a] * B_list[b]
+    lampmul = G_.table(H).tolist()
+    regular, _ = _left_regular(H, lampmul, B_list, "sofic")
     top = c_H.assignments
     if c_H.dimension != sizeB or any(
             h not in top or _as_perm(top[h]) != regular[h] for h in B_list):
         raise BuildError("top certificate must be the regular representation"
                          " on all of H")
-    # lampmul[a][b] is the slot of B_list[a] * B_list[b]
-    lampmul = [regular[a].images for a in B_list]
     A = c_G.dimension
     dim = (A ** sizeB) * sizeB
     if dim > _PERM_CAP:

@@ -21,10 +21,16 @@ and ``mul_array(X, Y)`` the group law on broadcasting int64 arrays of such
 rows. Their quotients add ``map_array`` (the quotient map on rows) and
 ``slot`` (a residue row's position in ``elements()``). For these groups the
 ball is built one BFS level at a time on arrays, ``Ball.coords()`` holds
-its elements' rows in ball order, and ``Ball.products()``,
-``kernel_witness`` and ``quotient_action`` are array computations. Every
-other group keeps the scalar loops over ``mul``; ``Ball.coords()`` is then
-None.
+its elements' rows in ball order, and ``Ball.products()`` and
+``kernel_witness`` are array computations. ``quotient_action(Q, X)`` is
+the left translation of Q by the images of coordinate rows X, row by row.
+Every other group keeps the scalar loops over ``mul``; ``Ball.coords()``
+is then None.
+
+``table(F)`` is the one product table of a finite group F, an int64 array
+indexed by the slots of ``F.elements()``: a quotient's is
+``quotient_action`` on its own elements' rows, and ``FiniteCyclic`` and
+``FiniteSym`` fill theirs from ``mul``.
 """
 from __future__ import annotations
 
@@ -311,12 +317,13 @@ def kernel_witness(G, Q, r):
     return B.elements[hits[0] + 1] if len(hits) else None
 
 
-def quotient_action(Q, B):
+def quotient_action(Q, X):
     """Left translation of the finite quotient Q by the image of each
-    element of the ball B of Q.parent: yields, in ball order, the list of
-    the slots in Q.elements() of Q.map(g) * y, for y in Q.elements()."""
+    coordinate row of X, an int64 array of rows of Q.parent: yields, row by
+    row, the list of the slots in Q.elements() of Q.map(x) * y, for y in
+    Q.elements()."""
     G = Q.parent
-    X = Q.map_array(B.coords())
+    X = Q.map_array(X)
     E = np.array([G.coords(y) for y in Q.elements()], dtype=np.int64)
     step = max(1, _BLOCK // E.size)
     for i in range(0, len(X), step):
@@ -325,6 +332,20 @@ def quotient_action(Q, B):
         # memory of a large action by several MB
         for row in block:
             yield row.tolist()
+
+
+def table(F):
+    """Product table of the finite group F: an int64 |F| x |F| array whose
+    entry [i, j] is the slot in F.elements() of elements[i] * elements[j].
+    A quotient with ``map_array`` is the action of its own elements' rows;
+    any other finite group multiplies with ``mul``."""
+    elems = F.elements()
+    if hasattr(F, "map_array"):
+        X = np.array([F.parent.coords(y) for y in elems], dtype=np.int64)
+        return np.array(list(quotient_action(F, X)), dtype=np.int64)
+    slot = {p: i for i, p in enumerate(elems)}
+    return np.array([[slot[F.mul(a, b)] for b in elems] for a in elems],
+                    dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -1076,77 +1097,3 @@ def index_subgroup_of_Z(m):
         embed=lambda h: (m * h[0],),
         restrict=lambda p: (p[0] // m,) if p[0] % m == 0 else None,
         reps=[(i,) for i in range(m)])
-
-
-# ---------------------------------------------------------------------------
-# subgroup distortion
-
-class SubgroupEmbedding:
-    """H <= G with a membership predicate and intrinsic word length on H."""
-
-    def __init__(self, label, parent, member, sub_length):
-        self.label = label
-        self.parent = parent
-        self.member = member
-        self.sub_length = sub_length
-
-
-def embedding_mZ_in_Z(m):
-    return SubgroupEmbedding(
-        f"{m}Z<=Z", FreeAbelian(1),
-        member=lambda p: p[0] % m == 0,
-        sub_length=lambda p: abs(p[0]) // m)
-
-
-def embedding_axis_in_Z2():
-    return SubgroupEmbedding(
-        "Zx0<=Z^2", FreeAbelian(2),
-        member=lambda p: p[1] == 0,
-        sub_length=lambda p: abs(p[0]))
-
-
-def embedding_center_heisenberg():
-    G = Heisenberg(1)
-    zero = (0,)
-
-    def member(p):
-        return p[0] == zero and p[1] == zero
-    return SubgroupEmbedding(
-        "center<=Heisenberg", G,
-        member=member,
-        sub_length=lambda p: abs(p[2]))
-
-
-def distortion(pair, n):
-    """Smallest k >= n with H cap B_G(n) inside B_H(k).
-
-    pair is a SubgroupEmbedding (or SubgroupIndexData for mZ <= Z).
-    """
-    if isinstance(pair, SubgroupIndexData):
-        data = pair
-        pair = SubgroupEmbedding(
-            "idx", data.parent,
-            member=lambda p: data.restrict(p) is not None,
-            sub_length=lambda p: _sub_word_length(data, p))
-    B = ball(pair.parent, n)
-    worst = 0
-    for p in B:
-        if pair.member(p):
-            worst = max(worst, pair.sub_length(p))
-    return max(n, worst)
-
-
-def _sub_word_length(data, p):
-    h = data.restrict(p)
-    grp = data.sub
-    if isinstance(grp, FreeAbelian):
-        return sum(abs(x) for x in h)
-    # generic: BFS in the subgroup until h is found
-    r = 0
-    while True:
-        r += 1
-        B = ball(grp, r)
-        if h in B:
-            return B.length(h)
-        if len(B) == len(ball(grp, r - 1)):
-            raise ValueError("element not reachable in subgroup")

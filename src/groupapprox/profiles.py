@@ -507,10 +507,8 @@ def le_f_growth(G, n, catalog):
     state = {"nodes": 0}
 
     def try_target(F):
-        f_elems = F.elements()
-        f_idx = {p: i for i, p in enumerate(f_elems)}
-        mul = [[f_idx[F.mul(a, b)] for b in f_elems] for a in f_elems]
-        e_f = f_idx[F.identity()]
+        mul = G_.table(F).tolist()
+        e_f = F.elements().index(F.identity())
         assigned = [None] * len(elems)
         assigned[0] = e_f
 
@@ -532,7 +530,7 @@ def le_f_growth(G, n, catalog):
                 raise _OracleBudget
             if pos == len(elems):
                 return True
-            for c in range(len(f_elems)):
+            for c in range(len(mul)):
                 assigned[pos] = c
                 if ok(pos) and rec(pos + 1):
                     return True

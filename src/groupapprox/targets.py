@@ -19,6 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import groups as G_
+
 SQRT2 = math.sqrt(2.0)
 
 # default separation parameter per family
@@ -796,15 +798,14 @@ def _check_table(M, D, den, e):
 
 
 def trivial_metric_group(G):
-    """Tables of a finite group (a catalog group or a finite quotient)
-    exposing elements()/mul/fmt, indexed in elements() order, with the 0/1
+    """Tables of a finite group (a catalog group or a finite quotient),
+    indexed in elements() order: its ``groups.table`` with the 0/1
     metric."""
     elems = G.elements()
-    idx = {p: i for i, p in enumerate(elems)}
-    mul = [[idx[G.mul(a, b)] for b in elems] for a in elems]
     dist = 1 - np.eye(len(elems), dtype=np.int64)
     labels = [G.fmt(p) for p in elems]
-    return TableMetricGroup(mul, dist, 1, idx[G.identity()], labels)
+    return TableMetricGroup(G_.table(G), dist, 1, elems.index(G.identity()),
+                            labels)
 
 
 class FiniteGroupElement:

@@ -448,11 +448,26 @@ _BAD_INPUT = {
     "lattice-wrong-dimension": lambda t: [*_QUOTIENT, "--group", "Z^2",
                                           "--lattice", "1"],
     "zero-modulus": lambda t: [*_QUOTIENT, "--group", "Z", "--modulus", "0"],
+    "negative-modulus-Z": lambda t: [*_QUOTIENT, "--group", "Z",
+                                     "--modulus", "-5"],
+    "negative-modulus-Z2": lambda t: [*_QUOTIENT, "--group", "Z^2",
+                                      "--modulus", "-5"],
     "zero-heisenberg-modulus": lambda t: [
         *_QUOTIENT, "--group", "Heisenberg(1)", "--modulus", "0"],
     "quotient-without-group": lambda t: [*_QUOTIENT, "--modulus", "5"],
     "exact-finite-on-infinite-group": lambda t: [
         "construct", "--method", "exact-finite", "--group", "Z", "--n", "1"],
+    "exact-finite-negative-n": lambda t: [
+        "construct", "--method", "exact-finite", "--group", "Z/5", "--n",
+        "-1"],
+    "from-quotient-negative-n": lambda t: [
+        "construct", "--method", "from-quotient", "--group", "Z",
+        "--modulus", "5", "--n", "-1"],
+    "perm-to-hyp-negative-n": lambda t: [
+        "construct", "--method", "perm-to-hyp", "--input",
+        str(_cyclic_path(t)), "--n", "-1"],
+    "folner-to-sofic-zero-n": lambda t: [
+        *_witness_argv(t, lambda o: None)[:-1], "0"],
     "exact-finite-hyp-family": lambda t: [
         "construct", "--method", "exact-finite", "--group", "Z/5", "--n",
         "1", "--family", "hyp"],

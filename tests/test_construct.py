@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -81,6 +82,14 @@ RF_QUOTIENTS = [G_.LatticeHNF(Z, [(m,)]) for m in (3, 5, 8)] + [
     G_.CongruenceMod(G_.Heisenberg(1), 3)]
 
 
+def _translations_loop(Q, xs):
+    """Left translation of the finite quotient Q by the image of each x of
+    ``xs``: the slots in Q.elements() of Q.map(x) * y, by scalar ``mul``."""
+    elems = Q.elements()
+    slot = {p: i for i, p in enumerate(elems)}
+    return [[slot[Q.mul(Q.map(x), y)] for y in elems] for x in xs]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(RF_QUOTIENTS),
        st.sampled_from(["sofic", "hyp", "lin", "fin"]),
@@ -89,12 +98,57 @@ def test_quotient_action_matches_the_loop(Q, family, field):
     G = Q.parent
     cert = X_.from_quotient(G, Q, 1, family, field)
     B = G_.ball(G, 1)
-    want, table = X_._left_regular(Q, X_._translations(Q, map(Q.map, B)),
-                                   B, family, field)
+    want, table = X_._left_regular(Q, _translations_loop(Q, B), B, family,
+                                   field)
     assert json.dumps([cert.assignments[g].to_json() for g in B]) \
         == json.dumps([want[g].to_json() for g in B])
     if family == "fin":
         assert cert.fin_group.to_json() == table.to_json()
+        assert cert.fin_group.mul_table \
+            == _translations_loop(Q, Q.elements())
+
+
+# sha256 of dumps() for builders that read groups.table, pinned from the
+# scalar table loops they replaced
+_PINNED_DUMPS = {
+    "fin-heisenberg-mod7": (
+        lambda: X_.from_quotient(
+            G_.Heisenberg(1), G_.CongruenceMod(G_.Heisenberg(1), 7), 3,
+            "fin"),
+        "75f79a4d008585f2e5b492b0006c555fbfe01157a7d0f261e6c9b89a274c99ad"),
+    "sofic-Z2-mod25": (
+        lambda: X_.from_quotient(
+            Z2, G_.LatticeHNF(Z2, [(25, 0), (0, 25)]), 12, "sofic"),
+        "df2c78450531fe2f607b7cac8b69e86f4b3574e007a3c70d8a10a163d9f17c22"),
+    "fin-sym3": (
+        lambda: X_.exact_finite(G_.FiniteSym(3), 3, "fin"),
+        "c019f1dd3242b546e24f468b172309f1a3eaf5a2521fd5c09c154b1387be0a44"),
+    "wreath-sofic-Z-by-C3": (
+        lambda: X_.wreath_sofic(
+            X_.cyclic_Z(1), X_.exact_finite(G_.FiniteCyclic(3), 3), 1)[0],
+        "136e7c186a4ffab85dbb07f0840cda764d40983d885a58e6ebb5629de19dce67"),
+    "wreath-rf-C2-mod5": (
+        lambda: X_.wreath_by_rf(
+            X_.exact_finite(G_.FiniteCyclic(2), 5, "fin"), Z, 1,
+            G_.LatticeHNF(Z, [(5,)])),
+        "3a3eac7dbd4a38e155c90cc0071b84a9094e6782d56220e336ff7593cbc22ec7"),
+    "wreath-rf-C3-mod5": (
+        lambda: X_.wreath_by_rf(
+            X_.exact_finite(G_.FiniteCyclic(3), 5, "fin"), Z, 1,
+            G_.LatticeHNF(Z, [(5,)])),
+        "bb844d2b4900d9d44fc723849d4bb0d7af0bb6aabc1a570a39eefccb4f231002"),
+    "wreath-rf-C2-mod7": (
+        lambda: X_.wreath_by_rf(
+            X_.exact_finite(G_.FiniteCyclic(2), 7, "fin"), Z, 1,
+            G_.LatticeHNF(Z, [(7,)])),
+        "19ed9ff49ad52385d777bb0f1004501a03f93d397786fbaeb977a90b232cdda4"),
+}
+
+
+@pytest.mark.parametrize("case", _PINNED_DUMPS)
+def test_table_builders_keep_their_bytes(case):
+    build, digest = _PINNED_DUMPS[case]
+    assert hashlib.sha256(build().dumps().encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("G, Q", [

@@ -1,6 +1,7 @@
 import itertools
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -231,6 +232,43 @@ def test_kernel_witness_rejects_a_quotient_of_another_group():
         G_.kernel_witness(Z, G_.LatticeHNF(Z2, [(3, 0), (0, 3)]), 2)
 
 
+def _table_loop(F):
+    """The product table of the finite group F by scalar ``mul``."""
+    elems = F.elements()
+    slot = {p: i for i, p in enumerate(elems)}
+    return [[slot[F.mul(a, b)] for b in elems] for a in elems]
+
+
+def quotients():
+    """A lattice quotient of Z, Z^2 or Z^3, or a congruence quotient of
+    Heisenberg(1) with m <= 6 or of Heisenberg(2) with m <= 2."""
+    return st.one_of(
+        lattices().map(lambda case: case[0]),
+        st.integers(1, 6).map(lambda m: G_.CongruenceMod(H3, m)),
+        st.integers(1, 2).map(
+            lambda m: G_.CongruenceMod(G_.Heisenberg(2), m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(1, 8).map(G_.FiniteCyclic),
+                 st.integers(1, 4).map(G_.FiniteSym), quotients()))
+def test_table_matches_the_loop(F):
+    T = G_.table(F)
+    assert T.dtype == np.int64
+    assert T.tolist() == _table_loop(F)
+
+
+@settings(max_examples=40, deadline=None)
+@given(quotients(), st.data())
+def test_quotient_action_is_rows_of_the_table(Q, data):
+    k = len(Q.parent.coords(Q.parent.identity()))
+    X = np.array(data.draw(st.lists(
+        st.lists(st.integers(-30, 30), min_size=k, max_size=k),
+        max_size=12)), dtype=np.int64).reshape(-1, k)
+    want = G_.table(Q)[Q.slot(Q.map_array(X))]
+    assert list(G_.quotient_action(Q, X)) == want.tolist()
+
+
 @st.composite
 def heis_elements(draw):
     pool = _elems(H3, 3)
@@ -377,7 +415,7 @@ def test_congruence_quotient_is_hom(m, u, v):
 
 
 # ---------------------------------------------------------------------------
-# subgroups and distortion
+# subgroups
 
 def test_index_subgroup_of_Z_decompose():
     data = G_.index_subgroup_of_Z(3)
@@ -385,20 +423,3 @@ def test_index_subgroup_of_Z_decompose():
         i, h = data.decompose((k,))
         assert data.parent.mul(data.reps[i], data.embed(h)) == (k,)
         assert 0 <= i < 3
-
-
-def test_distortion_undistorted_cases():
-    assert G_.distortion(G_.embedding_mZ_in_Z(2), 6) == 6
-    assert G_.distortion(G_.embedding_axis_in_Z2(), 5) == 5
-
-
-def test_center_distortion_heisenberg():
-    pair = G_.embedding_center_heisenberg()
-    # quadratic distortion: the center element of height c has word length
-    # about 4*sqrt(c), so intrinsic length c overtakes the ambient radius
-    assert G_.distortion(pair, 8) == 8
-    assert G_.distortion(pair, 18) == 20
-    assert G_.distortion(pair, 20) == 25
-    first = next(n for n in range(1, 25)
-                 if G_.distortion(pair, n) > n)
-    assert first == 18

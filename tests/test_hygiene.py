@@ -7,6 +7,9 @@ attribute or an import alias. Assigning a name is not reading it, so a
 constant does not count as its own user. Likewise every defaulted
 parameter of a function or method is passed, by keyword or by position,
 at some call there.
+
+A definition that only the tests read is listed in ``_LIBRARY_ONLY`` with
+the reason the library keeps it, and the list holds nothing else.
 """
 import ast
 from pathlib import Path
@@ -20,9 +23,9 @@ def _trees(*dirs):
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
-def _referenced_names():
+def _referenced_names(*dirs):
     names = set()
-    for _, tree in _trees("src", "tests", "perfbench"):
+    for _, tree in _trees(*dirs):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx,
                                                              ast.Store):
@@ -59,13 +62,64 @@ def _definitions(tree):
 
 
 def test_every_module_level_definition_is_referenced():
-    used = _referenced_names()
+    used = _referenced_names("src", "tests", "perfbench")
     unused = []
     for path, tree in _trees("src/groupapprox"):
         for lineno, name in _definitions(tree):
             if name.rsplit(".", 1)[-1] not in used:
                 unused.append(f"{path.relative_to(ROOT)}:{lineno} {name}")
     assert not unused, "unreferenced definitions: " + ", ".join(unused)
+
+
+# definitions that no code in src/ or perfbench/ reads, each with why the
+# library keeps it; the tests read every one of them
+_LIBRARY_ONLY = {
+    "certify.D_from_W": "ball certificate from a word certificate, the "
+                        "inverse of W_from_D",
+    "certify.W_from_D": "README quick start",
+    "construct.induce_finite_index": "builder from a finite-index subgroup, "
+                                     "library API without a CLI method",
+    "construct.wreath_by_rf": "fin builder for G wr H through a finite "
+                              "quotient of H, library API",
+    "construct.wreath_sofic": "sofic builder for G wr H with H finite, "
+                              "library API",
+    "construct.CoordinateSplit": "the split Z^d = N x Q that "
+                                 "extend_by_amenable takes",
+    "construct.extend_by_amenable": "builder for an extension by an "
+                                    "amenable quotient, library API",
+    "groups.LatticeHNF.kernel_contains": "scalar reference for "
+                                         "kernel_witness",
+    "groups.CongruenceMod.kernel_contains": "scalar reference for "
+                                            "kernel_witness",
+    "groups.SubgroupIndexData.kernel_contains": "subgroup membership in the "
+                                                "quotients' vocabulary",
+    "groups.index_subgroup_of_Z": "the coset data of mZ <= Z that "
+                                  "induce_finite_index takes",
+    "profiles.sofic_exact_oracle": "exact sofic value by backtracking, the "
+                                   "reference for the sofic bounds",
+    "profiles.interval_witness_Z": "closed-form Folner witness of Z, input "
+                                   "to folner_to_sofic",
+    "profiles.folner_bound_nilpotent": "closed-form upper reference for the "
+                                       "Folner function of Z^d",
+    "profiles.le_f_growth": "LEF growth over a catalog of finite groups, "
+                            "library API",
+    "profiles.ra_profile": "residually amenable profile over a catalog of "
+                           "quotients, library API",
+    "profiles.upper_curve": "pointwise minimum over builders, library API",
+}
+
+
+def test_library_only_definitions_are_listed():
+    used = _referenced_names("src", "perfbench")
+    found = {f"{path.stem}.{name}"
+             for path, tree in _trees("src/groupapprox")
+             for _, name in _definitions(tree)
+             if name.rsplit(".", 1)[-1] not in used}
+    unlisted = sorted(found - set(_LIBRARY_ONLY))
+    assert not unlisted, "read only by the tests, not in _LIBRARY_ONLY: " \
+        + ", ".join(unlisted)
+    stale = sorted(set(_LIBRARY_ONLY) - found)
+    assert not stale, "stale _LIBRARY_ONLY entries: " + ", ".join(stale)
 
 
 class _Calls(ast.NodeVisitor):
