@@ -237,10 +237,9 @@ def exact_finite(G, n, family="sofic"):
     if family not in ("sofic", "fin"):
         raise BuildError(f"unsupported family {family!r}")
     B = G_.ball(G, n)
-    slot = {p: i for i, p in enumerate(G.elements())}
-    rows = G_.table(G).tolist()
+    # only the ball's rows: O(|B| |G|), not the whole table
     assignments, fin_group = _left_regular(
-        G, [rows[slot[g]] for g in B], B, family)
+        G, (row.tolist() for row in G_.table(G, B)), B, family)
     cert = C_.ApproxCertificate(
         G, n, family, assignments, fin_group=fin_group,
         provenance=_trace("exact_finite", {"order": G.order(), "family": family},

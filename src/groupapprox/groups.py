@@ -30,7 +30,8 @@ is then None.
 ``table(F)`` is the one product table of a finite group F, an int64 array
 indexed by the slots of ``F.elements()``: a quotient's is
 ``quotient_action`` on its own elements' rows, and ``FiniteCyclic`` and
-``FiniteSym`` fill theirs from ``mul``.
+``FiniteSym`` fill theirs from ``mul``. ``table(F, xs)`` is only the rows
+of the left factors xs, so a ball's rows cost O(|B| |F|), not O(|F|^2).
 """
 from __future__ import annotations
 
@@ -334,17 +335,19 @@ def quotient_action(Q, X):
             yield row.tolist()
 
 
-def table(F):
-    """Product table of the finite group F: an int64 |F| x |F| array whose
-    entry [i, j] is the slot in F.elements() of elements[i] * elements[j].
-    A quotient with ``map_array`` is the action of its own elements' rows;
-    any other finite group multiplies with ``mul``."""
+def table(F, xs=None):
+    """Product table of the finite group F: an int64 array with one row per
+    left factor of the nonempty ``xs`` (by default F.elements(), giving the
+    |F| x |F| table) whose entry [i, j] is the slot in F.elements() of
+    xs[i] * elements[j]. A quotient with ``map_array`` is the action of the
+    factors' rows; any other finite group multiplies with ``mul``."""
     elems = F.elements()
+    xs = elems if xs is None else list(xs)
     if hasattr(F, "map_array"):
-        X = np.array([F.parent.coords(y) for y in elems], dtype=np.int64)
+        X = np.array([F.parent.coords(y) for y in xs], dtype=np.int64)
         return np.array(list(quotient_action(F, X)), dtype=np.int64)
     slot = {p: i for i, p in enumerate(elems)}
-    return np.array([[slot[F.mul(a, b)] for b in elems] for a in elems],
+    return np.array([[slot[F.mul(a, b)] for b in elems] for a in xs],
                     dtype=np.int64)
 
 

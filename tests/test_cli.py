@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +52,16 @@ def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run(capsys, "ball", "--group", "Z", "--n", "1",
                      "--frobnicate")
     assert code == 1
+
+
+def test_exact_finite_on_a_large_cyclic_group(capsys):
+    # B(1)'s three rows of Z/10^5, not its 10^10-entry product table
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "construct", "--method", "exact-finite",
+                       "--group", "Z/100000", "--n", "1")
+    assert code == 0
+    assert time.perf_counter() - start < 10.0
+    assert json.loads(out)["dimension"] == 100000
 
 
 def test_no_command_prints_help(capsys):

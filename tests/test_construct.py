@@ -43,6 +43,16 @@ def test_exact_finite_regular():
             X_.exact_finite(G, 1)
 
 
+def test_exact_finite_multiplies_only_the_ball_rows(monkeypatch):
+    # |B(1)| = 3 rows of 1000 products each, not the 10^6 of the table
+    G = G_.FiniteCyclic(1000)
+    calls = []
+    mul = G.mul
+    monkeypatch.setattr(G, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    assert X_.exact_finite(G, 1).dimension == 1000
+    assert len(calls) < 4 * 1000
+
+
 def test_from_quotient_skew_lattice():
     L = G_.LatticeHNF(Z2, [(1, 2), (0, 5)])
     c = X_.from_quotient(Z2, L, 1)
@@ -108,47 +118,50 @@ def test_quotient_action_matches_the_loop(Q, family, field):
             == _translations_loop(Q, Q.elements())
 
 
-# sha256 of dumps() for builders that read groups.table, pinned from the
-# scalar table loops they replaced
+# sha256 of each certificate's to_json(), encoded compactly, for builders
+# that read groups.table, pinned from the scalar table loops they replaced.
+# dumps() is the same object indented; its pure-Python encoder would take
+# most of this test's time on the wreath tables.
 _PINNED_DUMPS = {
     "fin-heisenberg-mod7": (
         lambda: X_.from_quotient(
             G_.Heisenberg(1), G_.CongruenceMod(G_.Heisenberg(1), 7), 3,
             "fin"),
-        "75f79a4d008585f2e5b492b0006c555fbfe01157a7d0f261e6c9b89a274c99ad"),
+        "4b39275dd57a2c2c34684955384449b736ef57f042d28dbc8367637eb37aaa28"),
     "sofic-Z2-mod25": (
         lambda: X_.from_quotient(
             Z2, G_.LatticeHNF(Z2, [(25, 0), (0, 25)]), 12, "sofic"),
-        "df2c78450531fe2f607b7cac8b69e86f4b3574e007a3c70d8a10a163d9f17c22"),
+        "28706f9061b4c4c9525ea0a2316b98ad440f54767827922af6b338a769574d22"),
     "fin-sym3": (
         lambda: X_.exact_finite(G_.FiniteSym(3), 3, "fin"),
-        "c019f1dd3242b546e24f468b172309f1a3eaf5a2521fd5c09c154b1387be0a44"),
+        "ccdee16a12320435046d537df8c48943c4a4987a44d53712a08ccd8e088d3cf1"),
     "wreath-sofic-Z-by-C3": (
         lambda: X_.wreath_sofic(
             X_.cyclic_Z(1), X_.exact_finite(G_.FiniteCyclic(3), 3), 1)[0],
-        "136e7c186a4ffab85dbb07f0840cda764d40983d885a58e6ebb5629de19dce67"),
+        "218f217c8bfe71753038901bcb8b52af300e597c2bbb6fe15cb4610e3746cfec"),
     "wreath-rf-C2-mod5": (
         lambda: X_.wreath_by_rf(
             X_.exact_finite(G_.FiniteCyclic(2), 5, "fin"), Z, 1,
             G_.LatticeHNF(Z, [(5,)])),
-        "3a3eac7dbd4a38e155c90cc0071b84a9094e6782d56220e336ff7593cbc22ec7"),
+        "04453853dad0402f7e3e88900c2f6a6e717663382d6dfc187286adbf824b2e9b"),
     "wreath-rf-C3-mod5": (
         lambda: X_.wreath_by_rf(
             X_.exact_finite(G_.FiniteCyclic(3), 5, "fin"), Z, 1,
             G_.LatticeHNF(Z, [(5,)])),
-        "bb844d2b4900d9d44fc723849d4bb0d7af0bb6aabc1a570a39eefccb4f231002"),
+        "548515b68d5693dbb40c0fae6fd6544400fe4aac356c6c3f78beec08f419cb25"),
     "wreath-rf-C2-mod7": (
         lambda: X_.wreath_by_rf(
             X_.exact_finite(G_.FiniteCyclic(2), 7, "fin"), Z, 1,
             G_.LatticeHNF(Z, [(7,)])),
-        "19ed9ff49ad52385d777bb0f1004501a03f93d397786fbaeb977a90b232cdda4"),
+        "cca241c42902313762a26f5f036ae9b0725aae7acca3f1b7ec8e60a849cb903c"),
 }
 
 
 @pytest.mark.parametrize("case", _PINNED_DUMPS)
 def test_table_builders_keep_their_bytes(case):
     build, digest = _PINNED_DUMPS[case]
-    assert hashlib.sha256(build().dumps().encode()).hexdigest() == digest
+    text = json.dumps(build().to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("G, Q", [

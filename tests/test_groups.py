@@ -259,6 +259,19 @@ def test_table_matches_the_loop(F):
 
 
 @settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(1, 8).map(G_.FiniteCyclic),
+                 st.integers(1, 4).map(G_.FiniteSym), quotients()),
+       st.data())
+def test_table_of_left_factors_is_rows_of_the_table(F, data):
+    elems = F.elements()
+    slots = data.draw(st.lists(st.integers(0, len(elems) - 1), min_size=1,
+                               max_size=6))
+    rows = G_.table(F, [elems[i] for i in slots])
+    assert rows.dtype == np.int64
+    assert rows.tolist() == G_.table(F)[slots].tolist()
+
+
+@settings(max_examples=40, deadline=None)
 @given(quotients(), st.data())
 def test_quotient_action_is_rows_of_the_table(Q, data):
     k = len(Q.parent.coords(Q.parent.identity()))
