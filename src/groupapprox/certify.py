@@ -70,6 +70,9 @@ class WordCapExceeded(Exception):
 DEFAULT_FLOAT_MARGIN = 1e-9
 DEFAULT_WORD_CAP = 10 ** 6
 
+# the report note of a verification that took the commutant kernel
+COMMUTANT_NOTE = "commutant kernel (exact moved-point counts)"
+
 _UNITARY_TYPES = (T_.UnitaryMatrix, T_.PermUnitary, T_.AugmentedUnitary,
                   T_.ImplicitTensorUnitary)
 
@@ -390,38 +393,75 @@ def _failed_conditions(defect, separation, n, epsilon, exact, margin):
             if not ok]
 
 
+def _batch(B, targets):
+    """T_.batch of the targets of B's elements, told which are the images of
+    the generators so that regular actions get the commutant kernel."""
+    return T_.batch(targets, [B.index(s) for _, s in B.group.generators()
+                              if s in B])
+
+
 def _defect_sweep(B, rows, zero):
     """Max of d(pi(g) pi(h), pi(gh)) over g, h, gh in B.
 
     Returns (max, (g, h, gh) slots of the first pair attaining it or None
-    when the max is zero, number of pairs).
+    when the max is zero, number of pairs). Rows with a transitive
+    commutant take the one-point kernel, others the row sweep.
     """
     table = B.products()
-    worst, wit, pairs = zero, None, 0
-    for i in range(len(B)):
+    worst, wit = rows.max_defect_all(table, zero) \
+        if rows.transitive_commutant else _defect_rows(table, rows, zero)
+    return worst, wit, int(np.count_nonzero(table >= 0))
+
+
+def _defect_rows(table, rows, zero):
+    """The row sweep of _defect_sweep: (max, first slots attaining it)."""
+    worst, wit = zero, None
+    for i in range(len(table)):
         js = np.flatnonzero(table[i] >= 0)
         ts = table[i, js]
-        pairs += len(js)
         d, r = rows.max_defect(i, js, ts)
         if d > worst:
             worst, wit = d, (i, int(js[r]), int(ts[r]))
-    return worst, wit, pairs
+    return worst, wit
 
 
-def _separation_sweep(B, nearest):
-    """Min distance over distinct pairs of B, with ``nearest`` a batch row
-    query: (min or None when |B| = 1, slots of the first such pair, pairs)."""
+def _separation_sweep(B, rows, projective):
+    """Min distance (projective if asked) over distinct pairs of B: (min or
+    None when |B| = 1, slots of the first such pair, pairs). Rows with a
+    transitive commutant take the one-point kernel, others the row sweep."""
     size = len(B)
+    best, wit = rows.min_dist_all() if rows.transitive_commutant \
+        else _separation_rows(size, rows.min_pdist if projective
+                              else rows.min_dist)
+    return best, wit, size * (size - 1) // 2
+
+
+def _separation_rows(size, nearest):
+    """The row sweep of _separation_sweep, with ``nearest`` a batch row
+    query: (min or None, slots of the first pair attaining it)."""
     best, wit = None, None
     for i in range(size - 1):
         d, r = nearest(i, np.arange(i + 1, size))
         if best is None or d < best:
             best, wit = d, (i, i + 1 + r)
-    return best, wit, size * (size - 1) // 2
+    return best, wit
 
 
 def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None):
-    """Check Def-style conditions (1) and (2) on the ball; strict, fail closed."""
+    """Check Def-style conditions (1) and (2) on the ball; strict, fail closed.
+
+    Translation certificates on Z take a closed form. Permutation and
+    permutation-unitary certificates whose images commute with a transitive
+    group R take the commutant kernel: a permutation commuting with R fixes
+    no point or all (the centralizer of a transitive group is semiregular),
+    so each pair is decided at one point, exactly. R is derived from the
+    generators' images by a Schreier tree from point 0, and its generators
+    are checked exactly to commute with every image, which makes R
+    transitive (see targets._PermRows); if the tree misses a point or the
+    check fails, the row sweep runs. Every left-regular certificate
+    (from_quotient, exact_finite, and direct_product or perm_to_hyp of
+    those) takes the kernel, and its report says so.
+    """
     _require_margin(margin)
     n = cert.n if at_n is None else at_n
     if n < 1:
@@ -434,12 +474,11 @@ def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None):
     if fast is not None:
         return fast
     exact = cert.family in _EXACT_FAMILIES
-    rows = T_.batch(targets)
+    rows = _batch(B, targets)
     worst_def, def_slots, pairs = _defect_sweep(
         B, rows, Fraction(0) if exact else 0.0)
-    projective = cert.family in ("hyp-projective", "lin-projective")
     worst_sep, sep_slots, sep_pairs = _separation_sweep(
-        B, rows.min_pdist if projective else rows.min_dist)
+        B, rows, cert.family in ("hyp-projective", "lin-projective"))
     if worst_sep is None:
         worst_sep = cert.epsilon if exact else float(cert.epsilon)
 
@@ -448,10 +487,13 @@ def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None):
             else [cert.group.fmt(B.elements[s]) for s in slots]
     failed = _failed_conditions(worst_def, worst_sep, n, cert.epsilon,
                                 exact, margin)
+    notes = ["exact arithmetic" if exact else "floating metric, margin applied"]
+    if rows.transitive_commutant:
+        notes.append(COMMUTANT_NOTE)
     return VerificationReport(
         failed, n, cert.epsilon, worst_def, fmt(def_slots), worst_sep,
         fmt(sep_slots), pairs, sep_pairs, margin if not exact else 0.0,
-        notes=["exact arithmetic" if exact else "floating metric, margin applied"])
+        notes=notes)
 
 
 def _verify_translation_fast(cert, B, n):
@@ -718,7 +760,7 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
     e_t = target_identity_like(next(iter(targets.values())))
     e_g = grp.identity()
 
-    eps0, _, _ = _defect_sweep(B, T_.batch([targets[g] for g in B]),
+    eps0, _, _ = _defect_sweep(B, _batch(B, [targets[g] for g in B]),
                                Fraction(0) if exact else 0.0)
     if exact:
         eps0 = eps0 + Fraction(1, 10 ** 12)

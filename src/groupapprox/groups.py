@@ -1083,9 +1083,6 @@ class SubgroupIndexData:
         h = self.restrict(self.parent.mul(self.parent.inv(self.reps[i]), p))
         return i, h
 
-    def kernel_contains(self, p):
-        return self.restrict(p) is not None
-
     def descriptor(self):
         return {"kind": self.kind, "index": self.index,
                 "parent": self.parent.descriptor()}

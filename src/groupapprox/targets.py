@@ -958,19 +958,21 @@ class PermWreathElement:
 # ---------------------------------------------------------------------------
 # batched distances
 
-def batch(images):
+def batch(images, gens):
     """Distances from one image of a fixed list to many others.
 
     Row queries return the extreme distance and its position in the row.
     Lists of Permutation or of PermUnitary are compared as one integer image
     array; every other list (CyclicPerm included, whose scalar mul/dist are
     O(1) closed forms) calls its scalar mul/dist/pdist. Either way a row's
-    value equals the scalar extreme.
+    value equals the scalar extreme. ``gens`` are the positions of the
+    images of a generating set, from which an integer image array derives
+    its commutant kernel (see _PermRows).
     """
     if all(isinstance(t, Permutation) for t in images):
-        return _PermRows([t.images for t in images], hamming=True)
+        return _PermRows([t.images for t in images], True, gens)
     if all(isinstance(t, PermUnitary) for t in images):
-        return _PermRows([t.perm.images for t in images], hamming=False)
+        return _PermRows([t.perm.images for t in images], False, gens)
     return _ScalarRows(images)
 
 
@@ -981,6 +983,8 @@ def _first_extreme(values, pick):
 
 
 class _ScalarRows:
+    transitive_commutant = False
+
     def __init__(self, images):
         self.images = images
 
@@ -1005,12 +1009,70 @@ class _PermRows:
     """Rows over an integer image array; distances come from moved-point
     counts, converted with the scalar formulas: Fraction(moved, k) for
     Hamming, sqrt(2 - 2 tau) with tau = fixed/k for Hilbert-Schmidt, whose
-    projective form coincides because tau >= 0."""
+    projective form coincides because tau >= 0.
 
-    def __init__(self, images, hamming):
+    Commutant kernel. If a permutation commutes with every element of a
+    transitive group R, its fixed points form an R-invariant set, so it
+    fixes no point or all k (the centralizer of a transitive group is
+    semiregular; Dixon and Mortimer, Permutation Groups). When every image
+    P_g commutes with such an R, so does every P_t^-1 P_i P_j and every
+    P_i^-1 P_j, and one point decides a whole row pair: with v = P[:, 0],
+    d(P_i P_j, P_t) is nonzero iff P_i(v_j) != v_t, and d(P_i, P_j) is zero
+    iff v_i == v_j. ``transitive_commutant`` says whether such an R was
+    found and checked; ``max_defect_all`` and ``min_dist_all`` are then
+    exact and equal the row sweep's values and first witnesses. Every
+    left-regular action of a finite group (and a direct product of such)
+    has one: its right translations.
+
+    R is derived from the generator images, and nothing derived is trusted:
+      1. a Schreier tree from point 0 under the rows ``gens`` gives, for
+         each point p, a word gamma_p in them with gamma_p(0) = p;
+      2. for each x in {P_s(0) : s in gens}, c_x(p) = gamma_p(x), filled
+         in tree order as c_x(p) = P_s(c_x(parent(p)));
+      3. every c_x must commute with every row, checked exactly.
+    Then R = <c_x> is transitive with no further search. The rows gens
+    generate a transitive group H, so each c_x, commuting with H, is a
+    permutation. And any word w = P_s w' in them has w(0) = P_s(c(0)) =
+    c(P_s(0)) = c(c_x(0)) for x = P_s(0) once w'(0) = c(0) with c in R;
+    by induction every point gamma_p(0) lies in the R-orbit of 0.
+    If the tree misses a point or the check fails, the rows keep only the
+    row queries, and the verifier runs its row sweep.
+    """
+
+    def __init__(self, images, hamming, gens):
         self.P = np.array(images, dtype=np.int32)
         self.k = self.P.shape[1]
         self.hamming = hamming
+        self.transitive_commutant = self._derive_commutant(self.P[list(gens)])
+
+    def _derive_commutant(self, S):
+        P, k = self.P, self.k
+        xs = np.unique(S[:, 0])
+        # C[a, p] = c_x(p) for x = xs[a]; int32 like P
+        C = np.empty((len(xs), k), dtype=np.int32)
+        C[:, 0] = xs
+        seen = np.zeros(k, dtype=bool)
+        seen[0] = True
+        level = np.zeros(1, dtype=np.int32)
+        while len(level):
+            grown = [level[:0]]  # an empty level when S has no rows
+            for s in S:
+                ps = s[level]
+                new = ~seen[ps]
+                ps = ps[new]
+                seen[ps] = True
+                C[:, ps] = s[C[:, level[new]]]
+                grown.append(ps)
+            level = np.concatenate(grown)
+        if not seen.all():
+            return False
+        step = max(1, G_._BLOCK // k)
+        for c in C:
+            for i in range(0, len(P), step):
+                rows = P[i:i + step]
+                if not np.array_equal(c[rows], rows[:, c]):
+                    return False
+        return True
 
     def _value(self, moved):
         if self.hamming:
@@ -1035,6 +1097,40 @@ class _PermRows:
         if self.hamming:
             raise TypeError("the Hamming metric has no projective form")
         return self.min_dist(i, js)
+
+    def max_defect_all(self, table, zero):
+        """Commutant kernel of the defect sweep over the product table
+        (entries -1 skipped): (max, the first (i, j, table[i, j]) in row
+        order attaining it, or None when the max is ``zero``). The |B| x |B|
+        gather runs in blocks of rows, as Ball.products() does."""
+        P, v = self.P, self.P[:, 0]
+        size = len(table)
+        step = max(1, G_._BLOCK // size)
+        for i in range(0, size, step):
+            T = table[i:i + step]
+            hit = np.flatnonzero((T >= 0) & (P[i:i + step][:, v] != v[T]))
+            if len(hit):
+                r, j = divmod(int(hit[0]), size)
+                return self._value(self.k), (i + r, j, int(T[r, j]))
+        return zero, None
+
+    def min_dist_all(self):
+        """Commutant kernel of the separation sweep over the distinct
+        pairs (i < j): (min or None when there is one row, the first i with
+        a later j attaining it, with its first such j). Serves the
+        projective distance too."""
+        v = self.P[:, 0]
+        if len(v) < 2:
+            return None, None
+        _, inverse, counts = np.unique(v, return_inverse=True,
+                                       return_counts=True)
+        # the first row whose point recurs is that point's first row
+        repeated = np.flatnonzero(counts[inverse] > 1)
+        if not len(repeated):
+            return self._value(self.k), (0, 1)
+        i = int(repeated[0])
+        j = i + 1 + int(np.flatnonzero(v[i + 1:] == v[i])[0])
+        return self._value(0), (i, j)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,11 @@ def _sweep_certificates():
                             "sofic")
     yield "permutation", perm
     yield "permutation-mutated", _replace(perm, (1, 0), perm.target((0, 1)))
+    # a transposition inside one image: no transitive commutant, row sweep
+    moved = list(perm.target((0, -1)).images)
+    moved[0], moved[1] = moved[1], moved[0]
+    yield "permutation-transposed", _replace(perm, (0, -1),
+                                             T_.Permutation(moved))
     cyc = cyclic(3)
     yield "cyclic-nontranslation", _replace(cyc, (1,), T_.CyclicPerm(7, 2))
     hyp = X_.perm_to_hyp(cyclic(8), 2)
@@ -186,11 +191,18 @@ def _sweep_certificates():
     yield "perm-wreath", C_.ApproxCertificate(Z, 2, "sofic", wreath)
 
 
-@pytest.mark.parametrize("cert", [pytest.param(cert, id=name)
-                                  for name, cert in _sweep_certificates()])
-def test_sweep_matches_reference_loop(cert):
+# the regular actions, and mutations keeping them in the commutant, take
+# the commutant kernel; every other certificate takes the row sweep
+_KERNEL_CASES = {"permutation", "permutation-mutated", "perm-unitary",
+                 "perm-unitary-mutated", "perm-unitary-projective"}
+
+
+@pytest.mark.parametrize("name,cert", [pytest.param(name, cert, id=name)
+                                       for name, cert in _sweep_certificates()])
+def test_sweep_matches_reference_loop(name, cert):
     rep = C_.verify_D(cert)
     assert not any("fast path" in note for note in rep.notes)
+    assert (C_.COMMUTANT_NOTE in rep.notes) == (name in _KERNEL_CASES)
     want = _reference_verify(cert)
     got = {"passed": rep.passed, "defect": rep.defect,
            "defect_witness": rep.defect_witness,
@@ -228,7 +240,7 @@ def test_batch_rows_equal_scalar_extremes(data):
     i = data.draw(slot)
     js = data.draw(st.lists(slot, min_size=1, max_size=8))
     ts = data.draw(st.lists(slot, min_size=len(js), max_size=len(js)))
-    rows = T_.batch(images)
+    rows = T_.batch(images, [])
     x = images[i]
 
     def check(got, scalar, pick):
@@ -242,6 +254,113 @@ def test_batch_rows_equal_scalar_extremes(data):
     if kind in ("perm-unitary", "unitary-mixed"):
         check(rows.min_pdist(i, np.array(js)),
               [x.pdist(images[j]) for j in js], min)
+
+
+# ---------------------------------------------------------------------------
+# commutant kernel
+
+def _regular_certificate(data):
+    """A left-regular certificate: a quotient of Z, Z^2, Z^3 or
+    Heisenberg(1), perm_to_hyp of cyclic_Z, a direct product, or |B| = 1."""
+    kind = data.draw(st.sampled_from(
+        ["Z", "Z^2", "Z^3", "Heisenberg", "cyclic-hyp", "product", "trivial"]))
+    family = data.draw(st.sampled_from(["sofic", "hyp"]))
+    if kind == "cyclic-hyp":
+        n = data.draw(st.integers(1, 3))
+        return X_.perm_to_hyp(X_.cyclic_Z(2 * n * n), n)
+    if kind == "trivial":
+        return X_.exact_finite(G_.FiniteCyclic(1), 1)
+    if kind == "Heisenberg":
+        H = G_.Heisenberg(1)
+        n = data.draw(st.integers(1, 2))
+        m = data.draw(st.integers(3 * n, 3 * n + 2))
+        return X_.from_quotient(H, G_.CongruenceMod(H, m), n, family)
+    if kind == "product":
+        a, b = (X_.from_quotient(Z, G_.LatticeHNF(Z, [(m,)]), 1, family)
+                for m in data.draw(st.lists(st.integers(3, 9), min_size=2,
+                                            max_size=2)))
+        return X_.direct_product(a, b)
+    d = {"Z": 1, "Z^2": 2, "Z^3": 3}[kind]
+    n = data.draw(st.integers(1, {1: 6, 2: 3, 3: 2}[d]))
+    # diagonal entries above 2n keep the kernel off B(2n)
+    rows = [tuple(data.draw(st.integers(2 * n + 1, 2 * n + 3)) if j == i
+                  else data.draw(st.integers(0, 4)) if j > i else 0
+                  for j in range(d)) for i in range(d)]
+    G = G_.FreeAbelian(d)
+    return X_.from_quotient(G, G_.LatticeHNF(G, rows), n, family)
+
+
+def _kernel_and_sweep(B, rows, zero):
+    """(kernel, row sweep) values and witnesses of both sweeps."""
+    table = B.products()
+    kernel = (rows.max_defect_all(table, zero), rows.min_dist_all())
+    sweep = (C_._defect_rows(table, rows, zero),
+             C_._separation_rows(len(B), rows.min_dist))
+    if not rows.hamming:
+        assert C_._separation_rows(len(B), rows.min_pdist) == sweep[1]
+    return kernel, sweep
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_commutant_kernel_matches_row_sweep(data):
+    cert = _regular_certificate(data)
+    B = G_.ball(cert.group, cert.n)
+    perms = [list(getattr(cert.target(p), "perm", cert.target(p)).images)
+             for p in B]
+    hamming = cert.family == "sofic"
+    zero = Fraction(0) if hamming else 0.0
+    gens = [B.index(s) for _, s in cert.group.generators()]
+    mutation = data.draw(st.sampled_from(
+        ["none", "swap", "duplicate", "transposition", "fixed-point"]))
+    slot = st.integers(0, len(B) - 1)
+    if mutation in ("swap", "duplicate") and len(B) > 1:
+        a = data.draw(slot)
+        b = data.draw(slot.filter(lambda b: b != a))
+        if mutation == "swap":
+            perms[a], perms[b] = perms[b], perms[a]
+        else:
+            perms[a] = perms[b]
+    elif mutation == "transposition" and len(perms[0]) > 2:
+        a = data.draw(slot)
+        x, y = data.draw(st.permutations(range(len(perms[0]))))[:2]
+        perms[a][x], perms[a][y] = perms[a][y], perms[a][x]
+    elif mutation == "fixed-point":
+        perms = [p + [len(p)] for p in perms]
+    else:
+        mutation = "none"
+    images = [T_.Permutation(p) if hamming else T_.PermUnitary(p)
+              for p in perms]
+    rows = T_.batch(images, gens)
+    # images inside the commutant take the kernel, others fall back
+    assert rows.transitive_commutant == (
+        mutation in ("none", "swap", "duplicate"))
+    if rows.transitive_commutant:
+        kernel, sweep = _kernel_and_sweep(B, rows, zero)
+        assert kernel == sweep
+    verified = C_.verify_D(C_.ApproxCertificate(
+        cert.group, cert.n, cert.family, dict(zip(B, images))))
+    assert (C_.COMMUTANT_NOTE in verified.notes) == rows.transitive_commutant
+
+
+def test_commutant_kernel_keeps_applying(monkeypatch):
+    """The certificates of the hyp_amplify and verify_received workloads and
+    the lemma suite's eps0 verify with the row queries switched off."""
+    Z2 = G_.FreeAbelian(2)
+    hyp = X_.from_quotient(Z, G_.LatticeHNF(Z, [(643,)]), 320, "hyp")
+    big = X_.from_quotient(Z2, G_.LatticeHNF(Z2, [(25, 0), (0, 25)]), 12,
+                           "sofic")
+    small = X_.from_quotient(Z2, G_.LatticeHNF(Z2, [(17, 0), (0, 17)]), 8,
+                             "sofic")
+
+    def row_query(*args):
+        raise AssertionError("the row sweep ran")
+    monkeypatch.setattr(T_._PermRows, "max_defect", row_query)
+    monkeypatch.setattr(T_._PermRows, "min_dist", row_query)
+    for cert in (hyp, big):
+        rep = C_.verify_D(cert)
+        assert rep.passed and C_.COMMUTANT_NOTE in rep.notes
+    assert C_.lemma_consistency_suite(small)["pass"]
 
 
 # ---------------------------------------------------------------------------

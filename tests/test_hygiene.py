@@ -91,8 +91,6 @@ _LIBRARY_ONLY = {
                                          "kernel_witness",
     "groups.CongruenceMod.kernel_contains": "scalar reference for "
                                             "kernel_witness",
-    "groups.SubgroupIndexData.kernel_contains": "subgroup membership in the "
-                                                "quotients' vocabulary",
     "groups.index_subgroup_of_Z": "the coset data of mZ <= Z that "
                                   "induce_finite_index takes",
     "profiles.sofic_exact_oracle": "exact sofic value by backtracking, the "
