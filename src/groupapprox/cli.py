@@ -171,10 +171,7 @@ def cmd_ball(args):
     G = _group(args.group)
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
-    try:
-        B = G_.ball(G, args.n, cap=args.cap)
-    except G_.BallCapExceeded:
-        raise ResourceCap(f"ball cap {args.cap} exceeded")
+    B = G_.ball(G, args.n, cap=args.cap)
     artifact = {"group": G.descriptor(), "n": args.n, "size": len(B),
                 "elements": [G.fmt(p) for p in B.elements]}
     _write_json(artifact, args.out)
@@ -261,8 +258,6 @@ def cmd_construct(args):
         raise UsageError(str(e))
     except C_.UpstreamVerificationError as e:
         raise VerifyFailure(str(e))
-    except G_.BallCapExceeded as e:
-        raise ResourceCap(str(e))
     _write_json(cert.to_json(), args.out)
     if args.out not in (None, "-"):
         summary = {"family": cert.family, "n": cert.n,
@@ -289,8 +284,6 @@ def cmd_verify(args):
             rep = C_.verify_D(cert, margin=args.margin, at_n=args.at_n)
     except C_.WordCapExceeded as e:
         raise ResourceCap(str(e))
-    except G_.BallCapExceeded as e:
-        raise ResourceCap(str(e))
     report = rep.to_json()
     if args.lemma_suite:
         report["lemma_suite"] = C_.lemma_consistency_suite(
@@ -307,27 +300,14 @@ _PROFILE_FAMILIES = ("growth", "fin", "sofic", "hyp", "lin", "folner", "rf")
 
 
 def _profile_curve(G, desc, family, ns):
-    n_max = max(ns)
     if family == "growth":
         return P_.growth_curve(G, ns)
-    if isinstance(G, G_.FreeAbelian) and G.d == 1:
-        bundle = P_.standard_curves_Z(n_max=n_max)
-    elif isinstance(G, G_.FreeAbelian) and G.d == 2:
-        bundle = P_.standard_curves_Z2(n_max=n_max)
-    elif isinstance(G, G_.Heisenberg) and G.l == 1:
-        bundle = P_.standard_curves_heisenberg(n_max=n_max)
-    else:
+    label = next((k for k, e in P_.CATALOG.items() if e.group == G), None)
+    if label is None:
         raise UsageError(f"no profile curves for {desc}")
-    key = {"fin": "dfin", "sofic": "dsof", "hyp": "dhyp", "lin": "dlin",
-           "folner": "folner", "rf": "phi"}[family]
-    if key not in bundle:
+    if family not in P_.CATALOG[label].rules:
         raise UsageError(f"family {family!r} not available for {desc}")
-    curve = bundle[key]
-    trimmed = P_.ProfileCurve(curve.group_desc, curve.family)
-    for p in curve.points:
-        if p.n in ns:
-            trimmed.add(p)
-    return trimmed
+    return P_.standard_curves(label, families=[family], radii=ns)[family]
 
 
 def _fmt_value(v):
@@ -399,9 +379,17 @@ def cmd_folner(args):
     return EXIT_OK
 
 
+_QUOTIENT_FAMILIES = ("auto", "congruence", "congruence-least")
+
+
 def cmd_rfgrowth(args):
     G = _group(args.group)
     ns = _parse_range(args.n)
+    # not argparse choices: a --config value is a default, which argparse
+    # never checks against them
+    if args.quotients not in _QUOTIENT_FAMILIES:
+        raise UsageError(f"--quotients must be one of {_QUOTIENT_FAMILIES}, "
+                         f"not {args.quotients!r}")
     curve = P_.ProfileCurve(args.group, "rf")
     for n in ns:
         if n == 0:
@@ -417,23 +405,16 @@ def cmd_rfgrowth(args):
     return EXIT_OK
 
 
-_AUDIT_BUILDERS = {
-    "Z": lambda n: P_.standard_curves_Z(n_max=n or 10),
-    "Z^2": lambda n: P_.standard_curves_Z2(n_max=n or 5),
-    "Heisenberg(1)": lambda n: P_.standard_curves_heisenberg(n_max=n or 4),
-}
-
-
 def cmd_audit(args):
     if args.n_max is not None and args.n_max < 1:
         raise UsageError("--n-max must be at least 1")
     wanted = [g.strip() for g in args.groups.split(";")]
     curves = {}
     for label in wanted:
-        if label not in _AUDIT_BUILDERS:
+        if label not in P_.CATALOG:
             raise UsageError(
-                f"audit supports {sorted(_AUDIT_BUILDERS)}, not {label!r}")
-        curves[label] = _AUDIT_BUILDERS[label](args.n_max)
+                f"audit supports {sorted(P_.CATALOG)}, not {label!r}")
+        curves[label] = P_.standard_curves(label, args.n_max)
     report = P_.inequality_audit(curves)
     _write_json(report, args.out)
     if not report["pass"]:
@@ -510,7 +491,7 @@ def build_parser():
     sp.add_argument("--group", required=True)
     sp.add_argument("--n", required=True, help="N or LO..HI")
     sp.add_argument("--quotients", default="auto",
-                    help="auto|congruence|congruence-least")
+                    help="|".join(_QUOTIENT_FAMILIES))
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = add("audit", cmd_audit, "audit the profile inequality web")
@@ -550,7 +531,7 @@ def main(argv=None):
     except VerifyFailure as e:
         sys.stderr.write(f"verification failure: {e}\n")
         return EXIT_VERIFY
-    except ResourceCap as e:
+    except (ResourceCap, G_.BallCapExceeded) as e:
         sys.stderr.write(f"resource cap: {e}\n")
         return EXIT_CAP
 

@@ -3,6 +3,7 @@ builders, lower bounds from counting, Folner and residual-finiteness search,
 and an auditor for the inequality web tying the profiles together."""
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -641,119 +642,129 @@ def _factorial_sofic_lower(beta_n):
     return k
 
 
-def standard_curves_Z(n_max=10):
-    """The profile family used by the audit for Z."""
-    Z = G_.FreeAbelian(1)
-    rng = range(1, n_max + 1)
-    beta = growth_curve(Z, rng)
-    phi = ProfileCurve("Z", "rf")
-    for n in range(1, 2 * n_max + 1):
-        phi.add(full_rf_growth(Z, n))
-    dfin = ProfileCurve("Z", "fin")
-    for n in rng:
-        dfin.add(weakly_sofic_exact_Z(n))
-    dsof = ProfileCurve("Z", "sofic")
-    for n in rng:
-        dsof.add(ProfilePoint(n, 2 * n + 1, "upper",
-                              detail={"builder": "cyclic_Z"}))
-        dsof.add(ProfilePoint(n, _factorial_sofic_lower(2 * n + 1), "lower",
-                              detail={"note": "k! >= |B(n)| injectivity"}))
-    dlin = ProfileCurve("Z", "lin")
-    for n in rng:
-        dlin.add(ProfilePoint(n, 2 * n + 1, "upper",
-                              detail={"builder": "perm_to_lin"}))
-    dhyp = ProfileCurve("Z", "hyp")
-    for n in rng:
-        dhyp.add(ProfilePoint(n, 2 * (2 * n * n) + 1, "upper",
-                              detail={"builder": "perm_to_hyp at 2n^2"}))
-    folner = ProfileCurve("Z", "folner")
-    for n in range(1, 2 * n_max + 1):
-        folner.add(ProfilePoint(n, 2 * n * n * (n + 1), "upper",
-                                detail={"note": "interval"}))
-    folner.add(ProfilePoint(1, 4, "exact",
-                            detail={"note": "exhaustive search minimum"}))
-    return {"beta": beta, "phi": phi, "dfin": dfin, "dsof": dsof,
-            "dlin": dlin, "dhyp": dhyp, "folner": folner}
+def _up(n, value, **detail):
+    return ProfilePoint(n, value, "upper", detail=detail)
 
 
-def standard_curves_Z2(n_max=5):
-    Z2 = G_.FreeAbelian(2)
-    rng = range(1, n_max + 1)
-    beta = growth_curve(Z2, rng)
-    phi = ProfileCurve("Z^2", "rf")
-    for n in range(1, min(2 * n_max, 6) + 1):
-        phi.add(full_rf_growth(Z2, n))
-    for n in range(7, 2 * n_max + 1):
-        phi.add(ProfilePoint(n, (n + 1) ** 2, "upper",
-                             detail={"note": "diagonal lattice (n+1)Z^2"}))
-    dfin = ProfileCurve("Z^2", "fin")
-    for n in rng:
-        up = phi.best_upper(2 * n)
-        if up is not None:
-            dfin.add(ProfilePoint(n, up, "upper",
-                                  detail={"note": "kernel avoiding B(2n)"}))
-        dfin.add(ProfilePoint(n, G_.growth(Z2, n), "lower",
-                              detail={"note": "ball injection"}))
-    dsof = ProfileCurve("Z^2", "sofic")
-    for n in rng:
-        dsof.add(ProfilePoint(n, (2 * n + 1) ** 2, "upper",
-                              detail={"builder": "direct_product of cyclic"}))
-        dsof.add(ProfilePoint(n, _factorial_sofic_lower(G_.growth(Z2, n)),
-                              "lower", detail={"note": "k! >= |B(n)|"}))
-    dlin = ProfileCurve("Z^2", "lin")
-    for n in rng:
-        dlin.add(ProfilePoint(n, (2 * n + 1) ** 2, "upper",
-                              detail={"builder": "perm_to_lin"}))
-    dhyp = ProfileCurve("Z^2", "hyp")
-    for n in rng:
-        dhyp.add(ProfilePoint(n, (2 * (2 * n * n) + 1) ** 2, "upper",
-                              detail={"builder": "perm_to_hyp at 2n^2"}))
-    folner = ProfileCurve("Z^2", "folner")
-    for n in range(1, 2 * n_max + 1):
-        folner.add(ProfilePoint(n, folner_box_value_Zd(2, n), "upper",
-                                detail={"note": "minimal box"}))
-    return {"beta": beta, "phi": phi, "dfin": dfin, "dsof": dsof,
-            "dlin": dlin, "dhyp": dhyp, "folner": folner}
+def _low(n, value, **detail):
+    return ProfilePoint(n, value, "lower", detail=detail)
 
 
-def standard_curves_heisenberg(n_max=4):
-    H = G_.Heisenberg(1)
-    rng = range(1, n_max + 1)
-    beta = growth_curve(H, rng)
-    phi = ProfileCurve("Heisenberg(1)", "rf")
-    for n in range(1, 2 * n_max + 1):
-        phi.add(full_rf_growth(H, n, quotient_family="congruence"))
-        phi.add(full_rf_growth(H, n, quotient_family="congruence-least"))
-    dfin = ProfileCurve("Heisenberg(1)", "fin")
-    for n in rng:
-        dfin.add(ProfilePoint(n, phi.best_upper(2 * n), "upper",
-                              detail={"note": "congruence kernel at B(2n)"}))
-        dfin.add(ProfilePoint(n, G_.growth(H, n), "lower",
-                              detail={"note": "ball injection"}))
-    dsof = ProfileCurve("Heisenberg(1)", "sofic")
-    for n in rng:
-        dsof.add(ProfilePoint(n, phi.best_upper(2 * n), "upper",
-                              detail={"note": "quotient permutation action"}))
-        dsof.add(ProfilePoint(n, _factorial_sofic_lower(G_.growth(H, n)),
-                              "lower", detail={"note": "k! >= |B(n)|"}))
-    dlin = ProfileCurve("Heisenberg(1)", "lin")
-    for n in rng:
-        dlin.add(ProfilePoint(n, phi.best_upper(2 * n), "upper",
-                              detail={"builder": "perm_to_lin"}))
-    return {"beta": beta, "phi": phi, "dfin": dfin, "dsof": dsof,
-            "dlin": dlin}
+def _z_folner(G, n, rf):
+    interval = _up(n, 2 * n * n * (n + 1), note="interval")
+    if n > 1:
+        return [interval]
+    return [interval, ProfilePoint(
+        1, 4, "exact", detail={"note": "exhaustive search minimum"})]
+
+
+def _z2_fin(G, n, rf):
+    up = [] if rf(2 * n) is None else [
+        _up(n, rf(2 * n), note="kernel avoiding B(2n)")]
+    return up + [_low(n, G_.growth(G, n), note="ball injection")]
+
+
+_Entry = collections.namedtuple("_Entry", "group n_max rules")
+_GROWTH = (1, lambda G, n, rf: growth_curve(G, [n]).points)
+
+# The standard curves of each audited group: the audit's default n_max and,
+# per family, (span, rule). A family's curve runs over n = 1..span * n_max;
+# rule(G, n, rf) gives its points at radius n, where rf(m) is the best upper
+# rf value at radius m.
+CATALOG = {
+    "Z": _Entry(G_.FreeAbelian(1), 10, {
+        "growth": _GROWTH,
+        "rf": (2, lambda G, n, rf: [full_rf_growth(G, n)]),
+        "fin": (1, lambda G, n, rf: [weakly_sofic_exact_Z(n)]),
+        "sofic": (1, lambda G, n, rf: [
+            _up(n, 2 * n + 1, builder="cyclic_Z"),
+            _low(n, _factorial_sofic_lower(2 * n + 1),
+                 note="k! >= |B(n)| injectivity")]),
+        "lin": (1, lambda G, n, rf: [
+            _up(n, 2 * n + 1, builder="perm_to_lin")]),
+        "hyp": (1, lambda G, n, rf: [
+            _up(n, 2 * (2 * n * n) + 1, builder="perm_to_hyp at 2n^2")]),
+        "folner": (2, _z_folner),
+    }),
+    "Z^2": _Entry(G_.FreeAbelian(2), 5, {
+        "growth": _GROWTH,
+        "rf": (2, lambda G, n, rf: [
+            full_rf_growth(G, n) if n <= 6 else
+            _up(n, (n + 1) ** 2, note="diagonal lattice (n+1)Z^2")]),
+        "fin": (1, _z2_fin),
+        "sofic": (1, lambda G, n, rf: [
+            _up(n, (2 * n + 1) ** 2, builder="direct_product of cyclic"),
+            _low(n, _factorial_sofic_lower(G_.growth(G, n)),
+                 note="k! >= |B(n)|")]),
+        "lin": (1, lambda G, n, rf: [
+            _up(n, (2 * n + 1) ** 2, builder="perm_to_lin")]),
+        "hyp": (1, lambda G, n, rf: [
+            _up(n, (2 * (2 * n * n) + 1) ** 2,
+                builder="perm_to_hyp at 2n^2")]),
+        "folner": (2, lambda G, n, rf: [
+            _up(n, folner_box_value_Zd(2, n), note="minimal box")]),
+    }),
+    "Heisenberg(1)": _Entry(G_.Heisenberg(1), 4, {
+        "growth": _GROWTH,
+        "rf": (2, lambda G, n, rf: [
+            full_rf_growth(G, n, quotient_family="congruence"),
+            full_rf_growth(G, n, quotient_family="congruence-least")]),
+        "fin": (1, lambda G, n, rf: [
+            _up(n, rf(2 * n), note="congruence kernel at B(2n)"),
+            _low(n, G_.growth(G, n), note="ball injection")]),
+        "sofic": (1, lambda G, n, rf: [
+            _up(n, rf(2 * n), note="quotient permutation action"),
+            _low(n, _factorial_sofic_lower(G_.growth(G, n)),
+                 note="k! >= |B(n)|")]),
+        "lin": (1, lambda G, n, rf: [
+            _up(n, rf(2 * n), builder="perm_to_lin")]),
+    }),
+}
+
+
+def standard_curves(label, n_max=None, families=None, radii=None):
+    """The catalog curves of the group ``label``, keyed by family.
+
+    Builds only ``families`` (default: every family of the group), each at
+    ``radii`` or else over its own range 1..span * n_max, where n_max
+    defaults to the group's audit radius. Points are computed once per
+    (family, radius) and call, so rf(2n) costs one rf point however many
+    rules read it.
+    """
+    G, default_n_max, rules = CATALOG[label]
+    memo = {}
+
+    def points(family, n):
+        if (family, n) not in memo:
+            memo[family, n] = rules[family][1](G, n, rf)
+        return memo[family, n]
+
+    def rf(n):
+        return min((p.value for p in points("rf", n)
+                    if p.provenance != "lower" and p.value is not None),
+                   default=None)
+
+    curves = {}
+    for family in families or rules:
+        curve = curves[family] = ProfileCurve(
+            G.descriptor() if family == "growth" else label, family)
+        span = rules[family][0]
+        for n in radii or range(1, span * (n_max or default_n_max) + 1):
+            for p in points(family, n):
+                curve.add(p)
+    return curves
 
 
 _AUDIT_CHECKS = [
     # (name, LHS profile, LHS radius map, RHS profile, RHS radius map)
-    ("beta(n) <= phi(2n)", "beta", lambda n: n, "phi", lambda n: 2 * n),
-    ("beta(n) <= dfin(n)", "beta", lambda n: n, "dfin", lambda n: n),
-    ("dfin(n) <= phi(2n)", "dfin", lambda n: n, "phi", lambda n: 2 * n),
-    ("dsof(n) <= phi(2n)", "dsof", lambda n: n, "phi", lambda n: 2 * n),
-    ("dlin(n) <= dsof(n)", "dlin", lambda n: n, "dsof", lambda n: n),
-    ("dhyp(n) <= dsof(2n^2)", "dhyp", lambda n: n, "dsof",
+    ("beta(n) <= phi(2n)", "growth", lambda n: n, "rf", lambda n: 2 * n),
+    ("beta(n) <= dfin(n)", "growth", lambda n: n, "fin", lambda n: n),
+    ("dfin(n) <= phi(2n)", "fin", lambda n: n, "rf", lambda n: 2 * n),
+    ("dsof(n) <= phi(2n)", "sofic", lambda n: n, "rf", lambda n: 2 * n),
+    ("dlin(n) <= dsof(n)", "lin", lambda n: n, "sofic", lambda n: n),
+    ("dhyp(n) <= dsof(2n^2)", "hyp", lambda n: n, "sofic",
      lambda n: 2 * n * n),
-    ("dsof(n) <= folner(2n)", "dsof", lambda n: n, "folner",
+    ("dsof(n) <= folner(2n)", "sofic", lambda n: n, "folner",
      lambda n: 2 * n),
 ]
 

@@ -265,7 +265,7 @@ def test_10_product_certificates_for_Z2_and_sofic_upper_slope():
         c = X_.direct_product(X_.cyclic_Z(n), X_.cyclic_Z(n))
         assert c.dimension == (2 * n + 1) ** 2
         assert C_.verify_D(c).passed
-    fit = P_.standard_curves_Z2(n_max=10)["dsof"].fit_slope((2, 10))
+    fit = P_.standard_curves("Z^2", 10)["sofic"].fit_slope((2, 10))
     assert 1.6 <= fit["slope"] <= 2.4
     _within(t0, 60.0)
 
@@ -273,9 +273,9 @@ def test_10_product_certificates_for_Z2_and_sofic_upper_slope():
 def test_11_inequality_audit_clean_and_certificate_level_relations():
     t0 = time.monotonic()
     curves = {
-        "Z": P_.standard_curves_Z(),
-        "Z^2": P_.standard_curves_Z2(),
-        "Heisenberg(1)": P_.standard_curves_heisenberg(),
+        "Z": P_.standard_curves("Z"),
+        "Z^2": P_.standard_curves("Z^2"),
+        "Heisenberg(1)": P_.standard_curves("Heisenberg(1)"),
     }
     report = P_.inequality_audit(curves)
     assert report["pass"]

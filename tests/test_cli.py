@@ -8,6 +8,7 @@ from groupapprox import certify as C_
 from groupapprox import cli
 from groupapprox import construct as X_
 from groupapprox import groups as G_
+from groupapprox import profiles as P_
 from groupapprox import targets as T_
 
 Z = G_.FreeAbelian(1)
@@ -35,6 +36,33 @@ def test_ball_cap_exit(capsys):
                        "--cap", "10")
     assert code == 3
     assert "cap" in err
+
+
+def test_profile_ball_cap_exit(capsys):
+    # B(800) of Z^2 has 1,281,601 elements, past the default cap
+    code, out, err = run(capsys, "profile", "--group", "Z^2", "--family",
+                         "growth", "--n", "800")
+    assert code == 3
+    assert out == "" and err.startswith("resource cap: ")
+    assert "Traceback" not in err
+
+
+def _ball_cap(*args, **kwargs):
+    raise G_.BallCapExceeded(G_.Heisenberg(1), 90, G_.DEFAULT_BALL_CAP)
+
+
+@pytest.mark.parametrize("curve, argv", [
+    ("standard_curves", ["audit", "--groups", "Heisenberg(1)",
+                         "--n-max", "30"]),
+    ("full_rf_growth", ["rfgrowth", "--group", "Heisenberg(1)",
+                        "--n", "45"]),
+])
+def test_curve_ball_cap_exit(monkeypatch, capsys, curve, argv):
+    monkeypatch.setattr(P_, curve, _ball_cap)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == "" and err.startswith("resource cap: ")
+    assert "Traceback" not in err
 
 
 def test_ball_negative_radius_is_usage_error(capsys):
@@ -451,6 +479,11 @@ _BAD_INPUT = {
         "profile", "--group", "Z", "--family", "fin", "--n", "1..x"],
     "rfgrowth-range-not-an-integer": lambda t: [
         "rfgrowth", "--group", "Z", "--n", "abc"],
+    "rfgrowth-unknown-quotients-heisenberg": lambda t: [
+        "rfgrowth", "--group", "Heisenberg(1)", "--n", "2", "--quotients",
+        "bogus"],
+    "rfgrowth-unknown-quotients-Z": lambda t: [
+        "rfgrowth", "--group", "Z", "--n", "2", "--quotients", "bogus"],
     "slope-window-one-number": lambda t: [
         "profile", "--group", "Z", "--family", "sofic", "--n", "1..3",
         "--format", "json", "--slope-window", "2"],
@@ -673,6 +706,17 @@ def test_config_profile_matches_flags(tmp_path, capsys):
                             "fin", "--n", "1..3")
     assert code == 0
     assert cfg_out == flag_out
+
+
+def test_config_quotients_is_checked(tmp_path, capsys):
+    # argparse checks no default, and a config value is a default
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("quotients = bogus\n")
+    code, out, err = run(capsys, "--config", str(cfg), "rfgrowth", "--group",
+                         "Z", "--n", "2")
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_config_unknown_key(tmp_path, capsys):

@@ -4,7 +4,8 @@ The module-level functions, classes and constants of ``src/groupapprox``
 and the public methods of its classes count as used when their name is
 read somewhere in ``src/``, ``tests/`` or ``perfbench/``: as a name, an
 attribute or an import alias. Assigning a name is not reading it, so a
-constant does not count as its own user. Likewise every defaulted
+constant does not count as its own user; nor does a function or method
+whose only reads of its name are inside a definition of that name. Likewise every defaulted
 parameter of a function or method is passed, by keyword or by position,
 at some call there.
 
@@ -23,19 +24,32 @@ def _trees(*dirs):
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
+def _reads(node):
+    """The names a node reads: a name, an attribute or an import alias."""
+    if isinstance(node, ast.Name):
+        return [] if isinstance(node.ctx, ast.Store) else [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        last = node.name.rsplit(".", 1)[-1]
+        return [last, node.asname] if node.asname else [last]
+    return []
+
+
 def _referenced_names(*dirs):
     names = set()
+
+    def visit(node, inside):
+        # a read of N inside ``def N`` (a recursive call, or a method
+        # calling its namesake on another object) is not a user of N
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        names.update(n for n in _reads(node) if n not in inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
     for _, tree in _trees(*dirs):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx,
-                                                             ast.Store):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rsplit(".", 1)[-1])
-                if node.asname:
-                    names.add(node.asname)
+        visit(tree, frozenset())
     return names
 
 
@@ -104,6 +118,17 @@ _LIBRARY_ONLY = {
     "profiles.ra_profile": "residually amenable profile over a catalog of "
                            "quotients, library API",
     "profiles.upper_curve": "pointwise minimum over builders, library API",
+    "targets.block_sum": "direct sum, library API; the tests check its "
+                         "weighted-average distance identities",
+    "targets.UnitaryMatrix.tau": "normalized trace in closed form; the tests "
+                                 "compare it with the dense trace",
+    "targets.PermUnitary.tau": "normalized trace in closed form; the tests "
+                               "compare it with the dense trace",
+    "targets.AugmentedUnitary.tau": "normalized trace in closed form; the "
+                                    "tests compare it with the dense trace",
+    "targets.ImplicitTensorUnitary.tau": "normalized trace in closed form; "
+                                         "the tests compare it with the "
+                                         "dense trace",
 }
 
 

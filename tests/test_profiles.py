@@ -280,26 +280,26 @@ def test_upper_curve_builders():
 
 
 def test_standard_curves_Z_shape():
-    curves = P_.standard_curves_Z(n_max=6)
-    assert curves["dsof"].best_upper(4) == 9
-    assert curves["dfin"].exact(3) == 7
+    curves = P_.standard_curves("Z", 6)
+    assert curves["sofic"].best_upper(4) == 9
+    assert curves["fin"].exact(3) == 7
     assert curves["folner"].exact(1) == 4
-    assert curves["phi"].exact(12) == 13
-    assert curves["dsof"].best_lower(1) <= curves["dsof"].best_upper(1)
+    assert curves["rf"].exact(12) == 13
+    assert curves["sofic"].best_lower(1) <= curves["sofic"].best_upper(1)
 
 
 def test_standard_curves_Z2_shape():
-    curves = P_.standard_curves_Z2(n_max=3)
-    assert [curves["phi"].exact(n) for n in range(1, 7)] == [2, 5, 8, 13, 18, 25]
-    assert curves["dsof"].best_upper(2) == 25
+    curves = P_.standard_curves("Z^2", 3)
+    assert [curves["rf"].exact(n) for n in range(1, 7)] == [2, 5, 8, 13, 18, 25]
+    assert curves["sofic"].best_upper(2) == 25
     assert curves["folner"].best_upper(1) == 64
 
 
 def test_audit_zero_violations_smoke():
     curves = {
-        "Z": P_.standard_curves_Z(n_max=6),
-        "Z^2": P_.standard_curves_Z2(n_max=3),
-        "Heisenberg(1)": P_.standard_curves_heisenberg(n_max=2),
+        "Z": P_.standard_curves("Z", 6),
+        "Z^2": P_.standard_curves("Z^2", 3),
+        "Heisenberg(1)": P_.standard_curves("Heisenberg(1)", 2),
     }
     report = P_.inequality_audit(curves)
     assert report["pass"]
