@@ -550,11 +550,8 @@ def _letters(group):
     """Generator letters with inverse pairing, in generator order."""
     gens = group.generators()
     inv_lab = _inverse_label_map(group)
-    letters = []
     index = {lab: i for i, (lab, _) in enumerate(gens)}
-    for lab, p in gens:
-        letters.append((lab, p, index[inv_lab[lab]]))
-    return letters
+    return [(lab, p, index[inv_lab[lab]]) for lab, p in gens]
 
 
 def verify_W(h, n, cap=DEFAULT_WORD_CAP, margin=DEFAULT_FLOAT_MARGIN):
@@ -571,48 +568,95 @@ def verify_R(h, n, margin=DEFAULT_FLOAT_MARGIN):
 
 
 def _verify_words(h, n, cap, margin, relator_mode):
+    """Walk the reduced words depth first in blocks of one length, each row
+    a word's letters, group element and image. A block expands into its
+    children parent-major, letters descending: the pop order of a scalar
+    depth-first stack. Permutation or PermUnitary images form one integer
+    array (a child block is one gather, its distances one moved-point
+    count); other kinds multiply and measure their objects. Witnesses are
+    the first words in depth-first pre-order attaining the extreme: a
+    block's first, and across blocks the least key tuple(-letter)."""
     _require_margin(margin)
     if n < 1:
         raise CertificateError(f"cannot verify at word length {n}, below 1")
     grp = h.group
     letters = _letters(grp)
+    imgs = [h.images[lab] for lab, _, _ in letters]
     first = next(iter(h.images.values()))
     e_t = target_identity_like(first)
     exact = h.family in _EXACT_FAMILIES
     eps = h.epsilon
     e_g = grp.identity()
+    # the root has nl children and every other word nl - 1
+    count, level = 1, len(letters)
+    for _ in range(n):
+        if count > cap or not level:
+            break
+        count, level = count + level, level * (len(letters) - 1)
+    if count > cap:
+        raise WordCapExceeded(f"more than {cap} words at length {n}")
 
-    worst_triv = Fraction(0) if exact else 0.0
-    triv_wit = None
-    worst_sep = None
-    sep_wit = None
-    count = 0
+    arr = T_.perm_array(imgs)
+    if arr is not None:
+        L, hamming = arr
+        ident = np.arange(L.shape[1], dtype=np.int32)
+        root = ident[None]
 
-    # DFS over reduced words, tracking group element and target image
-    stack = [((), e_g, e_t, -1)]
+        def extend(T, par, let):
+            # (t s)(i) = t(s(i)), one gather from the flattened block
+            return np.take(T, (par * len(ident))[:, None] + L[let])
+
+        def extreme(T, rows, pick):
+            moved, r = T_._first_extreme(
+                np.count_nonzero(T[rows] != ident, axis=1).tolist(), pick)
+            return T_.moved_distance(moved, len(ident), hamming), r
+    else:
+        root = [e_t]
+
+        def extend(T, par, let):
+            return [T[p].mul(imgs[x]) for p, x in zip(par.tolist(),
+                                                      let.tolist())]
+
+        def extreme(T, rows, pick):
+            return T_._first_extreme((T[i].dist(e_t) for i in rows), pick)
+
+    # trivial and nontrivial words: [extreme, its key, its word]
+    best = {True: [Fraction(0) if exact else 0.0, None, None],
+            False: [None, None, None]}
+    kinds = ((False, min),) if relator_mode else ((True, max), (False, min))
+    inverse = np.array([i for _, _, i in letters])
+    down = np.arange(len(letters))[::-1]
+    step = max(1, G_._BLOCK // first.dim)
+    stack = [(np.zeros((1, 0), dtype=np.intp), [e_g], root)]
     while stack:
-        word, g, t, last = stack.pop()
-        count += 1
-        if count > cap:
-            raise WordCapExceeded(f"more than {cap} words at length {n}")
-        if word:
-            if g == e_g:
-                if not relator_mode:
-                    d = t.dist(e_t)
-                    if d > worst_triv:
-                        worst_triv = d
-                        triv_wit = " ".join(word)
-            else:
-                d = t.dist(e_t)
-                if worst_sep is None or d < worst_sep:
-                    worst_sep = d
-                    sep_wit = " ".join(word)
-        if len(word) < n:
-            for li, (lab, p, inv_i) in enumerate(letters):
-                if last >= 0 and letters[last][2] == li:
-                    continue  # immediate cancellation, word not reduced
-                stack.append((word + (lab,), grp.mul(g, p),
-                              t.mul(h.images[lab]), li))
+        W, gs, T = stack.pop()
+        if W.shape[1]:
+            trivial = np.array([g == e_g for g in gs])
+            for kind, pick in kinds:
+                rows = np.flatnonzero(trivial == kind)
+                if not len(rows):
+                    continue
+                d, r = extreme(T, rows, pick)
+                key = tuple((-W[rows[r]]).tolist())
+                value, old, _ = best[kind]
+                if value is None or (d != value and pick(d, value) == d) \
+                        or (d == value and old is not None and key < old):
+                    best[kind] = [d, key, " ".join(letters[-x][0]
+                                                   for x in key)]
+        if W.shape[1] < n:
+            par = np.repeat(np.arange(len(W)), len(letters))
+            let = np.tile(down, len(W))
+            if W.shape[1]:
+                keep = let != inverse[W[par, -1]]
+                par, let = par[keep], let[keep]
+            W = np.column_stack((W[par], let))
+            gs = [grp.mul(gs[p], letters[x][1])
+                  for p, x in zip(par.tolist(), let.tolist())]
+            T = extend(T, par, let)
+            for i in reversed(range(0, len(W), step)):
+                stack.append((W[i:i + step], gs[i:i + step], T[i:i + step]))
+    worst_triv, _, triv_wit = best[True]
+    worst_sep, _, sep_wit = best[False]
 
     notes = []
     if relator_mode:

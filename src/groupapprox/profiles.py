@@ -448,7 +448,9 @@ def full_rf_growth(G, n, quotient_family="auto"):
 
 def _rf_growth_lattice(G, n):
     cap = (n + 1) ** G.d + 1
-    for k in range(1, cap + 1):
+    # a sublattice of index k contains k e_1, of word length k, so every
+    # index k <= n meets B(n) outside the identity
+    for k in range(n + 1, cap + 1):
         for rows in _sublattices_of_index(G.d, k):
             Q = G_.LatticeHNF(G, rows)
             if G_.kernel_witness(G, Q, n) is None:

@@ -969,11 +969,29 @@ def batch(images, gens):
     images of a generating set, from which an integer image array derives
     its commutant kernel (see _PermRows).
     """
+    arr = perm_array(images)
+    return _ScalarRows(images) if arr is None else _PermRows(*arr, gens)
+
+
+def perm_array(images):
+    """(int32 image array, Hamming?) of a list of Permutation or of
+    PermUnitary images; None for any other list."""
     if all(isinstance(t, Permutation) for t in images):
-        return _PermRows([t.images for t in images], True, gens)
+        return np.array([t.images for t in images], dtype=np.int32), True
     if all(isinstance(t, PermUnitary) for t in images):
-        return _PermRows([t.perm.images for t in images], False, gens)
-    return _ScalarRows(images)
+        return np.array([t.perm.images for t in images],
+                        dtype=np.int32), False
+    return None
+
+
+def moved_distance(moved, k, hamming):
+    """The scalar distance from the identity of a permutation moving
+    ``moved`` of k points: Fraction(moved, k) for Hamming, sqrt(2 - 2 tau)
+    with tau = fixed/k for Hilbert-Schmidt."""
+    if hamming:
+        return Fraction(moved, k)
+    t = (k - moved) / k
+    return math.sqrt(max(0.0, 2.0 - 2.0 * t))
 
 
 def _first_extreme(values, pick):
@@ -1007,9 +1025,8 @@ class _ScalarRows:
 
 class _PermRows:
     """Rows over an integer image array; distances come from moved-point
-    counts, converted with the scalar formulas: Fraction(moved, k) for
-    Hamming, sqrt(2 - 2 tau) with tau = fixed/k for Hilbert-Schmidt, whose
-    projective form coincides because tau >= 0.
+    counts, converted by moved_distance, whose Hilbert-Schmidt value is
+    also the projective one because tau >= 0.
 
     Commutant kernel. If a permutation commutes with every element of a
     transitive group R, its fixed points form an R-invariant set, so it
@@ -1039,8 +1056,8 @@ class _PermRows:
     row queries, and the verifier runs its row sweep.
     """
 
-    def __init__(self, images, hamming, gens):
-        self.P = np.array(images, dtype=np.int32)
+    def __init__(self, P, hamming, gens):
+        self.P = P
         self.k = self.P.shape[1]
         self.hamming = hamming
         self.transitive_commutant = self._derive_commutant(self.P[list(gens)])
@@ -1075,10 +1092,7 @@ class _PermRows:
         return True
 
     def _value(self, moved):
-        if self.hamming:
-            return Fraction(moved, self.k)
-        t = (self.k - moved) / self.k
-        return math.sqrt(max(0.0, 2.0 - 2.0 * t))
+        return moved_distance(moved, self.k, self.hamming)
 
     def max_defect(self, i, js, ts):
         P = self.P

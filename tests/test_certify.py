@@ -397,6 +397,188 @@ def test_word_cap():
         C_.verify_W(h, 12, cap=1000)
 
 
+def _dfs_verify_words(h, n, cap, margin, relator_mode):
+    """Scalar depth-first walk over the reduced words, one word at a time:
+    the reference of the block walk in certify._verify_words."""
+    grp = h.group
+    letters = C_._letters(grp)
+    e_t = C_.target_identity_like(next(iter(h.images.values())))
+    exact = h.family in C_._EXACT_FAMILIES
+    eps = h.epsilon
+    e_g = grp.identity()
+    worst_triv, triv_wit = (Fraction(0) if exact else 0.0), None
+    worst_sep, sep_wit = None, None
+    count = 0
+    stack = [((), e_g, e_t, -1)]
+    while stack:
+        word, g, t, last = stack.pop()
+        count += 1
+        if count > cap:
+            raise C_.WordCapExceeded(f"more than {cap} words at length {n}")
+        if word:
+            if g == e_g:
+                if not relator_mode:
+                    d = t.dist(e_t)
+                    if d > worst_triv:
+                        worst_triv, triv_wit = d, " ".join(word)
+            else:
+                d = t.dist(e_t)
+                if worst_sep is None or d < worst_sep:
+                    worst_sep, sep_wit = d, " ".join(word)
+        if len(word) < n:
+            for li, (lab, p, _) in enumerate(letters):
+                if last >= 0 and letters[last][2] == li:
+                    continue  # immediate cancellation, word not reduced
+                stack.append((word + (lab,), grp.mul(g, p),
+                              t.mul(h.images[lab]), li))
+    notes = []
+    if relator_mode:
+        for r in h.relators:
+            if len(r) > n:
+                continue
+            d = h.image_of_word(r).dist(e_t)
+            if d > worst_triv:
+                worst_triv, triv_wit = d, " ".join(r)
+        notes.append("relator mode: only relators constrained near identity")
+    if worst_sep is None:
+        worst_sep = eps if exact else float(eps)
+    notes.append(f"words checked: {count}")
+    return C_.VerificationReport(
+        C_._failed_conditions(worst_triv, worst_sep, n, eps, exact, margin),
+        n, eps, worst_triv, triv_wit, worst_sep, sep_wit,
+        count, count, margin if not exact else 0.0, notes=notes)
+
+
+_WORD_GROUPS = {
+    "Z": Z, "Z^2": G_.FreeAbelian(2), "Heisenberg(1)": G_.Heisenberg(1),
+    "F2": G_.Free(2), "Z/2": G_.FiniteCyclic(2), "Z/3": G_.FiniteCyclic(3),
+    "Z/5": G_.FiniteCyclic(5), "Sym(3)": G_.FiniteSym(3),
+    "Z x Z/2": G_.DirectProduct(Z, G_.FiniteCyclic(2)),
+    "Lamplighter(Z/2)": G_.parse_group("Lamplighter(Z/2)")}
+
+_WORD_KINDS = ("permutation", "perm-unitary", "cyclic", "cyclic-mixed",
+               "rank", "fin")
+
+
+def _random_image(kind, k, rng):
+    if kind == "cyclic" or (kind == "cyclic-mixed" and rng.random() < 0.5):
+        return T_.CyclicPerm(k, rng.randrange(k))
+    perm = list(range(k))
+    rng.shuffle(perm)
+    if kind == "perm-unitary":
+        return T_.PermUnitary(perm)
+    if kind == "rank":
+        F = T_.FieldFp(3)
+        while True:
+            rows = [[rng.randrange(3) for _ in range(2)] for _ in range(2)]
+            if (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) % 3:
+                return T_.RankMatrix(rows, F)
+    return T_.Permutation(perm)
+
+
+def _random_hom(group, kind, rng):
+    """A hom certificate with random images of one kind (most fail), given
+    on one label of each inverse pair, or a regular quotient action of Z
+    or Z^2 (which passes at small n)."""
+    fin_group = None
+    if kind == "fin":
+        fin_group = T_.trivial_metric_group(G_.FiniteCyclic(5))
+    k = rng.randint(1, 6)
+    inverse = C_._inverse_label_map(group)
+    images, covered = {}, set()
+    for lab, _ in group.generators():
+        if lab not in covered:
+            covered |= {lab, inverse[lab]}
+            images[lab] = fin_group.element(rng.randrange(5)) \
+                if kind == "fin" else _random_image(kind, k, rng)
+    family = {"perm-unitary": rng.choice(["hyp", "hyp-projective"]),
+              "rank": "lin", "fin": "fin"}.get(kind, "sofic")
+    return C_.HomCertificate(group, images, family, fin_group=fin_group,
+                             relators=C_.default_relators(group))
+
+
+def _regular_hom(d, m, family):
+    G = G_.FreeAbelian(d)
+    cert = X_.from_quotient(G, G_.LatticeHNF(G, [
+        tuple(m if i == j else 0 for j in range(d)) for i in range(d)]),
+        1, family)
+    return C_.HomCertificate(G, {lab: cert.target(p)
+                                 for lab, p in G.generators()}, family,
+                             relators=C_.default_relators(G))
+
+
+def _same_reports(h, n):
+    for verify, relator_mode in ((C_.verify_W, False), (C_.verify_R, True)):
+        assert verify(h, n).to_json() == _dfs_verify_words(
+            h, n, C_.DEFAULT_WORD_CAP, C_.DEFAULT_FLOAT_MARGIN,
+            relator_mode).to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_word_walk_matches_dfs(data):
+    """The block walk reports what the scalar depth-first walk reports,
+    witnesses included, over every image kind and block size."""
+    name = data.draw(st.sampled_from(sorted(_WORD_GROUPS)))
+    kind = data.draw(st.sampled_from(_WORD_KINDS))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    group = _WORD_GROUPS[name]
+    regular = name in ("Z", "Z^2") and data.draw(st.booleans())
+    h = _regular_hom(group.d, rng.randint(3, 5), rng.choice(["sofic", "hyp"])) \
+        if regular else _random_hom(group, kind, rng)
+    n = data.draw(st.integers(1, 3 if kind == "rank" else 5))
+    rows = data.draw(st.sampled_from([None, 1, 5, 7]))
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(G_, "_BLOCK", rows * h.dimension)
+        _same_reports(h, n)
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_word_walk_across_block_edges(monkeypatch, rows):
+    """Blocks of 1 and 5 rows put ties on block edges; the witnesses stay
+    the first words in depth-first pre-order."""
+    rng = random.Random(rows)
+    homs = [_regular_hom(2, 17, "sofic"), _regular_hom(1, 3, "hyp")]
+    for name in ("Z", "F2", "Sym(3)", "Heisenberg(1)"):
+        for kind in ("permutation", "perm-unitary", "cyclic-mixed"):
+            homs.append(_random_hom(_WORD_GROUPS[name], kind, rng))
+    failing = 0
+    for h in homs:
+        monkeypatch.setattr(G_, "_BLOCK", rows * h.dimension)
+        _same_reports(h, 4)
+        failing += not C_.verify_W(h, 4).passed
+    assert failing >= len(homs) // 2
+
+
+def test_word_cap_is_counted_before_any_product(monkeypatch):
+    """The cap trips at the word count where the depth-first walk trips,
+    with its message, and before any word is multiplied."""
+    h = C_.HomCertificate(G_.Free(2), {"x1": T_.Permutation([1, 0]),
+                                       "x2": T_.Permutation([0, 1])}, "sofic")
+
+    def outcome(walk, n, cap):
+        try:
+            return walk(h, n, cap, C_.DEFAULT_FLOAT_MARGIN, False).to_json()
+        except C_.WordCapExceeded as e:
+            return str(e)
+    # 1 + 4 (1 + 3 + ... + 3^(n-1)) words: 161 at n = 4, 485 at n = 5
+    for n, words in ((4, 161), (5, 485)):
+        # 5 and 17 are the counts up to lengths 1 and 2
+        for cap in (0, 5, 17, words - 1, words):
+            assert outcome(C_._verify_words, n, cap) == \
+                outcome(_dfs_verify_words, n, cap)
+        assert outcome(C_._verify_words, n, words - 1) == \
+            f"more than {words - 1} words at length {n}"
+
+    def product(*args):
+        raise AssertionError("a word was multiplied")
+    monkeypatch.setattr(T_.Permutation, "mul", product)
+    monkeypatch.setattr(G_.Free, "mul", product)
+    with pytest.raises(C_.WordCapExceeded):
+        C_.verify_W(h, 40)
+
+
 def test_geodesic_words():
     w = C_.geodesic_words(Z, 3)
     assert w[(3,)] == ("x1", "x1", "x1")

@@ -574,6 +574,27 @@ def test_verify_lemma_suite(tmp_path, capsys):
     assert json.loads(out)["lemma_suite"]["pass"] is True
 
 
+def test_word_cap_exits_at_once(tmp_path, capsys):
+    # the word-level certificate of the verify_received benchmark: the
+    # regular action of Z^2 on Z^2/17Z^2, k = 289; at length 40 its word
+    # count is known to pass the cap before any word is built
+    Z2 = G_.FreeAbelian(2)
+    small = X_.from_quotient(Z2, G_.LatticeHNF(Z2, [(17, 0), (0, 17)]), 1,
+                             "sofic")
+    h = C_.HomCertificate(Z2, {lab: small.target(p)
+                               for lab, p in Z2.generators()}, "sofic",
+                          relators=C_.default_relators(Z2))
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(h.to_json()))
+    for mode in ([], ["--relators-only"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--cert", str(path),
+                             "--at-n", "40", *mode)
+        assert time.perf_counter() - start < 5.0
+        assert code == 3 and out == ""
+        assert err == "resource cap: more than 1000000 words at length 40\n"
+
+
 # ---------------------------------------------------------------------------
 # profile / folner / rfgrowth / audit
 

@@ -184,6 +184,28 @@ def test_rf_growth_Z2_frozen():
         assert n * n / 2 <= value <= (n + 1) ** 2
 
 
+def _rf_growth_lattice_from_one(G, n):
+    """Every index from k = 1: the full search that _rf_growth_lattice
+    starts at k = n + 1."""
+    cap = (n + 1) ** G.d + 1
+    for k in range(1, cap + 1):
+        for rows in P_._sublattices_of_index(G.d, k):
+            if G_.kernel_witness(G, G_.LatticeHNF(G, rows), n) is None:
+                return P_.ProfilePoint(
+                    n, k, "exact",
+                    detail={"kernel": rows,
+                            "note": "all finite-index subgroups enumerated"})
+    return P_.ProfilePoint(n, None, "lower",
+                           detail={"lower": cap + 1, "note": "cap exceeded"})
+
+
+@pytest.mark.parametrize("G,n_max", [(Z, 30), (Z2, 6)], ids=["Z", "Z^2"])
+def test_rf_growth_lattice_skips_indices_at_most_n(G, n_max):
+    for n in range(1, n_max + 1):
+        got = P_.full_rf_growth(G, n).to_json()
+        assert got == _rf_growth_lattice_from_one(G, n).to_json(), n
+
+
 def test_rf_growth_heisenberg_recipe():
     assert P_.heisenberg_congruence_modulus(1) == 2
     assert P_.heisenberg_congruence_modulus(3) == 9
