@@ -12,6 +12,7 @@ fail closed at a configurable margin which is carried in the report.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -45,7 +46,7 @@ def _decode_common(obj):
     return group, fin_group, eps
 
 
-def _decoded(decode, obj):
+def decoded(decode, obj):
     """Run a certificate decoder, turning any decoding failure of malformed
     input into CertificateError."""
     try:
@@ -188,7 +189,7 @@ class ApproxCertificate:
     @classmethod
     def from_json(cls, obj):
         """Decode a certificate; malformed input raises CertificateError."""
-        return _decoded(cls._decode, obj)
+        return decoded(cls._decode, obj)
 
     @classmethod
     def _decode(cls, obj):
@@ -235,12 +236,16 @@ class HomCertificate:
         for el in self.images.values():
             if el.dim != self.dimension:
                 raise CertificateError("images disagree on dimension")
-        # close under formal inverses
-        inv_pairs = _inverse_label_map(group)
-        for lab in list(self.images):
-            other = inv_pairs[lab]
-            if other not in self.images:
-                self.images[other] = self.images[lab].inv()
+        # close under formal inverses: a label without an image takes the
+        # inverse of the image of a given label whose payload is its inverse
+        given, gens = dict(self.images), group.generators()
+        for lab, p in gens:
+            if lab not in given:
+                src = [m for m, q in gens if m in given and q == group.inv(p)]
+                if not src:
+                    raise CertificateError(
+                        f"no image for generator {lab!r} nor for its inverse")
+                self.images[lab] = given[src[0]].inv()
 
     def image_of_word(self, labels):
         out = None
@@ -271,7 +276,7 @@ class HomCertificate:
     @classmethod
     def from_json(cls, obj):
         """Decode a certificate; malformed input raises CertificateError."""
-        return _decoded(cls._decode, obj)
+        return decoded(cls._decode, obj)
 
     @classmethod
     def _decode(cls, obj):
@@ -419,7 +424,7 @@ def _defect_rows(table, rows, zero):
     for i in range(len(table)):
         js = np.flatnonzero(table[i] >= 0)
         ts = table[i, js]
-        d, r = rows.max_defect(i, js, ts)
+        d, r = rows.take([i]).mul(rows.take(js)).extreme(rows.take(ts), max)
         if d > worst:
             worst, wit = d, (i, int(js[r]), int(ts[r]))
     return worst, wit
@@ -431,17 +436,18 @@ def _separation_sweep(B, rows, projective):
     transitive commutant take the one-point kernel, others the row sweep."""
     size = len(B)
     best, wit = rows.min_dist_all() if rows.transitive_commutant \
-        else _separation_rows(size, rows.min_pdist if projective
-                              else rows.min_dist)
+        else _separation_rows(rows, projective)
     return best, wit, size * (size - 1) // 2
 
 
-def _separation_rows(size, nearest):
-    """The row sweep of _separation_sweep, with ``nearest`` a batch row
-    query: (min or None, slots of the first pair attaining it)."""
+def _separation_rows(rows, projective):
+    """The row sweep of _separation_sweep: (min or None, slots of the
+    first pair attaining it)."""
     best, wit = None, None
+    size = len(rows)
     for i in range(size - 1):
-        d, r = nearest(i, np.arange(i + 1, size))
+        d, r = rows.take([i]).extreme(rows.take(range(i + 1, size)), min,
+                                      projective)
         if best is None or d < best:
             best, wit = d, (i, i + 1 + r)
     return best, wit
@@ -457,10 +463,13 @@ def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None):
     so each pair is decided at one point, exactly. R is derived from the
     generators' images by a Schreier tree from point 0, and its generators
     are checked exactly to commute with every image, which makes R
-    transitive (see targets._PermRows); if the tree misses a point or the
-    check fails, the row sweep runs. Every left-regular certificate
+    transitive (see targets._PermRows). Every left-regular certificate
     (from_quotient, exact_finite, and direct_product or perm_to_hyp of
-    those) takes the kernel, and its report says so.
+    those) takes the kernel, and its report says so. Every other
+    certificate takes the row sweep: the images are targets.batch rows,
+    and row g is multiplied by the rows h and measured against the rows gh
+    (then against the later rows, for (2)) with the rows' own mul and
+    extreme, whatever the kind of target.
     """
     _require_margin(margin)
     n = cert.n if at_n is None else at_n
@@ -571,19 +580,22 @@ def _verify_words(h, n, cap, margin, relator_mode):
     """Walk the reduced words depth first in blocks of one length, each row
     a word's letters, group element and image. A block expands into its
     children parent-major, letters descending: the pop order of a scalar
-    depth-first stack. Permutation or PermUnitary images form one integer
-    array (a child block is one gather, its distances one moved-point
-    count); other kinds multiply and measure their objects. Witnesses are
-    the first words in depth-first pre-order attaining the extreme: a
-    block's first, and across blocks the least key tuple(-letter)."""
+    depth-first stack. The images are rows of one targets.batch R whose
+    row 0 is the identity and row x + 1 the image of letter x: a child
+    block is a block's rows times R's letter rows, and each word is
+    measured against row 0. Witnesses are the first words in depth-first
+    pre-order attaining the extreme: a block's first, and across blocks
+    the least key tuple(-letter)."""
     _require_margin(margin)
     if n < 1:
         raise CertificateError(f"cannot verify at word length {n}, below 1")
     grp = h.group
     letters = _letters(grp)
-    imgs = [h.images[lab] for lab, _, _ in letters]
     first = next(iter(h.images.values()))
-    e_t = target_identity_like(first)
+    # the identity shares the letters' kind, so a mixed list stays scalar
+    R = T_.batch([target_identity_like(first)]
+                 + [h.images[lab] for lab, _, _ in letters])
+    ident = R.take([0])
     exact = h.family in _EXACT_FAMILIES
     eps = h.epsilon
     e_g = grp.identity()
@@ -596,38 +608,14 @@ def _verify_words(h, n, cap, margin, relator_mode):
     if count > cap:
         raise WordCapExceeded(f"more than {cap} words at length {n}")
 
-    arr = T_.perm_array(imgs)
-    if arr is not None:
-        L, hamming = arr
-        ident = np.arange(L.shape[1], dtype=np.int32)
-        root = ident[None]
-
-        def extend(T, par, let):
-            # (t s)(i) = t(s(i)), one gather from the flattened block
-            return np.take(T, (par * len(ident))[:, None] + L[let])
-
-        def extreme(T, rows, pick):
-            moved, r = T_._first_extreme(
-                np.count_nonzero(T[rows] != ident, axis=1).tolist(), pick)
-            return T_.moved_distance(moved, len(ident), hamming), r
-    else:
-        root = [e_t]
-
-        def extend(T, par, let):
-            return [T[p].mul(imgs[x]) for p, x in zip(par.tolist(),
-                                                      let.tolist())]
-
-        def extreme(T, rows, pick):
-            return T_._first_extreme((T[i].dist(e_t) for i in rows), pick)
-
     # trivial and nontrivial words: [extreme, its key, its word]
     best = {True: [Fraction(0) if exact else 0.0, None, None],
             False: [None, None, None]}
     kinds = ((False, min),) if relator_mode else ((True, max), (False, min))
     inverse = np.array([i for _, _, i in letters])
     down = np.arange(len(letters))[::-1]
-    step = max(1, G_._BLOCK // first.dim)
-    stack = [(np.zeros((1, 0), dtype=np.intp), [e_g], root)]
+    step = max(1, G_.BLOCK // first.dim)
+    stack = [(np.zeros((1, 0), dtype=np.intp), [e_g], ident)]
     while stack:
         W, gs, T = stack.pop()
         if W.shape[1]:
@@ -636,7 +624,7 @@ def _verify_words(h, n, cap, margin, relator_mode):
                 rows = np.flatnonzero(trivial == kind)
                 if not len(rows):
                     continue
-                d, r = extreme(T, rows, pick)
+                d, r = T.take(rows).extreme(ident, pick)
                 key = tuple((-W[rows[r]]).tolist())
                 value, old, _ = best[kind]
                 if value is None or (d != value and pick(d, value) == d) \
@@ -652,19 +640,21 @@ def _verify_words(h, n, cap, margin, relator_mode):
             W = np.column_stack((W[par], let))
             gs = [grp.mul(gs[p], letters[x][1])
                   for p, x in zip(par.tolist(), let.tolist())]
-            T = extend(T, par, let)
+            T = T.take(par).mul(R.take(let + 1))
             for i in reversed(range(0, len(W), step)):
-                stack.append((W[i:i + step], gs[i:i + step], T[i:i + step]))
+                block = range(i, min(i + step, len(W)))
+                stack.append((W[i:i + step], gs[i:i + step], T.take(block)))
     worst_triv, _, triv_wit = best[True]
     worst_sep, _, sep_wit = best[False]
 
     notes = []
     if relator_mode:
+        row = {lab: x + 1 for x, (lab, _, _) in enumerate(letters)}
         for r in h.relators:
             if len(r) > n:
                 continue
-            img = h.image_of_word(r)
-            d = img.dist(e_t)
+            img = _product([R.take([row[lab]]) for lab in r] or [ident])
+            d, _ = img.extreme(ident, max)
             if d > worst_triv:
                 worst_triv = d
                 triv_wit = " ".join(r)
@@ -676,6 +666,11 @@ def _verify_words(h, n, cap, margin, relator_mode):
         _failed_conditions(worst_triv, worst_sep, n, eps, exact, margin),
         n, eps, worst_triv, triv_wit, worst_sep, sep_wit,
         count, count, margin if not exact else 0.0, notes=notes)
+
+
+def _product(factors):
+    """The row-by-row product of a nonempty list of rows, left to right."""
+    return functools.reduce(lambda a, b: a.mul(b), factors)
 
 
 def geodesic_words(group, m):
@@ -792,113 +787,95 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
     """Empirical check of the five approximate-homomorphism bounds.
 
     The multiplicativity defect eps0 is measured on pairs with product in the
-    ball; tuples are sampled so that all signed prefix products stay in the
-    ball. Exact certificates get a hair above zero so the strict bounds are
-    meaningful.
+    ball; tuples of ball slots are sampled so that all signed prefix products
+    stay in the ball. Group products are read from the ball's product table
+    and images composed as rows (targets.batch), all tuples of one sign
+    pattern at once. Exact certificates get a hair above zero so the strict
+    bounds are meaningful.
     """
     import random
-    grp = cert.group
-    B = G_.ball(grp, cert.n)
-    targets = cert.assignments
+    B = G_.ball(cert.group, cert.n)
+    images = [cert.assignments[g] for g in B]
     exact = cert.family in _EXACT_FAMILIES
-    e_t = target_identity_like(next(iter(targets.values())))
-    e_g = grp.identity()
-
-    eps0, _, _ = _defect_sweep(B, _batch(B, [targets[g] for g in B]),
-                               Fraction(0) if exact else 0.0)
+    X = _batch(B, images)
+    eps0, _, _ = _defect_sweep(B, X, Fraction(0) if exact else 0.0)
     if exact:
         eps0 = eps0 + Fraction(1, 10 ** 12)
     else:
         eps0 = float(eps0) + 1e-12
+    table = B.products()
+    # the slot of g^-1 is the one h with gh = e, the slot 0
+    is_e = table == 0
+    if not is_e.any(axis=1).all():
+        raise CertificateError("the ball is not closed under inverses")
+    inv = is_e.argmax(axis=1)
+    X_inv = X.inv()
 
     results = {}
 
-    d1 = targets[e_g].dist(e_t)
+    # B lists the identity first
+    e_t = target_identity_like(next(iter(cert.assignments.values())))
+    unit = T_.batch([images[0], e_t])
+    d1, _ = unit.take([0]).extreme(unit.take([1]), max)
     results["identity"] = {"value": d1, "bound": eps0, "pass": d1 < eps0}
 
-    worst2 = None
-    for g in B:
-        gi = grp.inv(g)
-        d = targets[gi].dist(targets[g].inv())
-        if worst2 is None or d > worst2:
-            worst2 = d
+    worst2, _ = X.take(inv).extreme(X_inv, max)
     results["inverses"] = {"value": worst2, "bound": 2 * eps0,
                            "pass": worst2 < 2 * eps0}
 
     rng = random.Random(seed)
-    elems = B.elements
-
-    def admissible(tup):
-        for signs in _sign_patterns(len(tup)):
-            g = e_g
-            for x, s in zip(tup, signs):
-                g = grp.mul(g, x if s > 0 else grp.inv(x))
-                if g not in B:
-                    return False
-        return True
-
     tuples = []
     attempts = 0
     while len(tuples) < samples and attempts < samples * 50:
         attempts += 1
         j = rng.randint(2, max_len)
-        tup = tuple(elems[rng.randrange(len(elems))] for _ in range(j))
-        if admissible(tup):
-            tuples.append(tup)
-
-    worst3 = worst4 = worst5 = None
-    bound3 = bound4 = bound5 = None
-    for tup in tuples:
-        j = len(tup)
-        # (3) plain products
-        prod_g = e_g
-        prod_t = None
+        tup = tuple(rng.randrange(len(B)) for _ in range(j))
+        # the signed prefix products, one level per factor
+        level = [0]
         for x in tup:
-            prod_g = grp.mul(prod_g, x)
-            prod_t = targets[x] if prod_t is None else prod_t.mul(targets[x])
-        d3 = targets[prod_g].dist(prod_t)
-        r3 = _ratio(d3, (j - 1) * eps0)
-        if worst3 is None or r3 > worst3:
-            worst3, bound3 = r3, (j - 1) * eps0
-        # (4),(5) signed
-        signs = tuple(rng.choice((1, -1)) for _ in range(j))
-        sg = e_g
-        rhs = None
-        lhs4 = None
-        for x, s in zip(tup, signs):
-            xe = x if s > 0 else grp.inv(x)
-            sg = grp.mul(sg, xe)
-            term_rhs = targets[x] if s > 0 else targets[x].inv()
-            term_lhs = targets[xe]
-            rhs = term_rhs if rhs is None else rhs.mul(term_rhs)
-            lhs4 = term_lhs if lhs4 is None else lhs4.mul(term_lhs)
-        d4 = lhs4.dist(rhs)
-        r4 = _ratio(d4, 2 * j * eps0)
-        if worst4 is None or r4 > worst4:
-            worst4, bound4 = r4, 2 * j * eps0
-        d5 = targets[sg].dist(rhs)
-        r5 = _ratio(d5, (3 * j - 1) * eps0)
-        if worst5 is None or r5 > worst5:
-            worst5, bound5 = r5, (3 * j - 1) * eps0
+            level = [table.item(g, y) for g in level for y in (x, inv[x])]
+            if min(level) < 0:
+                break
+        else:
+            tuples.append(tup)
+    signs = [tuple(rng.choice((1, -1)) for _ in tup) for tup in tuples]
 
-    results["products"] = {"worst_ratio": worst3, "bound": bound3,
-                           "pass": worst3 is None or worst3 < 1}
-    results["signed_factors"] = {"worst_ratio": worst4, "bound": bound4,
-                                 "pass": worst4 is None or worst4 < 1}
-    results["signed_products"] = {"worst_ratio": worst5, "bound": bound5,
-                                  "pass": worst5 is None or worst5 < 1}
+    # the distances of (3) the plain product, (4) the signed factors and
+    # (5) the signed product of each tuple, one sign pattern at a time
+    dists = [None] * len(tuples)
+    for pattern in dict.fromkeys(signs):
+        ts = [t for t, s in enumerate(signs) if s == pattern]
+        S = np.array([tuples[t] for t in ts]).T
+        signed = np.where(np.array(pattern)[:, None] > 0, S, inv[S])
+        plain = _product([X.take(c) for c in S])
+        lhs = _product([X.take(c) for c in signed])
+        rhs = _product([(X if s > 0 else X_inv).take(c)
+                        for s, c in zip(pattern, S)])
+        g = functools.reduce(lambda a, b: table[a, b], S)
+        sg = functools.reduce(lambda a, b: table[a, b], signed)
+        for r, t in enumerate(ts):
+            dists[t] = [X.take([g[r]]).extreme(plain.take([r]), max)[0],
+                        lhs.take([r]).extreme(rhs.take([r]), max)[0],
+                        X.take([sg[r]]).extreme(rhs.take([r]), max)[0]]
+
+    worst = {}
+    names = ("products", "signed_factors", "signed_products")
+    for tup, ds in zip(tuples, dists):
+        j = len(tup)
+        for name, d, bound in zip(names, ds, ((j - 1) * eps0, 2 * j * eps0,
+                                              (3 * j - 1) * eps0)):
+            ratio = _ratio(d, bound)
+            if name not in worst or ratio > worst[name][0]:
+                worst[name] = ratio, bound
+    for name in names:
+        ratio, bound = worst.get(name, (None, None))
+        results[name] = {"worst_ratio": ratio, "bound": bound,
+                         "pass": ratio is None or ratio < 1}
     results["epsilon0"] = eps0
     results["tuples_checked"] = len(tuples)
     results["pass"] = all(v["pass"] for k, v in results.items()
                           if isinstance(v, dict))
     return results
-
-
-def _sign_patterns(j):
-    out = [()]
-    for _ in range(j):
-        out = [p + (s,) for p in out for s in (1, -1)]
-    return out
 
 
 def _ratio(value, bound):

@@ -69,7 +69,7 @@ def _payload_from_json(j):
 
 def witness_from_json(obj):
     """Decode a Folner witness; malformed input raises CertificateError."""
-    return C_._decoded(_decode_witness, obj)
+    return C_.decoded(_decode_witness, obj)
 
 
 def _decode_witness(obj):
@@ -303,7 +303,7 @@ def induce_finite_index(G, data, c_H, n=None):
             M = np.zeros((ell * m, ell * m), dtype=complex)
             for i in range(ell):
                 M[alpha[i] * m:(alpha[i] + 1) * m, i * m:(i + 1) * m] = \
-                    T_._as_dense(blocks[i]).entries
+                    T_.as_dense(blocks[i]).entries
             assignments[g] = T_.UnitaryMatrix(M)
         elif family == "lin":
             rows = [[0] * (ell * m) for _ in range(ell * m)]
@@ -342,8 +342,8 @@ def _combine_product(a, b):
     if isinstance(a, (T_.UnitaryMatrix, T_.PermUnitary)) and \
             isinstance(b, (T_.UnitaryMatrix, T_.PermUnitary)):
         import numpy as np
-        return T_.UnitaryMatrix(np.kron(T_._as_dense(a).entries,
-                                        T_._as_dense(b).entries))
+        return T_.UnitaryMatrix(np.kron(T_.as_dense(a).entries,
+                                        T_.as_dense(b).entries))
     if isinstance(a, T_.RankMatrix) and isinstance(b, T_.RankMatrix):
         if a.field.descriptor() != b.field.descriptor():
             raise BuildError(

@@ -170,7 +170,7 @@ def _products_loop(B):
 
 # entries of the largest int64 temporary an array computation over a ball
 # builds at once (512 kB); longer computations run in blocks of rows
-_BLOCK = 1 << 16
+BLOCK = 1 << 16
 
 
 def _rows(X):
@@ -188,7 +188,7 @@ def _products_array(B):
     order = np.argsort(keys)
     keys = keys[order]
     table = np.empty((size, size), dtype=np.int32)
-    step = max(1, _BLOCK // (size * k))
+    step = max(1, BLOCK // (size * k))
     for i in range(0, size, step):
         P = B.group.mul_array(C[i:i + step, None], C[None])
         P = _rows(P.reshape(-1, k))
@@ -326,7 +326,7 @@ def quotient_action(Q, X):
     G = Q.parent
     X = Q.map_array(X)
     E = np.array([G.coords(y) for y in Q.elements()], dtype=np.int64)
-    step = max(1, _BLOCK // E.size)
+    step = max(1, BLOCK // E.size)
     for i in range(0, len(X), step):
         block = Q.slot(Q.map_array(G.mul_array(X[i:i + step, None], E[None])))
         # one row's Python ints at a time: a block's would raise the peak

@@ -211,7 +211,7 @@ class UnitaryMatrix:
         return cls(np.eye(k), check=False)
 
     def mul(self, other):
-        other = _as_dense(other)
+        other = as_dense(other)
         return UnitaryMatrix(self.entries @ other.entries, check=False)
 
     def inv(self):
@@ -258,7 +258,7 @@ class PermUnitary:
     def mul(self, other):
         if isinstance(other, PermUnitary):
             return PermUnitary(self.perm.mul(other.perm))
-        return _as_dense(self).mul(other)
+        return as_dense(self).mul(other)
 
     def inv(self):
         return PermUnitary(self.perm.inv())
@@ -302,7 +302,7 @@ class AugmentedUnitary:
     def mul(self, other):
         if isinstance(other, AugmentedUnitary) and other.pad == self.pad:
             return AugmentedUnitary(self.inner.mul(other.inner), self.pad)
-        return _as_dense(self).mul(other)
+        return as_dense(self).mul(other)
 
     def inv(self):
         return AugmentedUnitary(self.inner.inv(), self.pad)
@@ -327,7 +327,7 @@ class AugmentedUnitary:
 MATERIALIZE_CAP = 2 ** 10
 
 
-def _as_dense(u):
+def as_dense(u):
     """A unitary element as a dense UnitaryMatrix."""
     if isinstance(u, UnitaryMatrix):
         return u
@@ -337,7 +337,7 @@ def _as_dense(u):
         if u.k > MATERIALIZE_CAP:
             raise ValueError(f"refusing to materialize dimension {u.k}")
         out = np.eye(u.k, dtype=complex)
-        out[:u.inner.k, :u.inner.k] = _as_dense(u.inner).entries
+        out[:u.inner.k, :u.inner.k] = as_dense(u.inner).entries
         return UnitaryMatrix(out, check=False)
     raise TypeError(f"not a unitary element: {u!r}")
 
@@ -353,7 +353,7 @@ def _tau_vstar_u(u, v):
             and u.pad == v.pad:
         t_inner = _tau_vstar_u(u.inner, v.inner)
         return (t_inner * u.inner.k + u.pad) / u.k
-    du, dv = _as_dense(u), _as_dense(v)
+    du, dv = as_dense(u), as_dense(v)
     return complex(np.vdot(dv.entries, du.entries)) / u.k
 
 
@@ -436,9 +436,9 @@ class ImplicitTensorUnitary:
     def materialize(self):
         if self.k > MATERIALIZE_CAP:
             raise ValueError(f"refusing to materialize dimension {self.k}")
-        out = _as_dense(self.base).entries
+        out = as_dense(self.base).entries
         for _ in range(self.power - 1):
-            out = np.kron(out, _as_dense(self.base).entries)
+            out = np.kron(out, as_dense(self.base).entries)
         return UnitaryMatrix(out, check=False)
 
     def __repr__(self):
@@ -669,7 +669,7 @@ def block_sum(a, b):
         return RankMatrix([list(r) + [0] * b.k for r in a.rows]
                           + [[0] * a.k + list(r) for r in b.rows],
                           a.field, check=False)
-    ua, ub = _as_dense(a), _as_dense(b)
+    ua, ub = as_dense(a), as_dense(b)
     k1, k2 = ua.k, ub.k
     out = np.zeros((k1 + k2, k1 + k2), dtype=complex)
     out[:k1, :k1] = ua.entries
@@ -956,77 +956,75 @@ class PermWreathElement:
 
 
 # ---------------------------------------------------------------------------
-# batched distances
+# image rows
 
-def batch(images, gens):
-    """Distances from one image of a fixed list to many others.
-
-    Row queries return the extreme distance and its position in the row.
-    Lists of Permutation or of PermUnitary are compared as one integer image
-    array; every other list (CyclicPerm included, whose scalar mul/dist are
-    O(1) closed forms) calls its scalar mul/dist/pdist. Either way a row's
-    value equals the scalar extreme. ``gens`` are the positions of the
-    images of a generating set, from which an integer image array derives
-    its commutant kernel (see _PermRows).
+def batch(images, gens=()):
+    """The images as rows, the one form in which the verifier composes and
+    measures them: ``take(idx)``; ``mul(other)``, row by row, a single row
+    repeated against many; ``inv()``; and ``extreme(other, pick,
+    projective=False)``, the ``max`` or ``min`` distance of the row pairs
+    and the first position attaining it. A list of Permutation or of
+    PermUnitary is one int32 image array (_PermRows); any other list,
+    CyclicPerm included, calls its objects' mul/inv/dist/pdist
+    (_ScalarRows). Every value equals the scalar one, and the image format
+    is known only here: a new kind of target is one more rows class.
+    ``gens`` are the positions of the images of a generating set, from
+    which an image array derives its commutant kernel (see _PermRows).
     """
-    arr = perm_array(images)
-    return _ScalarRows(images) if arr is None else _PermRows(*arr, gens)
-
-
-def perm_array(images):
-    """(int32 image array, Hamming?) of a list of Permutation or of
-    PermUnitary images; None for any other list."""
     if all(isinstance(t, Permutation) for t in images):
-        return np.array([t.images for t in images], dtype=np.int32), True
-    if all(isinstance(t, PermUnitary) for t in images):
-        return np.array([t.perm.images for t in images],
-                        dtype=np.int32), False
-    return None
+        P, hamming = [t.images for t in images], True
+    elif all(isinstance(t, PermUnitary) for t in images):
+        P, hamming = [t.perm.images for t in images], False
+    else:
+        return _ScalarRows(images)
+    rows = _PermRows(np.array(P, dtype=np.int32), hamming)
+    rows.transitive_commutant = rows._derive_commutant(rows.P[list(gens)])
+    return rows
 
 
-def moved_distance(moved, k, hamming):
-    """The scalar distance from the identity of a permutation moving
-    ``moved`` of k points: Fraction(moved, k) for Hamming, sqrt(2 - 2 tau)
-    with tau = fixed/k for Hilbert-Schmidt."""
-    if hamming:
-        return Fraction(moved, k)
-    t = (k - moved) / k
-    return math.sqrt(max(0.0, 2.0 - 2.0 * t))
-
-
-def _first_extreme(values, pick):
-    """(extreme value, first position attaining it) of a nonempty iterable."""
-    pos, value = pick(enumerate(values), key=lambda iv: iv[1])
-    return value, pos
+def _pairs(xs, ys):
+    """The row pairs of two lists of rows, a single row repeated against
+    many."""
+    if len(xs) != len(ys) and 1 not in (len(xs), len(ys)):
+        raise ValueError(f"cannot pair {len(xs)} rows with {len(ys)}")
+    return zip(xs * len(ys) if len(xs) == 1 else xs,
+               ys * len(xs) if len(ys) == 1 else ys)
 
 
 class _ScalarRows:
+    """Rows of target objects, composed and measured by their own methods."""
+
     transitive_commutant = False
 
     def __init__(self, images):
-        self.images = images
+        self.images = list(images)
 
-    def max_defect(self, i, js, ts):
-        """Max over r of d(x_i x_js[r], x_ts[r]), and the first such r."""
-        x, ims = self.images[i], self.images
-        return _first_extreme((x.mul(ims[j]).dist(ims[t])
-                               for j, t in zip(js.tolist(), ts.tolist())), max)
+    def __len__(self):
+        return len(self.images)
 
-    def min_dist(self, i, js):
-        """Min over r of d(x_i, x_js[r]), and the first such r."""
-        x, ims = self.images[i], self.images
-        return _first_extreme((x.dist(ims[j]) for j in js.tolist()), min)
+    def take(self, idx):
+        at = np.asarray(idx, dtype=np.intp).tolist()
+        return _ScalarRows([self.images[i] for i in at])
 
-    def min_pdist(self, i, js):
-        """Min over r of the projective distance of x_i and x_js[r]."""
-        x, ims = self.images[i], self.images
-        return _first_extreme((x.pdist(ims[j]) for j in js.tolist()), min)
+    def mul(self, other):
+        return _ScalarRows([x.mul(y) for x, y in _pairs(self.images,
+                                                        other.images)])
+
+    def inv(self):
+        return _ScalarRows([x.inv() for x in self.images])
+
+    def extreme(self, other, pick, projective=False):
+        values = (x.pdist(y) if projective else x.dist(y)
+                  for x, y in _pairs(self.images, other.images))
+        r, value = pick(enumerate(values), key=operator.itemgetter(1))
+        return value, r
 
 
 class _PermRows:
-    """Rows over an integer image array; distances come from moved-point
-    counts, converted by moved_distance, whose Hilbert-Schmidt value is
-    also the projective one because tau >= 0.
+    """Rows over an int32 image array P, one permutation per row. The
+    product of two rows is one gather, the inverse one scatter, and a
+    distance is a moved-point count converted by _value, whose
+    Hilbert-Schmidt value is also the projective one because tau >= 0.
 
     Commutant kernel. If a permutation commutes with every element of a
     transitive group R, its fixed points form an R-invariant set, so it
@@ -1036,8 +1034,9 @@ class _PermRows:
     P_i^-1 P_j, and one point decides a whole row pair: with v = P[:, 0],
     d(P_i P_j, P_t) is nonzero iff P_i(v_j) != v_t, and d(P_i, P_j) is zero
     iff v_i == v_j. ``transitive_commutant`` says whether such an R was
-    found and checked; ``max_defect_all`` and ``min_dist_all`` are then
-    exact and equal the row sweep's values and first witnesses. Every
+    found and checked for the rows that batch() built (never for rows that
+    take, mul or inv return); ``max_defect_all`` and ``min_dist_all`` are
+    then exact and equal the row sweep's values and first witnesses. Every
     left-regular action of a finite group (and a direct product of such)
     has one: its right translations.
 
@@ -1052,15 +1051,27 @@ class _PermRows:
     permutation. And any word w = P_s w' in them has w(0) = P_s(c(0)) =
     c(P_s(0)) = c(c_x(0)) for x = P_s(0) once w'(0) = c(0) with c in R;
     by induction every point gamma_p(0) lies in the R-orbit of 0.
-    If the tree misses a point or the check fails, the rows keep only the
-    row queries, and the verifier runs its row sweep.
+    If the tree misses a point or the check fails, the verifier runs its
+    row sweep.
     """
 
-    def __init__(self, P, hamming, gens):
-        self.P = P
-        self.k = self.P.shape[1]
+    transitive_commutant = False
+
+    def __init__(self, P, hamming, at=None):
+        # the rows are P[at] (all of P when at is None), gathered only when
+        # read: a block of rows taken and then multiplied is one gather
+        self._P, self._at = P, at
+        self.k = P.shape[1]
         self.hamming = hamming
-        self.transitive_commutant = self._derive_commutant(self.P[list(gens)])
+
+    @property
+    def P(self):
+        if self._at is not None:
+            self._P, self._at = self._P[self._at], None
+        return self._P
+
+    def __len__(self):
+        return len(self._P if self._at is None else self._at)
 
     def _derive_commutant(self, S):
         P, k = self.P, self.k
@@ -1083,7 +1094,7 @@ class _PermRows:
             level = np.concatenate(grown)
         if not seen.all():
             return False
-        step = max(1, G_._BLOCK // k)
+        step = max(1, G_.BLOCK // k)
         for c in C:
             for i in range(0, len(P), step):
                 rows = P[i:i + step]
@@ -1092,25 +1103,36 @@ class _PermRows:
         return True
 
     def _value(self, moved):
-        return moved_distance(moved, self.k, self.hamming)
-
-    def max_defect(self, i, js, ts):
-        P = self.P
-        composed = np.take(P[i], np.take(P, js, axis=0))
-        moved = np.count_nonzero(composed != np.take(P, ts, axis=0), axis=1)
-        r = int(np.argmax(moved))
-        return self._value(int(moved[r])), r
-
-    def min_dist(self, i, js):
-        moved = np.count_nonzero(self.P[i] != np.take(self.P, js, axis=0),
-                                 axis=1)
-        r = int(np.argmin(moved))
-        return self._value(int(moved[r])), r
-
-    def min_pdist(self, i, js):
+        """The distance of permutations differing at ``moved`` of k points:
+        moved/k for Hamming, sqrt(2 - 2 (k - moved)/k) for Hilbert-Schmidt."""
         if self.hamming:
+            return Fraction(moved, self.k)
+        t = (self.k - moved) / self.k
+        return math.sqrt(max(0.0, 2.0 - 2.0 * t))
+
+    def take(self, idx):
+        at = np.asarray(idx, dtype=np.intp)
+        return _PermRows(self._P, self.hamming,
+                         at if self._at is None else self._at[at])
+
+    def mul(self, other):
+        # (s t)(i) = s(t(i)), one gather from the flattened rows
+        at = np.arange(len(self._P)) if self._at is None else self._at
+        return _PermRows(np.take(self._P, (at * self.k)[:, None] + other.P),
+                         self.hamming)
+
+    def inv(self):
+        out = np.empty_like(self.P)
+        np.put_along_axis(out, self.P,
+                          np.arange(self.k, dtype=np.int32)[None], axis=1)
+        return _PermRows(out, self.hamming)
+
+    def extreme(self, other, pick, projective=False):
+        if projective and self.hamming:
             raise TypeError("the Hamming metric has no projective form")
-        return self.min_dist(i, js)
+        moved = np.count_nonzero(self.P != other.P, axis=1)
+        r = int({max: np.argmax, min: np.argmin}[pick](moved))
+        return self._value(int(moved[r])), r
 
     def max_defect_all(self, table, zero):
         """Commutant kernel of the defect sweep over the product table
@@ -1119,7 +1141,7 @@ class _PermRows:
         gather runs in blocks of rows, as Ball.products() does."""
         P, v = self.P, self.P[:, 0]
         size = len(table)
-        step = max(1, G_._BLOCK // size)
+        step = max(1, G_.BLOCK // size)
         for i in range(0, size, step):
             T = table[i:i + step]
             hit = np.flatnonzero((T >= 0) & (P[i:i + step][:, v] != v[T]))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -11,6 +12,7 @@ from groupapprox import groups as G_
 from groupapprox import targets as T_
 from groupapprox import certify as C_
 from groupapprox import construct as X_
+from groupapprox import profiles as P_
 
 Z = G_.FreeAbelian(1)
 
@@ -222,38 +224,73 @@ def _row_images(kind, perms, shifts):
                 for p, s in zip(perms, shifts)]
     if kind == "perm-unitary":
         return [T_.PermUnitary(p) for p in perms]
-    return [T_.perm_to_unitary(T_.Permutation(p)) if s % 2 else T_.PermUnitary(p)
-            for p, s in zip(perms, shifts)]
+    if kind == "unitary-mixed":
+        return [T_.perm_to_unitary(T_.Permutation(p)) if s % 2
+                else T_.PermUnitary(p) for p, s in zip(perms, shifts)]
+    if kind == "rank":
+        # [[1, a], [b, 1 + ab]] has determinant 1
+        return [T_.RankMatrix([[1, a], [b, 1 + a * b]], T_.FieldFp(3))
+                for a, b in ((s % 3, s // 3 % 3) for s in shifts)]
+    group = T_.trivial_metric_group(G_.FiniteSym(3))
+    return [group.element(s % 6) for s in shifts]
+
+
+_PROJECTIVE_KINDS = ("perm-unitary", "unitary-mixed", "rank")
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_batch_rows_equal_scalar_extremes(data):
+    """take, mul (1 x m, m x 1 and m x m), inv and extreme (plain and
+    projective) of the rows give the scalar objects' values, row by row,
+    and the first position of the extreme."""
     k = data.draw(st.integers(1, 6))
     count = data.draw(st.integers(1, 6))
     kind = data.draw(st.sampled_from(
-        ["permutation", "cyclic-mixed", "perm-unitary", "unitary-mixed"]))
+        ["permutation", "cyclic-mixed", "perm-unitary", "unitary-mixed",
+         "rank", "finite"]))
     perms = [data.draw(st.permutations(range(k))) for _ in range(count)]
-    shifts = [data.draw(st.integers(0, 2 * k)) for _ in range(count)]
+    shifts = [data.draw(st.integers(0, 2 * k + 8)) for _ in range(count)]
     images = _row_images(kind, perms, shifts)
+    rows = T_.batch(images)
     slot = st.integers(0, count - 1)
     i = data.draw(slot)
-    js = data.draw(st.lists(slot, min_size=1, max_size=8))
-    ts = data.draw(st.lists(slot, min_size=len(js), max_size=len(js)))
-    rows = T_.batch(images, [])
+    m = data.draw(st.integers(1, 6))
+    js, ts, us = (data.draw(st.lists(slot, min_size=m, max_size=m))
+                  for _ in range(3))
     x = images[i]
 
-    def check(got, scalar, pick):
-        value, r = got
-        assert value == pick(scalar)
-        assert r == scalar.index(value)
+    def check(got, want, pick=max, projective=False):
+        """got (rows) against want (objects) against images[us], row by
+        row, then as one extreme."""
+        def measure(a, b):
+            return a.pdist(b) if projective else a.dist(b)
+        scalar = [measure(w, images[u]) for w, u in zip(want, us)]
+        for r, u in enumerate(us):
+            assert got.take([r]).extreme(rows.take([u]), max,
+                                         projective) == (scalar[r], 0)
+        value, r = got.extreme(rows.take(us), pick, projective)
+        assert value == pick(scalar) and r == scalar.index(value)
 
-    check(rows.max_defect(i, np.array(js), np.array(ts)),
-          [x.mul(images[j]).dist(images[t]) for j, t in zip(js, ts)], max)
-    check(rows.min_dist(i, np.array(js)), [x.dist(images[j]) for j in js], min)
-    if kind in ("perm-unitary", "unitary-mixed"):
-        check(rows.min_pdist(i, np.array(js)),
-              [x.pdist(images[j]) for j in js], min)
+    check(rows.take(js), [images[j] for j in js], min)
+    check(rows.take([i]).mul(rows.take(js)),
+          [x.mul(images[j]) for j in js])
+    check(rows.take(js).mul(rows.take([i])),
+          [images[j].mul(x) for j in js], min)
+    check(rows.take(js).mul(rows.take(ts)),
+          [images[j].mul(images[t]) for j, t in zip(js, ts)])
+    check(rows.take(js).inv(), [images[j].inv() for j in js])
+    check(rows.take(js).inv().mul(rows.take(ts)),
+          [images[j].inv().mul(images[t]) for j, t in zip(js, ts)], min)
+    if kind in _PROJECTIVE_KINDS:
+        check(rows.take(js).mul(rows.take(ts)),
+              [images[j].mul(images[t]) for j, t in zip(js, ts)], min,
+              projective=True)
+    if m > 1:
+        with pytest.raises(ValueError):
+            rows.take(js).mul(rows.take(js + js))
+        with pytest.raises(ValueError):
+            rows.take(js).extreme(rows.take(js + js), max)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +332,9 @@ def _kernel_and_sweep(B, rows, zero):
     table = B.products()
     kernel = (rows.max_defect_all(table, zero), rows.min_dist_all())
     sweep = (C_._defect_rows(table, rows, zero),
-             C_._separation_rows(len(B), rows.min_dist))
+             C_._separation_rows(rows, False))
     if not rows.hamming:
-        assert C_._separation_rows(len(B), rows.min_pdist) == sweep[1]
+        assert C_._separation_rows(rows, True) == sweep[1]
     return kernel, sweep
 
 
@@ -345,7 +382,7 @@ def test_commutant_kernel_matches_row_sweep(data):
 
 def test_commutant_kernel_keeps_applying(monkeypatch):
     """The certificates of the hyp_amplify and verify_received workloads and
-    the lemma suite's eps0 verify with the row queries switched off."""
+    the lemma suite's eps0 verify with the row sweeps switched off."""
     Z2 = G_.FreeAbelian(2)
     hyp = X_.from_quotient(Z, G_.LatticeHNF(Z, [(643,)]), 320, "hyp")
     big = X_.from_quotient(Z2, G_.LatticeHNF(Z2, [(25, 0), (0, 25)]), 12,
@@ -353,10 +390,10 @@ def test_commutant_kernel_keeps_applying(monkeypatch):
     small = X_.from_quotient(Z2, G_.LatticeHNF(Z2, [(17, 0), (0, 17)]), 8,
                              "sofic")
 
-    def row_query(*args):
+    def row_sweep(*args):
         raise AssertionError("the row sweep ran")
-    monkeypatch.setattr(T_._PermRows, "max_defect", row_query)
-    monkeypatch.setattr(T_._PermRows, "min_dist", row_query)
+    monkeypatch.setattr(C_, "_defect_rows", row_sweep)
+    monkeypatch.setattr(C_, "_separation_rows", row_sweep)
     for cert in (hyp, big):
         rep = C_.verify_D(cert)
         assert rep.passed and C_.COMMUTANT_NOTE in rep.notes
@@ -386,6 +423,18 @@ def test_verify_R_relator_mode():
     h = C_.HomCertificate(G_.FiniteCyclic(5), {"x": T_.CyclicPerm(5, 1)},
                           "sofic", relators=[("x",) * 5])
     assert C_.verify_R(h, 5).passed
+
+
+def test_hom_closes_images_through_inverse_payloads():
+    """A label without an image takes the inverse of the image of a given
+    label whose payload is its inverse; a label with neither is an error."""
+    h = C_.HomCertificate(G_.FiniteCyclic(2), {"x": T_.CyclicPerm(2, 1)},
+                          "sofic")
+    assert h.images == {"x": T_.CyclicPerm(2, 1), "x^-1": T_.CyclicPerm(2, 1)}
+    assert C_.verify_W(h, 2).passed
+    with pytest.raises(C_.CertificateError, match="'x2'"):
+        C_.HomCertificate(G_.FreeAbelian(2), {"x1": T_.CyclicPerm(7, 1)},
+                          "sofic")
 
 
 def test_word_cap():
@@ -530,7 +579,7 @@ def test_word_walk_matches_dfs(data):
     rows = data.draw(st.sampled_from([None, 1, 5, 7]))
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            mp.setattr(G_, "_BLOCK", rows * h.dimension)
+            mp.setattr(G_, "BLOCK", rows * h.dimension)
         _same_reports(h, n)
 
 
@@ -545,7 +594,7 @@ def test_word_walk_across_block_edges(monkeypatch, rows):
             homs.append(_random_hom(_WORD_GROUPS[name], kind, rng))
     failing = 0
     for h in homs:
-        monkeypatch.setattr(G_, "_BLOCK", rows * h.dimension)
+        monkeypatch.setattr(G_, "BLOCK", rows * h.dimension)
         _same_reports(h, 4)
         failing += not C_.verify_W(h, 4).passed
     assert failing >= len(homs) // 2
@@ -607,6 +656,19 @@ def test_W_from_D_needs_large_radius():
 # ---------------------------------------------------------------------------
 # approximate-homomorphism lemma suite
 
+def test_lemma_suite_reads_group_products_from_the_ball(monkeypatch):
+    """Once the ball and its product table exist, the suite multiplies no
+    group elements: Sym(3) has no coordinate form, so its table is built
+    with FiniteSym.mul, which is then switched off."""
+    cert = X_.exact_finite(G_.FiniteSym(3), 2)
+    G_.ball(cert.group, cert.n).products()
+
+    def product(*args):
+        raise AssertionError("a group product was computed")
+    monkeypatch.setattr(G_.FiniteSym, "mul", product)
+    assert C_.lemma_consistency_suite(cert, seed=1)["tuples_checked"] == 200
+
+
 def test_lemma_suite_on_exact_certificate():
     out = C_.lemma_consistency_suite(cyclic(6), max_len=4, samples=100)
     assert out["pass"]
@@ -646,6 +708,123 @@ def test_lemma_suite_bound_shapes():
                 "signed_products"):
         assert out[key]["pass"], key
     assert out["tuples_checked"] > 0
+
+
+def _scalar_lemma_suite(cert, max_len, samples, seed):
+    """The lemma suite over group elements and scalar mul/dist, sign
+    patterns enumerated per tuple: the reference of
+    certify.lemma_consistency_suite."""
+    grp = cert.group
+    B = G_.ball(grp, cert.n)
+    targets = cert.assignments
+    exact = cert.family in C_._EXACT_FAMILIES
+    e_t = C_.target_identity_like(next(iter(targets.values())))
+    e_g = grp.identity()
+    eps0 = (Fraction(0) if exact else 0.0)
+    for g in B:
+        for h in B:
+            gh = grp.mul(g, h)
+            if gh in B:
+                eps0 = max(eps0, targets[g].mul(targets[h]).dist(targets[gh]))
+    eps0 = eps0 + Fraction(1, 10 ** 12) if exact else float(eps0) + 1e-12
+    results = {}
+    d1 = targets[e_g].dist(e_t)
+    results["identity"] = {"value": d1, "bound": eps0, "pass": d1 < eps0}
+    worst2 = max(targets[grp.inv(g)].dist(targets[g].inv()) for g in B)
+    results["inverses"] = {"value": worst2, "bound": 2 * eps0,
+                           "pass": worst2 < 2 * eps0}
+
+    def admissible(tup):
+        for signs in itertools.product((1, -1), repeat=len(tup)):
+            g = e_g
+            for x, s in zip(tup, signs):
+                g = grp.mul(g, x if s > 0 else grp.inv(x))
+                if g not in B:
+                    return False
+        return True
+
+    rng = random.Random(seed)
+    elems = B.elements
+    tuples = []
+    attempts = 0
+    while len(tuples) < samples and attempts < samples * 50:
+        attempts += 1
+        j = rng.randint(2, max_len)
+        tup = tuple(elems[rng.randrange(len(elems))] for _ in range(j))
+        if admissible(tup):
+            tuples.append(tup)
+    worst = {3: None, 4: None, 5: None}
+    bound = {3: None, 4: None, 5: None}
+
+    def record(key, d, b):
+        r = C_._ratio(d, b)
+        if worst[key] is None or r > worst[key]:
+            worst[key], bound[key] = r, b
+    for tup in tuples:
+        j = len(tup)
+        prod_g, prod_t = e_g, None
+        for x in tup:
+            prod_g = grp.mul(prod_g, x)
+            prod_t = targets[x] if prod_t is None else prod_t.mul(targets[x])
+        record(3, targets[prod_g].dist(prod_t), (j - 1) * eps0)
+        signs = tuple(rng.choice((1, -1)) for _ in range(j))
+        sg, rhs, lhs4 = e_g, None, None
+        for x, s in zip(tup, signs):
+            xe = x if s > 0 else grp.inv(x)
+            sg = grp.mul(sg, xe)
+            term_rhs = targets[x] if s > 0 else targets[x].inv()
+            rhs = term_rhs if rhs is None else rhs.mul(term_rhs)
+            lhs4 = targets[xe] if lhs4 is None else lhs4.mul(targets[xe])
+        record(4, lhs4.dist(rhs), 2 * j * eps0)
+        record(5, targets[sg].dist(rhs), (3 * j - 1) * eps0)
+    for key, name in ((3, "products"), (4, "signed_factors"),
+                      (5, "signed_products")):
+        results[name] = {"worst_ratio": worst[key], "bound": bound[key],
+                         "pass": worst[key] is None or worst[key] < 1}
+    results["epsilon0"] = eps0
+    results["tuples_checked"] = len(tuples)
+    results["pass"] = all(v["pass"] for v in results.values()
+                          if isinstance(v, dict))
+    return results
+
+
+def _suite_certificates():
+    Z2, H = G_.FreeAbelian(2), G_.Heisenberg(1)
+    yield "cyclic", cyclic(6)
+    yield "lin", X_.perm_to_lin(cyclic(2), T_.FieldFp(2))
+    yield "Z^2 mod 17 sofic", X_.from_quotient(
+        Z2, G_.LatticeHNF(Z2, [(17, 0), (0, 17)]), 3, "sofic")
+    yield "Heisenberg mod 7 fin", X_.from_quotient(
+        H, G_.CongruenceMod(H, 7), 2, "fin")
+    yield "Z mod 41 hyp", X_.from_quotient(Z, G_.LatticeHNF(Z, [(41,)]), 5,
+                                           "hyp")
+    yield "Sym(3)", X_.exact_finite(G_.FiniteSym(3), 2)
+    # Folner sets: no transitive commutant, the row sweep
+    yield "folner", X_.folner_to_sofic(P_.interval_witness_Z(8), 2)
+    yield "product", X_.direct_product(cyclic(1), cyclic(2))
+    yield "tensor", X_.amplify_projective(X_.from_quotient(
+        Z, G_.LatticeHNF(Z, [(641,)]), 320, "hyp"), 8)
+    dense = dict(_sweep_certificates())["unitary"]
+    yield "dense unitary", dense
+    # images off the unitary group: the bounds need not hold, and fail
+    rng = np.random.default_rng(4)
+    yield "not unitary", C_.ApproxCertificate(Z, 2, "hyp", {
+        p: T_.UnitaryMatrix(T_.perm_to_unitary(T_.CyclicPerm(4, p[0])).entries
+                            + 0.4 * rng.normal(size=(4, 4)), check=False)
+        for p in G_.ball(Z, 2)})
+
+
+@pytest.mark.parametrize("name,cert", [
+    pytest.param(name, cert, id=name) for name, cert in _suite_certificates()])
+def test_lemma_suite_matches_scalar_reference(name, cert):
+    """Every value, first-attaining bound, tuple count and verdict equals
+    the scalar suite's, over several seeds, tuple lengths and counts."""
+    for seed, max_len, samples in ((0, 4, 60), (1, 3, 40), (7, 5, 25)):
+        got = C_.lemma_consistency_suite(cert, max_len=max_len,
+                                         samples=samples, seed=seed)
+        assert got == _scalar_lemma_suite(cert, max_len, samples, seed)
+    if name == "not unitary":
+        assert not C_.lemma_consistency_suite(cert, seed=0)["pass"]
 
 
 # ---------------------------------------------------------------------------

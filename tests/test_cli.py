@@ -456,6 +456,16 @@ def _hom_path(tmp_path):
     return path
 
 
+def _hom_without(tmp_path, group, images, dropped):
+    """A word-level certificate file whose images of ``dropped`` are cut."""
+    obj = C_.HomCertificate(group, images, "sofic").to_json()
+    obj["images"] = [im for im in obj["images"]
+                     if im["generator"] not in dropped]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
 def _cyclic_path(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(X_.cyclic_Z(2).dumps())
@@ -532,6 +542,11 @@ _BAD_INPUT = {
         "--lemma-suite"],
     "relators-only-on-ball-certificate": lambda t: [
         "verify", "--cert", str(_cyclic_path(t)), "--relators-only"],
+    "hom-generator-without-image": lambda t: [
+        "verify", "--cert", str(_hom_without(
+            t, G_.FreeAbelian(2), {"x1": T_.CyclicPerm(7, 1),
+                                   "x2": T_.CyclicPerm(7, 2)},
+            {"x2", "x2^-1"})), "--at-n", "2"],
 }
 
 
@@ -553,6 +568,19 @@ def test_verify_hom_needs_at_n(tmp_path, capsys):
     assert code == 1 and "--at-n" in err
     code, out, _ = run(capsys, "verify", "--cert", str(path), "--at-n", "3")
     assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_verify_hom_closes_a_self_inverse_generator(tmp_path, capsys):
+    """On Z/2 the labels x and x^-1 share a payload; a certificate giving
+    only x verifies, its x^-1 taking the inverse image."""
+    path = _hom_without(tmp_path, G_.FiniteCyclic(2),
+                        {"x": T_.CyclicPerm(2, 1),
+                         "x^-1": T_.CyclicPerm(2, 1)}, {"x^-1"})
+    assert [im["generator"] for im in json.loads(path.read_text())["images"]
+            ] == ["x"]
+    code, out, err = run(capsys, "verify", "--cert", str(path), "--at-n", "2")
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert "Traceback" not in err
 
 
 def test_verify_hom_failure_exits_2(tmp_path, capsys):

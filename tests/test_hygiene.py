@@ -11,6 +11,9 @@ at some call there.
 
 A definition that only the tests read is listed in ``_LIBRARY_ONLY`` with
 the reason the library keeps it, and the list holds nothing else.
+
+No module of the package reads an underscore name of another: what a
+module keeps private (the format of target images, say) stays behind it.
 """
 import ast
 from pathlib import Path
@@ -224,3 +227,31 @@ def test_every_defaulted_parameter_is_passed():
                                 f"{qual}({param})")
     assert not unpassed, "defaulted parameters no call passes: " \
         + ", ".join(unpassed)
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_a_private_name_of_another():
+    modules = {path.stem for path, _ in _trees("src/groupapprox")}
+    reads = []
+    for path, tree in _trees("src/groupapprox"):
+        where = path.relative_to(ROOT)
+        aliases = {}  # local name -> sibling module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None and a.name in modules:
+                        aliases[a.asname or a.name] = a.name
+                    elif node.module in modules and _private(a.name):
+                        reads.append(f"{where}:{node.lineno} "
+                                     f"{node.module}.{a.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in aliases and _private(node.attr):
+                reads.append(f"{where}:{node.lineno} "
+                             f"{aliases[node.value.id]}.{node.attr}")
+    assert not reads, "private names read across modules: " \
+        + ", ".join(reads)

@@ -287,7 +287,7 @@ def test_materialize_cap_guard():
     base = T_.AugmentedUnitary(
         T_.PermUnitary(T_.Permutation.identity(2)), 2 ** 11)
     with pytest.raises(ValueError):
-        T_._as_dense(base)
+        T_.as_dense(base)
 
 
 # ---------------------------------------------------------------------------
