@@ -13,12 +13,16 @@ fail closed at a configurable margin which is carried in the report.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
+from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
+from . import canonical as J_
 from . import groups as G_
 from . import targets as T_
 
@@ -135,38 +139,77 @@ def target_identity_like(el):
 
 
 class ApproxCertificate:
-    """A finite map from B(n) into one target group, the unit of exchange."""
+    """A finite map from B(n) into one target group, the unit of exchange.
+
+    The images are read-only targets.batch rows, one per element of B(n)
+    (``ball``) in ball order: one int32 image array for permutations and
+    permutation unitaries, the target objects otherwise. ``rows`` gives the
+    rows, ``target(p)`` builds the object of one image when asked and
+    ``assignments`` is a read-only mapping view. The image array, the
+    tuple of target objects and a dense unitary's entries are read-only, so
+    the images of a permutation or unitary certificate cannot be written in
+    place once built; other target objects are held as built, and a table
+    group's lists, for one, can still be written."""
 
     def __init__(self, group, n, family, assignments, epsilon=None,
                  dimension=None, provenance=None, fin_group=None):
+        """``assignments`` maps each element of B(n) to its target, or is
+        the rows of those targets in ball order (targets.batch or
+        targets.rows_from_array). An element of B(n) without a target, or
+        one outside B(n), raises CertificateError."""
         self.group = group
         self.n = int(n)
         self.family = family
-        self.assignments = dict(assignments)
-        _require_family_kinds(family, self.assignments.values())
+        self._ball = B = G_.ball(group, self.n)
+        if isinstance(assignments, Mapping):
+            assignments = T_.batch(_in_ball_order(B, assignments))
+        if len(assignments) != len(B):
+            raise CertificateError(
+                f"{len(assignments)} rows for the {len(B)} elements of "
+                f"B({self.n})")
+        self._rows = assignments
+        reps = assignments.representatives()
+        _require_family_kinds(family, reps)
         self.epsilon = T_.family_epsilon(family) if epsilon is None else epsilon
         self.fin_group = fin_group
         self.provenance = provenance or {}
-        first = next(iter(self.assignments.values()))
-        self.dimension = first.dim if dimension is None else dimension
-        for el in self.assignments.values():
+        self.dimension = reps[0].dim if dimension is None else dimension
+        for el in reps:
             if el.dim != self.dimension:
                 raise CertificateError("assignments disagree on dimension")
 
+    @property
+    def ball(self):
+        """B(n), a read-only groups.Ball."""
+        return self._ball
+
+    @property
+    def rows(self):
+        """The images as read-only rows, in the order of B(n)."""
+        return self._rows
+
+    @property
+    def assignments(self):
+        """A read-only mapping from the elements of B(n) to their targets,
+        each built when read."""
+        return _Assignments(self)
+
     def target(self, payload):
-        try:
-            return self.assignments[payload]
-        except KeyError:
+        if payload not in self.ball:
             raise CertificateError(
                 f"missing assignment for {self.group.fmt(payload)}")
+        return self._rows.target(self.ball.index(payload))
 
     def dimension_json(self):
-        first = next(iter(self.assignments.values()))
+        first = self._rows.target(0)
         if isinstance(first, T_.ImplicitTensorUnitary):
             return first.dim_symbolic
         return self.dimension
 
-    def to_json(self):
+    def to_json(self, stream=False):
+        """The certificate as a JSON object; with ``stream``, each image of
+        an image array is a memoryview of its row, which only
+        canonical.dump writes."""
         obj = {
             "group": self.group.descriptor(),
             "family": self.family,
@@ -176,15 +219,19 @@ class ApproxCertificate:
         }
         if self.fin_group is not None:
             obj["target_group"] = self.fin_group.to_json()
+        fmt, rows = self.group.fmt, self._rows
         obj["assignments"] = [
-            {"element": self.group.fmt(p), "target": self.assignments[p].to_json()}
-            for p in G_.ball(self.group, self.n)]
+            {"element": fmt(p), "target": rows.to_json(i, stream)}
+            for i, p in enumerate(self.ball)]
         if self.provenance:
             obj["provenance"] = self.provenance
         return obj
 
     def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True, indent=1)
+        """The canonical JSON text, without a final newline."""
+        buf = io.StringIO()
+        J_.dump(self.to_json(stream=True), buf)
+        return buf.getvalue()
 
     @classmethod
     def from_json(cls, obj):
@@ -197,25 +244,63 @@ class ApproxCertificate:
         B = G_.ball(group, obj["n"])
         if not obj["assignments"]:
             raise CertificateError("certificate has no assignments")
-        assignments = {}
+        targets = {}
         for item in obj["assignments"]:
             p = group.parse(item["element"])
             if p not in B:
                 raise CertificateError(
                     f"element {item['element']} lies outside B({obj['n']})")
-            if p in assignments:
+            if p in targets:
                 raise CertificateError(f"duplicate element {item['element']}")
-            assignments[p] = T_.target_from_json(item["target"], fin_group=fin_group)
+            targets[p] = item["target"]
+        rows = T_.rows_from_json(_in_ball_order(B, targets),
+                                 fin_group=fin_group)
         dim = obj["dimension"]
         if isinstance(dim, dict):
             dim = dim["base"] ** dim["power"]
-        return cls(group, obj["n"], obj["family"], assignments, epsilon=eps,
+        return cls(group, obj["n"], obj["family"], rows, epsilon=eps,
                    dimension=dim, provenance=obj.get("provenance"),
                    fin_group=fin_group)
 
     @classmethod
     def loads(cls, text):
         return cls.from_json(json.loads(text))
+
+
+def _in_ball_order(B, assignments):
+    """The values of a mapping over the elements of the ball B, in ball
+    order; CertificateError naming the first element of B it lacks, or an
+    element outside B."""
+    fmt = B.group.fmt
+    missing = next((p for p in B if p not in assignments), None)
+    if missing is not None:
+        raise CertificateError(f"missing assignment for {fmt(missing)}")
+    if len(assignments) > len(B):
+        extra = next(p for p in assignments if p not in B)
+        raise CertificateError(
+            f"element {fmt(extra)} lies outside B({B.radius})")
+    return [assignments[p] for p in B]
+
+
+class _Assignments(Mapping):
+    """The read-only mapping view of a certificate's images."""
+
+    def __init__(self, cert):
+        self._cert = cert
+
+    def __getitem__(self, payload):
+        if payload not in self._cert.ball:
+            raise KeyError(payload)
+        return self._cert.target(payload)
+
+    def __contains__(self, payload):
+        return payload in self._cert.ball
+
+    def __iter__(self):
+        return iter(self._cert.ball)
+
+    def __len__(self):
+        return len(self._cert.ball)
 
 
 class HomCertificate:
@@ -246,6 +331,8 @@ class HomCertificate:
                     raise CertificateError(
                         f"no image for generator {lab!r} nor for its inverse")
                 self.images[lab] = given[src[0]].inv()
+        # read-only once closed, like an ApproxCertificate's images
+        self.images = MappingProxyType(self.images)
 
     def image_of_word(self, labels):
         out = None
@@ -303,14 +390,22 @@ class HomCertificate:
 
 
 def _inverse_label_map(group):
+    """Each generator label's formal inverse: ``a^-1`` for ``a`` and ``a``
+    for ``a^-1`` when that label names the inverse payload, so that on
+    Z/2, where x and x^-1 share a payload, each is the other's inverse;
+    otherwise the first label of the inverse payload (a self-inverse
+    generator listed once is its own inverse)."""
     gens = group.generators()
+    payload = dict(gens)
     by_payload = {}
     for lab, p in gens:
         by_payload.setdefault(p, []).append(lab)
     out = {}
     for lab, p in gens:
         q = group.inv(p)
-        out[lab] = by_payload[q][0]
+        formal = lab[:-3] if lab.endswith("^-1") else lab + "^-1"
+        out[lab] = formal if payload.get(formal, object()) == q \
+            else by_payload[q][0]
     return out
 
 
@@ -398,11 +493,15 @@ def _failed_conditions(defect, separation, n, epsilon, exact, margin):
             if not ok]
 
 
-def _batch(B, targets):
-    """T_.batch of the targets of B's elements, told which are the images of
-    the generators so that regular actions get the commutant kernel."""
-    return T_.batch(targets, [B.index(s) for _, s in B.group.generators()
-                              if s in B])
+def _rows_on(cert, B):
+    """cert's rows of the elements of B, a ball of radius at most cert.n
+    and so a prefix of cert's ball, with the commutant kernel derived from
+    the images of the generators, so that regular actions get it."""
+    rows = cert.rows
+    if len(B) < len(rows):
+        rows = rows.take(np.arange(len(B)))
+    return rows.with_kernel([B.index(s) for _, s in B.group.generators()
+                             if s in B])
 
 
 def _defect_sweep(B, rows, zero):
@@ -477,13 +576,12 @@ def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None):
         raise CertificateError(f"cannot verify at radius {n}, below 1")
     if at_n is not None and at_n > cert.n:
         raise CertificateError("cannot verify above the certificate's n")
-    B = G_.ball(cert.group, n)
-    targets = [cert.target(p) for p in B]  # raises on missing assignment
+    B = cert.ball if n == cert.n else G_.ball(cert.group, n)
     fast = _verify_translation_fast(cert, B, n)
     if fast is not None:
         return fast
     exact = cert.family in _EXACT_FAMILIES
-    rows = _batch(B, targets)
+    rows = _rows_on(cert, B)
     worst_def, def_slots, pairs = _defect_sweep(
         B, rows, Fraction(0) if exact else 0.0)
     worst_sep, sep_slots, sep_pairs = _separation_sweep(
@@ -515,14 +613,16 @@ def _verify_translation_fast(cert, B, n):
     if not isinstance(cert.group, G_.FreeAbelian) or cert.group.d != 1:
         return None
     m = None
-    for p in B:
-        t = cert.assignments[p]
+    shifts = []
+    for i, p in enumerate(B):
+        t = cert.rows.target(i)
         if not isinstance(t, T_.CyclicPerm):
             return None
         if m is None:
             m = t.m
         if t.m != m or t.shift != p[0] % m:
             return None
+        shifts.append(t.shift)
     # defect identically zero: shifts add exactly
     pairs = 0
     for p in B:
@@ -532,8 +632,7 @@ def _verify_translation_fast(cert, B, n):
     sep_pairs = len(B) * (len(B) - 1) // 2
     collision = None
     seen = {}
-    for p in B:
-        s = cert.assignments[p].shift
+    for p, s in zip(B, shifts):
         if s in seen:
             collision = [cert.group.fmt(seen[s]), cert.group.fmt(p)]
             break
@@ -556,7 +655,8 @@ def _verify_translation_fast(cert, B, n):
 # word-level verification
 
 def _letters(group):
-    """Generator letters with inverse pairing, in generator order."""
+    """Generator letters, in generator order, each with the position of
+    its formal inverse."""
     gens = group.generators()
     inv_lab = _inverse_label_map(group)
     index = {lab: i for i, (lab, _) in enumerate(gens)}
@@ -794,10 +894,9 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
     bounds are meaningful.
     """
     import random
-    B = G_.ball(cert.group, cert.n)
-    images = [cert.assignments[g] for g in B]
+    B = cert.ball
     exact = cert.family in _EXACT_FAMILIES
-    X = _batch(B, images)
+    X = _rows_on(cert, B)
     eps0, _, _ = _defect_sweep(B, X, Fraction(0) if exact else 0.0)
     if exact:
         eps0 = eps0 + Fraction(1, 10 ** 12)
@@ -814,8 +913,8 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
     results = {}
 
     # B lists the identity first
-    e_t = target_identity_like(next(iter(cert.assignments.values())))
-    unit = T_.batch([images[0], e_t])
+    first = X.target(0)
+    unit = T_.batch([first, target_identity_like(first)])
     d1, _ = unit.take([0]).extreme(unit.take([1]), max)
     results["identity"] = {"value": d1, "bound": eps0, "pass": d1 < eps0}
 

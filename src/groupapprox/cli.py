@@ -8,6 +8,7 @@ import io
 import json
 import sys
 
+from . import canonical as J_
 from . import groups as G_
 from . import targets as T_
 from . import certify as C_
@@ -38,16 +39,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _json_default(o):
-    from fractions import Fraction
-    if isinstance(o, Fraction):
-        return str(o)
-    raise TypeError(f"not JSON serializable: {o!r}")
-
-
 def _write_json(obj, path):
-    """Write obj as canonical JSON (sorted keys, indent 1, final newline) to
-    path, or to stdout for None or "-", streamed without building the text."""
+    """Write obj as canonical JSON (sorted keys, indent 1, final newline;
+    see canonical.dump) to path, or to stdout for None or "-", streamed
+    without building the text."""
     if path in (None, "-"):
         _dump_json(obj, sys.stdout)
     else:
@@ -56,7 +51,7 @@ def _write_json(obj, path):
 
 
 def _dump_json(obj, f):
-    json.dump(obj, f, sort_keys=True, indent=1, default=_json_default)
+    J_.dump(obj, f)
     f.write("\n")
 
 
@@ -258,7 +253,7 @@ def cmd_construct(args):
         raise UsageError(str(e))
     except C_.UpstreamVerificationError as e:
         raise VerifyFailure(str(e))
-    _write_json(cert.to_json(), args.out)
+    _write_json(cert.to_json(stream=True), args.out)
     if args.out not in (None, "-"):
         summary = {"family": cert.family, "n": cert.n,
                    "dimension": cert.dimension_json(), "written": args.out}

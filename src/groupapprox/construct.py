@@ -161,32 +161,27 @@ def folner_to_sofic(w, n=None):
 # ---------------------------------------------------------------------------
 # finite groups and finite quotients
 
-def _left_regular(F, rows, domain, family, field=None):
-    """Assignments on ``domain`` through the left-regular picture of the
-    finite group F: ``rows`` yields, for each g of ``domain`` in order, the
-    left translation by g's image in F, the row of ``groups.table(F)`` at
-    that image's slot, taken as a permutation (sofic), a permutation
-    unitary (hyp), a rank matrix over ``field`` (lin) or an element of F's
-    table group (fin).
+def _left_regular(F, slots, family, field=None):
+    """The images, in order, of the left translations of the finite group
+    F whose rows of ``groups.table(F)`` are the rows of the int array
+    ``slots``: permutation rows (sofic), permutation-unitary rows (hyp),
+    rank matrices over ``field`` (lin) or elements of F's table group
+    (fin).
 
-    Returns (assignments, the table group for fin or None)."""
+    Returns (the rows, the table group for fin or None)."""
     if family not in ("sofic", "hyp", "lin", "fin"):
         raise BuildError(f"unsupported family {family!r}")
-    # one int object per slot, shared by every assignment
-    ints = list(range(len(F.elements())))
     if family == "fin":
         table = T_.trivial_metric_group(F)
         # x * e = x: a translation sends the identity's slot to its image
         e = table.identity_index
-        return {g: T_.FiniteGroupElement(table, ints[row[e]])
-                for g, row in zip(domain, rows)}, table
-    perms = {g: T_.Permutation(map(ints.__getitem__, row))
-             for g, row in zip(domain, rows)}
-    if family == "hyp":
-        return {g: T_.PermUnitary(s) for g, s in perms.items()}, None
+        return T_.batch([table.element(i)
+                         for i in slots[:, e].tolist()]), table
+    perms = T_.rows_from_array(slots, unitary=family == "hyp")
     if family == "lin":
         f = field or T_.FieldQ()
-        return {g: T_.perm_to_rank(s, f) for g, s in perms.items()}, None
+        return T_.batch([T_.perm_to_rank(perms.target(i), f)
+                         for i in range(len(perms))]), None
     return perms, None
 
 
@@ -204,11 +199,10 @@ def from_quotient(G, Q, n, family="sofic", field=None):
     p = G_.kernel_witness(G, Q, 2 * n)
     if p is not None:
         raise BuildError(f"kernel meets B({2 * n}) at {G.fmt(p)}")
-    B = G_.ball(G, n)
-    assignments, fin_group = _left_regular(
-        Q, G_.quotient_action(Q, B.coords()), B, family, field)
+    rows, fin_group = _left_regular(
+        Q, G_.quotient_action(Q, G_.ball(G, n).coords()), family, field)
     cert = C_.ApproxCertificate(
-        G, n, family, assignments, fin_group=fin_group,
+        G, n, family, rows, fin_group=fin_group,
         provenance=_trace("from_quotient",
                           {"quotient": Q.descriptor(), "family": family},
                           n, float(T_.family_epsilon(family)), Q.index))
@@ -236,12 +230,10 @@ def exact_finite(G, n, family="sofic"):
         raise BuildError("exact_finite needs a finite group")
     if family not in ("sofic", "fin"):
         raise BuildError(f"unsupported family {family!r}")
-    B = G_.ball(G, n)
     # only the ball's rows: O(|B| |G|), not the whole table
-    assignments, fin_group = _left_regular(
-        G, (row.tolist() for row in G_.table(G, B)), B, family)
+    rows, fin_group = _left_regular(G, G_.table(G, G_.ball(G, n)), family)
     cert = C_.ApproxCertificate(
-        G, n, family, assignments, fin_group=fin_group,
+        G, n, family, rows, fin_group=fin_group,
         provenance=_trace("exact_finite", {"order": G.order(), "family": family},
                           n, 1, G.order()))
     return _check(cert)
@@ -527,8 +519,10 @@ def wreath_sofic(c_G, c_H, n):
     B_list = H.elements()
     sizeB = len(B_list)
     # lampmul[a][b] is the slot of B_list[a] * B_list[b]
-    lampmul = G_.table(H).tolist()
-    regular, _ = _left_regular(H, lampmul, B_list, "sofic")
+    lampmul = G_.table(H)
+    perms, _ = _left_regular(H, lampmul, "sofic")
+    regular = {h: perms.target(i) for i, h in enumerate(B_list)}
+    lampmul = lampmul.tolist()
     top = c_H.assignments
     if c_H.dimension != sizeB or any(
             h not in top or _as_perm(top[h]) != regular[h] for h in B_list):

@@ -23,7 +23,8 @@ rows. Their quotients add ``map_array`` (the quotient map on rows) and
 ball is built one BFS level at a time on arrays, ``Ball.coords()`` holds
 its elements' rows in ball order, and ``Ball.products()`` and
 ``kernel_witness`` are array computations. ``quotient_action(Q, X)`` is
-the left translation of Q by the images of coordinate rows X, row by row.
+the left translation of Q by the images of coordinate rows X, one int64
+row of slots per row of X.
 Every other group keeps the scalar loops over ``mul``; ``Ball.coords()``
 is then None.
 
@@ -320,19 +321,18 @@ def kernel_witness(G, Q, r):
 
 def quotient_action(Q, X):
     """Left translation of the finite quotient Q by the image of each
-    coordinate row of X, an int64 array of rows of Q.parent: yields, row by
-    row, the list of the slots in Q.elements() of Q.map(x) * y, for y in
-    Q.elements()."""
+    coordinate row of X, an int64 array of rows of Q.parent: the int64
+    array whose row i lists the slots in Q.elements() of Q.map(X[i]) * y,
+    for y in Q.elements()."""
     G = Q.parent
     X = Q.map_array(X)
     E = np.array([G.coords(y) for y in Q.elements()], dtype=np.int64)
+    out = np.empty((len(X), len(E)), dtype=np.int64)
     step = max(1, BLOCK // E.size)
     for i in range(0, len(X), step):
-        block = Q.slot(Q.map_array(G.mul_array(X[i:i + step, None], E[None])))
-        # one row's Python ints at a time: a block's would raise the peak
-        # memory of a large action by several MB
-        for row in block:
-            yield row.tolist()
+        out[i:i + step] = Q.slot(Q.map_array(
+            G.mul_array(X[i:i + step, None], E[None])))
+    return out
 
 
 def table(F, xs=None):
@@ -345,7 +345,7 @@ def table(F, xs=None):
     xs = elems if xs is None else list(xs)
     if hasattr(F, "map_array"):
         X = np.array([F.parent.coords(y) for y in xs], dtype=np.int64)
-        return np.array(list(quotient_action(F, X)), dtype=np.int64)
+        return quotient_action(F, X)
     slot = {p: i for i, p in enumerate(elems)}
     return np.array([[slot[F.mul(a, b)] for b in elems] for a in xs],
                     dtype=np.int64)

@@ -67,19 +67,27 @@ class Permutation:
     def identity(cls, k):
         return cls(range(k))
 
+    @classmethod
+    def _checked(cls, images):
+        """The permutation of images known to be one (a row of a checked
+        image array, a product or an inverse), not checked again."""
+        perm = cls.__new__(cls)
+        perm.images = tuple(images)
+        return perm
+
     def mul(self, other):
         if isinstance(other, CyclicPerm):
             other = other.materialize()
         if self.k != other.k:
             raise ValueError("degree mismatch")
         im = self.images
-        return Permutation(im[j] for j in other.images)
+        return Permutation._checked(im[j] for j in other.images)
 
     def inv(self):
         out = [0] * self.k
         for i, v in enumerate(self.images):
             out[v] = i
-        return Permutation(out)
+        return Permutation._checked(out)
 
     def fixed_points(self):
         return sum(1 for i, v in enumerate(self.images) if i == v)
@@ -184,12 +192,13 @@ UNITARY_TOLERANCE = 1e-9
 
 
 class UnitaryMatrix:
-    """Dense unitary, unitary within UNITARY_TOLERANCE."""
+    """Dense unitary, unitary within UNITARY_TOLERANCE; ``entries`` is a
+    read-only view."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries, check=True):
-        self.entries = np.asarray(entries, dtype=complex)
+        self.entries = _frozen(np.asarray(entries, dtype=complex).view())
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ValueError("square matrix required")
         if check:
@@ -276,8 +285,12 @@ class PermUnitary:
         return f"PermUnitary(k={self.k})"
 
     def to_json(self):
-        return {"kind": "perm-unitary", "images": list(self.perm.images),
-                "tolerance": UNITARY_TOLERANCE}
+        return _perm_unitary_json(list(self.perm.images))
+
+
+def _perm_unitary_json(images):
+    return {"kind": "perm-unitary", "images": images,
+            "tolerance": UNITARY_TOLERANCE}
 
 
 class AugmentedUnitary:
@@ -347,8 +360,8 @@ def _tau_vstar_u(u, v):
     if u.k != v.k:
         raise ValueError("dimension mismatch")
     if isinstance(u, PermUnitary) and isinstance(v, PermUnitary):
-        prod = v.perm.inv().mul(u.perm)
-        return prod.fixed_points() / u.k
+        # the fixed points of v^-1 u: the points where u and v agree
+        return sum(map(operator.eq, u.perm.images, v.perm.images)) / u.k
     if isinstance(u, AugmentedUnitary) and isinstance(v, AugmentedUnitary) \
             and u.pad == v.pad:
         t_inner = _tau_vstar_u(u.inner, v.inner)
@@ -958,7 +971,7 @@ class PermWreathElement:
 # ---------------------------------------------------------------------------
 # image rows
 
-def batch(images, gens=()):
+def batch(images):
     """The images as rows, the one form in which the verifier composes and
     measures them: ``take(idx)``; ``mul(other)``, row by row, a single row
     repeated against many; ``inv()``; and ``extreme(other, pick,
@@ -968,8 +981,14 @@ def batch(images, gens=()):
     CyclicPerm included, calls its objects' mul/inv/dist/pdist
     (_ScalarRows). Every value equals the scalar one, and the image format
     is known only here: a new kind of target is one more rows class.
-    ``gens`` are the positions of the images of a generating set, from
-    which an image array derives its commutant kernel (see _PermRows).
+
+    Rows also give back what they hold: ``target(i)`` builds row i's
+    object, ``to_json(i, view)`` its JSON (an image array row as a
+    memoryview for canonical.dump when ``view``), and
+    ``representatives()`` targets with every kind the rows hold.
+    ``with_kernel(gens)`` gives the rows with the commutant kernel derived
+    from the rows at ``gens``, the positions of the images of a generating
+    set (see _PermRows).
     """
     if all(isinstance(t, Permutation) for t in images):
         P, hamming = [t.images for t in images], True
@@ -977,9 +996,70 @@ def batch(images, gens=()):
         P, hamming = [t.perm.images for t in images], False
     else:
         return _ScalarRows(images)
-    rows = _PermRows(np.array(P, dtype=np.int32), hamming)
-    rows.transitive_commutant = rows._derive_commutant(rows.P[list(gens)])
-    return rows
+    return _PermRows(_frozen(np.array(P, dtype=np.int32)), hamming)
+
+
+def rows_from_array(P, unitary=False):
+    """Rows of the permutations (PermUnitary when ``unitary``) whose images
+    are the rows of the 2-d integer array P, each checked to be a
+    permutation of range(k) with k >= 1; ValueError otherwise."""
+    return _PermRows(_perm_array(P), not unitary)
+
+
+def rows_from_json(objs, fin_group=None):
+    """Rows of the decoded targets ``objs``. Image lists, or perm-unitary
+    objects, go straight into one int32 array, checked in one vectorized
+    pass: every entry an exact JSON int (no bool, no float), every row a
+    permutation of one range(k). Any other list is decoded target by
+    target (target_from_json)."""
+    if all(isinstance(t, list) for t in objs):
+        return _PermRows(_json_perm_array(objs), True)
+    if all(isinstance(t, dict) and t.get("kind") == "perm-unitary"
+           for t in objs):
+        for t in objs:
+            _require_tolerance(t)
+        return _PermRows(_json_perm_array([t["images"] for t in objs]), False)
+    return _ScalarRows([target_from_json(t, fin_group) for t in objs])
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+def _perm_array(P):
+    """P as a read-only int32 array, unless some row is not a permutation
+    of range(k), k >= 1 (ValueError)."""
+    P = np.asarray(P)
+    if P.ndim != 2 or P.dtype.kind not in "iu" or not P.shape[1]:
+        raise ValueError("permutation images must be nonempty integer rows "
+                         "of one degree")
+    m, k = P.shape
+    if len(P) and (P.min() < 0 or P.max() >= k):
+        raise ValueError("not a permutation: an image lies outside "
+                         f"range({k})")
+    P = P.astype(np.int32)
+    hit = np.zeros(m * k, dtype=bool)
+    hit[(np.arange(m, dtype=np.intp)[:, None] * k + P).ravel()] = True
+    if not hit.all():
+        raise ValueError("not a permutation: a point is hit twice")
+    return _frozen(P)
+
+
+def _json_perm_array(lists):
+    """_perm_array of image lists of one length holding only exact JSON
+    ints."""
+    if not all(isinstance(images, list) for images in lists):
+        raise ValueError("permutation images must be lists")
+    degrees = set(map(len, lists))
+    if len(degrees) != 1:
+        raise ValueError("permutation images differ in degree")
+    if not set(map(type, itertools.chain.from_iterable(lists))) <= {int}:
+        raise ValueError("permutation images must be JSON integers")
+    # an entry beyond int64 raises OverflowError
+    flat = np.fromiter(itertools.chain.from_iterable(lists), np.int64,
+                       len(lists) * min(degrees))
+    return _perm_array(flat.reshape(len(lists), -1))
 
 
 def _pairs(xs, ys):
@@ -997,10 +1077,22 @@ class _ScalarRows:
     transitive_commutant = False
 
     def __init__(self, images):
-        self.images = list(images)
+        self.images = tuple(images)
 
     def __len__(self):
         return len(self.images)
+
+    def target(self, i):
+        return self.images[i]
+
+    def to_json(self, i, view=False):
+        return self.images[i].to_json()
+
+    def representatives(self):
+        return self.images
+
+    def with_kernel(self, gens):
+        return self
 
     def take(self, idx):
         at = np.asarray(idx, dtype=np.intp).tolist()
@@ -1034,8 +1126,9 @@ class _PermRows:
     P_i^-1 P_j, and one point decides a whole row pair: with v = P[:, 0],
     d(P_i P_j, P_t) is nonzero iff P_i(v_j) != v_t, and d(P_i, P_j) is zero
     iff v_i == v_j. ``transitive_commutant`` says whether such an R was
-    found and checked for the rows that batch() built (never for rows that
-    take, mul or inv return); ``max_defect_all`` and ``min_dist_all`` are
+    found and checked for the rows that with_kernel() built (never for
+    rows that take, mul or inv return, nor for the rows a certificate
+    stores); ``max_defect_all`` and ``min_dist_all`` are
     then exact and equal the row sweep's values and first witnesses. Every
     left-regular action of a finite group (and a direct product of such)
     has one: its right translations.
@@ -1072,6 +1165,24 @@ class _PermRows:
 
     def __len__(self):
         return len(self._P if self._at is None else self._at)
+
+    def target(self, i):
+        perm = Permutation._checked(self.P[i].tolist())
+        return perm if self.hamming else PermUnitary(perm)
+
+    def to_json(self, i, view=False):
+        row = self.P[i]
+        images = memoryview(row) if view else row.tolist()
+        return images if self.hamming else _perm_unitary_json(images)
+
+    def representatives(self):
+        return [self.target(0)]
+
+    def with_kernel(self, gens):
+        rows = _PermRows(self.P, self.hamming)
+        rows.transitive_commutant = rows._derive_commutant(
+            rows.P[list(gens)])
+        return rows
 
     def _derive_commutant(self, S):
         P, k = self.P, self.k
@@ -1176,15 +1287,13 @@ def target_from_json(obj, fin_group=None):
     """Decode a TargetElement; fin elements need their group passed in.
     A unitary's tolerance field, if present, must be UNITARY_TOLERANCE."""
     if isinstance(obj, list):
-        return Permutation(obj)
+        return _json_perm(obj)
     kind = obj.get("kind")
-    if obj.get("tolerance", UNITARY_TOLERANCE) != UNITARY_TOLERANCE:
-        raise ValueError(f"unitarity tolerance {obj['tolerance']!r} is not "
-                         f"the verifier's {UNITARY_TOLERANCE}")
+    _require_tolerance(obj)
     if kind == "cyclic-perm":
         return CyclicPerm(obj["m"], obj["shift"])
     if kind == "perm-unitary":
-        return PermUnitary(obj["images"])
+        return PermUnitary(_json_perm(obj["images"]))
     if kind == "unitary":
         k = obj["k"]
         flat = obj["entries"]
@@ -1204,5 +1313,17 @@ def target_from_json(obj, fin_group=None):
         return fin_group.element(obj["index"])
     if kind == "perm-wreath":
         bells = [target_from_json(b) for b in obj["bells"]]
-        return PermWreathElement(Permutation(obj["perm"]), bells)
+        return PermWreathElement(_json_perm(obj["perm"]), bells)
     raise ValueError(f"unknown target encoding {obj!r}")
+
+
+def _json_perm(images):
+    """The Permutation of one JSON image list of exact ints."""
+    return Permutation(_json_perm_array([images])[0].tolist())
+
+
+def _require_tolerance(obj):
+    """A unitary's tolerance field, if present, must be UNITARY_TOLERANCE."""
+    if obj.get("tolerance", UNITARY_TOLERANCE) != UNITARY_TOLERANCE:
+        raise ValueError(f"unitarity tolerance {obj['tolerance']!r} is not "
+                         f"the verifier's {UNITARY_TOLERANCE}")

@@ -385,3 +385,127 @@ def test_13_cli_reruns_byte_identical_and_any_mutation_caught(tmp_path,
         mutated = C_.ApproxCertificate.loads(json.dumps(blob))
         assert not C_.verify_D(mutated).passed, entry["element"]
     _within(t0, 30.0)
+
+
+# the README's construct examples, each as (file, construct argv)
+_README_CERTIFICATES = [
+    ("cert.json", ["--method", "cyclic-z", "--n", "3"]),
+    ("q.json", ["--method", "from-quotient", "--group", "Z^2", "--lattice",
+                "1,3;0,8", "--n", "1"]),
+    ("fin.json", ["--method", "from-quotient", "--group", "Heisenberg(1)",
+                  "--modulus", "5", "--n", "2", "--family", "fin"]),
+    ("lin.json", ["--method", "perm-to-lin", "--input", "cert.json",
+                  "--field", "F2"]),
+    ("hyp.json", ["--method", "from-quotient", "--group", "Z", "--modulus",
+                  "641", "--n", "320", "--family", "hyp"]),
+    ("amp.json", ["--method", "amplify", "--input", "hyp.json", "--n", "8"]),
+]
+
+
+def _images(obj, i):
+    """The image list of assignment i (a permutation or perm-unitary
+    target), or None for other targets."""
+    target = obj["assignments"][i]["target"]
+    if isinstance(target, dict):
+        target = target.get("images")
+    return target if isinstance(target, list) else None
+
+
+def _structural_mutations(obj):
+    """(name, mutate) for each structural change of a certificate object:
+    dropped, duplicated and retyped fields, image rows cut, grown, nested
+    or negated, an entry out of range. Each must be refused."""
+    def drop(*path):
+        def mutate(o):
+            for key in path[:-1]:
+                o = o[key]
+            o.pop(path[-1])
+        return mutate
+
+    def put(value, *path):
+        def mutate(o):
+            for key in path[:-1]:
+                o = o[key]
+            o[path[-1]] = value
+        return mutate
+
+    def row(change):
+        def mutate(o):
+            change(_images(o, 1))
+        return mutate
+
+    out = [(f"drop-{key}", drop(key)) for key in
+           ("n", "dimension", "family", "epsilon", "group", "assignments")]
+    out += [("n-as-string", put("3", "n")), ("n-as-float", put(1.5, "n")),
+            ("n-null", put(None, "n")),
+            ("dimension-as-string", put("x", "dimension")),
+            ("dimension-negative", put(-1, "dimension")),
+            ("drop-element", drop("assignments", 1, "element")),
+            ("element-as-int", put(5, "assignments", 1, "element")),
+            ("target-as-string", put("x", "assignments", 1, "target")),
+            ("target-without-kind", put({}, "assignments", 1, "target")),
+            ("duplicate-assignment",
+             lambda o: o["assignments"].append(dict(o["assignments"][1])))]
+    target = obj["assignments"][1]["target"]
+    if isinstance(target, dict):
+        out += [("drop-kind", drop("assignments", 1, "target", "kind")),
+                ("kind-as-int", put(5, "assignments", 1, "target", "kind"))]
+    if isinstance(target, dict) and "images" in target:
+        out += [("drop-images", drop("assignments", 1, "target", "images")),
+                ("images-as-string",
+                 put("x", "assignments", 1, "target", "images"))]
+    if _images(obj, 1) is not None:
+        k = len(_images(obj, 1))
+        out += [("row-truncated", row(lambda r: r.pop())),
+                ("row-lengthened", row(lambda r: r.append(k))),
+                ("row-nested", row(lambda r: r.__setitem__(0, [r[0]]))),
+                ("row-negated", row(lambda r: r.__setitem__(
+                    r.index(1), -1))),
+                ("entry-out-of-range", row(lambda r: r.__setitem__(0, k))),
+                ("entry-repeated", row(lambda r: r.__setitem__(0, r[1]))),
+                ("entry-as-float", row(lambda r: r.__setitem__(
+                    r.index(1), 1.0))),
+                ("entry-as-bool", row(lambda r: r.__setitem__(
+                    r.index(1), True)))]
+    return out
+
+
+def test_13_structural_mutations_of_readme_certificates_fail_cleanly(
+        tmp_path, monkeypatch, capsys):
+    """Every structural mutation of every README certificate exits 1 (or 2)
+    with no traceback; two distinct images swapped exit 2."""
+    t0 = time.monotonic()
+    monkeypatch.chdir(tmp_path)
+    for name, argv in _README_CERTIFICATES:
+        assert cli.main(["construct", *argv, "--out", name]) == 0
+    capsys.readouterr()
+    for name, _ in _README_CERTIFICATES:
+        pristine = json.loads((tmp_path / name).read_text())
+        cases = _structural_mutations(pristine)
+
+        def swap(o):
+            a = o["assignments"]
+            a[1]["target"], a[2]["target"] = a[2]["target"], a[1]["target"]
+        assert pristine["assignments"][1]["target"] \
+            != pristine["assignments"][2]["target"]
+        cases.append(("rows-swapped", swap))
+        for case, mutate in cases:
+            obj = json.loads(json.dumps(pristine))
+            mutate(obj)
+            path = tmp_path / "mutated.json"
+            path.write_text(json.dumps(obj))
+            code = cli.main(["verify", "--cert", str(path)])
+            out, err = capsys.readouterr()
+            assert "Traceback" not in err, (name, case)
+            if case == "rows-swapped":
+                assert code == 2, (name, case)
+            else:
+                assert code == 1 and err.startswith("error: ") \
+                    and out == "", (name, case, code, err)
+    # a duplicated key: the last one read wins, and n = 4 leaves B(4)
+    # without images
+    text = (tmp_path / "q.json").read_text().replace('"n": 1', '"n": 1, "n": 4')
+    (tmp_path / "mutated.json").write_text(text)
+    assert cli.main(["verify", "--cert", str(tmp_path / "mutated.json")]) == 1
+    assert "missing assignment" in capsys.readouterr().err
+    _within(t0, 60.0)

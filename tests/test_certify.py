@@ -35,9 +35,49 @@ def test_cyclic_verifies_exactly():
 
 def test_missing_assignment_rejected():
     c = cyclic(2)
-    c.assignments.pop((2,))
-    with pytest.raises(C_.CertificateError):
-        C_.verify_D(c)
+    partial = dict(c.assignments)
+    partial.pop((2,))
+    with pytest.raises(C_.CertificateError, match="missing assignment for 2"):
+        C_.ApproxCertificate(c.group, c.n, c.family, partial)
+    obj = c.to_json()
+    obj["assignments"] = [a for a in obj["assignments"] if a["element"] != "2"]
+    with pytest.raises(C_.CertificateError, match="missing assignment for 2"):
+        C_.ApproxCertificate.from_json(obj)
+
+
+def test_a_verified_certificate_cannot_change():
+    """The stored image array is read-only and the assignments a read-only
+    view; after every attempt to write, the report is the same."""
+    hyp = X_.perm_to_hyp(cyclic(8), 2)
+    dense = C_.ApproxCertificate(
+        Z, 2, "hyp", {p: T_.as_dense(u) for p, u in hyp.assignments.items()})
+    for cert in (X_.from_quotient(Z, G_.LatticeHNF(Z, [(7,)]), 3, "sofic"),
+                 hyp, cyclic(3), dense):
+        before = C_.verify_D(cert).to_json()
+        p = cert.group.identity()
+        if isinstance(cert.target(p), T_.CyclicPerm):
+            with pytest.raises(TypeError):  # the objects, in a tuple
+                cert.rows.images[0] = None
+        elif isinstance(cert.target(p), T_.UnitaryMatrix):
+            with pytest.raises(ValueError, match="read-only"):
+                cert.target(p).entries[0, 0] = 2
+        else:
+            with pytest.raises(ValueError, match="read-only"):
+                cert.rows.P[0, 0] = 1
+        with pytest.raises(TypeError):
+            cert.assignments[p] = cert.target(p)
+        with pytest.raises(TypeError):
+            del cert.assignments[p]
+        with pytest.raises(AttributeError):
+            cert.rows = None
+        with pytest.raises(AttributeError):
+            cert.ball = None
+        with pytest.raises(AttributeError):
+            cert.assignments = {}
+        assert C_.verify_D(cert).to_json() == before
+    h = C_.HomCertificate(Z, {"x1": T_.CyclicPerm(7, 1)}, "sofic")
+    with pytest.raises(TypeError):
+        h.images["x1"] = T_.CyclicPerm(7, 2)
 
 
 def test_reverify_at_smaller_radius():
@@ -49,8 +89,7 @@ def test_reverify_at_smaller_radius():
 
 
 def test_mutated_assignment_caught():
-    c = cyclic(3)
-    c.assignments[(1,)] = T_.CyclicPerm(7, 2)
+    c = _replace(cyclic(3), (1,), T_.CyclicPerm(7, 2))
     rep = C_.verify_D(c)
     assert not rep.passed
     assert rep.defect_witness is not None
@@ -63,8 +102,7 @@ def test_every_single_mutation_caught():
         for wrong in range(m):
             if T_.CyclicPerm(m, wrong) == base.assignments[p]:
                 continue
-            c = cyclic(2)
-            c.assignments[p] = T_.CyclicPerm(m, wrong)
+            c = _replace(cyclic(2), p, T_.CyclicPerm(m, wrong))
             assert not C_.verify_D(c).passed, (p, wrong)
 
 
@@ -93,9 +131,8 @@ def test_translation_fast_path_matches_generic():
     fast = C_.verify_D(cyclic(6))
     assert any("fast path" in note for note in fast.notes)
     # materializing the shifts forces the generic pair loop
-    slow_cert = cyclic(6)
-    slow_cert.assignments = {p: t.materialize()
-                             for p, t in slow_cert.assignments.items()}
+    slow_cert = C_.ApproxCertificate(Z, 6, "sofic", {
+        p: t.materialize() for p, t in cyclic(6).assignments.items()})
     slow = C_.verify_D(slow_cert)
     assert not any("fast path" in note for note in slow.notes)
     assert slow.passed == fast.passed
@@ -368,7 +405,7 @@ def test_commutant_kernel_matches_row_sweep(data):
         mutation = "none"
     images = [T_.Permutation(p) if hamming else T_.PermUnitary(p)
               for p in perms]
-    rows = T_.batch(images, gens)
+    rows = T_.batch(images).with_kernel(gens)
     # images inside the commutant take the kernel, others fall back
     assert rows.transitive_commutant == (
         mutation in ("none", "swap", "duplicate"))
@@ -435,6 +472,28 @@ def test_hom_closes_images_through_inverse_payloads():
     with pytest.raises(C_.CertificateError, match="'x2'"):
         C_.HomCertificate(G_.FreeAbelian(2), {"x1": T_.CyclicPerm(7, 1)},
                           "sofic")
+
+
+def test_reduced_words_over_a_self_inverse_generator():
+    """On Z/2 the labels x and x^-1 share a payload, yet each is the
+    other's formal inverse: the walk takes x x and x^-1 x^-1, the reduced
+    words of length 2, and never the unreduced x x^-1."""
+    group = G_.FiniteCyclic(2)
+    letters = C_._letters(group)
+    words, level = [], [()]
+    for _ in range(2):
+        level = [w + (x,) for w in level for x in range(len(letters))
+                 if not w or letters[w[-1]][2] != x]
+        words += [" ".join(letters[x][0] for x in w) for w in level]
+    assert words == ["x", "x^-1", "x x", "x^-1 x^-1"]
+    h = C_.HomCertificate(group, {"x": T_.CyclicPerm(3, 1)}, "sofic")
+    assert C_.verify_W(h, 2).notes == ["words checked: 5"]
+    # x x lands 1 from the identity and x^-1 x^-1 on it; x x^-1 would
+    # land 1 away too, and be the witness
+    h = C_.HomCertificate(group, {"x": T_.CyclicPerm(4, 1),
+                                  "x^-1": T_.CyclicPerm(4, 2)}, "sofic")
+    rep = C_.verify_W(h, 2)
+    assert rep.defect == 1 and rep.defect_witness == "x x"
 
 
 def test_word_cap():
@@ -640,6 +699,38 @@ def test_D_from_W_round_trip():
     cert = C_.D_from_W(_hom_Z_mod(19), 3)
     assert cert.n == 3 and cert.dimension == 19
     assert C_.verify_D(cert).passed
+
+
+def test_D_from_W_pairs_formal_inverses_over_a_self_inverse_generator():
+    """Over Z/2 x Z, whose Z/2 labels L.x and L.x^-1 share a payload, the
+    word of g^-1 is the formal inverse of the word of g: L.x turns into
+    L.x^-1. The images of L.x and L.x^-1 differ on two of 100 points, so
+    the pairing shows in the images."""
+    k = 100
+    shift = T_.Permutation([(i + 1) % k for i in range(k)])
+    half = T_.Permutation([(i + k // 2) % k for i in range(k)])
+    swap = T_.Permutation([1, 0, *range(2, k)])
+    G = G_.DirectProduct(G_.FiniteCyclic(2), Z)
+    h = C_.HomCertificate(G, {"L.x": half, "L.x^-1": half.mul(swap),
+                              "R.x1": shift}, "sofic")
+    cert = C_.D_from_W(h, 2)
+
+    def formal(word):
+        return tuple(lab[:-3] if lab.endswith("^-1") else lab + "^-1"
+                     for lab in reversed(word))
+
+    words, chosen = C_.geodesic_words(G, 2), {}
+    for g in cert.ball:
+        if g not in chosen:
+            chosen[g] = words[g]
+            chosen.setdefault(G.inv(g), formal(words[g]))
+    assert any("L.x^-1" in w for w in chosen.values())
+    for g, w in chosen.items():
+        assert cert.target(g) == h.image_of_word(w)
+    # the first-label pairing would have given some element another image
+    assert any(cert.target(g) != h.image_of_word(
+        [lab.replace("L.x^-1", "L.x") for lab in w])
+        for g, w in chosen.items())
 
 
 def test_W_from_D_round_trip():

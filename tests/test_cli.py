@@ -466,6 +466,30 @@ def _hom_without(tmp_path, group, images, dropped):
     return path
 
 
+def _perm_entry_path(tmp_path, value):
+    """The sofic certificate of Z through Z/5 at radius 2 with the entry
+    ``value`` standing in for the equal int in the image of the identity:
+    the same permutation, but not in JSON integers."""
+    obj = X_.from_quotient(Z, G_.LatticeHNF(Z, [(5,)]), 2, "sofic").to_json()
+    images = obj["assignments"][0]["target"]
+    images[images.index(int(value))] = value
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _without_radius_two_element_path(tmp_path):
+    """The sofic certificate of Z through Z/7 at radius 2 without the
+    assignment of 2, an element outside B(1): a certificate over B(n) that
+    lacks an element of B(n) is rejected when read, so also at --at-n 1."""
+    obj = X_.from_quotient(Z, G_.LatticeHNF(Z, [(7,)]), 2, "sofic").to_json()
+    obj["assignments"] = [a for a in obj["assignments"]
+                          if a["element"] != "2"]
+    path = tmp_path / "lacking.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
 def _cyclic_path(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(X_.cyclic_Z(2).dumps())
@@ -542,6 +566,13 @@ _BAD_INPUT = {
         "--lemma-suite"],
     "relators-only-on-ball-certificate": lambda t: [
         "verify", "--cert", str(_cyclic_path(t)), "--relators-only"],
+    "perm-image-float-entry": lambda t: [
+        "verify", "--cert", str(_perm_entry_path(t, 0.0))],
+    "perm-image-bool-entry": lambda t: [
+        "verify", "--cert", str(_perm_entry_path(t, True))],
+    "missing-element-outside-the-verified-radius": lambda t: [
+        "verify", "--cert", str(_without_radius_two_element_path(t)),
+        "--at-n", "1"],
     "hom-generator-without-image": lambda t: [
         "verify", "--cert", str(_hom_without(
             t, G_.FreeAbelian(2), {"x1": T_.CyclicPerm(7, 1),
