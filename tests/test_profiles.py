@@ -80,6 +80,24 @@ def test_sofic_oracle_budget():
     assert "budget_exhausted_at" in pt.detail
 
 
+# value, provenance and detail (node counts included) of the backtracking
+# search, which a change of the search must reproduce exactly
+@pytest.mark.parametrize("n, k_max, budget, value, provenance, detail", [
+    (1, 5, 200_000, 3, "exact", {"refuted": [1, 2], "nodes": 6}),
+    (2, 5, 200_000, 5, "exact", {"refuted": [1, 2, 3, 4], "nodes": 27}),
+    (3, 7, 200_000, 7, "exact",
+     {"refuted": [1, 2, 3, 4, 5, 6], "nodes": 57}),
+    (1, 5, 2, None, "lower",
+     {"refuted": [1], "budget_exhausted_at": 2, "lower": 2}),
+    (2, 4, 200_000, None, "lower",
+     {"refuted": [1, 2, 3, 4], "lower": 5,
+      "note": "no witness up to k_max=4", "nodes": 14}),
+])
+def test_sofic_oracle_pinned(n, k_max, budget, value, provenance, detail):
+    pt = P_.sofic_exact_oracle(Z, n, k_max, budget)
+    assert (pt.value, pt.provenance, pt.detail) == (value, provenance, detail)
+
+
 def test_weakly_sofic_Z():
     assert P_.weakly_sofic_exact_Z(0).value == 1
     for n in range(1, 51):
@@ -254,6 +272,33 @@ def test_le_f_growth_finite_self():
 def test_le_f_growth_free_group():
     pt = P_.le_f_growth(G_.Free(2), 1, _cyclics(8))
     assert pt.value == 5 and pt.provenance == "upper"
+
+
+def _cyclic_upper(m, nodes, ruled_out):
+    return m, "upper", {"target": {"kind": "FiniteCyclic",
+                                   "params": {"m": m}},
+                        "nodes": nodes, "ruled_out": ruled_out}
+
+
+_NO_TARGET = "no catalog target admits a ball monomorphism"
+
+
+# value, provenance and detail (node counts included) of the backtracking
+# search, which a change of the search must reproduce exactly
+@pytest.mark.parametrize("group, n, up_to, expected", [
+    (Z, 1, 12, _cyclic_upper(3, 3, [1, 2])),
+    (Z, 2, 12, _cyclic_upper(5, 5, [1, 2, 3, 4])),
+    (Z, 3, 12, _cyclic_upper(7, 7, [1, 2, 3, 4, 5, 6])),
+    (G_.FiniteCyclic(6), 2, 8, _cyclic_upper(6, 18, [1, 2, 3, 4, 5])),
+    (G_.Free(2), 1, 8, _cyclic_upper(5, 5, [1, 2, 3, 4])),
+    (Z2, 1, 8, _cyclic_upper(5, 5, [1, 2, 3, 4])),
+    (G_.FiniteCyclic(6), 2, 5,
+     (None, "lower", {"lower": 5, "note": _NO_TARGET,
+                      "ruled_out": [1, 2, 3, 4, 5]})),
+])
+def test_le_f_growth_pinned(group, n, up_to, expected):
+    pt = P_.le_f_growth(group, n, _cyclics(up_to))
+    assert (pt.value, pt.provenance, pt.detail) == expected
 
 
 def test_ra_profile_prefers_small_quotient():
