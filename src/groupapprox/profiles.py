@@ -139,12 +139,73 @@ class _OracleBudget(Exception):
     pass
 
 
+def _ball_search(B, identity, candidates, apart, near, state, budget):
+    """Images for the slots of the ball B by backtracking, or None.
+
+    Slot 0 (the identity of B) holds identity. Slot s >= 1 tries the images
+    of candidates[s - 1] in order, keeping one that is apart(new, old) from
+    every earlier slot and near(x_i, x_j, x_t) on each product triple
+    (i, j, t) of B that the slot completes. Triples with a factor at slot 0
+    hold for an identity image and are skipped. Every node counts in
+    state["nodes"]; passing budget raises _OracleBudget.
+    """
+    completes = [[] for _ in range(len(B))]
+    for i, row in enumerate(B.products().tolist()):
+        for j, t in enumerate(row):
+            if i and j and t >= 0:
+                completes[max(i, j, t)].append((i, j, t))
+    assigned = [identity] + [None] * (len(B) - 1)
+
+    def fits(pos):
+        new = assigned[pos]
+        for old in assigned[:pos]:
+            if not apart(new, old):
+                return False
+        for i, j, t in completes[pos]:
+            if not near(assigned[i], assigned[j], assigned[t]):
+                return False
+        return True
+
+    def rec(pos):
+        state["nodes"] += 1
+        if state["nodes"] > budget:
+            raise _OracleBudget
+        if pos == len(B):
+            return True
+        for c in candidates[pos - 1]:
+            assigned[pos] = c
+            if fits(pos) and rec(pos + 1):
+                return True
+        assigned[pos] = None
+        return False
+
+    return assigned if rec(1) else None
+
+
+def _sofic_witness(B, n, k, state, budget):
+    """Images in Sym(k) of the elements of B, identity first, that are
+    (n,1)-approximate: fewer than k/n agreements between distinct elements
+    and fewer than k/n moved points on each product. None if there are
+    none. The first image after the identity runs over cycle-type
+    representatives: conjugating the whole assignment moves any witness
+    into this normal form."""
+    perms = list(itertools.permutations(range(k)))
+
+    def apart(a, b):
+        return sum(1 for x, y in zip(a, b) if x == y) * n < k
+
+    def near(a, b, c):
+        return sum(1 for x in range(k) if a[b[x]] != c[x]) * n < k
+
+    candidates = [_cycle_type_representatives(k)] + [perms] * (len(B) - 2)
+    return _ball_search(B, tuple(range(k)), candidates, apart, near,
+                        state, budget)
+
+
 def sofic_exact_oracle(G, n, k_max, budget=200_000):
     """Least k <= k_max admitting an (n,1)-approximation into Sym(k).
 
-    Backtracking with pi(e) = id and the first assigned image restricted to
-    conjugacy-class representatives (conjugating the whole assignment moves
-    any witness into this normal form). Unknown (value None) on budget
+    Backtracking over k (_sofic_witness). Unknown (value None) on budget
     exhaustion, with the surviving bounds in the detail.
     """
     if k_max < 1:
@@ -152,66 +213,11 @@ def sofic_exact_oracle(G, n, k_max, budget=200_000):
     B = G_.ball(G, n)
     if len(B) > 9 or k_max > 7:
         raise ValueError("oracle guarded to tiny balls and k_max <= 7")
-    # the identity holds ball slot 0; the search assigns the other slots,
-    # and product triples (i, j, target) use their indices shifted by one,
-    # with target None for a product equal to the identity
-    elems = B.elements[1:]
-    triples = [(i, j, None if t == 0 else t - 1)
-               for i, row in enumerate(B.products()[1:, 1:].tolist())
-               for j, t in enumerate(row) if t >= 0]
     state = {"nodes": 0}
-
-    def refute_or_find(k):
-        perms = [tuple(p) for p in itertools.permutations(range(k))]
-        ident = tuple(range(k))
-
-        def sep_ok(a, b):
-            agree = sum(1 for x, y in zip(a, b) if x == y)
-            return agree * n < k
-
-        def defect_ok(a, b, c):
-            # c defaults to the identity slot
-            cc = c if c is not None else ident
-            moved = sum(1 for x in range(k) if a[b[x]] != cc[x])
-            return moved * n < k
-
-        assigned = [None] * len(elems)
-
-        def consistent(upto):
-            new = assigned[upto]
-            if not sep_ok(new, ident):
-                return False
-            for j in range(upto):
-                if not sep_ok(new, assigned[j]):
-                    return False
-            for (i, j, t) in triples:
-                if i > upto or j > upto or (t is not None and t > upto):
-                    continue
-                tgt = assigned[t] if t is not None else None
-                if not defect_ok(assigned[i], assigned[j], tgt):
-                    return False
-            return True
-
-        def rec(pos):
-            state["nodes"] += 1
-            if state["nodes"] > budget:
-                raise _OracleBudget
-            if pos == len(elems):
-                return True
-            cands = _cycle_type_representatives(k) if pos == 0 else perms
-            for c in cands:
-                assigned[pos] = c
-                if consistent(pos) and rec(pos + 1):
-                    return True
-            assigned[pos] = None
-            return False
-
-        return rec(0)
-
     refuted = []
     for k in range(1, k_max + 1):
         try:
-            if refute_or_find(k):
+            if _sofic_witness(B, n, k, state, budget) is not None:
                 return ProfilePoint(
                     n, k, "exact",
                     detail={"refuted": refuted, "nodes": state["nodes"]})
@@ -503,55 +509,25 @@ def le_f_growth(G, n, catalog):
     map from B(n). An upper bound: a group outside the catalog may be
     smaller."""
     B = G_.ball(G, n)
-    elems = B.elements  # identity first, at slot 0
-    triples = [(i, j, t) for i, row in enumerate(B.products().tolist())
-               for j, t in enumerate(row) if t >= 0]
-
     state = {"nodes": 0}
 
     def try_target(F):
         mul = G_.table(F).tolist()
         e_f = F.elements().index(F.identity())
-        assigned = [None] * len(elems)
-        assigned[0] = e_f
-
-        def ok(upto):
-            img = assigned[upto]
-            for j in range(upto):
-                if assigned[j] == img:
-                    return False
-            for (i, j, t) in triples:
-                if i > upto or j > upto or t > upto:
-                    continue
-                if mul[assigned[i]][assigned[j]] != assigned[t]:
-                    return False
-            return True
-
-        def rec(pos):
-            state["nodes"] += 1
-            if state["nodes"] > _LE_F_BUDGET:
-                raise _OracleBudget
-            if pos == len(elems):
-                return True
-            for c in range(len(mul)):
-                assigned[pos] = c
-                if ok(pos) and rec(pos + 1):
-                    return True
-            assigned[pos] = None
-            return False
-
-        return rec(1)
+        return _ball_search(
+            B, e_f, [range(len(mul))] * (len(B) - 1), lambda a, b: a != b,
+            lambda a, b, c: mul[a][b] == c, state, _LE_F_BUDGET)
 
     sized = sorted(catalog, key=lambda F: (len(F.elements()),
                                            str(F.descriptor())))
     tried = []
     for F in sized:
         size = len(F.elements())
-        if size < len(elems):
+        if size < len(B):
             tried.append(size)
             continue  # injectivity alone rules it out
         try:
-            if try_target(F):
+            if try_target(F) is not None:
                 return ProfilePoint(
                     n, size, "upper",
                     detail={"target": F.descriptor(), "nodes": state["nodes"],
@@ -560,11 +536,11 @@ def le_f_growth(G, n, catalog):
         except _OracleBudget:
             return ProfilePoint(
                 n, None, "lower",
-                detail={"lower": len(elems), "note": "budget exhausted",
+                detail={"lower": len(B), "note": "budget exhausted",
                         "ruled_out": tried})
     return ProfilePoint(
         n, None, "lower",
-        detail={"lower": len(elems),
+        detail={"lower": len(B),
                 "note": "no catalog target admits a ball monomorphism",
                 "ruled_out": tried})
 

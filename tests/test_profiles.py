@@ -2,12 +2,15 @@ import itertools
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupapprox import groups as G_
+from groupapprox import certify as C_
 from groupapprox import construct as X_
 from groupapprox import profiles as P_
+from groupapprox import targets as T_
 
 Z = G_.FreeAbelian(1)
 Z2 = G_.FreeAbelian(2)
@@ -96,6 +99,18 @@ def test_sofic_oracle_budget():
 def test_sofic_oracle_pinned(n, k_max, budget, value, provenance, detail):
     pt = P_.sofic_exact_oracle(Z, n, k_max, budget)
     assert (pt.value, pt.provenance, pt.detail) == (value, provenance, detail)
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 5), (3, 7)])
+def test_sofic_oracle_witness_passes_the_verifier(n, k):
+    # the search's agree*n < k and moved*n < k are the verifier's strict
+    # separation > 1 - 1/n and defect < 1/n
+    B = G_.ball(Z, n)
+    images = P_._sofic_witness(B, n, k, {"nodes": 0}, 200_000)
+    cert = C_.ApproxCertificate(Z, n, "sofic",
+                                T_.rows_from_array(np.array(images)))
+    assert C_.verify_D(cert).passed
+    assert P_._sofic_witness(B, n, k - 1, {"nodes": 0}, 200_000) is None
 
 
 def test_weakly_sofic_Z():
