@@ -50,6 +50,17 @@ def _decode_common(obj):
     return group, fin_group, eps
 
 
+def _json_dimension(dim):
+    """A certificate's dimension field: an exact JSON int, or for tensor
+    images {"base": k, "power": l} of them (targets.ImplicitTensorUnitary);
+    CertificateError otherwise."""
+    parts = dim.values() if isinstance(dim, dict) else [dim]
+    if not all(type(x) is int for x in parts):
+        raise CertificateError(
+            f"dimension must be JSON integers, not {dim!r}")
+    return dim
+
+
 def decoded(decode, obj):
     """Run a certificate decoder, turning any decoding failure of malformed
     input into CertificateError."""
@@ -200,12 +211,6 @@ class ApproxCertificate:
                 f"missing assignment for {self.group.fmt(payload)}")
         return self._rows.target(self.ball.index(payload))
 
-    def dimension_json(self):
-        first = self._rows.target(0)
-        if isinstance(first, T_.ImplicitTensorUnitary):
-            return first.dim_symbolic
-        return self.dimension
-
     def to_json(self, stream=False):
         """The certificate as a JSON object; with ``stream``, each image of
         an image array is a memoryview of its row, which only
@@ -215,7 +220,7 @@ class ApproxCertificate:
             "family": self.family,
             "epsilon": float(self.epsilon),
             "n": self.n,
-            "dimension": self.dimension_json(),
+            "dimension": self.dimension,
         }
         if self.fin_group is not None:
             obj["target_group"] = self.fin_group.to_json()
@@ -255,11 +260,9 @@ class ApproxCertificate:
             targets[p] = item["target"]
         rows = T_.rows_from_json(_in_ball_order(B, targets),
                                  fin_group=fin_group)
-        dim = obj["dimension"]
-        if isinstance(dim, dict):
-            dim = dim["base"] ** dim["power"]
         return cls(group, obj["n"], obj["family"], rows, epsilon=eps,
-                   dimension=dim, provenance=obj.get("provenance"),
+                   dimension=_json_dimension(obj["dimension"]),
+                   provenance=obj.get("provenance"),
                    fin_group=fin_group)
 
     @classmethod
@@ -385,7 +388,7 @@ class HomCertificate:
                 raise CertificateError(
                     f"relator {list(r)} uses a label the group lacks")
         return cls(group, images, obj["family"], relators=relators,
-                   epsilon=eps, dimension=obj["dimension"],
+                   epsilon=eps, dimension=_json_dimension(obj["dimension"]),
                    fin_group=fin_group, provenance=obj.get("provenance"))
 
 
@@ -714,7 +717,10 @@ def _verify_words(h, n, cap, margin, relator_mode):
     kinds = ((False, min),) if relator_mode else ((True, max), (False, min))
     inverse = np.array([i for _, _, i in letters])
     down = np.arange(len(letters))[::-1]
-    step = max(1, G_.BLOCK // first.dim)
+    # a block holds about G_.BLOCK image entries; a tensor image, whose
+    # dimension is symbolic, is past that alone
+    width = first.dim if isinstance(first.dim, int) else G_.BLOCK
+    step = max(1, G_.BLOCK // width)
     stack = [(np.zeros((1, 0), dtype=np.intp), [e_g], ident)]
     while stack:
         W, gs, T = stack.pop()

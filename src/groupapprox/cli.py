@@ -256,7 +256,7 @@ def cmd_construct(args):
     _write_json(cert.to_json(stream=True), args.out)
     if args.out not in (None, "-"):
         summary = {"family": cert.family, "n": cert.n,
-                   "dimension": cert.dimension_json(), "written": args.out}
+                   "dimension": cert.dimension, "written": args.out}
         _write_json(summary, None)
     return EXIT_OK
 

@@ -397,7 +397,9 @@ class ImplicitTensorUnitary:
     """base^{tensor power}, represented by the base and the exponent.
 
     All distances reduce to powers of base traces: tau((A ox ... ox A)(B ox
-    ... ox B)*) = tau(AB*)^power, so nothing of size k^power is ever built.
+    ... ox B)*) = tau(AB*)^power, so nothing of size k^power is ever built,
+    the dimension k^power included: ``dim`` is {"base": k, "power": power},
+    its JSON form.
     """
 
     __slots__ = ("base", "power")
@@ -409,15 +411,7 @@ class ImplicitTensorUnitary:
         self.power = int(power)
 
     @property
-    def k(self):
-        return self.base.k ** self.power
-
-    @property
     def dim(self):
-        return self.k
-
-    @property
-    def dim_symbolic(self):
         return {"base": self.base.k, "power": self.power}
 
     def mul(self, other):
@@ -447,8 +441,12 @@ class ImplicitTensorUnitary:
         return math.sqrt(max(0.0, 2.0 - 2.0 * abs(t)))
 
     def materialize(self):
-        if self.k > MATERIALIZE_CAP:
-            raise ValueError(f"refusing to materialize dimension {self.k}")
+        # a base of k >= 2 passes the cap by the power bit_length, so that
+        # power bounds the exponent without changing the comparison
+        cut = min(self.power, MATERIALIZE_CAP.bit_length())
+        if self.base.k ** cut > MATERIALIZE_CAP:
+            raise ValueError(f"refusing to materialize dimension "
+                             f"{self.base.k}^{self.power}")
         out = as_dense(self.base).entries
         for _ in range(self.power - 1):
             out = np.kron(out, as_dense(self.base).entries)
@@ -1291,20 +1289,26 @@ def target_from_json(obj, fin_group=None):
     kind = obj.get("kind")
     _require_tolerance(obj)
     if kind == "cyclic-perm":
-        return CyclicPerm(obj["m"], obj["shift"])
+        return CyclicPerm(_json_int(obj, "m"), _json_int(obj, "shift"))
     if kind == "perm-unitary":
         return PermUnitary(_json_perm(obj["images"]))
     if kind == "unitary":
-        k = obj["k"]
+        k = _json_int(obj, "k")
         flat = obj["entries"]
+        if not {type(x) for z in flat for x in z} <= {int, float}:
+            raise ValueError("unitary entries must be JSON numbers")
         ent = np.array([complex(re, im) for re, im in flat]).reshape(k, k)
         return UnitaryMatrix(ent)
     if kind == "augmented-unitary":
-        return AugmentedUnitary(target_from_json(obj["inner"]), obj["pad"])
+        return AugmentedUnitary(target_from_json(obj["inner"]),
+                                _json_int(obj, "pad"))
     if kind == "tensor-implicit":
-        return ImplicitTensorUnitary(target_from_json(obj["base"]), obj["power"])
+        return ImplicitTensorUnitary(target_from_json(obj["base"]),
+                                     _json_int(obj, "power"))
     if kind == "rank":
         F = field_from_descriptor(obj["field"])
+        if not {type(x) for r in obj["entries"] for x in r} <= {str}:
+            raise ValueError("rank entries must be JSON strings")
         rows = [[F.parse(x) for x in r] for r in obj["entries"]]
         return RankMatrix(rows, F)
     if kind == "fin":
@@ -1315,6 +1319,15 @@ def target_from_json(obj, fin_group=None):
         bells = [target_from_json(b) for b in obj["bells"]]
         return PermWreathElement(_json_perm(obj["perm"]), bells)
     raise ValueError(f"unknown target encoding {obj!r}")
+
+
+def _json_int(obj, key):
+    """obj[key] if it is an exact JSON int (no bool, no float); ValueError
+    otherwise."""
+    x = obj[key]
+    if type(x) is not int:
+        raise ValueError(f"{key} must be a JSON integer, not {x!r}")
+    return x
 
 
 def _json_perm(images):

@@ -437,6 +437,17 @@ def test_commutant_kernel_keeps_applying(monkeypatch):
     assert C_.lemma_consistency_suite(small)["pass"]
 
 
+@pytest.mark.parametrize("n, k", [(3, 72), (5, 300)])
+def test_interval_witnesses_take_the_commutant_kernel(n, k):
+    """folner_to_sofic of an interval of Z sends every element to a power
+    of one k-cycle, so its images commute and the kernel applies; a
+    rewrite of the commutant derivation must keep this."""
+    cert = X_.folner_to_sofic(P_.interval_witness_Z(n))
+    rep = C_.verify_D(cert)
+    assert cert.dimension == k
+    assert rep.passed and C_.COMMUTANT_NOTE in rep.notes
+
+
 # ---------------------------------------------------------------------------
 # word-level certificates
 

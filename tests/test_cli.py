@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,6 +287,7 @@ _MALFORMED_HOM = {
         {"generator": "x1^-1", "target": T_.CyclicPerm(5, 1).to_json()}),
     "hom-epsilon-zero": lambda o: _identity_images(o, 0),
     "hom-epsilon-negative": lambda o: _identity_images(o, -5),
+    "hom-float-dimension": lambda o: o.update(dimension=7.0),
 }
 _AT_N = {"at-n-above-n": "3", "at-n-zero": "0", "hom-at-n-zero": "0"}
 
@@ -490,6 +495,110 @@ def _without_radius_two_element_path(tmp_path):
     return path
 
 
+def _tensor_certificate(power):
+    """Z at radius 2 in (P (+) I_5)^(tensor power), P the shifts of Z/5."""
+    return C_.ApproxCertificate(Z, 2, "hyp-projective", {
+        p: T_.ImplicitTensorUnitary(T_.AugmentedUnitary(
+            T_.PermUnitary(T_.CyclicPerm(5, p[0]).materialize()), 5), power)
+        for p in G_.ball(Z, 2)})
+
+
+def _unitary_certificate():
+    """Z at radius 1 in U(1): 1, i and -i."""
+    return C_.ApproxCertificate(Z, 1, "hyp", {
+        (x,): T_.UnitaryMatrix([[z]]) for x, z in ((0, 1), (1, 1j), (-1, -1j))
+    }, epsilon=0.5)
+
+
+def _targets(obj):
+    return [a["target"] for a in obj["assignments"]]
+
+
+def _first_one_of_the_image_of_1(obj, value):
+    """Put ``value`` for the first "1" entry of the rank image of 1."""
+    (rows,) = [a["target"]["entries"] for a in obj["assignments"]
+               if a["element"] == "1"]
+    row = next(r for r in rows if "1" in r)
+    row[row.index("1")] = value
+
+
+# the valid certificates that _RETYPED edits, as JSON objects; each
+# verifies and is written back with the same bytes
+_VALID = {
+    "cyclic": lambda: X_.cyclic_Z(2).to_json(),
+    "lin-F3": lambda: X_.perm_to_lin(X_.cyclic_Z(2), T_.FieldFp(3)).to_json(),
+    "lin-Q": lambda: X_.perm_to_lin(X_.cyclic_Z(2)).to_json(),
+    "unitary": lambda: _unitary_certificate().to_json(),
+    "tensor": lambda: _tensor_certificate(3).to_json(),
+}
+
+
+def _put(key, value):
+    """Set key to value in every target."""
+    def edit(obj):
+        for t in _targets(obj):
+            t[key] = value
+    return edit
+
+
+# each case gives a number of a valid certificate another JSON type, one
+# that compares equal or truncates to the number it replaces, so that read
+# loosely the certificate would verify
+_RETYPED = {
+    "cyclic-perm-float-degree": ("cyclic", _put("m", 5.0)),
+    "cyclic-perm-float-shift": ("cyclic", lambda o: _targets(o)[1].update(
+        shift=float(_targets(o)[1]["shift"]))),
+    "float-dimension": ("cyclic", lambda o: o.update(dimension=5.0)),
+    "rank-entry-float-over-F3": (
+        "lin-F3", lambda o: _first_one_of_the_image_of_1(o, 1.9)),
+    "rank-entry-bool-over-F3": (
+        "lin-F3", lambda o: _first_one_of_the_image_of_1(o, True)),
+    "rank-entry-bool-over-Q": (
+        "lin-Q", lambda o: _first_one_of_the_image_of_1(o, True)),
+    "unitary-entry-bools": ("unitary", lambda o: _targets(o)[0].update(
+        entries=[[True, False]])),
+    "tensor-float-power": ("tensor", _put("power", 3.7)),
+    "augmented-float-pad": ("tensor", lambda o: [
+        t["base"].update(pad=5.0) for t in _targets(o)]),
+    "tensor-float-dimension": ("tensor", lambda o: o["dimension"].update(
+        base=10.0)),
+}
+
+
+def _retyped_path(tmp_path, case):
+    base, edit = _RETYPED[case]
+    obj = _VALID[base]()
+    edit(obj)
+    path = tmp_path / "retyped.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize("base", _VALID)
+def test_retyped_bases_verify_and_keep_their_bytes(tmp_path, capsys, base):
+    path = tmp_path / "c.json"
+    text = json.dumps(_VALID[base](), sort_keys=True, indent=1)
+    path.write_text(text)
+    code, out, _ = run(capsys, "verify", "--cert", str(path))
+    assert code == 0 and json.loads(out)["pass"] is True
+    cert = C_.ApproxCertificate.from_json(json.loads(text))
+    assert cert.dumps() == text
+
+
+def test_tensor_verification_does_not_grow_with_the_power(tmp_path, capsys):
+    # the dimension 10^power is compared as (10, power), never computed
+    obj = _tensor_certificate(3).to_json()
+    for t in _targets(obj):
+        t["power"] = 10 ** 6
+    obj["dimension"]["power"] = 10 ** 6
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(obj))
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "verify", "--cert", str(path))
+    assert time.monotonic() - t0 < 1.0
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
 def _cyclic_path(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(X_.cyclic_Z(2).dumps())
@@ -573,6 +682,9 @@ _BAD_INPUT = {
     "missing-element-outside-the-verified-radius": lambda t: [
         "verify", "--cert", str(_without_radius_two_element_path(t)),
         "--at-n", "1"],
+    **{case: (lambda t, case=case: [
+        "verify", "--cert", str(_retyped_path(t, case))])
+       for case in _RETYPED},
     "hom-generator-without-image": lambda t: [
         "verify", "--cert", str(_hom_without(
             t, G_.FreeAbelian(2), {"x1": T_.CyclicPerm(7, 1),
@@ -806,3 +918,28 @@ def test_config_unknown_key(tmp_path, capsys):
                        "--n", "1")
     assert code == 1
     assert "grepple" in err
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--method", "from-quotient", "--group", "Heisenberg(1)",
+     "--modulus", "5", "--n", "2", "--family", "fin"],
+    ["audit", "--n-max", "3"],
+    ["profile", "--group", "Z^2", "--family", "sofic", "--n", "1..4",
+     "--format", "json"],
+], ids=["construct", "audit", "profile"])
+def test_artifacts_do_not_depend_on_the_hash_seed(argv):
+    """Each command writes the same bytes under two hash seeds, one
+    process each, run side by side."""
+    path = os.pathsep.join(filter(None, [str(_SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    runs = [subprocess.Popen(
+        [sys.executable, "-m", "groupapprox.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+        for seed in ("1", "2")]
+    (out1, err1), (out2, err2) = (r.communicate(timeout=60) for r in runs)
+    assert [r.returncode for r in runs] == [0, 0], (err1 + err2).decode()
+    assert out1 and out1 == out2
