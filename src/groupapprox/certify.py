@@ -50,15 +50,13 @@ def _decode_common(obj):
     return group, fin_group, eps
 
 
-def _json_dimension(dim):
-    """A certificate's dimension field: an exact JSON int, or for tensor
-    images {"base": k, "power": l} of them (targets.ImplicitTensorUnitary);
-    CertificateError otherwise."""
-    parts = dim.values() if isinstance(dim, dict) else [dim]
-    if not all(type(x) is int for x in parts):
-        raise CertificateError(
-            f"dimension must be JSON integers, not {dim!r}")
-    return dim
+def _json_dimension(obj):
+    """A certificate's dimension: an exact JSON int, or for tensor images
+    {"base": k, "power": l} of them (targets.ImplicitTensorUnitary)."""
+    dim = obj["dimension"]
+    if isinstance(dim, dict):
+        return {key: T_.json_int(dim, key) for key in dim}
+    return T_.json_int(obj, "dimension")
 
 
 def decoded(decode, obj):
@@ -246,7 +244,7 @@ class ApproxCertificate:
     @classmethod
     def _decode(cls, obj):
         group, fin_group, eps = _decode_common(obj)
-        B = G_.ball(group, obj["n"])
+        B = G_.ball(group, T_.json_int(obj, "n"))
         if not obj["assignments"]:
             raise CertificateError("certificate has no assignments")
         targets = {}
@@ -261,7 +259,7 @@ class ApproxCertificate:
         rows = T_.rows_from_json(_in_ball_order(B, targets),
                                  fin_group=fin_group)
         return cls(group, obj["n"], obj["family"], rows, epsilon=eps,
-                   dimension=_json_dimension(obj["dimension"]),
+                   dimension=_json_dimension(obj),
                    provenance=obj.get("provenance"),
                    fin_group=fin_group)
 
@@ -388,7 +386,7 @@ class HomCertificate:
                 raise CertificateError(
                     f"relator {list(r)} uses a label the group lacks")
         return cls(group, images, obj["family"], relators=relators,
-                   epsilon=eps, dimension=_json_dimension(obj["dimension"]),
+                   epsilon=eps, dimension=_json_dimension(obj),
                    fin_group=fin_group, provenance=obj.get("provenance"))
 
 

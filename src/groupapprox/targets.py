@@ -441,8 +441,8 @@ class ImplicitTensorUnitary:
         return math.sqrt(max(0.0, 2.0 - 2.0 * abs(t)))
 
     def materialize(self):
-        # a base of k >= 2 passes the cap by the power bit_length, so that
-        # power bounds the exponent without changing the comparison
+        # for k >= 2, k to the cap's bit length is already past the cap, so
+        # a power clipped to that length gives the same comparison
         cut = min(self.power, MATERIALIZE_CAP.bit_length())
         if self.base.k ** cut > MATERIALIZE_CAP:
             raise ValueError(f"refusing to materialize dimension "
@@ -1289,11 +1289,11 @@ def target_from_json(obj, fin_group=None):
     kind = obj.get("kind")
     _require_tolerance(obj)
     if kind == "cyclic-perm":
-        return CyclicPerm(_json_int(obj, "m"), _json_int(obj, "shift"))
+        return CyclicPerm(json_int(obj, "m"), json_int(obj, "shift"))
     if kind == "perm-unitary":
         return PermUnitary(_json_perm(obj["images"]))
     if kind == "unitary":
-        k = _json_int(obj, "k")
+        k = json_int(obj, "k")
         flat = obj["entries"]
         if not {type(x) for z in flat for x in z} <= {int, float}:
             raise ValueError("unitary entries must be JSON numbers")
@@ -1301,10 +1301,10 @@ def target_from_json(obj, fin_group=None):
         return UnitaryMatrix(ent)
     if kind == "augmented-unitary":
         return AugmentedUnitary(target_from_json(obj["inner"]),
-                                _json_int(obj, "pad"))
+                                json_int(obj, "pad"))
     if kind == "tensor-implicit":
         return ImplicitTensorUnitary(target_from_json(obj["base"]),
-                                     _json_int(obj, "power"))
+                                     json_int(obj, "power"))
     if kind == "rank":
         F = field_from_descriptor(obj["field"])
         if not {type(x) for r in obj["entries"] for x in r} <= {str}:
@@ -1321,7 +1321,7 @@ def target_from_json(obj, fin_group=None):
     raise ValueError(f"unknown target encoding {obj!r}")
 
 
-def _json_int(obj, key):
+def json_int(obj, key):
     """obj[key] if it is an exact JSON int (no bool, no float); ValueError
     otherwise."""
     x = obj[key]

@@ -750,6 +750,20 @@ def test_W_from_D_round_trip():
     assert C_.verify_W(h, m).passed
 
 
+def test_W_from_D_of_tensor_images_states_base_and_power():
+    """A word-level certificate of tensor images writes its dimension 14^3
+    as {"base": 14, "power": 3}, as a ball certificate does, and reads and
+    verifies it back without computing 14^3."""
+    c = C_.ApproxCertificate(Z, 3, "hyp-projective", {
+        p: T_.ImplicitTensorUnitary(T_.AugmentedUnitary(
+            T_.PermUnitary(T_.CyclicPerm(7, p[0]).materialize()), 7), 3)
+        for p in G_.ball(Z, 3)})
+    obj = C_.W_from_D(c, 1).to_json()
+    assert obj["dimension"] == c.to_json()["dimension"] \
+        == {"base": 14, "power": 3}
+    assert C_.verify_W(C_.HomCertificate.from_json(obj), 2).passed
+
+
 def test_W_from_D_needs_large_radius():
     with pytest.raises(C_.UpstreamVerificationError):
         C_.W_from_D(cyclic(3), 2)

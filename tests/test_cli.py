@@ -526,6 +526,7 @@ def _first_one_of_the_image_of_1(obj, value):
 # verifies and is written back with the same bytes
 _VALID = {
     "cyclic": lambda: X_.cyclic_Z(2).to_json(),
+    "cyclic-radius-1": lambda: X_.cyclic_Z(1).to_json(),
     "lin-F3": lambda: X_.perm_to_lin(X_.cyclic_Z(2), T_.FieldFp(3)).to_json(),
     "lin-Q": lambda: X_.perm_to_lin(X_.cyclic_Z(2)).to_json(),
     "unitary": lambda: _unitary_certificate().to_json(),
@@ -549,6 +550,7 @@ _RETYPED = {
     "cyclic-perm-float-shift": ("cyclic", lambda o: _targets(o)[1].update(
         shift=float(_targets(o)[1]["shift"]))),
     "float-dimension": ("cyclic", lambda o: o.update(dimension=5.0)),
+    "bool-radius": ("cyclic-radius-1", lambda o: o.update(n=True)),
     "rank-entry-float-over-F3": (
         "lin-F3", lambda o: _first_one_of_the_image_of_1(o, 1.9)),
     "rank-entry-bool-over-F3": (
