@@ -145,9 +145,11 @@ def _ball_search(B, identity, candidates, apart, near, state, budget):
     Slot 0 (the identity of B) holds identity. Slot s >= 1 tries the images
     of candidates[s - 1] in order, keeping one that is apart(new, old) from
     every earlier slot and near(x_i, x_j, x_t) on each product triple
-    (i, j, t) of B that the slot completes. Triples with a factor at slot 0
-    hold for an identity image and are skipped. Every node counts in
-    state["nodes"]; passing budget raises _OracleBudget.
+    (i, j, t) of B that the slot completes, max(i, j, t) = s. The
+    constraints among earlier slots held when those were placed, so a node
+    checks only its own. Triples with a factor at slot 0 hold for an
+    identity image and are skipped. Every node counts in state["nodes"];
+    passing budget raises _OracleBudget.
     """
     completes = [[] for _ in range(len(B))]
     for i, row in enumerate(B.products().tolist()):

@@ -934,14 +934,14 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 ], ids=["construct", "audit", "profile"])
 def test_artifacts_do_not_depend_on_the_hash_seed(argv):
     """Each command writes the same bytes under two hash seeds, one
-    process each, run side by side."""
+    process each."""
     path = os.pathsep.join(filter(None, [str(_SRC),
                                          os.environ.get("PYTHONPATH")]))
-    runs = [subprocess.Popen(
+    first, second = (subprocess.run(
         [sys.executable, "-m", "groupapprox.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        capture_output=True, timeout=60,
         env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
-        for seed in ("1", "2")]
-    (out1, err1), (out2, err2) = (r.communicate(timeout=60) for r in runs)
-    assert [r.returncode for r in runs] == [0, 0], (err1 + err2).decode()
-    assert out1 and out1 == out2
+        for seed in ("1", "2"))
+    for run_ in (first, second):
+        assert run_.returncode == 0, run_.stderr.decode()
+    assert first.stdout and first.stdout == second.stdout
