@@ -122,6 +122,17 @@ def _require_family_kinds(family, targets):
             _require_family_kinds(family, el.bells)
 
 
+def _table_group(targets):
+    """The one table group of the finite-group elements among ``targets``:
+    None when there are none, CertificateError when they lie in two or
+    more."""
+    found = {t.group for t in targets if isinstance(t, T_.FiniteGroupElement)}
+    if len(found) > 1:
+        raise CertificateError(
+            f"images lie in {len(found)} distinct table groups")
+    return found.pop() if found else None
+
+
 def target_identity_like(el):
     """Identity element of the target group el lives in."""
     if isinstance(el, T_.Permutation):
@@ -155,13 +166,13 @@ class ApproxCertificate:
     permutation unitaries, the target objects otherwise. ``rows`` gives the
     rows, ``target(p)`` builds the object of one image when asked and
     ``assignments`` is a read-only mapping view. The image array, the
-    tuple of target objects and a dense unitary's entries are read-only, so
-    the images of a permutation or unitary certificate cannot be written in
-    place once built; other target objects are held as built, and a table
-    group's lists, for one, can still be written."""
+    tuple of target objects, a dense unitary's entries and a table group's
+    arrays are read-only, so the images of a permutation, unitary or
+    table certificate cannot be written in place once built. ``fin_group``
+    is the table group of the images, or None."""
 
     def __init__(self, group, n, family, assignments, epsilon=None,
-                 dimension=None, provenance=None, fin_group=None):
+                 dimension=None, provenance=None):
         """``assignments`` maps each element of B(n) to its target, or is
         the rows of those targets in ball order (targets.batch or
         targets.rows_from_array). An element of B(n) without a target, or
@@ -180,7 +191,7 @@ class ApproxCertificate:
         reps = assignments.representatives()
         _require_family_kinds(family, reps)
         self.epsilon = T_.family_epsilon(family) if epsilon is None else epsilon
-        self.fin_group = fin_group
+        self.fin_group = _table_group(reps)
         self.provenance = provenance or {}
         self.dimension = reps[0].dim if dimension is None else dimension
         for el in reps:
@@ -260,8 +271,7 @@ class ApproxCertificate:
                                  fin_group=fin_group)
         return cls(group, obj["n"], obj["family"], rows, epsilon=eps,
                    dimension=_json_dimension(obj),
-                   provenance=obj.get("provenance"),
-                   fin_group=fin_group)
+                   provenance=obj.get("provenance"))
 
     @classmethod
     def loads(cls, text):
@@ -305,17 +315,18 @@ class _Assignments(Mapping):
 
 
 class HomCertificate:
-    """Homomorphism F_X -> target, given on the generators of a catalog group."""
+    """Homomorphism F_X -> target, given on the generators of a catalog
+    group; ``fin_group`` is the table group of the images, or None."""
 
     def __init__(self, group, images, family, relators=None, epsilon=None,
-                 dimension=None, fin_group=None, provenance=None):
+                 dimension=None, provenance=None):
         self.group = group
         self.images = dict(images)  # generator label -> target element
         self.family = family
         _require_family_kinds(family, self.images.values())
         self.relators = [tuple(r) for r in (relators or [])]
         self.epsilon = T_.family_epsilon(family) if epsilon is None else epsilon
-        self.fin_group = fin_group
+        self.fin_group = _table_group(self.images.values())
         self.provenance = provenance or {}
         first = next(iter(self.images.values()))
         self.dimension = first.dim if dimension is None else dimension
@@ -387,7 +398,7 @@ class HomCertificate:
                     f"relator {list(r)} uses a label the group lacks")
         return cls(group, images, obj["family"], relators=relators,
                    epsilon=eps, dimension=_json_dimension(obj),
-                   fin_group=fin_group, provenance=obj.get("provenance"))
+                   provenance=obj.get("provenance"))
 
 
 def _inverse_label_map(group):
@@ -831,7 +842,6 @@ def D_from_W(h, m):
     assignments = {g: h.image_of_word(chosen[g]) for g in B}
     cert = ApproxCertificate(
         grp, m, h.family, assignments, epsilon=h.epsilon,
-        fin_group=h.fin_group,
         provenance={"builder": "D_from_W", "upstream_n": 3 * m})
     rep = verify_D(cert)
     if not rep.passed:
@@ -854,7 +864,7 @@ def W_from_D(c, m):
         images[lab] = c.target(p)
     hc = HomCertificate(
         grp, images, c.family, relators=default_relators(grp),
-        epsilon=c.epsilon, fin_group=c.fin_group,
+        epsilon=c.epsilon,
         provenance={"builder": "W_from_D", "upstream_n": c.n})
     rep = verify_W(hc, m)
     if not rep.passed:

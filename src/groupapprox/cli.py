@@ -93,6 +93,11 @@ def read_config(path):
     return out
 
 
+# the spellings a config file may give a flag that takes no value
+_CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
+
+
 def _apply_config(parser, config):
     """Install config values as typed defaults; explicit flags still win.
     Returns the set of keys this parser consumed."""
@@ -102,7 +107,11 @@ def _apply_config(parser, config):
             raw = config[action.dest]
             if isinstance(action, (argparse._StoreTrueAction,
                                    argparse._StoreFalseAction)):
-                val = raw.lower() in ("1", "true", "yes", "on")
+                val = _CONFIG_BOOLS.get(raw.lower())
+                if val is None:
+                    raise UsageError(
+                        f"config value {raw!r} of {action.dest} is not one "
+                        f"of {', '.join(_CONFIG_BOOLS)}")
             elif action.type is not None:
                 try:
                     val = action.type(raw)

@@ -166,23 +166,20 @@ def _left_regular(F, slots, family, field=None):
     F whose rows of ``groups.table(F)`` are the rows of the int array
     ``slots``: permutation rows (sofic), permutation-unitary rows (hyp),
     rank matrices over ``field`` (lin) or elements of F's table group
-    (fin).
-
-    Returns (the rows, the table group for fin or None)."""
+    (fin)."""
     if family not in ("sofic", "hyp", "lin", "fin"):
         raise BuildError(f"unsupported family {family!r}")
     if family == "fin":
         table = T_.trivial_metric_group(F)
         # x * e = x: a translation sends the identity's slot to its image
         e = table.identity_index
-        return T_.batch([table.element(i)
-                         for i in slots[:, e].tolist()]), table
+        return T_.batch([table.element(i) for i in slots[:, e].tolist()])
     perms = T_.rows_from_array(slots, unitary=family == "hyp")
     if family == "lin":
         f = field or T_.FieldQ()
         return T_.batch([T_.perm_to_rank(perms.target(i), f)
-                         for i in range(len(perms))]), None
-    return perms, None
+                         for i in range(len(perms))])
+    return perms
 
 
 def _require_quotient_of(G, Q):
@@ -199,10 +196,10 @@ def from_quotient(G, Q, n, family="sofic", field=None):
     p = G_.kernel_witness(G, Q, 2 * n)
     if p is not None:
         raise BuildError(f"kernel meets B({2 * n}) at {G.fmt(p)}")
-    rows, fin_group = _left_regular(
+    rows = _left_regular(
         Q, G_.quotient_action(Q, G_.ball(G, n).coords()), family, field)
     cert = C_.ApproxCertificate(
-        G, n, family, rows, fin_group=fin_group,
+        G, n, family, rows,
         provenance=_trace("from_quotient",
                           {"quotient": Q.descriptor(), "family": family},
                           n, float(T_.family_epsilon(family)), Q.index))
@@ -231,9 +228,9 @@ def exact_finite(G, n, family="sofic"):
     if family not in ("sofic", "fin"):
         raise BuildError(f"unsupported family {family!r}")
     # only the ball's rows: O(|B| |G|), not the whole table
-    rows, fin_group = _left_regular(G, G_.table(G, G_.ball(G, n)), family)
+    rows = _left_regular(G, G_.table(G, G_.ball(G, n)), family)
     cert = C_.ApproxCertificate(
-        G, n, family, rows, fin_group=fin_group,
+        G, n, family, rows,
         provenance=_trace("exact_finite", {"order": G.order(), "family": family},
                           n, 1, G.order()))
     return _check(cert)
@@ -258,11 +255,10 @@ def induction_data(data, g):
 
 
 def _as_perm(t):
-    if isinstance(t, T_.CyclicPerm):
-        return t.materialize()
-    if isinstance(t, T_.Permutation):
-        return t
-    raise BuildError(f"expected a permutation target, got {type(t).__name__}")
+    if not isinstance(t, (T_.Permutation, T_.CyclicPerm)):
+        raise BuildError(
+            f"expected a permutation target, got {type(t).__name__}")
+    return t
 
 
 def induce_finite_index(G, data, c_H, n=None):
@@ -283,13 +279,10 @@ def induce_finite_index(G, data, c_H, n=None):
         except C_.CertificateError as exc:
             raise BuildError(f"subgroup certificate too small: {exc}")
         if family == "sofic":
-            images = [0] * (ell * m)
-            for i in range(ell):
-                pi = _as_perm(blocks[i])
-                base = alpha[i] * m
-                for j in range(m):
-                    images[i * m + j] = base + pi.images[j]
-            assignments[g] = T_.Permutation(tuple(images))
+            # point j of block i goes to point pi_i(j) of block alpha(i)
+            assignments[g] = T_.Permutation(
+                alpha[i] * m + x for i in range(ell)
+                for x in _as_perm(blocks[i]).images)
         elif family == "hyp":
             import numpy as np
             M = np.zeros((ell * m, ell * m), dtype=complex)
@@ -318,17 +311,11 @@ def induce_finite_index(G, data, c_H, n=None):
 # direct products
 
 def _combine_product(a, b):
-    if isinstance(a, (T_.Permutation, T_.CyclicPerm)) and \
-            isinstance(b, (T_.Permutation, T_.CyclicPerm)):
-        pa, pb = _as_perm(a), _as_perm(b)
-        kb = pb.k
-        images = [0] * (pa.k * kb)
-        for i in range(pa.k):
-            base = pa.images[i] * kb
-            row = i * kb
-            for j in range(kb):
-                images[row + j] = base + pb.images[j]
-        return T_.Permutation(tuple(images))
+    perms = (T_.Permutation, T_.CyclicPerm)
+    if isinstance(a, perms) and isinstance(b, perms):
+        pb = b.images
+        # point (i, j) of A x B, at i |B| + j, goes to (a(i), b(j))
+        return T_.Permutation(x * len(pb) + y for x in a.images for y in pb)
     if isinstance(a, T_.PermUnitary) and isinstance(b, T_.PermUnitary):
         return T_.PermUnitary(_combine_product(a.perm, b.perm))
     if isinstance(a, (T_.UnitaryMatrix, T_.PermUnitary)) and \
@@ -381,7 +368,7 @@ def perm_to_hyp(c, n):
     if c.n < 2 * n * n:
         raise BuildError(f"need input radius 2n^2 = {2 * n * n}, have {c.n}")
     _require_verified(c, f"input fails at {c.n}")
-    assignments = {g: T_.PermUnitary(_as_perm(c.target(g)))
+    assignments = {g: T_.PermUnitary(_as_perm(c.target(g)).images)
                    for g in G_.ball(c.group, n)}
     cert = C_.ApproxCertificate(
         c.group, n, "hyp", assignments,
@@ -457,7 +444,7 @@ def wreath_by_rf(c_G, H, n, quotient):
     radius-n window at most once; lamps transport coset-wise and land in
     the finite wreath product G_alpha wr H/N with its max/jump metric.
     """
-    if c_G.family != "fin" or c_G.fin_group is None:
+    if c_G.family != "fin":
         raise BuildError("base certificate must target a finite metric group")
     _require_quotient_of(H, quotient)
     p = G_.kernel_witness(H, quotient, 4 * n)
@@ -490,7 +477,7 @@ def wreath_by_rf(c_G, H, n, quotient):
         assignments[p] = W.element(T_.wreath_index(
             base, top, f_hat, window[h]))
     cert = C_.ApproxCertificate(
-        source, n, "fin", assignments, fin_group=W,
+        source, n, "fin", assignments,
         provenance=_trace("wreath_by_rf",
                           {"quotient_index": m, "base_dim": c_G.dimension},
                           n, 1, W.order, inputs=[c_G.provenance]))
@@ -520,7 +507,7 @@ def wreath_sofic(c_G, c_H, n):
     sizeB = len(B_list)
     # lampmul[a][b] is the slot of B_list[a] * B_list[b]
     lampmul = G_.table(H)
-    perms, _ = _left_regular(H, lampmul, "sofic")
+    perms = _left_regular(H, lampmul, "sofic")
     regular = {h: perms.target(i) for i, h in enumerate(B_list)}
     lampmul = lampmul.tolist()
     top = c_H.assignments
@@ -541,10 +528,11 @@ def wreath_sofic(c_G, c_H, n):
     built = {}
 
     def theta(g):
-        """Image of a lamp value, the identity outside the base ball."""
+        """Images of a lamp value's permutation, the identity outside the
+        base ball."""
         if g not in thetas:
             t = c_G.assignments.get(g)
-            thetas[g] = e_perm if t is None else _as_perm(t)
+            thetas[g] = (e_perm if t is None else _as_perm(t)).images
         return thetas[g]
 
     powA = [A ** i for i in range(sizeB)]
@@ -554,7 +542,7 @@ def wreath_sofic(c_G, c_H, n):
         if p in built:
             return built[p]
         lamp = dict(p[0])
-        rows = [[theta(lamp.get(B_list[lampmul[b][beta]], e_G)).images
+        rows = [[theta(lamp.get(B_list[lampmul[b][beta]], e_G))
                  for beta in range(sizeB)] for b in range(sizeB)]
         sig = regular[p[1]].images
         images = [0] * dim

@@ -830,6 +830,11 @@ def Lamplighter(base):
 def group_from_descriptor(d):
     kind = d["kind"]
     params = d.get("params", {})
+    # a size is an exact JSON int: true and 1.0 are no ranks
+    for key in ("d", "rank", "l", "m", "k"):
+        if key in params and type(params[key]) is not int:
+            raise ValueError(
+                f"{key} must be a JSON integer, not {params[key]!r}")
     if kind == "FreeAbelian":
         return FreeAbelian(params["d"])
     if kind == "Free":

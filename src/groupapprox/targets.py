@@ -76,8 +76,6 @@ class Permutation:
         return perm
 
     def mul(self, other):
-        if isinstance(other, CyclicPerm):
-            other = other.materialize()
         if self.k != other.k:
             raise ValueError("degree mismatch")
         im = self.images
@@ -96,9 +94,8 @@ class Permutation:
         return ham_distance(self, other)
 
     def __eq__(self, other):
-        if isinstance(other, CyclicPerm):
-            other = other.materialize()
-        return isinstance(other, Permutation) and self.images == other.images
+        return isinstance(other, (Permutation, CyclicPerm)) \
+            and self.images == other.images
 
     def __hash__(self):
         return hash(self.images)
@@ -115,7 +112,9 @@ class CyclicPerm:
 
     Closed under composition and inverse; Hamming distance between two
     distinct translations is exactly 1 (no fixed point), so certificates whose
-    images are all translations verify in O(1) per pair.
+    images are all translations verify in O(1) per pair. Against any other
+    permutation it reads as its ``images``, a tuple built when read, and it
+    equals (and hashes as) the Permutation of those images.
     """
 
     __slots__ = ("m", "shift")
@@ -132,9 +131,13 @@ class CyclicPerm:
     def dim(self):
         return self.m
 
+    @property
+    def images(self):
+        return tuple(range(self.shift, self.m)) + tuple(range(self.shift))
+
     def mul(self, other):
-        if isinstance(other, Permutation):
-            return self.materialize().mul(other)
+        if not isinstance(other, CyclicPerm):
+            return Permutation.mul(self, other)
         if self.m != other.m:
             raise ValueError("degree mismatch")
         return CyclicPerm(self.m, self.shift + other.shift)
@@ -143,24 +146,19 @@ class CyclicPerm:
         return CyclicPerm(self.m, -self.shift)
 
     def dist(self, other):
-        if isinstance(other, Permutation):
-            return self.materialize().dist(other)
+        if not isinstance(other, CyclicPerm):
+            return ham_distance(self, other)
         if self.m != other.m:
             raise ValueError("degree mismatch")
         return Fraction(0) if self.shift == other.shift else Fraction(1)
 
-    def materialize(self):
-        m = self.m
-        s = self.shift
-        return Permutation((i + s) % m for i in range(m))
-
     def __eq__(self, other):
-        if isinstance(other, Permutation):
-            return self.materialize() == other
-        return isinstance(other, CyclicPerm) and (self.m, self.shift) == (other.m, other.shift)
+        if isinstance(other, CyclicPerm):
+            return (self.m, self.shift) == (other.m, other.shift)
+        return isinstance(other, Permutation) and self.images == other.images
 
     def __hash__(self):
-        return hash((self.m, self.shift))
+        return hash(self.images)
 
     def __repr__(self):
         return f"CyclicPerm({self.m}, {self.shift})"
@@ -171,12 +169,6 @@ class CyclicPerm:
 
 def ham_distance(a, b):
     """Normalized Hamming distance |{i : a(i) != b(i)}| / k, exact."""
-    if isinstance(a, CyclicPerm) and isinstance(b, CyclicPerm):
-        return a.dist(b)
-    if isinstance(a, CyclicPerm):
-        a = a.materialize()
-    if isinstance(b, CyclicPerm):
-        b = b.materialize()
     if a.k != b.k:
         raise ValueError("degree mismatch")
     moved = sum(1 for x, y in zip(a.images, b.images) if x != y)
@@ -384,8 +376,6 @@ def projective_hs_distance(u, v):
 
 def perm_to_unitary(perm):
     """0/1 permutation matrix; multiplicative for left-action composition."""
-    if isinstance(perm, CyclicPerm):
-        perm = perm.materialize()
     k = perm.k
     m = np.zeros((k, k), dtype=complex)
     for i, v in enumerate(perm.images):
@@ -650,8 +640,6 @@ def projective_rank_distance(a, b):
 
 def perm_to_rank(perm, field):
     """0/1 permutation matrix over an exact field."""
-    if isinstance(perm, CyclicPerm):
-        perm = perm.materialize()
     k = perm.k
     rows = [[0] * k for _ in range(k)]
     for i, v in enumerate(perm.images):
@@ -665,13 +653,9 @@ def perm_to_rank(perm, field):
 def block_sum(a, b):
     """Direct sum; Hamming/rank distances to a reference combine as weighted
     averages, squared HS distance likewise."""
-    if isinstance(a, (Permutation, CyclicPerm)) and isinstance(b, (Permutation, CyclicPerm)):
-        if isinstance(a, CyclicPerm):
-            a = a.materialize()
-        if isinstance(b, CyclicPerm):
-            b = b.materialize()
-        m = a.k
-        return Permutation(list(a.images) + [m + x for x in b.images])
+    perms = (Permutation, CyclicPerm)
+    if isinstance(a, perms) and isinstance(b, perms):
+        return Permutation(a.images + tuple(a.k + x for x in b.images))
     if isinstance(a, PermUnitary) and isinstance(b, PermUnitary):
         return PermUnitary(block_sum(a.perm, b.perm))
     if isinstance(a, RankMatrix) and isinstance(b, RankMatrix):
@@ -694,8 +678,10 @@ def block_sum(a, b):
 class TableMetricGroup:
     """Finite group by an integer product table ``mul``, with the metric
     d(i, j) = dist[i][j] / den: integer numerators over one common
-    denominator. The constructor proves the group axioms and that d is a
-    bi-invariant metric with values in [0, 1], or raises ValueError."""
+    denominator. The constructor copies the tables once into read-only
+    int64 arrays ``mul_table``, ``dist_table`` and ``inv_table``, then
+    proves the group axioms and that d is a bi-invariant metric with values
+    in [0, 1], or raises ValueError."""
 
     def __init__(self, mul, dist, den, identity, labels):
         M, D = np.asarray(mul), np.asarray(dist)
@@ -706,10 +692,9 @@ class TableMetricGroup:
         if type(den) is not int or not 0 < den < 2 ** 63:
             raise ValueError(f"denominator {den!r} is not an int64 above 0")
         self.identity_index = self.element(identity).index
-        inv = _check_table(M, D, den, identity)
-        self.mul_table = M.tolist()
-        self.dist_table = D.tolist()
-        self.inv_table = inv.tolist()
+        M, D = _frozen(M.astype(np.int64)), _frozen(D.astype(np.int64))
+        self.inv_table = _frozen(_check_table(M, D, den, identity))
+        self.mul_table, self.dist_table = M, D
         self.den = den
         self.labels = list(labels)
 
@@ -721,20 +706,11 @@ class TableMetricGroup:
     def identity_element(self):
         return FiniteGroupElement(self, self.identity_index)
 
-    def mul(self, i, j):
-        return self.mul_table[i][j]
-
-    def inv(self, i):
-        return self.inv_table[i]
-
-    def dist(self, i, j):
-        return Fraction(self.dist_table[i][j], self.den)
-
     def to_json(self):
-        D = np.array(self.dist_table)
+        D = self.dist_table
         g = np.gcd(D, self.den)
         return {"kind": "table",
-                "mul": [list(r) for r in self.mul_table],
+                "mul": self.mul_table.tolist(),
                 "dist": np.stack((D // g, self.den // g), axis=-1).tolist(),
                 "identity": self.identity_index,
                 "labels": self.labels}
@@ -742,14 +718,18 @@ class TableMetricGroup:
     @classmethod
     def from_json(cls, obj):
         """Decode a table whose distances are [numerator, denominator]
-        integer pairs, brought over their least common denominator."""
+        integer pairs, brought over their least common denominator, and
+        labelled by one JSON string per element."""
+        labels = obj["labels"]
+        if not isinstance(labels, list) or not set(map(type, labels)) <= {str}:
+            raise ValueError("table labels must be a list of JSON strings")
         nums, dens = np.moveaxis(_json_ints(obj["dist"], 3), 2, 0)
         if (dens <= 0).any() or (nums < 0).any() or (nums > dens).any():
             raise ValueError("distances must lie in [0, 1]")
         # a common denominator beyond int64 raises OverflowError here
         den = math.lcm(*np.unique(dens).tolist())
         return cls(_json_ints(obj["mul"], 2), nums * (den // dens), den,
-                   obj["identity"], obj["labels"])
+                   obj["identity"], labels)
 
 
 def _json_ints(rows, depth):
@@ -835,15 +815,18 @@ class FiniteGroupElement:
     def mul(self, other):
         if other.group is not self.group:
             raise ValueError("element of a different finite group")
-        return FiniteGroupElement(self.group, self.group.mul(self.index, other.index))
+        return FiniteGroupElement(
+            self.group, self.group.mul_table.item(self.index, other.index))
 
     def inv(self):
-        return FiniteGroupElement(self.group, self.group.inv(self.index))
+        return FiniteGroupElement(self.group,
+                                  self.group.inv_table.item(self.index))
 
     def dist(self, other):
         if other.group is not self.group:
             raise ValueError("element of a different finite group")
-        return self.group.dist(self.index, other.index)
+        return Fraction(self.group.dist_table.item(self.index, other.index),
+                        self.group.den)
 
     def __eq__(self, other):
         return (isinstance(other, FiniteGroupElement)
@@ -885,8 +868,7 @@ def wreath_table(base, top):
     if order > _WREATH_TABLE_CAP:
         raise ValueError(f"wreath order {order} above the table cap "
                          f"{_WREATH_TABLE_CAP}")
-    BM, BD = np.array(base.mul_table), np.array(base.dist_table)
-    TM = np.array(top.mul_table)
+    BM, BD, TM = base.mul_table, base.dist_table, top.mul_table
     # F[c] = the digits f of code c, so that wreath_index(f, h) = c m + h
     weights = b ** np.arange(m - 1, -1, -1)
     F = np.arange(b ** m)[:, None] // weights % b
@@ -925,6 +907,8 @@ class PermWreathElement:
         self.bells = tuple(bells)
         if len(self.bells) != perm.k:
             raise ValueError("one bell per permutation point required")
+        if any(b.dim != self.bells[0].dim for b in self.bells):
+            raise ValueError("bells differ in degree")
 
     @property
     def size(self):
@@ -935,22 +919,20 @@ class PermWreathElement:
         return self.perm.k * self.bells[0].dim
 
     def mul(self, other):
-        s1 = other.perm
-        bells = tuple(self.bells[s1.images[a]].mul(other.bells[a])
-                      for a in range(self.size))
-        return PermWreathElement(self.perm.mul(s1), bells)
+        bells = tuple(self.bells[x].mul(y)
+                      for x, y in zip(other.perm.images, other.bells))
+        return PermWreathElement(self.perm.mul(other.perm), bells)
 
     def inv(self):
         pinv = self.perm.inv()
-        bells = tuple(self.bells[pinv.images[a]].inv()
-                      for a in range(self.size))
+        bells = tuple(self.bells[x].inv() for x in pinv.images)
         return PermWreathElement(pinv, bells)
 
     def dist(self, other):
         n = self.size
         acc = Fraction(0)
-        for a in range(n):
-            if self.perm.images[a] == other.perm.images[a]:
+        for a, (x, y) in enumerate(zip(self.perm.images, other.perm.images)):
+            if x == y:
                 acc += Fraction(self.bells[a].dist(other.bells[a]))
         return acc / n + ham_distance(self.perm, other.perm)
 

@@ -70,6 +70,18 @@ def test_02_cyclic_certificates_verify_exactly_up_to_n_200():
     _within(t0, 5.0)
 
 
+def test_02_cyclic_certificate_at_n_20000_keeps_its_shifts_implicit():
+    """40,001 shifts of Z/40001 build and verify in closed form: no image
+    of 40,001 points is ever built."""
+    t0 = time.monotonic()
+    c = X_.cyclic_Z(20000)
+    assert isinstance(c.target((20000,)), T_.CyclicPerm)
+    rep = C_.verify_D(c)
+    assert rep.passed and rep.defect == 0 and rep.separation == 1
+    assert c.dimension == 40001
+    _within(t0, 5.0)
+
+
 def test_03_minimal_sofic_dimension_of_Z_at_radius_one_is_three():
     t0 = time.monotonic()
     pt = P_.sofic_exact_oracle(Z, 1, k_max=3)

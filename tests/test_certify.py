@@ -130,9 +130,10 @@ def test_bad_margin_is_rejected(margin):
 def test_translation_fast_path_matches_generic():
     fast = C_.verify_D(cyclic(6))
     assert any("fast path" in note for note in fast.notes)
-    # materializing the shifts forces the generic pair loop
+    # the shifts as image tuples force the generic pair loop
     slow_cert = C_.ApproxCertificate(Z, 6, "sofic", {
-        p: t.materialize() for p, t in cyclic(6).assignments.items()})
+        p: T_.Permutation(t.images)
+        for p, t in cyclic(6).assignments.items()})
     slow = C_.verify_D(slow_cert)
     assert not any("fast path" in note for note in slow.notes)
     assert slow.passed == fast.passed
@@ -184,8 +185,7 @@ def _replace(cert, p, target, family=None):
     assignments = dict(cert.assignments)
     assignments[p] = target
     return C_.ApproxCertificate(cert.group, cert.n, family or cert.family,
-                                assignments, epsilon=cert.epsilon,
-                                fin_group=cert.fin_group)
+                                assignments, epsilon=cert.epsilon)
 
 
 def _sweep_certificates():
@@ -220,12 +220,13 @@ def _sweep_certificates():
     yield "finite", fin
     yield "finite-mutated", _replace(fin, 1, fin.target(2))
     tensor = {p: T_.ImplicitTensorUnitary(
-        T_.AugmentedUnitary(T_.PermUnitary(t.materialize()), 5), 3)
+        T_.AugmentedUnitary(T_.PermUnitary(t.images), 5), 3)
         for p, t in cyclic(2).assignments.items()}
     yield "tensor", C_.ApproxCertificate(Z, 2, "hyp-projective", tensor)
     wreath = {p: T_.PermWreathElement(
-        T_.CyclicPerm(5, p[0]).materialize(),
-        [T_.CyclicPerm(3, p[0] * a).materialize() for a in range(5)])
+        T_.Permutation(T_.CyclicPerm(5, p[0]).images),
+        [T_.Permutation(T_.CyclicPerm(3, p[0] * a).images)
+         for a in range(5)])
         for p in G_.ball(Z, 2)}
     yield "perm-wreath", C_.ApproxCertificate(Z, 2, "sofic", wreath)
 
@@ -599,20 +600,18 @@ def _random_hom(group, kind, rng):
     """A hom certificate with random images of one kind (most fail), given
     on one label of each inverse pair, or a regular quotient action of Z
     or Z^2 (which passes at small n)."""
-    fin_group = None
-    if kind == "fin":
-        fin_group = T_.trivial_metric_group(G_.FiniteCyclic(5))
+    table = T_.trivial_metric_group(G_.FiniteCyclic(5))
     k = rng.randint(1, 6)
     inverse = C_._inverse_label_map(group)
     images, covered = {}, set()
     for lab, _ in group.generators():
         if lab not in covered:
             covered |= {lab, inverse[lab]}
-            images[lab] = fin_group.element(rng.randrange(5)) \
+            images[lab] = table.element(rng.randrange(5)) \
                 if kind == "fin" else _random_image(kind, k, rng)
     family = {"perm-unitary": rng.choice(["hyp", "hyp-projective"]),
               "rank": "lin", "fin": "fin"}.get(kind, "sofic")
-    return C_.HomCertificate(group, images, family, fin_group=fin_group,
+    return C_.HomCertificate(group, images, family,
                              relators=C_.default_relators(group))
 
 
@@ -756,7 +755,7 @@ def test_W_from_D_of_tensor_images_states_base_and_power():
     verifies it back without computing 14^3."""
     c = C_.ApproxCertificate(Z, 3, "hyp-projective", {
         p: T_.ImplicitTensorUnitary(T_.AugmentedUnitary(
-            T_.PermUnitary(T_.CyclicPerm(7, p[0]).materialize()), 7), 3)
+            T_.PermUnitary(T_.CyclicPerm(7, p[0]).images), 7), 3)
         for p in G_.ball(Z, 3)})
     obj = C_.W_from_D(c, 1).to_json()
     assert obj["dimension"] == c.to_json()["dimension"] \
@@ -977,3 +976,72 @@ def test_rank_certificate_round_trip():
     back = C_.ApproxCertificate.loads(s)
     assert back.dumps() == s
     assert C_.verify_D(back).passed
+
+
+# ---------------------------------------------------------------------------
+# table groups: a certificate's table group is that of its images
+
+def _fin_images(table, group, n):
+    """Each element of B(n) of the finite group ``group`` sent to its own
+    element of ``table``, indexed in elements() order."""
+    elems = group.elements()
+    return {p: table.element(elems.index(p)) for p in G_.ball(group, n)}
+
+
+def test_fin_certificate_built_without_a_table_round_trips():
+    G = G_.FiniteCyclic(5)
+    table = T_.trivial_metric_group(G)
+    cert = C_.ApproxCertificate(G, 2, "fin", _fin_images(table, G, 2))
+    assert cert.fin_group is table
+    text = cert.dumps()
+    back = C_.ApproxCertificate.loads(text)
+    assert back.dumps() == text
+    assert back.fin_group.to_json() == table.to_json()
+    got, want = C_.verify_D(back), C_.verify_D(cert)
+    assert got.passed and want.passed
+    assert got.to_json() == want.to_json()
+    hom = C_.HomCertificate(G, {"x": table.element(1)}, "fin")
+    assert hom.fin_group is table
+    back = C_.HomCertificate.from_json(json.loads(json.dumps(hom.to_json())))
+    assert back.to_json() == hom.to_json()
+    assert C_.verify_W(back, 3).to_json() == C_.verify_W(hom, 3).to_json()
+
+
+def test_images_in_two_tables_are_refused():
+    G = G_.FiniteCyclic(5)
+    a, b = (T_.trivial_metric_group(G) for _ in range(2))
+    images = _fin_images(a, G, 2)
+    images[1] = b.element(1)
+    with pytest.raises(C_.CertificateError, match="2 distinct table groups"):
+        C_.ApproxCertificate(G, 2, "fin", images)
+    with pytest.raises(C_.CertificateError, match="2 distinct table groups"):
+        C_.HomCertificate(Z, {"x1": a.element(1), "x1^-1": b.element(4)},
+                          "fin")
+
+
+def test_non_fin_certificates_have_no_table_group():
+    assert cyclic(2).fin_group is None
+    assert _hom_Z_mod(5).fin_group is None
+
+
+def test_verified_table_cannot_be_written():
+    cert = X_.exact_finite(G_.FiniteCyclic(5), 2, "fin")
+    assert C_.verify_D(cert).passed
+    table = cert.fin_group
+    for name in ("mul_table", "dist_table", "inv_table"):
+        array = getattr(table, name)
+        assert array.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            array[1] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        table.mul_table[1][1] = 0
+    assert C_.verify_D(cert).passed
+
+
+def test_table_is_copied_from_its_arguments():
+    G = G_.FiniteCyclic(3)
+    mul = G_.table(G).copy()
+    table = T_.TableMetricGroup(mul, 1 - np.eye(3, dtype=np.int64), 1, 0,
+                                ["0", "1", "2"])
+    mul[1, 1] = 0
+    assert table.mul_table[1, 1] == 2

@@ -143,6 +143,9 @@ _MALFORMED = {
         lambda o: o["assignments"].append(dict(o["assignments"][2])),
     "element-outside-ball":
         lambda o: o["assignments"][-1].update(element="7"),
+    # group parameters are exact JSON ints: true and 1.0 would read as Z
+    "group-rank-bool": lambda o: o["group"]["params"].update(d=True),
+    "group-rank-float": lambda o: o["group"]["params"].update(d=1.0),
 }
 
 
@@ -192,6 +195,29 @@ def _fin_index(index):
         _become(obj, X_.exact_finite(G_.FiniteCyclic(5), 2, "fin"), "fin")
         obj["assignments"][1]["target"]["index"] = index
     return mutate
+
+
+def _fin_labels(labels):
+    """exact_finite(Z/5, 2, "fin") with its table's labels replaced."""
+    def mutate(obj):
+        _become(obj, X_.exact_finite(G_.FiniteCyclic(5), 2, "fin"), "fin")
+        obj["target_group"]["labels"] = labels
+    return mutate
+
+
+def _perm_wreath_mixed_bells(obj):
+    """Z/2 at n = 1 into perm-wreath elements whose second bell at 1 has
+    degree 3 where every other bell has degree 2; the first bells agree on
+    the dimension 2 * 2."""
+    def wreath(perm, bells):
+        return {"kind": "perm-wreath", "perm": perm, "bells": bells}
+    obj.clear()
+    obj.update({
+        "group": G_.FiniteCyclic(2).descriptor(), "family": "sofic",
+        "epsilon": 1.0, "n": 1, "dimension": 4,
+        "assignments": [
+            {"element": "0", "target": wreath([0, 1], [[0, 1], [0, 1]])},
+            {"element": "1", "target": wreath([1, 0], [[1, 0], [0, 2, 1]])}]})
 
 
 def _f2_into_non_group(obj):
@@ -270,6 +296,9 @@ _MALFORMED.update({
     "fin-table-not-a-group": _f2_into_non_group,
     "fin-table-word-metric": _sym3_word_metric,
     "fin-table-denominators-beyond-int64": _fin_denominators_beyond_int64,
+    "fin-table-int-labels": _fin_labels([0, 1, 2, 3, 4]),
+    "fin-table-string-labels": _fin_labels("01234"),
+    "perm-wreath-mixed-degree-bells": _perm_wreath_mixed_bells,
 })
 
 
@@ -375,6 +404,29 @@ def test_from_quotient_lin_uses_field(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "not prime" in err
+
+
+@pytest.mark.parametrize("argv", [["perm-to-hyp", "--n", "1"],
+                                  ["perm-to-lin"],
+                                  ["direct-product", "--input2", "w.json"]],
+                         ids=["perm-to-hyp", "perm-to-lin", "direct-product"])
+def test_permutation_builders_refuse_perm_wreath_targets(
+        tmp_path, monkeypatch, capsys, argv):
+    """A verified sofic certificate into perm-wreath elements (Z into the
+    shifts of Z/5, every bell the identity of Sym(3)) is no input for the
+    builders that read permutations."""
+    monkeypatch.chdir(tmp_path)
+    wreath = {p: T_.PermWreathElement(
+        T_.Permutation([(i + p[0]) % 5 for i in range(5)]),
+        [T_.Permutation(range(3))] * 5) for p in G_.ball(Z, 2)}
+    cert = C_.ApproxCertificate(Z, 2, "sofic", wreath)
+    assert C_.verify_D(cert).passed
+    Path("w.json").write_text(cert.dumps())
+    code, out, err = run(capsys, "construct", "--method", argv[0],
+                         "--input", "w.json", *argv[1:])
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+    assert "PermWreathElement" in err
 
 
 def test_direct_product_field_mismatch_is_usage_error(tmp_path, capsys):
@@ -499,7 +551,7 @@ def _tensor_certificate(power):
     """Z at radius 2 in (P (+) I_5)^(tensor power), P the shifts of Z/5."""
     return C_.ApproxCertificate(Z, 2, "hyp-projective", {
         p: T_.ImplicitTensorUnitary(T_.AugmentedUnitary(
-            T_.PermUnitary(T_.CyclicPerm(5, p[0]).materialize()), 5), power)
+            T_.PermUnitary(T_.CyclicPerm(5, p[0]).images), 5), power)
         for p in G_.ball(Z, 2)})
 
 
@@ -911,6 +963,32 @@ def test_config_quotients_is_checked(tmp_path, capsys):
     assert code == 1
     assert out == "" and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value, suite", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+    ("0", False), ("false", False), ("NO", False), ("Off", False)])
+def test_config_flag_spellings(tmp_path, capsys, value, suite):
+    cert, cfg = tmp_path / "c.json", tmp_path / "run.cfg"
+    run(capsys, "construct", "--method", "cyclic-z", "--n", "2",
+        "--out", str(cert))
+    cfg.write_text(f"lemma-suite = {value}\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "verify", "--cert",
+                       str(cert))
+    assert code == 0
+    assert ("lemma_suite" in json.loads(out)) == suite
+
+
+@pytest.mark.parametrize("value", ["maybe", "", "2", "y", "enabled"])
+def test_config_flag_rejects_other_values(tmp_path, capsys, value):
+    cert, cfg = tmp_path / "c.json", tmp_path / "run.cfg"
+    run(capsys, "construct", "--method", "cyclic-z", "--n", "2",
+        "--out", str(cert))
+    cfg.write_text(f"lemma-suite = {value}\n")
+    code, out, err = run(capsys, "--config", str(cfg), "verify", "--cert",
+                         str(cert))
+    assert code == 1
+    assert out == "" and err.startswith("error: ") and "lemma_suite" in err
 
 
 def test_config_unknown_key(tmp_path, capsys):

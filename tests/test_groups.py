@@ -436,3 +436,16 @@ def test_index_subgroup_of_Z_decompose():
         i, h = data.decompose((k,))
         assert data.parent.mul(data.reps[i], data.embed(h)) == (k,)
         assert 0 <= i < 3
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("FreeAbelian", "d"), ("Free", "rank"), ("Heisenberg", "l"),
+    ("FiniteCyclic", "m"), ("FiniteSym", "k")])
+@pytest.mark.parametrize("value", [True, 2.0, "2"], ids=["bool", "float",
+                                                         "string"])
+def test_group_descriptor_takes_exact_ints(kind, key, value):
+    d = {"kind": kind, "params": {key: 2}}
+    assert G_.group_from_descriptor(d).descriptor() == d
+    d["params"][key] = value
+    with pytest.raises(ValueError, match="JSON integer"):
+        G_.group_from_descriptor(d)

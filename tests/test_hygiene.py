@@ -129,6 +129,9 @@ _LIBRARY_ONLY = {
                                "compare it with the dense trace",
     "targets.AugmentedUnitary.tau": "normalized trace in closed form; the "
                                     "tests compare it with the dense trace",
+    "targets.ImplicitTensorUnitary.materialize": "the dense tensor power "
+                                                 "that the tests compare "
+                                                 "the trace arithmetic with",
     "targets.ImplicitTensorUnitary.tau": "normalized trace in closed form; "
                                          "the tests compare it with the "
                                          "dense trace",

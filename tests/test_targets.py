@@ -65,14 +65,23 @@ def test_projective_hs_identity_formula():
 
 def test_cyclic_perm_matches_materialized():
     c = T_.CyclicPerm(7, 3)
-    m = c.materialize()
-    assert isinstance(m, T_.Permutation)
+    m = T_.Permutation(c.images)
     assert m.images == tuple((i + 3) % 7 for i in range(7))
     d = T_.CyclicPerm(7, 5)
-    assert c.mul(d).materialize() == m.mul(d.materialize())
-    assert c.inv().materialize() == m.inv()
-    assert T_.ham_distance(c, d) == T_.ham_distance(m, d.materialize())
+    dm = T_.Permutation(d.images)
+    assert c.mul(d) == m.mul(dm) == c.mul(dm) == m.mul(d)
+    assert c.inv() == m.inv()
+    assert c.dist(d) == m.dist(dm) == c.dist(dm) == m.dist(d)
+    assert T_.ham_distance(c, d) == T_.ham_distance(m, dm)
     assert T_.ham_distance(c, c) == 0
+
+
+def test_cyclic_perm_and_its_permutation_are_one_set_element():
+    c = T_.CyclicPerm(7, 1)
+    assert len({c, T_.Permutation(c.images)}) == 1
+    assert {c: 0}[T_.Permutation(c.images)] == 0
+    assert c != T_.Permutation(T_.CyclicPerm(7, 2).images)
+    assert c != T_.Permutation(range(7))
 
 
 @settings(max_examples=80, deadline=None)
@@ -297,8 +306,8 @@ def test_trivial_metric_group():
     tg = T_.trivial_metric_group(G_.FiniteCyclic(4))
     a = tg.element(1)
     b = tg.element(3)
-    assert tg.dist(a.index, a.index) == 0
-    assert tg.dist(a.index, b.index) == 1
+    assert a.dist(a) == 0
+    assert a.dist(b) == 1
     prod = a.mul(b)
     assert prod.index == tg.element(0).index
 
@@ -312,7 +321,7 @@ def test_quotient_metric_group_law():
     assert table.labels == [str(r) for r in els]
     for i, r1 in enumerate(els):
         for j, r2 in enumerate(els):
-            assert table.mul(i, j) == els.index(L.mul(r1, r2))
+            assert table.mul_table[i, j] == els.index(L.mul(r1, r2))
 
 
 def _reference_ok(mul, dist, den, e):
@@ -367,8 +376,7 @@ def _sym3_word_metric():
 
 
 def _table_args(table):
-    return ([list(r) for r in table.mul_table],
-            [list(r) for r in table.dist_table], table.den,
+    return (table.mul_table.tolist(), table.dist_table.tolist(), table.den,
             table.identity_index, table.labels)
 
 
@@ -424,7 +432,8 @@ def test_table_check_matches_dense_reference(data):
         e = data.draw(st.integers(0, n - 1))
     if _reference_ok(mul, dist, den, e):
         table = T_.TableMetricGroup(mul, dist, den, e, labels)
-        assert table.mul_table == mul and table.dist_table == dist
+        assert table.mul_table.tolist() == mul \
+            and table.dist_table.tolist() == dist
     else:
         with pytest.raises(ValueError):
             T_.TableMetricGroup(mul, dist, den, e, labels)
@@ -448,6 +457,10 @@ _BAD_TABLE_JSON = {
                                            [[1, 2 ** 40], [1, 3 ** 25]]),
     "string-product": lambda o: o["mul"][0].__setitem__(1, "1"),
     "no-labels": lambda o: o.pop("labels"),
+    # one JSON string per element, nothing else
+    "int-labels": lambda o: o.update(labels=[0, 1, 2]),
+    "mixed-labels": lambda o: o["labels"].__setitem__(1, None),
+    "one-string-labels": lambda o: o.update(labels="012"),
     "no-identity": lambda o: o.pop("identity"),
 }
 
@@ -468,7 +481,8 @@ def test_table_common_denominator_round_trips():
         == {(0, 1), (2, 3), (1, 1)}
     back = T_.TableMetricGroup.from_json(obj)
     assert back.den == 3 and back.to_json() == obj
-    assert back.dist(0, 5) == table.dist(0, 5)
+    assert back.element(0).dist(back.element(5)) \
+        == table.element(0).dist(table.element(5)) == Fraction(2, 3)
 
 
 def _wreath_reference(base, H):
@@ -484,14 +498,15 @@ def _wreath_reference(base, H):
 
     def mul(p, q):
         (f0, h0), (f1, h1) = p, q
-        f = tuple(base.mul(f0[at[H.mul(top[h1], t)]], f1[i])
+        f = tuple(base.mul_table.item(f0[at[H.mul(top[h1], t)]], f1[i])
                   for i, t in enumerate(top))
         return f, at[H.mul(top[h0], top[h1])]
 
     def dist(p, q):
         if p[1] != q[1]:
             return Fraction(1)
-        return max(base.dist(x, y) for x, y in zip(p[0], q[0]))
+        return max(Fraction(base.dist_table.item(x, y), base.den)
+                   for x, y in zip(p[0], q[0]))
 
     def label(p):
         f, h = p
@@ -530,8 +545,23 @@ def test_wreath_table_matches_scalar_reference(case):
     assert W.identity_index == idx[e]
     for p in payloads:
         for q in payloads:
-            assert W.mul(idx[p], idx[q]) == idx[mul(p, q)]
-            assert W.dist(idx[p], idx[q]) == dist(p, q)
+            x, y = W.element(idx[p]), W.element(idx[q])
+            assert x.mul(y).index == idx[mul(p, q)]
+            assert x.dist(y) == dist(p, q)
+
+
+def test_perm_wreath_bells_share_one_degree():
+    bells = [T_.Permutation([1, 0]), T_.Permutation([0, 2, 1])]
+    with pytest.raises(ValueError, match="bells differ in degree"):
+        T_.PermWreathElement(T_.Permutation([1, 0]), bells)
+    with pytest.raises(ValueError, match="bells differ in degree"):
+        T_.target_from_json({"kind": "perm-wreath", "perm": [1, 0],
+                             "bells": [[1, 0], [0, 2, 1]]})
+    # a shift and a permutation of one degree multiply as images
+    w = T_.PermWreathElement(T_.Permutation([1, 0]),
+                             [T_.CyclicPerm(3, 1), T_.Permutation([0, 2, 1])])
+    assert w.mul(w.inv()) == T_.PermWreathElement(
+        T_.Permutation([0, 1]), [T_.CyclicPerm(3, 0)] * 2)
 
 
 def test_target_json_round_trips():
