@@ -122,15 +122,40 @@ def _require_family_kinds(family, targets):
             _require_family_kinds(family, el.bells)
 
 
-def _table_group(targets):
-    """The one table group of the finite-group elements among ``targets``:
-    None when there are none, CertificateError when they lie in two or
-    more."""
-    found = {t.group for t in targets if isinstance(t, T_.FiniteGroupElement)}
+def _group_of(el):
+    """The target group that ``el`` lies in: its table group, or a name
+    for the group that el's kind and sizes fix."""
+    if isinstance(el, T_.FiniteGroupElement):
+        return el.group
+    if isinstance(el, (T_.Permutation, T_.CyclicPerm)):
+        return f"Sym({el.k})"
+    if isinstance(el, T_.RankMatrix):
+        return f"GL({el.k}, {el.field.label})"
+    if isinstance(el, T_.ImplicitTensorUnitary):
+        return f"U({el.base.k}) to the tensor power {el.power}"
+    if isinstance(el, T_.PermWreathElement):
+        return f"{_target_group(el.bells)} wr Sym({el.size})"
+    # a dense, permutation or augmented unitary
+    return f"U({el.k})"
+
+
+def _target_group(targets):
+    """The one target group that ``targets`` lie in (_group_of), None
+    when there are none; CertificateError when they lie in two or more,
+    where products or distances would mix groups."""
+    found = set(map(_group_of, targets))
     if len(found) > 1:
+        names = sorted(g for g in found if isinstance(g, str))
         raise CertificateError(
-            f"images lie in {len(found)} distinct table groups")
+            f"images lie in {len(found)} distinct "
+            + (f"target groups: {', '.join(names)}" if names
+               else "table groups"))
     return found.pop() if found else None
+
+
+def _table_group(group):
+    """The table group among the results of _target_group, else None."""
+    return group if isinstance(group, T_.TableMetricGroup) else None
 
 
 def target_identity_like(el):
@@ -162,14 +187,17 @@ class ApproxCertificate:
     """A finite map from B(n) into one target group, the unit of exchange.
 
     The images are read-only targets.batch rows, one per element of B(n)
-    (``ball``) in ball order: one int32 image array for permutations and
-    permutation unitaries, the target objects otherwise. ``rows`` gives the
-    rows, ``target(p)`` builds the object of one image when asked and
-    ``assignments`` is a read-only mapping view. The image array, the
-    tuple of target objects, a dense unitary's entries and a table group's
-    arrays are read-only, so the images of a permutation, unitary or
-    table certificate cannot be written in place once built. ``fin_group``
-    is the table group of the images, or None."""
+    (``ball``) in ball order: one int32 image array for permutations,
+    permutation unitaries and permutation matrices, the target objects
+    otherwise. ``rows`` gives the rows, ``target(p)`` builds the object of
+    one image when asked and ``assignments`` is a read-only mapping view.
+    The image array, the tuple of target objects, a dense unitary's
+    entries and a table group's arrays are read-only, so the images of a
+    permutation, unitary or table certificate cannot be written in place
+    once built. The images lie in one target group (one degree, field,
+    size or wreath shape; one table group), or CertificateError.
+    ``family``, ``epsilon``, ``dimension`` and ``fin_group``, the table
+    group of the images or None, are read-only too."""
 
     def __init__(self, group, n, family, assignments, epsilon=None,
                  dimension=None, provenance=None):
@@ -179,7 +207,7 @@ class ApproxCertificate:
         one outside B(n), raises CertificateError."""
         self.group = group
         self.n = int(n)
-        self.family = family
+        self._family = family
         self._ball = B = G_.ball(group, self.n)
         if isinstance(assignments, Mapping):
             assignments = T_.batch(_in_ball_order(B, assignments))
@@ -190,13 +218,29 @@ class ApproxCertificate:
         self._rows = assignments
         reps = assignments.representatives()
         _require_family_kinds(family, reps)
-        self.epsilon = T_.family_epsilon(family) if epsilon is None else epsilon
-        self.fin_group = _table_group(reps)
+        self._epsilon = T_.family_epsilon(family) if epsilon is None \
+            else epsilon
+        self._fin_group = _table_group(_target_group(reps))
         self.provenance = provenance or {}
-        self.dimension = reps[0].dim if dimension is None else dimension
-        for el in reps:
-            if el.dim != self.dimension:
-                raise CertificateError("assignments disagree on dimension")
+        self._dimension = reps[0].dim if dimension is None else dimension
+        if reps[0].dim != self._dimension:
+            raise CertificateError("assignments disagree on dimension")
+
+    @property
+    def family(self):
+        return self._family
+
+    @property
+    def epsilon(self):
+        return self._epsilon
+
+    @property
+    def dimension(self):
+        return self._dimension
+
+    @property
+    def fin_group(self):
+        return self._fin_group
 
     @property
     def ball(self):
@@ -316,23 +360,25 @@ class _Assignments(Mapping):
 
 class HomCertificate:
     """Homomorphism F_X -> target, given on the generators of a catalog
-    group; ``fin_group`` is the table group of the images, or None."""
+    group, its images in one target group as in ApproxCertificate;
+    ``family``, ``epsilon``, ``dimension`` and ``fin_group``, the table
+    group of the images or None, are read-only."""
 
     def __init__(self, group, images, family, relators=None, epsilon=None,
                  dimension=None, provenance=None):
         self.group = group
         self.images = dict(images)  # generator label -> target element
-        self.family = family
+        self._family = family
         _require_family_kinds(family, self.images.values())
         self.relators = [tuple(r) for r in (relators or [])]
-        self.epsilon = T_.family_epsilon(family) if epsilon is None else epsilon
-        self.fin_group = _table_group(self.images.values())
+        self._epsilon = T_.family_epsilon(family) if epsilon is None \
+            else epsilon
+        self._fin_group = _table_group(_target_group(self.images.values()))
         self.provenance = provenance or {}
         first = next(iter(self.images.values()))
-        self.dimension = first.dim if dimension is None else dimension
-        for el in self.images.values():
-            if el.dim != self.dimension:
-                raise CertificateError("images disagree on dimension")
+        self._dimension = first.dim if dimension is None else dimension
+        if first.dim != self._dimension:
+            raise CertificateError("images disagree on dimension")
         # close under formal inverses: a label without an image takes the
         # inverse of the image of a given label whose payload is its inverse
         given, gens = dict(self.images), group.generators()
@@ -345,6 +391,11 @@ class HomCertificate:
                 self.images[lab] = given[src[0]].inv()
         # read-only once closed, like an ApproxCertificate's images
         self.images = MappingProxyType(self.images)
+
+    family = ApproxCertificate.family
+    epsilon = ApproxCertificate.epsilon
+    dimension = ApproxCertificate.dimension
+    fin_group = ApproxCertificate.fin_group
 
     def image_of_word(self, labels):
         out = None
@@ -572,15 +623,19 @@ def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None):
     group R take the commutant kernel: a permutation commuting with R fixes
     no point or all (the centralizer of a transitive group is semiregular),
     so each pair is decided at one point, exactly. R is derived from the
-    generators' images by a Schreier tree from point 0, and its generators
-    are checked exactly to commute with every image, which makes R
-    transitive (see targets._PermRows). Every left-regular certificate
-    (from_quotient, exact_finite, and direct_product or perm_to_hyp of
-    those) takes the kernel, and its report says so. Every other
-    certificate takes the row sweep: the images are targets.batch rows,
-    and row g is multiplied by the rows h and measured against the rows gh
-    (then against the later rows, for (2)) with the rows' own mul and
-    extreme, whatever the kind of target.
+    generators' images, walking their cycles whole from point 0, and its
+    generators are checked exactly to commute with every image, which
+    makes R transitive (see targets._PermRows). Every left-regular
+    sofic or hyp certificate (from_quotient, exact_finite, and
+    direct_product or perm_to_hyp of those) takes the kernel, and its
+    report says so. Every other certificate takes the row sweep: the
+    images are targets.batch rows, and row g is multiplied by the rows h
+    and measured against the rows gh (then against the later rows, for
+    (2)) with the rows' own mul and extreme, whatever the kind of target.
+    Permutation matrices (perm_to_lin, from_quotient with family lin)
+    sweep as rank rows, each distance k - cycles(y^-1 x) over k, plain
+    and projective; they never take the kernel, since their distances
+    are not 0 or 1.
     """
     _require_margin(margin)
     n = cert.n if at_n is None else at_n

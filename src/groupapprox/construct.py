@@ -165,8 +165,8 @@ def _left_regular(F, slots, family, field=None):
     """The images, in order, of the left translations of the finite group
     F whose rows of ``groups.table(F)`` are the rows of the int array
     ``slots``: permutation rows (sofic), permutation-unitary rows (hyp),
-    rank matrices over ``field`` (lin) or elements of F's table group
-    (fin)."""
+    permutation-matrix rank rows over ``field`` (lin) or elements of F's
+    table group (fin)."""
     if family not in ("sofic", "hyp", "lin", "fin"):
         raise BuildError(f"unsupported family {family!r}")
     if family == "fin":
@@ -174,12 +174,10 @@ def _left_regular(F, slots, family, field=None):
         # x * e = x: a translation sends the identity's slot to its image
         e = table.identity_index
         return T_.batch([table.element(i) for i in slots[:, e].tolist()])
-    perms = T_.rows_from_array(slots, unitary=family == "hyp")
     if family == "lin":
-        f = field or T_.FieldQ()
-        return T_.batch([T_.perm_to_rank(perms.target(i), f)
-                         for i in range(len(perms))])
-    return perms
+        return T_.rows_from_array(slots, T_.RANK, field or T_.FieldQ())
+    return T_.rows_from_array(
+        slots, T_.HILBERT_SCHMIDT if family == "hyp" else T_.HAMMING)
 
 
 def _require_quotient_of(G, Q):
@@ -384,10 +382,10 @@ def perm_to_lin(c, field=None):
         raise BuildError("input must be a sofic certificate")
     _require_verified(c, f"input fails at {c.n}")
     fld = field or T_.FieldQ()
-    assignments = {g: T_.perm_to_rank(_as_perm(c.target(g)), fld)
-                   for g in G_.ball(c.group, c.n)}
+    rows = T_.rows_from_array([_as_perm(c.target(g)).images for g in c.ball],
+                              T_.RANK, fld)
     cert = C_.ApproxCertificate(
-        c.group, c.n, "lin", assignments,
+        c.group, c.n, "lin", rows,
         provenance=_trace("perm_to_lin",
                           {"input_n": c.n, "field": fld.descriptor()},
                           c.n, 0.25, c.dimension, inputs=[c.provenance]))

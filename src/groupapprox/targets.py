@@ -951,14 +951,20 @@ class PermWreathElement:
 # ---------------------------------------------------------------------------
 # image rows
 
+# the metric of a row of permutations: Hamming, Hilbert-Schmidt (a
+# permutation unitary) or rank over a field (a permutation matrix)
+HAMMING, HILBERT_SCHMIDT, RANK = "hamming", "hilbert-schmidt", "rank"
+
+
 def batch(images):
     """The images as rows, the one form in which the verifier composes and
     measures them: ``take(idx)``; ``mul(other)``, row by row, a single row
     repeated against many; ``inv()``; and ``extreme(other, pick,
     projective=False)``, the ``max`` or ``min`` distance of the row pairs
-    and the first position attaining it. A list of Permutation or of
-    PermUnitary is one int32 image array (_PermRows); any other list,
-    CyclicPerm included, calls its objects' mul/inv/dist/pdist
+    and the first position attaining it. A list of Permutation, of
+    PermUnitary, or of RankMatrix over one field that are all permutation
+    matrices of one size is one int32 image array (_PermRows); any
+    other list, CyclicPerm included, calls its objects' mul/inv/dist/pdist
     (_ScalarRows). Every value equals the scalar one, and the image format
     is known only here: a new kind of target is one more rows class.
 
@@ -971,35 +977,83 @@ def batch(images):
     set (see _PermRows).
     """
     if all(isinstance(t, Permutation) for t in images):
-        P, hamming = [t.images for t in images], True
-    elif all(isinstance(t, PermUnitary) for t in images):
-        P, hamming = [t.perm.images for t in images], False
-    else:
-        return _ScalarRows(images)
-    return _PermRows(_frozen(np.array(P, dtype=np.int32)), hamming)
+        return _PermRows(_frozen(np.array([t.images for t in images],
+                                          dtype=np.int32)), HAMMING)
+    if all(isinstance(t, PermUnitary) for t in images):
+        return _PermRows(_frozen(np.array([t.perm.images for t in images],
+                                          dtype=np.int32)), HILBERT_SCHMIDT)
+    if all(isinstance(t, RankMatrix) for t in images) \
+            and len({t.field.label for t in images}) == 1:
+        rows = _rank_rows([_ones(t.rows, 1, 0) for t in images],
+                          images[0].field)
+        if rows is not None:
+            return rows
+    return _ScalarRows(images)
 
 
-def rows_from_array(P, unitary=False):
-    """Rows of the permutations (PermUnitary when ``unitary``) whose images
-    are the rows of the 2-d integer array P, each checked to be a
-    permutation of range(k) with k >= 1; ValueError otherwise."""
-    return _PermRows(_perm_array(P), not unitary)
+def rows_from_array(P, metric=HAMMING, field=None):
+    """Rows, in ``metric`` (over ``field`` for RANK), of the permutations
+    whose images are the rows of the 2-d integer array P, each checked to
+    be a permutation of range(k) with k >= 1; ValueError otherwise."""
+    return _PermRows(_perm_array(P), metric, field)
 
 
 def rows_from_json(objs, fin_group=None):
     """Rows of the decoded targets ``objs``. Image lists, or perm-unitary
     objects, go straight into one int32 array, checked in one vectorized
     pass: every entry an exact JSON int (no bool, no float), every row a
-    permutation of one range(k). Any other list is decoded target by
-    target (target_from_json)."""
+    permutation of one range(k). So do rank objects over one field whose
+    entries are exactly the strings "0" and "1" and form permutation
+    matrices of one size. Any other list is decoded target by target
+    (target_from_json)."""
     if all(isinstance(t, list) for t in objs):
-        return _PermRows(_json_perm_array(objs), True)
+        return _PermRows(_json_perm_array(objs), HAMMING)
     if all(isinstance(t, dict) and t.get("kind") == "perm-unitary"
            for t in objs):
         for t in objs:
             _require_tolerance(t)
-        return _PermRows(_json_perm_array([t["images"] for t in objs]), False)
+        return _PermRows(_json_perm_array([t["images"] for t in objs]),
+                         HILBERT_SCHMIDT)
+    if all(isinstance(t, dict) and t.get("kind") == "rank" for t in objs):
+        for t in objs:
+            _require_tolerance(t)
+        fields = {F.label: F for F in map(field_from_descriptor,
+                                          (t["field"] for t in objs))}
+        if len(fields) == 1:
+            rows = _rank_rows([_ones(t["entries"], "1", "0") for t in objs],
+                              *fields.values())
+            if rows is not None:
+                return rows
     return _ScalarRows([target_from_json(t, fin_group) for t in objs])
+
+
+def _ones(matrix, one, zero):
+    """Where each row of a square matrix holds ``one``, when the matrix
+    and its rows are lists or tuples and each row holds ``one`` once and
+    ``zero`` everywhere else; None otherwise."""
+    if not isinstance(matrix, (list, tuple)):
+        return None
+    k = len(matrix)
+    cols = []
+    for row in matrix:
+        if not isinstance(row, (list, tuple)) or len(row) != k \
+                or row.count(one) != 1 or row.count(zero) != k - 1:
+            return None
+        cols.append(row.index(one))
+    return cols
+
+
+def _rank_rows(ones, field):
+    """Rank rows over ``field`` of the permutation matrices whose row v
+    holds its 1 in column ones[t][v], so that image t sends that column to
+    v; None unless they are permutation matrices of one size k >= 1."""
+    if None in ones or len(set(map(len, ones))) != 1:
+        return None
+    try:
+        Q = _perm_array(np.array(ones))
+    except ValueError:
+        return None
+    return _PermRows(_frozen(_inverse(Q)), RANK, field)
 
 
 def _frozen(a):
@@ -1092,11 +1146,51 @@ class _ScalarRows:
         return value, r
 
 
+def _inverse(P):
+    """The inverses of the permutations in the rows of P, one scatter."""
+    out = np.empty_like(P)
+    np.put_along_axis(out, P, np.arange(P.shape[1], dtype=P.dtype)[None],
+                      axis=1)
+    return out
+
+
+def _cycle_walk(P):
+    """Row by row for the permutations in the rows of the int array P, the
+    least point of each point's cycle and how far ahead it lies: (lab,
+    ahead) with P^ahead[p](p) = lab[p] and ahead[p] below the cycle's
+    length. Pointer doubling: after r rounds lab[p] is the least of p,
+    P(p), ..., P^(2^r - 1)(p), first reached after ahead[p] steps, and
+    jump is P^(2^r); ceil(log2 k) rounds cover every cycle. The cycles of
+    a row are its points with lab[p] == p."""
+    m, k = P.shape
+    # one flat array of m * k points, row r's point p at r * k + p
+    jump = (P + np.arange(0, m * k, k)[:, None]).ravel()
+    lab = np.tile(np.arange(k), m)
+    ahead = np.zeros(m * k, dtype=np.intp)
+    span = 1
+    for _ in range((k - 1).bit_length()):
+        far = lab[jump]
+        nearer = far < lab
+        lab = np.where(nearer, far, lab)
+        ahead = np.where(nearer, ahead[jump] + span, ahead)
+        jump, span = jump[jump], 2 * span
+    return lab.reshape(m, k), ahead.reshape(m, k)
+
+
 class _PermRows:
-    """Rows over an int32 image array P, one permutation per row. The
-    product of two rows is one gather, the inverse one scatter, and a
-    distance is a moved-point count converted by _value, whose
-    Hilbert-Schmidt value is also the projective one because tau >= 0.
+    """Rows over an int32 image array P, one permutation per row, in one
+    ``metric``: HAMMING (Permutation targets), HILBERT_SCHMIDT
+    (PermUnitary) or RANK over ``field`` (RankMatrix permutation
+    matrices, built only for target() and to_json()). The product of two
+    rows is one gather and the inverse one scatter. A distance is a count
+    converted by _value: for Hamming and Hilbert-Schmidt the points where
+    the rows differ, the Hilbert-Schmidt value being the projective one
+    too because tau >= 0; for rank k - cycles(y^-1 x), by _cycle_walk,
+    since rank(P_x - P_y) = rank(P_{y^-1 x} - I) = k - cycles(y^-1 x)
+    over every field. The projective rank distance is the same: each
+    cycle block of P_{y^-1 x} is a companion matrix of t^len - 1, so
+    non-derogatory, and has the eigenvalue 1 (Arzhantseva and Paunescu,
+    Linear sofic groups and algebras).
 
     Commutant kernel. If a permutation commutes with every element of a
     transitive group R, its fixed points form an R-invariant set, so it
@@ -1111,31 +1205,36 @@ class _PermRows:
     stores); ``max_defect_all`` and ``min_dist_all`` are
     then exact and equal the row sweep's values and first witnesses. Every
     left-regular action of a finite group (and a direct product of such)
-    has one: its right translations.
+    has one: its right translations. Rank rows never take the kernel: a
+    semiregular permutation of order m is at rank distance 1 - 1/m from
+    the identity, not at one value for every m.
 
     R is derived from the generator images, and nothing derived is trusted:
-      1. a Schreier tree from point 0 under the rows ``gens`` gives, for
-         each point p, a word gamma_p in them with gamma_p(0) = p;
-      2. for each x in {P_s(0) : s in gens}, c_x(p) = gamma_p(x), filled
-         in tree order as c_x(p) = P_s(c_x(parent(p)));
+      1. level by level from point 0, each row s in ``gens`` walks whole
+         every s-cycle that holds a point the last level reached and that
+         s has not walked before (_cycle_walk gives each cycle's points
+         in order), so the levels reach the orbit of 0 under the rows
+         gens, one level per cycle hop;
+      2. for each x in {P_s(0) : s in gens}, c_x(0) = x, and along each
+         walked cycle, entered at p, c_x(s^j(p)) = s^j(c_x(p));
       3. every c_x must commute with every row, checked exactly.
     Then R = <c_x> is transitive with no further search. The rows gens
     generate a transitive group H, so each c_x, commuting with H, is a
     permutation. And any word w = P_s w' in them has w(0) = P_s(c(0)) =
     c(P_s(0)) = c(c_x(0)) for x = P_s(0) once w'(0) = c(0) with c in R;
     by induction every point gamma_p(0) lies in the R-orbit of 0.
-    If the tree misses a point or the check fails, the verifier runs its
+    If the walk misses a point or the check fails, the verifier runs its
     row sweep.
     """
 
     transitive_commutant = False
 
-    def __init__(self, P, hamming, at=None):
+    def __init__(self, P, metric, field=None, at=None):
         # the rows are P[at] (all of P when at is None), gathered only when
         # read: a block of rows taken and then multiplied is one gather
         self._P, self._at = P, at
         self.k = P.shape[1]
-        self.hamming = hamming
+        self.metric, self.field = metric, field
 
     @property
     def P(self):
@@ -1148,18 +1247,26 @@ class _PermRows:
 
     def target(self, i):
         perm = Permutation._checked(self.P[i].tolist())
-        return perm if self.hamming else PermUnitary(perm)
+        if self.metric == HAMMING:
+            return perm
+        if self.metric == HILBERT_SCHMIDT:
+            return PermUnitary(perm)
+        return perm_to_rank(perm, self.field)
 
     def to_json(self, i, view=False):
+        if self.metric == RANK:
+            return self.target(i).to_json()
         row = self.P[i]
         images = memoryview(row) if view else row.tolist()
-        return images if self.hamming else _perm_unitary_json(images)
+        return images if self.metric == HAMMING else _perm_unitary_json(images)
 
     def representatives(self):
         return [self.target(0)]
 
     def with_kernel(self, gens):
-        rows = _PermRows(self.P, self.hamming)
+        if self.metric == RANK:
+            return self
+        rows = _PermRows(self.P, self.metric)
         rows.transitive_commutant = rows._derive_commutant(
             rows.P[list(gens)])
         return rows
@@ -1172,16 +1279,40 @@ class _PermRows:
         C[:, 0] = xs
         seen = np.zeros(k, dtype=bool)
         seen[0] = True
-        level = np.zeros(1, dtype=np.int32)
+        walks = []
+        for lab, ahead in zip(*_cycle_walk(S)):
+            # a cycle's length at its least point l, and order[start[l] + a]
+            # the point a steps behind l
+            size = np.bincount(lab, minlength=k)
+            start = np.cumsum(size) - size
+            order = np.empty(k, dtype=np.intp)
+            order[start[lab] + ahead] = np.arange(k)
+            walked = np.zeros(k, dtype=bool)
+            walks.append((lab, ahead, size, start, order, walked))
+        level = np.zeros(1, dtype=np.intp)
         while len(level):
             grown = [level[:0]]  # an empty level when S has no rows
-            for s in S:
-                ps = s[level]
-                new = ~seen[ps]
-                ps = ps[new]
-                seen[ps] = True
-                C[:, ps] = s[C[:, level[new]]]
-                grown.append(ps)
+            for lab, ahead, size, start, order, walked in walks:
+                # one point p of level on each cycle not yet walked
+                ps = level[~walked[lab[level]]]
+                heads, first = np.unique(lab[ps], return_index=True)
+                walked[heads] = True
+                # each point r of those cycles, with its cycle's p
+                n = size[heads]
+                ends = np.cumsum(n)
+                rs = order[np.repeat(start[heads] - ends + n, n)
+                           + np.arange(n.sum())]
+                ps = np.repeat(ps[first], n)
+                new = ~seen[rs]
+                rs, ps = rs[new], ps[new]
+                seen[rs] = True
+                # r = s^j(p) for j = ahead[p] - ahead[r], so c(r) = s^j(c(p)),
+                # the point of c(p)'s cycle j steps on
+                qs = C[:, ps]
+                lq = lab[qs]
+                C[:, rs] = order[start[lq] + (ahead[qs] - ahead[ps]
+                                              + ahead[rs]) % size[lq]]
+                grown.append(rs)
             level = np.concatenate(grown)
         if not seen.all():
             return False
@@ -1193,37 +1324,40 @@ class _PermRows:
                     return False
         return True
 
-    def _value(self, moved):
-        """The distance of permutations differing at ``moved`` of k points:
-        moved/k for Hamming, sqrt(2 - 2 (k - moved)/k) for Hilbert-Schmidt."""
-        if self.hamming:
-            return Fraction(moved, self.k)
-        t = (self.k - moved) / self.k
+    def _value(self, count):
+        """The distance of two permutations from its count of k points:
+        count/k for Hamming and rank, sqrt(2 - 2 (k - count)/k) for
+        Hilbert-Schmidt."""
+        if self.metric != HILBERT_SCHMIDT:
+            return Fraction(count, self.k)
+        t = (self.k - count) / self.k
         return math.sqrt(max(0.0, 2.0 - 2.0 * t))
 
     def take(self, idx):
         at = np.asarray(idx, dtype=np.intp)
-        return _PermRows(self._P, self.hamming,
+        return _PermRows(self._P, self.metric, self.field,
                          at if self._at is None else self._at[at])
 
     def mul(self, other):
         # (s t)(i) = s(t(i)), one gather from the flattened rows
         at = np.arange(len(self._P)) if self._at is None else self._at
         return _PermRows(np.take(self._P, (at * self.k)[:, None] + other.P),
-                         self.hamming)
+                         self.metric, self.field)
 
     def inv(self):
-        out = np.empty_like(self.P)
-        np.put_along_axis(out, self.P,
-                          np.arange(self.k, dtype=np.int32)[None], axis=1)
-        return _PermRows(out, self.hamming)
+        return _PermRows(_inverse(self.P), self.metric, self.field)
 
     def extreme(self, other, pick, projective=False):
-        if projective and self.hamming:
+        if projective and self.metric == HAMMING:
             raise TypeError("the Hamming metric has no projective form")
-        moved = np.count_nonzero(self.P != other.P, axis=1)
-        r = int({max: np.argmax, min: np.argmin}[pick](moved))
-        return self._value(int(moved[r])), r
+        if self.metric == RANK:
+            lab, _ = _cycle_walk(other.inv().mul(self).P)
+            count = self.k - np.count_nonzero(lab == np.arange(self.k),
+                                              axis=1)
+        else:
+            count = np.count_nonzero(self.P != other.P, axis=1)
+        r = int({max: np.argmax, min: np.argmin}[pick](count))
+        return self._value(int(count[r])), r
 
     def max_defect_all(self, table, zero):
         """Commutant kernel of the defect sweep over the product table

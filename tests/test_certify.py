@@ -216,6 +216,14 @@ def _sweep_certificates():
     lin = X_.perm_to_lin(cyclic(2), T_.FieldFp(2))
     yield "rank", lin
     yield "rank-mutated", _replace(lin, (1,), lin.target((2,)))
+    # rank rows of permutation matrices, decided by cycle counts: a
+    # regular action, yet no commutant kernel, since a nontrivial element
+    # of order m is at rank distance 1 - 1/m
+    lin_q = X_.perm_to_lin(cyclic(2), T_.FieldQ())
+    yield "rank-projective", _replace(lin_q, (0,), lin_q.target((0,)),
+                                      family="lin-projective")
+    yield "rank-quotient", X_.from_quotient(
+        Z2, G_.LatticeHNF(Z2, [(1, 3), (0, 8)]), 1, "lin")
     fin = X_.exact_finite(G_.FiniteCyclic(5), 2, family="fin")
     yield "finite", fin
     yield "finite-mutated", _replace(fin, 1, fin.target(2))
@@ -265,6 +273,9 @@ def _row_images(kind, perms, shifts):
     if kind == "unitary-mixed":
         return [T_.perm_to_unitary(T_.Permutation(p)) if s % 2
                 else T_.PermUnitary(p) for p, s in zip(perms, shifts)]
+    if kind == "perm-rank":
+        field = (T_.FieldQ(), T_.FieldFp(2), T_.FieldFp(3))[shifts[0] % 3]
+        return [T_.perm_to_rank(T_.Permutation(p), field) for p in perms]
     if kind == "rank":
         # [[1, a], [b, 1 + ab]] has determinant 1
         return [T_.RankMatrix([[1, a], [b, 1 + a * b]], T_.FieldFp(3))
@@ -273,7 +284,7 @@ def _row_images(kind, perms, shifts):
     return [group.element(s % 6) for s in shifts]
 
 
-_PROJECTIVE_KINDS = ("perm-unitary", "unitary-mixed", "rank")
+_PROJECTIVE_KINDS = ("perm-unitary", "unitary-mixed", "rank", "perm-rank")
 
 
 @settings(max_examples=80, deadline=None)
@@ -286,11 +297,14 @@ def test_batch_rows_equal_scalar_extremes(data):
     count = data.draw(st.integers(1, 6))
     kind = data.draw(st.sampled_from(
         ["permutation", "cyclic-mixed", "perm-unitary", "unitary-mixed",
-         "rank", "finite"]))
+         "rank", "perm-rank", "finite"]))
     perms = [data.draw(st.permutations(range(k))) for _ in range(count)]
     shifts = [data.draw(st.integers(0, 2 * k + 8)) for _ in range(count)]
     images = _row_images(kind, perms, shifts)
     rows = T_.batch(images)
+    if kind == "perm-rank":
+        # permutation matrices are rank rows, measured by cycle counts
+        assert rows.metric == T_.RANK
     slot = st.integers(0, count - 1)
     i = data.draw(slot)
     m = data.draw(st.integers(1, 6))
@@ -371,7 +385,7 @@ def _kernel_and_sweep(B, rows, zero):
     kernel = (rows.max_defect_all(table, zero), rows.min_dist_all())
     sweep = (C_._defect_rows(table, rows, zero),
              C_._separation_rows(rows, False))
-    if not rows.hamming:
+    if rows.metric == T_.HILBERT_SCHMIDT:
         assert C_._separation_rows(rows, True) == sweep[1]
     return kernel, sweep
 
@@ -1022,6 +1036,60 @@ def test_images_in_two_tables_are_refused():
 def test_non_fin_certificates_have_no_table_group():
     assert cyclic(2).fin_group is None
     assert _hom_Z_mod(5).fin_group is None
+
+
+@pytest.mark.parametrize("name", ["family", "epsilon", "dimension",
+                                  "fin_group"])
+def test_certificate_fields_are_read_only(name):
+    """A certificate cannot be relabelled after it is built: with a family
+    assigned, cyclic_Z's permutations would verify as a lin certificate."""
+    for cert in (cyclic(3), _hom_Z_mod(5),
+                 X_.exact_finite(G_.FiniteCyclic(5), 2, "fin")):
+        before = getattr(cert, name)
+        with pytest.raises(AttributeError):
+            setattr(cert, name, "lin" if name == "family" else None)
+        assert getattr(cert, name) is before
+
+
+def test_images_in_two_target_groups_are_refused():
+    """Images of one certificate lie in one target group: one field and
+    size of matrices, one permutation-wreath shape."""
+    Q, F2 = T_.FieldQ(), T_.FieldFp(2)
+    swap = T_.Permutation([1, 0])
+    G = G_.FiniteCyclic(2)
+
+    def wreath(perm, bell):
+        return T_.PermWreathElement(T_.Permutation(perm),
+                                    [T_.Permutation(bell)] * len(perm))
+    for family, a, b in [
+            ("lin", T_.perm_to_rank(swap, Q), T_.perm_to_rank(swap, F2)),
+            ("lin", T_.RankMatrix.identity(2, Q),
+             T_.RankMatrix.identity(3, Q)),
+            ("sofic", T_.Permutation([1, 0, 3, 2]), wreath([1, 0], [0, 1])),
+            ("sofic", wreath([0, 1], [0, 1, 2]), wreath([0, 1, 2], [1, 0]))]:
+        with pytest.raises(C_.CertificateError, match="distinct target"):
+            C_.ApproxCertificate(G, 1, family, {0: a, 1: b}, dimension=a.dim)
+        with pytest.raises(C_.CertificateError, match="distinct target"):
+            C_.HomCertificate(Z, {"x1": a, "x1^-1": b}, family)
+
+
+def test_non_canonical_rank_entries_take_the_dense_path():
+    """Rank entries other than exactly "0" and "1" ("1/1" and "01" are 1
+    over Q) decode as dense matrices, with the same report and bytes."""
+    cert = X_.perm_to_lin(cyclic(3), T_.FieldQ())
+    text = cert.dumps()
+    canonical = C_.ApproxCertificate.loads(text)
+    assert canonical.rows.metric == T_.RANK
+    obj = json.loads(text)
+    for item, spelling in zip(obj["assignments"][1:3], ("1/1", "01")):
+        row = item["target"]["entries"][0]
+        row[row.index("1")] = spelling
+    dense = C_.ApproxCertificate.from_json(obj)
+    assert isinstance(dense.rows, T_._ScalarRows)
+    want = C_.verify_D(cert).to_json()
+    assert C_.verify_D(dense).to_json() == want
+    assert C_.verify_D(canonical).to_json() == want
+    assert dense.dumps() == canonical.dumps() == text
 
 
 def test_verified_table_cannot_be_written():

@@ -302,6 +302,46 @@ _MALFORMED.update({
 })
 
 
+def _z2_targets(family, dimension, identity, other):
+    """Z/2 at n = 1 sending 0 to ``identity`` and 1 to ``other``, JSON
+    targets that lie in two target groups of one dimension."""
+    def mutate(obj):
+        obj.clear()
+        obj.update({
+            "group": G_.FiniteCyclic(2).descriptor(), "family": family,
+            "epsilon": 0.25, "n": 1, "dimension": dimension,
+            "assignments": [{"element": "0", "target": identity},
+                            {"element": "1", "target": other}]})
+    return mutate
+
+
+def _rank(field, entries):
+    return {"kind": "rank", "field": field, "entries": entries}
+
+
+def _wreath(perm, bell):
+    return {"kind": "perm-wreath", "perm": perm, "bells": [bell] * len(perm)}
+
+
+# products or distances across two target groups would end in a traceback
+_MALFORMED.update({
+    "lin-mixed-fields": _z2_targets(
+        "lin", 2, _rank("Q", [["1", "0"], ["0", "1"]]),
+        _rank({"Fp": 2}, [["0", "1"], ["1", "0"]])),
+    "lin-mixed-sizes": _z2_targets(
+        "lin", 2, _rank("Q", [["1", "0"], ["0", "1"]]),
+        _rank("Q", [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]])),
+    "permutation-beside-perm-wreath": _z2_targets(
+        "sofic", 4, [0, 1, 2, 3], _wreath([1, 0], [1, 0])),
+    "perm-wreath-shapes-2x3-3x2": _z2_targets(
+        "sofic", 6, _wreath([0, 1], [0, 1, 2]), _wreath([1, 2, 0], [1, 0])),
+    "perm-wreath-bells-of-two-groups": _z2_targets(
+        "sofic", 8, _wreath([0, 1], [0, 1, 2, 3]),
+        {"kind": "perm-wreath", "perm": [1, 0],
+         "bells": [[1, 0, 3, 2], _wreath([1, 0], [1, 0])]}),
+})
+
+
 def _identity_images(obj, eps):
     obj["images"][0]["target"]["shift"] = 0
     obj["epsilon"] = eps
@@ -317,6 +357,8 @@ _MALFORMED_HOM = {
     "hom-epsilon-zero": lambda o: _identity_images(o, 0),
     "hom-epsilon-negative": lambda o: _identity_images(o, -5),
     "hom-float-dimension": lambda o: o.update(dimension=7.0),
+    "hom-permutation-beside-perm-wreath": lambda o: o["images"].append(
+        {"generator": "x1^-1", "target": _wreath([1, 2, 3, 4, 5, 6, 0], [0])}),
 }
 _AT_N = {"at-n-above-n": "3", "at-n-zero": "0", "hom-at-n-zero": "0"}
 
@@ -1023,3 +1065,22 @@ def test_artifacts_do_not_depend_on_the_hash_seed(argv):
     for run_ in (first, second):
         assert run_.returncode == 0, run_.stderr.decode()
     assert first.stdout and first.stdout == second.stdout
+
+
+def test_verifying_permutation_matrices_does_not_import_sympy(tmp_path):
+    """A lin-projective certificate of permutation matrices verifies by
+    cycle counts, in a fresh interpreter that never imports sympy."""
+    lin = X_.perm_to_lin(X_.cyclic_Z(3), T_.FieldFp(3))
+    cert = C_.ApproxCertificate(lin.group, lin.n, "lin-projective", lin.rows)
+    path = tmp_path / "lp.json"
+    path.write_text(cert.dumps())
+    env_path = os.pathsep.join(filter(None, [str(_SRC),
+                                             os.environ.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from groupapprox import cli\n"
+            f"assert cli.main(['verify', '--cert', {str(path)!r}]) == 0\n"
+            "assert 'sympy' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": env_path})
+    assert done.returncode == 0, done.stderr.decode()
+    assert json.loads(done.stdout)["separation"] == 6 / 7

@@ -4,6 +4,7 @@ import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 # sympy installs its own warning filters on import; importing it here keeps
 # that out of the catch_warnings blocks below
@@ -187,6 +188,46 @@ def test_rank_metrics_of_permutations_closed_form(field):
             assert T_.projective_rank_distance(a, b) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rank_rows_equal_dense_rank_metrics(data):
+    """Rank rows decide each pair by a cycle count; plainly and
+    projectively it equals the dense row reduction and charpoly factors
+    of the permutation matrices, over Q, F2 and F3."""
+    field = data.draw(st.sampled_from(_FIELDS))
+    k = data.draw(st.integers(1, 7))
+    count = data.draw(st.integers(1, 4))
+    xs, ys = ([data.draw(st.permutations(range(k))) for _ in range(count)]
+              for _ in range(2))
+    X, Y = (T_.rows_from_array(np.array(ps), T_.RANK, field)
+            for ps in (xs, ys))
+    for r, (x, y) in enumerate(zip(xs, ys)):
+        a, b = (T_.perm_to_rank(T_.Permutation(p), field) for p in (x, y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = T_.rank_distance(a, b), T_.projective_rank_distance(a, b)
+        got = tuple(X.take([r]).extreme(Y.take([r]), max, projective)[0]
+                    for projective in (False, True))
+        assert got == want
+        assert X.target(r) == a and X.to_json(r) == a.to_json()
+
+
+def test_batch_takes_permutation_matrices_as_rank_rows():
+    """A list of permutation matrices over one field is rank rows; any
+    other matrix, or a second field, keeps the dense objects."""
+    perms = [T_.Permutation(p) for p in ([1, 2, 0], [0, 2, 1])]
+    for field in _FIELDS:
+        mats = [T_.perm_to_rank(p, field) for p in perms]
+        rows = T_.batch(mats)
+        assert rows.metric == T_.RANK and rows.field is field
+        assert [rows.target(i) for i in range(2)] == mats
+    dense = T_.RankMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]], T_.FieldFp(3))
+    mixed = [T_.perm_to_rank(perms[0], T_.FieldQ()),
+             T_.perm_to_rank(perms[1], T_.FieldFp(2))]
+    for images in ([T_.perm_to_rank(perms[0], T_.FieldFp(3)), dense], mixed):
+        assert not hasattr(T_.batch(images), "metric")
+
+
 @pytest.mark.parametrize("field", _FIELDS, ids=lambda F: F.label)
 def test_rank_metric_matches_sympy(field):
     from sympy.polys.matrices import DomainMatrix
@@ -282,7 +323,6 @@ def test_tensor_implicit_matches_materialized():
     tb = T_.ImplicitTensorUnitary(b, 2)
     dense_a = ta.materialize()
     dense_b = tb.materialize()
-    import numpy as np
     assert abs(ta.tau() - np.trace(dense_a.entries) / 16) < 1e-9
     assert abs(ta.dist(tb) - T_.hs_distance(dense_a, dense_b)) < 1e-9
     assert abs(ta.pdist(tb)
