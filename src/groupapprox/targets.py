@@ -1189,8 +1189,9 @@ class _PermRows:
     since rank(P_x - P_y) = rank(P_{y^-1 x} - I) = k - cycles(y^-1 x)
     over every field. The projective rank distance is the same: each
     cycle block of P_{y^-1 x} is a companion matrix of t^len - 1, so
-    non-derogatory, and has the eigenvalue 1 (Arzhantseva and Paunescu,
-    Linear sofic groups and algebras).
+    non-derogatory, and has the eigenvalue 1, so no eigenvalue has more
+    eigenvectors than 1, one per cycle (Arzhantseva and Paunescu, Linear
+    sofic groups and algebras).
 
     Commutant kernel. If a permutation commutes with every element of a
     transitive group R, its fixed points form an R-invariant set, so it

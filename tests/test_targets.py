@@ -225,7 +225,7 @@ def test_batch_takes_permutation_matrices_as_rank_rows():
     mixed = [T_.perm_to_rank(perms[0], T_.FieldQ()),
              T_.perm_to_rank(perms[1], T_.FieldFp(2))]
     for images in ([T_.perm_to_rank(perms[0], T_.FieldFp(3)), dense], mixed):
-        assert not hasattr(T_.batch(images), "metric")
+        assert isinstance(T_.batch(images), T_._ScalarRows)
 
 
 @pytest.mark.parametrize("field", _FIELDS, ids=lambda F: F.label)
