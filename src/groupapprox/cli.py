@@ -177,7 +177,7 @@ def cmd_ball(args):
         raise UsageError("--n must be nonnegative")
     B = G_.ball(G, args.n, cap=args.cap)
     artifact = {"group": G.descriptor(), "n": args.n, "size": len(B),
-                "elements": [G.fmt(p) for p in B.elements]}
+                "elements": B.labels()}
     _write_json(artifact, args.out)
     return EXIT_OK
 

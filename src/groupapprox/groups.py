@@ -17,11 +17,12 @@ group in the same vocabulary as ``FiniteCyclic`` and ``FiniteSym``:
 
 ``FreeAbelian`` and ``Heisenberg`` have a coordinate form: ``coords(p)`` is
 a payload's ints in ``key`` order, ``payloads(X)`` its inverse row by row,
-and ``mul_array(X, Y)`` the group law on broadcasting int64 arrays of such
-rows. Their quotients add ``map_array`` (the quotient map on rows) and
-``slot`` (a residue row's position in ``elements()``). For these groups the
-ball is built one BFS level at a time on arrays, ``Ball.coords()`` holds
-its elements' rows in ball order, and ``Ball.products()`` and
+``fmt_rows(X)`` the ``fmt`` of each row, and ``mul_array(X, Y)`` the group
+law on broadcasting int64 arrays of such rows. Their quotients add
+``map_array`` (the quotient map on rows) and ``slot`` (a residue row's
+position in ``elements()``). For these groups the ball is built one BFS
+level at a time on arrays and is its elements' rows, ``Ball.coords()``, in
+ball order; its payloads are built only when read. ``Ball.products()`` and
 ``kernel_witness`` are array computations. ``quotient_action(Q, X)`` is
 the left translation of Q by the images of coordinate rows X, one int64
 row of slots per row of X.
@@ -112,35 +113,82 @@ class Ball:
     """Word-metric ball B(n) of a group: canonically ordered elements (the
     identity first) plus length map.
 
+    A loop-built ball holds its payloads ``elements`` and their
+    ``lengths``. A ball of a group with a coordinate form holds only its
+    rows ``coords()`` and the number of elements of each length; it builds
+    ``elements``, ``lengths`` and the slot dict behind ``in`` and
+    ``index()`` on first read, from the rows. ``len()`` and ``labels()``
+    read the rows and build none of them.
+
     A Ball is shared by every caller of ``ball()`` in the process, so it is
     read-only: ``elements`` is a tuple, ``lengths`` a read-only mapping and
-    ``coords()`` and ``products()`` read-only arrays."""
+    ``coords()`` and ``products()`` read-only arrays. Each field built on
+    demand is stored only once it is complete, so a thread that reads it
+    sees all of it or builds its own equal copy."""
 
-    def __init__(self, group, radius, elements, lengths, coords):
+    def __init__(self, group, radius, elements=None, lengths=None,
+                 coords=None, sizes=None):
+        """Either the payloads ``elements`` in ball order and their
+        ``lengths``, or the int64 rows ``coords`` in ball order and
+        ``sizes``, the number of rows of each length 0, 1, ..."""
         self.group = group
         self.radius = radius
-        self.elements = tuple(elements)
-        self.lengths = MappingProxyType(lengths)
-        self._index = {p: i for i, p in enumerate(self.elements)}
-        if coords is not None:
+        if coords is None:
+            self._elements = tuple(elements)
+            self._lengths = MappingProxyType(lengths)
+            self._size = len(self._elements)
+        else:
             coords.flags.writeable = False
+            self._elements = self._lengths = None
+            self._sizes = tuple(sizes)
+            self._size = len(coords)
         self._coords = coords
+        self._slots = None
         self._products = None
 
+    @property
+    def elements(self):
+        """The payloads in ball order, a tuple."""
+        if self._elements is None:
+            self._elements = tuple(self.group.payloads(self._coords))
+        return self._elements
+
+    @property
+    def lengths(self):
+        """The word length of each element, a read-only mapping."""
+        if self._lengths is None:
+            self._lengths = MappingProxyType(dict(zip(
+                self.elements, itertools.chain.from_iterable(
+                    itertools.repeat(r, size)
+                    for r, size in enumerate(self._sizes)))))
+        return self._lengths
+
+    def _slot_dict(self):
+        if self._slots is None:
+            self._slots = dict(zip(self.elements, range(self._size)))
+        return self._slots
+
     def __len__(self):
-        return len(self.elements)
+        return self._size
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, p):
-        return p in self._index
+        return p in self._slot_dict()
 
     def index(self, p):
-        return self._index[p]
+        return self._slot_dict()[p]
 
     def length(self, p):
         return self.lengths[p]
+
+    def labels(self):
+        """``group.fmt(p)`` for each element p, in ball order. A group with
+        a coordinate form formats the rows, without building payloads."""
+        if self._coords is None:
+            return [self.group.fmt(p) for p in self._elements]
+        return self.group.fmt_rows(self._coords)
 
     def coords(self):
         """The elements' coordinate rows in ball order, an int64 |B| x k
@@ -160,7 +208,7 @@ class Ball:
 
 
 def _products_loop(B):
-    mul, slot = B.group.mul, B._index.get
+    mul, slot = B.group.mul, B._slot_dict().get
     els = B.elements
     # filled row by row, so no |B|^2 list of Python ints is built
     table = np.empty((len(els), len(els)), dtype=np.int32)
@@ -262,11 +310,8 @@ def _bfs_ball(G, n, cap):
         if total > cap:
             raise BallCapExceeded(G, n, cap)
         levels.append(level)
-    coords = np.concatenate(levels)
-    elements = G.payloads(coords)
-    lengths = dict(zip(elements, itertools.chain.from_iterable(
-        itertools.repeat(r, len(level)) for r, level in enumerate(levels))))
-    return Ball(G, n, elements, lengths, coords)
+    return Ball(G, n, coords=np.concatenate(levels),
+                sizes=[len(level) for level in levels])
 
 
 def _new_rows(rows, old):
@@ -301,7 +346,7 @@ def _bfs_ball_loop(G, n, cap):
         if not nxt:
             break
     elements = sorted(lengths, key=lambda p: (lengths[p], G.key(p)))
-    return Ball(G, n, elements, lengths, None)
+    return Ball(G, n, elements, lengths)
 
 
 def growth(G, n):
@@ -314,9 +359,10 @@ def kernel_witness(G, Q, r):
     kernel of the finite quotient Q of G; None when the kernel misses it."""
     if Q.parent != G:
         raise ValueError(f"{Q.kind} is a quotient of {Q.parent}, not of {G}")
-    B = ball(G, r)
-    hits = np.flatnonzero(~Q.map_array(B.coords()[1:]).any(axis=1))
-    return B.elements[hits[0] + 1] if len(hits) else None
+    C = ball(G, r).coords()
+    hits = np.flatnonzero(~Q.map_array(C[1:]).any(axis=1))
+    # the one payload asked for, not the ball's whole elements tuple
+    return G.payloads(C[hits[:1] + 1])[0] if len(hits) else None
 
 
 def quotient_action(Q, X):
@@ -373,6 +419,11 @@ def _split_top(s, sep):
     return parts
 
 
+def _template(n):
+    """The %-template that prints n ints as one coordinate tuple."""
+    return "(" + ",".join(["%d"] * n) + ")"
+
+
 def _ints(s):
     s = s.strip()
     if s.startswith("(") and s.endswith(")"):
@@ -392,6 +443,8 @@ class FreeAbelian(Group):
         if d < 1:
             raise ValueError("d must be >= 1")
         self.d = d
+        # fmt and fmt_rows share it, so a row and its payload print alike
+        self._template = "%d" if d == 1 else _template(d)
 
     def identity(self):
         return (0,) * self.d
@@ -423,9 +476,10 @@ class FreeAbelian(Group):
         return X + Y
 
     def fmt(self, p):
-        if self.d == 1:
-            return str(p[0])
-        return "(" + ",".join(str(x) for x in p) + ")"
+        return self._template % p
+
+    def fmt_rows(self, X):
+        return [self._template % r for r in zip(*X.T.tolist())]
 
     def parse(self, s):
         v = _ints(s)
@@ -516,6 +570,8 @@ class Heisenberg(Group):
         if l < 1:
             raise ValueError("l must be >= 1")
         self.l = l
+        # fmt and fmt_rows share it, so a row and its payload print alike
+        self._template = _template(2 * l + 1)
 
     def identity(self):
         return ((0,) * self.l, (0,) * self.l, 0)
@@ -564,7 +620,10 @@ class Heisenberg(Group):
         return Z
 
     def fmt(self, p):
-        return "(" + ",".join(str(x) for x in self.key(p)) + ")"
+        return self._template % self.key(p)
+
+    def fmt_rows(self, X):
+        return [self._template % r for r in zip(*X.T.tolist())]
 
     def parse(self, s):
         v = _ints(s)

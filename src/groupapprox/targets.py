@@ -12,6 +12,7 @@ is integer tables, checked whenever one is built.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -475,12 +476,48 @@ class FieldQ:
         return "Q"
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# MILLER_RABIN_BOUND, the least strong pseudoprime to all of them
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Whether the int n < MILLER_RABIN_BOUND is prime, by Miller-Rabin to
+    the bases _MILLER_RABIN_BASES."""
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class FieldFp:
-    """The prime field F_p. An entry is an int in range(p)."""
+    """The prime field F_p. An entry is an int in range(p). A p at or
+    above MILLER_RABIN_BOUND is refused: its primality is not decided."""
 
     def __init__(self, p):
+        p = operator.index(p)
         # inv() uses Fermat's little theorem, which needs p prime
-        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        if p >= MILLER_RABIN_BOUND:
+            raise ValueError(f"F{p}: primality is decided only below "
+                             f"{MILLER_RABIN_BOUND}")
+        if not _is_prime(p):
             raise ValueError(f"F{p} is not a field: {p} is not prime")
         self.p = p
         self.label = f"F{p}"
@@ -501,11 +538,21 @@ class FieldFp:
 
 
 def field_from_descriptor(d):
-    if d == "Q":
+    """The field of a received descriptor: exactly "Q", or a dict whose
+    one key is "Fp", holding a JSON int p; ValueError otherwise."""
+    if type(d) is str and d == "Q":
         return FieldQ()
-    if isinstance(d, dict) and "Fp" in d:
-        return FieldFp(d["Fp"])
-    raise ValueError(f"unknown field descriptor {d!r}")
+    if type(d) is dict and d.keys() == {"Fp"} and type(d["Fp"]) is int:
+        return _field_fp(d["Fp"])
+    raise ValueError(f"field must be \"Q\" or {{\"Fp\": p}} with p a JSON "
+                     f"integer, not {d!r}")
+
+
+@functools.lru_cache(maxsize=64)
+def _field_fp(p):
+    """FieldFp(p), built once per distinct p however many received targets
+    name it. A FieldFp is never written after it is built."""
+    return FieldFp(p)
 
 
 def _row_reduce(rows, F):

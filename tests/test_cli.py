@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -33,6 +34,13 @@ def test_ball_artifact(capsys):
     obj = json.loads(out)
     assert obj["size"] == 5
     assert set(obj["elements"]) == {"0", "1", "-1", "2", "-2"}
+
+
+def test_heisenberg_ball_artifact_is_pinned(capsys):
+    code, out, _ = run(capsys, "ball", "--group", "Heisenberg(1)", "--n", "20")
+    digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert digest == ("bbe38dacf76ef637413b071ef78a80d5"
+                      "0d7de6412a3b23b0b6075bc3db203b7e")
 
 
 def test_ball_cap_exit(capsys):
@@ -341,6 +349,20 @@ _MALFORMED.update({
          "bells": [[1, 0, 3, 2], _wreath([1, 0], [1, 0])]}),
 })
 
+
+
+def _field_targets(field):
+    """Z/2 over ``field`` sending 1 to the swap of two points."""
+    return _z2_targets("lin", 2, _rank(field, [["1", "0"], ["0", "1"]]),
+                       _rank(field, [["0", "1"], ["1", "0"]]))
+
+
+# a field is exactly "Q" or {"Fp": p}, p a JSON int whose primality is decided
+_MALFORMED.update({
+    "lin-field-extra-key": _field_targets({"Fp": 2, "junk": [1]}),
+    "lin-field-float-p": _field_targets({"Fp": 2.0}),
+    "lin-field-beyond-decided-primality": _field_targets({"Fp": 2 ** 89 - 1}),
+})
 
 def _identity_images(obj, eps):
     obj["images"][0]["target"]["shift"] = 0
@@ -694,6 +716,17 @@ def test_tensor_verification_does_not_grow_with_the_power(tmp_path, capsys):
     assert time.monotonic() - t0 < 1.0
     assert code == 0 and json.loads(out)["pass"] is True
 
+
+def test_large_prime_field_verifies_quickly(tmp_path, capsys):
+    # 13 targets name F_p with p about 10^14: trial division to sqrt(p)
+    # took about 0.9 s for each of them
+    lin = X_.perm_to_lin(X_.cyclic_Z(6), T_.FieldFp(10 ** 14 + 31))
+    path = tmp_path / "l.json"
+    path.write_text(lin.dumps())
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "verify", "--cert", str(path))
+    assert time.monotonic() - t0 < 1.0
+    assert code == 0 and json.loads(out)["pass"] is True
 
 def _cyclic_path(tmp_path):
     path = tmp_path / "c.json"

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 import time
 
 import numpy as np
@@ -181,6 +183,67 @@ def test_array_bfs_matches_the_loop(case):
     assert dict(got.lengths) == dict(want.lengths)
     assert got.coords().tolist() == [list(G.coords(p)) for p in got.elements]
     assert want.coords() is None
+
+
+# the coordinate groups whose balls are rows, each up to radius 6
+LAZY_GROUPS = [Z, Z2, G_.FreeAbelian(3), H3, G_.Heisenberg(2)]
+
+
+@pytest.mark.parametrize("G", LAZY_GROUPS, ids=repr)
+def test_lazy_ball_fields_equal_an_eager_reference(G):
+    for r in range(7):
+        B = G_._bfs_ball(G, r, G_.DEFAULT_BALL_CAP)
+        # the loop BFS's lengths do not come from the array BFS's levels
+        want = G_._bfs_ball_loop(G, r, G_.DEFAULT_BALL_CAP)
+        elements = tuple(G.payloads(B.coords()))
+        assert len(B) == len(want)
+        assert B.labels() == [G.fmt(p) for p in elements]
+        assert B._elements is None  # the length and labels read the rows
+        assert B.elements == elements == want.elements
+        assert dict(B.lengths) == dict(want.lengths)
+        assert [B.index(p) for p in elements] == list(range(len(B)))
+        assert all(p in B for p in elements)
+        outside = G_._bfs_ball(G, r + 1, G_.DEFAULT_BALL_CAP).elements[-1]
+        assert outside not in B
+        assert B.labels() == [G.fmt(p) for p in B]
+        assert len(B) == len(want)
+
+
+def test_built_fields_stay_read_only():
+    B = G_._bfs_ball(H3, 3, G_.DEFAULT_BALL_CAP)
+    assert B.index(B.elements[-1]) == len(B) - 1
+    with pytest.raises(TypeError):
+        B.elements[0] = B.elements[1]
+    with pytest.raises(TypeError):
+        B.lengths[H3.identity()] = 1
+    for field in ("elements", "lengths"):
+        with pytest.raises(AttributeError):
+            setattr(B, field, getattr(B, field))
+
+
+def test_threads_never_see_a_half_built_field():
+    size = HEIS_BALL[10]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            B = G_._bfs_ball(H3, 10, G_.DEFAULT_BALL_CAP)
+            last = H3.payloads(B.coords()[-1:])[0]
+            seen = []
+
+            def read():
+                seen.append((len(B.lengths), B.length(last), last in B,
+                             B.index(last), len(B.elements)))
+
+            workers = [threading.Thread(target=read) for _ in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+                assert not w.is_alive()
+            assert seen == [(size, 10, True, size - 1, size)] * 6
+    finally:
+        sys.setswitchinterval(saved)
 
 
 @settings(max_examples=25, deadline=None)

@@ -249,10 +249,54 @@ def test_rank_metric_matches_sympy(field):
         singular.inv()
 
 
-@pytest.mark.parametrize("p", [-3, 0, 1, 4, 6, 9, 91])
+# Carmichael numbers, and strong pseudoprimes to the bases 2; 2 to 7;
+# 2 to 23; and 2 to 37, the first 12 primes
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 6, 9, 91, 561, 1105, 1729, 2047,
+                               3215031751, 3825123056546413051,
+                               318665857834031151167461])
 def test_field_fp_rejects_non_primes(p):
     with pytest.raises(ValueError, match="not prime"):
         T_.FieldFp(p)
+
+
+def test_primality_matches_trial_division_below_10_5():
+    primes = []
+    assert not any(map(T_._is_prime, range(-3, 2)))
+    for n in range(2, 10 ** 5):
+        prime = all(n % q for q in itertools.takewhile(
+            lambda q: q * q <= n, primes))
+        if prime:
+            primes.append(n)
+        assert T_._is_prime(n) == prime, n
+
+
+# the last is the largest prime below MILLER_RABIN_BOUND
+@pytest.mark.parametrize("p", [10 ** 14 + 31, 2 ** 61 - 1, 2 ** 64 - 59,
+                               3317044064679887385961813])
+def test_field_fp_takes_large_primes(p):
+    assert sympy.isprime(p)
+    assert T_.FieldFp(p).inv(2) * 2 % p == 1
+
+
+@pytest.mark.parametrize("p", [T_.MILLER_RABIN_BOUND, 2 ** 89 - 1])
+def test_field_fp_refuses_primality_it_cannot_decide(p):
+    with pytest.raises(ValueError, match="decided only below"):
+        T_.FieldFp(p)
+
+
+@pytest.mark.parametrize("d", [{"Fp": 2, "junk": [1]}, {"Fp": True},
+                               {"Fp": 2.0}, {"Fp": "2"}, {"fp": 2}, {},
+                               "q", "F2", ["Fp", 2], None])
+def test_field_descriptor_is_exactly_q_or_fp(d):
+    with pytest.raises(ValueError, match="field must be"):
+        T_.field_from_descriptor(d)
+
+
+def test_each_field_descriptor_is_decoded_once():
+    F = T_.field_from_descriptor({"Fp": 10 ** 14 + 31})
+    assert T_.field_from_descriptor({"Fp": 10 ** 14 + 31}) is F
+    assert T_.field_from_descriptor({"Fp": 3}).label == "F3"
+    assert T_.field_from_descriptor("Q").label == "Q"
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 97])
