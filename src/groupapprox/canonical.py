@@ -114,8 +114,8 @@ def _write_texts(texts, count, write, nl):
 def _write_list(o, write, nl):
     """Write a list or tuple: one join per chunk when it holds only ints or
     only strs, one format per chunk of rows when it holds only lists of ints
-    of one length (a matrix: a table certificate's mul and dist, which item
-    by item take six to seven times as long), item by item otherwise."""
+    of one length (a matrix: a table certificate's mul, which item by item
+    takes six to seven times as long), item by item otherwise."""
     if not o:
         write("[]")
         return

@@ -33,11 +33,16 @@ class CertificateError(ValueError):
 
 def _decode_common(obj):
     """(group, received target table or None, epsilon) of a certificate
-    object: the prologue both certificate kinds decode alike. epsilon must
-    be a finite number > 0 and snaps to its family's exact default."""
+    object: the prologue both certificate kinds decode alike. Only a fin
+    certificate carries a target_group, the table its images lie in, as
+    the writer writes it. epsilon must be a finite number > 0 and snaps to
+    its family's exact default."""
     group = G_.group_from_descriptor(obj["group"])
     fin_group = None
     if "target_group" in obj:
+        if obj["family"] != "fin":
+            raise CertificateError(
+                f"a {obj['family']!r} certificate carries no target_group")
         fin_group = T_.TableMetricGroup.from_json(obj["target_group"])
     eps = obj["epsilon"]
     if isinstance(eps, bool) or not isinstance(eps, (int, float)) \
@@ -188,11 +193,12 @@ class ApproxCertificate:
 
     The images are read-only targets.batch rows, one per element of B(n)
     (``ball``) in ball order: one int32 image array for permutations,
-    permutation unitaries and permutation matrices, the target objects
-    otherwise. ``rows`` gives the rows, ``target(p)`` builds the object of
-    one image when asked and ``assignments`` is a read-only mapping view.
-    The image array, the tuple of target objects, a dense unitary's
-    entries and a table group's arrays are read-only, so the images of a
+    permutation unitaries and permutation matrices, one int64 index array
+    for elements of a table group, the target objects otherwise. ``rows``
+    gives the rows, ``target(p)`` builds the object of one image when
+    asked and ``assignments`` is a read-only mapping view. The image and
+    index arrays, the tuple of target objects, a dense unitary's entries
+    and a table group's fields are read-only, so the images of a
     permutation, unitary or table certificate cannot be written in place
     once built. The images lie in one target group (one degree, field,
     size or wreath shape; one table group), or CertificateError.

@@ -172,8 +172,7 @@ def _left_regular(F, slots, family, field=None):
     if family == "fin":
         table = T_.trivial_metric_group(F)
         # x * e = x: a translation sends the identity's slot to its image
-        e = table.identity_index
-        return T_.batch([table.element(i) for i in slots[:, e].tolist()])
+        return T_.table_rows(table, slots[:, table.identity_index])
     if family == "lin":
         return T_.rows_from_array(slots, T_.RANK, field or T_.FieldQ())
     return T_.rows_from_array(

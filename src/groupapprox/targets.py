@@ -8,7 +8,8 @@ Exact metrics (Hamming, rank, tables) return fractions.Fraction; the
 Hilbert-Schmidt family returns floats, and unitarity is checked at the one
 UNITARY_TOLERANCE. A matrix entry over Q is an int or a Fraction, over F_p
 an int in range(p). A finite metric group, a wreath product of two included,
-is integer tables, checked whenever one is built.
+is its integer product table and length function, checked whenever one is
+built.
 """
 from __future__ import annotations
 
@@ -723,27 +724,50 @@ def block_sum(a, b):
 # finite metric groups
 
 class TableMetricGroup:
-    """Finite group by an integer product table ``mul``, with the metric
-    d(i, j) = dist[i][j] / den: integer numerators over one common
-    denominator. The constructor copies the tables once into read-only
-    int64 arrays ``mul_table``, ``dist_table`` and ``inv_table``, then
-    proves the group axioms and that d is a bi-invariant metric with values
-    in [0, 1], or raises ValueError."""
+    """Finite group by an integer product table ``mul``, with the
+    bi-invariant metric of a length function: d(a, b) = length[a^-1 b] /
+    den, integer lengths over one denominator, brought to lowest terms. On
+    a finite group a bi-invariant metric is exactly a conjugation-invariant
+    length, l(g) = d(e, g). The constructor copies the tables once into
+    read-only int64 arrays ``mul_table``, ``length_table`` and
+    ``inv_table``, then proves the group axioms and that the length gives a
+    bi-invariant metric with values in [0, 1], or raises ValueError. Every
+    field is read-only, the labels a tuple: a checked table cannot
+    change."""
 
-    def __init__(self, mul, dist, den, identity, labels):
-        M, D = np.asarray(mul), np.asarray(dist)
-        n = self.order = len(M)
-        if not (n and M.shape == D.shape == (n, n) and len(labels) == n
-                and M.dtype.kind == D.dtype.kind == "i"):
-            raise ValueError("need square integer tables and n labels")
+    __slots__ = ("order", "identity_index", "mul_table", "length_table",
+                 "inv_table", "den", "labels")
+
+    def __init__(self, mul, length, den, identity, labels):
+        M, L = np.asarray(mul), np.asarray(length)
+        n = len(M)
+        if not (n and M.shape == (n, n) and L.shape == (n,)
+                and len(labels) == n and M.dtype.kind == L.dtype.kind == "i"):
+            raise ValueError("need a square integer product table, n integer "
+                             "lengths and n labels")
         if type(den) is not int or not 0 < den < 2 ** 63:
             raise ValueError(f"denominator {den!r} is not an int64 above 0")
-        self.identity_index = self.element(identity).index
-        M, D = _frozen(M.astype(np.int64)), _frozen(D.astype(np.int64))
-        self.inv_table = _frozen(_check_table(M, D, den, identity))
-        self.mul_table, self.dist_table = M, D
-        self.den = den
-        self.labels = list(labels)
+        if type(identity) is not int or not 0 <= identity < n:
+            raise ValueError(f"identity {identity!r} is not an int in "
+                             f"range({n})")
+        M, L = _frozen(M.astype(np.int64)), L.astype(np.int64)
+        g = math.gcd(den, int(np.gcd.reduce(L)))
+        L, den = _frozen(L // g), den // g
+        init = functools.partial(object.__setattr__, self)
+        init("inv_table", _frozen(_check_table(M, L, den, identity)))
+        init("order", n)
+        init("identity_index", identity)
+        init("mul_table", M)
+        init("length_table", L)
+        init("den", den)
+        init("labels", tuple(labels))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a table group is read-only: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a table group is read-only: cannot delete "
+                             f"{name}")
 
     def element(self, i):
         if type(i) is not int or not 0 <= i < self.order:
@@ -754,33 +778,42 @@ class TableMetricGroup:
         return FiniteGroupElement(self, self.identity_index)
 
     def to_json(self):
-        D = self.dist_table
-        g = np.gcd(D, self.den)
         return {"kind": "table",
                 "mul": self.mul_table.tolist(),
-                "dist": np.stack((D // g, self.den // g), axis=-1).tolist(),
+                "length": self.length_table.tolist(),
+                "den": self.den,
                 "identity": self.identity_index,
-                "labels": self.labels}
+                "labels": list(self.labels)}
 
     @classmethod
     def from_json(cls, obj):
-        """Decode a table whose distances are [numerator, denominator]
-        integer pairs, brought over their least common denominator, and
-        labelled by one JSON string per element."""
+        """Decode a table as the writer writes it: exactly the keys of
+        to_json, every number an exact JSON int within int64, the lengths
+        and den in lowest terms and one JSON string label per element. The
+        older form with a ``dist`` table of pairs is refused."""
+        if type(obj) is not dict or obj.keys() != _TABLE_KEYS \
+                or obj["kind"] != "table":
+            raise ValueError(f"a table group is exactly the keys "
+                             f"{sorted(_TABLE_KEYS)} with kind \"table\"")
         labels = obj["labels"]
         if not isinstance(labels, list) or not set(map(type, labels)) <= {str}:
             raise ValueError("table labels must be a list of JSON strings")
-        nums, dens = np.moveaxis(_json_ints(obj["dist"], 3), 2, 0)
-        if (dens <= 0).any() or (nums < 0).any() or (nums > dens).any():
-            raise ValueError("distances must lie in [0, 1]")
-        # a common denominator beyond int64 raises OverflowError here
-        den = math.lcm(*np.unique(dens).tolist())
-        return cls(_json_ints(obj["mul"], 2), nums * (den // dens), den,
-                   obj["identity"], labels)
+        den = json_int(obj, "den")
+        table = cls(_json_ints(obj["mul"], 2), _json_ints(obj["length"], 1),
+                    den, json_int(obj, "identity"), labels)
+        if table.den != den:
+            raise ValueError(f"lengths and den {den} share the factor "
+                             f"{den // table.den}")
+        return table
+
+
+_TABLE_KEYS = frozenset({"kind", "mul", "length", "den", "identity", "labels"})
 
 
 def _json_ints(rows, depth):
     """Lists of JSON integers nested ``depth`` deep as an int64 array."""
+    if not isinstance(rows, list):
+        raise ValueError("table entries must be lists of integers")
     flat = rows
     for _ in range(depth - 1):
         flat = itertools.chain.from_iterable(flat)
@@ -790,9 +823,12 @@ def _json_ints(rows, depth):
     return a
 
 
-def _check_table(M, D, den, e):
-    """Inverses in the group table M with identity e, once D / den is proved
-    a bi-invariant metric in [0, 1]; ValueError otherwise. O(|S| |T|^2)."""
+def _check_table(M, L, den, e):
+    """Inverses in the group table M with identity e, once the length L
+    over den is proved a conjugation-invariant norm with values in [0, 1];
+    ValueError otherwise. The group laws cost O(|S| |T|^2) for the greedy
+    generating set S of at most log2 |T| elements, the length O(|S| |T| +
+    |T|^2)."""
     n = len(M)
     r = np.arange(n)
     if M.min() < 0 or M.max() >= n:
@@ -818,20 +854,20 @@ def _check_table(M, D, den, e):
     for g in S:
         if (M[M[:, g]] != M[:, M[g]]).any():
             raise ValueError("table is not a group: associativity fails")
-    # with l = d(e, .), d(a, b) = l(a^-1 b) gives left invariance and l
-    # constant on S-conjugacy classes right invariance
-    ell = D[e]
-    if (D != ell[M[inv]]).any():
-        raise ValueError("metric is not left-invariant")
-    if ell[e] != 0 or (ell[r != e] <= 0).any() or (ell > den).any():
-        raise ValueError("distances must lie in (0, 1] off the diagonal")
-    if (ell[inv] != ell).any():
-        raise ValueError("metric is not symmetric")
+    # d(a, b) = L(a^-1 b) is left-invariant by definition, a metric when L
+    # is a norm (zero only at e, symmetric, subadditive), and
+    # right-invariant when L is constant on conjugacy classes, which
+    # conjugation by each generator in S decides
+    if L[e] != 0 or (L[r != e] <= 0).any() or (L > den).any():
+        raise ValueError("lengths must lie in (0, den] off the identity")
+    if (L[inv] != L).any():
+        raise ValueError("length is not symmetric: L(g^-1) != L(g)")
     for c in S:
-        if (ell[M[M[inv[c]], c]] != ell).any():
-            raise ValueError("metric is not right-invariant")
-    if (ell[M] - ell[:, None] > ell[None, :]).any():
-        raise ValueError("triangle inequality fails")
+        if (L[M[M[inv[c]], c]] != L).any():
+            raise ValueError("length is not conjugation-invariant: the "
+                             "metric is not right-invariant")
+    if (L[M] - L[:, None] > L[None, :]).any():
+        raise ValueError("triangle inequality fails: L(gh) > L(g) + L(h)")
     return inv
 
 
@@ -840,14 +876,17 @@ def trivial_metric_group(G):
     indexed in elements() order: its ``groups.table`` with the 0/1
     metric."""
     elems = G.elements()
-    dist = 1 - np.eye(len(elems), dtype=np.int64)
-    labels = [G.fmt(p) for p in elems]
-    return TableMetricGroup(G_.table(G), dist, 1, elems.index(G.identity()),
-                            labels)
+    e = elems.index(G.identity())
+    length = np.ones(len(elems), dtype=np.int64)
+    length[e] = 0
+    return TableMetricGroup(G_.table(G), length, 1, e,
+                            [G.fmt(p) for p in elems])
 
 
 class FiniteGroupElement:
-    """Element of a finite metric group, by index."""
+    """Element of a finite metric group, by index: the scalar reference of
+    the table rows (_TableRows) and the target of word-level
+    certificates."""
 
     __slots__ = ("group", "index")
 
@@ -872,8 +911,9 @@ class FiniteGroupElement:
     def dist(self, other):
         if other.group is not self.group:
             raise ValueError("element of a different finite group")
-        return Fraction(self.group.dist_table.item(self.index, other.index),
-                        self.group.den)
+        G = self.group
+        between = G.mul_table.item(G.inv_table.item(self.index), other.index)
+        return Fraction(G.length_table.item(between), G.den)
 
     def __eq__(self, other):
         return (isinstance(other, FiniteGroupElement)
@@ -908,14 +948,15 @@ def wreath_table(base, top):
 
         d((f, h), (f', h')) = max_t d(f(t), f'(t)) if h = h', else 1,
 
-    and the product (f0, h0)(f1, h1) = (t -> f0(h1 t) f1(t), h0 h1). Indices
-    follow wreath_index; above _WREATH_TABLE_CAP elements, ValueError."""
+    the length l(f, h) = den if h != e, else max_t l_base(f(t)), and the
+    product (f0, h0)(f1, h1) = (t -> f0(h1 t) f1(t), h0 h1). Indices follow
+    wreath_index; above _WREATH_TABLE_CAP elements, ValueError."""
     b, m = base.order, top.order
     order = b ** m * m
     if order > _WREATH_TABLE_CAP:
         raise ValueError(f"wreath order {order} above the table cap "
                          f"{_WREATH_TABLE_CAP}")
-    BM, BD, TM = base.mul_table, base.dist_table, top.mul_table
+    BM, TM = base.mul_table, top.mul_table
     # F[c] = the digits f of code c, so that wreath_index(f, h) = c m + h
     weights = b ** np.arange(m - 1, -1, -1)
     F = np.arange(b ** m)[:, None] // weights % b
@@ -923,17 +964,16 @@ def wreath_table(base, top):
     code = np.stack([BM[F[:, None, TM[h1]], F[None, :, :]] @ weights
                      for h1 in range(m)], axis=-1)
     mul = code[:, None, :, :] * m + TM[None, :, None, :]
-    jump = np.not_equal.outer(np.arange(m), np.arange(m))
-    lamp = BD[F[:, None, :], F[None, :, :]].max(axis=-1)
-    dist = np.where(jump[None, :, None, :], base.den,
-                    lamp[:, None, :, None])
+    lamp = base.length_table[F].max(axis=1)
+    length = np.where(np.arange(m) == top.identity_index, lamp[:, None],
+                      base.den)
     e = base.identity_index
     labels = ["{" + ",".join(f"{top.labels[t]}:{base.labels[x]}"
                              for t, x in enumerate(f.tolist()) if x != e)
               + "|" + top.labels[h] + "}"
               for f in F for h in range(m)]
     return TableMetricGroup(
-        mul.reshape(order, order), dist.reshape(order, order), base.den,
+        mul.reshape(order, order), length.reshape(order), base.den,
         wreath_index(base, top, [e] * m, top.identity_index), labels)
 
 
@@ -1010,10 +1050,12 @@ def batch(images):
     projective=False)``, the ``max`` or ``min`` distance of the row pairs
     and the first position attaining it. A list of Permutation, of
     PermUnitary, or of RankMatrix over one field that are all permutation
-    matrices of one size is one int32 image array (_PermRows); any
-    other list, CyclicPerm included, calls its objects' mul/inv/dist/pdist
-    (_ScalarRows). Every value equals the scalar one, and the image format
-    is known only here: a new kind of target is one more rows class.
+    matrices of one size is one int32 image array (_PermRows); a list of
+    FiniteGroupElement of one table group is one int64 index array
+    (_TableRows); any other list, CyclicPerm included, calls its objects'
+    mul/inv/dist/pdist (_ScalarRows). Every value equals the scalar one,
+    and the image format is known only here: a new kind of target is one
+    more rows class.
 
     Rows also give back what they hold: ``target(i)`` builds row i's
     object, ``to_json(i, view)`` its JSON (an image array row as a
@@ -1035,6 +1077,10 @@ def batch(images):
                           images[0].field)
         if rows is not None:
             return rows
+    if images and all(type(t) is FiniteGroupElement for t in images) \
+            and len({id(t.group) for t in images}) == 1:
+        return _TableRows(images[0].group,
+                          np.array([t.index for t in images], dtype=np.int64))
     return _ScalarRows(images)
 
 
@@ -1051,7 +1097,8 @@ def rows_from_json(objs, fin_group=None):
     pass: every entry an exact JSON int (no bool, no float), every row a
     permutation of one range(k). So do rank objects over one field whose
     entries are exactly the strings "0" and "1" and form permutation
-    matrices of one size. Any other list is decoded target by target
+    matrices of one size, and fin objects, whose indices go into one int64
+    array of ``fin_group``. Any other list is decoded target by target
     (target_from_json)."""
     if all(isinstance(t, list) for t in objs):
         return _PermRows(_json_perm_array(objs), HAMMING)
@@ -1071,7 +1118,27 @@ def rows_from_json(objs, fin_group=None):
                               *fields.values())
             if rows is not None:
                 return rows
+    if fin_group is not None and all(isinstance(t, dict)
+                                     and t.get("kind") == "fin" for t in objs):
+        for t in objs:
+            _require_tolerance(t)
+        index = [t["index"] for t in objs]
+        if not set(map(type, index)) <= {int}:
+            raise ValueError("fin indices must be JSON integers")
+        # an index beyond int64 raises OverflowError
+        return table_rows(fin_group, np.array(index, dtype=np.int64))
     return _ScalarRows([target_from_json(t, fin_group) for t in objs])
+
+
+def table_rows(group, index):
+    """Rows of the elements of the table group ``group`` at the 1-d integer
+    array ``index``, each checked to lie in range(group.order); ValueError
+    otherwise."""
+    bad = (index < 0) | (index >= group.order)
+    if bad.any():
+        raise ValueError(f"index {index[bad.argmax()].item()} is not an int "
+                         f"in range({group.order})")
+    return _TableRows(group, index.astype(np.int64))
 
 
 def _ones(matrix, one, zero):
@@ -1191,6 +1258,65 @@ class _ScalarRows:
                   for x, y in _pairs(self.images, other.images))
         r, value = pick(enumerate(values), key=operator.itemgetter(1))
         return value, r
+
+
+class _TableRows:
+    """Rows of elements of one table group, a read-only int64 array of
+    their indices. The product of two rows is the gather M[x, y] from the
+    group's product table, the inverse a gather from its inverse table,
+    and a distance the length of x^-1 y over the group's den, so a row of
+    distances is one gather too. Values and first witnesses are those of
+    FiniteGroupElement's mul, inv and dist."""
+
+    transitive_commutant = False
+
+    def __init__(self, group, x):
+        self.group, self.x = group, _frozen(x)
+
+    def __len__(self):
+        return len(self.x)
+
+    def target(self, i):
+        return FiniteGroupElement(self.group, self.x.item(i))
+
+    def to_json(self, i, view=False):
+        return {"kind": "fin", "index": self.x.item(i)}
+
+    def representatives(self):
+        return [self.target(0)]
+
+    def with_kernel(self, gens):
+        return self
+
+    def take(self, idx):
+        return _TableRows(self.group, self.x[np.asarray(idx, dtype=np.intp)])
+
+    def _paired(self, other):
+        """The index arrays of the row pairs, a single row repeated against
+        many, both of this table group."""
+        if other.group is not self.group:
+            raise ValueError("element of a different finite group")
+        if len(self.x) != len(other.x) and 1 not in (len(self.x),
+                                                     len(other.x)):
+            raise ValueError(f"cannot pair {len(self.x)} rows with "
+                             f"{len(other.x)}")
+        return self.x, other.x
+
+    def mul(self, other):
+        x, y = self._paired(other)
+        return _TableRows(self.group, self.group.mul_table[x, y])
+
+    def inv(self):
+        return _TableRows(self.group, self.group.inv_table[self.x])
+
+    def extreme(self, other, pick, projective=False):
+        if projective:
+            raise TypeError("a table metric has no projective form")
+        x, y = self._paired(other)
+        G = self.group
+        lengths = G.length_table[G.mul_table[G.inv_table[x], y]]
+        r = int({max: np.argmax, min: np.argmin}[pick](lengths))
+        return Fraction(lengths.item(r), G.den), r
 
 
 def _inverse(P):

@@ -1096,20 +1096,44 @@ def test_verified_table_cannot_be_written():
     cert = X_.exact_finite(G_.FiniteCyclic(5), 2, "fin")
     assert C_.verify_D(cert).passed
     table = cert.fin_group
-    for name in ("mul_table", "dist_table", "inv_table"):
+    for name in ("mul_table", "length_table", "inv_table"):
         array = getattr(table, name)
         assert array.dtype == np.int64
         with pytest.raises(ValueError, match="read-only"):
             array[1] = 0
     with pytest.raises(ValueError, match="read-only"):
         table.mul_table[1][1] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        cert.rows.x[1] = 0
+    assert C_.verify_D(cert).passed
+
+
+@pytest.mark.parametrize("name, value", [
+    ("den", 7), ("identity_index", 3), ("order", 4), ("labels", ("junk",)),
+    ("mul_table", np.zeros((5, 5), dtype=np.int64)),
+    ("length_table", np.zeros(5, dtype=np.int64)),
+    ("inv_table", np.zeros(5, dtype=np.int64)),
+    ("dist_table", np.zeros((5, 5), dtype=np.int64))])
+def test_verified_table_fields_cannot_be_assigned(name, value):
+    """No field of a checked table can be set, deleted or added, and its
+    labels are a tuple, so a verified certificate keeps its bytes."""
+    cert = X_.exact_finite(G_.FiniteCyclic(5), 2, "fin")
+    text = cert.dumps()
+    table = cert.fin_group
+    with pytest.raises(AttributeError, match="read-only"):
+        setattr(table, name, value)
+    with pytest.raises(AttributeError, match="read-only"):
+        delattr(table, name)
+    with pytest.raises(TypeError):
+        table.labels[0] = "junk"
+    assert cert.dumps() == text
     assert C_.verify_D(cert).passed
 
 
 def test_table_is_copied_from_its_arguments():
     G = G_.FiniteCyclic(3)
-    mul = G_.table(G).copy()
-    table = T_.TableMetricGroup(mul, 1 - np.eye(3, dtype=np.int64), 1, 0,
-                                ["0", "1", "2"])
+    mul, length = G_.table(G).copy(), np.array([0, 1, 1])
+    table = T_.TableMetricGroup(mul, length, 1, 0, ["0", "1", "2"])
     mul[1, 1] = 0
-    assert table.mul_table[1, 1] == 2
+    length[1] = 0
+    assert table.mul_table[1, 1] == 2 and table.length_table[1] == 1

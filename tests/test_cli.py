@@ -243,8 +243,7 @@ def _f2_into_non_group(obj):
         "dimension": len(B),
         "target_group": {
             "kind": "table", "mul": mul, "identity": B.index(e),
-            "dist": [[[int(i != j), 1] for j in range(len(B))]
-                     for i in range(len(B))],
+            "length": [int(p != e) for p in B], "den": 1,
             "labels": [F2.fmt(p) for p in B]},
         "assignments": [{"element": F2.fmt(p),
                          "target": {"kind": "fin", "index": i}}
@@ -258,17 +257,52 @@ def _sym3_word_metric(obj):
     S3 = G_.FiniteSym(3)
     B = G_.ball(S3, 3)
     _become(obj, X_.exact_finite(S3, 2, "fin"), "fin")
-    obj["target_group"]["dist"] = [
-        [[B.length(S3.mul(S3.inv(a), b)), 3] for b in S3.elements()]
-        for a in S3.elements()]
+    obj["target_group"].update(length=list(map(B.length, S3.elements())),
+                               den=3)
     obj["epsilon"] = 0.5
 
 
 def _fin_denominators_beyond_int64(obj):
-    """Two distances whose denominators fit in int64 but whose least
-    common multiple does not."""
+    """A denominator that is the least common multiple of two that fit in
+    int64, but does not itself fit."""
     _become(obj, X_.exact_finite(G_.FiniteCyclic(5), 2, "fin"), "fin")
-    obj["target_group"]["dist"][0][1:3] = [[1, 2 ** 40], [1, 3 ** 25]]
+    obj["target_group"]["den"] = 2 ** 40 * 3 ** 25
+
+
+def _fin_table(**fields):
+    """exact_finite(Z/5, 2, "fin"), whose elements 0..4 are in index
+    order, with fields of its table replaced."""
+    def mutate(obj):
+        _become(obj, X_.exact_finite(G_.FiniteCyclic(5), 2, "fin"), "fin")
+        obj["target_group"].update(fields)
+    return mutate
+
+
+def _sym3_one_short_transposition(obj):
+    """exact_finite(Sym(3), 2, "fin") with length 1 at one transposition
+    and 2 everywhere else off the identity: symmetric and subadditive, but
+    not constant on the conjugacy class of transpositions."""
+    S3 = G_.FiniteSym(3)
+    _become(obj, X_.exact_finite(S3, 2, "fin"), "fin")
+    e, s1 = S3.identity(), S3.generators()[0][1]
+    obj["target_group"].update(
+        length=[0 if p == e else 1 if p == s1 else 2 for p in S3.elements()],
+        den=2)
+
+
+def _fin_old_dist_pairs(obj):
+    """exact_finite(Z/5, 2, "fin") with its table in the older form: a
+    dist table of [numerator, denominator] pairs, no length or den."""
+    _become(obj, X_.exact_finite(G_.FiniteCyclic(5), 2, "fin"), "fin")
+    table = obj["target_group"]
+    del table["length"], table["den"]
+    table["dist"] = [[[int(a != b), 1] for b in range(5)] for a in range(5)]
+
+
+def _sofic_with_target_group(obj):
+    """cyclic_Z(2), a sofic certificate, carrying the table of Z/5."""
+    obj["target_group"] = T_.trivial_metric_group(
+        G_.FiniteCyclic(5)).to_json()
 
 
 def _unitaries_on_Z(values, tolerance):
@@ -306,6 +340,19 @@ _MALFORMED.update({
     "fin-table-denominators-beyond-int64": _fin_denominators_beyond_int64,
     "fin-table-int-labels": _fin_labels([0, 1, 2, 3, 4]),
     "fin-table-string-labels": _fin_labels("01234"),
+    # a length is a conjugation-invariant norm in lowest terms over den
+    "fin-table-not-conjugation-invariant": _sym3_one_short_transposition,
+    "fin-table-asymmetric": _fin_table(length=[0, 1, 2, 2, 2], den=2),
+    "fin-table-triangle-inequality": _fin_table(length=[0, 1, 4, 4, 1],
+                                                den=4),
+    "fin-table-zero-off-identity": _fin_table(length=[0, 1, 0, 0, 1]),
+    "fin-table-length-above-den": _fin_table(length=[0, 1, 2, 2, 1]),
+    "fin-table-common-factor": _fin_table(length=[0, 2, 2, 2, 2], den=2),
+    "fin-table-old-dist-pairs": _fin_old_dist_pairs,
+    # a received target_group is one the writer could have written
+    "sofic-with-target-group": _sofic_with_target_group,
+    "fin-table-kind-nope": _fin_table(kind="nope"),
+    "fin-table-extra-key": _fin_table(junk=[1]),
     "perm-wreath-mixed-degree-bells": _perm_wreath_mixed_bells,
 })
 

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import json
 import math
 import random
 import warnings
@@ -402,16 +404,17 @@ def test_quotient_metric_group_law():
     table = T_.trivial_metric_group(L)
     els = L.elements()
     assert table.order == len(els) == 6
-    assert table.labels == [str(r) for r in els]
+    assert table.labels == tuple(str(r) for r in els)
     for i, r1 in enumerate(els):
         for j, r2 in enumerate(els):
             assert table.mul_table[i, j] == els.index(L.mul(r1, r2))
 
 
-def _reference_ok(mul, dist, den, e):
-    """Dense reference for the table check: the group laws and the metric
-    axioms over all pairs, associativity, the triangle inequality and left
-    and right invariance over all triples."""
+def _reference_ok(mul, length, den, e):
+    """Dense reference for the table check: the group laws, then the metric
+    d(a, b) = length[x] / den for the x with a x = b, checked as a metric
+    with values in [0, 1] over all pairs and triples, left and right
+    invariant."""
     n = len(mul)
     T = range(n)
     if not (0 <= e < n and all(0 <= x < n for r in mul for x in r)):
@@ -420,6 +423,14 @@ def _reference_ok(mul, dist, den, e):
         return False
     if not all(any(mul[a][b] == e == mul[b][a] for b in T) for a in T):
         return False
+    if any(mul[mul[a][b]][c] != mul[a][mul[b][c]]
+           for a in T for b in T for c in T):
+        return False
+    # in a group, row a of the table is a bijection
+    dist = [[0] * n for _ in T]
+    for a in T:
+        for x in T:
+            dist[a][mul[a][x]] = length[x]
     for a in T:
         for b in T:
             if dist[a][b] != dist[b][a]:
@@ -429,8 +440,6 @@ def _reference_ok(mul, dist, den, e):
     for a in T:
         for b in T:
             for c in T:
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    return False
                 if dist[a][c] > dist[a][b] + dist[b][c]:
                     return False
                 if dist[mul[c][a]][mul[c][b]] != dist[a][b] \
@@ -444,8 +453,8 @@ def _length_table(G, length, den):
     elems = G.elements()
     idx = {x: i for i, x in enumerate(elems)}
     mul = [[idx[G.mul(a, b)] for b in elems] for a in elems]
-    dist = [[length(G.mul(G.inv(a), b)) for b in elems] for a in elems]
-    return mul, dist, den, idx[G.identity()], [G.fmt(x) for x in elems]
+    return (mul, [length(x) for x in elems], den, idx[G.identity()],
+            [G.fmt(x) for x in elems])
 
 
 def _sym3_hamming():
@@ -460,8 +469,8 @@ def _sym3_word_metric():
 
 
 def _table_args(table):
-    return (table.mul_table.tolist(), table.dist_table.tolist(), table.den,
-            table.identity_index, table.labels)
+    return (table.mul_table.tolist(), table.length_table.tolist(), table.den,
+            table.identity_index, list(table.labels))
 
 
 _CHECKED_TABLES = [
@@ -498,47 +507,59 @@ def test_table_check_pins(args, error):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_table_check_matches_dense_reference(data):
-    mul, dist, den, e, labels = data.draw(st.sampled_from(_CHECKED_TABLES))
-    mul, dist = [list(r) for r in mul], [list(r) for r in dist]
+    mul, length, den, e, labels = data.draw(st.sampled_from(_CHECKED_TABLES))
+    mul, length = [list(r) for r in mul], list(length)
     n = len(mul)
     cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    kind = data.draw(st.sampled_from(["mul", "dist", "rows", "identity"]))
+    kind = data.draw(st.sampled_from(["mul", "length", "rows", "identity"]))
     if kind == "mul":
         a, b = data.draw(cell)
         mul[a][b] = data.draw(st.integers(-1, n))
-    elif kind == "dist":
-        a, b = data.draw(cell)
-        dist[a][b] = data.draw(st.integers(-1, den + 1))
+    elif kind == "length":
+        a = data.draw(st.integers(0, n - 1))
+        length[a] = data.draw(st.integers(-1, den + 1))
     elif kind == "rows":
         a, b = data.draw(cell)
         mul[a], mul[b] = mul[b], mul[a]
     else:
         e = data.draw(st.integers(0, n - 1))
-    if _reference_ok(mul, dist, den, e):
-        table = T_.TableMetricGroup(mul, dist, den, e, labels)
-        assert table.mul_table.tolist() == mul \
-            and table.dist_table.tolist() == dist
+    if _reference_ok(mul, length, den, e):
+        table = T_.TableMetricGroup(mul, length, den, e, labels)
+        assert table.mul_table.tolist() == mul
+        assert [Fraction(x, table.den) for x in table.length_table.tolist()] \
+            == [Fraction(x, den) for x in length]
     else:
         with pytest.raises(ValueError):
-            T_.TableMetricGroup(mul, dist, den, e, labels)
+            T_.TableMetricGroup(mul, length, den, e, labels)
 
 
-def _set_dist(j, value):
-    return lambda o: o["dist"][0].__setitem__(j, value)
+def _set_length(j, value):
+    return lambda o: o["length"].__setitem__(j, value)
+
+
+def _old_dist_pairs(obj):
+    """The form with a dist table of [numerator, denominator] pairs."""
+    length, den = obj.pop("length"), obj.pop("den")
+    M = obj["mul"]
+    inv = [row.index(obj["identity"]) for row in M]
+    obj["dist"] = [[[length[M[inv[a]][b]], den] for b in range(len(M))]
+                   for a in range(len(M))]
 
 
 # formats no writer produces, and tables whose numbers leave int64
 _BAD_TABLE_JSON = {
-    "bare-integer-distance": _set_dist(1, 1),
-    "float-distance": _set_dist(1, 0.5),
-    "bool-numerator": _set_dist(1, [True, 1]),
-    "zero-denominator": _set_dist(1, [1, 0]),
-    "triple": _set_dist(1, [1, 1, 1]),
-    "beyond-int64": _set_dist(1, [2 ** 64, 2 ** 64]),
-    # each denominator fits, their least common multiple does not
+    # a dist table of bare integers beside the lengths
+    "bare-integer-distance":
+        lambda o: o.update(dist=[[int(a != b) for b in range(3)]
+                                 for a in range(3)]),
+    "float-distance": _set_length(1, 1.0),
+    "bool-numerator": _set_length(1, True),
+    "zero-denominator": lambda o: o.update(den=0),
+    "triple": _set_length(1, [1, 1, 1]),
+    "beyond-int64": _set_length(1, 2 ** 64),
+    # a denominator beyond int64
     "common-denominator-beyond-int64":
-        lambda o: o["dist"][0].__setitem__(slice(1, 3),
-                                           [[1, 2 ** 40], [1, 3 ** 25]]),
+        lambda o: o.update(den=2 ** 40 * 3 ** 25),
     "string-product": lambda o: o["mul"][0].__setitem__(1, "1"),
     "no-labels": lambda o: o.pop("labels"),
     # one JSON string per element, nothing else
@@ -546,6 +567,18 @@ _BAD_TABLE_JSON = {
     "mixed-labels": lambda o: o["labels"].__setitem__(1, None),
     "one-string-labels": lambda o: o.update(labels="012"),
     "no-identity": lambda o: o.pop("identity"),
+    "float-identity": lambda o: o.update(identity=0.0),
+    "old-dist-pairs": _old_dist_pairs,
+    "no-length": lambda o: o.pop("length"),
+    "no-den": lambda o: o.pop("den"),
+    "float-den": lambda o: o.update(den=1.0),
+    "bool-den": lambda o: o.update(den=True),
+    "extra-key": lambda o: o.update(junk=1),
+    "kind-nope": lambda o: o.update(kind="nope"),
+    "length-of-two": lambda o: o["length"].pop(),
+    "length-not-a-list": lambda o: o.update(length=1),
+    # the writer brings the lengths and den to lowest terms
+    "common-factor": lambda o: o.update(length=[0, 2, 2], den=2),
 }
 
 
@@ -561,12 +594,27 @@ def test_table_json_rejects_unwritten_formats(case):
 def test_table_common_denominator_round_trips():
     table = T_.TableMetricGroup(*_sym3_hamming())
     obj = table.to_json()
-    assert {tuple(p) for r in obj["dist"] for p in r} \
-        == {(0, 1), (2, 3), (1, 1)}
+    assert obj["den"] == 3 and sorted(set(obj["length"])) == [0, 2, 3]
     back = T_.TableMetricGroup.from_json(obj)
     assert back.den == 3 and back.to_json() == obj
     assert back.element(0).dist(back.element(5)) \
         == table.element(0).dist(table.element(5)) == Fraction(2, 3)
+
+
+def test_table_lengths_are_kept_in_lowest_terms():
+    mul, length, den, e, labels = _sym3_hamming()
+    table = T_.TableMetricGroup(mul, [4 * x for x in length], 4 * den, e,
+                                labels)
+    assert table.den == 3 and table.length_table.tolist() == length
+    assert table.to_json() == T_.TableMetricGroup(*_sym3_hamming()).to_json()
+
+
+def test_table_json_is_json_native():
+    obj = T_.TableMetricGroup(*_sym3_hamming()).to_json()
+    assert json.loads(json.dumps(obj)) == obj
+    assert {type(x) for x in obj["length"]} == {int}
+    assert {type(x) for row in obj["mul"] for x in row} == {int}
+    assert type(obj["den"]) is int and type(obj["identity"]) is int
 
 
 def _wreath_reference(base, H):
@@ -589,7 +637,7 @@ def _wreath_reference(base, H):
     def dist(p, q):
         if p[1] != q[1]:
             return Fraction(1)
-        return max(Fraction(base.dist_table.item(x, y), base.den)
+        return max(base.element(x).dist(base.element(y))
                    for x, y in zip(p[0], q[0]))
 
     def label(p):
@@ -624,7 +672,7 @@ def test_wreath_table_matches_scalar_reference(case):
     idx = {p: i for i, p in enumerate(payloads)}
     assert [T_.wreath_index(base, top, f, h) for f, h in payloads] \
         == list(range(W.order))
-    assert W.labels == [label(p) for p in payloads]
+    assert list(W.labels) == [label(p) for p in payloads]
     e = ((base.identity_index,) * top.order, top.identity_index)
     assert W.identity_index == idx[e]
     for p in payloads:
@@ -632,6 +680,102 @@ def test_wreath_table_matches_scalar_reference(case):
             x, y = W.element(idx[p]), W.element(idx[q])
             assert x.mul(y).index == idx[mul(p, q)]
             assert x.dist(y) == dist(p, q)
+
+
+@pytest.mark.parametrize("case", _WREATH_TABLE_CASES)
+def test_wreath_length_is_the_max_over_lamps(case):
+    """The O(order) length of wreath_table is the dense max/jump distance
+    from the identity."""
+    base, H = _WREATH_TABLE_CASES[case]()
+    W = T_.wreath_table(base, T_.trivial_metric_group(H))
+    payloads, _, dist, _ = _wreath_reference(base, H)
+    e = payloads[W.identity_index]
+    assert [Fraction(x, W.den) for x in W.length_table.tolist()] \
+        == [dist(e, p) for p in payloads]
+
+
+def _sym3_hamming_wr_z2():
+    return T_.wreath_table(T_.TableMetricGroup(*_sym3_hamming()),
+                           T_.trivial_metric_group(G_.FiniteCyclic(2)))
+
+
+# trivial tables of Z/m and Sym(3), the Sym(3) Hamming table (distances
+# over 3) and a wreath table (order 72, distances over 3)
+_ROW_TABLES = {
+    **{f"Z/{m}": (lambda m=m: T_.trivial_metric_group(G_.FiniteCyclic(m)))
+       for m in (1, 2, 5)},
+    "Sym3": lambda: T_.trivial_metric_group(G_.FiniteSym(3)),
+    "Sym3-Hamming": lambda: T_.TableMetricGroup(*_sym3_hamming()),
+    "Sym3-Hamming-wr-Z2": _sym3_hamming_wr_z2,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _row_table(name):
+    return _ROW_TABLES[name]()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_table_rows_equal_the_element_reference(data):
+    """take, mul (1 x m, m x 1, m x m), inv and extreme (max and min) of
+    table rows give FiniteGroupElement's values row by row, and the first
+    position of the extreme."""
+    G = _row_table(data.draw(st.sampled_from(sorted(_ROW_TABLES))))
+    index = st.integers(0, G.order - 1)
+    count = data.draw(st.integers(1, 8))
+    elems = [G.element(i) for i in data.draw(
+        st.lists(index, min_size=count, max_size=count))]
+    rows = T_.batch(elems)
+    assert isinstance(rows, T_._TableRows) and len(rows) == count
+    slot = st.integers(0, count - 1)
+    m = data.draw(st.integers(1, 8))
+    js, us = (data.draw(st.lists(slot, min_size=m, max_size=m))
+              for _ in range(2))
+    i = data.draw(slot)
+
+    def check(got, want):
+        assert [got.target(r) for r in range(len(got))] == want
+        assert [got.to_json(r) for r in range(len(got))] \
+            == [w.to_json() for w in want]
+        assert {type(got.to_json(r)["index"]) for r in range(len(got))} \
+            == {int}
+        scalar = [w.dist(elems[u]) for w, u in zip(want, us)]
+        for pick in (max, min):
+            value, r = got.extreme(rows.take(us), pick)
+            assert value == pick(scalar) and r == scalar.index(value)
+        value, r = got.take([0]).extreme(rows.take(us), max)
+        assert r == [want[0].dist(elems[u]) for u in us].index(value)
+
+    check(rows.take(js), [elems[j] for j in js])
+    check(rows.take([i]).mul(rows.take(js)),
+          [elems[i].mul(elems[j]) for j in js])
+    check(rows.take(js).mul(rows.take([i])),
+          [elems[j].mul(elems[i]) for j in js])
+    check(rows.take(js).mul(rows.take(us)),
+          [elems[j].mul(elems[u]) for j, u in zip(js, us)])
+    check(rows.take(js).inv(), [elems[j].inv() for j in js])
+
+
+def test_table_rows_refuse_what_elements_refuse():
+    G, H = _row_table("Sym3"), T_.trivial_metric_group(G_.FiniteSym(3))
+    rows = T_.batch([G.element(1), G.element(2)])
+    with pytest.raises(ValueError, match="different finite group"):
+        rows.mul(T_.batch([H.element(1)]))
+    with pytest.raises(ValueError, match="cannot pair"):
+        rows.mul(T_.batch([G.element(1)] * 3))
+    with pytest.raises(TypeError, match="projective"):
+        rows.extreme(rows, max, projective=True)
+    # elements of two tables stay objects, for the certificate to refuse
+    assert isinstance(T_.batch([G.element(1), H.element(1)]), T_._ScalarRows)
+    for index in ([0, 6], [-1], [True]):
+        with pytest.raises(ValueError):
+            T_.rows_from_json([{"kind": "fin", "index": i} for i in index],
+                              fin_group=G)
+    assert T_.rows_from_json([{"kind": "fin", "index": i} for i in (5, 0)],
+                             fin_group=G).x.tolist() == [5, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        rows.x[0] = 0
 
 
 def test_perm_wreath_bells_share_one_degree():
