@@ -4,10 +4,8 @@
 indent=1)``, with a Fraction written as the string ``str(x)``: the one
 format of every artifact. The standard library writes indented JSON with
 its pure-Python encoder; this writer gives the same bytes several times
-faster. A list of ints is one join, and a memoryview of integers (a row of
-an image array) is written as the list of its values, so a certificate
-goes out from its image rows with no list of them ever built. Only the
-standard library is used, so the writer imports without numpy.
+faster: a list of ints or strs is one join per chunk. Only the standard
+library is used, so the writer imports without numpy.
 """
 from __future__ import annotations
 
@@ -78,8 +76,6 @@ def _write(o, write, nl):
     text = _scalar(o)
     if text is not None:
         write(text)
-    elif isinstance(o, memoryview):
-        _write_texts(map(str, o.tolist()), len(o), write, nl)
     elif isinstance(o, (list, tuple)):
         _write_list(o, write, nl)
     elif isinstance(o, dict):

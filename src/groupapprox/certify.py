@@ -270,10 +270,8 @@ class ApproxCertificate:
                 f"missing assignment for {self.group.fmt(payload)}")
         return self._rows.target(self.ball.index(payload))
 
-    def to_json(self, stream=False):
-        """The certificate as a JSON object; with ``stream``, each image of
-        an image array is a memoryview of its row, which only
-        canonical.dump writes."""
+    def to_json(self):
+        """The certificate as a JSON object."""
         obj = {
             "group": self.group.descriptor(),
             "family": self.family,
@@ -285,7 +283,7 @@ class ApproxCertificate:
             obj["target_group"] = self.fin_group.to_json()
         fmt, rows = self.group.fmt, self._rows
         obj["assignments"] = [
-            {"element": fmt(p), "target": rows.to_json(i, stream)}
+            {"element": fmt(p), "target": rows.to_json(i)}
             for i, p in enumerate(self.ball)]
         if self.provenance:
             obj["provenance"] = self.provenance
@@ -294,7 +292,7 @@ class ApproxCertificate:
     def dumps(self):
         """The canonical JSON text, without a final newline."""
         buf = io.StringIO()
-        J_.dump(self.to_json(stream=True), buf)
+        J_.dump(self.to_json(), buf)
         return buf.getvalue()
 
     @classmethod

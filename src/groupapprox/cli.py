@@ -262,7 +262,7 @@ def cmd_construct(args):
         raise UsageError(str(e))
     except C_.UpstreamVerificationError as e:
         raise VerifyFailure(str(e))
-    _write_json(cert.to_json(stream=True), args.out)
+    _write_json(cert.to_json(), args.out)
     if args.out not in (None, "-"):
         summary = {"family": cert.family, "n": cert.n,
                    "dimension": cert.dimension, "written": args.out}

@@ -4,6 +4,10 @@ exact fields with rank distance (plain and projective), finite groups with
 bi-invariant table metrics, implicit tensor powers and permutation-wreath
 elements.
 
+On disk a permutation's images are one string, the base64 of them as
+little-endian int32, written by _images_json and read back, strictly, by
+_images_array; a target object has exactly the keys its writer writes.
+
 Exact metrics (Hamming, rank, tables) return fractions.Fraction; the
 Hilbert-Schmidt family returns floats, and unitarity is checked at the one
 UNITARY_TOLERANCE. A matrix entry over Q is an int or a Fraction, over F_p
@@ -13,6 +17,7 @@ built.
 """
 from __future__ import annotations
 
+import base64
 import functools
 import itertools
 import math
@@ -106,7 +111,11 @@ class Permutation:
         return f"Permutation({list(self.images)})"
 
     def to_json(self):
-        return list(self.images)
+        return _perm_json(_images_json(self.images))
+
+
+def _perm_json(images):
+    return {"kind": "perm", "images": images}
 
 
 class CyclicPerm:
@@ -279,7 +288,7 @@ class PermUnitary:
         return f"PermUnitary(k={self.k})"
 
     def to_json(self):
-        return _perm_unitary_json(list(self.perm.images))
+        return _perm_unitary_json(_images_json(self.perm.images))
 
 
 def _perm_unitary_json(images):
@@ -828,14 +837,18 @@ def _check_table(M, L, den, e):
     over den is proved a conjugation-invariant norm with values in [0, 1];
     ValueError otherwise. The group laws cost O(|S| |T|^2) for the greedy
     generating set S of at most log2 |T| elements, the length O(|S| |T| +
-    |T|^2)."""
+    |T|^2). The |T| x |T| checks run in blocks of rows, as
+    Ball.products() does, so no temporary is larger than groups.BLOCK
+    entries."""
     n = len(M)
     r = np.arange(n)
+    step = max(1, G_.BLOCK // n)
+    blocks = [slice(i, i + step) for i in range(0, n, step)]
     if M.min() < 0 or M.max() >= n:
         raise ValueError("table is not a group: product out of range")
     if (M[e] != r).any() or (M[:, e] != r).any():
         raise ValueError("table is not a group: identity law fails")
-    inv = (M == e).argmax(axis=1)
+    inv = np.concatenate([(M[b] == e).argmax(axis=1) for b in blocks])
     if (M[r, inv] != e).any() or (M[inv, r] != e).any():
         raise ValueError("table is not a group: an element has no inverse")
     # S grows greedily until right multiplication by S reaches all of T
@@ -852,7 +865,7 @@ def _check_table(M, L, den, e):
             seen[frontier] = True
     # Light's test: the g with (xg)y = x(gy) form a submagma; e, S span T
     for g in S:
-        if (M[M[:, g]] != M[:, M[g]]).any():
+        if any((M[M[b, g]] != M[b][:, M[g]]).any() for b in blocks):
             raise ValueError("table is not a group: associativity fails")
     # d(a, b) = L(a^-1 b) is left-invariant by definition, a metric when L
     # is a norm (zero only at e, symmetric, subadditive), and
@@ -866,7 +879,7 @@ def _check_table(M, L, den, e):
         if (L[M[M[inv[c]], c]] != L).any():
             raise ValueError("length is not conjugation-invariant: the "
                              "metric is not right-invariant")
-    if (L[M] - L[:, None] > L[None, :]).any():
+    if any((L[M[b]] - L[b, None] > L[None, :]).any() for b in blocks):
         raise ValueError("triangle inequality fails: L(gh) > L(g) + L(h)")
     return inv
 
@@ -960,10 +973,12 @@ def wreath_table(base, top):
     # F[c] = the digits f of code c, so that wreath_index(f, h) = c m + h
     weights = b ** np.arange(m - 1, -1, -1)
     F = np.arange(b ** m)[:, None] // weights % b
-    # mul[c0, h0, c1, h1] = code(t -> f0(h1 t) f1(t)) m + h0 h1
+    # mul[c0, h0, c1, h1] = code(t -> f0(h1 t) f1(t)) m + h0 h1, in int32
+    # (the order is at most the cap) beside the int64 copy the table keeps
     code = np.stack([BM[F[:, None, TM[h1]], F[None, :, :]] @ weights
                      for h1 in range(m)], axis=-1)
-    mul = code[:, None, :, :] * m + TM[None, :, None, :]
+    mul = (code * m).astype(np.int32)[:, None, :, :] \
+        + TM.astype(np.int32)[None, :, None, :]
     lamp = base.length_table[F].max(axis=1)
     length = np.where(np.arange(m) == top.identity_index, lamp[:, None],
                       base.den)
@@ -1031,7 +1046,7 @@ class PermWreathElement:
         return f"PermWreathElement(|A|={self.size})"
 
     def to_json(self):
-        return {"kind": "perm-wreath", "perm": list(self.perm.images),
+        return {"kind": "perm-wreath", "perm": _images_json(self.perm.images),
                 "bells": [b.to_json() for b in self.bells]}
 
 
@@ -1058,9 +1073,8 @@ def batch(images):
     more rows class.
 
     Rows also give back what they hold: ``target(i)`` builds row i's
-    object, ``to_json(i, view)`` its JSON (an image array row as a
-    memoryview for canonical.dump when ``view``), and
-    ``representatives()`` targets with every kind the rows hold.
+    object, ``to_json(i)`` its JSON, and ``representatives()`` targets
+    with every kind the rows hold.
     ``with_kernel(gens)`` gives the rows with the commutant kernel derived
     from the rows at ``gens``, the positions of the images of a generating
     set (see _PermRows).
@@ -1092,25 +1106,19 @@ def rows_from_array(P, metric=HAMMING, field=None):
 
 
 def rows_from_json(objs, fin_group=None):
-    """Rows of the decoded targets ``objs``. Image lists, or perm-unitary
-    objects, go straight into one int32 array, checked in one vectorized
-    pass: every entry an exact JSON int (no bool, no float), every row a
-    permutation of one range(k). So do rank objects over one field whose
-    entries are exactly the strings "0" and "1" and form permutation
-    matrices of one size, and fin objects, whose indices go into one int64
-    array of ``fin_group``. Any other list is decoded target by target
-    (target_from_json)."""
-    if all(isinstance(t, list) for t in objs):
-        return _PermRows(_json_perm_array(objs), HAMMING)
-    if all(isinstance(t, dict) and t.get("kind") == "perm-unitary"
-           for t in objs):
-        for t in objs:
-            _require_tolerance(t)
-        return _PermRows(_json_perm_array([t["images"] for t in objs]),
-                         HILBERT_SCHMIDT)
-    if all(isinstance(t, dict) and t.get("kind") == "rank" for t in objs):
-        for t in objs:
-            _require_tolerance(t)
+    """Rows of the decoded targets ``objs``, each with exactly the keys of
+    its kind (_target_kind). The image strings of perm or perm-unitary
+    objects go straight into one int32 array (_images_array). So do rank
+    objects over one field whose entries are exactly the strings "0" and
+    "1" and form permutation matrices of one size, and fin objects, whose
+    indices go into one int64 array of ``fin_group``. Any other list is
+    decoded target by target (target_from_json)."""
+    kinds = set(map(_target_kind, objs))
+    for kind, metric in (("perm", HAMMING), ("perm-unitary", HILBERT_SCHMIDT)):
+        if kinds == {kind}:
+            return _PermRows(_images_array([t["images"] for t in objs]),
+                             metric)
+    if kinds == {"rank"}:
         fields = {F.label: F for F in map(field_from_descriptor,
                                           (t["field"] for t in objs))}
         if len(fields) == 1:
@@ -1118,10 +1126,7 @@ def rows_from_json(objs, fin_group=None):
                               *fields.values())
             if rows is not None:
                 return rows
-    if fin_group is not None and all(isinstance(t, dict)
-                                     and t.get("kind") == "fin" for t in objs):
-        for t in objs:
-            _require_tolerance(t)
+    if fin_group is not None and kinds == {"fin"}:
         index = [t["index"] for t in objs]
         if not set(map(type, index)) <= {int}:
             raise ValueError("fin indices must be JSON integers")
@@ -1194,20 +1199,41 @@ def _perm_array(P):
     return _frozen(P)
 
 
-def _json_perm_array(lists):
-    """_perm_array of image lists of one length holding only exact JSON
-    ints."""
-    if not all(isinstance(images, list) for images in lists):
-        raise ValueError("permutation images must be lists")
-    degrees = set(map(len, lists))
-    if len(degrees) != 1:
+def _images_json(images):
+    """The JSON form of one permutation's images: the base64 text, with
+    padding, of the images as little-endian int32."""
+    return base64.b64encode(
+        np.asarray(images, dtype="<i4").tobytes()).decode("ascii")
+
+
+def _images_array(texts):
+    """The read-only int32 array whose rows are the images in the JSON
+    texts, when each is exactly what _images_json writes: a string of
+    canonical base64 (its bytes encode back to the same text, padding bits
+    included), of a nonzero multiple of 4 bytes, the rows of one degree,
+    every entry in range(k) and every row a permutation; ValueError
+    otherwise. A list of images, the older form, is refused."""
+    raw = []
+    for text in texts:
+        if type(text) is not str:
+            raise ValueError(f"permutation images must be a base64 string, "
+                             f"not {type(text).__name__}")
+        try:
+            data = base64.b64decode(text, validate=True)
+        except ValueError:  # binascii.Error, or a character beyond ASCII
+            raise ValueError("permutation images are not base64") from None
+        if base64.b64encode(data) != text.encode("ascii"):
+            raise ValueError("permutation images are not canonical base64")
+        raw.append(data)
+    sizes = set(map(len, raw))
+    if len(sizes) != 1:
         raise ValueError("permutation images differ in degree")
-    if not set(map(type, itertools.chain.from_iterable(lists))) <= {int}:
-        raise ValueError("permutation images must be JSON integers")
-    # an entry beyond int64 raises OverflowError
-    flat = np.fromiter(itertools.chain.from_iterable(lists), np.int64,
-                       len(lists) * min(degrees))
-    return _perm_array(flat.reshape(len(lists), -1))
+    size = sizes.pop()
+    if not size or size % 4:
+        raise ValueError(f"permutation images of {size} bytes are not a "
+                         f"nonempty row of int32")
+    return _perm_array(np.frombuffer(b"".join(raw), dtype="<i4")
+                       .reshape(len(raw), -1))
 
 
 def _pairs(xs, ys):
@@ -1233,7 +1259,7 @@ class _ScalarRows:
     def target(self, i):
         return self.images[i]
 
-    def to_json(self, i, view=False):
+    def to_json(self, i):
         return self.images[i].to_json()
 
     def representatives(self):
@@ -1279,7 +1305,7 @@ class _TableRows:
     def target(self, i):
         return FiniteGroupElement(self.group, self.x.item(i))
 
-    def to_json(self, i, view=False):
+    def to_json(self, i):
         return {"kind": "fin", "index": self.x.item(i)}
 
     def representatives(self):
@@ -1427,12 +1453,12 @@ class _PermRows:
             return PermUnitary(perm)
         return perm_to_rank(perm, self.field)
 
-    def to_json(self, i, view=False):
+    def to_json(self, i):
         if self.metric == RANK:
             return self.target(i).to_json()
-        row = self.P[i]
-        images = memoryview(row) if view else row.tolist()
-        return images if self.metric == HAMMING else _perm_unitary_json(images)
+        images = _images_json(self.P[i])
+        return _perm_json(images) if self.metric == HAMMING \
+            else _perm_unitary_json(images)
 
     def representatives(self):
         return [self.target(0)]
@@ -1571,13 +1597,47 @@ class _PermRows:
 # ---------------------------------------------------------------------------
 # JSON decoding
 
-def target_from_json(obj, fin_group=None):
-    """Decode a TargetElement; fin elements need their group passed in.
-    A unitary's tolerance field, if present, must be UNITARY_TOLERANCE."""
-    if isinstance(obj, list):
-        return _json_perm(obj)
+# the keys of each kind of target object, as its writer writes them; a
+# unitary's tolerance may be left out
+_TARGET_KEYS = {
+    "perm": frozenset({"kind", "images"}),
+    "cyclic-perm": frozenset({"kind", "m", "shift"}),
+    "perm-unitary": frozenset({"kind", "images", "tolerance"}),
+    "unitary": frozenset({"kind", "k", "entries", "tolerance"}),
+    "augmented-unitary": frozenset({"kind", "inner", "pad"}),
+    "tensor-implicit": frozenset({"kind", "base", "power"}),
+    "rank": frozenset({"kind", "field", "entries"}),
+    "fin": frozenset({"kind", "index"}),
+    "perm-wreath": frozenset({"kind", "perm", "bells"}),
+}
+
+
+def _target_kind(obj):
+    """The kind of a received target object whose keys are exactly those
+    its writer writes, a unitary's tolerance optional and, if present,
+    UNITARY_TOLERANCE; ValueError otherwise."""
+    if type(obj) is not dict:
+        raise ValueError(f"a target is a JSON object, not "
+                         f"{type(obj).__name__}")
     kind = obj.get("kind")
-    _require_tolerance(obj)
+    if type(kind) is not str or kind not in _TARGET_KEYS:
+        raise ValueError(f"unknown target kind {kind!r}")
+    keys = _TARGET_KEYS[kind]
+    if not keys - {"tolerance"} <= obj.keys() <= keys:
+        raise ValueError(f"a {kind} target has exactly the keys "
+                         f"{sorted(keys)}, not {sorted(obj)}")
+    if obj.get("tolerance", UNITARY_TOLERANCE) != UNITARY_TOLERANCE:
+        raise ValueError(f"unitarity tolerance {obj['tolerance']!r} is not "
+                         f"the verifier's {UNITARY_TOLERANCE}")
+    return kind
+
+
+def target_from_json(obj, fin_group=None):
+    """Decode a TargetElement with exactly the keys of its kind; fin
+    elements need their group passed in."""
+    kind = _target_kind(obj)
+    if kind == "perm":
+        return _json_perm(obj["images"])
     if kind == "cyclic-perm":
         return CyclicPerm(json_int(obj, "m"), json_int(obj, "shift"))
     if kind == "perm-unitary":
@@ -1605,10 +1665,9 @@ def target_from_json(obj, fin_group=None):
         if fin_group is None:
             raise ValueError("finite group element needs its group")
         return fin_group.element(obj["index"])
-    if kind == "perm-wreath":
-        bells = [target_from_json(b) for b in obj["bells"]]
-        return PermWreathElement(_json_perm(obj["perm"]), bells)
-    raise ValueError(f"unknown target encoding {obj!r}")
+    # a perm-wreath element
+    bells = [target_from_json(b) for b in obj["bells"]]
+    return PermWreathElement(_json_perm(obj["perm"]), bells)
 
 
 def json_int(obj, key):
@@ -1620,13 +1679,7 @@ def json_int(obj, key):
     return x
 
 
-def _json_perm(images):
-    """The Permutation of one JSON image list of exact ints."""
-    return Permutation(_json_perm_array([images])[0].tolist())
+def _json_perm(text):
+    """The Permutation of one JSON image string (_images_array)."""
+    return Permutation._checked(_images_array([text])[0].tolist())
 
-
-def _require_tolerance(obj):
-    """A unitary's tolerance field, if present, must be UNITARY_TOLERANCE."""
-    if obj.get("tolerance", UNITARY_TOLERANCE) != UNITARY_TOLERANCE:
-        raise ValueError(f"unitarity tolerance {obj['tolerance']!r} is not "
-                         f"the verifier's {UNITARY_TOLERANCE}")

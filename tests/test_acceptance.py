@@ -5,9 +5,11 @@ asserts its own wall-clock budget so a slow regression fails loudly.
 Run with -v to get one pass/fail line per guarantee.
 """
 
+import base64
 import json
 import math
 import random
+import string
 import time
 from fractions import Fraction
 
@@ -414,19 +416,48 @@ _README_CERTIFICATES = [
 ]
 
 
-def _images(obj, i):
-    """The image list of assignment i (a permutation or perm-unitary
-    target), or None for other targets."""
-    target = obj["assignments"][i]["target"]
-    if isinstance(target, dict):
-        target = target.get("images")
-    return target if isinstance(target, list) else None
+def _images_path(target):
+    """The keys leading from a target object to its image string (that of
+    a perm or perm-unitary target, or of one inside a tensor power or an
+    augmented unitary), or None when it holds none."""
+    if not isinstance(target, dict):
+        return None
+    if isinstance(target.get("images"), str):
+        return ("images",)
+    for key in ("base", "inner"):
+        if key in target:
+            rest = _images_path(target[key])
+            return None if rest is None else (key, *rest)
+    return None
+
+
+_BASE64 = string.ascii_uppercase + string.ascii_lowercase + string.digits \
+    + "+/"
+
+
+def _row(text):
+    """The images in an image string, decoded here without the program."""
+    return np.frombuffer(base64.b64decode(text), dtype="<i4").tolist()
+
+
+def _text(row):
+    return base64.b64encode(np.array(row, dtype="<i4").tobytes()).decode()
+
+
+def _padding_bits_set(text):
+    """text with a bit set in the padding bits of its last character, which
+    a lenient decoder ignores."""
+    stem = text.rstrip("=")
+    assert stem != text, "no padding bits to set"
+    return stem[:-1] + _BASE64[_BASE64.index(stem[-1]) + 1] + text[len(stem):]
 
 
 def _structural_mutations(obj):
     """(name, mutate) for each structural change of a certificate object:
-    dropped, duplicated and retyped fields, image rows cut, grown, nested
-    or negated, an entry out of range. Each must be refused."""
+    dropped, duplicated and retyped fields; in the image string of one
+    target, a changed character, its padding dropped or its padding bits
+    set, a line break, the images cut, grown, negated, repeated or out of
+    range, and the older list form. Each must be refused."""
     def drop(*path):
         def mutate(o):
             for key in path[:-1]:
@@ -441,10 +472,22 @@ def _structural_mutations(obj):
             o[path[-1]] = value
         return mutate
 
-    def row(change):
+    def images(change):
+        """Replace the image string of assignment 1 by change(string)."""
         def mutate(o):
-            change(_images(o, 1))
+            t = o["assignments"][1]["target"]
+            for key in path[:-1]:
+                t = t[key]
+            t[path[-1]] = change(t[path[-1]])
         return mutate
+
+    def row(change):
+        """Re-encode the images of assignment 1 after change(images)."""
+        def edit(text):
+            r = _row(text)
+            change(r)
+            return _text(r)
+        return images(edit)
 
     out = [(f"drop-{key}", drop(key)) for key in
            ("n", "dimension", "family", "epsilon", "group", "assignments")]
@@ -462,23 +505,30 @@ def _structural_mutations(obj):
     if isinstance(target, dict):
         out += [("drop-kind", drop("assignments", 1, "target", "kind")),
                 ("kind-as-int", put(5, "assignments", 1, "target", "kind"))]
-    if isinstance(target, dict) and "images" in target:
-        out += [("drop-images", drop("assignments", 1, "target", "images")),
-                ("images-as-string",
-                 put("x", "assignments", 1, "target", "images"))]
-    if _images(obj, 1) is not None:
-        k = len(_images(obj, 1))
-        out += [("row-truncated", row(lambda r: r.pop())),
+    path = _images_path(target)
+    if path is not None:
+        full = ("assignments", 1, "target", *path)
+        text = target
+        for key in path:
+            text = text[key]
+        assert _text(_row(text)) == text
+        k = len(_row(text))
+        out += [("drop-images", drop(*full)),
+                ("images-as-string", put("x", *full)),
+                ("images-empty", put("", *full)),
+                ("images-character-flipped", images(
+                    lambda t: ("C" if t[0] == "B" else "B") + t[1:])),
+                ("images-base64-truncated", images(lambda t: t[:-4])),
+                ("images-padding-dropped", images(lambda t: t.rstrip("="))),
+                ("images-padding-bits-set", images(_padding_bits_set)),
+                ("images-line-break", images(lambda t: t[:8] + "\n" + t[8:])),
+                ("images-as-list", images(_row)),
+                ("row-truncated", row(lambda r: r.pop())),
                 ("row-lengthened", row(lambda r: r.append(k))),
-                ("row-nested", row(lambda r: r.__setitem__(0, [r[0]]))),
                 ("row-negated", row(lambda r: r.__setitem__(
                     r.index(1), -1))),
                 ("entry-out-of-range", row(lambda r: r.__setitem__(0, k))),
-                ("entry-repeated", row(lambda r: r.__setitem__(0, r[1]))),
-                ("entry-as-float", row(lambda r: r.__setitem__(
-                    r.index(1), 1.0))),
-                ("entry-as-bool", row(lambda r: r.__setitem__(
-                    r.index(1), True)))]
+                ("entry-repeated", row(lambda r: r.__setitem__(0, r[1])))]
     return out
 
 
@@ -491,9 +541,12 @@ def test_13_structural_mutations_of_readme_certificates_fail_cleanly(
     for name, argv in _README_CERTIFICATES:
         assert cli.main(["construct", *argv, "--out", name]) == 0
     capsys.readouterr()
+    packed = set()
     for name, _ in _README_CERTIFICATES:
         pristine = json.loads((tmp_path / name).read_text())
         cases = _structural_mutations(pristine)
+        if any(case == "images-padding-bits-set" for case, _ in cases):
+            packed.add(name)
 
         def swap(o):
             a = o["assignments"]
@@ -514,6 +567,8 @@ def test_13_structural_mutations_of_readme_certificates_fail_cleanly(
             else:
                 assert code == 1 and err.startswith("error: ") \
                     and out == "", (name, case, code, err)
+    # every certificate with permutation images had them mutated
+    assert packed == {"q.json", "hyp.json", "amp.json"}
     # a duplicated key: the last one read wins, and n = 4 leaves B(4)
     # without images
     text = (tmp_path / "q.json").read_text().replace('"n": 1', '"n": 1, "n": 4')

@@ -13,21 +13,24 @@ from hypothesis import given, settings, strategies as st
 
 from groupapprox import canonical, cli
 
-# sha256 of each artifact of the README's construct examples, run in order
+# sha256 of each artifact of the README's construct examples, run in order;
+# q.json, hyp.json and amp.json were pinned again when permutation images
+# came to be written as base64 strings, once each old file was shown to
+# decode to the same images as the new
 _README_ARTIFACTS = [
     ("cert.json", ["--method", "cyclic-z", "--n", "3"],
      "dbd2d87221d491e5841b0c4440682796d1578a5a716d209102712d76f93608d7"),
     ("q.json", ["--method", "from-quotient", "--group", "Z^2", "--lattice",
                 "1,3;0,8", "--n", "1"],
-     "cbddd77fd135074a1bf06d7233de74561c8c1de13f60f9106a9fff54ba85f7ad"),
+     "c3d31a5b293ec5874c9f98658af45b79a5e3860417a40a89d510fb41f9935a7d"),
     ("lin.json", ["--method", "perm-to-lin", "--input", "cert.json",
                   "--field", "F2"],
      "0468ce2a84ce09f0497fe68926621d94c116fe3163768dbd1a3a7f4cba79dbbf"),
     ("hyp.json", ["--method", "from-quotient", "--group", "Z", "--modulus",
                   "641", "--n", "320", "--family", "hyp"],
-     "1cacd80eb8db299c3574d745a24ef09f2559322db3cbf3bed01d98b91e3608c7"),
+     "d3a05ac163cc6e2cf26297ac69419588c32ec820672d0faef26e0cfb7300a54f"),
     ("amp.json", ["--method", "amplify", "--input", "hyp.json", "--n", "8"],
-     "20973eaeea182e24b040f2e56ba79cd7a7efa5e2dff3f35ed38f0e634c7858f4"),
+     "85f8b874e87f88d4a615a12ba41d15954fca56ce6f8241b60fd304fb4b9d56ed"),
 ]
 
 
@@ -50,19 +53,7 @@ def _fraction_as_str(o):
 
 
 def _reference(obj):
-    return json.dumps(_plain(obj), sort_keys=True, indent=1,
-                      default=_fraction_as_str)
-
-
-def _plain(obj):
-    """obj with each int32 row view as the list json.dumps can write."""
-    if isinstance(obj, memoryview):
-        return obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        return type(obj)(_plain(x) for x in obj)
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    return obj
+    return json.dumps(obj, sort_keys=True, indent=1, default=_fraction_as_str)
 
 
 def _written(obj):
@@ -78,9 +69,7 @@ _scalars = (st.none() | st.booleans()
             | st.floats(allow_nan=True, allow_infinity=True)
             | st.sampled_from([0.0, -0.0, 1e300, -1e-300, 0.1, 5e-324])
             | _texts
-            | st.fractions(max_denominator=10 ** 6)
-            | st.lists(st.integers(-2 ** 31, 2 ** 31 - 1), max_size=6).map(
-                lambda xs: memoryview(np.array(xs, dtype=np.int32))))
+            | st.fractions(max_denominator=10 ** 6))
 _objects = st.recursive(
     _scalars,
     lambda inner: (st.lists(inner, max_size=5)
@@ -115,7 +104,8 @@ def test_int_matrices_match_json_dumps(obj):
 
 @pytest.mark.parametrize("obj", [
     {"a": {1, 2}}, [object()], np.int64(3), {(1, 2): 3},
-    {Fraction(1, 2): 1}, [np.int32(1)]])
+    {Fraction(1, 2): 1}, [np.int32(1)],
+    memoryview(np.array([1, 0], dtype=np.int32))])
 def test_writer_refuses_what_json_refuses(obj):
     with pytest.raises(TypeError):
         _reference(obj)

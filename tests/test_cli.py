@@ -213,12 +213,18 @@ def _fin_labels(labels):
     return mutate
 
 
+def _perm(images):
+    """The JSON object of the permutation with these images."""
+    return T_.Permutation(images).to_json()
+
+
 def _perm_wreath_mixed_bells(obj):
     """Z/2 at n = 1 into perm-wreath elements whose second bell at 1 has
     degree 3 where every other bell has degree 2; the first bells agree on
     the dimension 2 * 2."""
     def wreath(perm, bells):
-        return {"kind": "perm-wreath", "perm": perm, "bells": bells}
+        return {"kind": "perm-wreath", "perm": T_._images_json(perm),
+                "bells": list(map(_perm, bells))}
     obj.clear()
     obj.update({
         "group": G_.FiniteCyclic(2).descriptor(), "family": "sofic",
@@ -375,7 +381,10 @@ def _rank(field, entries):
 
 
 def _wreath(perm, bell):
-    return {"kind": "perm-wreath", "perm": perm, "bells": [bell] * len(perm)}
+    """The perm-wreath object over perm with the permutation bell at every
+    point."""
+    return {"kind": "perm-wreath", "perm": T_._images_json(perm),
+            "bells": [_perm(bell)] * len(perm)}
 
 
 # products or distances across two target groups would end in a traceback
@@ -387,13 +396,13 @@ _MALFORMED.update({
         "lin", 2, _rank("Q", [["1", "0"], ["0", "1"]]),
         _rank("Q", [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]])),
     "permutation-beside-perm-wreath": _z2_targets(
-        "sofic", 4, [0, 1, 2, 3], _wreath([1, 0], [1, 0])),
+        "sofic", 4, _perm([0, 1, 2, 3]), _wreath([1, 0], [1, 0])),
     "perm-wreath-shapes-2x3-3x2": _z2_targets(
         "sofic", 6, _wreath([0, 1], [0, 1, 2]), _wreath([1, 2, 0], [1, 0])),
     "perm-wreath-bells-of-two-groups": _z2_targets(
         "sofic", 8, _wreath([0, 1], [0, 1, 2, 3]),
-        {"kind": "perm-wreath", "perm": [1, 0],
-         "bells": [[1, 0, 3, 2], _wreath([1, 0], [1, 0])]}),
+        {"kind": "perm-wreath", "perm": T_._images_json([1, 0]),
+         "bells": [_perm([1, 0, 3, 2]), _wreath([1, 0], [1, 0])]}),
 })
 
 
@@ -410,6 +419,43 @@ _MALFORMED.update({
     "lin-field-float-p": _field_targets({"Fp": 2.0}),
     "lin-field-beyond-decided-primality": _field_targets({"Fp": 2 ** 89 - 1}),
 })
+
+# a received target has exactly the keys its writer writes: one more key
+# on the target of one element exits 1
+_EXTRA_KEY = {
+    "perm": lambda: X_.from_quotient(Z, G_.LatticeHNF(Z, [(5,)]), 2, "sofic"),
+    "perm-unitary": lambda: X_.from_quotient(Z, G_.LatticeHNF(Z, [(5,)]), 2,
+                                             "hyp"),
+    "cyclic-perm": lambda: X_.cyclic_Z(2),
+    "fin": lambda: X_.exact_finite(G_.FiniteCyclic(5), 2, "fin"),
+}
+
+
+@pytest.mark.parametrize("kind", _EXTRA_KEY)
+def test_target_with_an_extra_key_is_usage_error(tmp_path, capsys, kind):
+    obj = _EXTRA_KEY[kind]().to_json()
+    assert obj["assignments"][1]["target"]["kind"] == kind
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(obj))
+    code, _, _ = run(capsys, "verify", "--cert", str(path))
+    assert code == 0
+    obj["assignments"][1]["target"]["junk"] = 1
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "junk" in err
+    assert "Traceback" not in err
+
+
+def test_perm_unitary_tolerance_may_be_left_out(tmp_path, capsys):
+    obj = _EXTRA_KEY["perm-unitary"]().to_json()
+    for a in obj["assignments"]:
+        del a["target"]["tolerance"]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", "--cert", str(path))
+    assert code == 0 and json.loads(out)["pass"] is True
+
 
 def _identity_images(obj, eps):
     obj["images"][0]["target"]["shift"] = 0
@@ -565,7 +611,7 @@ def test_direct_product_of_perm_and_dense_unitaries(tmp_path, capsys):
     obj = c.to_json()
     for a in obj["assignments"]:
         a["target"] = T_.perm_to_unitary(
-            T_.Permutation(a["target"]["images"])).to_json()
+            T_.target_from_json(a["target"]).perm).to_json()
     dense.write_text(json.dumps(obj))
     code, _, err = run(capsys, "construct", "--method", "direct-product",
                        "--input", str(perm), "--input2", str(dense),
@@ -635,12 +681,15 @@ def _hom_without(tmp_path, group, images, dropped):
 
 
 def _perm_entry_path(tmp_path, value):
-    """The sofic certificate of Z through Z/5 at radius 2 with the entry
-    ``value`` standing in for the equal int in the image of the identity:
-    the same permutation, but not in JSON integers."""
+    """The sofic certificate of Z through Z/5 at radius 2 with the images
+    of the identity as a list, the older form, whose entry ``value`` stands
+    in for the equal int: the same permutation, but neither a base64
+    string nor JSON integers."""
     obj = X_.from_quotient(Z, G_.LatticeHNF(Z, [(5,)]), 2, "sofic").to_json()
-    images = obj["assignments"][0]["target"]
+    target = obj["assignments"][0]["target"]
+    images = list(T_.target_from_json(target).images)
     images[images.index(int(value))] = value
+    target["images"] = images
     path = tmp_path / "entry.json"
     path.write_text(json.dumps(obj))
     return path

@@ -1,10 +1,14 @@
+import base64
 import functools
 import itertools
 import json
 import math
 import random
+import struct
+import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -485,7 +489,7 @@ _CHECKED_TABLES = [
 ]
 
 
-@pytest.mark.parametrize("args, error", [
+_TABLE_PINS = [
     (_sym3_hamming(), None),
     # the word metric of the adjacent transpositions is left- but not
     # right-invariant: s1 has length 1, its conjugate (0 2) length 3
@@ -494,7 +498,10 @@ _CHECKED_TABLES = [
      "symmetric"),
     (_length_table(G_.FiniteCyclic(4), [0, 1, 4, 1].__getitem__, 4),
      "triangle"),
-])
+]
+
+
+@pytest.mark.parametrize("args, error", _TABLE_PINS)
 def test_table_check_pins(args, error):
     assert _reference_ok(*args[:4]) == (error is None)
     if error is None:
@@ -504,9 +511,51 @@ def test_table_check_pins(args, error):
             T_.TableMetricGroup(*args)
 
 
+@pytest.mark.parametrize("args, error", _TABLE_PINS)
+def test_table_check_pins_in_row_blocks(args, error):
+    """With blocks of one row the pinned defects are found in later
+    blocks: none lies in the first row, the identity's."""
+    with mock.patch.object(G_, "BLOCK", 1):
+        test_table_check_pins(args, error)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_table_check_matches_dense_reference(data):
+    _check_a_mutated_table(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_table_check_in_row_blocks_matches_dense_reference(data):
+    """Blocks of one row or of a few rows give the same verdicts."""
+    with mock.patch.object(G_, "BLOCK", data.draw(st.sampled_from([1, 8]))):
+        _check_a_mutated_table(data)
+
+
+def test_table_check_runs_in_row_blocks():
+    """The check of an order-2,048 table, 32 MB of int64, adds no more
+    than a few blocks to the table itself: wreath_table(Z/2, Z/8) peaked at
+    143 MB when the check built whole-table temporaries."""
+    base, top = (T_.trivial_metric_group(G_.FiniteCyclic(m)) for m in (2, 8))
+    tracemalloc.start()
+    try:
+        W = T_.wreath_table(base, top)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        T_._check_table(W.mul_table, W.length_table, W.den, W.identity_index)
+        checked = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert W.order == 2048
+    assert built < 143e6 / 2
+    assert checked < 8 * 8 * G_.BLOCK
+
+
+def _check_a_mutated_table(data):
+    """One checked table, one cell, length, row pair or identity changed:
+    the table check and the dense reference agree."""
     mul, length, den, e, labels = data.draw(st.sampled_from(_CHECKED_TABLES))
     mul, length = [list(r) for r in mul], list(length)
     n = len(mul)
@@ -778,13 +827,153 @@ def test_table_rows_refuse_what_elements_refuse():
         rows.x[0] = 0
 
 
+# ---------------------------------------------------------------------------
+# permutation images on disk
+
+def _packed(images):
+    """The image string of images, packed here without the program."""
+    return base64.b64encode(struct.pack(f"<{len(images)}i", *images)).decode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda k: st.lists(st.permutations(range(k)), min_size=1, max_size=4)))
+def test_images_json_round_trips(rows):
+    """k = 1..9 takes every number of padding characters: 4k bytes leave
+    (-4k) mod 3 of them."""
+    texts = [T_._images_json(r) for r in rows]
+    k = len(rows[0])
+    for text, r in zip(texts, rows):
+        assert text == _packed(r)
+        assert text.count("=") == -4 * k % 3
+    P = T_._images_array(texts)
+    assert P.dtype == np.int32 and P.tolist() == [list(r) for r in rows]
+    assert not P.flags.writeable
+    assert T_._images_json(P[0]) == texts[0]
+
+
+def _flipped_padding_bit(text):
+    stem = text.rstrip("=")
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz" \
+        "0123456789+/"
+    return stem[:-1] + alphabet[alphabet.index(stem[-1]) + 1] \
+        + text[len(stem):]
+
+
+# each is refused; the valid rows are [1, 0] and [0, 1, 2] (no padding)
+_BAD_IMAGES = {
+    "list": [[1, 0]],
+    "int": [5],
+    "null": [None],
+    "empty": [""],
+    "three-bytes": ["AAAA"],
+    "six-bytes": ["AAAAAAAA"],
+    "not-base64": ["x"],
+    "padding-dropped": [_packed([1, 0]).rstrip("=")],
+    "padding-bits-set": [_flipped_padding_bit(_packed([1, 0]))],
+    "padding-bits-set-two-pads": [_flipped_padding_bit(_packed([0]))],
+    "line-break": [_packed([0, 1, 2])[:4] + "\n" + _packed([0, 1, 2])[4:]],
+    "trailing-newline": [_packed([0, 1, 2]) + "\n"],
+    "space": [" " + _packed([0, 1, 2])],
+    "url-safe-alphabet": [_packed([0, 1, 2]).replace("A", "-")],
+    "beyond-ascii": [_packed([0, 1, 2])[:-1] + "\u00c1"],
+    "degrees-differ": [_packed([1, 0]), _packed([0, 1, 2])],
+    "out-of-range": [_packed([0, 2])],
+    "negative": [_packed([0, -1])],
+    "repeated": [_packed([1, 1])],
+    "one-bad-row": [_packed([1, 0]), _packed([0, 0])],
+}
+
+
+@pytest.mark.parametrize("case", _BAD_IMAGES)
+def test_images_array_refuses_what_the_writer_never_writes(case):
+    with pytest.raises(ValueError):
+        T_._images_array(_BAD_IMAGES[case])
+    rows = [{"kind": "perm", "images": t} for t in _BAD_IMAGES[case]]
+    with pytest.raises(ValueError):
+        T_.rows_from_json(rows)
+    if len(rows) == 1:
+        with pytest.raises(ValueError):
+            T_.target_from_json(rows[0])
+
+
+def test_images_of_every_kind_are_one_string():
+    perm = T_.Permutation([2, 0, 1])
+    text = _packed([2, 0, 1])
+    assert perm.to_json() == {"kind": "perm", "images": text}
+    assert T_.PermUnitary(perm).to_json()["images"] == text
+    w = T_.PermWreathElement(perm, [T_.Permutation([1, 0])] * 3)
+    assert w.to_json()["perm"] == text
+    assert w.to_json()["bells"][0] == {"kind": "perm",
+                                       "images": _packed([1, 0])}
+    rows = T_.batch([perm, T_.Permutation([0, 1, 2])])
+    assert rows.to_json(0) == perm.to_json()
+    # the older list form is refused wherever images are read
+    for obj in ([2, 0, 1], {"kind": "perm", "images": [2, 0, 1]},
+                {"kind": "perm-unitary", "images": [2, 0, 1]},
+                {"kind": "perm-wreath", "perm": [2, 0, 1],
+                 "bells": [T_.Permutation([1, 0]).to_json()] * 3}):
+        with pytest.raises(ValueError):
+            T_.target_from_json(obj)
+        with pytest.raises(ValueError):
+            T_.rows_from_json([obj])
+
+
+def _one_target_of_each_kind():
+    """kind -> (target, its table group or None)."""
+    perm = T_.Permutation([2, 0, 1])
+    G = T_.trivial_metric_group(G_.FiniteCyclic(3))
+    return {
+        "perm": (perm, None),
+        "cyclic-perm": (T_.CyclicPerm(3, 1), None),
+        "perm-unitary": (T_.PermUnitary(perm), None),
+        "unitary": (T_.UnitaryMatrix(np.eye(2)), None),
+        "augmented-unitary": (T_.AugmentedUnitary(T_.PermUnitary(perm), 2),
+                              None),
+        "tensor-implicit": (T_.ImplicitTensorUnitary(T_.PermUnitary(perm), 2),
+                            None),
+        "rank": (T_.RankMatrix([[1, 2], [3, 4]], T_.FieldQ()), None),
+        "fin": (G.element(1), G),
+        "perm-wreath": (T_.PermWreathElement(
+            perm, [T_.Permutation([1, 0])] * 3), None),
+    }
+
+
+@pytest.mark.parametrize("kind", _one_target_of_each_kind())
+def test_target_keys_are_exactly_the_writers(kind):
+    """A target decodes with exactly the keys its writer writes, a
+    unitary's tolerance optional; one key more or less is refused."""
+    el, group = _one_target_of_each_kind()[kind]
+    obj = el.to_json()
+    assert obj["kind"] == kind
+    assert T_.target_from_json(obj, group).to_json() == obj
+    assert T_.rows_from_json([obj], group).to_json(0) == obj
+    variants = [{**obj, "junk": 1}, {**obj, "tolerance": 2}]
+    variants += [{k: v for k, v in obj.items() if k != key}
+                 for key in obj if key not in ("kind", "tolerance")]
+    for bad in variants:
+        with pytest.raises(ValueError):
+            T_.target_from_json(bad, group)
+        with pytest.raises(ValueError):
+            T_.rows_from_json([bad], group)
+    if "tolerance" in obj:
+        lax = {k: v for k, v in obj.items() if k != "tolerance"}
+        assert T_.target_from_json(lax).to_json() == obj
+    else:
+        # only a unitary may restate the tolerance
+        with pytest.raises(ValueError):
+            T_.target_from_json({**obj, "tolerance": T_.UNITARY_TOLERANCE},
+                                group)
+
+
 def test_perm_wreath_bells_share_one_degree():
     bells = [T_.Permutation([1, 0]), T_.Permutation([0, 2, 1])]
     with pytest.raises(ValueError, match="bells differ in degree"):
         T_.PermWreathElement(T_.Permutation([1, 0]), bells)
     with pytest.raises(ValueError, match="bells differ in degree"):
-        T_.target_from_json({"kind": "perm-wreath", "perm": [1, 0],
-                             "bells": [[1, 0], [0, 2, 1]]})
+        T_.target_from_json({"kind": "perm-wreath",
+                             "perm": T_._images_json([1, 0]),
+                             "bells": [b.to_json() for b in bells]})
     # a shift and a permutation of one degree multiply as images
     w = T_.PermWreathElement(T_.Permutation([1, 0]),
                              [T_.CyclicPerm(3, 1), T_.Permutation([0, 2, 1])])
