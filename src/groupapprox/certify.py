@@ -12,6 +12,7 @@ fail closed at a configurable margin which is carried in the report.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import io
 import json
@@ -514,9 +515,7 @@ class VerificationReport:
 
     def to_json(self):
         def num(x):
-            if isinstance(x, Fraction):
-                return float(x)
-            return x
+            return float(x) if isinstance(x, Fraction) else x
         return {
             "pass": bool(self.passed),
             "n": self.n,
@@ -545,19 +544,35 @@ def _require_margin(margin):
             f"margin must be a finite number at least 0, not {margin!r}")
 
 
-def _failed_conditions(defect, separation, n, epsilon, exact, margin):
-    """Names of the strict conditions that fail; floats fail closed by margin."""
+# what a verification kernel measured: the defect and the separation (None
+# with no pair to separate), the witness of each (ball slots or a word key,
+# None when there is none), the pairs each was taken over, and its notes
+_Measure = collections.namedtuple("_Measure", (
+    "defect", "defect_witness", "pairs", "separation", "separation_witness",
+    "separation_pairs", "notes"))
+
+
+def _report(m, n, epsilon, exact, margin, fmt):
+    """The one verdict on what a kernel measured: both strict conditions,
+    an exact family's exactly against 1/n and Fraction(epsilon) - 1/n, a
+    floating one's failing closed by margin, and the witnesses formatted
+    by ``fmt``. With no pair to separate, the separation reads as epsilon."""
+    separation = m.separation
+    if separation is None:
+        separation = epsilon if exact else float(epsilon)
     thr1 = Fraction(1, n)
-    thr2 = epsilon - thr1 if isinstance(epsilon, Fraction) \
-        else float(epsilon) - 1.0 / n
     if exact:
-        ok1 = defect < thr1
-        ok2 = separation > thr2
+        ok = m.defect < thr1, separation > Fraction(epsilon) - thr1
     else:
-        ok1 = float(defect) < float(thr1) - margin
-        ok2 = float(separation) > float(thr2) + margin
-    return [name for name, ok in (("defect", ok1), ("separation", ok2))
-            if not ok]
+        ok = (float(m.defect) < float(thr1) - margin,
+              float(separation) > float(epsilon) - 1.0 / n + margin)
+    failed = [name for name, good in zip(("defect", "separation"), ok)
+              if not good]
+    def_wit, sep_wit = (None if w is None else fmt(w)
+                        for w in (m.defect_witness, m.separation_witness))
+    return VerificationReport(
+        failed, n, epsilon, m.defect, def_wit, separation, sep_wit, m.pairs,
+        m.separation_pairs, 0.0 if exact else margin, notes=m.notes)
 
 
 def _rows_on(cert, B):
@@ -596,18 +611,9 @@ def _defect_rows(table, rows, zero):
     return worst, wit
 
 
-def _separation_sweep(B, rows, projective):
-    """Min distance (projective if asked) over distinct pairs of B: (min or
-    None when |B| = 1, slots of the first such pair, pairs). Rows with a
-    transitive commutant take the one-point kernel, others the row sweep."""
-    size = len(B)
-    best, wit = rows.min_dist_all() if rows.transitive_commutant \
-        else _separation_rows(rows, projective)
-    return best, wit, size * (size - 1) // 2
-
-
 def _separation_rows(rows, projective):
-    """The row sweep of _separation_sweep: (min or None, slots of the
+    """Min distance (projective if asked) over the distinct pairs of rows
+    by the row sweep: (min or None when there is one row, slots of the
     first pair attaining it)."""
     best, wit = None, None
     size = len(rows)
@@ -622,24 +628,19 @@ def _separation_rows(rows, projective):
 def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None):
     """Check Def-style conditions (1) and (2) on the ball; strict, fail closed.
 
-    Translation certificates on Z take a closed form. Permutation and
-    permutation-unitary certificates whose images commute with a transitive
-    group R take the commutant kernel: a permutation commuting with R fixes
-    no point or all (the centralizer of a transitive group is semiregular),
-    so each pair is decided at one point, exactly. R is derived from the
-    generators' images, walking their cycles whole from point 0, and its
-    generators are checked exactly to commute with every image, which
-    makes R transitive (see targets._PermRows). Every left-regular
-    sofic or hyp certificate (from_quotient, exact_finite, and
-    direct_product or perm_to_hyp of those) takes the kernel, and its
-    report says so. Every other certificate takes the row sweep: the
-    images are targets.batch rows, and row g is multiplied by the rows h
-    and measured against the rows gh (then against the later rows, for
-    (2)) with the rows' own mul and extreme, whatever the kind of target.
-    Permutation matrices (perm_to_lin, from_quotient with family lin)
-    sweep as rank rows, each distance k - cycles(y^-1 x) over k, plain
-    and projective; they never take the kernel, since their distances
-    are not 0 or 1.
+    One of three kernels measures the defect and the separation, and
+    _report decides both. Translation certificates on Z take a closed
+    form. Permutation and permutation-unitary certificates whose images
+    commute with a transitive group R, derived from the generators' images
+    and checked exactly, take the commutant kernel, each pair decided at
+    one point (targets._PermRows): every left-regular sofic or hyp
+    certificate (from_quotient, exact_finite, and direct_product or
+    perm_to_hyp of those) does, and its report says so. Every other
+    certificate takes the row sweep: row g of the targets.batch rows is
+    multiplied by the rows h and measured against the rows gh (then
+    against the later rows, for (2)) with the rows' own mul and extreme,
+    whatever the kind of target; permutation matrices as rank rows, by
+    cycle counts.
     """
     _require_margin(margin)
     n = cert.n if at_n is None else at_n
@@ -648,78 +649,48 @@ def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None):
     if at_n is not None and at_n > cert.n:
         raise CertificateError("cannot verify above the certificate's n")
     B = cert.ball if n == cert.n else G_.ball(cert.group, n)
-    fast = _verify_translation_fast(cert, B, n)
-    if fast is not None:
-        return fast
     exact = cert.family in _EXACT_FAMILIES
+    m = _translation_kernel(cert, B, n) or _sweeps(cert, B, exact)
+    return _report(m, n, cert.epsilon, exact, margin,
+                   lambda slots: [cert.group.fmt(B.elements[s])
+                                  for s in slots])
+
+
+def _sweeps(cert, B, exact):
+    """The commutant kernel, or the row sweep where it does not apply."""
     rows = _rows_on(cert, B)
     worst_def, def_slots, pairs = _defect_sweep(
         B, rows, Fraction(0) if exact else 0.0)
-    worst_sep, sep_slots, sep_pairs = _separation_sweep(
-        B, rows, cert.family in ("hyp-projective", "lin-projective"))
-    if worst_sep is None:
-        worst_sep = cert.epsilon if exact else float(cert.epsilon)
-
-    def fmt(slots):
-        return None if slots is None \
-            else [cert.group.fmt(B.elements[s]) for s in slots]
-    failed = _failed_conditions(worst_def, worst_sep, n, cert.epsilon,
-                                exact, margin)
+    worst_sep, sep_slots = rows.min_dist_all() if rows.transitive_commutant \
+        else _separation_rows(
+            rows, cert.family in ("hyp-projective", "lin-projective"))
     notes = ["exact arithmetic" if exact else "floating metric, margin applied"]
     if rows.transitive_commutant:
         notes.append(COMMUTANT_NOTE)
-    return VerificationReport(
-        failed, n, cert.epsilon, worst_def, fmt(def_slots), worst_sep,
-        fmt(sep_slots), pairs, sep_pairs, margin if not exact else 0.0,
-        notes=notes)
+    return _Measure(worst_def, def_slots, pairs, worst_sep, sep_slots,
+                    len(B) * (len(B) - 1) // 2, notes)
 
 
-def _verify_translation_fast(cert, B, n):
-    """Closed-form verification for translation certificates on Z.
-
-    Applies when every target is a CyclicPerm with shift g mod m; then the
-    assignment is an exact homomorphism (defect 0) and separation is 1 iff
-    the shifts are pairwise distinct.
-    """
+def _translation_kernel(cert, B, n):
+    """The closed form on Z when every target is a CyclicPerm, of one m,
+    with shift g mod m (None from the first target that is not): an exact
+    homomorphism, two elements at distance 1 unless their shifts are
+    equal, the witness that of the commutant kernel (first_nearest_pair)."""
     if not isinstance(cert.group, G_.FreeAbelian) or cert.group.d != 1:
         return None
-    m = None
-    shifts = []
-    for i, p in enumerate(B):
-        t = cert.rows.target(i)
-        if not isinstance(t, T_.CyclicPerm):
-            return None
-        if m is None:
-            m = t.m
-        if t.m != m or t.shift != p[0] % m:
-            return None
-        shifts.append(t.shift)
-    # defect identically zero: shifts add exactly
-    pairs = 0
-    for p in B:
-        a = p[0]
-        lo, hi = max(-n, -n - a), min(n, n - a)
-        pairs += max(0, hi - lo + 1)
-    sep_pairs = len(B) * (len(B) - 1) // 2
-    collision = None
-    seen = {}
-    for p, s in zip(B, shifts):
-        if s in seen:
-            collision = [cert.group.fmt(seen[s]), cert.group.fmt(p)]
-            break
-        seen[s] = p
-    worst_sep = Fraction(0) if collision else Fraction(1)
-    thr2 = Fraction(cert.epsilon) - Fraction(1, n)
-    if collision:
-        wit = collision
-    elif len(B) > 1:
-        wit = [cert.group.fmt(B.elements[0]), cert.group.fmt(B.elements[1])]
-    else:
-        wit = None
-    return VerificationReport(
-        [] if worst_sep > thr2 else ["separation"], n, cert.epsilon,
-        Fraction(0), None, worst_sep, wit, pairs, sep_pairs, 0.0,
-        notes=["translation-certificate fast path (exact)"])
+    first = cert.rows.target(0)
+    m = first.m if isinstance(first, T_.CyclicPerm) else None
+    if m is None or not all(
+            isinstance(t, T_.CyclicPerm) and (t.m, t.shift) == (m, a % m)
+            for t, (a,) in zip(map(cert.rows.target, range(len(B))), B)):
+        return None
+    # the pairs (a, b) of [-n, n] with a + b in [-n, n]
+    pairs = (2 * n + 1) ** 2 - n * (n + 1)
+    v = B.coords()[:, 0] % m
+    i, j = T_.first_nearest_pair(v)
+    return _Measure(Fraction(0), None, pairs, Fraction(int(v[i] != v[j])),
+                    (i, j), len(B) * (len(B) - 1) // 2,
+                    ["translation-certificate fast path (exact)"])
 
 
 # ---------------------------------------------------------------------------
@@ -779,9 +750,9 @@ def _verify_words(h, n, cap, margin, relator_mode):
     if count > cap:
         raise WordCapExceeded(f"more than {cap} words at length {n}")
 
-    # trivial and nontrivial words: [extreme, its key, its word]
-    best = {True: [Fraction(0) if exact else 0.0, None, None],
-            False: [None, None, None]}
+    # trivial and nontrivial words: [extreme, the key of its word]
+    best = {True: [Fraction(0) if exact else 0.0, None],
+            False: [None, None]}
     kinds = ((False, min),) if relator_mode else ((True, max), (False, min))
     inverse = np.array([i for _, _, i in letters])
     down = np.arange(len(letters))[::-1]
@@ -800,11 +771,10 @@ def _verify_words(h, n, cap, margin, relator_mode):
                     continue
                 d, r = T.take(rows).extreme(ident, pick)
                 key = tuple((-W[rows[r]]).tolist())
-                value, old, _ = best[kind]
+                value, old = best[kind]
                 if value is None or (d != value and pick(d, value) == d) \
                         or (d == value and old is not None and key < old):
-                    best[kind] = [d, key, " ".join(letters[-x][0]
-                                                   for x in key)]
+                    best[kind] = [d, key]
         if W.shape[1] < n:
             par = np.repeat(np.arange(len(W)), len(letters))
             let = np.tile(down, len(W))
@@ -818,8 +788,8 @@ def _verify_words(h, n, cap, margin, relator_mode):
             for i in reversed(range(0, len(W), step)):
                 block = range(i, min(i + step, len(W)))
                 stack.append((W[i:i + step], gs[i:i + step], T.take(block)))
-    worst_triv, _, triv_wit = best[True]
-    worst_sep, _, sep_wit = best[False]
+    worst_triv, triv_wit = best[True]
+    worst_sep, sep_wit = best[False]
 
     notes = []
     if relator_mode:
@@ -830,16 +800,13 @@ def _verify_words(h, n, cap, margin, relator_mode):
             img = _product([R.take([row[lab]]) for lab in r] or [ident])
             d, _ = img.extreme(ident, max)
             if d > worst_triv:
-                worst_triv = d
-                triv_wit = " ".join(r)
+                worst_triv, triv_wit = d, tuple(1 - row[lab] for lab in r)
         notes.append("relator mode: only relators constrained near identity")
-    if worst_sep is None:
-        worst_sep = eps if exact else float(eps)
     notes.append(f"words checked: {count}")
-    return VerificationReport(
-        _failed_conditions(worst_triv, worst_sep, n, eps, exact, margin),
-        n, eps, worst_triv, triv_wit, worst_sep, sep_wit,
-        count, count, margin if not exact else 0.0, notes=notes)
+    return _report(
+        _Measure(worst_triv, triv_wit, count, worst_sep, sep_wit, count,
+                 notes), n, eps, exact, margin,
+        lambda key: " ".join(letters[-x][0] for x in key))
 
 
 def _product(factors):

@@ -126,6 +126,18 @@ def _apply_config(parser, config):
     return used
 
 
+def _given(parser, argv, command):
+    """The options of ``command`` given on argv, not defaulted: argv parsed
+    again with that subcommand's defaults, --config values among them,
+    taken away for good, so call it after the parse the command reads."""
+    sp = parser.sub_parsers[command]
+    for action in sp._actions:
+        action.default, action.required = argparse.SUPPRESS, False
+    sp._defaults.clear()
+    again = parser.parse_args(argv)
+    return {a.dest for a in sp._actions if hasattr(again, a.dest)}
+
+
 def _field_from_label(label):
     t = label.strip()
     if t in ("Q", "q"):
@@ -189,8 +201,28 @@ def _parse_lattice(text):
     return rows
 
 
-_NEEDS_N = ("cyclic-z", "from-quotient", "exact-finite", "perm-to-hyp",
-            "amplify")
+# the flags each construct method reads, and those of them it needs; a
+# method refuses any other flag given on the command line
+_METHOD_FLAGS = {
+    "cyclic-z": (("n",), ("n",)),
+    "from-quotient": (("n", "group", "family", "modulus", "lattice",
+                       "field"), ("n", "group")),
+    "exact-finite": (("n", "group", "family"), ("n", "group")),
+    "direct-product": (("input", "input2"), ("input", "input2")),
+    "perm-to-hyp": (("n", "input"), ("n", "input")),
+    "perm-to-lin": (("input", "field"), ("input",)),
+    "amplify": (("n", "input"), ("n", "input")),
+    "folner-to-sofic": (("n", "witness"), ("witness",)),
+}
+
+
+def _refuse_unread(args, reads, who):
+    """UsageError naming the flags given on the command line, beyond
+    --out and ``reads``, that ``who`` never reads."""
+    unread = ", ".join("--" + f.replace("_", "-")
+                       for f in sorted(args.given - {"out", *reads}))
+    if unread:
+        raise UsageError(f"{who} does not read {unread}")
 
 
 def _quotient(G, args):
@@ -217,8 +249,13 @@ def _quotient(G, args):
 
 def _build(args):
     m = args.method
-    if m in _NEEDS_N and args.n is None:
-        raise UsageError(f"method {m} needs --n")
+    if m not in _METHOD_FLAGS:
+        raise UsageError(f"unknown method {m!r}")
+    reads, needs = _METHOD_FLAGS[m]
+    _refuse_unread(args, ("method", *reads), f"method {m}")
+    missing = " and ".join("--" + f for f in needs if getattr(args, f) is None)
+    if missing:
+        raise UsageError(f"method {m} needs {missing}")
     if args.n is not None and args.n < 1:
         raise UsageError("--n must be at least 1")
     if m == "cyclic-z":
@@ -230,29 +267,18 @@ def _build(args):
     if m == "exact-finite":
         return X_.exact_finite(_group(args.group), args.n, args.family)
     if m == "direct-product":
-        if not (args.input and args.input2):
-            raise UsageError("direct-product needs --input and --input2")
         return X_.direct_product(load_certificate(args.input),
                                  load_certificate(args.input2))
     if m == "perm-to-hyp":
-        if not args.input:
-            raise UsageError("perm-to-hyp needs --input")
         return X_.perm_to_hyp(load_certificate(args.input), args.n)
     if m == "perm-to-lin":
-        if not args.input:
-            raise UsageError("perm-to-lin needs --input")
         return X_.perm_to_lin(load_certificate(args.input),
                               field=_field_from_label(args.field))
     if m == "amplify":
-        if not args.input:
-            raise UsageError("amplify needs --input")
         return X_.amplify_projective(load_certificate(args.input), args.n)
-    if m == "folner-to-sofic":
-        if not args.witness:
-            raise UsageError("folner-to-sofic needs --witness")
-        w = X_.witness_from_json(_load_json(args.witness))
-        return X_.folner_to_sofic(w, args.n)
-    raise UsageError(f"unknown method {m!r}")
+    # folner-to-sofic
+    w = X_.witness_from_json(_load_json(args.witness))
+    return X_.folner_to_sofic(w, args.n)
 
 
 def cmd_construct(args):
@@ -343,6 +369,9 @@ def cmd_profile(args):
         raise UsageError("profiles start at n=1")
     if args.family not in _PROFILE_FAMILIES:
         raise UsageError(f"family must be one of {_PROFILE_FAMILIES}")
+    _refuse_unread(args, ("group", "family", "n", "format")
+                   + (("slope_window",) if args.format == "json" else ()),
+                   f"profile --format {args.format}")
     curve = _profile_curve(G, args.group, args.family, ns)
     if args.format == "json":
         out = curve.to_json()
@@ -359,8 +388,16 @@ def cmd_profile(args):
     return EXIT_OK
 
 
+# the flags each folner strategy reads beyond the common ones
+_STRATEGY_FLAGS = {"exhaustive": ("r_max", "size_max"), "balls": ("r_max",),
+                   "boxes": ()}
+
+
 def cmd_folner(args):
     G = _group(args.group)
+    _refuse_unread(args, ("group", "n", "strategy", "controlled",
+                          *_STRATEGY_FLAGS[args.strategy]),
+                   f"folner --strategy {args.strategy}")
     try:
         outcome = P_.folner_search(G, args.n, strategy=args.strategy,
                                    r_max=args.r_max, size_max=args.size_max)
@@ -388,6 +425,9 @@ _QUOTIENT_FAMILIES = ("auto", "congruence", "congruence-least")
 
 def cmd_rfgrowth(args):
     G = _group(args.group)
+    _refuse_unread(args, ("group", "n", "format")
+                   + (("quotients",) if isinstance(G, G_.Heisenberg) else ()),
+                   f"rfgrowth on {args.group}")
     ns = _parse_range(args.n)
     # not argparse choices: a --config value is a default, which argparse
     # never checks against them
@@ -528,6 +568,7 @@ def main(argv=None):
         if not getattr(args, "command", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
+        args.given = _given(parser, argv, args.command)
         return args.func(args)
     except (UsageError, C_.CertificateError) as e:
         sys.stderr.write(f"error: {e}\n")

@@ -94,9 +94,6 @@ class Permutation:
             out[v] = i
         return Permutation._checked(out)
 
-    def fixed_points(self):
-        return sum(1 for i, v in enumerate(self.images) if i == v)
-
     def dist(self, other):
         return ham_distance(self, other)
 
@@ -229,10 +226,6 @@ class UnitaryMatrix:
     def inv(self):
         return UnitaryMatrix(self.entries.conj().T, check=False)
 
-    def tau(self):
-        """Normalized trace tr(u)/k."""
-        return complex(np.trace(self.entries)) / self.k
-
     def dist(self, other):
         return hs_distance(self, other)
 
@@ -274,9 +267,6 @@ class PermUnitary:
 
     def inv(self):
         return PermUnitary(self.perm.inv())
-
-    def tau(self):
-        return self.perm.fixed_points() / self.k
 
     def dist(self, other):
         return hs_distance(self, other)
@@ -323,9 +313,6 @@ class AugmentedUnitary:
     def inv(self):
         return AugmentedUnitary(self.inner.inv(), self.pad)
 
-    def tau(self):
-        return (self.inner.tau() * self.inner.k + self.pad) / self.k
-
     def dist(self, other):
         return hs_distance(self, other)
 
@@ -359,7 +346,11 @@ def as_dense(u):
 
 
 def _tau_vstar_u(u, v):
-    """Normalized trace of v* u for unitary-like operands of equal dimension."""
+    """Normalized trace of v* u for unitary-like operands of equal dimension;
+    of tensor powers of one power, the power of their bases' trace."""
+    if isinstance(u, ImplicitTensorUnitary):
+        u._check(v)
+        return _tau_vstar_u(u.base, v.base) ** u.power
     if u.k != v.k:
         raise ValueError("dimension mismatch")
     if isinstance(u, PermUnitary) and isinstance(v, PermUnitary):
@@ -373,16 +364,19 @@ def _tau_vstar_u(u, v):
     return complex(np.vdot(dv.entries, du.entries)) / u.k
 
 
+def _hs(t):
+    """The Hilbert-Schmidt distance sqrt(2 - 2 t) of a real trace part t."""
+    return math.sqrt(max(0.0, 2.0 - 2.0 * t))
+
+
 def hs_distance(u, v):
     """Normalized Hilbert-Schmidt distance sqrt((1/k) tr((u-v)*(u-v)))."""
-    t = _tau_vstar_u(u, v)
-    return math.sqrt(max(0.0, 2.0 - 2.0 * t.real))
+    return _hs(_tau_vstar_u(u, v).real)
 
 
 def projective_hs_distance(u, v):
     """min over unit scalars of d_HS(u, lambda v) = sqrt(2 - 2|tau(v* u)|)."""
-    t = _tau_vstar_u(u, v)
-    return math.sqrt(max(0.0, 2.0 - 2.0 * abs(t)))
+    return _hs(abs(_tau_vstar_u(u, v)))
 
 
 def perm_to_unitary(perm):
@@ -422,9 +416,6 @@ class ImplicitTensorUnitary:
     def inv(self):
         return ImplicitTensorUnitary(self.base.inv(), self.power)
 
-    def tau(self):
-        return self.base.tau() ** self.power
-
     def _check(self, other):
         if not isinstance(other, ImplicitTensorUnitary) or other.power != self.power:
             raise ValueError("mismatched tensor power")
@@ -432,14 +423,10 @@ class ImplicitTensorUnitary:
             raise ValueError("dimension mismatch")
 
     def dist(self, other):
-        self._check(other)
-        t = _tau_vstar_u(self.base, other.base) ** self.power
-        return math.sqrt(max(0.0, 2.0 - 2.0 * t.real))
+        return hs_distance(self, other)
 
     def pdist(self, other):
-        self._check(other)
-        t = _tau_vstar_u(self.base, other.base) ** self.power
-        return math.sqrt(max(0.0, 2.0 - 2.0 * abs(t)))
+        return projective_hs_distance(self, other)
 
     def materialize(self):
         # for k >= 2, k to the cap's bit length is already past the cap, so
@@ -1530,8 +1517,7 @@ class _PermRows:
         Hilbert-Schmidt."""
         if self.metric != HILBERT_SCHMIDT:
             return Fraction(count, self.k)
-        t = (self.k - count) / self.k
-        return math.sqrt(max(0.0, 2.0 - 2.0 * t))
+        return _hs((self.k - count) / self.k)
 
     def take(self, idx):
         at = np.asarray(idx, dtype=np.intp)
@@ -1576,22 +1562,27 @@ class _PermRows:
         return zero, None
 
     def min_dist_all(self):
-        """Commutant kernel of the separation sweep over the distinct
-        pairs (i < j): (min or None when there is one row, the first i with
-        a later j attaining it, with its first such j). Serves the
-        projective distance too."""
+        """Commutant kernel of the separation sweep over the pairs i < j,
+        projective too: (min or None when there is one row, the first pair
+        attaining it, first_nearest_pair of the point-0 images)."""
         v = self.P[:, 0]
         if len(v) < 2:
             return None, None
-        _, inverse, counts = np.unique(v, return_inverse=True,
-                                       return_counts=True)
-        # the first row whose point recurs is that point's first row
-        repeated = np.flatnonzero(counts[inverse] > 1)
-        if not len(repeated):
-            return self._value(self.k), (0, 1)
-        i = int(repeated[0])
-        j = i + 1 + int(np.flatnonzero(v[i + 1:] == v[i])[0])
-        return self._value(0), (i, j)
+        i, j = first_nearest_pair(v)
+        return self._value(self.k if v[i] != v[j] else 0), (i, j)
+
+
+def first_nearest_pair(v):
+    """The lexicographically first pair i < j of equal entries of the 1-d
+    array v (two or more), else (0, 1): the first pair at the least distance
+    when pairs of equal entries are at 0 and all others at one distance."""
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    # the first row whose entry recurs is that entry's first row
+    repeated = np.flatnonzero(counts[inverse] > 1)
+    if not len(repeated):
+        return 0, 1
+    i = int(repeated[0])
+    return i, i + 1 + int(np.flatnonzero(v[i + 1:] == v[i])[0])
 
 
 # ---------------------------------------------------------------------------

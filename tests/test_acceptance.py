@@ -175,7 +175,7 @@ def test_05_metric_identities_hamming_hs_rank_and_trace():
         u = T_.PermUnitary(p)
         d = T_.projective_hs_distance(
             u, T_.PermUnitary(T_.Permutation.identity(k)))
-        tau = p.fixed_points() / k
+        tau = complex(np.trace(T_.perm_to_unitary(p).entries)).real / k
         assert abs(d * d - (2.0 - 2.0 * tau)) < 1e-9
     _within(t0, 30.0)
 

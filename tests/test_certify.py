@@ -127,20 +127,77 @@ def test_bad_margin_is_rejected(margin):
     assert C_.verify_D(hyp, margin=0.0).passed
 
 
-def test_translation_fast_path_matches_generic():
-    fast = C_.verify_D(cyclic(6))
+def _epsilons(n):
+    """The family default (None), 1/3, random floats, and the floats one
+    ulp either side of s + 1/n for s = 0 and 1, where the float and the
+    exact thresholds can disagree."""
+    near = [math.nextafter(s + 1 / n, side) for s in (0, 1)
+            for side in (-math.inf, math.inf)]
+    return st.one_of(st.sampled_from([None, 1 / 3, *near]),
+                     st.floats(0.01, 3))
+
+
+def _fields(rep):
+    """Every field of a report but its notes."""
+    return {k: v for k, v in vars(rep).items() if k != "notes"}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_translation_fast_path_matches_generic(data):
+    """Shifts by g mod m on Z as cyclic-perm targets (the translation
+    kernel) and as the equal perm targets (the commutant kernel) give
+    equal reports but for their notes, m < 2n + 1 (repeated shifts)
+    included, and so does verify_W on a generator image of either kind."""
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(1, 2 * n + 3))
+    eps = data.draw(_epsilons(n))
+    B = G_.ball(Z, n)
+    cyc, perm = (C_.ApproxCertificate(Z, n, "sofic", {
+        p: make(T_.CyclicPerm(m, p[0])) for p in B}, epsilon=eps)
+        for make in (lambda t: t, lambda t: T_.Permutation(t.images)))
+    fast, kernel = C_.verify_D(cyc), C_.verify_D(perm)
     assert any("fast path" in note for note in fast.notes)
-    # the shifts as image tuples force the generic pair loop
-    slow_cert = C_.ApproxCertificate(Z, 6, "sofic", {
-        p: T_.Permutation(t.images)
-        for p, t in cyclic(6).assignments.items()})
-    slow = C_.verify_D(slow_cert)
-    assert not any("fast path" in note for note in slow.notes)
-    assert slow.passed == fast.passed
-    assert Fraction(slow.defect) == Fraction(fast.defect)
-    assert Fraction(slow.separation) == Fraction(fast.separation)
-    assert slow.pairs_checked == fast.pairs_checked
-    assert slow.separation_pairs == fast.separation_pairs
+    assert C_.COMMUTANT_NOTE in kernel.notes
+    assert _fields(fast) == _fields(kernel)
+    want = _reference_verify(perm)
+    assert {key: getattr(fast, key) for key in want if key != "passed"} \
+        == {key: want[key] for key in want if key != "passed"}
+    assert fast.passed == want["passed"]
+    h_cyc, h_perm = (C_.HomCertificate(Z, {"x1": t}, "sofic", epsilon=eps)
+                     for t in (T_.CyclicPerm(m, 1),
+                               T_.Permutation(T_.CyclicPerm(m, 1).images)))
+    for verify in (C_.verify_W, C_.verify_R):
+        assert vars(verify(h_cyc, n)) == vars(verify(h_perm, n))
+
+
+def test_translation_check_stops_at_the_first_target_not_a_shift(
+        monkeypatch):
+    """The translation kernel builds no target past the first that is not
+    a shift: none past the first of a hyp certificate on Z, none past
+    slot 1 of a cyclic one whose image of -1 is changed."""
+    hyp = X_.from_quotient(Z, G_.LatticeHNF(Z, [(41,)]), 20, "hyp")
+    bent = _replace(cyclic(3), (-1,), T_.CyclicPerm(7, 2))
+    for cert, last in ((hyp, 0), (bent, 1)):
+        built, rows = [], type(cert.rows)
+        monkeypatch.setattr(rows, "target", lambda self, i, target=rows.target:
+                            built.append(i) or target(self, i))
+        C_.verify_D(cert)
+        assert max(built) == last
+
+
+def _reference_failed(defect, separation, n, epsilon, exact, margin):
+    """The strict conditions that fail: an exact family's exactly against
+    1/n and Fraction(epsilon) - 1/n, a floating one's with the margin
+    taken off both sides."""
+    if exact:
+        ok = (defect < Fraction(1, n),
+              separation > Fraction(epsilon) - Fraction(1, n))
+    else:
+        ok = (defect < 1.0 / n - margin,
+              separation > float(epsilon) - 1.0 / n + margin)
+    return [name for name, good in zip(("defect", "separation"), ok)
+            if not good]
 
 
 def _reference_verify(cert):
@@ -168,14 +225,8 @@ def _reference_verify(cert):
             d = imgs[i].pdist(imgs[j]) if projective else imgs[i].dist(imgs[j])
             if sep is None or d < sep:
                 sep, sep_wit = d, [grp.fmt(els[i]), grp.fmt(els[j])]
-    thr1 = Fraction(1, cert.n)
-    thr2 = float(cert.epsilon) - 1.0 / cert.n
-    if exact:
-        thr2 = cert.epsilon - thr1 if isinstance(cert.epsilon, Fraction) else thr2
-        passed = defect < thr1 and sep > thr2
-    else:
-        margin = C_.DEFAULT_FLOAT_MARGIN
-        passed = (defect < float(thr1) - margin) and (sep > thr2 + margin)
+    passed = not _reference_failed(defect, sep, cert.n, cert.epsilon, exact,
+                                   C_.DEFAULT_FLOAT_MARGIN)
     return {"passed": passed, "defect": defect, "defect_witness": def_wit,
             "separation": sep, "separation_witness": sep_wit,
             "pairs_checked": pairs, "separation_pairs": sep_pairs}
@@ -578,7 +629,7 @@ def _dfs_verify_words(h, n, cap, margin, relator_mode):
         worst_sep = eps if exact else float(eps)
     notes.append(f"words checked: {count}")
     return C_.VerificationReport(
-        C_._failed_conditions(worst_triv, worst_sep, n, eps, exact, margin),
+        _reference_failed(worst_triv, worst_sep, n, eps, exact, margin),
         n, eps, worst_triv, triv_wit, worst_sep, sep_wit,
         count, count, margin if not exact else 0.0, notes=notes)
 

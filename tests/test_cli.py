@@ -1095,6 +1095,66 @@ def test_audit_passes_and_is_deterministic(tmp_path, capsys):
     assert json.loads(a.read_text())["pass"] is True
 
 
+@pytest.mark.parametrize("argv, unread", [
+    (["construct", "--method", "cyclic-z", "--n", "2"],
+     {"family": "lin", "field": "F5", "modulus": "9", "group": "Z^2"}),
+    (["construct", "--method", "perm-to-lin", "--input", "c.json"],
+     {"n": "2"}),
+    (["profile", "--group", "Z", "--family", "sofic", "--n", "1..3",
+      "--format", "csv"], {"slope-window": "1,3"}),
+    (["folner", "--group", "Z", "--n", "2", "--strategy", "balls"],
+     {"size-max": "3"}),
+    (["folner", "--group", "Z", "--n", "2", "--strategy", "boxes"],
+     {"r-max": "3"}),
+    (["rfgrowth", "--group", "Z", "--n", "2"],
+     {"quotients": "congruence-least"}),
+], ids=["construct-cyclic-z", "construct-perm-to-lin", "profile-csv",
+        "folner-balls", "folner-boxes", "rfgrowth-Z"])
+def test_a_flag_the_command_never_reads_is_usage_error(
+        tmp_path, monkeypatch, capsys, argv, unread):
+    """Flags given on the command line that the command, with its method,
+    strategy, format or group, never reads exit 1 naming each of them;
+    the same values from a config file are defaults, and the run goes on."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(X_.cyclic_Z(1).dumps())
+    flags = [x for key, value in unread.items() for x in ("--" + key, value)]
+    code, out, err = run(capsys, *argv, *flags)
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert all("--" + key in err for key in unread)
+    (tmp_path / "run.cfg").write_text(
+        "".join(f"{key} = {value}\n" for key, value in unread.items()))
+    code, _, _ = run(capsys, "--config", "run.cfg", *argv)
+    assert code == 0
+
+
+def test_an_abbreviated_flag_the_method_never_reads_is_usage_error(capsys):
+    code, _, err = run(capsys, "construct", "--method", "cyclic-z", "--n",
+                       "2", "--fam", "sofic")
+    assert code == 1 and "--family" in err
+
+
+def test_verdict_does_not_depend_on_the_image_encoding(tmp_path, capsys):
+    """Z -> Sym(5), g -> the shift by g mod 5, at n = 3 with epsilon the
+    float nearest 1/3: cyclic-perm and perm targets exit alike, with
+    equal reports but for the notes (the shifts repeat, so the
+    separation is 0, above the exact threshold 0.333...33 - 1/3 < 0)."""
+    B = G_.ball(Z, 3)
+    reports = []
+    for make in (lambda t: t, lambda t: T_.Permutation(t.images)):
+        cert = C_.ApproxCertificate(
+            Z, 3, "sofic", {p: make(T_.CyclicPerm(5, p[0])) for p in B},
+            epsilon=0.3333333333333333)
+        path = tmp_path / f"{len(reports)}.json"
+        path.write_text(cert.dumps())
+        code, out, _ = run(capsys, "verify", "--cert", str(path))
+        rep = json.loads(out)
+        reports.append((code, rep.pop("notes"), rep))
+    (code, cyc_notes, cyc), (_, perm_notes, perm) = reports
+    assert reports[0][0] == reports[1][0] == 0 and cyc == perm
+    assert cyc["separation"] == 0 and cyc["separation_witness"] == ["-2", "3"]
+    assert cyc_notes != perm_notes
+
+
 # ---------------------------------------------------------------------------
 # config files
 

@@ -123,18 +123,9 @@ _LIBRARY_ONLY = {
     "profiles.upper_curve": "pointwise minimum over builders, library API",
     "targets.block_sum": "direct sum, library API; the tests check its "
                          "weighted-average distance identities",
-    "targets.UnitaryMatrix.tau": "normalized trace in closed form; the tests "
-                                 "compare it with the dense trace",
-    "targets.PermUnitary.tau": "normalized trace in closed form; the tests "
-                               "compare it with the dense trace",
-    "targets.AugmentedUnitary.tau": "normalized trace in closed form; the "
-                                    "tests compare it with the dense trace",
     "targets.ImplicitTensorUnitary.materialize": "the dense tensor power "
                                                  "that the tests compare "
                                                  "the trace arithmetic with",
-    "targets.ImplicitTensorUnitary.tau": "normalized trace in closed form; "
-                                         "the tests compare it with the "
-                                         "dense trace",
 }
 
 
@@ -258,3 +249,13 @@ def test_no_module_reads_a_private_name_of_another():
                              f"{aliases[node.value.id]}.{node.attr}")
     assert not reads, "private names read across modules: " \
         + ", ".join(reads)
+
+
+def test_one_place_builds_a_verification_report():
+    """src/ calls VerificationReport(...) once, in the function that
+    decides the conditions for every kernel, so that no kernel can reach
+    a verdict of its own."""
+    visitor = _Calls()
+    for _, tree in _trees("src"):
+        visitor.visit(tree)
+    assert len(visitor.calls.get("VerificationReport", [])) == 1

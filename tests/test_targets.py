@@ -67,7 +67,8 @@ def test_projective_hs_identity_formula():
         u = T_.PermUnitary(rand_perm(rng, k))
         ident = T_.PermUnitary(T_.Permutation.identity(k))
         d = T_.projective_hs_distance(u, ident)
-        assert abs(d * d - (2 - 2 * abs(u.tau()))) < 1e-9
+        tau = complex(np.trace(T_.as_dense(u).entries)) / k
+        assert abs(d * d - (2 - 2 * abs(tau))) < 1e-9
 
 
 def test_cyclic_perm_matches_materialized():
@@ -361,8 +362,10 @@ def test_augmented_unitary_trace():
     base = T_.PermUnitary(rand_perm(rng, 5))
     aug = T_.AugmentedUnitary(base, 3)
     assert aug.k == 8
-    want = (base.tau() * 5 + 3) / 8
-    assert abs(aug.tau() - want) < 1e-12
+    ident = T_.AugmentedUnitary(T_.PermUnitary(T_.Permutation.identity(5)), 3)
+    tau = complex(np.trace(T_.as_dense(aug).entries)) / 8
+    assert abs(tau - (np.trace(T_.as_dense(base).entries) + 3) / 8) < 1e-12
+    assert abs(T_.hs_distance(aug, ident) ** 2 - (2 - 2 * tau.real)) < 1e-12
 
 
 def test_tensor_implicit_matches_materialized():
@@ -373,13 +376,31 @@ def test_tensor_implicit_matches_materialized():
     tb = T_.ImplicitTensorUnitary(b, 2)
     dense_a = ta.materialize()
     dense_b = tb.materialize()
-    assert abs(ta.tau() - np.trace(dense_a.entries) / 16) < 1e-9
+    e = T_.ImplicitTensorUnitary(
+        T_.AugmentedUnitary(T_.PermUnitary(T_.Permutation.identity(2)), 2), 2)
+    tau = complex(np.trace(dense_a.entries)) / 16
+    assert abs(ta.dist(e) ** 2 - (2 - 2 * tau.real)) < 1e-9
     assert abs(ta.dist(tb) - T_.hs_distance(dense_a, dense_b)) < 1e-9
     assert abs(ta.pdist(tb)
                - T_.projective_hs_distance(dense_a, dense_b)) < 1e-9
     prod = ta.mul(tb)
     dense_prod = dense_a.mul(dense_b)
-    assert abs(prod.tau() - dense_prod.tau()) < 1e-9
+    assert np.allclose(prod.materialize().entries, dense_prod.entries)
+
+
+def test_tensor_distance_checks_power_and_base_degree_first():
+    """Tensor powers are compared only at one power and one base degree."""
+    def tensor(k, power):
+        return T_.ImplicitTensorUnitary(
+            T_.PermUnitary(T_.Permutation.identity(k)), power)
+    for other, message in ((tensor(3, 3), "mismatched tensor power"),
+                           (tensor(4, 2), "dimension mismatch"),
+                           (T_.PermUnitary(T_.Permutation.identity(9)),
+                            "mismatched tensor power")):
+        for measure in (T_.hs_distance, T_.projective_hs_distance):
+            with pytest.raises(ValueError, match=message):
+                measure(tensor(3, 2), other)
+    assert T_.hs_distance(tensor(3, 2), tensor(3, 2)) == 0.0
 
 
 def test_materialize_cap_guard():
