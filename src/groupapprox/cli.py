@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -98,11 +99,12 @@ _CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
                  "0": False, "false": False, "no": False, "off": False}
 
 
-def _apply_config(parser, config):
-    """Install config values as typed defaults; explicit flags still win.
-    Returns the set of keys this parser consumed."""
-    used = set()
-    for action in parser._actions:
+def _config_values(parser, config):
+    """The typed values that ``config`` gives the options of ``parser``,
+    by dest; a value that does not convert is for another subcommand's
+    option of the same name."""
+    values = {}
+    for action, _, _ in parser.declared:
         if action.dest in config:
             raw = config[action.dest]
             if isinstance(action, (argparse._StoreTrueAction,
@@ -116,26 +118,30 @@ def _apply_config(parser, config):
                 try:
                     val = action.type(raw)
                 except (TypeError, ValueError):
-                    # same key name, different type on another subcommand
                     continue
             else:
                 val = raw
-            parser.set_defaults(**{action.dest: val})
-            action.required = False
-            used.add(action.dest)
-    return used
+            values[action.dest] = val
+    return values
 
 
-def _given(parser, argv, command):
-    """The options of ``command`` given on argv, not defaulted: argv parsed
-    again with that subcommand's defaults, --config values among them,
-    taken away for good, so call it after the parse the command reads."""
-    sp = parser.sub_parsers[command]
-    for action in sp._actions:
-        action.default, action.required = argparse.SUPPRESS, False
-    sp._defaults.clear()
-    again = parser.parse_args(argv)
-    return {a.dest for a in sp._actions if hasattr(again, a.dest)}
+def _fill_defaults(parser, args, values):
+    """Give each option of ``parser`` that args lacks, having not been on
+    the command line, its config value from ``values``, else its declared
+    default; UsageError naming the required options that have neither."""
+    missing = []
+    for action, default, required in parser.declared:
+        if hasattr(args, action.dest):
+            continue
+        if action.dest in values:
+            setattr(args, action.dest, values[action.dest])
+        elif required:
+            missing.append("/".join(action.option_strings))
+        else:
+            setattr(args, action.dest, default)
+    if missing:
+        raise UsageError(f"the following arguments are required: "
+                         f"{', '.join(missing)}")
 
 
 def _field_from_label(label):
@@ -262,6 +268,17 @@ def _build(args):
         return X_.cyclic_Z(args.n)
     if m == "from-quotient":
         G = _group(args.group)
+        # what the quotient and the family read of the method's flags
+        for flag, unread_because in (
+                ("lattice", isinstance(G, G_.Heisenberg)
+                 and f"on {args.group}"),
+                ("modulus", isinstance(G, G_.FreeAbelian) and args.lattice
+                 and "with --lattice"),
+                ("field", args.family != "lin"
+                 and f"with --family {args.family}")):
+            if unread_because and flag in args.given:
+                raise UsageError(f"method from-quotient {unread_because} "
+                                 f"does not read --{flag}")
         return X_.from_quotient(G, _quotient(G, args), args.n, args.family,
                                 field=_field_from_label(args.field))
     if m == "exact-finite":
@@ -546,10 +563,28 @@ def build_parser():
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """build_parser() once per process. The options of the top-level
+    parser and of each subcommand keep their declared default and
+    requirement in the parser's ``declared`` list and themselves default
+    to nothing and are required nowhere, so a parse holds exactly the
+    options on the command line and _fill_defaults adds the rest. No call
+    of main changes the parser afterwards."""
+    parser = build_parser()
+    for p in (parser, *parser.sub_parsers.values()):
+        p.declared = [(a, a.default, a.required) for a in p._actions
+                      if a.option_strings and a.dest != "help"]
+        for a, _, _ in p.declared:
+            a.default, a.required = argparse.SUPPRESS, False
+    return parser
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
+        config = {}
         if "--config" in argv:
             i = argv.index("--config")
             if i + 1 >= len(argv):
@@ -558,17 +593,20 @@ def main(argv=None):
                 config = read_config(argv[i + 1])
             except OSError as e:
                 raise UsageError(f"cannot read config: {e}")
-            used = _apply_config(parser, config)
-            for sp in parser.sub_parsers.values():
-                used |= _apply_config(sp, config)
-            unknown = set(config) - used
-            if unknown:
-                raise UsageError(f"unknown config keys {sorted(unknown)}")
+        values = {name: _config_values(p, config) for name, p in
+                  [(None, parser), *parser.sub_parsers.items()]}
+        unknown = set(config).difference(*values.values())
+        if unknown:
+            raise UsageError(f"unknown config keys {sorted(unknown)}")
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        args.given = _given(parser, argv, args.command)
+        sp = parser.sub_parsers[args.command]
+        args.given = {a.dest for a, _, _ in sp.declared
+                      if hasattr(args, a.dest)}
+        _fill_defaults(parser, args, values[None])
+        _fill_defaults(sp, args, values[args.command])
         return args.func(args)
     except (UsageError, C_.CertificateError) as e:
         sys.stderr.write(f"error: {e}\n")

@@ -23,7 +23,12 @@ law on broadcasting int64 arrays of such rows. Their quotients add
 position in ``elements()``). For these groups the ball is built one BFS
 level at a time on arrays and is its elements' rows, ``Ball.coords()``, in
 ball order; its payloads are built only when read. ``Ball.products()`` and
-``kernel_witness`` are array computations. ``quotient_action(Q, X)`` is
+``kernel_witness`` are array computations. ``Ball.products()`` finds each
+product row in a dense int32 grid of slots over the ball's bounding box, a
+bounds check and a gather, when the box has at most |B|^2 cells (no more
+than the table it fills), and by a search over the sorted rows otherwise
+(Z^40 at radius 2, say); the rule reads only the ball, never an option.
+``quotient_action(Q, X)`` is
 the left translation of Q by the images of coordinate rows X, one int64
 row of slots per row of X.
 Every other group keeps the scalar loops over ``mul``; ``Ball.coords()``
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 import threading
 from collections import OrderedDict
@@ -233,18 +239,50 @@ def _rows(X):
 def _products_array(B):
     C = B.coords()
     size, k = C.shape
-    keys = _rows(C)
-    order = np.argsort(keys)
-    keys = keys[order]
+    slots = _grid_slots(C) or _sorted_slots(C)
     table = np.empty((size, size), dtype=np.int32)
     step = max(1, BLOCK // (size * k))
     for i in range(0, size, step):
         P = B.group.mul_array(C[i:i + step, None], C[None])
-        P = _rows(P.reshape(-1, k))
-        pos = np.minimum(np.searchsorted(keys, P), size - 1)
-        slots = np.where(keys[pos] == P, order[pos], -1)
-        table[i:i + step] = slots.reshape(-1, size)
+        table[i:i + step] = slots(P.reshape(-1, k)).reshape(-1, size)
     return table
+
+
+def _grid_slots(C):
+    """The lookup of rows among the rows C: a function from an int64 array
+    of rows to the int32 slot in C of each, or -1. A dense int32 grid over
+    the bounding box of C, slot at the mixed-radix position of the row (see
+    _box_slot) and -1 elsewhere, so a lookup is a bounds check and a
+    gather. None when the box has more than len(C)^2 cells: the product
+    table a ball fills has len(C)^2 entries, so the grid never costs more
+    than the table."""
+    lo, hi = C.min(axis=0), C.max(axis=0)
+    sides = (hi - lo + 1).tolist()
+    if math.prod(sides) > len(C) ** 2:
+        return None
+    grid = np.full(math.prod(sides), -1, dtype=np.int32)
+    grid[_box_slot(C - lo, sides)] = np.arange(len(C), dtype=np.int32)
+
+    def slots(R):
+        R = R - lo
+        inside = np.clip(R, 0, hi - lo)
+        return np.where((inside == R).all(axis=1),
+                        grid[_box_slot(inside, sides)], -1)
+    return slots
+
+
+def _sorted_slots(C):
+    """The lookup of _grid_slots by a search over the sorted void keys of
+    the rows C (_rows), for a bounding box too large for a grid."""
+    keys = _rows(C)
+    order = np.argsort(keys)
+    keys = keys[order]
+
+    def slots(R):
+        R = _rows(R)
+        pos = np.minimum(np.searchsorted(keys, R), len(keys) - 1)
+        return np.where(keys[pos] == R, order[pos], -1)
+    return slots
 
 
 DEFAULT_BALL_CAP = 10 ** 6

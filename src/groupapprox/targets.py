@@ -358,10 +358,15 @@ def _tau_vstar_u(u, v):
         return sum(map(operator.eq, u.perm.images, v.perm.images)) / u.k
     if isinstance(u, AugmentedUnitary) and isinstance(v, AugmentedUnitary) \
             and u.pad == v.pad:
-        t_inner = _tau_vstar_u(u.inner, v.inner)
-        return (t_inner * u.inner.k + u.pad) / u.k
+        return _padded_tau(_tau_vstar_u(u.inner, v.inner), u.inner.k, u.pad)
     du, dv = as_dense(u), as_dense(v)
     return complex(np.vdot(dv.entries, du.entries)) / u.k
+
+
+def _padded_tau(t, k, pad):
+    """The normalized trace of diag(v, I_pad)* diag(u, I_pad) from the
+    normalized trace t of v* u in dimension k."""
+    return (t * k + pad) / (k + pad)
 
 
 def _hs(t):
@@ -1053,11 +1058,15 @@ def batch(images):
     and the first position attaining it. A list of Permutation, of
     PermUnitary, or of RankMatrix over one field that are all permutation
     matrices of one size is one int32 image array (_PermRows); a list of
+    ImplicitTensorUnitary of one power over PermUnitary bases of one
+    degree, bare or each in an AugmentedUnitary of one pad, is the image
+    array of the bases with the pad and the power (_TensorRows); a list of
     FiniteGroupElement of one table group is one int64 index array
     (_TableRows); any other list, CyclicPerm included, calls its objects'
     mul/inv/dist/pdist (_ScalarRows). Every value equals the scalar one,
-    and the image format is known only here: a new kind of target is one
-    more rows class.
+    bitwise for floats, and so does every first position; the image
+    format is known only here: a new kind of target is one more rows
+    class.
 
     Rows also give back what they hold: ``target(i)`` builds row i's
     object, ``to_json(i)`` its JSON, and ``representatives()`` targets
@@ -1072,6 +1081,10 @@ def batch(images):
     if all(isinstance(t, PermUnitary) for t in images):
         return _PermRows(_frozen(np.array([t.perm.images for t in images],
                                           dtype=np.int32)), HILBERT_SCHMIDT)
+    if images and all(isinstance(t, ImplicitTensorUnitary) for t in images):
+        rows = _tensor_rows(images)
+        if rows is not None:
+            return rows
     if all(isinstance(t, RankMatrix) for t in images) \
             and len({t.field.label for t in images}) == 1:
         rows = _rank_rows([_ones(t.rows, 1, 0) for t in images],
@@ -1083,6 +1096,26 @@ def batch(images):
         return _TableRows(images[0].group,
                           np.array([t.index for t in images], dtype=np.int64))
     return _ScalarRows(images)
+
+
+def _tensor_rows(images):
+    """_TensorRows of ImplicitTensorUnitary images of one power whose
+    bases are all PermUnitary of one degree, or all AugmentedUnitary of
+    one pad around PermUnitary of one degree; None otherwise."""
+    powers = {t.power for t in images}
+    bases = [t.base for t in images]
+    pads = {b.pad if isinstance(b, AugmentedUnitary) else None
+            for b in bases}
+    if None not in pads:
+        bases = [b.inner for b in bases]
+    if len(powers) != 1 or len(pads) != 1 \
+            or not all(isinstance(u, PermUnitary) for u in bases) \
+            or len({u.k for u in bases}) != 1:
+        return None
+    return _TensorRows(
+        _PermRows(_frozen(np.array([u.perm.images for u in bases],
+                                   dtype=np.int32)), HILBERT_SCHMIDT),
+        pads.pop(), powers.pop())
 
 
 def rows_from_array(P, metric=HAMMING, field=None):
@@ -1098,8 +1131,11 @@ def rows_from_json(objs, fin_group=None):
     objects go straight into one int32 array (_images_array). So do rank
     objects over one field whose entries are exactly the strings "0" and
     "1" and form permutation matrices of one size, and fin objects, whose
-    indices go into one int64 array of ``fin_group``. Any other list is
-    decoded target by target (target_from_json)."""
+    indices go into one int64 array of ``fin_group``. Tensor-implicit
+    objects are decoded target by target and batched, so those of one
+    power over permutation unitaries of one degree and pad are
+    _TensorRows. Any other list is decoded target by target
+    (target_from_json)."""
     kinds = set(map(_target_kind, objs))
     for kind, metric in (("perm", HAMMING), ("perm-unitary", HILBERT_SCHMIDT)):
         if kinds == {kind}:
@@ -1113,6 +1149,8 @@ def rows_from_json(objs, fin_group=None):
                               *fields.values())
             if rows is not None:
                 return rows
+    if kinds == {"tensor-implicit"}:
+        return batch([target_from_json(t) for t in objs])
     if fin_group is not None and kinds == {"fin"}:
         index = [t["index"] for t in objs]
         if not set(map(type, index)) <= {int}:
@@ -1570,6 +1608,89 @@ class _PermRows:
             return None, None
         i, j = first_nearest_pair(v)
         return self._value(self.k if v[i] != v[j] else 0), (i, j)
+
+
+class _TensorRows:
+    """Rows of tensor powers (u (+) I_pad)^(tensor power) of permutation
+    unitaries u, all of one degree k, one pad (None for bare PermUnitary
+    bases, no AugmentedUnitary around them) and one power, held as the
+    rows of the u's images, Hilbert-Schmidt _PermRows ``base``. Products
+    and inverses are those of the base rows. tau of two such powers is
+    (tau_pad)^power, tau_pad the padded trace of the count c of points
+    where the u agree, so a distance depends only on c in 0..k: extreme
+    counts agreements and gathers from _tensor_distances, whose values
+    are _tau_vstar_u's and _hs's float expressions, bitwise. Values and
+    first witnesses are those of ImplicitTensorUnitary's dist and pdist,
+    ties (every pair at sqrt(2) once tau^power underflows) included."""
+
+    transitive_commutant = False
+
+    def __init__(self, base, pad, power):
+        self.base, self.pad, self.power = base, pad, power
+
+    def __len__(self):
+        return len(self.base)
+
+    def target(self, i):
+        u = self.base.target(i)
+        if self.pad is not None:
+            u = AugmentedUnitary(u, self.pad)
+        return ImplicitTensorUnitary(u, self.power)
+
+    def to_json(self, i):
+        u = self.base.to_json(i)
+        if self.pad is not None:
+            u = {"kind": "augmented-unitary", "inner": u, "pad": self.pad}
+        return {"kind": "tensor-implicit", "base": u, "power": self.power}
+
+    def representatives(self):
+        return [self.target(0)]
+
+    def with_kernel(self, gens):
+        return self
+
+    def _rows(self, base):
+        return _TensorRows(base, self.pad, self.power)
+
+    def take(self, idx):
+        return self._rows(self.base.take(idx))
+
+    def mul(self, other):
+        return self._rows(self.base.mul(self._paired(other)))
+
+    def inv(self):
+        return self._rows(self.base.inv())
+
+    def _paired(self, other):
+        """other's base rows, when other holds powers of this one's kind."""
+        if not isinstance(other, _TensorRows) or other.power != self.power \
+                or other.pad != self.pad or other.base.k != self.base.k:
+            raise ValueError("tensor rows of another power, pad or degree")
+        return other.base
+
+    def extreme(self, other, pick, projective=False):
+        agree = np.count_nonzero(self.base.P == self._paired(other).P,
+                                 axis=1)
+        values = _tensor_distances(self.base.k, self.pad, self.power,
+                                   projective)
+        r = int({max: np.argmax, min: np.argmin}[pick](values[agree]))
+        return values.item(agree.item(r)), r
+
+
+@functools.lru_cache(maxsize=64)
+def _tensor_distances(k, pad, power, projective):
+    """The distance (projective if asked) of two _TensorRows powers whose
+    bases agree at c points, at index c in 0..k: the float expressions of
+    _tau_vstar_u (c / k, then _padded_tau, then the power) and of
+    hs_distance or projective_hs_distance."""
+    out = []
+    for c in range(k + 1):
+        t = c / k
+        if pad is not None:
+            t = _padded_tau(t, k, pad)
+        t = t ** power
+        out.append(_hs(abs(t) if projective else t.real))
+    return _frozen(np.array(out))
 
 
 def first_nearest_pair(v):

@@ -1127,6 +1127,50 @@ def test_a_flag_the_command_never_reads_is_usage_error(
     assert code == 0
 
 
+@pytest.mark.parametrize("flags, unread", [
+    (["--group", "Heisenberg(1)", "--modulus", "5", "--lattice", "1"],
+     "--lattice"),
+    (["--group", "Z", "--lattice", "7", "--modulus", "5"], "--modulus"),
+    (["--group", "Z", "--modulus", "7", "--field", "F7"], "--field"),
+    (["--group", "Z", "--modulus", "7", "--family", "hyp", "--field", "Q"],
+     "--field"),
+], ids=["lattice-on-heisenberg", "modulus-beside-lattice",
+        "field-with-sofic", "field-with-hyp"])
+def test_from_quotient_refuses_flags_its_quotient_or_family_never_reads(
+        capsys, flags, unread):
+    """from-quotient reads --lattice only on Z^d, --modulus there only
+    without --lattice, and --field only for the lin family."""
+    code, out, err = run(capsys, "construct", "--method", "from-quotient",
+                         "--n", "1", *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and unread in err
+    assert "Traceback" not in err
+
+
+def test_the_parser_is_built_once_and_no_call_changes_it(
+        tmp_path, monkeypatch, capsys):
+    """main parses with one parser per process: a --config run leaves the
+    parser's own defaults to the next run, and repeated runs see equal
+    arguments, their given flags included."""
+    seen = []
+    build = cli._build
+    monkeypatch.setattr(cli, "_build",
+                        lambda args: seen.append(args) or build(args))
+    (tmp_path / "run.cfg").write_text("family = lin\nfield = F5\n"
+                                      "modulus = 9\n")
+    argv = ["construct", "--method", "cyclic-z", "--n", "2"]
+    assert run(capsys, "--config", str(tmp_path / "run.cfg"), *argv)[0] == 0
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv)[0] == 0
+    configured, plain, again = seen
+    assert (configured.family, configured.field, configured.modulus) \
+        == ("lin", "F5", 9)
+    assert (plain.family, plain.field, plain.modulus) == ("sofic", "Q", None)
+    assert configured.given == plain.given == again.given == {"method", "n"}
+    assert vars(plain) == vars(again)
+    assert cli._parser() is cli._parser()
+
+
 def test_an_abbreviated_flag_the_method_never_reads_is_usage_error(capsys):
     code, _, err = run(capsys, "construct", "--method", "cyclic-z", "--n",
                        "2", "--fam", "sofic")

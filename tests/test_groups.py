@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import threading
 import time
@@ -255,6 +256,48 @@ def test_array_products_match_the_loop(case):
         r -= 1
         B = G_.ball(G, r)
     assert (G_._products_array(B) == G_._products_loop(B)).all()
+
+
+@pytest.mark.parametrize("G, r, grid", [
+    (Z, 12, True), (Z2, 2, True), (H3, 3, True), (G_.Heisenberg(2), 1, True),
+    (G_.FreeAbelian(3), 0, True), (G_.FreeAbelian(5), 1, False),
+    (G_.FreeAbelian(40), 1, False)])
+def test_products_take_the_grid_only_when_the_box_fits(G, r, grid):
+    """A ball's products are looked up in a dense grid over its bounding
+    box when the box has at most |B|^2 cells (Z^5 at radius 1 has 3^5 =
+    243 > 11^2), else by the sorted search; both give the loop's table."""
+    B = G_.ball(G, r)
+    C = B.coords()
+    box = math.prod((C.max(axis=0) - C.min(axis=0) + 1).tolist())
+    assert (G_._grid_slots(C) is not None) == grid == (box <= len(B) ** 2)
+    assert (G_._products_array(B) == G_._products_loop(B)).all()
+
+
+def test_a_product_inside_the_box_but_outside_the_ball_is_minus_1():
+    # (2, 0) + (0, 2) = (2, 2) lies in the box [-2, 2]^2 of B(2) in Z^2
+    B = G_.ball(Z2, 2)
+    assert G_._grid_slots(B.coords()) is not None
+    assert B.products()[B.index((2, 0)), B.index((0, 2))] == -1
+    assert B.products()[B.index((1, 0)), B.index((0, 1))] == B.index((1, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coordinate_balls(), st.integers(0, 2 ** 32 - 1))
+def test_grid_and_sorted_lookups_agree(case, seed):
+    """Both lookups give the slot in the ball of rows in, around and far
+    outside its bounding box, -1 for a row outside the ball."""
+    G, r = case
+    B = G_.ball(G, r)
+    C = B.coords()
+    rng = np.random.default_rng(seed)
+    lo, hi = C.min(axis=0), C.max(axis=0)
+    R = np.concatenate([C, rng.integers(lo - 2, hi + 3, size=(200, len(lo))),
+                        C[:1] + [[10 ** 12] + [0] * (len(lo) - 1)]])
+    slot = {row: i for i, row in enumerate(map(tuple, C.tolist()))}
+    want = [slot.get(row, -1) for row in map(tuple, R.tolist())]
+    assert G_._sorted_slots(C)(R).tolist() == want
+    grid = G_._grid_slots(C)
+    assert grid is None or grid(R).tolist() == want
 
 
 def _kernel_witness_loop(G, Q, r):

@@ -403,6 +403,102 @@ def test_tensor_distance_checks_power_and_base_degree_first():
     assert T_.hs_distance(tensor(3, 2), tensor(3, 2)) == 0.0
 
 
+def _tensor(images, pad, power):
+    """(u (+) I_pad)^(tensor power), u the unitary of the images; a bare
+    PermUnitary base for pad None."""
+    u = T_.PermUnitary(T_.Permutation(images))
+    return T_.ImplicitTensorUnitary(
+        u if pad is None else T_.AugmentedUnitary(u, pad), power)
+
+
+def _same_rows(rows, ref):
+    assert len(rows) == len(ref)
+    for i in range(len(ref)):
+        assert rows.to_json(i) == ref.to_json(i) == ref.images[i].to_json()
+        assert rows.target(i).to_json() == ref.images[i].to_json()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tensor_rows_equal_the_scalar_tensor_targets(data):
+    """Tensor rows compose, invert and measure as ImplicitTensorUnitary
+    does: equal targets and JSON, and extreme values equal as floats at
+    equal first positions, plain and projective, also at power 10^6,
+    where every pair of distinct bases is at sqrt(2) and ties decide."""
+    k = data.draw(st.integers(1, 6))
+    pad = data.draw(st.one_of(st.none(), st.integers(0, 4)))
+    power = data.draw(st.one_of(st.integers(1, 40),
+                                st.sampled_from([10 ** 6, 2 ** 31])))
+    perms = data.draw(st.lists(st.permutations(range(k)), min_size=1,
+                               max_size=6))
+    images = [_tensor(p, pad, power) for p in perms]
+    rows, ref = T_.batch(images), T_._ScalarRows(images)
+    assert isinstance(rows, T_._TensorRows)
+    _same_rows(rows, ref)
+    m = len(images)
+    idx = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6))
+    _same_rows(rows.take(idx), ref.take(idx))
+    _same_rows(rows.inv(), ref.inv())
+    one = [data.draw(st.integers(0, m - 1))]
+    for a, b in ((rows, rows.inv()), (rows.take(one), rows),
+                 (rows, rows.take(one)), (rows.take(idx), rows.take(idx))):
+        a_ref, b_ref = (T_._ScalarRows([x.target(i) for i in range(len(x))])
+                        for x in (a, b))
+        _same_rows(a.mul(b), a_ref.mul(b_ref))
+        for pick in (max, min):
+            for projective in (False, True):
+                got = a.extreme(b, pick, projective)
+                want = a_ref.extreme(b_ref, pick, projective)
+                assert got == want and type(got[0]) is float
+
+
+@pytest.mark.parametrize("k", [1, 5, 22, 38, 39, 49])
+def test_tensor_distance_table_is_the_scalar_formula_bitwise(k):
+    """Each entry c of the distance table of tensor rows equals, as a
+    float, dist and pdist of two tensor powers whose bases agree at c
+    points. For these k, c / k * k is not always c in floats, so the table
+    must take the scalar formula's own steps."""
+    e = list(range(k))
+    for c in range(k + 1):
+        if c == k - 1:  # no permutation moves exactly one point
+            continue
+        # a (k - c)-cycle on the last points, fixing the first c
+        v = e[:c] + e[c + 1:] + e[c:c + 1]
+        for pad in (None, 0, 1, 3):
+            for power in (1, 2, 22, 10 ** 6):
+                x, y = _tensor(e, pad, power), _tensor(v, pad, power)
+                for projective in (False, True):
+                    want = x.pdist(y) if projective else x.dist(y)
+                    assert T_._tensor_distances(
+                        k, pad, power, projective)[c] == want
+
+
+@pytest.mark.parametrize("images, tensor", [
+    ([_tensor([1, 0], None, 3), _tensor([0, 1], None, 3)], True),
+    ([_tensor([1, 0], 2, 3), _tensor([0, 1], 2, 3)], True),
+    ([_tensor([1, 0], 0, 3)], True),
+    ([_tensor([1, 0], 2, 3), _tensor([0, 1], 2, 4)], False),
+    ([_tensor([1, 0], 2, 3), _tensor([0, 1], 3, 3)], False),
+    ([_tensor([1, 0], None, 3), _tensor([0, 1], 0, 3)], False),
+    ([_tensor([1, 0], 2, 3), _tensor([0, 2, 1], 2, 3)], False),
+    ([_tensor([1, 0], None, 3), _tensor([0, 2, 1], None, 3)], False),
+    ([T_.ImplicitTensorUnitary(T_.AugmentedUnitary(
+        T_.UnitaryMatrix([[1, 0], [0, 1]]), 2), 3)], False),
+    ([T_.ImplicitTensorUnitary(T_.UnitaryMatrix([[1]]), 3)], False),
+], ids=["bare", "padded", "pad-0", "two-powers", "two-pads",
+        "bare-and-padded", "two-degrees", "two-bare-degrees",
+        "dense-inner", "dense-base"])
+def test_tensor_rows_only_for_one_power_pad_and_degree(images, tensor):
+    """batch, and rows_from_json on the images' JSON, hold tensor powers
+    as tensor rows only when they share power, pad (or its absence) and
+    base degree over permutation unitaries; any other list stays scalar
+    and keeps its JSON."""
+    objs = [t.to_json() for t in images]
+    for rows in (T_.batch(images), T_.rows_from_json(objs)):
+        assert isinstance(rows, T_._TensorRows if tensor else T_._ScalarRows)
+        assert [rows.to_json(i) for i in range(len(objs))] == objs
+
+
 def test_materialize_cap_guard():
     base = T_.AugmentedUnitary(
         T_.PermUnitary(T_.Permutation.identity(2)), 2 ** 11)
