@@ -756,10 +756,8 @@ def _verify_words(h, n, cap, margin, relator_mode):
     kinds = ((False, min),) if relator_mode else ((True, max), (False, min))
     inverse = np.array([i for _, _, i in letters])
     down = np.arange(len(letters))[::-1]
-    # a block holds about G_.BLOCK image entries; a tensor image, whose
-    # dimension is symbolic, is past that alone
-    width = first.dim if isinstance(first.dim, int) else G_.BLOCK
-    step = max(1, G_.BLOCK // width)
+    # a block holds about G_.BLOCK entries of R's rows
+    step = max(1, G_.BLOCK // R.width)
     stack = [(np.zeros((1, 0), dtype=np.intp), [e_g], ident)]
     while stack:
         W, gs, T = stack.pop()

@@ -8,6 +8,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from . import groups as G_
 from . import construct as X_
 
@@ -348,19 +350,39 @@ def _folner_balls(G, n, r_max):
 
 
 def box_defect_Zd(d, L, n):
-    """Defect of the box [0,L)^d at radius n, by the exact overlap formula."""
+    """Defect of the box [0,L)^d at radius n, by the exact overlap formula.
+
+    The sum over g in B(n) of |A delta (A + g)| = 2 (L^d - overlap(g)), with
+    overlap(g) the product of max(0, L - |g_i|), depends only on the |g_i|.
+    With m(0) = 1 and m(a) = 2 the number of integers of absolute value a,
+    the sum of the overlaps is the d-fold convolution of h(a) = m(a) max(0,
+    L - a) summed up to total n, and |B(n)| that of m: in integers, O(d n^2),
+    and O(n) for d <= 2 by prefix sums.
+    """
     if L < 1:
         raise ValueError("box side must be positive")
-    total = 0
-    for g in G_.ball(G_.FreeAbelian(d), n):
-        overlap = 1
-        for a in g:
-            if abs(a) >= L:
-                overlap = 0
-                break
-            overlap *= L - abs(a)
-        total += 2 * (L ** d - overlap)
-    return Fraction(total, L ** d)
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if n < 0:
+        raise ValueError("radius must be nonnegative")
+    m = [1] + [2] * n
+    h = [m[a] * max(0, L - a) for a in range(n + 1)]
+    size = L ** d
+    return Fraction(
+        2 * (_truncated_power(m, d, n) * size - _truncated_power(h, d, n)),
+        size)
+
+
+def _truncated_power(f, d, n):
+    """The sum over a_1 + ... + a_d <= n (each a_i >= 0) of f[a_1] ...
+    f[a_d]: the d-fold convolution of f summed up to total n, the last
+    factor against the prefix sums of the others."""
+    conv = f if d > 1 else [1] + [0] * n
+    for _ in range(d - 2):
+        conv = [sum(conv[t - a] * f[a] for a in range(t + 1))
+                for t in range(n + 1)]
+    prefix = list(itertools.accumulate(conv))
+    return sum(f[a] * prefix[n - a] for a in range(n + 1))
 
 
 def _folner_boxes(G, n):
@@ -422,20 +444,6 @@ def _divisors(k):
     return sorted(out)
 
 
-def _sublattices_of_index(d, k):
-    """All finite-index sublattices of Z^d at index k, as HNF row lists."""
-    if d == 1:
-        yield [(k,)]
-        return
-    if d == 2:
-        for a in _divisors(k):
-            c = k // a
-            for b in range(c):
-                yield [(a, b), (0, c)]
-        return
-    raise NotImplementedError("sublattice enumeration implemented for d <= 2")
-
-
 def full_rf_growth(G, n, quotient_family="auto"):
     """Least index of an enumerated finite quotient whose kernel meets B(n)
     only at the identity.
@@ -455,13 +463,33 @@ def full_rf_growth(G, n, quotient_family="auto"):
 
 
 def _rf_growth_lattice(G, n):
+    """The least index k of a sublattice of Z^d (d <= 2) that meets B(n)
+    only at 0, with the first such sublattice in HNF order: a ascending,
+    then b ascending, for the rows (a, b), (0, c) with a * c = k and
+    0 <= b < c; for d = 1 the one sublattice kZ.
+
+    (x, y) = s (a, b) + t (0, c) exactly when a | x and c | y - b x / a, so
+    for each index k and divisor a one boolean array of c rows by the
+    nonzero ball rows with a | x tests every b at once, in integers.
+    """
+    if G.d > 2:
+        raise NotImplementedError(
+            "sublattice enumeration implemented for d <= 2")
     cap = (n + 1) ** G.d + 1
+    C = G_.ball(G, n).coords()[1:]
+    x = C[:, 0]
+    y = C[:, 1] if G.d == 2 else np.zeros_like(x)
     # a sublattice of index k contains k e_1, of word length k, so every
     # index k <= n meets B(n) outside the identity
     for k in range(n + 1, cap + 1):
-        for rows in _sublattices_of_index(G.d, k):
-            Q = G_.LatticeHNF(G, rows)
-            if G_.kernel_witness(G, Q, n) is None:
+        for a in _divisors(k) if G.d == 2 else [k]:
+            c = k // a
+            on = x % a == 0
+            q, r = x[on] // a, y[on]
+            b = np.arange(c)[:, None]
+            free = np.flatnonzero(((r - b * q) % c).all(axis=1))
+            if len(free):
+                rows = [(a, int(free[0])), (0, c)] if G.d == 2 else [(k,)]
                 return ProfilePoint(
                     n, k, "exact",
                     detail={"kernel": rows,

@@ -407,6 +407,12 @@ class ImplicitTensorUnitary:
     def __init__(self, base, power):
         if power < 1:
             raise ValueError("power must be >= 1")
+        try:
+            # tau ** power takes the power as a float
+            float(power)
+        except OverflowError:
+            raise ValueError(f"tensor power {power} is beyond the float "
+                             f"range") from None
         self.base = base
         self.power = int(power)
 
@@ -1070,7 +1076,8 @@ def batch(images):
 
     Rows also give back what they hold: ``target(i)`` builds row i's
     object, ``to_json(i)`` its JSON, and ``representatives()`` targets
-    with every kind the rows hold.
+    with every kind the rows hold, and ``width`` the entries of one row,
+    by which a caller sizes blocks of rows.
     ``with_kernel(gens)`` gives the rows with the commutant kernel derived
     from the rows at ``gens``, the positions of the images of a generating
     set (see _PermRows).
@@ -1277,6 +1284,10 @@ class _ScalarRows:
 
     def __init__(self, images):
         self.images = tuple(images)
+        # the targets' dimension; a symbolic one, a tensor power's, is past
+        # any block alone
+        dim = self.images[0].dim if self.images else 1
+        self.width = dim if isinstance(dim, int) else G_.BLOCK
 
     def __len__(self):
         return len(self.images)
@@ -1320,6 +1331,7 @@ class _TableRows:
     FiniteGroupElement's mul, inv and dist."""
 
     transitive_commutant = False
+    width = 1
 
     def __init__(self, group, x):
         self.group, self.x = group, _frozen(x)
@@ -1458,7 +1470,7 @@ class _PermRows:
         # the rows are P[at] (all of P when at is None), gathered only when
         # read: a block of rows taken and then multiplied is one gather
         self._P, self._at = P, at
-        self.k = P.shape[1]
+        self.k = self.width = P.shape[1]
         self.metric, self.field = metric, field
 
     @property
@@ -1627,6 +1639,9 @@ class _TensorRows:
 
     def __init__(self, base, pad, power):
         self.base, self.pad, self.power = base, pad, power
+        # a row is the base's image row, not the k^power entries it stands
+        # for
+        self.width = base.k
 
     def __len__(self):
         return len(self.base)

@@ -95,10 +95,11 @@ def test_profile_builds_only_the_printed_curve(calls, argv):
 
 def test_audit_computes_each_rf_radius_once(calls):
     # rf(2n) is read by the fin, sofic and lin rules but computed once; a
-    # lattice search starts at index n + 1 (1,030 kernel_witness calls
-    # when it started at 1)
+    # lattice search tests sublattices by integer arrays, not quotients
+    # (912 kernel_witness calls when it asked one per sublattice from index
+    # n + 1, 1,030 from index 1)
     assert _run(["audit", "--n-max", "4"])[0] == 0
-    assert calls == {"full_rf_growth": 30, "kernel_witness": 912,
+    assert calls == {"full_rf_growth": 30, "kernel_witness": 44,
                      "box_defect_Zd": 162}
 
 

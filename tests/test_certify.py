@@ -690,6 +690,12 @@ def _regular_hom(d, m, family):
                              relators=C_.default_relators(G))
 
 
+def _row_width(h):
+    """The entries of one row of h's images, by which the walk sizes its
+    blocks."""
+    return T_.batch(list(h.images.values())).width
+
+
 def _same_reports(h, n):
     for verify, relator_mode in ((C_.verify_W, False), (C_.verify_R, True)):
         assert verify(h, n).to_json() == _dfs_verify_words(
@@ -713,7 +719,7 @@ def test_word_walk_matches_dfs(data):
     rows = data.draw(st.sampled_from([None, 1, 5, 7]))
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            mp.setattr(G_, "BLOCK", rows * h.dimension)
+            mp.setattr(G_, "BLOCK", rows * _row_width(h))
         _same_reports(h, n)
 
 
@@ -728,10 +734,50 @@ def test_word_walk_across_block_edges(monkeypatch, rows):
             homs.append(_random_hom(_WORD_GROUPS[name], kind, rng))
     failing = 0
     for h in homs:
-        monkeypatch.setattr(G_, "BLOCK", rows * h.dimension)
+        monkeypatch.setattr(G_, "BLOCK", rows * _row_width(h))
         _same_reports(h, 4)
         failing += not C_.verify_W(h, 4).passed
     assert failing >= len(homs) // 2
+
+
+def _tensor_hom(m, power):
+    """Z^2 by the shifts of (Z/m)^2 as permutation unitaries u, each image
+    (u (+) I_(m^2))^(tensor power)."""
+    def shift(dx, dy):
+        return T_.PermUnitary([((i // m + dx) % m) * m + (i % m + dy) % m
+                               for i in range(m * m)])
+    Z2 = G_.FreeAbelian(2)
+    return C_.HomCertificate(Z2, {
+        "x1": T_.ImplicitTensorUnitary(T_.AugmentedUnitary(shift(1, 0),
+                                                           m * m), power),
+        "x2": T_.ImplicitTensorUnitary(T_.AugmentedUnitary(shift(0, 1),
+                                                           m * m), power)},
+        "hyp-projective", relators=C_.default_relators(Z2))
+
+
+@pytest.mark.parametrize("m,power", [(3, 2), (5, 3), (5, 10 ** 6)])
+def test_tensor_word_walk_blocks_by_the_base_degree(monkeypatch, m, power):
+    """A tensor image's row is its base's image row, so a block holds
+    about G_.BLOCK / m^2 words, not one; the report bytes are those of the
+    scalar depth-first walk, and of blocks of 1 and 5 rows."""
+    h = _tensor_hom(m, power)
+    assert _row_width(h) == m * m
+    extreme, calls = T_._TensorRows.extreme, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(len(self))
+        return extreme(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T_._TensorRows, "extreme", counted)
+        want = json.dumps(C_.verify_W(h, 4).to_json())
+    # one block per length, each measured for trivial and nontrivial words
+    assert len(calls) <= 2 * 4 and sum(calls) == 160
+    _same_reports(h, 4)
+    for rows in (1, 5):
+        monkeypatch.setattr(G_, "BLOCK", rows * m * m)
+        assert json.dumps(C_.verify_W(h, 4).to_json()) == want
+        _same_reports(h, 4)
 
 
 def test_word_cap_is_counted_before_any_product(monkeypatch):

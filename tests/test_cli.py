@@ -813,6 +813,26 @@ def test_tensor_verification_does_not_grow_with_the_power(tmp_path, capsys):
     assert code == 0 and json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("power,code", [(10 ** 308, 0), (10 ** 400, 1)],
+                         ids=["1e308", "1e400"])
+def test_tensor_power_beyond_the_float_range_is_refused(tmp_path, capsys,
+                                                        power, code):
+    # tau ** power takes the power as a float: 10^308 is one, 10^400 is
+    # past the float range and was an OverflowError traceback
+    obj = _tensor_certificate(3).to_json()
+    for t in _targets(obj):
+        t["power"] = power
+    obj["dimension"]["power"] = power
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(obj))
+    got, out, err = run(capsys, "verify", "--cert", str(path))
+    assert got == code
+    if code:
+        assert err.startswith("error:") and f"tensor power {power} " in err
+    else:
+        assert json.loads(out)["pass"] is True
+
+
 def test_large_prime_field_verifies_quickly(tmp_path, capsys):
     # 13 targets name F_p with p about 10^14: trial division to sqrt(p)
     # took about 0.9 s for each of them

@@ -171,6 +171,39 @@ def test_box_defect_matches_brute_force(d, L, n):
     assert P_.box_defect_Zd(d, L, n) == _box_defect_reference(d, L, n)
 
 
+def _box_defect_ball_walk(d, L, n):
+    """The overlap formula summed over the elements of B(n) one by one."""
+    total = 0
+    for g in G_.ball(G_.FreeAbelian(d), n):
+        overlap = 1
+        for a in g:
+            overlap *= max(0, L - abs(a))
+        total += 2 * (L ** d - overlap)
+    return Fraction(total, L ** d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_box_defect_closed_form_matches_the_ball_walk(d):
+    for L in (1, 2, 3, 5, 17, 100):
+        for n in (0, 1, 2, 4, 7, 9):
+            assert P_.box_defect_Zd(d, L, n) == \
+                _box_defect_ball_walk(d, L, n), (L, n)
+
+
+def test_box_defect_walks_no_ball(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ball built")
+
+    monkeypatch.setattr(G_, "ball", refuse)
+    # B(300) of Z^2 has 180,601 elements, B(710) is past the ball cap
+    assert P_.minimal_box_side_Zd(2, 300) == 21708119963
+    assert P_.box_defect_Zd(2, 10 ** 12, 710) > 0
+    with pytest.raises(ValueError):
+        P_.box_defect_Zd(0, 3, 2)
+    with pytest.raises(ValueError):
+        P_.box_defect_Zd(2, 3, -1)
+
+
 def test_interval_length_is_tight():
     for n in range(1, 6):
         L = 2 * n * n * (n + 1)
@@ -217,12 +250,28 @@ def test_rf_growth_Z2_frozen():
         assert n * n / 2 <= value <= (n + 1) ** 2
 
 
-def _rf_growth_lattice_from_one(G, n):
-    """Every index from k = 1: the full search that _rf_growth_lattice
-    starts at k = n + 1."""
+def _divisors(k):
+    return [a for a in range(1, k + 1) if k % a == 0]
+
+
+def _sublattices_of_index(d, k):
+    """All finite-index sublattices of Z^d at index k, as HNF row lists."""
+    if d == 1:
+        yield [(k,)]
+        return
+    for a in _divisors(k):
+        c = k // a
+        for b in range(c):
+            yield [(a, b), (0, c)]
+
+
+def _rf_growth_by_quotients(G, n, start):
+    """The lattice search one quotient at a time: every sublattice of every
+    index from ``start``, in HNF order, each a LatticeHNF asked of
+    kernel_witness."""
     cap = (n + 1) ** G.d + 1
-    for k in range(1, cap + 1):
-        for rows in P_._sublattices_of_index(G.d, k):
+    for k in range(start, cap + 1):
+        for rows in _sublattices_of_index(G.d, k):
             if G_.kernel_witness(G, G_.LatticeHNF(G, rows), n) is None:
                 return P_.ProfilePoint(
                     n, k, "exact",
@@ -236,7 +285,25 @@ def _rf_growth_lattice_from_one(G, n):
 def test_rf_growth_lattice_skips_indices_at_most_n(G, n_max):
     for n in range(1, n_max + 1):
         got = P_.full_rf_growth(G, n).to_json()
-        assert got == _rf_growth_lattice_from_one(G, n).to_json(), n
+        assert got == _rf_growth_by_quotients(G, n, 1).to_json(), n
+
+
+_RF_CASES = [(Z, n) for n in range(1, 31)] + [(Z2, n) for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("G,n", _RF_CASES,
+                         ids=[f"Z^{G.d}-{n}" for G, n in _RF_CASES])
+def test_rf_growth_lattice_tests_every_b_at_once_as_one_quotient_each(G, n):
+    # the same value, the same first sublattice (a ascending, then b
+    # ascending) and the same detail as one kernel_witness per sublattice
+    got = P_.full_rf_growth(G, n)
+    want = _rf_growth_by_quotients(G, n, n + 1)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+def test_rf_growth_lattice_refuses_rank_above_2_before_the_ball():
+    with pytest.raises(NotImplementedError, match="d <= 2"):
+        P_.full_rf_growth(G_.FreeAbelian(3), 10 ** 6)
 
 
 def test_rf_growth_heisenberg_recipe():

@@ -411,6 +411,11 @@ def _tensor(images, pad, power):
         u if pad is None else T_.AugmentedUnitary(u, pad), power)
 
 
+# the largest int that converts to a float: tau ** power takes the power as
+# one, so every larger power is refused
+_LARGEST_POWER = 2 ** 1024 - 2 ** 970 - 1
+
+
 def _same_rows(rows, ref):
     assert len(rows) == len(ref)
     for i in range(len(ref)):
@@ -423,12 +428,14 @@ def _same_rows(rows, ref):
 def test_tensor_rows_equal_the_scalar_tensor_targets(data):
     """Tensor rows compose, invert and measure as ImplicitTensorUnitary
     does: equal targets and JSON, and extreme values equal as floats at
-    equal first positions, plain and projective, also at power 10^6,
-    where every pair of distinct bases is at sqrt(2) and ties decide."""
+    equal first positions, plain and projective, also at powers 10^6 and
+    the largest that converts to a float, where every pair of distinct
+    bases is at sqrt(2) and ties decide."""
     k = data.draw(st.integers(1, 6))
     pad = data.draw(st.one_of(st.none(), st.integers(0, 4)))
     power = data.draw(st.one_of(st.integers(1, 40),
-                                st.sampled_from([10 ** 6, 2 ** 31])))
+                                st.sampled_from([10 ** 6, 2 ** 31,
+                                                 _LARGEST_POWER])))
     perms = data.draw(st.lists(st.permutations(range(k)), min_size=1,
                                max_size=6))
     images = [_tensor(p, pad, power) for p in perms]
@@ -452,6 +459,16 @@ def test_tensor_rows_equal_the_scalar_tensor_targets(data):
                 assert got == want and type(got[0]) is float
 
 
+def test_tensor_power_beyond_the_float_range_is_refused():
+    u = T_.PermUnitary([1, 0])
+    assert T_.ImplicitTensorUnitary(u, _LARGEST_POWER).dist(
+        T_.ImplicitTensorUnitary(u.inv(), _LARGEST_POWER)) == 0.0
+    for power in (_LARGEST_POWER + 1, 10 ** 400):
+        with pytest.raises(ValueError, match=f"tensor power {power} is "
+                                             f"beyond the float range"):
+            T_.ImplicitTensorUnitary(u, power)
+
+
 @pytest.mark.parametrize("k", [1, 5, 22, 38, 39, 49])
 def test_tensor_distance_table_is_the_scalar_formula_bitwise(k):
     """Each entry c of the distance table of tensor rows equals, as a
@@ -465,7 +482,7 @@ def test_tensor_distance_table_is_the_scalar_formula_bitwise(k):
         # a (k - c)-cycle on the last points, fixing the first c
         v = e[:c] + e[c + 1:] + e[c:c + 1]
         for pad in (None, 0, 1, 3):
-            for power in (1, 2, 22, 10 ** 6):
+            for power in (1, 2, 22, 10 ** 6, _LARGEST_POWER):
                 x, y = _tensor(e, pad, power), _tensor(v, pad, power)
                 for projective in (False, True):
                     want = x.pdist(y) if projective else x.dist(y)
