@@ -113,6 +113,12 @@ _EXACT_FAMILIES = {family for family, kinds in _FAMILY_TYPES.items()
                    if kinds is not _UNITARY_TYPES}
 
 
+def reads_margin(family):
+    """Whether verifying a certificate of ``family`` reads a margin: only
+    the unitary families are decided in floats; the others are exact."""
+    return family not in _EXACT_FAMILIES
+
+
 def _require_family_kinds(family, targets):
     """Raise CertificateError unless the family is known and every target
     (every bell of a sofic wreath element too) is of one of its kinds."""

@@ -316,6 +316,10 @@ def cmd_construct(args):
 def cmd_verify(args):
     try:
         cert = load_certificate(args.cert)
+        # a --margin from a config file is a default, not a request
+        if "margin" in args.given and not C_.reads_margin(cert.family):
+            raise UsageError(f"verify decides a {cert.family} certificate "
+                             f"exactly and does not read --margin")
         if isinstance(cert, C_.HomCertificate):
             if args.at_n is None:
                 raise UsageError("word-level verification needs --at-n")

@@ -12,8 +12,8 @@ read-only: their elements, lengths and product table cannot be written.
 A finite quotient G -> F (``LatticeHNF``, ``CongruenceMod``) is a finite
 group in the same vocabulary as ``FiniteCyclic`` and ``FiniteSym``:
 ``elements()`` in key order, ``identity()``, ``mul``, ``inv``, ``key`` and
-``fmt``, plus ``map`` (the quotient map G -> F), ``kernel_contains`` and
-``index`` (the order of F).
+``fmt``, plus ``map`` (the quotient map G -> F) and ``index`` (the order
+of F).
 
 ``FreeAbelian`` and ``Heisenberg`` have a coordinate form: ``coords(p)`` is
 a payload's ints in ``key`` order, ``payloads(X)`` its inverse row by row,
@@ -1069,9 +1069,6 @@ class LatticeHNF:
             X = X - (X[..., i] // row[i])[..., None] * np.array(row)
         return X
 
-    def kernel_contains(self, p):
-        return self.map(p) == self.identity()
-
     def elements(self):
         return list(itertools.product(
             *(range(self.rows[i][i]) for i in range(self.parent.d))))
@@ -1120,9 +1117,6 @@ class CongruenceMod:
 
     def map_array(self, X):
         return X % self.m
-
-    def kernel_contains(self, p):
-        return self.map(p) == self.identity()
 
     def elements(self):
         vecs = list(itertools.product(range(self.m), repeat=self.parent.l))

@@ -292,7 +292,7 @@ class AugmentedUnitary:
     __slots__ = ("inner", "pad")
 
     def __init__(self, inner, pad):
-        self.inner = inner
+        self.inner = _unitary(inner, "an augmented unitary's inner")
         self.pad = int(pad)
         if self.pad < 0:
             raise ValueError("pad must be nonnegative")
@@ -325,6 +325,15 @@ class AugmentedUnitary:
     def to_json(self):
         return {"kind": "augmented-unitary", "inner": self.inner.to_json(),
                 "pad": self.pad}
+
+
+def _unitary(u, role):
+    """u when it is a unitary that as_dense reads (dense, a permutation
+    unitary or an augmented one); ValueError naming its kind otherwise."""
+    if not isinstance(u, (UnitaryMatrix, PermUnitary, AugmentedUnitary)):
+        raise ValueError(f"{role} must be a unitary, not "
+                         f"{type(u).__name__}")
+    return u
 
 
 MATERIALIZE_CAP = 2 ** 10
@@ -413,7 +422,7 @@ class ImplicitTensorUnitary:
         except OverflowError:
             raise ValueError(f"tensor power {power} is beyond the float "
                              f"range") from None
-        self.base = base
+        self.base = _unitary(base, "a tensor power's base")
         self.power = int(power)
 
     @property
@@ -438,18 +447,6 @@ class ImplicitTensorUnitary:
 
     def pdist(self, other):
         return projective_hs_distance(self, other)
-
-    def materialize(self):
-        # for k >= 2, k to the cap's bit length is already past the cap, so
-        # a power clipped to that length gives the same comparison
-        cut = min(self.power, MATERIALIZE_CAP.bit_length())
-        if self.base.k ** cut > MATERIALIZE_CAP:
-            raise ValueError(f"refusing to materialize dimension "
-                             f"{self.base.k}^{self.power}")
-        out = as_dense(self.base).entries
-        for _ in range(self.power - 1):
-            out = np.kron(out, as_dense(self.base).entries)
-        return UnitaryMatrix(out, check=False)
 
     def __repr__(self):
         return f"ImplicitTensorUnitary(base_k={self.base.k}, power={self.power})"
@@ -1063,13 +1060,15 @@ def batch(images):
     projective=False)``, the ``max`` or ``min`` distance of the row pairs
     and the first position attaining it. A list of Permutation, of
     PermUnitary, or of RankMatrix over one field that are all permutation
-    matrices of one size is one int32 image array (_PermRows); a list of
-    ImplicitTensorUnitary of one power over PermUnitary bases of one
-    degree, bare or each in an AugmentedUnitary of one pad, is the image
-    array of the bases with the pad and the power (_TensorRows); a list of
-    FiniteGroupElement of one table group is one int64 index array
-    (_TableRows); any other list, CyclicPerm included, calls its objects'
-    mul/inv/dist/pdist (_ScalarRows). Every value equals the scalar one,
+    matrices of one size is one int32 image array (_PermRows); so is a
+    list of ImplicitTensorUnitary of one power over PermUnitary bases u of
+    one degree, bare or each in an AugmentedUnitary of one pad: the image
+    array of the u, Hilbert-Schmidt rows that carry the pad and the power;
+    a list of FiniteGroupElement of one table group is one int64 index
+    array (_TableRows); any other list, CyclicPerm included, calls its
+    objects' mul/inv/dist/pdist (_ScalarRows). This is the one place that
+    picks a rows class for targets (rows_from_json hands it every list it
+    does not read as arrays itself). Every value equals the scalar one,
     bitwise for floats, and so does every first position; the image
     format is known only here: a new kind of target is one more rows
     class.
@@ -1106,9 +1105,10 @@ def batch(images):
 
 
 def _tensor_rows(images):
-    """_TensorRows of ImplicitTensorUnitary images of one power whose
-    bases are all PermUnitary of one degree, or all AugmentedUnitary of
-    one pad around PermUnitary of one degree; None otherwise."""
+    """Hilbert-Schmidt _PermRows of ImplicitTensorUnitary images of one
+    power whose bases are all PermUnitary of one degree, or all
+    AugmentedUnitary of one pad around PermUnitary of one degree, with
+    that pad (None for bare bases) and power; None otherwise."""
     powers = {t.power for t in images}
     bases = [t.base for t in images]
     pads = {b.pad if isinstance(b, AugmentedUnitary) else None
@@ -1119,10 +1119,9 @@ def _tensor_rows(images):
             or not all(isinstance(u, PermUnitary) for u in bases) \
             or len({u.k for u in bases}) != 1:
         return None
-    return _TensorRows(
-        _PermRows(_frozen(np.array([u.perm.images for u in bases],
-                                   dtype=np.int32)), HILBERT_SCHMIDT),
-        pads.pop(), powers.pop())
+    return _PermRows(_frozen(np.array([u.perm.images for u in bases],
+                                      dtype=np.int32)), HILBERT_SCHMIDT,
+                     pad=pads.pop(), power=powers.pop())
 
 
 def rows_from_array(P, metric=HAMMING, field=None):
@@ -1138,11 +1137,10 @@ def rows_from_json(objs, fin_group=None):
     objects go straight into one int32 array (_images_array). So do rank
     objects over one field whose entries are exactly the strings "0" and
     "1" and form permutation matrices of one size, and fin objects, whose
-    indices go into one int64 array of ``fin_group``. Tensor-implicit
-    objects are decoded target by target and batched, so those of one
-    power over permutation unitaries of one degree and pad are
-    _TensorRows. Any other list is decoded target by target
-    (target_from_json)."""
+    indices go into one int64 array of ``fin_group``. Any other list is
+    decoded target by target (target_from_json); rank matrices written
+    otherwise stay dense (_ScalarRows), and every other list, tensor
+    powers included, goes to batch, which picks its rows."""
     kinds = set(map(_target_kind, objs))
     for kind, metric in (("perm", HAMMING), ("perm-unitary", HILBERT_SCHMIDT)):
         if kinds == {kind}:
@@ -1156,15 +1154,14 @@ def rows_from_json(objs, fin_group=None):
                               *fields.values())
             if rows is not None:
                 return rows
-    if kinds == {"tensor-implicit"}:
-        return batch([target_from_json(t) for t in objs])
     if fin_group is not None and kinds == {"fin"}:
         index = [t["index"] for t in objs]
         if not set(map(type, index)) <= {int}:
             raise ValueError("fin indices must be JSON integers")
         # an index beyond int64 raises OverflowError
         return table_rows(fin_group, np.array(index, dtype=np.int64))
-    return _ScalarRows([target_from_json(t, fin_group) for t in objs])
+    targets = [target_from_json(t, fin_group) for t in objs]
+    return _ScalarRows(targets) if kinds == {"rank"} else batch(targets)
 
 
 def table_rows(group, index):
@@ -1416,18 +1413,34 @@ def _cycle_walk(P):
 class _PermRows:
     """Rows over an int32 image array P, one permutation per row, in one
     ``metric``: HAMMING (Permutation targets), HILBERT_SCHMIDT
-    (PermUnitary) or RANK over ``field`` (RankMatrix permutation
-    matrices, built only for target() and to_json()). The product of two
-    rows is one gather and the inverse one scatter. A distance is a count
-    converted by _value: for Hamming and Hilbert-Schmidt the points where
-    the rows differ, the Hilbert-Schmidt value being the projective one
-    too because tau >= 0; for rank k - cycles(y^-1 x), by _cycle_walk,
+    (PermUnitary, or tensor powers of them, below) or RANK over ``field``
+    (RankMatrix permutation matrices, built only for target() and
+    to_json()). The product of two rows is one gather and the inverse one
+    scatter. A distance is a count converted by _value: for Hamming and
+    Hilbert-Schmidt the points where the rows differ, the Hilbert-Schmidt
+    value being the projective one too because tau >= 0; for rank k -
+    cycles(y^-1 x), by _cycle_walk,
     since rank(P_x - P_y) = rank(P_{y^-1 x} - I) = k - cycles(y^-1 x)
     over every field. The projective rank distance is the same: each
     cycle block of P_{y^-1 x} is a companion matrix of t^len - 1, so
     non-derogatory, and has the eigenvalue 1, so no eigenvalue has more
     eigenvectors than 1, one per cycle (Arzhantseva and Paunescu, Linear
     sofic groups and algebras).
+
+    Tensor powers. Hilbert-Schmidt rows with a ``power`` stand for the
+    tensor powers (u (+) I_pad)^(tensor power) of the permutation
+    unitaries u of their rows, all of one ``pad`` (None for bare
+    PermUnitary bases, no AugmentedUnitary around them) and one power;
+    for every other row both are None. Products and inverses are the u's.
+    tau of two such powers is (tau_pad)^power, tau_pad the padded trace of
+    the count c of points where the u agree, so a distance depends only on
+    c in 0..k: extreme gathers from _tensor_distances by c and picks on
+    the gathered values, not on c, so values and first witnesses are
+    ImplicitTensorUnitary's dist and pdist, ties (every pair of distinct
+    bases at sqrt(2) once tau^power underflows) included. Rows pair only
+    with rows of their power, pad and degree (mul and extreme raise
+    ValueError otherwise), and tensor rows never take the commutant
+    kernel.
 
     Commutant kernel. If a permutation commutes with every element of a
     transitive group R, its fixed points form an R-invariant set, so it
@@ -1442,9 +1455,10 @@ class _PermRows:
     stores); ``max_defect_all`` and ``min_dist_all`` are
     then exact and equal the row sweep's values and first witnesses. Every
     left-regular action of a finite group (and a direct product of such)
-    has one: its right translations. Rank rows never take the kernel: a
-    semiregular permutation of order m is at rank distance 1 - 1/m from
-    the identity, not at one value for every m.
+    has one: its right translations. Rank and tensor rows never take the
+    kernel: a semiregular permutation of order m is at rank distance 1 -
+    1/m from the identity, not at one value for every m, and a tensor
+    distance is not read from one point.
 
     R is derived from the generator images, and nothing derived is trusted:
       1. level by level from point 0, each row s in ``gens`` walks whole
@@ -1466,12 +1480,19 @@ class _PermRows:
 
     transitive_commutant = False
 
-    def __init__(self, P, metric, field=None, at=None):
+    def __init__(self, P, metric, field=None, at=None, pad=None,
+                 power=None):
         # the rows are P[at] (all of P when at is None), gathered only when
         # read: a block of rows taken and then multiplied is one gather
         self._P, self._at = P, at
         self.k = self.width = P.shape[1]
         self.metric, self.field = metric, field
+        self.pad, self.power = pad, power
+
+    def _like(self, P, at=None):
+        """Rows over P (at ``at``) of this metric, field, pad and power."""
+        return _PermRows(P, self.metric, self.field, at, self.pad,
+                         self.power)
 
     @property
     def P(self):
@@ -1486,12 +1507,17 @@ class _PermRows:
         perm = Permutation._checked(self.P[i].tolist())
         if self.metric == HAMMING:
             return perm
-        if self.metric == HILBERT_SCHMIDT:
-            return PermUnitary(perm)
-        return perm_to_rank(perm, self.field)
+        if self.metric == RANK:
+            return perm_to_rank(perm, self.field)
+        u = PermUnitary(perm)
+        if self.power is None:
+            return u
+        if self.pad is not None:
+            u = AugmentedUnitary(u, self.pad)
+        return ImplicitTensorUnitary(u, self.power)
 
     def to_json(self, i):
-        if self.metric == RANK:
+        if self.metric == RANK or self.power is not None:
             return self.target(i).to_json()
         images = _images_json(self.P[i])
         return _perm_json(images) if self.metric == HAMMING \
@@ -1501,7 +1527,7 @@ class _PermRows:
         return [self.target(0)]
 
     def with_kernel(self, gens):
-        if self.metric == RANK:
+        if self.metric == RANK or self.power is not None:
             return self
         rows = _PermRows(self.P, self.metric)
         rows.transitive_commutant = rows._derive_commutant(
@@ -1571,28 +1597,42 @@ class _PermRows:
 
     def take(self, idx):
         at = np.asarray(idx, dtype=np.intp)
-        return _PermRows(self._P, self.metric, self.field,
-                         at if self._at is None else self._at[at])
+        return self._like(self._P, at if self._at is None else self._at[at])
+
+    def _paired(self, other):
+        """other's image array, when other's rows have this one's power,
+        pad and degree."""
+        if (other.power, other.pad, other.k) != (self.power, self.pad,
+                                                 self.k):
+            raise ValueError("tensor rows of another power, pad or degree")
+        return other.P
 
     def mul(self, other):
         # (s t)(i) = s(t(i)), one gather from the flattened rows
         at = np.arange(len(self._P)) if self._at is None else self._at
-        return _PermRows(np.take(self._P, (at * self.k)[:, None] + other.P),
-                         self.metric, self.field)
+        return self._like(np.take(self._P, (at * self.k)[:, None]
+                                  + self._paired(other)))
 
     def inv(self):
-        return _PermRows(_inverse(self.P), self.metric, self.field)
+        return self._like(_inverse(self.P))
 
     def extreme(self, other, pick, projective=False):
         if projective and self.metric == HAMMING:
             raise TypeError("the Hamming metric has no projective form")
+        Q = self._paired(other)
+        arg = {max: np.argmax, min: np.argmin}[pick]
+        if self.power is not None:
+            values = _tensor_distances(self.k, self.pad, self.power)[
+                np.count_nonzero(self.P == Q, axis=1)]
+            r = int(arg(values))
+            return values.item(r), r
         if self.metric == RANK:
             lab, _ = _cycle_walk(other.inv().mul(self).P)
             count = self.k - np.count_nonzero(lab == np.arange(self.k),
                                               axis=1)
         else:
-            count = np.count_nonzero(self.P != other.P, axis=1)
-        r = int({max: np.argmax, min: np.argmin}[pick](count))
+            count = np.count_nonzero(self.P != Q, axis=1)
+        r = int(arg(count))
         return self._value(int(count[r])), r
 
     def max_defect_all(self, table, zero):
@@ -1622,89 +1662,20 @@ class _PermRows:
         return self._value(self.k if v[i] != v[j] else 0), (i, j)
 
 
-class _TensorRows:
-    """Rows of tensor powers (u (+) I_pad)^(tensor power) of permutation
-    unitaries u, all of one degree k, one pad (None for bare PermUnitary
-    bases, no AugmentedUnitary around them) and one power, held as the
-    rows of the u's images, Hilbert-Schmidt _PermRows ``base``. Products
-    and inverses are those of the base rows. tau of two such powers is
-    (tau_pad)^power, tau_pad the padded trace of the count c of points
-    where the u agree, so a distance depends only on c in 0..k: extreme
-    counts agreements and gathers from _tensor_distances, whose values
-    are _tau_vstar_u's and _hs's float expressions, bitwise. Values and
-    first witnesses are those of ImplicitTensorUnitary's dist and pdist,
-    ties (every pair at sqrt(2) once tau^power underflows) included."""
-
-    transitive_commutant = False
-
-    def __init__(self, base, pad, power):
-        self.base, self.pad, self.power = base, pad, power
-        # a row is the base's image row, not the k^power entries it stands
-        # for
-        self.width = base.k
-
-    def __len__(self):
-        return len(self.base)
-
-    def target(self, i):
-        u = self.base.target(i)
-        if self.pad is not None:
-            u = AugmentedUnitary(u, self.pad)
-        return ImplicitTensorUnitary(u, self.power)
-
-    def to_json(self, i):
-        u = self.base.to_json(i)
-        if self.pad is not None:
-            u = {"kind": "augmented-unitary", "inner": u, "pad": self.pad}
-        return {"kind": "tensor-implicit", "base": u, "power": self.power}
-
-    def representatives(self):
-        return [self.target(0)]
-
-    def with_kernel(self, gens):
-        return self
-
-    def _rows(self, base):
-        return _TensorRows(base, self.pad, self.power)
-
-    def take(self, idx):
-        return self._rows(self.base.take(idx))
-
-    def mul(self, other):
-        return self._rows(self.base.mul(self._paired(other)))
-
-    def inv(self):
-        return self._rows(self.base.inv())
-
-    def _paired(self, other):
-        """other's base rows, when other holds powers of this one's kind."""
-        if not isinstance(other, _TensorRows) or other.power != self.power \
-                or other.pad != self.pad or other.base.k != self.base.k:
-            raise ValueError("tensor rows of another power, pad or degree")
-        return other.base
-
-    def extreme(self, other, pick, projective=False):
-        agree = np.count_nonzero(self.base.P == self._paired(other).P,
-                                 axis=1)
-        values = _tensor_distances(self.base.k, self.pad, self.power,
-                                   projective)
-        r = int({max: np.argmax, min: np.argmin}[pick](values[agree]))
-        return values.item(agree.item(r)), r
-
-
 @functools.lru_cache(maxsize=64)
-def _tensor_distances(k, pad, power, projective):
-    """The distance (projective if asked) of two _TensorRows powers whose
-    bases agree at c points, at index c in 0..k: the float expressions of
-    _tau_vstar_u (c / k, then _padded_tau, then the power) and of
-    hs_distance or projective_hs_distance."""
+def _tensor_distances(k, pad, power):
+    """The distance of two tensor powers of _PermRows, of this pad and
+    power, whose bases agree at c points, at index c in 0..k: the float
+    expressions of _tau_vstar_u (c / k, then _padded_tau, then the power)
+    and of hs_distance. It is projective_hs_distance's too: the bases are
+    permutation unitaries, so tau >= 0 and |tau^power| is the same float
+    as its real part."""
     out = []
     for c in range(k + 1):
         t = c / k
         if pad is not None:
             t = _padded_tau(t, k, pad)
-        t = t ** power
-        out.append(_hs(abs(t) if projective else t.real))
+        out.append(_hs(t ** power))
     return _frozen(np.array(out))
 
 

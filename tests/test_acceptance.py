@@ -21,6 +21,7 @@ from groupapprox import construct as X_
 from groupapprox import groups as G_
 from groupapprox import profiles as P_
 from groupapprox import targets as T_
+from test_targets import dense_tensor
 
 Z = G_.FreeAbelian(1)
 Z2 = G_.FreeAbelian(2)
@@ -242,7 +243,7 @@ def test_08_tensor_amplification_exponent_22_with_implicit_cert():
         ub = T_.AugmentedUnitary(_rand_unitary(rng, 2), pad=2)
         ia = T_.ImplicitTensorUnitary(ua, 2)
         ib = T_.ImplicitTensorUnitary(ub, 2)
-        da, db = ia.materialize(), ib.materialize()
+        da, db = dense_tensor(ia), dense_tensor(ib)
         assert abs(ia.dist(ib) - T_.hs_distance(da, db)) < 1e-9
         assert abs(ia.pdist(ib) - T_.projective_hs_distance(da, db)) < 1e-9
     _within(t0, 30.0)

@@ -762,14 +762,14 @@ def test_tensor_word_walk_blocks_by_the_base_degree(monkeypatch, m, power):
     scalar depth-first walk, and of blocks of 1 and 5 rows."""
     h = _tensor_hom(m, power)
     assert _row_width(h) == m * m
-    extreme, calls = T_._TensorRows.extreme, []
+    extreme, calls = T_._PermRows.extreme, []
 
     def counted(self, *args, **kwargs):
         calls.append(len(self))
         return extreme(self, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(T_._TensorRows, "extreme", counted)
+        mp.setattr(T_._PermRows, "extreme", counted)
         want = json.dumps(C_.verify_W(h, 4).to_json())
     # one block per length, each measured for trivial and nontrivial words
     assert len(calls) <= 2 * 4 and sum(calls) == 160

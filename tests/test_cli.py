@@ -1167,6 +1167,69 @@ def test_from_quotient_refuses_flags_its_quotient_or_family_never_reads(
     assert "Traceback" not in err
 
 
+def _as_perm(t):
+    return {"kind": "perm", "images": t["images"]}
+
+
+def _tensor_of(base):
+    return {"kind": "tensor-implicit", "base": base, "power": 2}
+
+
+def _augmented(inner):
+    return {"kind": "augmented-unitary", "inner": inner, "pad": 1}
+
+
+@pytest.mark.parametrize("family, wrap, dimension", [
+    ("hyp-projective", lambda t: _tensor_of(_as_perm(t)),
+     {"base": 5, "power": 2}),
+    ("hyp", lambda t: _augmented(_as_perm(t)), 6),
+    ("hyp-projective", lambda t: _tensor_of(_augmented(_as_perm(t))),
+     {"base": 6, "power": 2}),
+    ("hyp-projective", lambda t: _tensor_of(_tensor_of(t)),
+     {"base": 5, "power": 2}),
+], ids=["tensor-of-perm", "augmented-perm", "tensor-of-augmented-perm",
+        "tensor-of-tensor"])
+def test_a_unitary_wrapper_around_a_non_unitary_is_usage_error(
+        tmp_path, capsys, family, wrap, dimension):
+    """An augmented unitary's inner and a tensor power's base must be
+    unitaries that the verifier can measure: a permutation there, or a
+    tensor power inside a tensor power, is refused when read."""
+    obj = X_.from_quotient(Z, G_.LatticeHNF(Z, [(5,)]), 2, "hyp").to_json()
+    obj["family"], obj["dimension"] = family, dimension
+    for a in obj["assignments"]:
+        a["target"] = wrap(a["target"])
+    path = tmp_path / "wrapped.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "must be a unitary" in err
+    assert "Traceback" not in err
+
+
+def test_verify_refuses_a_margin_that_an_exact_family_never_reads(
+        tmp_path, capsys):
+    """--margin on the command line is refused for the exact families,
+    element-level and word-level alike; a margin from --config stays a
+    default; a unitary family reads the flag."""
+    hom = ["--cert", str(_hom_path(tmp_path)), "--at-n", "2"]
+    for cert in (["--cert", str(_cyclic_path(tmp_path))], hom):
+        code, out, err = run(capsys, "verify", *cert, "--margin", "0.5")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "--margin" in err
+        assert "Traceback" not in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("margin = 0.5\n")
+    for cert in (["--cert", str(_cyclic_path(tmp_path))], hom):
+        code, out, _ = run(capsys, "--config", str(cfg), "verify", *cert)
+        assert code == 0 and json.loads(out)["margin"] == 0.0
+    hyp = tmp_path / "hyp.json"
+    hyp.write_text(X_.from_quotient(Z, G_.LatticeHNF(Z, [(7,)]), 2,
+                                    "hyp").dumps())
+    code, out, _ = run(capsys, "verify", "--cert", str(hyp), "--margin",
+                       "1e-6")
+    assert code == 0 and json.loads(out)["margin"] == 1e-6
+
+
 def test_the_parser_is_built_once_and_no_call_changes_it(
         tmp_path, monkeypatch, capsys):
     """main parses with one parser per process: a --config run leaves the

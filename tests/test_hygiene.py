@@ -14,8 +14,17 @@ the reason the library keeps it, and the list holds nothing else.
 
 No module of the package reads an underscore name of another: what a
 module keeps private (the format of target images, say) stays behind it.
+
+The traced benchmark (``perfbench/run.py --trace 1``) wraps package
+definitions by name, so a refactor of the package cannot drop a name it
+wraps or a stressor it reads.
 """
 import ast
+import importlib
+import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,10 +113,6 @@ _LIBRARY_ONLY = {
                                  "extend_by_amenable takes",
     "construct.extend_by_amenable": "builder for an extension by an "
                                     "amenable quotient, library API",
-    "groups.LatticeHNF.kernel_contains": "scalar reference for "
-                                         "kernel_witness",
-    "groups.CongruenceMod.kernel_contains": "scalar reference for "
-                                            "kernel_witness",
     "groups.index_subgroup_of_Z": "the coset data of mZ <= Z that "
                                   "induce_finite_index takes",
     "profiles.sofic_exact_oracle": "exact sofic value by backtracking, the "
@@ -123,9 +128,6 @@ _LIBRARY_ONLY = {
     "profiles.upper_curve": "pointwise minimum over builders, library API",
     "targets.block_sum": "direct sum, library API; the tests check its "
                          "weighted-average distance identities",
-    "targets.ImplicitTensorUnitary.materialize": "the dense tensor power "
-                                                 "that the tests compare "
-                                                 "the trace arithmetic with",
 }
 
 
@@ -259,3 +261,56 @@ def test_one_place_builds_a_verification_report():
     for _, tree in _trees("src"):
         visitor.visit(tree)
     assert len(visitor.calls.get("VerificationReport", [])) == 1
+
+
+def test_the_benchmark_tracer_installs():
+    """perfbench/layertrace.py wraps the targets' mul and dist by class
+    name, the CLI entry points and the certificate classes' dumps and
+    from_json; installing it in a fresh interpreter finds every one."""
+    code = ("import sys\n"
+            "sys.path[:0] = sys.argv[1:]\n"
+            "from layertrace import Tracer\n"
+            "Tracer(0).install()\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "src"),
+         str(ROOT / "perfbench")], capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def _defines(module, path):
+    """Whether the dotted ``path`` names a definition of ``module``: an
+    attribute chain from it, or a bare method name that one of its
+    classes defines (the tracer's name for that method of each)."""
+    obj = module
+    for part in path.split("."):
+        if not hasattr(obj, part):
+            break
+        obj = getattr(obj, part)
+    else:
+        return True
+    return "." not in path and any(
+        inspect.isclass(c) and c.__module__ == module.__name__
+        and path in vars(c) for c in vars(module).values())
+
+
+def _stressors():
+    """STRESSORS of perfbench/workloads.py, a literal read without running
+    the module."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["STRESSORS"])
+
+
+def test_every_benchmark_stressor_names_a_definition():
+    missing = []
+    for workload, names in _stressors().items():
+        for name in names:
+            layer, path = name.split(".", 1)
+            module = importlib.import_module(f"groupapprox.{layer}")
+            if not (Path(module.__file__).is_relative_to(ROOT / "src")
+                    and _defines(module, path)):
+                missing.append(f"{workload}: {name}")
+    assert not missing, "stressors naming no definition in src/: " \
+        + ", ".join(missing)

@@ -368,14 +368,25 @@ def test_augmented_unitary_trace():
     assert abs(T_.hs_distance(aug, ident) ** 2 - (2 - 2 * tau.real)) < 1e-12
 
 
+def dense_tensor(t):
+    """The dense matrix of the tensor power t, one np.kron per factor: the
+    reference that the trace arithmetic of ImplicitTensorUnitary is
+    compared with."""
+    base = T_.as_dense(t.base).entries
+    out = base
+    for _ in range(t.power - 1):
+        out = np.kron(out, base)
+    return T_.UnitaryMatrix(out, check=False)
+
+
 def test_tensor_implicit_matches_materialized():
     rng = random.Random(29)
     a = T_.AugmentedUnitary(T_.PermUnitary(rand_perm(rng, 2)), 2)
     b = T_.AugmentedUnitary(T_.PermUnitary(rand_perm(rng, 2)), 2)
     ta = T_.ImplicitTensorUnitary(a, 2)
     tb = T_.ImplicitTensorUnitary(b, 2)
-    dense_a = ta.materialize()
-    dense_b = tb.materialize()
+    dense_a = dense_tensor(ta)
+    dense_b = dense_tensor(tb)
     e = T_.ImplicitTensorUnitary(
         T_.AugmentedUnitary(T_.PermUnitary(T_.Permutation.identity(2)), 2), 2)
     tau = complex(np.trace(dense_a.entries)) / 16
@@ -385,7 +396,7 @@ def test_tensor_implicit_matches_materialized():
                - T_.projective_hs_distance(dense_a, dense_b)) < 1e-9
     prod = ta.mul(tb)
     dense_prod = dense_a.mul(dense_b)
-    assert np.allclose(prod.materialize().entries, dense_prod.entries)
+    assert np.allclose(dense_tensor(prod).entries, dense_prod.entries)
 
 
 def test_tensor_distance_checks_power_and_base_degree_first():
@@ -440,7 +451,7 @@ def test_tensor_rows_equal_the_scalar_tensor_targets(data):
                                max_size=6))
     images = [_tensor(p, pad, power) for p in perms]
     rows, ref = T_.batch(images), T_._ScalarRows(images)
-    assert isinstance(rows, T_._TensorRows)
+    assert isinstance(rows, T_._PermRows) and rows.power == power
     _same_rows(rows, ref)
     m = len(images)
     idx = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6))
@@ -484,10 +495,8 @@ def test_tensor_distance_table_is_the_scalar_formula_bitwise(k):
         for pad in (None, 0, 1, 3):
             for power in (1, 2, 22, 10 ** 6, _LARGEST_POWER):
                 x, y = _tensor(e, pad, power), _tensor(v, pad, power)
-                for projective in (False, True):
-                    want = x.pdist(y) if projective else x.dist(y)
-                    assert T_._tensor_distances(
-                        k, pad, power, projective)[c] == want
+                want = T_._tensor_distances(k, pad, power)[c]
+                assert x.dist(y) == x.pdist(y) == want
 
 
 @pytest.mark.parametrize("images, tensor", [
@@ -512,8 +521,61 @@ def test_tensor_rows_only_for_one_power_pad_and_degree(images, tensor):
     and keeps its JSON."""
     objs = [t.to_json() for t in images]
     for rows in (T_.batch(images), T_.rows_from_json(objs)):
-        assert isinstance(rows, T_._TensorRows if tensor else T_._ScalarRows)
+        assert isinstance(rows, T_._PermRows if tensor else T_._ScalarRows)
         assert [rows.to_json(i) for i in range(len(objs))] == objs
+
+
+@pytest.mark.parametrize("other", [
+    T_.batch([_tensor([1, 0, 2], 2, 4)]),
+    T_.batch([_tensor([1, 0, 2], 3, 3)]),
+    T_.batch([_tensor([1, 0, 2], 0, 3)]),
+    T_.batch([_tensor([1, 0, 2], None, 3)]),
+    T_.batch([_tensor([1, 0, 2, 3], 2, 3)]),
+    T_.batch([T_.PermUnitary([1, 0, 2])]),
+], ids=["another-power", "another-pad", "pad-0", "no-pad",
+        "another-degree", "plain"])
+def test_tensor_rows_pair_only_with_their_power_pad_and_degree(other):
+    """mul and extreme refuse, both ways round, rows of another power,
+    pad (a pad of 0 and none are two forms) or degree, and plain
+    permutation-unitary rows against tensor rows."""
+    rows = T_.batch([_tensor([0, 2, 1], 2, 3), _tensor([1, 0, 2], 2, 3)])
+    for a, b in ((rows, other), (other, rows)):
+        with pytest.raises(ValueError, match="tensor rows of another power, "
+                                             "pad or degree"):
+            a.mul(b)
+        for projective in (False, True):
+            with pytest.raises(ValueError, match="tensor rows of another "
+                                                 "power, pad or degree"):
+                a.extreme(b, max, projective)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda k: st.lists(
+    st.permutations(range(k)), min_size=2, max_size=6)), st.data())
+def test_unpadded_first_tensor_powers_measure_as_permutation_unitaries(
+        perms, data):
+    """Tensor rows with no pad and power 1 give the extreme values and
+    first positions of plain permutation-unitary rows, bitwise, yet write
+    tensor powers, not permutation unitaries."""
+    plain = T_.batch([T_.PermUnitary(p) for p in perms])
+    tensor = T_.batch([_tensor(p, None, 1) for p in perms])
+    assert (plain.power, tensor.power) == (None, 1)
+    m = len(perms)
+    one = [data.draw(st.integers(0, m - 1))]
+    idx = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6))
+    for pick in (max, min):
+        for projective in (False, True):
+            for pair in (lambda r: (r.take(one), r.take(idx)),
+                         lambda r: (r, r.inv())):
+                a, b = pair(plain)
+                want = a.extreme(b, pick, projective)
+                a, b = pair(tensor)
+                got = a.extreme(b, pick, projective)
+                assert got == want and type(got[0]) is float
+    for i in range(m):
+        assert plain.to_json(i)["kind"] == "perm-unitary"
+        assert tensor.to_json(i) == {"kind": "tensor-implicit",
+                                     "base": plain.to_json(i), "power": 1}
 
 
 def test_materialize_cap_guard():
