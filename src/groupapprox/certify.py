@@ -32,30 +32,6 @@ class CertificateError(ValueError):
     pass
 
 
-def _decode_common(obj):
-    """(group, received target table or None, epsilon) of a certificate
-    object: the prologue both certificate kinds decode alike. Only a fin
-    certificate carries a target_group, the table its images lie in, as
-    the writer writes it. epsilon must be a finite number > 0 and snaps to
-    its family's exact default."""
-    group = G_.group_from_descriptor(obj["group"])
-    fin_group = None
-    if "target_group" in obj:
-        if obj["family"] != "fin":
-            raise CertificateError(
-                f"a {obj['family']!r} certificate carries no target_group")
-        fin_group = T_.TableMetricGroup.from_json(obj["target_group"])
-    eps = obj["epsilon"]
-    if isinstance(eps, bool) or not isinstance(eps, (int, float)) \
-            or not 0 < eps < math.inf:
-        raise CertificateError(
-            f"epsilon must be a finite number above 0, not {eps!r}")
-    default = T_.family_epsilon(obj["family"])
-    if abs(float(default) - eps) < 1e-12:
-        eps = default
-    return group, fin_group, eps
-
-
 def _json_dimension(obj):
     """A certificate's dimension: an exact JSON int, or for tensor images
     {"base": k, "power": l} of them (targets.ImplicitTensorUnitary)."""
@@ -93,38 +69,42 @@ DEFAULT_WORD_CAP = 10 ** 6
 # the report note of a verification that took the commutant kernel
 COMMUTANT_NOTE = "commutant kernel (exact moved-point counts)"
 
-_UNITARY_TYPES = (T_.UnitaryMatrix, T_.PermUnitary, T_.AugmentedUnitary,
-                  T_.ImplicitTensorUnitary)
+# A family of approximations: its default separation, the target kinds
+# its certificates admit (a kind outside them would be measured in the
+# wrong metric), whether it is decided exactly (all but the unitary ones,
+# measured in floats) and whether condition (2) reads the projective
+# metric. Every verification path reads these here and nowhere else.
+Family = collections.namedtuple(
+    "Family", ("epsilon", "kinds", "exact", "projective"))
 
-# the target kinds each family admits: the verifier measures a target with
-# its own metric, so a kind outside its family would be checked in the
-# wrong metric
-_FAMILY_TYPES = {
-    "sofic": (T_.Permutation, T_.CyclicPerm, T_.PermWreathElement),
-    "hyp": _UNITARY_TYPES,
-    "hyp-projective": _UNITARY_TYPES,
-    "lin": (T_.RankMatrix,),
-    "lin-projective": (T_.RankMatrix,),
-    "fin": (T_.FiniteGroupElement,),
-}
-
-# a family admits only exact kinds or only unitaries, measured in floats
-_EXACT_FAMILIES = {family for family, kinds in _FAMILY_TYPES.items()
-                   if kinds is not _UNITARY_TYPES}
+FAMILIES = MappingProxyType({
+    "sofic": Family(Fraction(1), (T_.Permutation, T_.CyclicPerm,
+                                  T_.PermWreathElement), True, False),
+    "hyp": Family(math.sqrt(2.0), (T_.UnitaryMatrix, T_.PermUnitary,
+                                   T_.AugmentedUnitary,
+                                   T_.ImplicitTensorUnitary), False, False),
+    "hyp-projective": Family(math.sqrt(2.0), (
+        T_.UnitaryMatrix, T_.PermUnitary, T_.AugmentedUnitary,
+        T_.ImplicitTensorUnitary), False, True),
+    "lin": Family(Fraction(1, 4), (T_.RankMatrix,), True, False),
+    "lin-projective": Family(Fraction(1, 8), (T_.RankMatrix,), True, True),
+    "fin": Family(Fraction(1), (T_.FiniteGroupElement,), True, False),
+})
 
 
-def reads_margin(family):
-    """Whether verifying a certificate of ``family`` reads a margin: only
-    the unitary families are decided in floats; the others are exact."""
-    return family not in _EXACT_FAMILIES
+def family_record(name):
+    """The FAMILIES record of ``name``, named exactly: the name selects
+    the metric the verifier uses, so no variant spelling passes;
+    CertificateError for any other name."""
+    if not isinstance(name, str) or name not in FAMILIES:
+        raise CertificateError(f"unknown family {name!r}")
+    return FAMILIES[name]
 
 
 def _require_family_kinds(family, targets):
     """Raise CertificateError unless the family is known and every target
     (every bell of a sofic wreath element too) is of one of its kinds."""
-    kinds = _FAMILY_TYPES.get(family)
-    if kinds is None:
-        raise CertificateError(f"unknown family {family!r}")
+    kinds = family_record(family).kinds
     for el in targets:
         if not isinstance(el, kinds):
             raise CertificateError(
@@ -165,11 +145,6 @@ def _target_group(targets):
     return found.pop() if found else None
 
 
-def _table_group(group):
-    """The table group among the results of _target_group, else None."""
-    return group if isinstance(group, T_.TableMetricGroup) else None
-
-
 def target_identity_like(el):
     """Identity element of the target group el lives in."""
     if isinstance(el, T_.Permutation):
@@ -195,49 +170,36 @@ def target_identity_like(el):
     raise TypeError(f"unknown target element {el!r}")
 
 
-class ApproxCertificate:
-    """A finite map from B(n) into one target group, the unit of exchange.
+class _Certificate:
+    """What both certificate kinds share: ``group``; ``family``, a name of
+    FAMILIES whose kinds every image is of; ``epsilon``, the family's
+    default unless given; ``fin_group``, the table group the images lie in
+    or None; ``dimension``, the images' own unless given; ``provenance``;
+    the JSON fields of both and the one from_json. ``family``,
+    ``epsilon``, ``dimension`` and ``fin_group`` are read-only."""
 
-    The images are read-only targets.batch rows, one per element of B(n)
-    (``ball``) in ball order: one int32 image array for permutations,
-    permutation unitaries and permutation matrices, one int64 index array
-    for elements of a table group, the target objects otherwise. ``rows``
-    gives the rows, ``target(p)`` builds the object of one image when
-    asked and ``assignments`` is a read-only mapping view. The image and
-    index arrays, the tuple of target objects, a dense unitary's entries
-    and a table group's fields are read-only, so the images of a
-    permutation, unitary or table certificate cannot be written in place
-    once built. The images lie in one target group (one degree, field,
-    size or wreath shape; one table group), or CertificateError.
-    ``family``, ``epsilon``, ``dimension`` and ``fin_group``, the table
-    group of the images or None, are read-only too."""
-
-    def __init__(self, group, n, family, assignments, epsilon=None,
-                 dimension=None, provenance=None):
-        """``assignments`` maps each element of B(n) to its target, or is
-        the rows of those targets in ball order (targets.batch or
-        targets.rows_from_array). An element of B(n) without a target, or
-        one outside B(n), raises CertificateError."""
+    def __init__(self, group, family, targets, epsilon, dimension,
+                 provenance):
+        """``targets``: a nonempty list holding the images, each kind and
+        size among them at least once."""
         self.group = group
-        self.n = int(n)
         self._family = family
-        self._ball = B = G_.ball(group, self.n)
-        if isinstance(assignments, Mapping):
-            assignments = T_.batch(_in_ball_order(B, assignments))
-        if len(assignments) != len(B):
-            raise CertificateError(
-                f"{len(assignments)} rows for the {len(B)} elements of "
-                f"B({self.n})")
-        self._rows = assignments
-        reps = assignments.representatives()
-        _require_family_kinds(family, reps)
-        self._epsilon = T_.family_epsilon(family) if epsilon is None \
+        _require_family_kinds(family, targets)
+        self._epsilon = family_record(family).epsilon if epsilon is None \
             else epsilon
-        self._fin_group = _table_group(_target_group(reps))
+        found = _target_group(targets)
+        self._fin_group = found if isinstance(found, T_.TableMetricGroup) \
+            else None
         self.provenance = provenance or {}
-        self._dimension = reps[0].dim if dimension is None else dimension
-        if reps[0].dim != self._dimension:
-            raise CertificateError("assignments disagree on dimension")
+        self._dimension = targets[0].dim if dimension is None else dimension
+        if targets[0].dim != self._dimension:
+            raise CertificateError("images disagree on dimension")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each kind holds the one from_json in its own namespace, where
+        # perfbench/layertrace.py times the decoding of each kind
+        cls.from_json = vars(_Certificate)["from_json"]
 
     @property
     def family(self):
@@ -254,6 +216,83 @@ class ApproxCertificate:
     @property
     def fin_group(self):
         return self._fin_group
+
+    def _header(self):
+        """The JSON fields of both kinds; each adds its images."""
+        obj = {"group": self.group.descriptor(), "family": self.family,
+               "epsilon": float(self.epsilon), "dimension": self.dimension}
+        if self.fin_group is not None:
+            obj["target_group"] = self.fin_group.to_json()
+        if self.provenance:
+            obj["provenance"] = self.provenance
+        return obj
+
+    @classmethod
+    def from_json(cls, obj):
+        """Decode a certificate; malformed input raises CertificateError."""
+        return decoded(cls._decode, obj)
+
+    @classmethod
+    def _decode(cls, obj):
+        """The prologue both kinds decode alike, then the kind's images
+        (_decode_images). Only a family of table elements carries a
+        target_group, the table its images lie in, as the writer writes
+        it. epsilon must be a finite number > 0 and snaps to its family's
+        exact default."""
+        group = G_.group_from_descriptor(obj["group"])
+        record = family_record(obj["family"])
+        fin_group = None
+        if "target_group" in obj:
+            if T_.FiniteGroupElement not in record.kinds:
+                raise CertificateError(
+                    f"a {obj['family']!r} certificate carries no "
+                    f"target_group")
+            fin_group = T_.TableMetricGroup.from_json(obj["target_group"])
+        eps = obj["epsilon"]
+        if isinstance(eps, bool) or not isinstance(eps, (int, float)) \
+                or not 0 < eps < math.inf:
+            raise CertificateError(
+                f"epsilon must be a finite number above 0, not {eps!r}")
+        if abs(float(record.epsilon) - eps) < 1e-12:
+            eps = record.epsilon
+        return cls._decode_images(
+            obj, group, fin_group, family=obj["family"], epsilon=eps,
+            dimension=_json_dimension(obj),
+            provenance=obj.get("provenance"))
+
+
+class ApproxCertificate(_Certificate):
+    """A finite map from B(n) into one target group, the unit of exchange.
+
+    The images are read-only targets.batch rows, one per element of B(n)
+    (``ball``) in ball order: one int32 image array for permutations,
+    permutation unitaries and permutation matrices, one int64 index array
+    for elements of a table group, the target objects otherwise. ``rows``
+    gives the rows, ``target(p)`` builds the object of one image when
+    asked and ``assignments`` is a read-only mapping view. The image and
+    index arrays, the tuple of target objects, a dense unitary's entries
+    and a table group's fields are read-only, so the images of a
+    permutation, unitary or table certificate cannot be written in place
+    once built. The images lie in one target group (one degree, field,
+    size or wreath shape; one table group), or CertificateError."""
+
+    def __init__(self, group, n, family, assignments, epsilon=None,
+                 dimension=None, provenance=None):
+        """``assignments`` maps each element of B(n) to its target, or is
+        the rows of those targets in ball order (targets.batch or
+        targets.rows_from_array). An element of B(n) without a target, or
+        one outside B(n), raises CertificateError."""
+        self.n = int(n)
+        self._ball = B = G_.ball(group, self.n)
+        if isinstance(assignments, Mapping):
+            assignments = T_.batch(_in_ball_order(B, assignments))
+        if len(assignments) != len(B):
+            raise CertificateError(
+                f"{len(assignments)} rows for the {len(B)} elements of "
+                f"B({self.n})")
+        self._rows = assignments
+        super().__init__(group, family, assignments.representatives(),
+                         epsilon, dimension, provenance)
 
     @property
     def ball(self):
@@ -279,21 +318,12 @@ class ApproxCertificate:
 
     def to_json(self):
         """The certificate as a JSON object."""
-        obj = {
-            "group": self.group.descriptor(),
-            "family": self.family,
-            "epsilon": float(self.epsilon),
-            "n": self.n,
-            "dimension": self.dimension,
-        }
-        if self.fin_group is not None:
-            obj["target_group"] = self.fin_group.to_json()
+        obj = self._header()
+        obj["n"] = self.n
         fmt, rows = self.group.fmt, self._rows
         obj["assignments"] = [
             {"element": fmt(p), "target": rows.to_json(i)}
             for i, p in enumerate(self.ball)]
-        if self.provenance:
-            obj["provenance"] = self.provenance
         return obj
 
     def dumps(self):
@@ -303,13 +333,7 @@ class ApproxCertificate:
         return buf.getvalue()
 
     @classmethod
-    def from_json(cls, obj):
-        """Decode a certificate; malformed input raises CertificateError."""
-        return decoded(cls._decode, obj)
-
-    @classmethod
-    def _decode(cls, obj):
-        group, fin_group, eps = _decode_common(obj)
+    def _decode_images(cls, obj, group, fin_group, **header):
         B = G_.ball(group, T_.json_int(obj, "n"))
         if not obj["assignments"]:
             raise CertificateError("certificate has no assignments")
@@ -324,9 +348,7 @@ class ApproxCertificate:
             targets[p] = item["target"]
         rows = T_.rows_from_json(_in_ball_order(B, targets),
                                  fin_group=fin_group)
-        return cls(group, obj["n"], obj["family"], rows, epsilon=eps,
-                   dimension=_json_dimension(obj),
-                   provenance=obj.get("provenance"))
+        return cls(group, obj["n"], assignments=rows, **header)
 
     @classmethod
     def loads(cls, text):
@@ -369,27 +391,16 @@ class _Assignments(Mapping):
         return len(self._cert.ball)
 
 
-class HomCertificate:
+class HomCertificate(_Certificate):
     """Homomorphism F_X -> target, given on the generators of a catalog
-    group, its images in one target group as in ApproxCertificate;
-    ``family``, ``epsilon``, ``dimension`` and ``fin_group``, the table
-    group of the images or None, are read-only."""
+    group, its images in one target group as in ApproxCertificate."""
 
     def __init__(self, group, images, family, relators=None, epsilon=None,
                  dimension=None, provenance=None):
-        self.group = group
         self.images = dict(images)  # generator label -> target element
-        self._family = family
-        _require_family_kinds(family, self.images.values())
+        super().__init__(group, family, list(self.images.values()),
+                         epsilon, dimension, provenance)
         self.relators = [tuple(r) for r in (relators or [])]
-        self._epsilon = T_.family_epsilon(family) if epsilon is None \
-            else epsilon
-        self._fin_group = _table_group(_target_group(self.images.values()))
-        self.provenance = provenance or {}
-        first = next(iter(self.images.values()))
-        self._dimension = first.dim if dimension is None else dimension
-        if first.dim != self._dimension:
-            raise CertificateError("images disagree on dimension")
         # close under formal inverses: a label without an image takes the
         # inverse of the image of a given label whose payload is its inverse
         given, gens = dict(self.images), group.generators()
@@ -403,11 +414,6 @@ class HomCertificate:
         # read-only once closed, like an ApproxCertificate's images
         self.images = MappingProxyType(self.images)
 
-    family = ApproxCertificate.family
-    epsilon = ApproxCertificate.epsilon
-    dimension = ApproxCertificate.dimension
-    fin_group = ApproxCertificate.fin_group
-
     def image_of_word(self, labels):
         out = None
         for lab in labels:
@@ -419,29 +425,14 @@ class HomCertificate:
         return out
 
     def to_json(self):
-        obj = {
-            "group": self.group.descriptor(),
-            "family": self.family,
-            "epsilon": float(self.epsilon),
-            "dimension": self.dimension,
-            "images": [{"generator": lab, "target": el.to_json()}
-                       for lab, el in sorted(self.images.items())],
-            "relators": [list(r) for r in self.relators],
-        }
-        if self.fin_group is not None:
-            obj["target_group"] = self.fin_group.to_json()
-        if self.provenance:
-            obj["provenance"] = self.provenance
+        obj = self._header()
+        obj["images"] = [{"generator": lab, "target": el.to_json()}
+                         for lab, el in sorted(self.images.items())]
+        obj["relators"] = [list(r) for r in self.relators]
         return obj
 
     @classmethod
-    def from_json(cls, obj):
-        """Decode a certificate; malformed input raises CertificateError."""
-        return decoded(cls._decode, obj)
-
-    @classmethod
-    def _decode(cls, obj):
-        group, fin_group, eps = _decode_common(obj)
+    def _decode_images(cls, obj, group, fin_group, **header):
         labels = {lab for lab, _ in group.generators()}
         if not obj["images"]:
             raise CertificateError("certificate has no images")
@@ -458,9 +449,7 @@ class HomCertificate:
             if not labels.issuperset(r):
                 raise CertificateError(
                     f"relator {list(r)} uses a label the group lacks")
-        return cls(group, images, obj["family"], relators=relators,
-                   epsilon=eps, dimension=_json_dimension(obj),
-                   provenance=obj.get("provenance"))
+        return cls(group, images, relators=relators, **header)
 
 
 def _inverse_label_map(group):
@@ -655,22 +644,23 @@ def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None):
     if at_n is not None and at_n > cert.n:
         raise CertificateError("cannot verify above the certificate's n")
     B = cert.ball if n == cert.n else G_.ball(cert.group, n)
-    exact = cert.family in _EXACT_FAMILIES
-    m = _translation_kernel(cert, B, n) or _sweeps(cert, B, exact)
-    return _report(m, n, cert.epsilon, exact, margin,
+    family = family_record(cert.family)
+    m = _translation_kernel(cert, B, n) or _sweeps(cert, B, family)
+    return _report(m, n, cert.epsilon, family.exact, margin,
                    lambda slots: [cert.group.fmt(B.elements[s])
                                   for s in slots])
 
 
-def _sweeps(cert, B, exact):
-    """The commutant kernel, or the row sweep where it does not apply."""
+def _sweeps(cert, B, family):
+    """The commutant kernel, or the row sweep where it does not apply,
+    condition (2) in the metric of the FAMILIES record ``family``."""
     rows = _rows_on(cert, B)
     worst_def, def_slots, pairs = _defect_sweep(
-        B, rows, Fraction(0) if exact else 0.0)
+        B, rows, Fraction(0) if family.exact else 0.0)
     worst_sep, sep_slots = rows.min_dist_all() if rows.transitive_commutant \
-        else _separation_rows(
-            rows, cert.family in ("hyp-projective", "lin-projective"))
-    notes = ["exact arithmetic" if exact else "floating metric, margin applied"]
+        else _separation_rows(rows, family.projective)
+    notes = ["exact arithmetic" if family.exact
+             else "floating metric, margin applied"]
     if rows.transitive_commutant:
         notes.append(COMMUTANT_NOTE)
     return _Measure(worst_def, def_slots, pairs, worst_sep, sep_slots,
@@ -714,7 +704,8 @@ def _letters(group):
 def verify_W(h, n, cap=DEFAULT_WORD_CAP, margin=DEFAULT_FLOAT_MARGIN):
     """Enumerate reduced words of length <= n in the free group on the
     generators; words trivial in G must land < 1/n from the identity,
-    nontrivial words must stay > eps - 1/n away."""
+    nontrivial words must stay > eps - 1/n away, in the projective metric
+    for a projective family."""
     return _verify_words(h, n, cap, margin, relator_mode=False)
 
 
@@ -744,7 +735,8 @@ def _verify_words(h, n, cap, margin, relator_mode):
     R = T_.batch([target_identity_like(first)]
                  + [h.images[lab] for lab, _, _ in letters])
     ident = R.take([0])
-    exact = h.family in _EXACT_FAMILIES
+    family = family_record(h.family)
+    exact = family.exact
     eps = h.epsilon
     e_g = grp.identity()
     # the root has nl children and every other word nl - 1
@@ -759,7 +751,10 @@ def _verify_words(h, n, cap, margin, relator_mode):
     # trivial and nontrivial words: [extreme, the key of its word]
     best = {True: [Fraction(0) if exact else 0.0, None],
             False: [None, None]}
-    kinds = ((False, min),) if relator_mode else ((True, max), (False, min))
+    # each kind of word with its extreme and whether it is measured
+    # projectively: as in verify_D, condition (2) of a projective family
+    separate = (False, min, family.projective)
+    kinds = (separate,) if relator_mode else ((True, max, False), separate)
     inverse = np.array([i for _, _, i in letters])
     down = np.arange(len(letters))[::-1]
     # a block holds about G_.BLOCK entries of R's rows
@@ -769,11 +764,11 @@ def _verify_words(h, n, cap, margin, relator_mode):
         W, gs, T = stack.pop()
         if W.shape[1]:
             trivial = np.array([g == e_g for g in gs])
-            for kind, pick in kinds:
+            for kind, pick, projective in kinds:
                 rows = np.flatnonzero(trivial == kind)
                 if not len(rows):
                     continue
-                d, r = T.take(rows).extreme(ident, pick)
+                d, r = T.take(rows).extreme(ident, pick, projective)
                 key = tuple((-W[rows[r]]).tolist())
                 value, old = best[kind]
                 if value is None or (d != value and pick(d, value) == d) \
@@ -939,7 +934,7 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
     """
     import random
     B = cert.ball
-    exact = cert.family in _EXACT_FAMILIES
+    exact = family_record(cert.family).exact
     X = _rows_on(cert, B)
     eps0, _, _ = _defect_sweep(B, X, Fraction(0) if exact else 0.0)
     if exact:

@@ -163,6 +163,8 @@ def _group(text):
         return G_.parse_group(text)
     except ValueError as e:
         raise UsageError(str(e))
+    except (KeyError, TypeError) as e:
+        raise UsageError(f"malformed group descriptor {text!r}: {e!r}")
 
 
 def _load_json(path):
@@ -184,6 +186,16 @@ def load_certificate(path):
     if "images" in obj:
         return C_.HomCertificate.from_json(obj)
     raise UsageError(f"{path} is not a recognized certificate")
+
+
+def _ball_certificate(path, method):
+    """The element-level certificate at path; UsageError naming
+    ``method``, which reads a certificate's ball, for a word-level one."""
+    cert = load_certificate(path)
+    if isinstance(cert, C_.HomCertificate):
+        raise UsageError(f"method {method} needs an element-level "
+                         f"certificate, and {path} is word-level")
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +296,16 @@ def _build(args):
     if m == "exact-finite":
         return X_.exact_finite(_group(args.group), args.n, args.family)
     if m == "direct-product":
-        return X_.direct_product(load_certificate(args.input),
-                                 load_certificate(args.input2))
+        return X_.direct_product(_ball_certificate(args.input, m),
+                                 _ball_certificate(args.input2, m))
     if m == "perm-to-hyp":
-        return X_.perm_to_hyp(load_certificate(args.input), args.n)
+        return X_.perm_to_hyp(_ball_certificate(args.input, m), args.n)
     if m == "perm-to-lin":
-        return X_.perm_to_lin(load_certificate(args.input),
+        return X_.perm_to_lin(_ball_certificate(args.input, m),
                               field=_field_from_label(args.field))
     if m == "amplify":
-        return X_.amplify_projective(load_certificate(args.input), args.n)
+        return X_.amplify_projective(_ball_certificate(args.input, m),
+                                     args.n)
     # folner-to-sofic
     w = X_.witness_from_json(_load_json(args.witness))
     return X_.folner_to_sofic(w, args.n)
@@ -317,7 +330,7 @@ def cmd_verify(args):
     try:
         cert = load_certificate(args.cert)
         # a --margin from a config file is a default, not a request
-        if "margin" in args.given and not C_.reads_margin(cert.family):
+        if "margin" in args.given and C_.family_record(cert.family).exact:
             raise UsageError(f"verify decides a {cert.family} certificate "
                              f"exactly and does not read --margin")
         if isinstance(cert, C_.HomCertificate):
@@ -402,6 +415,9 @@ def cmd_profile(args):
             except ValueError:
                 raise UsageError(
                     f"bad slope window {args.slope_window!r} (use LO,HI)")
+            if lo > hi:
+                raise UsageError(f"bad slope window {args.slope_window!r}: "
+                                 f"LO above HI")
             out["fit"] = curve.fit_slope((lo, hi))
         _write_json(out, args.out)
     else:

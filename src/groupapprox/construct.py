@@ -199,7 +199,7 @@ def from_quotient(G, Q, n, family="sofic", field=None):
         G, n, family, rows,
         provenance=_trace("from_quotient",
                           {"quotient": Q.descriptor(), "family": family},
-                          n, float(T_.family_epsilon(family)), Q.index))
+                          n, C_.family_record(family).epsilon, Q.index))
     return _check(cert)
 
 
@@ -370,7 +370,7 @@ def perm_to_hyp(c, n):
     cert = C_.ApproxCertificate(
         c.group, n, "hyp", assignments,
         provenance=_trace("perm_to_hyp", {"input_n": c.n}, n,
-                          float(T_.SQRT2), c.dimension,
+                          C_.FAMILIES["hyp"].epsilon, c.dimension,
                           inputs=[c.provenance]))
     return _check(cert)
 
@@ -387,7 +387,8 @@ def perm_to_lin(c, field=None):
         c.group, c.n, "lin", rows,
         provenance=_trace("perm_to_lin",
                           {"input_n": c.n, "field": fld.descriptor()},
-                          c.n, 0.25, c.dimension, inputs=[c.provenance]))
+                          c.n, C_.FAMILIES["lin"].epsilon, c.dimension,
+                          inputs=[c.provenance]))
     return _check(cert)
 
 
@@ -426,7 +427,8 @@ def amplify_projective(c, n):
         provenance=_trace("amplify_projective",
                           {"input_n": c.n, "pad": k, "power": ell,
                            "delta": delta},
-                          n, float(T_.SQRT2), {"base": 2 * k, "power": ell},
+                          n, C_.FAMILIES["hyp-projective"].epsilon,
+                          {"base": 2 * k, "power": ell},
                           inputs=[c.provenance]))
     return _check(cert)
 

@@ -279,13 +279,18 @@ def folner_search(G, n, strategy="balls", r_max=None, size_max=None):
     exhaustive: true minimum size over normalized subsets (certifies
     exactness for Z when the window covers all gap-bounded optimal sets);
     balls: A = B(r) for growing r; boxes: integer boxes in Z^d.
+    r_max and size_max, where given, are at least 1; balls without r_max
+    grows r up to 20.
     """
     if n < 1:
         raise ValueError("Folner condition needs n >= 1")
+    for name, value in (("r_max", r_max), ("size_max", size_max)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, not {value}")
     if strategy == "exhaustive":
         return _folner_exhaustive(G, n, r_max, size_max)
     if strategy == "balls":
-        return _folner_balls(G, n, r_max or 20)
+        return _folner_balls(G, n, 20 if r_max is None else r_max)
     if strategy == "boxes":
         return _folner_boxes(G, n)
     raise ValueError(f"unknown strategy {strategy!r}")

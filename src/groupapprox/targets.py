@@ -28,27 +28,6 @@ import numpy as np
 
 from . import groups as G_
 
-SQRT2 = math.sqrt(2.0)
-
-# default separation parameter per family
-FAMILY_EPSILON = {
-    "sofic": Fraction(1),
-    "hyp": SQRT2,
-    "hyp-projective": SQRT2,
-    "lin": Fraction(1, 4),
-    "lin-projective": Fraction(1, 8),
-    "fin": Fraction(1),
-}
-
-
-def family_epsilon(family):
-    """Default separation of a family, named exactly: the family string
-    selects the metric the verifier uses, so no variant spelling passes."""
-    if family not in FAMILY_EPSILON:
-        raise ValueError(f"unknown family {family!r}")
-    return FAMILY_EPSILON[family]
-
-
 # ---------------------------------------------------------------------------
 # permutations
 

@@ -206,8 +206,8 @@ def _reference_verify(cert):
     B = G_.ball(grp, cert.n)
     els = B.elements
     imgs = [cert.assignments[p] for p in els]
-    exact = cert.family in C_._EXACT_FAMILIES
-    projective = cert.family in ("hyp-projective", "lin-projective")
+    exact = C_.FAMILIES[cert.family].exact
+    projective = C_.FAMILIES[cert.family].projective
     defect, def_wit, pairs = (Fraction(0) if exact else 0.0), None, 0
     for i, g in enumerate(els):
         for j, h in enumerate(els):
@@ -588,7 +588,8 @@ def _dfs_verify_words(h, n, cap, margin, relator_mode):
     grp = h.group
     letters = C_._letters(grp)
     e_t = C_.target_identity_like(next(iter(h.images.values())))
-    exact = h.family in C_._EXACT_FAMILIES
+    exact = C_.FAMILIES[h.family].exact
+    projective = C_.FAMILIES[h.family].projective
     eps = h.epsilon
     e_g = grp.identity()
     worst_triv, triv_wit = (Fraction(0) if exact else 0.0), None
@@ -607,7 +608,7 @@ def _dfs_verify_words(h, n, cap, margin, relator_mode):
                     if d > worst_triv:
                         worst_triv, triv_wit = d, " ".join(word)
             else:
-                d = t.dist(e_t)
+                d = t.pdist(e_t) if projective else t.dist(e_t)
                 if worst_sep is None or d < worst_sep:
                     worst_sep, sep_wit = d, " ".join(word)
         if len(word) < n:
@@ -880,6 +881,82 @@ def test_W_from_D_needs_large_radius():
 
 
 # ---------------------------------------------------------------------------
+# the family table
+
+def test_family_epsilon_values():
+    assert C_.FAMILIES["sofic"].epsilon == 1
+    assert C_.FAMILIES["lin"].epsilon == Fraction(1, 4)
+    assert C_.FAMILIES["lin-projective"].epsilon == Fraction(1, 8)
+    assert C_.FAMILIES["hyp"].epsilon == math.sqrt(2)
+    assert C_.FAMILIES["fin"].epsilon == 1
+    with pytest.raises(C_.CertificateError):
+        C_.family_record("mystery")
+
+
+# the image of x1 on Z: a scalar multiple of the identity (i and 2), so
+# that every nontrivial word is projectively at 0 and plainly away from it
+_SCALAR_UNITARY = T_.UnitaryMatrix(np.array([[1j]]))
+_SCALAR_RANK = T_.RankMatrix([[2, 0], [0, 2]], T_.FieldQ())
+
+# each family: its epsilon, whether it is exact, and the image of x1 on Z;
+# the projective families, and their plain twins, take a scalar image,
+# whose nontrivial words are at another plain than projective distance
+_FAMILY_CASES = {
+    "sofic": (1, True, T_.CyclicPerm(5, 2)),
+    "hyp": (math.sqrt(2), False, _SCALAR_UNITARY),
+    "hyp-projective": (math.sqrt(2), False, _SCALAR_UNITARY),
+    "lin": (Fraction(1, 4), True, _SCALAR_RANK),
+    "lin-projective": (Fraction(1, 8), True, _SCALAR_RANK),
+    "fin": (1, True, T_.trivial_metric_group(G_.FiniteCyclic(5)).element(2)),
+}
+
+
+@pytest.mark.parametrize("family", C_.FAMILIES)
+def test_the_word_walk_measures_each_family_as_its_record_says(family):
+    """Each FAMILIES record's epsilon and exactness, and verify_W's
+    separation, the least distance of a nontrivial word's image from the
+    identity, measured by scalar pdist for a projective family and dist
+    otherwise. A family without a case fails here."""
+    epsilon, exact, image = _FAMILY_CASES[family]
+    record = C_.FAMILIES[family]
+    assert (record.epsilon, record.exact) == (epsilon, exact)
+    h = C_.HomCertificate(Z, {"x1": image}, family)
+    n = 3
+    e_t = C_.target_identity_like(image)
+    words = [(lab,) * j for lab in ("x1", "x1^-1") for j in range(1, n + 1)]
+    measure = (lambda t: t.pdist(e_t)) if record.projective \
+        else (lambda t: t.dist(e_t))
+    want = min(measure(h.image_of_word(w)) for w in words)
+    assert C_.verify_W(h, n).separation == want
+    if record.projective:
+        assert want == 0 < min(h.image_of_word(w).dist(e_t) for w in words)
+
+
+# x1 of Z to a scalar, projectively the identity: (family, image, n,
+# epsilon); condition (2) fails projectively and holds plainly
+_PROJECTIVE_SCALARS = {
+    "lin-projective": ("lin-projective", _SCALAR_RANK, 4, 0.5),
+    "hyp-projective": ("hyp-projective", _SCALAR_UNITARY, 1, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", _PROJECTIVE_SCALARS)
+def test_word_and_ball_verifiers_agree_on_projective_scalars(case):
+    """verify_W measures condition (2) of a projective family in the
+    projective metric, as verify_D does: both fail the same map with
+    separation 0."""
+    family, image, n, epsilon = _PROJECTIVE_SCALARS[case]
+    h = C_.HomCertificate(Z, {"x1": image}, family, epsilon=epsilon)
+    c = C_.ApproxCertificate(
+        Z, n, family, {p: h.image_of_word(("x1",) * p[0] if p[0] >= 0
+                                          else ("x1^-1",) * -p[0])
+                       for p in G_.ball(Z, n)}, epsilon=epsilon)
+    for rep in (C_.verify_W(h, n), C_.verify_R(h, n), C_.verify_D(c)):
+        assert rep.failed == ("separation",)
+        assert rep.separation == 0
+
+
+# ---------------------------------------------------------------------------
 # approximate-homomorphism lemma suite
 
 def test_lemma_suite_reads_group_products_from_the_ball(monkeypatch):
@@ -943,7 +1020,7 @@ def _scalar_lemma_suite(cert, max_len, samples, seed):
     grp = cert.group
     B = G_.ball(grp, cert.n)
     targets = cert.assignments
-    exact = cert.family in C_._EXACT_FAMILIES
+    exact = C_.FAMILIES[cert.family].exact
     e_t = C_.target_identity_like(next(iter(targets.values())))
     e_g = grp.identity()
     eps0 = (Fraction(0) if exact else 0.0)

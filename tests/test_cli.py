@@ -935,6 +935,24 @@ _BAD_INPUT = {
             t, G_.FreeAbelian(2), {"x1": T_.CyclicPerm(7, 1),
                                    "x2": T_.CyclicPerm(7, 2)},
             {"x2", "x2^-1"})), "--at-n", "2"],
+    "group-descriptor-without-its-size": lambda t: [
+        "ball", "--group", '{"kind":"FreeAbelian"}', "--n", "1"],
+    "group-descriptor-not-an-object": lambda t: [
+        "ball", "--group", "[1]", "--n", "1"],
+    "group-descriptor-factors-not-groups": lambda t: [
+        "ball", "--group",
+        '{"kind":"DirectProduct","params":{"left":1,"right":2}}', "--n", "1"],
+    "folner-zero-r-max": lambda t: [
+        "folner", "--group", "Z", "--n", "1", "--r-max", "0"],
+    "folner-exhaustive-zero-size-max": lambda t: [
+        "folner", "--group", "Z", "--n", "1", "--strategy", "exhaustive",
+        "--r-max", "3", "--size-max", "0"],
+    "folner-exhaustive-negative-r-max": lambda t: [
+        "folner", "--group", "Z", "--n", "1", "--strategy", "exhaustive",
+        "--r-max", "-1", "--size-max", "3"],
+    "slope-window-low-above-high": lambda t: [
+        "profile", "--group", "Z", "--family", "sofic", "--n", "1..5",
+        "--format", "json", "--slope-window", "5,1"],
 }
 
 
@@ -1228,6 +1246,52 @@ def test_verify_refuses_a_margin_that_an_exact_family_never_reads(
     code, out, _ = run(capsys, "verify", "--cert", str(hyp), "--margin",
                        "1e-6")
     assert code == 0 and json.loads(out)["margin"] == 1e-6
+
+
+# each construct method that reads a certificate's ball: the argv of it on
+# the word-level certificate at ``path``, which it refuses
+_BALL_METHODS = {
+    "direct-product": lambda path: ["--input", path, "--input2", path],
+    "perm-to-hyp": lambda path: ["--input", path, "--n", "1"],
+    "perm-to-lin": lambda path: ["--input", path],
+    "amplify": lambda path: ["--input", path, "--n", "8"],
+}
+
+
+@pytest.mark.parametrize("method", _BALL_METHODS)
+def test_a_word_level_input_to_a_ball_method_is_usage_error(
+        tmp_path, capsys, method):
+    """Each method reads its input's ball, which a word-level certificate
+    lacks; sofic images, and hyp ones for amplify, which reads those."""
+    family = "hyp" if method == "amplify" else "sofic"
+    image = T_.CyclicPerm(7, 1)
+    h = C_.HomCertificate(Z, {"x1": T_.PermUnitary(image.images)
+                              if family == "hyp" else image}, family)
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(h.to_json()))
+    code, out, err = run(capsys, "construct", "--method", method,
+                         *_BALL_METHODS[method](str(path)))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: method {method} ")
+    assert "word-level" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("family, image, n, epsilon", [
+    ("lin-projective", T_.RankMatrix([[2, 0], [0, 2]], T_.FieldQ()), 4, 0.5),
+    ("hyp-projective", T_.UnitaryMatrix(np.array([[1j]])), 1, 1.0)])
+def test_verify_fails_a_word_certificate_projectively_at_the_identity(
+        tmp_path, capsys, family, image, n, epsilon):
+    """x1 of Z to a scalar, projectively the identity: verify reads
+    condition (2) of a projective family in the projective metric at word
+    level too, and exits 2 at separation 0."""
+    h = C_.HomCertificate(Z, {"x1": image}, family, epsilon=epsilon)
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(h.to_json()))
+    code, out, err = run(capsys, "verify", "--cert", str(path), "--at-n",
+                         str(n))
+    assert code == 2
+    assert json.loads(out)["separation"] == 0
+    assert "condition (2) fails" in err
 
 
 def test_the_parser_is_built_once_and_no_call_changes_it(

@@ -263,6 +263,33 @@ def test_one_place_builds_a_verification_report():
     assert len(visitor.calls.get("VerificationReport", [])) == 1
 
 
+def _family_name_lines(path, names):
+    """The lines of path's string literals that spell one of ``names``,
+    outside the module-level assignment to FAMILIES."""
+    tree = ast.parse(path.read_text())
+    table = {id(node) for stmt in tree.body
+             if isinstance(stmt, ast.Assign)
+             and [getattr(t, "id", None) for t in stmt.targets] == ["FAMILIES"]
+             for node in ast.walk(stmt)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in names
+            and id(node) not in table]
+
+
+def test_family_names_are_spelled_only_in_the_family_table():
+    """certify.py names a family only inside FAMILIES, and targets.py
+    names none, so no verification path decides a family's exactness or
+    metric on its own. "fin" is also the JSON kind of a table element,
+    which targets.py writes and reads."""
+    from groupapprox import certify as C_
+    from groupapprox import targets as T_
+    src = ROOT / "src" / "groupapprox"
+    names = set(C_.FAMILIES)
+    assert _family_name_lines(src / "certify.py", names) == []
+    assert _family_name_lines(src / "targets.py",
+                              names - set(T_._TARGET_KEYS)) == []
+
+
 def test_the_benchmark_tracer_installs():
     """perfbench/layertrace.py wraps the targets' mul and dist by class
     name, the CLI entry points and the certificate classes' dumps and

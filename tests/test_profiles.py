@@ -140,6 +140,26 @@ def test_folner_balls_Z():
     assert "radius 2" in out.note
 
 
+@pytest.mark.parametrize("strategy, r_max, size_max", [
+    ("balls", 0, None), ("balls", -3, None), ("exhaustive", 0, 4),
+    ("exhaustive", 4, 0), ("exhaustive", 4, -1), ("boxes", 0, None)])
+def test_folner_search_refuses_ranges_that_select_nothing(
+        strategy, r_max, size_max):
+    with pytest.raises(ValueError, match="must be at least 1"):
+        P_.folner_search(Z, 1, strategy=strategy, r_max=r_max,
+                         size_max=size_max)
+
+
+def test_folner_balls_search_up_to_radius_20_only_without_r_max():
+    """None means the default radius 20; r_max 1 searches B(1) alone,
+    which is not Folner at n = 1 on Z."""
+    default = P_.folner_search(Z2, 3, strategy="balls")
+    assert default.note == P_.folner_search(
+        Z2, 3, strategy="balls", r_max=20).note
+    one = P_.folner_search(Z, 1, strategy="balls", r_max=1)
+    assert one.witness is None and one.note == "no ball up to r=1"
+
+
 def test_folner_boxes_Z2():
     out = P_.folner_search(Z2, 1, strategy="boxes")
     assert out.size == 64

@@ -27,16 +27,6 @@ def rand_perm(rng, k):
     return T_.Permutation(im)
 
 
-def test_family_epsilon_values():
-    assert T_.family_epsilon("sofic") == 1
-    assert T_.family_epsilon("lin") == Fraction(1, 4)
-    assert T_.family_epsilon("lin-projective") == Fraction(1, 8)
-    assert T_.family_epsilon("hyp") == T_.SQRT2
-    assert T_.family_epsilon("fin") == 1
-    with pytest.raises(ValueError):
-        T_.family_epsilon("mystery")
-
-
 # ---------------------------------------------------------------------------
 # Hamming vs Hilbert-Schmidt
 
