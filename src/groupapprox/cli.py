@@ -418,7 +418,10 @@ def cmd_profile(args):
             if lo > hi:
                 raise UsageError(f"bad slope window {args.slope_window!r}: "
                                  f"LO above HI")
-            out["fit"] = curve.fit_slope((lo, hi))
+            try:
+                out["fit"] = curve.fit_slope((lo, hi))
+            except ValueError as e:
+                raise UsageError(str(e))
         _write_json(out, args.out)
     else:
         _emit(curve_to_csv(args.group, args.family, curve), args.out)

@@ -43,6 +43,16 @@ def _require_verified(cert, failure):
     return rep
 
 
+def _element_level(builder, *certs):
+    """BuildError naming ``builder``, which reads its input certificates'
+    balls, unless each of certs is an element-level ApproxCertificate: a
+    word-level HomCertificate has no ball."""
+    for c in certs:
+        if not isinstance(c, C_.ApproxCertificate):
+            raise BuildError(f"{builder} needs an element-level certificate,"
+                             f" not a {type(c).__name__}")
+
+
 def _complete_injection(images):
     """Permutation from a partial injection given as a list of image points
     (None where unset): the free points are matched up in canonical order."""
@@ -263,6 +273,7 @@ def induce_finite_index(G, data, c_H, n=None):
 
     psi(g) acts on pairs (coset, point): (i, j) -> (alpha_g(i), phi(h_{g,i})(j)).
     """
+    _element_level("induce_finite_index", c_H)
     if n is None:
         n = c_H.n
     ell = data.index
@@ -333,6 +344,7 @@ def _combine_product(a, b):
 
 def direct_product(c_G, c_H):
     """Product certificate: permutations act on A x B, matrices by tensor."""
+    _element_level("direct_product", c_G, c_H)
     if c_G.family != c_H.family:
         raise BuildError(
             f"family mismatch: {c_G.family} vs {c_H.family}")
@@ -360,6 +372,7 @@ def perm_to_hyp(c, n):
     Permutation matrices are unitary; d_HS = sqrt(2 d_Ham) turns Hamming
     defect 1/(2n^2) into Hilbert-Schmidt defect 1/n.
     """
+    _element_level("perm_to_hyp", c)
     if c.family != "sofic":
         raise BuildError("input must be a sofic certificate")
     if c.n < 2 * n * n:
@@ -377,6 +390,7 @@ def perm_to_hyp(c, n):
 
 def perm_to_lin(c, field=None):
     """Linear-sofic certificate over a field from a sofic one, same radius."""
+    _element_level("perm_to_lin", c)
     if c.family != "sofic":
         raise BuildError("input must be a sofic certificate")
     _require_verified(c, f"input fails at {c.n}")
@@ -408,6 +422,7 @@ def amplify_projective(c, n):
     toward 1/2, and the l-th power drives distinct images projectively apart.
     Distances are computed from traces; nothing is materialized.
     """
+    _element_level("amplify_projective", c)
     if n < 8:
         raise BuildError("amplification needs n >= 8")
     if c.family != "hyp":
@@ -443,6 +458,7 @@ def wreath_by_rf(c_G, H, n, quotient):
     radius-n window at most once; lamps transport coset-wise and land in
     the finite wreath product G_alpha wr H/N with its max/jump metric.
     """
+    _element_level("wreath_by_rf", c_G)
     if c_G.family != "fin":
         raise BuildError("base certificate must target a finite metric group")
     _require_quotient_of(H, quotient)
@@ -498,6 +514,7 @@ def wreath_sofic(c_G, c_H, n):
     report carries the four structural conditions and the measured-threshold
     checks.
     """
+    _element_level("wreath_sofic", c_G, c_H)
     G = c_G.group
     H = c_H.group
     if not hasattr(H, "elements"):
@@ -688,6 +705,7 @@ def extend_by_amenable(c_N, w, split, n):
     the Folner set along the quotient, the bell at position a carries the
     N-part sigma(a g-bar)^{-1} a g through the subgroup certificate.
     """
+    _element_level("extend_by_amenable", c_N)
     if w.group.descriptor() != split.Q_group.descriptor():
         raise BuildError("witness lives on the wrong quotient")
     if w.n < 10 * n:

@@ -20,9 +20,11 @@ a payload's ints in ``key`` order, ``payloads(X)`` its inverse row by row,
 ``fmt_rows(X)`` the ``fmt`` of each row, and ``mul_array(X, Y)`` the group
 law on broadcasting int64 arrays of such rows. Their quotients add
 ``map_array`` (the quotient map on rows) and ``slot`` (a residue row's
-position in ``elements()``). For these groups the ball is built one BFS
-level at a time on arrays and is its elements' rows, ``Ball.coords()``, in
-ball order; its payloads are built only when read. ``Ball.products()`` and
+position in ``elements()``). For these groups the ball is its elements'
+rows, ``Ball.coords()``, in ball order; its payloads are built only when
+read. The ball of Heisenberg(1) is built from its word-length intervals,
+level by level (``_interval_ball``); the others one BFS level at a time on
+arrays. ``Ball.products()`` and
 ``kernel_witness`` are array computations. ``Ball.products()`` finds each
 product row in a dense int32 grid of slots over the ball's bounding box, a
 bounds check and a gather, when the box has at most |B|^2 cells (no more
@@ -297,20 +299,19 @@ _balls_lock = threading.Lock()
 
 
 def ball(G, n, cap=DEFAULT_BALL_CAP):
-    """Exact ball of radius n around the identity, BFS over the generating set.
+    """Exact ball of radius n around the identity, BFS over the generating
+    set, or word-length intervals for Heisenberg(1).
 
     Elements are ordered by (word length, payload sort key). Raises
     BallCapExceeded if the ball has more than ``cap`` elements; a ball not
-    yet built stops its BFS as soon as it passes the cap.
+    yet built stops its BFS as soon as it passes the cap, and the
+    intervals count it before building a row.
 
     Balls are memoized per process by (group descriptor, radius): repeated
     calls return the same read-only Ball. A BFS aborted by the cap is never
     kept.
     """
-    # a non-integer radius fails here whether or not its ball is memoized
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("radius must be nonnegative")
+    n = _radius(n)
     # Group.__eq__'s descriptor equality, serialized once per call
     key = (json.dumps(G.descriptor(), sort_keys=True), n)
     with _balls_lock:
@@ -330,9 +331,23 @@ def ball(G, n, cap=DEFAULT_BALL_CAP):
     return B
 
 
+def _radius(n):
+    # a non-integer radius fails here whether or not its ball is memoized
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("radius must be nonnegative")
+    return n
+
+
 def _bfs_ball(G, n, cap):
     if not hasattr(G, "mul_array"):
         return _bfs_ball_loop(G, n, cap)
+    if isinstance(G, Heisenberg) and G.l == 1:
+        return _interval_ball(G, n, cap)
+    return _array_bfs_ball(G, n, cap)
+
+
+def _array_bfs_ball(G, n, cap):
     gens = np.array([G.coords(s) for _, s in G.generators()], dtype=np.int64)
     k = gens.shape[1]
     levels = [np.array([G.coords(G.identity())], dtype=np.int64)]
@@ -365,6 +380,75 @@ def _new_rows(rows, old):
     return A[first & fresh]
 
 
+def _heisenberg_pairs(G, n, cap):
+    """The (a, b) with |a| + |b| <= n in lexicographic order, two int64
+    arrays, and |B(n)| of Heisenberg(1), counted from the intervals of
+    _heisenberg_interval. BallCapExceeded when |B(n)| > cap, raised first
+    from the count of pairs, one element of B(n) at least each, so a huge
+    radius builds no array."""
+    if 2 * n * (n + 1) + 1 > cap:
+        raise BallCapExceeded(G, n, cap)
+    side = n - np.abs(np.arange(-n, n + 1))
+    a = np.repeat(np.arange(-n, n + 1), 2 * side + 1)
+    # the position of (a, 0) in each row of pairs
+    middle = np.repeat(np.cumsum(2 * side + 1) - side - 1, 2 * side + 1)
+    b = np.arange(len(a)) - middle
+    low, high = _heisenberg_interval(a, b, n)
+    size = int((high - low + 1).sum())
+    if size > cap:
+        raise BallCapExceeded(G, n, cap)
+    return a, b, size
+
+
+def _heisenberg_interval(a, b, r):
+    """The c with |(a, b, c)| <= r in Heisenberg(1), an interval [low,
+    high], for r >= |a| + |b|; broadcasts over a, b and r.
+
+    In the coordinates x^a y^b = (a, b, ab), take a, b >= 0 first. The c
+    in [0, ab] have length a + b. Above ab the shortest words are
+    y^(b-t) x^p y^t x^(a-p) with p >= a and t >= b, which give c = pt at
+    length 2(p + t) - a - b (S. Blachère, "Word distance on the discrete
+    Heisenberg group", Colloq. Math. 95 (2003) 21-36). With s = (r + a +
+    b) // 2 the largest c of length at most r is therefore M = p0 (s - p0)
+    at p0 = clamp(s // 2, a, s - b). The inverse with both signs of a, b
+    flipped maps c to ab - c, so the interval is [ab - M, M]. Negating a,
+    or b, negates c: for ab < 0 it is [-M, M - |a||b|]."""
+    u, v = np.abs(a), np.abs(b)
+    s = (r + u + v) // 2
+    p = np.clip(s // 2, u, s - v)
+    M = p * (s - p)
+    low = np.where(a * b < 0, -M, u * v - M)
+    return low, low + 2 * M - u * v
+
+
+def _interval_ball(G, n, cap):
+    """B(n) of Heisenberg(1) from the intervals of _heisenberg_interval,
+    with no BFS: level r is the interval at r less the one at r - 1 for
+    each (a, b), a run of c below it and a run above it. Listed by (a, b),
+    below before above, the runs are (a, b, c) in key order, so the levels
+    one after another are the ball order."""
+    a, b, size = _heisenberg_pairs(G, n, cap)
+    k = np.abs(a) + np.abs(b)
+    # one row per level r = 0..n; below its first level k a pair keeps I_k
+    r = np.arange(n + 1)[:, None]
+    low, high = _heisenberg_interval(a, b, np.maximum(r, k))
+    # the interval one level down, and at level k an empty one above I_k
+    low_before = np.where(r == k, high + 1, np.vstack([low[:1], low[:-1]]))
+    high_before = np.where(r == k, high, np.vstack([high[:1], high[:-1]]))
+    # the runs by (level, pair, below or above): the ball order
+    starts = np.stack([low, high_before + 1], axis=-1).ravel()
+    runs = np.stack([low_before - low, high - high_before], axis=-1)
+    sizes = runs.sum(axis=(1, 2)).tolist()
+    runs = runs.ravel()
+    coords = np.empty((size, 3), dtype=np.int64)
+    for column, values in enumerate((a, b)):
+        coords[:, column] = np.repeat(np.tile(np.repeat(values, 2), n + 1),
+                                      runs)
+    coords[:, 2] = np.repeat(starts - (np.cumsum(runs) - runs), runs)
+    coords[:, 2] += np.arange(size)
+    return Ball(G, n, coords=coords, sizes=sizes)
+
+
 def _bfs_ball_loop(G, n, cap):
     e = G.identity()
     lengths = {e: 0}
@@ -388,7 +472,19 @@ def _bfs_ball_loop(G, n, cap):
 
 
 def growth(G, n):
-    """|B(n)|, the growth function."""
+    """|B(n)|, the growth function: len(ball(G, n)), BallCapExceeded above
+    DEFAULT_BALL_CAP included. Z^d and Heisenberg(1) count without a ball:
+    Z^d has 2^k C(d, k) C(n, k) elements with k nonzero coordinates, and
+    Heisenberg(1) sums the intervals of _heisenberg_interval."""
+    n, cap = _radius(n), DEFAULT_BALL_CAP
+    if isinstance(G, FreeAbelian):
+        size = sum(2 ** k * math.comb(G.d, k) * math.comb(n, k)
+                   for k in range(min(G.d, n) + 1))
+        if size > cap:
+            raise BallCapExceeded(G, n, cap)
+        return size
+    if isinstance(G, Heisenberg) and G.l == 1:
+        return _heisenberg_pairs(G, n, cap)[2]
     return len(ball(G, n))
 
 
@@ -462,6 +558,19 @@ def _template(n):
     return "(" + ",".join(["%d"] * n) + ")"
 
 
+def _fmt_rows(template, X):
+    """``template % row`` for each row of the int64 array X, with one ``%``
+    over each block of rows (BLOCK ints), so that no temporary grows with
+    the ball."""
+    step = BLOCK // X.shape[1]
+    labels = []
+    for i in range(0, len(X), step):
+        Y = X[i:i + step]
+        text = (template + "\0") * len(Y) % tuple(Y.ravel().tolist())
+        labels += text.split("\0")[:-1]
+    return labels
+
+
 def _ints(s):
     s = s.strip()
     if s.startswith("(") and s.endswith(")"):
@@ -517,7 +626,7 @@ class FreeAbelian(Group):
         return self._template % p
 
     def fmt_rows(self, X):
-        return [self._template % r for r in zip(*X.T.tolist())]
+        return _fmt_rows(self._template, X)
 
     def parse(self, s):
         v = _ints(s)
@@ -661,7 +770,7 @@ class Heisenberg(Group):
         return self._template % self.key(p)
 
     def fmt_rows(self, X):
-        return [self._template % r for r in zip(*X.T.tolist())]
+        return _fmt_rows(self._template, X)
 
     def parse(self, s):
         v = _ints(s)

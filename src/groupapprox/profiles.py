@@ -70,7 +70,8 @@ class ProfileCurve:
 
     def fit_slope(self, window):
         """Least-squares slope of log(best upper value) against log(n) over
-        [lo, hi]."""
+        [lo, hi]; ValueError when fewer than two points there have a
+        finite nonzero upper value."""
         lo, hi = window
         xs, ys = [], []
         for n in self.ns():
@@ -82,7 +83,9 @@ class ProfileCurve:
             xs.append(math.log(n))
             ys.append(math.log(float(v)))
         if len(xs) < 2:
-            return None
+            raise ValueError(f"slope window {lo},{hi} selects {len(xs)} "
+                             f"point(s) with an upper value, and a fit "
+                             f"needs 2")
         xbar = sum(xs) / len(xs)
         ybar = sum(ys) / len(ys)
         num = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))

@@ -1054,6 +1054,18 @@ def test_profile_json_with_slope(capsys):
     assert obj["family"] == "sofic"
 
 
+@pytest.mark.parametrize("window, selected", [
+    ("10,20", 0), ("2,2", 1), ("0,1", 1), ("4,9", 0)])
+def test_profile_slope_window_that_selects_too_few_points_is_usage_error(
+        capsys, window, selected):
+    code, out, err = run(capsys, "profile", "--group", "Z", "--family",
+                         "sofic", "--n", "1..3", "--format", "json",
+                         "--slope-window", window)
+    assert (code, out) == (1, "")
+    assert err == (f"error: slope window {window} selects {selected} "
+                   f"point(s) with an upper value, and a fit needs 2\n")
+
+
 def test_profile_rejects_n_zero(capsys):
     code, _, _ = run(capsys, "profile", "--group", "Z", "--family", "fin",
                      "--n", "0..2")

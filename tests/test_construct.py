@@ -470,3 +470,33 @@ def test_extend_by_amenable_guards():
     w_small = P_.interval_witness_Z(2, controlled=True)
     with pytest.raises(X_.BuildError, match="10n"):
         X_.extend_by_amenable(c_N, w_small, split, 1)
+
+
+# ---------------------------------------------------------------------------
+# word-level inputs
+
+_WORD = C_.HomCertificate(Z, {"x1": T_.CyclicPerm(7, 1)}, "sofic")
+
+# each builder that reads its input certificates' balls, given the
+# word-level _WORD where it reads one; the other arguments are never read
+_BALL_READERS = {
+    "induce_finite_index": lambda: X_.induce_finite_index(
+        Z, G_.index_subgroup_of_Z(2), _WORD),
+    "direct_product": lambda: X_.direct_product(X_.cyclic_Z(2), _WORD),
+    "perm_to_hyp": lambda: X_.perm_to_hyp(_WORD, 1),
+    "perm_to_lin": lambda: X_.perm_to_lin(_WORD),
+    "amplify_projective": lambda: X_.amplify_projective(_WORD, 8),
+    "wreath_by_rf": lambda: X_.wreath_by_rf(
+        _WORD, Z, 1, G_.LatticeHNF(Z, [(5,)])),
+    "wreath_sofic": lambda: X_.wreath_sofic(X_.cyclic_Z(2), _WORD, 1),
+    "extend_by_amenable": lambda: X_.extend_by_amenable(_WORD, None, None,
+                                                        1),
+}
+
+
+@pytest.mark.parametrize("builder", _BALL_READERS)
+def test_a_word_level_input_is_a_build_error(builder):
+    with pytest.raises(X_.BuildError) as refused:
+        _BALL_READERS[builder]()
+    assert str(refused.value) == (f"{builder} needs an element-level "
+                                  f"certificate, not a HomCertificate")

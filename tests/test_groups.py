@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,36 @@ def test_ball_sizes_Z2():
 def test_ball_sizes_heisenberg():
     for n, want in enumerate(HEIS_BALL):
         assert G_.growth(H3, n) == want
+
+
+@pytest.mark.parametrize("d, r_max", [(1, 30), (2, 12), (3, 7), (4, 5)])
+def test_growth_of_Zd_counts_the_array_bfs_without_a_ball(
+        d, r_max, monkeypatch):
+    G = G_.FreeAbelian(d)
+    sizes = [len(G_._bfs_ball(G, r, G_.DEFAULT_BALL_CAP))
+             for r in range(r_max + 1)]
+    monkeypatch.setattr(G_, "ball", None)  # growth never asks for one
+    assert [G_.growth(G, r) for r in range(r_max + 1)] == sizes
+
+
+def test_growth_of_heisenberg_counts_the_array_bfs_without_a_ball(
+        monkeypatch):
+    sizes = [len(G_._array_bfs_ball(H3, r, G_.DEFAULT_BALL_CAP))
+             for r in range(13)]
+    monkeypatch.setattr(G_, "ball", None)
+    assert [G_.growth(H3, r) for r in range(13)] == sizes
+
+
+@pytest.mark.parametrize("G, n", [(Z, 10 ** 6), (Z2, 1000), (H3, 100),
+                                  (H3, 10 ** 5)])
+def test_growth_above_the_default_cap_raises_as_the_ball_does(G, n):
+    with pytest.raises(G_.BallCapExceeded) as counted:
+        G_.growth(G, n)
+    assert (counted.value.group, counted.value.radius, counted.value.cap) \
+        == (G, n, G_.DEFAULT_BALL_CAP)
+    for bad in (-1, 1.0):
+        with pytest.raises((ValueError, TypeError)):
+            G_.growth(G, bad)
 
 
 def test_ball_order_and_lengths():
@@ -125,6 +156,22 @@ def test_capped_build_is_not_kept():
     assert len(G_.ball(H3, 7)) == HEIS_BALL[7]
 
 
+def test_heisenberg_cap_is_counted_before_the_rows_are_built():
+    count = G_.growth(H3, 24)
+    assert count == len(G_.ball(H3, 24))
+    tracemalloc.start()
+    try:
+        with pytest.raises(G_.BallCapExceeded) as capped:
+            G_._bfs_ball(H3, 24, count - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (capped.value.radius, capped.value.cap) == (24, count - 1)
+    # the rows of B(24) take 24 bytes each; the count a few per (a, b)
+    assert peak < 24 * count // 10
+    assert len(G_._bfs_ball(H3, 24, count)) == count
+
+
 def test_huge_radius_stops_at_the_cap(capsys):
     start = time.perf_counter()
     assert cli.main(["ball", "--group", "Heisenberg(1)", "--n", "100000",
@@ -184,6 +231,25 @@ def test_array_bfs_matches_the_loop(case):
     assert dict(got.lengths) == dict(want.lengths)
     assert got.coords().tolist() == [list(G.coords(p)) for p in got.elements]
     assert want.coords() is None
+
+
+def test_heisenberg_intervals_give_the_array_bfs_ball():
+    """The closed form's rows and level sizes against the array BFS at
+    every radius 0..24 (B(24) has 141,225 elements)."""
+    for r in range(25):
+        want = G_._array_bfs_ball(H3, r, G_.DEFAULT_BALL_CAP)
+        got = G_._interval_ball(H3, r, G_.DEFAULT_BALL_CAP)
+        assert np.array_equal(got.coords(), want.coords()), r
+        assert got._sizes == want._sizes, r
+
+
+def test_only_heisenberg_1_takes_the_intervals(monkeypatch):
+    intervals = []
+    monkeypatch.setattr(G_, "_interval_ball",
+                        lambda *args: intervals.append(args))
+    for G in (Z2, G_.Heisenberg(2), H3):
+        G_._bfs_ball(G, 2, G_.DEFAULT_BALL_CAP)
+    assert intervals == [(H3, 2, G_.DEFAULT_BALL_CAP)]
 
 
 # the coordinate groups whose balls are rows, each up to radius 6

@@ -51,6 +51,16 @@ def test_fit_slope_recovers_exponent():
     assert fit["points"] == 9
 
 
+def test_fit_slope_refuses_a_window_of_fewer_than_two_points():
+    c = P_.ProfileCurve("synthetic", "growth")
+    for n in range(1, 4):
+        c.add(P_.ProfilePoint(n, 3 * n ** 2, "upper"))
+    for window, selected in (((10, 20), 0), ((2, 2), 1)):
+        with pytest.raises(ValueError, match=f"selects {selected} point"):
+            c.fit_slope(window)
+    assert c.fit_slope((2, 3))["points"] == 2
+
+
 def test_curve_json_deterministic():
     def build():
         c = P_.ProfileCurve("Z", "rf")
