@@ -237,8 +237,9 @@ class _Certificate:
         """The prologue both kinds decode alike, then the kind's images
         (_decode_images). Only a family of table elements carries a
         target_group, the table its images lie in, as the writer writes
-        it. epsilon must be a finite number > 0 and snaps to its family's
-        exact default."""
+        it. epsilon must be a finite number > 0; it is the family's exact
+        default only when it is that default's float, and otherwise its
+        own value."""
         group = G_.group_from_descriptor(obj["group"])
         record = family_record(obj["family"])
         fin_group = None
@@ -253,7 +254,7 @@ class _Certificate:
                 or not 0 < eps < math.inf:
             raise CertificateError(
                 f"epsilon must be a finite number above 0, not {eps!r}")
-        if abs(float(record.epsilon) - eps) < 1e-12:
+        if eps == float(record.epsilon):
             eps = record.epsilon
         return cls._decode_images(
             obj, group, fin_group, family=obj["family"], epsilon=eps,
@@ -320,10 +321,10 @@ class ApproxCertificate(_Certificate):
         """The certificate as a JSON object."""
         obj = self._header()
         obj["n"] = self.n
-        fmt, rows = self.group.fmt, self._rows
+        rows = self._rows
         obj["assignments"] = [
-            {"element": fmt(p), "target": rows.to_json(i)}
-            for i, p in enumerate(self.ball)]
+            {"element": label, "target": rows.to_json(i)}
+            for i, label in enumerate(self.ball.labels())]
         return obj
 
     def dumps(self):
@@ -334,19 +335,27 @@ class ApproxCertificate(_Certificate):
 
     @classmethod
     def _decode_images(cls, obj, group, fin_group, **header):
+        """Each ``element`` is the label of an element of B(n), exactly as
+        ``Ball.labels()`` writes it; any other spelling is refused."""
         B = G_.ball(group, T_.json_int(obj, "n"))
         if not obj["assignments"]:
             raise CertificateError("certificate has no assignments")
+        labels = B.labels()
+        in_ball = set(labels)
         targets = {}
         for item in obj["assignments"]:
-            p = group.parse(item["element"])
-            if p not in B:
+            label = item["element"]
+            if label not in in_ball:
                 raise CertificateError(
-                    f"element {item['element']} lies outside B({obj['n']})")
-            if p in targets:
-                raise CertificateError(f"duplicate element {item['element']}")
-            targets[p] = item["target"]
-        rows = T_.rows_from_json(_in_ball_order(B, targets),
+                    f"element {label!r} is not the label of an element of "
+                    f"B({obj['n']})")
+            if label in targets:
+                raise CertificateError(f"duplicate element {label}")
+            targets[label] = item["target"]
+        missing = next((x for x in labels if x not in targets), None)
+        if missing is not None:
+            raise CertificateError(f"missing assignment for {missing}")
+        rows = T_.rows_from_json([targets[x] for x in labels],
                                  fin_group=fin_group)
         return cls(group, obj["n"], assignments=rows, **header)
 

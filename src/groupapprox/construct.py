@@ -7,6 +7,7 @@ is recorded as a small trace dict embedded in the certificate.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -83,10 +84,21 @@ def witness_from_json(obj):
 
 
 def _decode_witness(obj):
+    """The witness whose ``to_json()`` the file is, type for type, in
+    every field that writer writes; other keys are not read."""
     group = G_.group_from_descriptor(obj["group"])
     members = [_payload_from_json(m) for m in obj["members_payload"]]
-    return FolnerWitness(group, obj["n"], members,
-                         radius_bound=obj.get("radius_bound"))
+    radius = obj["radius_bound"]
+    if radius is not None:
+        T_.json_int(obj, "radius_bound")
+    w = FolnerWitness(group, T_.json_int(obj, "n"), members,
+                      radius_bound=radius)
+    for key, value in w.to_json().items():
+        if json.dumps(obj[key], sort_keys=True) != \
+                json.dumps(value, sort_keys=True):
+            raise ValueError(f"witness field {key!r} is not the "
+                             f"{key} of the witness it decodes to")
+    return w
 
 
 def folner_defect(group, members, n):
@@ -107,7 +119,7 @@ class FolnerWitness:
     def __init__(self, group, n, members, radius_bound=None):
         self.group = group
         self.n = int(n)
-        self.members = tuple(sorted(members, key=group.key))
+        self.members = tuple(sorted(set(members), key=group.key))
         if not self.members:
             raise ValueError("empty Folner set")
         self.radius_bound = radius_bound

@@ -4,6 +4,11 @@ Every group exposes a normal-form payload type (nested tuples of ints), a
 symmetric generating set, and deterministic element ordering, so that
 word-metric balls, certificates and searches are reproducible byte for byte.
 
+An element's one written form is its label: ``fmt(p)``, ``fmt_rows(X)`` on
+coordinate rows, ``Ball.labels()`` for a ball. No group parses a label; a
+reader looks it up among its ball's labels. ``group_from_descriptor``
+reads back exactly a group's ``descriptor()``.
+
 Word-metric balls come from ``ball()``, the one ball layer. It keeps the
 balls it built in a bounded process-wide memo, so every caller asking for
 the same (group, radius) gets the same ``Ball`` object. Balls are therefore
@@ -93,9 +98,6 @@ class Group:
         raise NotImplementedError
 
     def fmt(self, p):
-        raise NotImplementedError
-
-    def parse(self, s):
         raise NotImplementedError
 
     def descriptor(self):
@@ -571,13 +573,6 @@ def _fmt_rows(template, X):
     return labels
 
 
-def _ints(s):
-    s = s.strip()
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1]
-    return tuple(int(t) for t in s.split(",")) if s.strip() else ()
-
-
 # ---------------------------------------------------------------------------
 # catalog groups
 
@@ -628,12 +623,6 @@ class FreeAbelian(Group):
     def fmt_rows(self, X):
         return _fmt_rows(self._template, X)
 
-    def parse(self, s):
-        v = _ints(s)
-        if len(v) != self.d:
-            raise ValueError(f"expected {self.d} coordinates in {s!r}")
-        return v
-
     def descriptor(self):
         return {"kind": self.kind, "params": {"d": self.d}}
 
@@ -681,21 +670,6 @@ class Free(Group):
         if not p:
             return "e"
         return " ".join(f"x{c}" if c > 0 else f"x{-c}^-1" for c in p)
-
-    def parse(self, s):
-        s = s.strip()
-        if s == "e":
-            return ()
-        word = []
-        for tok in s.split():
-            if tok.endswith("^-1"):
-                word.append(-int(tok[1:-3]))
-            else:
-                word.append(int(tok[1:]))
-        out = ()
-        for ch in word:
-            out = self.mul(out, (ch,))
-        return out
 
     def descriptor(self):
         return {"kind": self.kind, "params": {"rank": self.rank}}
@@ -772,12 +746,6 @@ class Heisenberg(Group):
     def fmt_rows(self, X):
         return _fmt_rows(self._template, X)
 
-    def parse(self, s):
-        v = _ints(s)
-        if len(v) != 2 * self.l + 1:
-            raise ValueError(f"expected {2 * self.l + 1} coordinates in {s!r}")
-        return (v[:self.l], v[self.l:2 * self.l], v[2 * self.l])
-
     def descriptor(self):
         return {"kind": self.kind, "params": {"l": self.l}}
 
@@ -811,9 +779,6 @@ class FiniteCyclic(Group):
 
     def fmt(self, p):
         return str(p)
-
-    def parse(self, s):
-        return int(s.strip()) % self.m
 
     def order(self):
         return self.m
@@ -862,22 +827,11 @@ class FiniteSym(Group):
     def fmt(self, p):
         return "[" + ",".join(str(x) for x in p) + "]"
 
-    def parse(self, s):
-        s = s.strip()
-        if s.startswith("[") and s.endswith("]"):
-            s = s[1:-1]
-        p = tuple(int(t) for t in s.split(","))
-        if sorted(p) != list(range(self.k)):
-            raise ValueError(f"not a permutation of 0..{self.k - 1}: {s!r}")
-        return p
-
     def order(self):
-        import math
         return math.factorial(self.k)
 
     def elements(self):
-        from itertools import permutations
-        return [tuple(p) for p in permutations(range(self.k))]
+        return list(itertools.permutations(range(self.k)))
 
     def descriptor(self):
         return {"kind": self.kind, "params": {"k": self.k}}
@@ -916,15 +870,6 @@ class DirectProduct(Group):
 
     def fmt(self, p):
         return f"({self.left.fmt(p[0])} | {self.right.fmt(p[1])})"
-
-    def parse(self, s):
-        s = s.strip()
-        if not (s.startswith("(") and s.endswith(")")):
-            raise ValueError(f"bad product element {s!r}")
-        parts = _split_top(s[1:-1], "|")
-        if len(parts) != 2:
-            raise ValueError(f"bad product element {s!r}")
-        return (self.left.parse(parts[0]), self.right.parse(parts[1]))
 
     def descriptor(self):
         return {"kind": self.kind,
@@ -1008,20 +953,6 @@ class WreathProduct(Group):
         sup = ", ".join(f"{self.top.fmt(t)}:{self.base.fmt(v)}" for t, v in f)
         return "{" + sup + " | " + self.top.fmt(h) + "}"
 
-    def parse(self, s):
-        s = s.strip()
-        if not (s.startswith("{") and s.endswith("}")):
-            raise ValueError(f"bad wreath element {s!r}")
-        body, top = _split_top(s[1:-1], "|")
-        h = self.top.parse(top)
-        out = {}
-        body = body.strip()
-        if body:
-            for item in _split_top(body, ","):
-                pos, val = _split_top(item, ":")
-                out[self.top.parse(pos)] = self.base.parse(val)
-        return (self.normalize(out), h)
-
     def descriptor(self):
         return {"kind": self.kind,
                 "params": {"base": self.base.descriptor(),
@@ -1034,33 +965,39 @@ def Lamplighter(base):
 
 
 def group_from_descriptor(d):
-    kind = d["kind"]
-    params = d.get("params", {})
+    """The group whose ``descriptor()`` is d, read exactly as written: a
+    field its writer does not write, or another value of one it does (a
+    ``Lamplighter`` top other than Z), is a ValueError."""
+    kind, params = d["kind"], d.get("params", {})
     # a size is an exact JSON int: true and 1.0 are no ranks
     for key in ("d", "rank", "l", "m", "k"):
         if key in params and type(params[key]) is not int:
             raise ValueError(
                 f"{key} must be a JSON integer, not {params[key]!r}")
     if kind == "FreeAbelian":
-        return FreeAbelian(params["d"])
-    if kind == "Free":
-        return Free(params["rank"])
-    if kind == "Heisenberg":
-        return Heisenberg(params["l"])
-    if kind == "FiniteCyclic":
-        return FiniteCyclic(params["m"])
-    if kind == "FiniteSym":
-        return FiniteSym(params["k"])
-    if kind == "DirectProduct":
-        return DirectProduct(group_from_descriptor(params["left"]),
-                             group_from_descriptor(params["right"]))
-    if kind == "WreathFiniteTop":
-        return WreathProduct(group_from_descriptor(params["base"]),
-                             group_from_descriptor(params["top"]))
-    if kind == "Lamplighter":
-        return WreathProduct(group_from_descriptor(params["base"]),
-                             FreeAbelian(1), kind="Lamplighter")
-    raise ValueError(f"unknown group kind {kind!r}")
+        G = FreeAbelian(params["d"])
+    elif kind == "Free":
+        G = Free(params["rank"])
+    elif kind == "Heisenberg":
+        G = Heisenberg(params["l"])
+    elif kind == "FiniteCyclic":
+        G = FiniteCyclic(params["m"])
+    elif kind == "FiniteSym":
+        G = FiniteSym(params["k"])
+    elif kind == "DirectProduct":
+        G = DirectProduct(group_from_descriptor(params["left"]),
+                          group_from_descriptor(params["right"]))
+    elif kind == "WreathFiniteTop":
+        G = WreathProduct(group_from_descriptor(params["base"]),
+                          group_from_descriptor(params["top"]))
+    elif kind == "Lamplighter":
+        G = Lamplighter(group_from_descriptor(params["base"]))
+    else:
+        raise ValueError(f"unknown group kind {kind!r}")
+    if G.descriptor() != d:
+        raise ValueError(f"group descriptor {json.dumps(d)} is not "
+                         f"{json.dumps(G.descriptor())}, that of its group")
+    return G
 
 
 def parse_group(text):

@@ -1150,6 +1150,20 @@ def test_epsilon_snaps_to_family_default():
     assert isinstance(back.epsilon, Fraction)
 
 
+def test_an_epsilon_near_the_default_is_its_own_value():
+    """Only the default's own float snaps to it: 1 + 1e-13 stays itself,
+    in the decoded certificate, its report and its re-encoding."""
+    obj = json.loads(cyclic(3).dumps())
+    obj["epsilon"] = 1.0000000000001
+    back = C_.ApproxCertificate.from_json(obj)
+    assert back.epsilon == 1.0000000000001
+    assert back.to_json()["epsilon"] == 1.0000000000001
+    assert C_.verify_D(back).to_json()["epsilon"] == 1.0000000000001
+    obj["epsilon"] = 1.0
+    back = C_.ApproxCertificate.from_json(obj)
+    assert back.epsilon == Fraction(1) and isinstance(back.epsilon, Fraction)
+
+
 def test_hom_round_trip():
     h = _hom_Z_mod(11)
     s = json.dumps(h.to_json(), sort_keys=True)

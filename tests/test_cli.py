@@ -636,8 +636,11 @@ def test_construct_writes_dumps_bytes(tmp_path, capsys):
 
 
 def _witness_argv(tmp_path, mutate):
-    obj = X_.FolnerWitness(G_.FreeAbelian(1), 1,
-                           [(i,) for i in range(4)]).to_json()
+    """folner-to-sofic --n 1 from the witness file of B(12) in Z at n = 2,
+    which converts (test_the_bad_witness_cases_edit_one_that_converts),
+    once ``mutate`` has edited it."""
+    obj = X_.FolnerWitness(G_.FreeAbelian(1), 2,
+                           [(i,) for i in range(-12, 13)]).to_json()
     mutate(obj)
     path = tmp_path / "w.json"
     path.write_text(json.dumps(obj))
@@ -799,6 +802,44 @@ def test_retyped_bases_verify_and_keep_their_bytes(tmp_path, capsys, base):
     assert cert.dumps() == text
 
 
+# each catalog group kind: a radius, one label of its ball, and
+# respellings of that label that name the same element; every
+# group's label is also respelled with a surrounding space and as an int
+_RESPELLED = {
+    "Z": (G_.FreeAbelian(1), 2, "1", ["+1", "01", "1.0"]),
+    "Z^2": (G_.FreeAbelian(2), 1, "(1,0)", ["1, 0", "(1, 0)", "(+1,0)"]),
+    "F2": (G_.Free(2), 1, "x2", ["x1 x1^-1 x2", "x1^-1 x1 x2"]),
+    "Heisenberg(1)": (G_.Heisenberg(1), 1, "(1,0,0)",
+                      ["(1, 0, 0)", "1,0,0", "(1,0,-0)"]),
+    "Z/5": (G_.FiniteCyclic(5), 2, "2", ["7", "-3", "+2"]),
+    "Sym(3)": (G_.FiniteSym(3), 1, "[0,2,1]", ["0,2,1", "[0, 2, 1]"]),
+    "Z x Z/5": (G_.DirectProduct(G_.FreeAbelian(1), G_.FiniteCyclic(5)), 1,
+                "(1 | 0)", ["(1|0)", "(1 | 5)", "(+1 | 0)"]),
+    "Lamplighter(Z/2)": (G_.Lamplighter(G_.FiniteCyclic(2)), 1, "{0:1 | 0}",
+                         ["{0: 1 | 0}", "{0:3 | 0}", "{0:1, 1:0 | 0}"]),
+}
+
+
+@pytest.mark.parametrize("case", _RESPELLED)
+def test_an_element_is_read_only_as_its_ball_label(tmp_path, capsys, case):
+    G, n, label, respellings = _RESPELLED[case]
+    B = G_.ball(G, n)
+    cert = C_.ApproxCertificate(G, n, "sofic", T_.batch(
+        [T_.Permutation.identity(2)] * len(B)))
+    text = cert.dumps()
+    assert C_.ApproxCertificate.loads(text).dumps() == text
+    labels = [a["element"] for a in json.loads(text)["assignments"]]
+    assert labels == B.labels() and label in labels
+    path = tmp_path / "c.json"
+    for spelling in [f" {label}", f"{label} ", 1, *respellings]:
+        obj = json.loads(text)
+        obj["assignments"][labels.index(label)]["element"] = spelling
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert (code, out) == (1, ""), spelling
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_tensor_verification_does_not_grow_with_the_power(tmp_path, capsys):
     # the dimension 10^power is compared as (10, power), never computed
     obj = _tensor_certificate(3).to_json()
@@ -862,6 +903,20 @@ _BAD_INPUT = {
         lambda t: _witness_argv(t, lambda o: o.update(members_payload=[])),
     "witness-n-not-an-integer":
         lambda t: _witness_argv(t, lambda o: o.update(n="x")),
+    **{f"witness-n-{name}": (lambda t, n=n: _witness_argv(
+        t, lambda o: o.update(n=n)))
+       for name, n in (("1.5", 1.5), ("2.0", 2.0), ("string", "2"),
+                       ("true", True))},
+    "witness-members-not-its-labels": lambda t: _witness_argv(
+        t, lambda o: o.update(members=["banana"] * 25, defect=[0, 1],
+                              size=1)),
+    "witness-radius-bound-float": lambda t: _witness_argv(
+        t, lambda o: o.update(radius_bound=4.0)),
+    # B(12) with 0 written twice, in sorted order, as the writer would
+    "witness-repeated-member": lambda t: _witness_argv(
+        t, lambda o: (o["members"].insert(12, "0"),
+                      o["members_payload"].insert(12, [0]),
+                      o.update(size=26))),
     "certificate-not-an-object": _scalar_cert_argv,
     "profile-range-not-integers": lambda t: [
         "profile", "--group", "Z", "--family", "fin", "--n", "1..x"],
@@ -942,6 +997,15 @@ _BAD_INPUT = {
     "group-descriptor-factors-not-groups": lambda t: [
         "ball", "--group",
         '{"kind":"DirectProduct","params":{"left":1,"right":2}}', "--n", "1"],
+    "group-descriptor-lamplighter-top-not-Z": lambda t: [
+        "ball", "--group", json.dumps(
+            {"kind": "Lamplighter",
+             "params": {"base": G_.FiniteCyclic(2).descriptor(),
+                        "top": G_.FreeAbelian(5).descriptor()}}),
+        "--n", "1"],
+    "group-descriptor-extra-fields": lambda t: [
+        "ball", "--group", '{"kind":"FreeAbelian","params":{"d":2,"junk":7},'
+        '"extra":1}', "--n", "1"],
     "folner-zero-r-max": lambda t: [
         "folner", "--group", "Z", "--n", "1", "--r-max", "0"],
     "folner-exhaustive-zero-size-max": lambda t: [
@@ -954,6 +1018,11 @@ _BAD_INPUT = {
         "profile", "--group", "Z", "--family", "sofic", "--n", "1..5",
         "--format", "json", "--slope-window", "5,1"],
 }
+
+
+def test_the_bad_witness_cases_edit_one_that_converts(tmp_path, capsys):
+    code, out, _ = run(capsys, *_witness_argv(tmp_path, lambda o: None))
+    assert code == 0 and json.loads(out)["dimension"] == 25
 
 
 @pytest.mark.parametrize("case", _BAD_INPUT)
