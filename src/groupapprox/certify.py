@@ -747,7 +747,7 @@ def _verify_words(h, n, cap, margin, relator_mode):
     family = family_record(h.family)
     exact = family.exact
     eps = h.epsilon
-    e_g = grp.identity()
+    root, children, trivial = _word_elements(grp, letters)
     # the root has nl children and every other word nl - 1
     count, level = 1, len(letters)
     for _ in range(n):
@@ -768,13 +768,13 @@ def _verify_words(h, n, cap, margin, relator_mode):
     down = np.arange(len(letters))[::-1]
     # a block holds about G_.BLOCK entries of R's rows
     step = max(1, G_.BLOCK // R.width)
-    stack = [(np.zeros((1, 0), dtype=np.intp), [e_g], ident)]
+    stack = [(np.zeros((1, 0), dtype=np.intp), root, ident)]
     while stack:
         W, gs, T = stack.pop()
         if W.shape[1]:
-            trivial = np.array([g == e_g for g in gs])
+            is_e = trivial(gs)
             for kind, pick, projective in kinds:
-                rows = np.flatnonzero(trivial == kind)
+                rows = np.flatnonzero(is_e == kind)
                 if not len(rows):
                     continue
                 d, r = T.take(rows).extreme(ident, pick, projective)
@@ -790,8 +790,7 @@ def _verify_words(h, n, cap, margin, relator_mode):
                 keep = let != inverse[W[par, -1]]
                 par, let = par[keep], let[keep]
             W = np.column_stack((W[par], let))
-            gs = [grp.mul(gs[p], letters[x][1])
-                  for p, x in zip(par.tolist(), let.tolist())]
+            gs = children(gs, par, let)
             T = T.take(par).mul(R.take(let + 1))
             for i in reversed(range(0, len(W), step)):
                 block = range(i, min(i + step, len(W)))
@@ -815,6 +814,25 @@ def _verify_words(h, n, cap, margin, relator_mode):
         _Measure(worst_triv, triv_wit, count, worst_sep, sep_wit, count,
                  notes), n, eps, exact, margin,
         lambda key: " ".join(letters[-x][0] for x in key))
+
+
+def _word_elements(group, letters):
+    """The group side of the word walk: (root, children, trivial). root
+    holds the identity; children(gs, par, let) holds gs[par[i]] times
+    letter let[i] for each i; trivial(gs) is the bool array of the elements
+    of gs equal to the identity. A group with mul_array holds its elements
+    as int64 coordinate rows, a child block one mul_array with the letters'
+    rows; any other group holds a list of payloads multiplied one by one."""
+    if not hasattr(group, "mul_array"):
+        e = group.identity()
+        return ([e],
+                lambda gs, par, let: [group.mul(gs[p], letters[x][1]) for p, x
+                                      in zip(par.tolist(), let.tolist())],
+                lambda gs: np.array([g == e for g in gs]))
+    gen = np.array([group.coords(p) for _, p, _ in letters], dtype=np.int64)
+    e = np.array([group.coords(group.identity())], dtype=np.int64)
+    return (e, lambda gs, par, let: group.mul_array(gs[par], gen[let]),
+            lambda gs: (gs == e).all(axis=1))
 
 
 def _product(factors):
@@ -936,12 +954,17 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
 
     The multiplicativity defect eps0 is measured on pairs with product in the
     ball; tuples of ball slots are sampled so that all signed prefix products
-    stay in the ball. Group products are read from the ball's product table
-    and images composed as rows (targets.batch), all tuples of one sign
-    pattern at once. Exact certificates get a hair above zero so the strict
-    bounds are meaningful.
+    stay in the ball. The draws are random.Random(seed)'s, read in bulk
+    (groupapprox.draws). Group products are read from the ball's
+    product table and images composed as rows (targets.batch), all tuples of
+    one sign pattern at once. Exact certificates get a hair above zero so
+    the strict bounds are meaningful.
     """
-    import random
+    # an attempt's draws are read into memory at once
+    if not 2 <= max_len <= 2 ** 16:
+        raise ValueError(f"max_len must be from 2 to 2**16, not {max_len!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, not {samples!r}")
     B = cert.ball
     exact = family_record(cert.family).exact
     X = _rows_on(cert, B)
@@ -970,26 +993,21 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
     results["inverses"] = {"value": worst2, "bound": 2 * eps0,
                            "pass": worst2 < 2 * eps0}
 
-    rng = random.Random(seed)
-    tuples = []
-    attempts = 0
-    while len(tuples) < samples and attempts < samples * 50:
-        attempts += 1
-        j = rng.randint(2, max_len)
-        tup = tuple(rng.randrange(len(B)) for _ in range(j))
-        # the signed prefix products, one level per factor
-        level = [0]
-        for x in tup:
-            level = [table.item(g, y) for g in level for y in (x, inv[x])]
-            if min(level) < 0:
-                break
-        else:
-            tuples.append(tup)
-    signs = [tuple(rng.choice((1, -1)) for _ in tup) for tup in tuples]
+    # the sampler is read only here, so a verification without the suite
+    # does not load it
+    from . import draws as D_
+    stream = D_.Stream(seed)
+    tuples = D_.draw_tuples(stream, len(B), max_len, samples,
+                            functools.partial(D_.in_ball, table, inv))
+    # then random.Random.choice((1, -1)) for each factor of each tuple
+    flips = iter(stream.below(2, sum(map(len, tuples))).tolist())
+    signs = [tuple(1 - 2 * next(flips) for _ in tup) for tup in tuples]
 
     # the distances of (3) the plain product, (4) the signed factors and
-    # (5) the signed product of each tuple, one sign pattern at a time
-    dists = [None] * len(tuples)
+    # (5) the signed product, one sign pattern (so one j) at a time: a
+    # _PatternWorst per condition and pattern
+    names = ("products", "signed_factors", "signed_products")
+    measured = {name: [] for name in names}
     for pattern in dict.fromkeys(signs):
         ts = [t for t, s in enumerate(signs) if s == pattern]
         S = np.array([tuples[t] for t in ts]).T
@@ -1000,22 +1018,22 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
                         for s, c in zip(pattern, S)])
         g = functools.reduce(lambda a, b: table[a, b], S)
         sg = functools.reduce(lambda a, b: table[a, b], signed)
-        for r, t in enumerate(ts):
-            dists[t] = [X.take([g[r]]).extreme(plain.take([r]), max)[0],
-                        lhs.take([r]).extreme(rhs.take([r]), max)[0],
-                        X.take([sg[r]]).extreme(rhs.take([r]), max)[0]]
-
-    worst = {}
-    names = ("products", "signed_factors", "signed_products")
-    for tup, ds in zip(tuples, dists):
-        j = len(tup)
-        for name, d, bound in zip(names, ds, ((j - 1) * eps0, 2 * j * eps0,
-                                              (3 * j - 1) * eps0)):
-            ratio = _ratio(d, bound)
-            if name not in worst or ratio > worst[name][0]:
-                worst[name] = ratio, bound
+        j = len(pattern)
+        for name, pair, bound in zip(
+                names, ((X.take(g), plain), (lhs, rhs), (X.take(sg), rhs)),
+                ((j - 1) * eps0, 2 * j * eps0, (3 * j - 1) * eps0)):
+            d, r = pair[0].extreme(pair[1], max)
+            measured[name].append(
+                _PatternWorst(_ratio(d, bound), bound, ts, r, *pair))
     for name in names:
-        ratio, bound = worst.get(name, (None, None))
+        ratio = bound = None
+        if measured[name]:
+            ratio = max(m.ratio for m in measured[name])
+            top = [m for m in measured[name] if m.ratio == ratio]
+            bound = top[0].bound
+            # the bound of the first tuple in draw order at the worst ratio
+            if len({m.bound for m in top}) > 1:
+                bound = min(top, key=lambda m: m.tuples[_first_at(m)]).bound
         results[name] = {"worst_ratio": ratio, "bound": bound,
                          "pass": ratio is None or ratio < 1}
     results["epsilon0"] = eps0
@@ -1023,6 +1041,25 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
     results["pass"] = all(v["pass"] for k, v in results.items()
                           if isinstance(v, dict))
     return results
+
+
+# one condition of the lemma suite on the tuples of one sign pattern: the
+# worst ratio of a distance to the bound, the tuples' indices in draw
+# order, the first row attaining the greatest distance and the row pairs
+_PatternWorst = collections.namedtuple(
+    "_PatternWorst", ("ratio", "bound", "tuples", "row", "lhs", "rhs"))
+
+
+def _first_at(m):
+    """The first row of the _PatternWorst m at its worst ratio: m.row,
+    unless two distinct distances round to one ratio."""
+    r = m.row
+    while r:
+        d, s = m.lhs.take(range(r)).extreme(m.rhs.take(range(r)), max)
+        if _ratio(d, m.bound) < m.ratio:
+            break
+        r = s
+    return r
 
 
 def _ratio(value, bound):

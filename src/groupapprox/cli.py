@@ -7,6 +7,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 
 from . import canonical as J_
@@ -603,8 +604,22 @@ def _parser():
     return parser
 
 
+def _joined_slope_windows(argv):
+    """argv with each ``--slope-window LO,HI`` whose LO is negative written
+    as ``--slope-window=LO,HI``: argparse takes a separate value that starts
+    with '-' and is not a number for an option, and fails."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--slope-window" \
+                and re.fullmatch(r"-\d+,-?\d+", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _joined_slope_windows(sys.argv[1:] if argv is None else argv)
     parser = _parser()
     try:
         config = {}

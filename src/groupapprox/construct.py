@@ -73,8 +73,12 @@ def _payload_to_json(p):
 
 
 def _payload_from_json(j):
+    """The payload _payload_to_json wrote: lists become tuples and every
+    leaf is an exact JSON int (no bool, no float); ValueError otherwise."""
     if isinstance(j, list):
         return tuple(_payload_from_json(x) for x in j)
+    if type(j) is not int:
+        raise ValueError(f"a member payload holds {j!r}, not an integer")
     return j
 
 

@@ -12,6 +12,7 @@ from groupapprox import groups as G_
 from groupapprox import targets as T_
 from groupapprox import certify as C_
 from groupapprox import construct as X_
+from groupapprox import draws as D_
 from groupapprox import profiles as P_
 
 Z = G_.FreeAbelian(1)
@@ -781,6 +782,112 @@ def test_tensor_word_walk_blocks_by_the_base_degree(monkeypatch, m, power):
         _same_reports(h, 4)
 
 
+class _NoRows:
+    """A group seen without its coordinate form (mul_array), so that the
+    word walk takes its scalar path."""
+
+    def __init__(self, group):
+        self._group = group
+
+    def __getattr__(self, name):
+        if name == "mul_array":
+            raise AttributeError(name)
+        return getattr(self._group, name)
+
+
+def _walk_reports(h, n):
+    return [json.dumps(verify(h, n).to_json())
+            for verify in (C_.verify_W, C_.verify_R)]
+
+
+def _heisenberg_hom(m):
+    """Heisenberg(1) by its action on itself mod m, a fin hom certificate
+    that passes at small n."""
+    H = G_.Heisenberg(1)
+    cert = X_.from_quotient(H, G_.CongruenceMod(H, m), 1, "fin")
+    return C_.HomCertificate(H, {lab: cert.target(p)
+                                 for lab, p in H.generators()}, "fin",
+                             relators=C_.default_relators(H))
+
+
+@pytest.mark.parametrize("name", ["Z^2", "Heisenberg(1)"])
+def test_word_walk_on_coordinate_rows(name):
+    """On Z^2 and Heisenberg(1) the walk multiplies coordinate rows with
+    mul_array and never calls mul, and reports what the scalar path and
+    the depth-first reference report, witnesses included: in blocks of 1
+    row, of 4 rows (every length's words, 4 * 3^(l-1), fill whole blocks),
+    of 5 rows, and the default."""
+    group = _WORD_GROUPS[name]
+    rng = random.Random(len(name))
+    homs = [_regular_hom(2, 11, "sofic") if name == "Z^2"
+            else _heisenberg_hom(7)]
+    homs += [_random_hom(group, kind, rng)
+             for kind in ("permutation", "perm-unitary", "fin")]
+    elements = C_._word_elements
+    for h in homs:
+        want = []
+        for rows in (1, 4, 5, None):
+            with pytest.MonkeyPatch.context() as mp:
+                if rows is not None:
+                    mp.setattr(G_, "BLOCK", rows * _row_width(h))
+                mp.setattr(C_, "_word_elements", lambda group, letters:
+                           elements(_NoRows(group), letters))
+                scalar = _walk_reports(h, 5)
+                mp.undo()
+                if rows is not None:
+                    mp.setattr(G_, "BLOCK", rows * _row_width(h))
+
+                def product(*args):
+                    raise AssertionError("a group product was computed")
+                mp.setattr(type(group), "mul", product)
+                assert _walk_reports(h, 5) == scalar, rows
+                want.append(scalar)
+        assert want.count(want[0]) == len(want)
+        _same_reports(h, 5)
+    assert C_.verify_W(homs[0], 5).passed
+
+
+def test_word_walk_measures_the_trivial_words_of_heisenberg():
+    """Words of length 10 include the relators [x1, [x1, y1]] and
+    [y1, [x1, y1]]: a random image of Heisenberg(1) is measured on them,
+    its defect witness a word trivial in the group, the same word on
+    coordinate rows and on the scalar path."""
+    H = G_.Heisenberg(1)
+    h = C_.HomCertificate(H, {"x1": T_.Permutation([1, 2, 0, 4, 3]),
+                              "y1": T_.Permutation([0, 2, 3, 4, 1])}, "sofic")
+    rows = C_.verify_W(h, 10)
+    assert rows.defect > 0 and len(rows.defect_witness.split()) == 10
+    word = rows.defect_witness.split()
+    g = H.identity()
+    for lab in word:
+        g = H.mul(g, dict(H.generators())[lab])
+    assert g == H.identity()
+    with pytest.MonkeyPatch.context() as mp:
+        elements = C_._word_elements
+        mp.setattr(C_, "_word_elements", lambda group, letters:
+                   elements(_NoRows(group), letters))
+        assert C_.verify_W(h, 10).to_json() == rows.to_json()
+    # a homomorphism sends them, and the default relators, to the identity
+    hom = _heisenberg_hom(7)
+    assert {len(r) for r in hom.relators} == {10}
+    assert C_.verify_W(hom, 10).defect == C_.verify_R(hom, 10).defect == 0
+
+
+@pytest.mark.parametrize("group", [G_.Free(2), G_.FiniteCyclic(5)],
+                         ids=["F2", "Z/5"])
+def test_word_walk_without_coordinate_rows_keeps_payloads(group):
+    """A group without mul_array walks a list of payloads, one mul per
+    word, and reports what the depth-first reference reports."""
+    assert not hasattr(group, "mul_array")
+    root, children, trivial = C_._word_elements(group, C_._letters(group))
+    assert root == [group.identity()]
+    kids = children(root, np.array([0, 0]), np.array([0, 1]))
+    assert kids == [p for _, p in group.generators()[:2]]
+    assert trivial(kids).tolist() == [False, False]
+    h = _random_hom(group, "permutation", random.Random(3))
+    _same_reports(h, 4)
+
+
 def test_word_cap_is_counted_before_any_product(monkeypatch):
     """The cap trips at the word count where the depth-first walk trips,
     with its message, and before any word is multiplied."""
@@ -1128,6 +1235,146 @@ def test_lemma_suite_matches_scalar_reference(name, cert):
         assert got == _scalar_lemma_suite(cert, max_len, samples, seed)
     if name == "not unitary":
         assert not C_.lemma_consistency_suite(cert, seed=0)["pass"]
+
+
+def test_lemma_suite_bound_is_that_of_the_first_tuple_at_the_worst_ratio():
+    """Z mod 9 with the image of 1 moved at two points: its exact defects
+    give equal worst ratios at distinct tuple lengths, in patterns whose
+    first appearance is not the order of their first worst tuples, and the
+    recorded bounds are still the scalar suite's."""
+    base = {p: T_.Permutation([(i + p[0]) % 9 for i in range(9)])
+            for p in G_.ball(Z, 3)}
+    base[(1,)] = T_.Permutation([2, 1] + list(range(3, 9)) + [0])
+    cert = C_.ApproxCertificate(Z, 3, "sofic", base)
+    for seed, max_len, samples in ((6, 4, 40), (25, 3, 40), (36, 4, 10)):
+        assert C_.lemma_consistency_suite(
+            cert, max_len=max_len, samples=samples, seed=seed) \
+            == _scalar_lemma_suite(cert, max_len, samples, seed)
+
+
+class _Distance:
+    """A stand-in target whose distance to anything is ``value``."""
+
+    dim = 1
+
+    def __init__(self, value):
+        self.value = value
+
+    def dist(self, other):
+        return self.value
+
+
+def test_first_row_at_a_ratio_reached_by_two_distances():
+    """2.0 and the float below it are distinct distances with one ratio to
+    3.0: the first row at that ratio is the smaller one's, before the
+    first row of the largest distance."""
+    below = math.nextafter(2.0, 0)
+    assert below / 3.0 == 2.0 / 3.0
+    lhs = T_._ScalarRows([_Distance(x) for x in (1.0, below, 2.0, below)])
+    rhs = T_._ScalarRows([_Distance(0.0)] * 4)
+    assert lhs.extreme(rhs, max) == (2.0, 2)
+    assert C_._first_at(C_._PatternWorst(2.0 / 3.0, 3.0, None, 2, lhs,
+                                         rhs)) == 1
+
+
+def test_lemma_suite_refuses_parameters_that_draw_nothing():
+    """max_len below 2 has no tuple length to draw and samples below 1
+    would pass without a tuple; a max_len above 2**16 is refused too, as
+    an attempt's draws are read into memory at once."""
+    cert = cyclic(3)
+    for kwargs, name in (({"max_len": 1}, "max_len"),
+                         ({"max_len": 0}, "max_len"),
+                         ({"max_len": 2 ** 16 + 1}, "max_len"),
+                         ({"samples": 0}, "samples"),
+                         ({"samples": -3}, "samples")):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            C_.lemma_consistency_suite(cert, **kwargs)
+    assert C_.lemma_consistency_suite(cert, max_len=2, samples=1)[
+        "tuples_checked"] == 1
+
+
+def _reference_draws(seed, size, max_len, samples, keep):
+    """random.Random's own calls, one at a time as the lemma suite made
+    them before its draws were read in bulk: the kept tuples, their sign
+    patterns, then the next three randrange(1000)."""
+    rng = random.Random(seed)
+    tuples, attempts = [], 0
+    while len(tuples) < samples and attempts < samples * 50:
+        attempts += 1
+        j = rng.randint(2, max_len)
+        tup = [rng.randrange(size) for _ in range(j)]
+        if keep(tup):
+            tuples.append(tup)
+    signs = [[rng.choice((1, -1)) for _ in tup] for tup in tuples]
+    return tuples, signs, [rng.randrange(1000) for _ in range(3)]
+
+
+def _bulk_draws(seed, size, max_len, samples, keep):
+    """The same through draws.Stream and draws.draw_tuples."""
+    stream = D_.Stream(seed)
+    tuples = D_.draw_tuples(
+        stream, size, max_len, samples,
+        lambda flat, js: np.array([keep(t.tolist()) for t in np.split(
+            flat, np.cumsum(js)[:-1])], dtype=bool))
+    tuples = [t.tolist() for t in tuples]
+    flips = iter(stream.below(2, sum(map(len, tuples))).tolist())
+    signs = [[(1, -1)[next(flips)] for _ in tup] for tup in tuples]
+    return tuples, signs, stream.below(1000, 3).tolist()
+
+
+_KEEP = {"every": lambda t: True,
+         "some": lambda t: (sum(t) + len(t)) % 3 != 0,
+         # no tuple is kept: the attempts run to samples * 50
+         "none": lambda t: False}
+
+
+@pytest.mark.parametrize("words", [7, 64, None])
+@pytest.mark.parametrize("size", [1, 2, 53, 64, 145, 2 ** 16])
+def test_bulk_draws_are_random_random_calls(monkeypatch, size, words):
+    """The tuples, the sign patterns and where the stream stops equal
+    random.Random's own randint, randrange and choice calls, over int
+    seeds (0 and past 2**32 included), ball sizes, max_len 2..6, kept
+    tuples from every attempt to none, and parses of 7 words (shorter than
+    most attempts), 64 words and the default at a time."""
+    if words is not None:
+        monkeypatch.setattr(D_, "WORDS", words)
+    for seed in (0, 1, 2 ** 32, 2 ** 32 + 7, 2 ** 70 + 3):
+        for max_len in range(2, 7):
+            for name, keep in _KEEP.items():
+                samples = 3 if name == "none" else 9
+                want = _reference_draws(seed, size, max_len, samples, keep)
+                assert _bulk_draws(seed, size, max_len, samples, keep) \
+                    == want, (seed, max_len, name)
+                if name == "none":
+                    assert want[0] == []
+
+
+def test_lemma_suite_results_are_pinned():
+    """The suite's results at seeds 0 and 1 on the certificates of the
+    benchmark's lemma-suite steps, from_quotient of Z^2 mod 17 at n = 8
+    (sofic) and of Heisenberg(1) mod 7 at n = 3 (fin), as they were before
+    the draws were read in bulk: an exact family has worst ratio 0, so
+    each bound is that of the first tuple drawn."""
+    eps0 = Fraction(1, 10 ** 12)
+
+    def expect(j):
+        return {
+            "identity": {"value": 0, "bound": eps0, "pass": True},
+            "inverses": {"value": 0, "bound": 2 * eps0, "pass": True},
+            "products": {"worst_ratio": 0.0, "bound": (j - 1) * eps0,
+                         "pass": True},
+            "signed_factors": {"worst_ratio": 0.0, "bound": 2 * j * eps0,
+                               "pass": True},
+            "signed_products": {"worst_ratio": 0.0,
+                                "bound": (3 * j - 1) * eps0, "pass": True},
+            "epsilon0": eps0, "tuples_checked": 200, "pass": True}
+    Z2, H = G_.FreeAbelian(2), G_.Heisenberg(1)
+    small = X_.from_quotient(Z2, G_.LatticeHNF(Z2, [(17, 0), (0, 17)]), 8,
+                             "sofic")
+    fin = X_.from_quotient(H, G_.CongruenceMod(H, 7), 3, "fin")
+    for cert, seed, j in ((small, 0, 2), (small, 1, 2), (fin, 0, 2),
+                          (fin, 1, 3)):
+        assert C_.lemma_consistency_suite(cert, seed=seed) == expect(j)
 
 
 # ---------------------------------------------------------------------------

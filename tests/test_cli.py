@@ -910,6 +910,17 @@ _BAD_INPUT = {
     "witness-members-not-its-labels": lambda t: _witness_argv(
         t, lambda o: o.update(members=["banana"] * 25, defect=[0, 1],
                               size=1)),
+    # each member payload's leaves must be ints, as the writer writes them;
+    # each of these files is otherwise, field for field, what to_json()
+    # writes for the witness it would decode to
+    "witness-payload-half-integers": lambda t: _witness_argv(
+        t, lambda o: o.update(X_.FolnerWitness(
+            G_.FreeAbelian(1), 2,
+            [(i + 0.5,) for i in range(-12, 13)]).to_json())),
+    "witness-payload-float-integer": lambda t: _witness_argv(
+        t, lambda o: o["members_payload"].__setitem__(13, [1.0])),
+    "witness-payload-bool": lambda t: _witness_argv(
+        t, lambda o: o["members_payload"].__setitem__(13, [True])),
     "witness-radius-bound-float": lambda t: _witness_argv(
         t, lambda o: o.update(radius_bound=4.0)),
     # B(12) with 0 written twice, in sorted order, as the writer would
@@ -1121,6 +1132,21 @@ def test_profile_json_with_slope(capsys):
     obj = json.loads(out)
     assert 0.5 < obj["fit"]["slope"] < 1.2
     assert obj["family"] == "sofic"
+
+
+def test_profile_slope_window_takes_a_negative_low_end_spaced(capsys):
+    """--slope-window -5,3 reads as --slope-window=-5,3 does."""
+    argv = ["profile", "--group", "Z", "--family", "sofic", "--n", "1..3",
+            "--format", "json"]
+    spaced = run(capsys, *argv, "--slope-window", "-5,3")
+    assert spaced == run(capsys, *argv, "--slope-window=-5,3")
+    assert spaced[0] == 0 and "fit" in json.loads(spaced[1])
+    code, out, err = run(capsys, *argv, "--slope-window", "-5,-4")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: slope window -5,-4 selects 0 point(s)")
+    code, out, err = run(capsys, *argv, "--slope-window", "-5")
+    assert (code, out, err) == (1, "", "error: bad slope window '-5' (use "
+                                       "LO,HI)\n")
 
 
 @pytest.mark.parametrize("window, selected", [
