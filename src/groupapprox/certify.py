@@ -66,8 +66,10 @@ class WordCapExceeded(Exception):
 DEFAULT_FLOAT_MARGIN = 1e-9
 DEFAULT_WORD_CAP = 10 ** 6
 
-# the report note of a verification that took the commutant kernel
+# the report notes of a verification that took the commutant kernel, and
+# of a word-level one that took the homomorphism kernel
 COMMUTANT_NOTE = "commutant kernel (exact moved-point counts)"
+HOMOMORPHISM_NOTE = "homomorphism kernel (exact)"
 
 # A family of approximations: its default separation, the target kinds
 # its certificates admit (a kind outside them would be measured in the
@@ -402,14 +404,21 @@ class _Assignments(Mapping):
 
 class HomCertificate(_Certificate):
     """Homomorphism F_X -> target, given on the generators of a catalog
-    group, its images in one target group as in ApproxCertificate."""
+    group, its images in one target group as in ApproxCertificate. Its
+    ``relators`` are the group's presentation (Group.presentation), None
+    when none is written down: a certificate brings no relators of its
+    own, so none can leave a relation of the group unchecked."""
 
     def __init__(self, group, images, family, relators=None, epsilon=None,
                  dimension=None, provenance=None):
+        """``relators``, when given, must be the group's presentation;
+        CertificateError otherwise."""
         self.images = dict(images)  # generator label -> target element
         super().__init__(group, family, list(self.images.values()),
                          epsilon, dimension, provenance)
-        self.relators = [tuple(r) for r in (relators or [])]
+        if relators is not None \
+                and [tuple(r) for r in relators] != group.presentation():
+            raise CertificateError(_not_the_presentation(group))
         # close under formal inverses: a label without an image takes the
         # inverse of the image of a given label whose payload is its inverse
         given, gens = dict(self.images), group.generators()
@@ -422,6 +431,11 @@ class HomCertificate(_Certificate):
                 self.images[lab] = given[src[0]].inv()
         # read-only once closed, like an ApproxCertificate's images
         self.images = MappingProxyType(self.images)
+
+    @property
+    def relators(self):
+        """The group's presentation, a list of label tuples, or None."""
+        return self.group.presentation()
 
     def image_of_word(self, labels):
         out = None
@@ -437,7 +451,7 @@ class HomCertificate(_Certificate):
         obj = self._header()
         obj["images"] = [{"generator": lab, "target": el.to_json()}
                          for lab, el in sorted(self.images.items())]
-        obj["relators"] = [list(r) for r in self.relators]
+        obj["relators"] = _presentation_json(self.group)
         return obj
 
     @classmethod
@@ -453,12 +467,22 @@ class HomCertificate(_Certificate):
             if lab in images:
                 raise CertificateError(f"duplicate generator {lab!r}")
             images[lab] = T_.target_from_json(item["target"], fin_group=fin_group)
-        relators = [tuple(r) for r in obj["relators"]]
-        for r in relators:
-            if not labels.issuperset(r):
-                raise CertificateError(
-                    f"relator {list(r)} uses a label the group lacks")
-        return cls(group, images, relators=relators, **header)
+        # exactly what to_json writes
+        if obj["relators"] != _presentation_json(group):
+            raise CertificateError(_not_the_presentation(group))
+        return cls(group, images, **header)
+
+
+def _presentation_json(group):
+    """The group's presentation as a certificate writes it: a list of
+    label lists, or None (null) when none is written down."""
+    presentation = group.presentation()
+    return None if presentation is None else [list(r) for r in presentation]
+
+
+def _not_the_presentation(group):
+    return (f"relators must be the presentation of {group!r}, "
+            f"{json.dumps(_presentation_json(group))}")
 
 
 def _inverse_label_map(group):
@@ -719,35 +743,138 @@ def verify_W(h, n, cap=DEFAULT_WORD_CAP, margin=DEFAULT_FLOAT_MARGIN):
 
 
 def verify_R(h, n, margin=DEFAULT_FLOAT_MARGIN):
-    """Relators of length <= n must land < 1/n from the identity; words
-    nontrivial in G must stay > eps - 1/n away."""
+    """The relators of the group's presentation of length <= n must land
+    < 1/n from the identity; words nontrivial in G must stay > eps - 1/n
+    away. CertificateError for a group with no written presentation."""
     return _verify_words(h, n, DEFAULT_WORD_CAP, margin, relator_mode=True)
 
 
-def _verify_words(h, n, cap, margin, relator_mode):
-    """Walk the reduced words depth first in blocks of one length, each row
-    a word's letters, group element and image. A block expands into its
-    children parent-major, letters descending: the pop order of a scalar
-    depth-first stack. The images are rows of one targets.batch R whose
-    row 0 is the identity and row x + 1 the image of letter x: a child
-    block is a block's rows times R's letter rows, and each word is
-    measured against row 0. Witnesses are the first words in depth-first
-    pre-order attaining the extreme: a block's first, and across blocks
-    the least key tuple(-letter)."""
+def _word_walk(h, n, letters, count, relator_mode):
+    """The reference of word-level verification: each word's image, the
+    rows of its letters' images multiplied along the walk (_word_blocks),
+    measured against the identity; trivial words (unless in relator mode)
+    for the greatest distance, nontrivial ones for the least, and then in
+    relator mode each relator of the presentation of length <= n."""
+    ident, R = _letter_rows(h, letters)
+    family = family_record(h.family)
+    best = _word_extremes(family.exact)
+    # each kind of word with its extreme and whether it is measured
+    # projectively: as in verify_D, condition (2) of a projective family
+    separate = (False, min, family.projective)
+    kinds = (separate,) if relator_mode else ((True, max, False), separate)
+    # a block holds about G_.BLOCK entries of R's rows
+    for W, _, is_e, T in _word_blocks(h.group, letters, n,
+                                      max(1, G_.BLOCK // R.width), (ident, R)):
+        for kind, pick, projective in kinds:
+            rows = np.flatnonzero(is_e == kind)
+            if len(rows):
+                d, r = T.take(rows).extreme(ident, pick, projective)
+                _keep(best, kind, pick, d, W[rows[r]])
+    if relator_mode:
+        row = {lab: x + 1 for x, (lab, _, _) in enumerate(letters)}
+        for r in h.group.presentation():
+            if len(r) > n:
+                continue
+            img = _product([R.take([row[lab]]) for lab in r] or [ident])
+            d, _ = img.extreme(ident, max)
+            if d > best[True][0]:
+                best[True] = [d, tuple(1 - row[lab] for lab in r)]
+    return _word_measure(best, count, relator_mode)
+
+
+def _homomorphism_kernel(h, n, letters, count, relator_mode):
+    """The walk's _Measure read from B(n), for images that define a
+    homomorphism phi of the group; None, for the walk to measure, unless
+    the group has mul_array and a written presentation (never the
+    certificate's relators: Group.presentation), the images are rows that
+    compare exactly (targets.batch rows with ``equal``: permutation rows of
+    any metric, tensor powers through their bases, and table rows), each
+    x^-1 image is the inverse of the x image and every relator maps to the
+    identity, all checked exactly. By von Dyck's theorem phi then exists
+    and a word w's image is phi(pi(w)): a trivial word is exactly at 0 from
+    the identity, each relator too, and a nontrivial one at the distance
+    of phi(g), g = pi(w) in B(n). phi is built on B(n) one level at a
+    time, each new element's image its parent's times a letter's image
+    along one edge, and its distance to the identity read once per
+    element; the words are walked on the group side only (_word_blocks
+    without rows), each reading its element's distance at its slot in
+    B(n), so values, witnesses and counts are the walk's."""
+    grp = h.group
+    presentation = grp.presentation()
+    if presentation is None or not hasattr(grp, "mul_array"):
+        return None
+    ident, R = _letter_rows(h, letters)
+    if not hasattr(R, "equal"):
+        return None
+    row = {lab: x + 1 for x, (lab, _, _) in enumerate(letters)}
+    inverse = np.array([i for _, _, i in letters])
+    if not R.take(inverse + 1).mul(R.take(range(1, len(letters) + 1))) \
+            .equal(ident).all():
+        return None
+    for r in presentation:
+        if not _product([R.take([row[lab]]) for lab in r]
+                        or [ident]).equal(ident).all():
+            return None
+    family = family_record(h.family)
+    projective = family.projective
+    # every element of B(n) is the value of a reduced word of length <= n,
+    # so the ball is no larger than the word count
+    B = G_.ball(grp, n, cap=count)
+    C = B.coords()
+    gen = np.array([grp.coords(p) for _, p, _ in letters], dtype=np.int64)
+    # level by level: the slots of a level and the rows of their images
+    level, images = np.zeros(1, dtype=np.intp), ident
+    seen = np.zeros(len(B), dtype=bool)
+    seen[0] = True
+    scores, value = ident.distances(ident, projective)
+    slots, parts = [level], [scores]
+    for _ in range(n):
+        reached = B.slots(grp.mul_array(C[level][:, None], gen[None])
+                          .reshape(-1, C.shape[1]))
+        at = np.flatnonzero(reached >= 0)
+        at = at[~seen[reached[at]]]
+        level, first = np.unique(reached[at], return_index=True)
+        seen[level] = True
+        # reached lists each parent's letters in order
+        par, let = np.divmod(at[first], len(letters))
+        images = images.take(par).mul(R.take(let + 1))
+        slots.append(level)
+        parts.append(images.distances(ident, projective)[0])
+    if not seen.all():
+        return None
+    scores = np.empty(len(B), dtype=parts[0].dtype)
+    scores[np.concatenate(slots)] = np.concatenate(parts)
+    best = _word_extremes(family.exact)
+    for W, gs, is_e, _ in _word_blocks(grp, letters, n,
+                                       max(1, G_.BLOCK // C.shape[1])):
+        rows = np.flatnonzero(~is_e)
+        if len(rows):
+            at = B.slots(gs[rows])
+            if (at < 0).any():
+                return None
+            s = scores[at]
+            r = int(np.argmin(s))
+            _keep(best, False, min, value(s.item(r)), W[rows[r]])
+    return _word_measure(best, count, relator_mode, HOMOMORPHISM_NOTE)
+
+
+def _verify_words(h, n, cap, margin, relator_mode,
+                  kernels=(_homomorphism_kernel, _word_walk)):
+    """What the first of ``kernels`` that applies measured on the reduced
+    words of length 1..n, decided by _report: the homomorphism kernel,
+    else the walk. Each kernel is called as kernel(h, n, letters, count,
+    relator_mode) and returns a _Measure, or None where it does not apply;
+    the walk always applies. The word count is known before any word is
+    built, so WordCapExceeded comes first."""
     _require_margin(margin)
     if n < 1:
         raise CertificateError(f"cannot verify at word length {n}, below 1")
     grp = h.group
+    if relator_mode and grp.presentation() is None:
+        raise CertificateError(
+            f"no presentation of {grp!r} is written down, so there are no "
+            f"relators to constrain")
     letters = _letters(grp)
-    first = next(iter(h.images.values()))
-    # the identity shares the letters' kind, so a mixed list stays scalar
-    R = T_.batch([target_identity_like(first)]
-                 + [h.images[lab] for lab, _, _ in letters])
-    ident = R.take([0])
-    family = family_record(h.family)
-    exact = family.exact
-    eps = h.epsilon
-    root, children, trivial = _word_elements(grp, letters)
     # the root has nl children and every other word nl - 1
     count, level = 1, len(letters)
     for _ in range(n):
@@ -756,33 +883,68 @@ def _verify_words(h, n, cap, margin, relator_mode):
         count, level = count + level, level * (len(letters) - 1)
     if count > cap:
         raise WordCapExceeded(f"more than {cap} words at length {n}")
+    m = next(filter(None, (kernel(h, n, letters, count, relator_mode)
+                           for kernel in kernels)))
+    return _report(m, n, h.epsilon, family_record(h.family).exact, margin,
+                   lambda key: " ".join(letters[-x][0] for x in key))
 
-    # trivial and nontrivial words: [extreme, the key of its word]
-    best = {True: [Fraction(0) if exact else 0.0, None],
-            False: [None, None]}
-    # each kind of word with its extreme and whether it is measured
-    # projectively: as in verify_D, condition (2) of a projective family
-    separate = (False, min, family.projective)
-    kinds = (separate,) if relator_mode else ((True, max, False), separate)
+
+def _letter_rows(h, letters):
+    """(ident, R): the targets.batch rows R whose row 0 is the identity
+    and row x + 1 the image of letter x, and R's row 0 alone."""
+    first = next(iter(h.images.values()))
+    # the identity shares the letters' kind, so a mixed list stays scalar
+    R = T_.batch([target_identity_like(first)]
+                 + [h.images[lab] for lab, _, _ in letters])
+    return R.take([0]), R
+
+
+def _word_extremes(exact):
+    """The extremes of the walk, before any word: trivial (True) and
+    nontrivial (False) words, each [extreme, key of its word]."""
+    return {True: [Fraction(0) if exact else 0.0, None], False: [None, None]}
+
+
+def _keep(best, kind, pick, d, word):
+    """Take d, the distance of ``word`` (its letters), as the extreme of
+    its kind when pick prefers it, or when it ties and ``word`` comes first
+    in depth-first pre-order: its key tuple(-letter) is the least."""
+    key = tuple((-word).tolist())
+    value, old = best[kind]
+    if value is None or (d != value and pick(d, value) == d) \
+            or (d == value and old is not None and key < old):
+        best[kind] = [d, key]
+
+
+def _word_measure(best, count, relator_mode, *notes):
+    """The _Measure of a walk's extremes over ``count`` words."""
+    (worst_triv, triv_wit), (worst_sep, sep_wit) = best[True], best[False]
+    mode = ["relator mode: only relators constrained near identity"] \
+        if relator_mode else []
+    return _Measure(worst_triv, triv_wit, count, worst_sep, sep_wit, count,
+                    mode + [f"words checked: {count}", *notes])
+
+
+def _word_blocks(group, letters, n, step, rows=None):
+    """The reduced words of length 1..n, depth first in blocks of at most
+    ``step`` words of one length: (W, gs, is_e, T) per block, W the words'
+    letters, gs their group elements (_word_elements), is_e which of them
+    are the identity, and T the rows of their images when ``rows`` = (ident,
+    R) gives the identity's row and R, row x + 1 the image of letter x (a
+    child block is its parent block's rows times R's letter rows), None
+    otherwise. A block expands into its children parent-major, letters
+    descending: the pop order of a scalar depth-first stack. So the first
+    word in depth-first pre-order that attains an extreme is the first in
+    its block, and across blocks the one of least key tuple(-letter)."""
+    root, children, trivial = _word_elements(group, letters)
+    ident, R = rows or (None, None)
     inverse = np.array([i for _, _, i in letters])
     down = np.arange(len(letters))[::-1]
-    # a block holds about G_.BLOCK entries of R's rows
-    step = max(1, G_.BLOCK // R.width)
     stack = [(np.zeros((1, 0), dtype=np.intp), root, ident)]
     while stack:
         W, gs, T = stack.pop()
         if W.shape[1]:
-            is_e = trivial(gs)
-            for kind, pick, projective in kinds:
-                rows = np.flatnonzero(is_e == kind)
-                if not len(rows):
-                    continue
-                d, r = T.take(rows).extreme(ident, pick, projective)
-                key = tuple((-W[rows[r]]).tolist())
-                value, old = best[kind]
-                if value is None or (d != value and pick(d, value) == d) \
-                        or (d == value and old is not None and key < old):
-                    best[kind] = [d, key]
+            yield W, gs, trivial(gs), T
         if W.shape[1] < n:
             par = np.repeat(np.arange(len(W)), len(letters))
             let = np.tile(down, len(W))
@@ -791,29 +953,12 @@ def _verify_words(h, n, cap, margin, relator_mode):
                 par, let = par[keep], let[keep]
             W = np.column_stack((W[par], let))
             gs = children(gs, par, let)
-            T = T.take(par).mul(R.take(let + 1))
+            if T is not None:
+                T = T.take(par).mul(R.take(let + 1))
             for i in reversed(range(0, len(W), step)):
                 block = range(i, min(i + step, len(W)))
-                stack.append((W[i:i + step], gs[i:i + step], T.take(block)))
-    worst_triv, triv_wit = best[True]
-    worst_sep, sep_wit = best[False]
-
-    notes = []
-    if relator_mode:
-        row = {lab: x + 1 for x, (lab, _, _) in enumerate(letters)}
-        for r in h.relators:
-            if len(r) > n:
-                continue
-            img = _product([R.take([row[lab]]) for lab in r] or [ident])
-            d, _ = img.extreme(ident, max)
-            if d > worst_triv:
-                worst_triv, triv_wit = d, tuple(1 - row[lab] for lab in r)
-        notes.append("relator mode: only relators constrained near identity")
-    notes.append(f"words checked: {count}")
-    return _report(
-        _Measure(worst_triv, triv_wit, count, worst_sep, sep_wit, count,
-                 notes), n, eps, exact, margin,
-        lambda key: " ".join(letters[-x][0] for x in key))
+                stack.append((W[i:i + step], gs[i:i + step],
+                              None if T is None else T.take(block)))
 
 
 def _word_elements(group, letters):
@@ -925,25 +1070,10 @@ def W_from_D(c, m):
 
 
 def default_relators(group):
-    """Standard relator words (as generator-label tuples) for catalog groups."""
-    if isinstance(group, G_.FreeAbelian):
-        rel = []
-        for i in range(group.d):
-            for j in range(i + 1, group.d):
-                a, b = f"x{i + 1}", f"x{j + 1}"
-                rel.append((a, b, f"{a}^-1", f"{b}^-1"))
-        return rel
-    if isinstance(group, G_.Heisenberg) and group.l == 1:
-        # two-step nilpotency: x and y both commute with z = [x,y]
-        comm = ("x1", "y1", "x1^-1", "y1^-1")
-        rel = []
-        for t in ("x1", "y1"):
-            tinv = t + "^-1"
-            rel.append((t,) + comm + (tinv,) + _invert_word(group, comm))
-        return rel
-    if isinstance(group, G_.FiniteCyclic):
-        return [("x",) * group.m]
-    return []
+    """The relator words (generator-label tuples) of the group's
+    presentation, or None when none is written down
+    (Group.presentation)."""
+    return group.presentation()
 
 
 # ---------------------------------------------------------------------------

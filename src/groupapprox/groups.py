@@ -103,6 +103,15 @@ class Group:
     def descriptor(self):
         raise NotImplementedError
 
+    def presentation(self):
+        """A complete presentation of the group on its generator labels, a
+        list of relator words (tuples of labels), or None when none is
+        written down. Complete: the relators' normal closure in the free
+        group on the labels, each label x^-1 the formal inverse of x, is the
+        whole kernel onto the group, so by von Dyck's theorem images that
+        satisfy every relator define a homomorphism of the group."""
+        return None
+
     def __repr__(self):
         return self.fmt_descriptor()
 
@@ -154,6 +163,7 @@ class Ball:
             self._size = len(coords)
         self._coords = coords
         self._slots = None
+        self._lookup = None
         self._products = None
 
     @property
@@ -205,6 +215,16 @@ class Ball:
         array, for a group with a coordinate form; None otherwise."""
         return self._coords
 
+    def slots(self, R):
+        """The slot of each row of the int64 array R among ``coords()``,
+        int32, or -1 for a row outside the ball; a ball with a coordinate
+        form only. The lookup (_grid_slots) is built on the first call and
+        kept."""
+        if self._lookup is None:
+            self._lookup = _grid_slots(self._coords) \
+                or _sorted_slots(self._coords)
+        return self._lookup(R)
+
     def products(self):
         """Product table: an int32 |B| x |B| array whose entry [i, j] is the
         slot of elements[i] * elements[j], or -1 when that product leaves
@@ -243,12 +263,11 @@ def _rows(X):
 def _products_array(B):
     C = B.coords()
     size, k = C.shape
-    slots = _grid_slots(C) or _sorted_slots(C)
     table = np.empty((size, size), dtype=np.int32)
     step = max(1, BLOCK // (size * k))
     for i in range(0, size, step):
         P = B.group.mul_array(C[i:i + step, None], C[None])
-        table[i:i + step] = slots(P.reshape(-1, k)).reshape(-1, size)
+        table[i:i + step] = B.slots(P.reshape(-1, k)).reshape(-1, size)
     return table
 
 
@@ -605,6 +624,12 @@ class FreeAbelian(Group):
             gens.append((f"x{i + 1}^-1", self.inv(e)))
         return gens
 
+    def presentation(self):
+        """The commutators x_i x_j x_i^-1 x_j^-1, i < j."""
+        return [(f"x{i}", f"x{j}", f"x{i}^-1", f"x{j}^-1")
+                for i in range(1, self.d + 1)
+                for j in range(i + 1, self.d + 1)]
+
     def key(self, p):
         return p
 
@@ -661,6 +686,9 @@ class Free(Group):
             gens.append((f"x{i}", (i,)))
             gens.append((f"x{i}^-1", (-i,)))
         return gens
+
+    def presentation(self):
+        return []
 
     def key(self, p):
         # sort by length, then letters; encode sign so x1 < x1^-1
@@ -723,6 +751,16 @@ class Heisenberg(Group):
             gens.append((f"y{i + 1}^-1", self.inv(y)))
         return gens
 
+    def presentation(self):
+        """For l = 1 the class-two relators [x1, [x1, y1]] and [y1, [x1,
+        y1]], [a, b] = a b a^-1 b^-1: Heisenberg(1) is the free nilpotent
+        group of class two on x1, y1. None is written for l >= 2."""
+        if self.l != 1:
+            return None
+        comm = ("x1", "y1", "x1^-1", "y1^-1")
+        comm_inv = ("y1", "x1", "y1^-1", "x1^-1")
+        return [(t,) + comm + (t + "^-1",) + comm_inv for t in ("x1", "y1")]
+
     def key(self, p):
         return p[0] + p[1] + (p[2],)
 
@@ -773,6 +811,9 @@ class FiniteCyclic(Group):
         if self.m == 1:
             return [("x", 0)]
         return [("x", 1 % self.m), ("x^-1", (-1) % self.m)]
+
+    def presentation(self):
+        return [("x",) * self.m]
 
     def key(self, p):
         return (p,)

@@ -1058,7 +1058,10 @@ def batch(images):
     by which a caller sizes blocks of rows.
     ``with_kernel(gens)`` gives the rows with the commutant kernel derived
     from the rows at ``gens``, the positions of the images of a generating
-    set (see _PermRows).
+    set (see _PermRows). The array rows compare exactly, and they alone
+    give ``equal(other)`` and ``distances(other, projective=False)``
+    (_ExactRows): permutation rows, tensor powers through their bases, and
+    table rows.
     """
     if all(isinstance(t, Permutation) for t in images):
         return _PermRows(_frozen(np.array([t.images for t in images],
@@ -1298,7 +1301,23 @@ class _ScalarRows:
         return value, r
 
 
-class _TableRows:
+class _ExactRows:
+    """What the rows that compare exactly share (_TableRows, _PermRows):
+    ``equal(other)``, whether the rows of each pair are one element, a
+    bool array; ``distances(other, projective=False)``, the distances of
+    the row pairs as (scores, value), an array that orders the pairs as
+    their distances do and the function from one score to its distance;
+    and extreme, a pick over those scores, so that a caller that reads the
+    distances of many rows once gets extreme's values and first
+    positions."""
+
+    def extreme(self, other, pick, projective=False):
+        scores, value = self.distances(other, projective)
+        r = int({max: np.argmax, min: np.argmin}[pick](scores))
+        return value(scores.item(r)), r
+
+
+class _TableRows(_ExactRows):
     """Rows of elements of one table group, a read-only int64 array of
     their indices. The product of two rows is the gather M[x, y] from the
     group's product table, the inverse a gather from its inverse table,
@@ -1348,14 +1367,17 @@ class _TableRows:
     def inv(self):
         return _TableRows(self.group, self.group.inv_table[self.x])
 
-    def extreme(self, other, pick, projective=False):
+    def equal(self, other):
+        x, y = self._paired(other)
+        return x == y
+
+    def distances(self, other, projective=False):
         if projective:
             raise TypeError("a table metric has no projective form")
         x, y = self._paired(other)
         G = self.group
-        lengths = G.length_table[G.mul_table[G.inv_table[x], y]]
-        r = int({max: np.argmax, min: np.argmin}[pick](lengths))
-        return Fraction(lengths.item(r), G.den), r
+        return (G.length_table[G.mul_table[G.inv_table[x], y]],
+                lambda length: Fraction(length, G.den))
 
 
 def _inverse(P):
@@ -1389,7 +1411,7 @@ def _cycle_walk(P):
     return lab.reshape(m, k), ahead.reshape(m, k)
 
 
-class _PermRows:
+class _PermRows(_ExactRows):
     """Rows over an int32 image array P, one permutation per row, in one
     ``metric``: HAMMING (Permutation targets), HILBERT_SCHMIDT
     (PermUnitary, or tensor powers of them, below) or RANK over ``field``
@@ -1595,24 +1617,24 @@ class _PermRows:
     def inv(self):
         return self._like(_inverse(self.P))
 
-    def extreme(self, other, pick, projective=False):
+    def equal(self, other):
+        return (self.P == self._paired(other)).all(axis=1)
+
+    def distances(self, other, projective=False):
         if projective and self.metric == HAMMING:
             raise TypeError("the Hamming metric has no projective form")
         Q = self._paired(other)
-        arg = {max: np.argmax, min: np.argmin}[pick]
         if self.power is not None:
-            values = _tensor_distances(self.k, self.pad, self.power)[
-                np.count_nonzero(self.P == Q, axis=1)]
-            r = int(arg(values))
-            return values.item(r), r
+            # picked on the gathered values, not on the counts
+            return (_tensor_distances(self.k, self.pad, self.power)[
+                np.count_nonzero(self.P == Q, axis=1)], float)
         if self.metric == RANK:
             lab, _ = _cycle_walk(other.inv().mul(self).P)
             count = self.k - np.count_nonzero(lab == np.arange(self.k),
                                               axis=1)
         else:
             count = np.count_nonzero(self.P != Q, axis=1)
-        r = int(arg(count))
-        return self._value(int(count[r])), r
+        return count, self._value
 
     def max_defect_all(self, table, zero):
         """Commutant kernel of the defect sweep over the product table

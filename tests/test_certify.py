@@ -1,7 +1,9 @@
+import collections
 import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -169,7 +171,10 @@ def test_translation_fast_path_matches_generic(data):
                      for t in (T_.CyclicPerm(m, 1),
                                T_.Permutation(T_.CyclicPerm(m, 1).images)))
     for verify in (C_.verify_W, C_.verify_R):
-        assert vars(verify(h_cyc, n)) == vars(verify(h_perm, n))
+        word_cyc, word_perm = verify(h_cyc, n), verify(h_perm, n)
+        # the permutation images take the homomorphism kernel
+        assert word_perm.notes == word_cyc.notes + [C_.HOMOMORPHISM_NOTE]
+        assert _fields(word_cyc) == _fields(word_perm)
 
 
 def test_translation_check_stops_at_the_first_target_not_a_shift(
@@ -698,11 +703,32 @@ def _row_width(h):
     return T_.batch(list(h.images.values())).width
 
 
+def _walked(h, n, relator_mode=False):
+    """The report of the word walk alone, without the homomorphism kernel
+    in front of it."""
+    return C_._verify_words(h, n, C_.DEFAULT_WORD_CAP, C_.DEFAULT_FLOAT_MARGIN,
+                            relator_mode, kernels=(C_._word_walk,))
+
+
 def _same_reports(h, n):
+    """The walk reports what the depth-first reference reports, and so does
+    verify_W (verify_R), but for the note of the homomorphism kernel when
+    that measured the words. A group with no written presentation has no
+    relators to constrain, and relator mode refuses it."""
     for verify, relator_mode in ((C_.verify_W, False), (C_.verify_R, True)):
-        assert verify(h, n).to_json() == _dfs_verify_words(
-            h, n, C_.DEFAULT_WORD_CAP, C_.DEFAULT_FLOAT_MARGIN,
-            relator_mode).to_json()
+        if relator_mode and h.relators is None:
+            with pytest.raises(C_.CertificateError, match=re.escape(
+                    f"no presentation of {h.group!r}")):
+                verify(h, n)
+            continue
+        want = _dfs_verify_words(h, n, C_.DEFAULT_WORD_CAP,
+                                 C_.DEFAULT_FLOAT_MARGIN,
+                                 relator_mode).to_json()
+        assert _walked(h, n, relator_mode).to_json() == want
+        got = verify(h, n).to_json()
+        if C_.HOMOMORPHISM_NOTE in got["notes"]:
+            got["notes"].remove(C_.HOMOMORPHISM_NOTE)
+        assert got == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -772,13 +798,13 @@ def test_tensor_word_walk_blocks_by_the_base_degree(monkeypatch, m, power):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T_._PermRows, "extreme", counted)
-        want = json.dumps(C_.verify_W(h, 4).to_json())
+        want = json.dumps(_walked(h, 4).to_json())
     # one block per length, each measured for trivial and nontrivial words
     assert len(calls) <= 2 * 4 and sum(calls) == 160
     _same_reports(h, 4)
     for rows in (1, 5):
         monkeypatch.setattr(G_, "BLOCK", rows * m * m)
-        assert json.dumps(C_.verify_W(h, 4).to_json()) == want
+        assert json.dumps(_walked(h, 4).to_json()) == want
         _same_reports(h, 4)
 
 
@@ -796,8 +822,8 @@ class _NoRows:
 
 
 def _walk_reports(h, n):
-    return [json.dumps(verify(h, n).to_json())
-            for verify in (C_.verify_W, C_.verify_R)]
+    return [json.dumps(_walked(h, n, relator_mode).to_json())
+            for relator_mode in (False, True)]
 
 
 def _heisenberg_hom(m):
@@ -886,6 +912,219 @@ def test_word_walk_without_coordinate_rows_keeps_payloads(group):
     assert trivial(kids).tolist() == [False, False]
     h = _random_hom(group, "permutation", random.Random(3))
     _same_reports(h, 4)
+
+
+def test_presentations_of_the_catalog_groups():
+    """Z^d, Heisenberg(1), Z/m and F_r write a presentation down (F_r's
+    has no relator); Heisenberg(2), Sym(n) and products write none, and
+    default_relators reads the group's."""
+    assert G_.FreeAbelian(3).presentation() == [
+        ("x1", "x2", "x1^-1", "x2^-1"), ("x1", "x3", "x1^-1", "x3^-1"),
+        ("x2", "x3", "x2^-1", "x3^-1")]
+    assert Z.presentation() == []
+    comm, comm_inv = ("x1", "y1", "x1^-1", "y1^-1"), ("y1", "x1", "y1^-1",
+                                                       "x1^-1")
+    assert G_.Heisenberg(1).presentation() == [
+        ("x1",) + comm + ("x1^-1",) + comm_inv,
+        ("y1",) + comm + ("y1^-1",) + comm_inv]
+    assert G_.FiniteCyclic(3).presentation() == [("x", "x", "x")]
+    assert G_.FiniteCyclic(1).presentation() == [("x",)]
+    assert G_.Free(2).presentation() == []
+    for name in ("Heisenberg(2)", "Sym(3)", "Lamplighter(Z/2)"):
+        assert G_.parse_group(name).presentation() is None
+    assert G_.DirectProduct(Z, G_.FiniteCyclic(2)).presentation() is None
+    for group in (G_.FreeAbelian(2), G_.Heisenberg(1), G_.Heisenberg(2)):
+        assert C_.default_relators(group) == group.presentation()
+
+
+def test_relators_are_the_groups_presentation():
+    """A certificate's relators are its group's presentation: any other
+    list, given or decoded, is refused, and a group with no written
+    presentation writes null, which relator mode refuses."""
+    Z2, H2 = G_.FreeAbelian(2), G_.Heisenberg(2)
+    images = {"x1": T_.Permutation([1, 0, 2]), "x2": T_.Permutation([0, 2, 1])}
+    h = C_.HomCertificate(Z2, images, "sofic")
+    assert h.relators == Z2.presentation()
+    assert h.to_json()["relators"] == [["x1", "x2", "x1^-1", "x2^-1"]]
+    for relators in ([], [("x1", "x2")]):
+        with pytest.raises(C_.CertificateError,
+                           match=re.escape("presentation of FreeAbelian(2)")):
+            C_.HomCertificate(Z2, images, "sofic", relators=relators)
+    for relators in ([], None, [["x2", "x1", "x2^-1", "x1^-1"]]):
+        obj = h.to_json()
+        obj["relators"] = relators
+        with pytest.raises(C_.CertificateError,
+                           match=re.escape("presentation of FreeAbelian(2)")):
+            C_.HomCertificate.from_json(obj)
+    # a free group has no relator, written [] and nothing else
+    free = C_.HomCertificate(G_.Free(2), images, "sofic").to_json()
+    assert free["relators"] == []
+    for relators in ({}, None, ""):
+        with pytest.raises(C_.CertificateError, match="presentation of Free"):
+            C_.HomCertificate.from_json(dict(free, relators=relators))
+    h2 = C_.HomCertificate(H2, {lab: T_.Permutation([1, 2, 0]) for lab in
+                                ("x1", "y1", "x2", "y2")}, "sofic")
+    obj = h2.to_json()
+    assert h2.relators is None and obj["relators"] is None
+    assert C_.HomCertificate.from_json(obj).relators is None
+    obj["relators"] = []
+    with pytest.raises(C_.CertificateError, match=re.escape(
+            "presentation of Heisenberg(2), null")):
+        C_.HomCertificate.from_json(obj)
+    with pytest.raises(C_.CertificateError, match=re.escape(
+            "no presentation of Heisenberg(2)")):
+        C_.verify_R(h2, 2)
+    assert C_.verify_W(h2, 2).notes == ["words checked: 65"]
+
+
+def _kernel_case(name, kind, m, power, change, rng):
+    """A word-level certificate of a regular quotient action of the group
+    (construct.from_quotient) with images of ``kind``, one generator image
+    swapped on two points when ``change`` is "perturbed", and an x^-1 image
+    that is not the inverse of the x image when it is "bad-inverse"."""
+    group = _WORD_GROUPS[name]
+    Q = G_.CongruenceMod(group, m) if name == "Heisenberg(1)" \
+        else G_.LatticeHNF(group, [tuple(m if i == j else 0
+                                         for j in range(group.d))
+                                   for i in range(group.d)])
+    cert = X_.from_quotient(group, Q, 1, "fin" if kind == "fin" else "sofic")
+    base = {lab: cert.target(p) for lab, p in group.generators()
+            if not lab.endswith("^-1")}
+
+    def bent(t):
+        if kind == "fin":
+            shift = rng.randrange(1, t.group.order)
+            return t.group.element((t.index + shift) % t.group.order)
+        i, j = rng.sample(range(t.k), 2)
+        images = list(t.images)
+        images[i], images[j] = images[j], images[i]
+        return T_.Permutation(images)
+
+    labels = sorted(base)
+    if change == "perturbed":
+        lab = rng.choice(labels)
+        base[lab] = bent(base[lab])
+    elif change == "bad-inverse":
+        lab = rng.choice(labels)
+        base[lab + "^-1"] = bent(base[lab].inv())
+
+    def as_kind(t):
+        if kind == "perm-unitary":
+            return T_.PermUnitary(t)
+        if kind == "tensor":
+            return T_.ImplicitTensorUnitary(
+                T_.AugmentedUnitary(T_.PermUnitary(t), t.k), power)
+        if kind == "rank":
+            return T_.perm_to_rank(t, T_.FieldQ())
+        return t
+    family = {"perm": "sofic", "perm-unitary": rng.choice(["hyp",
+                                                          "hyp-projective"]),
+              "tensor": "hyp-projective", "rank": "lin", "fin": "fin"}[kind]
+    return C_.HomCertificate(group, {lab: as_kind(t) for lab, t in
+                                     base.items()}, family)
+
+
+def _is_hom(h):
+    """Whether the images satisfy the group's presentation and each x^-1
+    image is the inverse of the x image, read from the target objects."""
+    def trivial(word):
+        t = h.image_of_word(word)
+        return t.dist(C_.target_identity_like(t)) == 0
+    pairs = [(lab, inv) for lab, inv in
+             C_._inverse_label_map(h.group).items()]
+    return all(map(trivial, pairs)) and all(map(trivial, h.relators))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_homomorphism_kernel_agrees_with_the_walk(data):
+    """On Z, Z^2 and Heisenberg(1), images of a regular quotient action
+    as permutations, permutation unitaries, tensor powers of them, rank
+    permutation matrices and table elements take the homomorphism kernel,
+    and its reports are the walk's but for the kernel's note. A perturbed
+    image that breaks a relator, and an x^-1 image that is not the inverse
+    of the x image, fall through: the kernel returns None and the report
+    is the walk's, note-free."""
+    name = data.draw(st.sampled_from(["Z", "Z^2", "Heisenberg(1)"]))
+    kind = data.draw(st.sampled_from(["perm", "perm-unitary", "tensor",
+                                      "rank", "fin"]))
+    m = data.draw(st.integers(3, 4 if name == "Heisenberg(1)" else 6))
+    power = data.draw(st.sampled_from([1, 3, 10 ** 6]))
+    change = data.draw(st.sampled_from([None, "perturbed", "bad-inverse"]))
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    h = _kernel_case(name, kind, m, power, change, rng)
+    n = data.draw(st.integers(1, 4))
+    hom = _is_hom(h)
+    if change is None or name == "Z" and change == "perturbed":
+        # Z has no relator, so a perturbed image of Z is still one
+        assert hom
+    elif change == "bad-inverse":
+        assert not hom
+    letters = C_._letters(h.group)
+    measured = C_._homomorphism_kernel(h, n, letters, C_.DEFAULT_WORD_CAP,
+                                       False)
+    assert (measured is not None) == hom
+    for verify, relator_mode in ((C_.verify_W, False), (C_.verify_R, True)):
+        got = verify(h, n).to_json()
+        assert (C_.HOMOMORPHISM_NOTE in got["notes"]) == hom
+        if hom:
+            got["notes"].remove(C_.HOMOMORPHISM_NOTE)
+        assert got == _walked(h, n, relator_mode).to_json()
+
+
+def test_kernel_needs_both_relators_of_heisenberg():
+    """In Sym(3) a 3-cycle c and a transposition t commute with their
+    commutator [c, t] = c t c^-1 t^-1 on one side only: x1 = c, y1 = t
+    satisfy [x1, [x1, y1]] but not [y1, [x1, y1]], and x1 = t, y1 = c the
+    other way round. So neither pair defines a homomorphism of
+    Heisenberg(1), yet each would pass the kernel's check if the relator
+    it breaks were left out of the presentation. The kernel declines both,
+    and the walk finds the broken relator at length 10."""
+    H = G_.Heisenberg(1)
+    c, t = T_.Permutation([1, 2, 0]), T_.Permutation([0, 2, 1])
+    comm, comm_inv = ("x1", "y1", "x1^-1", "y1^-1"), ("y1", "x1", "y1^-1",
+                                                       "x1^-1")
+    rel_x = ("x1",) + comm + ("x1^-1",) + comm_inv
+    rel_y = ("y1",) + comm + ("y1^-1",) + comm_inv
+    e = T_.Permutation.identity(3)
+    for x1, y1, kept, broken in ((c, t, rel_x, rel_y), (t, c, rel_y, rel_x)):
+        h = C_.HomCertificate(H, {"x1": x1, "y1": y1}, "sofic")
+        assert h.image_of_word(kept) == e and h.image_of_word(broken) != e
+        assert C_._homomorphism_kernel(h, 10, C_._letters(H),
+                                       C_.DEFAULT_WORD_CAP, False) is None
+        for verify, relator_mode in ((C_.verify_W, False),
+                                     (C_.verify_R, True)):
+            rep = verify(h, 10)
+            assert "defect" in rep.failed and rep.defect > 0
+            assert C_.HOMOMORPHISM_NOTE not in rep.notes
+            assert rep.to_json() == _walked(h, 10, relator_mode).to_json()
+        assert C_.verify_R(h, 10).defect_witness == " ".join(broken)
+
+
+def test_homomorphism_kernel_measures_no_word_image(monkeypatch):
+    """The kernel reads B(n)'s images once, one level of the ball at a
+    time, and multiplies or measures no image row per word: the
+    verify_received benchmark's certificate, Z^2 on Z^2/17Z^2, at n = 8
+    (13,121 words, |B(8)| = 145) computes the distances of 9 levels and
+    the products of its generators, relator and levels only."""
+    Z2 = G_.FreeAbelian(2)
+    small = X_.from_quotient(Z2, G_.LatticeHNF(Z2, [(17, 0), (0, 17)]), 1,
+                             "sofic")
+    h = C_.HomCertificate(Z2, {lab: small.target(p)
+                               for lab, p in Z2.generators()}, "sofic")
+    calls = collections.Counter()
+    rows = T_._PermRows
+    for method in ("mul", "distances", "extreme"):
+        def counted(self, *args, method=method,
+                    original=getattr(rows, method)):
+            calls[method] += 1
+            return original(self, *args)
+        monkeypatch.setattr(rows, method, counted)
+    rep = C_.verify_W(h, 8)
+    assert rep.notes == ["words checked: 13121", C_.HOMOMORPHISM_NOTE]
+    assert rep.separation == 1 and rep.separation_witness == "x2^-1"
+    # x^-1 x, the commutator's three products, one product per level
+    assert calls == {"mul": 1 + 3 + 8, "distances": 9}
 
 
 def test_word_cap_is_counted_before_any_product(monkeypatch):

@@ -1109,6 +1109,61 @@ def test_word_cap_exits_at_once(tmp_path, capsys):
         assert err == "resource cap: more than 1000000 words at length 40\n"
 
 
+def test_relators_only_reads_the_groups_presentation(tmp_path, capsys):
+    """The word-level certificate of the verify_received benchmark (Z^2 on
+    Z^2/17Z^2, k = 289) with x1 and x2 sent to random non-commuting
+    permutations: written with "relators": [] it once passed
+    --relators-only, constraining nothing. Its relators must be Z^2's
+    presentation, so it exits 1; with them kept it fails verification."""
+    Z2 = G_.FreeAbelian(2)
+    small = X_.from_quotient(Z2, G_.LatticeHNF(Z2, [(17, 0), (0, 17)]), 1,
+                             "sofic")
+    h = C_.HomCertificate(Z2, {lab: small.target(p)
+                               for lab, p in Z2.generators()}, "sofic",
+                          relators=C_.default_relators(Z2))
+    obj = h.to_json()
+    rng = np.random.default_rng(0)
+    x1, x2 = (T_.Permutation(rng.permutation(289).tolist()) for _ in "12")
+    assert x1.mul(x2) != x2.mul(x1)
+    images = {"x1": x1, "x2": x2, "x1^-1": x1.inv(), "x2^-1": x2.inv()}
+    obj["images"] = [{"generator": lab, "target": images[lab].to_json()}
+                     for lab in sorted(images)]
+    path = tmp_path / "hom.json"
+    args = ("verify", "--cert", str(path), "--at-n", "4")
+    for relators, mode, want in (([], ["--relators-only"], 1), ([], [], 1),
+                                 (obj["relators"], ["--relators-only"], 2),
+                                 (obj["relators"], [], 2)):
+        path.write_text(json.dumps(dict(obj, relators=relators)))
+        code, _, err = run(capsys, *args, *mode)
+        assert code == want, (relators, mode)
+        if want == 1:
+            assert err == ("error: relators must be the presentation of "
+                           "FreeAbelian(2), [[\"x1\", \"x2\", \"x1^-1\", "
+                           "\"x2^-1\"]]\n")
+
+
+@pytest.mark.parametrize("group", [
+    G_.Heisenberg(2), G_.FiniteSym(3),
+    G_.DirectProduct(G_.FreeAbelian(1), G_.FiniteCyclic(2))],
+    ids=["Heisenberg(2)", "Sym(3)", "Z x Z/2"])
+def test_relators_only_needs_a_written_presentation(tmp_path, capsys, group):
+    """A group with no written presentation has no relators to constrain:
+    --relators-only exits 1 naming it, and plain word-level verification
+    still runs."""
+    h = C_.HomCertificate(group, {lab: T_.Permutation([1, 2, 0])
+                                  for lab, _ in group.generators()}, "sofic")
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(h.to_json()))
+    assert json.loads(path.read_text())["relators"] is None
+    code, out, err = run(capsys, "verify", "--cert", str(path), "--at-n", "2",
+                         "--relators-only")
+    assert code == 1 and out == ""
+    assert err == (f"error: no presentation of {group!r} is written down, so "
+                   f"there are no relators to constrain\n")
+    code, _, _ = run(capsys, "verify", "--cert", str(path), "--at-n", "2")
+    assert code in (0, 2)
+
+
 # ---------------------------------------------------------------------------
 # profile / folner / rfgrowth / audit
 
