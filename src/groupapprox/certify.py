@@ -793,12 +793,14 @@ def _homomorphism_kernel(h, n, letters, count, relator_mode):
     identity, all checked exactly. By von Dyck's theorem phi then exists
     and a word w's image is phi(pi(w)): a trivial word is exactly at 0 from
     the identity, each relator too, and a nontrivial one at the distance
-    of phi(g), g = pi(w) in B(n). phi is built on B(n) one level at a
-    time, each new element's image its parent's times a letter's image
-    along one edge, and its distance to the identity read once per
-    element; the words are walked on the group side only (_word_blocks
-    without rows), each reading its element's distance at its slot in
-    B(n), so values, witnesses and counts are the walk's."""
+    of phi(g), g = pi(w) in B(n). phi is built on B(n) level by level,
+    each element's image its parent's times a letter's image along one
+    edge, in blocks of about G_.BLOCK entries like the walk's (depth first
+    over runs of parents, so memory stays that of a few blocks), and each
+    element's distance to the identity is read once; the words are walked
+    on the group side only (_word_blocks without rows), each reading its
+    element's distance at its slot in B(n), so values, witnesses and
+    counts are the walk's."""
     grp = h.group
     presentation = grp.presentation()
     if presentation is None or not hasattr(grp, "mul_array"):
@@ -816,34 +818,47 @@ def _homomorphism_kernel(h, n, letters, count, relator_mode):
                         or [ident]).equal(ident).all():
             return None
     family = family_record(h.family)
-    projective = family.projective
     # every element of B(n) is the value of a reduced word of length <= n,
     # so the ball is no larger than the word count
     B = G_.ball(grp, n, cap=count)
     C = B.coords()
     gen = np.array([grp.coords(p) for _, p, _ in letters], dtype=np.int64)
-    # level by level: the slots of a level and the rows of their images
-    level, images = np.zeros(1, dtype=np.intp), ident
+    # the levels of B(n), parent-major: each element's slot with the
+    # position of its parent in the level before and its letter, so the
+    # children of a run of parents are a run of the next level
+    levels = [(np.zeros(1, dtype=np.intp), None, None)]
     seen = np.zeros(len(B), dtype=bool)
     seen[0] = True
-    scores, value = ident.distances(ident, projective)
-    slots, parts = [level], [scores]
     for _ in range(n):
-        reached = B.slots(grp.mul_array(C[level][:, None], gen[None])
+        reached = B.slots(grp.mul_array(C[levels[-1][0]][:, None], gen[None])
                           .reshape(-1, C.shape[1]))
         at = np.flatnonzero(reached >= 0)
         at = at[~seen[reached[at]]]
-        level, first = np.unique(reached[at], return_index=True)
-        seen[level] = True
-        # reached lists each parent's letters in order
-        par, let = np.divmod(at[first], len(letters))
-        images = images.take(par).mul(R.take(let + 1))
-        slots.append(level)
-        parts.append(images.distances(ident, projective)[0])
+        _, first = np.unique(reached[at], return_index=True)
+        edge = at[np.sort(first)]
+        seen[reached[edge]] = True
+        levels.append((reached[edge], *np.divmod(edge, len(letters))))
     if not seen.all():
         return None
-    scores = np.empty(len(B), dtype=parts[0].dtype)
-    scores[np.concatenate(slots)] = np.concatenate(parts)
+    # depth first over those runs, in blocks as the walk's, so that no
+    # level's images are held whole
+    step = max(1, G_.BLOCK // R.width)
+    scores = None
+    stack = [(0, 0, 1, ident)]
+    while stack:
+        # the run [a, b) of level r and its images
+        r, a, b, images = stack.pop()
+        part, value = images.distances(ident, family.projective)
+        if scores is None:
+            scores = np.empty(len(B), dtype=part.dtype)
+        scores[levels[r][0][a:b]] = part
+        if r < n:
+            _, par, let = levels[r + 1]
+            lo, hi = np.searchsorted(par, (a, b))
+            for i in range(lo, hi, step):
+                j = min(i + step, hi)
+                stack.append((r + 1, i, j, images.take(par[i:j] - a)
+                              .mul(R.take(let[i:j] + 1))))
     best = _word_extremes(family.exact)
     for W, gs, is_e, _ in _word_blocks(grp, letters, n,
                                        max(1, G_.BLOCK // C.shape[1])):

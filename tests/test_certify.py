@@ -1030,8 +1030,7 @@ def _is_hom(h):
     def trivial(word):
         t = h.image_of_word(word)
         return t.dist(C_.target_identity_like(t)) == 0
-    pairs = [(lab, inv) for lab, inv in
-             C_._inverse_label_map(h.group).items()]
+    pairs = C_._inverse_label_map(h.group).items()
     return all(map(trivial, pairs)) and all(map(trivial, h.relators))
 
 
@@ -1125,6 +1124,36 @@ def test_homomorphism_kernel_measures_no_word_image(monkeypatch):
     assert rep.separation == 1 and rep.separation_witness == "x2^-1"
     # x^-1 x, the commutator's three products, one product per level
     assert calls == {"mul": 1 + 3 + 8, "distances": 9}
+
+
+def test_homomorphism_kernel_builds_the_ball_in_blocks(monkeypatch):
+    """The kernel multiplies and measures images in blocks of about
+    G_.BLOCK entries, as the walk does, so no level of B(n) is held
+    whole: Heisenberg(1) on its quotient mod 3 (k = 27) at n = 6, whose
+    largest level has 294 elements, in blocks of 3 rows reports what it
+    reports in one block per level, with no call on more than 4 rows
+    (the four letters' inverse check)."""
+    H = G_.Heisenberg(1)
+    cert = X_.from_quotient(H, G_.CongruenceMod(H, 3), 1, "sofic")
+    h = C_.HomCertificate(H, {lab: cert.target(p)
+                              for lab, p in H.generators()}, "sofic")
+    assert max(G_.ball(H, 6)._sizes) == 294
+    want = C_.verify_W(h, 6).to_json()
+    assert C_.HOMOMORPHISM_NOTE in want["notes"]
+    sizes = {"mul": [], "distances": []}
+    rows = T_._PermRows
+    for method in sizes:
+        def counted(self, *args, method=method,
+                    original=getattr(rows, method)):
+            sizes[method].append(len(self))
+            return original(self, *args)
+        monkeypatch.setattr(rows, method, counted)
+    monkeypatch.setattr(G_, "BLOCK", 3 * 27)
+    assert C_.verify_W(h, 6).to_json() == want
+    assert max(sizes["mul"] + sizes["distances"]) == 4
+    # every element's distance is read once, at most 3 at a time
+    assert sum(sizes["distances"]) == len(G_.ball(H, 6)) == 593
+    assert max(sizes["distances"]) == 3
 
 
 def test_word_cap_is_counted_before_any_product(monkeypatch):
