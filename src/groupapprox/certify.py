@@ -839,7 +839,7 @@ def _homomorphism_kernel(h, n, letters, count, relator_mode):
         seen[reached[edge]] = True
         levels.append((reached[edge], *np.divmod(edge, len(letters))))
     if not seen.all():
-        return None
+        raise AssertionError(f"the levels miss elements of B({n})")
     # depth first over those runs, in blocks as the walk's, so that no
     # level's images are held whole
     step = max(1, G_.BLOCK // R.width)
@@ -866,21 +866,17 @@ def _homomorphism_kernel(h, n, letters, count, relator_mode):
         if len(rows):
             at = B.slots(gs[rows])
             if (at < 0).any():
-                return None
+                raise AssertionError(f"a reduced word leaves B({n})")
             s = scores[at]
             r = int(np.argmin(s))
             _keep(best, False, min, value(s.item(r)), W[rows[r]])
     return _word_measure(best, count, relator_mode, HOMOMORPHISM_NOTE)
 
 
-def _verify_words(h, n, cap, margin, relator_mode,
-                  kernels=(_homomorphism_kernel, _word_walk)):
-    """What the first of ``kernels`` that applies measured on the reduced
-    words of length 1..n, decided by _report: the homomorphism kernel,
-    else the walk. Each kernel is called as kernel(h, n, letters, count,
-    relator_mode) and returns a _Measure, or None where it does not apply;
-    the walk always applies. The word count is known before any word is
-    built, so WordCapExceeded comes first."""
+def _verify_words(h, n, cap, margin, relator_mode):
+    """What the homomorphism kernel, else the walk, measured on the reduced
+    words of length 1..n, decided by _report. The word count is known
+    before any word is built, so WordCapExceeded comes first."""
     _require_margin(margin)
     if n < 1:
         raise CertificateError(f"cannot verify at word length {n}, below 1")
@@ -898,8 +894,8 @@ def _verify_words(h, n, cap, margin, relator_mode,
         count, level = count + level, level * (len(letters) - 1)
     if count > cap:
         raise WordCapExceeded(f"more than {cap} words at length {n}")
-    m = next(filter(None, (kernel(h, n, letters, count, relator_mode)
-                           for kernel in kernels)))
+    m = _homomorphism_kernel(h, n, letters, count, relator_mode) \
+        or _word_walk(h, n, letters, count, relator_mode)
     return _report(m, n, h.epsilon, family_record(h.family).exact, margin,
                    lambda key: " ".join(letters[-x][0] for x in key))
 

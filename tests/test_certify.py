@@ -5,6 +5,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -706,8 +707,9 @@ def _row_width(h):
 def _walked(h, n, relator_mode=False):
     """The report of the word walk alone, without the homomorphism kernel
     in front of it."""
-    return C_._verify_words(h, n, C_.DEFAULT_WORD_CAP, C_.DEFAULT_FLOAT_MARGIN,
-                            relator_mode, kernels=(C_._word_walk,))
+    with mock.patch.object(C_, "_homomorphism_kernel", lambda *_: None):
+        return C_._verify_words(h, n, C_.DEFAULT_WORD_CAP,
+                                C_.DEFAULT_FLOAT_MARGIN, relator_mode)
 
 
 def _same_reports(h, n):
@@ -1124,6 +1126,29 @@ def test_homomorphism_kernel_measures_no_word_image(monkeypatch):
     assert rep.separation == 1 and rep.separation_witness == "x2^-1"
     # x^-1 x, the commutator's three products, one product per level
     assert calls == {"mul": 1 + 3 + 8, "distances": 9}
+
+
+@pytest.mark.parametrize("lost", ["level", "word"])
+def test_homomorphism_kernel_fails_loudly_on_a_lost_element(monkeypatch,
+                                                           lost):
+    """Every product the kernel looks up lies in B(n): a lookup that loses
+    an element, while the levels are built or while the words are read,
+    is a fault of the kernel and raises, instead of handing the words to
+    the walk."""
+    h = _regular_hom(2, 5, "sofic")
+    slots = G_.Ball.slots
+    n = 3
+    calls = itertools.count()
+
+    def losing(self, R):
+        at = slots(self, R)
+        # the first n lookups build the levels, the later ones read words
+        if (next(calls) < n) == (lost == "level"):
+            at[at == len(self) - 1] = -1
+        return at
+    monkeypatch.setattr(G_.Ball, "slots", losing)
+    with pytest.raises(AssertionError):
+        C_.verify_W(h, n)
 
 
 def test_homomorphism_kernel_builds_the_ball_in_blocks(monkeypatch):
