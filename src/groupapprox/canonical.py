@@ -66,8 +66,7 @@ def _key(k):
                     f"not {k.__class__.__name__}")
 
 
-# the items of a list of ints or strs, or the ints of a matrix, written at
-# one time
+# the items of a list of ints or strs written at one time
 _CHUNK = 1 << 12
 
 
@@ -109,9 +108,7 @@ def _write_texts(texts, count, write, nl):
 
 def _write_list(o, write, nl):
     """Write a list or tuple: one join per chunk when it holds only ints or
-    only strs, one format per chunk of rows when it holds only lists of ints
-    of one length (a matrix: a table certificate's mul, which item by item
-    takes six to seven times as long), item by item otherwise."""
+    only strs, item by item otherwise."""
     if not o:
         write("[]")
         return
@@ -123,20 +120,6 @@ def _write_list(o, write, nl):
         _write_texts(map(_STRING, o), len(o), write, nl)
         return
     inner = nl + " "
-    if kinds <= {list, tuple} and len(set(map(len, o))) == 1 and len(o[0]) \
-            and set(map(type, itertools.chain.from_iterable(o))) == {int}:
-        inner2 = inner + " "
-        row = "[" + inner2 + ("," + inner2).join(["%s"] * len(o[0])) \
-            + inner + "]"
-        sep = "[" + inner
-        step = max(1, _CHUNK // len(o[0]))
-        for i in range(0, len(o), step):
-            rows = o[i:i + step]
-            write(sep + ("," + inner).join([row] * len(rows))
-                  % tuple(itertools.chain.from_iterable(rows)))
-            sep = "," + inner
-        write(nl + "]")
-        return
     sep = "[" + inner
     for x in o:
         write(sep)

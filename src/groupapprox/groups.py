@@ -113,13 +113,9 @@ class Group:
         return None
 
     def __repr__(self):
-        return self.fmt_descriptor()
-
-    def fmt_descriptor(self):
-        d = self.descriptor()
-        params = d.get("params", {})
-        inner = ",".join(str(v) for v in params.values())
-        return f"{d['kind']}({inner})"
+        """The group as parse_group reads it: its JSON descriptor, unless
+        the kind has a shorter spelling."""
+        return json.dumps(self.descriptor())
 
     def __eq__(self, other):
         return isinstance(other, Group) and self.descriptor() == other.descriptor()
@@ -651,6 +647,9 @@ class FreeAbelian(Group):
     def descriptor(self):
         return {"kind": self.kind, "params": {"d": self.d}}
 
+    def __repr__(self):
+        return "Z" if self.d == 1 else f"Z^{self.d}"
+
 
 class Free(Group):
     """Free group of given rank; payloads are reduced words.
@@ -701,6 +700,9 @@ class Free(Group):
 
     def descriptor(self):
         return {"kind": self.kind, "params": {"rank": self.rank}}
+
+    def __repr__(self):
+        return f"F{self.rank}"
 
 
 class Heisenberg(Group):
@@ -787,6 +789,9 @@ class Heisenberg(Group):
     def descriptor(self):
         return {"kind": self.kind, "params": {"l": self.l}}
 
+    def __repr__(self):
+        return f"Heisenberg({self.l})"
+
 
 class FiniteCyclic(Group):
     """Z/mZ with generators +-1."""
@@ -829,6 +834,9 @@ class FiniteCyclic(Group):
 
     def descriptor(self):
         return {"kind": self.kind, "params": {"m": self.m}}
+
+    def __repr__(self):
+        return f"Z/{self.m}"
 
 
 class FiniteSym(Group):
@@ -876,6 +884,9 @@ class FiniteSym(Group):
 
     def descriptor(self):
         return {"kind": self.kind, "params": {"k": self.k}}
+
+    def __repr__(self):
+        return f"Sym({self.k})"
 
 
 class DirectProduct(Group):
@@ -999,6 +1010,11 @@ class WreathProduct(Group):
                 "params": {"base": self.base.descriptor(),
                            "top": self.top.descriptor()}}
 
+    def __repr__(self):
+        if self.kind == "Lamplighter":
+            return f"Lamplighter({self.base!r})"
+        return f"Wreath({self.base!r};{self.top!r})"
+
 
 def Lamplighter(base):
     """base wr Z, e.g. the classical lamplighter for base = Z/2."""
@@ -1042,7 +1058,8 @@ def group_from_descriptor(d):
 
 
 def parse_group(text):
-    """Parse a short group spec like 'Z', 'Z^2', 'Heisenberg(1)', 'F2'."""
+    """Parse a short group spec like 'Z', 'Z^2', 'Heisenberg(1)', 'F2', or
+    a JSON descriptor; repr(G) of every group G parses back to G."""
     t = text.strip()
     if t in ("Z", "Z^1"):
         return FreeAbelian(1)

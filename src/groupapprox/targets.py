@@ -4,9 +4,10 @@ exact fields with rank distance (plain and projective), finite groups with
 bi-invariant table metrics, implicit tensor powers and permutation-wreath
 elements.
 
-On disk a permutation's images are one string, the base64 of them as
-little-endian int32, written by _images_json and read back, strictly, by
-_images_array; a target object has exactly the keys its writer writes.
+On disk a permutation's images, and a table group's products row by row,
+are one string, the base64 of them as little-endian int32, written by
+_images_json and read back, strictly, by _int32_bytes; a target object has
+exactly the keys its writer writes.
 
 Exact metrics (Hamming, rank, tables) return fractions.Fraction; the
 Hilbert-Schmidt family returns floats, and unitarity is checked at the one
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import base64
 import functools
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -762,7 +762,7 @@ class TableMetricGroup:
 
     def to_json(self):
         return {"kind": "table",
-                "mul": self.mul_table.tolist(),
+                "mul": _images_json(self.mul_table),
                 "length": self.length_table.tolist(),
                 "den": self.den,
                 "identity": self.identity_index,
@@ -771,9 +771,11 @@ class TableMetricGroup:
     @classmethod
     def from_json(cls, obj):
         """Decode a table as the writer writes it: exactly the keys of
-        to_json, every number an exact JSON int within int64, the lengths
-        and den in lowest terms and one JSON string label per element. The
-        older form with a ``dist`` table of pairs is refused."""
+        to_json, the n x n products one _int32_bytes text in row-major
+        order for the n labels, every other number an exact JSON int within
+        int64, the lengths and den in lowest terms and one JSON string label
+        per element. The older forms, with a ``dist`` table of pairs or
+        with the products as nested lists, are refused."""
         if type(obj) is not dict or obj.keys() != _TABLE_KEYS \
                 or obj["kind"] != "table":
             raise ValueError(f"a table group is exactly the keys "
@@ -781,9 +783,15 @@ class TableMetricGroup:
         labels = obj["labels"]
         if not isinstance(labels, list) or not set(map(type, labels)) <= {str}:
             raise ValueError("table labels must be a list of JSON strings")
+        n = len(labels)
+        mul = np.frombuffer(_int32_bytes(obj["mul"], "table products"),
+                            dtype="<i4")
+        if mul.size != n * n:
+            raise ValueError(f"{mul.size} table products are not {n}^2, "
+                             f"one per pair of the {n} labels")
         den = json_int(obj, "den")
-        table = cls(_json_ints(obj["mul"], 2), _json_ints(obj["length"], 1),
-                    den, json_int(obj, "identity"), labels)
+        table = cls(mul.reshape(n, n), _json_ints(obj["length"]), den,
+                    json_int(obj, "identity"), labels)
         if table.den != den:
             raise ValueError(f"lengths and den {den} share the factor "
                              f"{den // table.den}")
@@ -793,16 +801,13 @@ class TableMetricGroup:
 _TABLE_KEYS = frozenset({"kind", "mul", "length", "den", "identity", "labels"})
 
 
-def _json_ints(rows, depth):
-    """Lists of JSON integers nested ``depth`` deep as an int64 array."""
-    if not isinstance(rows, list):
-        raise ValueError("table entries must be lists of integers")
-    flat = rows
-    for _ in range(depth - 1):
-        flat = itertools.chain.from_iterable(flat)
-    a = np.array(rows)
-    if not set(map(type, flat)) <= {int} or a.dtype.kind != "i":
-        raise ValueError("table entries must be integers within int64")
+def _json_ints(xs):
+    """A list of JSON integers as an int64 array."""
+    if not isinstance(xs, list):
+        raise ValueError("table lengths must be a list of integers")
+    a = np.array(xs)
+    if not set(map(type, xs)) <= {int} or a.dtype.kind != "i":
+        raise ValueError("table lengths must be integers within int64")
     return a
 
 
@@ -1211,38 +1216,41 @@ def _perm_array(P):
 
 
 def _images_json(images):
-    """The JSON form of one permutation's images: the base64 text, with
-    padding, of the images as little-endian int32."""
+    """The JSON form of one permutation's images, or of a table's products
+    row by row: the base64 text, with padding, of the entries as
+    little-endian int32."""
     return base64.b64encode(
         np.asarray(images, dtype="<i4").tobytes()).decode("ascii")
 
 
+def _int32_bytes(text, what):
+    """The bytes of a JSON text that is exactly what _images_json writes: a
+    string of canonical base64 (its bytes encode back to the same text,
+    padding bits included) of a nonzero multiple of 4 bytes, whole
+    little-endian int32; ValueError naming ``what`` otherwise. A list, the
+    older form, is refused."""
+    if type(text) is not str:
+        raise ValueError(f"{what} must be a base64 string, not "
+                         f"{type(text).__name__}")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a character beyond ASCII
+        raise ValueError(f"{what} are not base64") from None
+    if base64.b64encode(data) != text.encode("ascii"):
+        raise ValueError(f"{what} are not canonical base64")
+    if not data or len(data) % 4:
+        raise ValueError(f"{what} of {len(data)} bytes are not a nonempty "
+                         f"row of int32")
+    return data
+
+
 def _images_array(texts):
     """The read-only int32 array whose rows are the images in the JSON
-    texts, when each is exactly what _images_json writes: a string of
-    canonical base64 (its bytes encode back to the same text, padding bits
-    included), of a nonzero multiple of 4 bytes, the rows of one degree,
-    every entry in range(k) and every row a permutation; ValueError
-    otherwise. A list of images, the older form, is refused."""
-    raw = []
-    for text in texts:
-        if type(text) is not str:
-            raise ValueError(f"permutation images must be a base64 string, "
-                             f"not {type(text).__name__}")
-        try:
-            data = base64.b64decode(text, validate=True)
-        except ValueError:  # binascii.Error, or a character beyond ASCII
-            raise ValueError("permutation images are not base64") from None
-        if base64.b64encode(data) != text.encode("ascii"):
-            raise ValueError("permutation images are not canonical base64")
-        raw.append(data)
-    sizes = set(map(len, raw))
-    if len(sizes) != 1:
+    texts (_int32_bytes), the rows of one degree, every entry in range(k)
+    and every row a permutation; ValueError otherwise."""
+    raw = [_int32_bytes(text, "permutation images") for text in texts]
+    if len(set(map(len, raw))) != 1:
         raise ValueError("permutation images differ in degree")
-    size = sizes.pop()
-    if not size or size % 4:
-        raise ValueError(f"permutation images of {size} bytes are not a "
-                         f"nonempty row of int32")
     return _perm_array(np.frombuffer(b"".join(raw), dtype="<i4")
                        .reshape(len(raw), -1))
 

@@ -97,8 +97,8 @@ def test_cli_writes_canonical_text_and_a_newline(tmp_path_factory, obj):
     [[i, -i, i * i] for i in range(3000)], [[1, 2], [3]], [[1, True]],
     [[], []], {"dist": [[[1, 2], [0, 1]], [[0, 1], [1, 2]]]}])
 def test_int_matrices_match_json_dumps(obj):
-    """Lists of int rows of one length (a table certificate's mul and
-    dist) are written a chunk of rows at a time."""
+    """Lists of int rows, of one length or not, are written as json
+    writes them."""
     assert _written(obj) == _reference(obj)
 
 

@@ -237,7 +237,10 @@ def _perm_wreath_mixed_bells(obj):
 def _f2_into_non_group(obj):
     """B(1) of F2 sent injectively into a 5-element table that has the
     identity and inverse laws and the 0/1 metric but sends every other
-    product to element 1, so it is not associative."""
+    product to element 1, so it is not associative. The check finds it
+    first by its generators: x1 and x1^-1 reach only e, x1 and x1^-1, and
+    in a group each generator at least doubles what the earlier ones
+    reach, so a third is too many for 5 elements."""
     F2 = G_.Free(2)
     B = G_.ball(F2, 1)
     e = F2.identity()
@@ -248,7 +251,8 @@ def _f2_into_non_group(obj):
         "group": F2.descriptor(), "family": "fin", "epsilon": 1.0, "n": 1,
         "dimension": len(B),
         "target_group": {
-            "kind": "table", "mul": mul, "identity": B.index(e),
+            "kind": "table", "mul": T_._images_json(mul),
+            "identity": B.index(e),
             "length": [int(p != e) for p in B], "den": 1,
             "labels": [F2.fmt(p) for p in B]},
         "assignments": [{"element": F2.fmt(p),
@@ -305,6 +309,14 @@ def _fin_old_dist_pairs(obj):
     table["dist"] = [[[int(a != b), 1] for b in range(5)] for a in range(5)]
 
 
+def _fin_nested_list_mul(obj):
+    """exact_finite(Z/5, 2, "fin") with its products in the older form:
+    nested lists of JSON ints."""
+    _become(obj, X_.exact_finite(G_.FiniteCyclic(5), 2, "fin"), "fin")
+    obj["target_group"]["mul"] = [[(a + b) % 5 for b in range(5)]
+                                  for a in range(5)]
+
+
 def _sofic_with_target_group(obj):
     """cyclic_Z(2), a sofic certificate, carrying the table of Z/5."""
     obj["target_group"] = T_.trivial_metric_group(
@@ -355,12 +367,24 @@ _MALFORMED.update({
     "fin-table-length-above-den": _fin_table(length=[0, 1, 2, 2, 1]),
     "fin-table-common-factor": _fin_table(length=[0, 2, 2, 2, 2], den=2),
     "fin-table-old-dist-pairs": _fin_old_dist_pairs,
+    "fin-table-nested-list-mul": _fin_nested_list_mul,
     # a received target_group is one the writer could have written
     "sofic-with-target-group": _sofic_with_target_group,
     "fin-table-kind-nope": _fin_table(kind="nope"),
     "fin-table-extra-key": _fin_table(junk=[1]),
     "perm-wreath-mixed-degree-bells": _perm_wreath_mixed_bells,
 })
+
+
+# what stderr names for the table cases: the law that fails, or the form
+_MALFORMED_ERROR = {
+    "fin-table-not-a-group": "table is not a group: too many generators",
+    "fin-table-word-metric": "not right-invariant",
+    "fin-table-not-conjugation-invariant": "not conjugation-invariant",
+    "fin-table-asymmetric": "not symmetric",
+    "fin-table-triangle-inequality": "triangle inequality fails",
+    "fin-table-nested-list-mul": "table products must be a base64 string",
+}
 
 
 def _z2_targets(family, dimension, identity, other):
@@ -505,6 +529,7 @@ def test_malformed_certificate_is_usage_error(tmp_path, capsys, case):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+    assert _MALFORMED_ERROR.get(case, "") in err
 
 
 def test_construct_is_deterministic(tmp_path, capsys):
@@ -1138,7 +1163,7 @@ def test_relators_only_reads_the_groups_presentation(tmp_path, capsys):
         assert code == want, (relators, mode)
         if want == 1:
             assert err == ("error: relators must be the presentation of "
-                           "FreeAbelian(2), [[\"x1\", \"x2\", \"x1^-1\", "
+                           "Z^2, [[\"x1\", \"x2\", \"x1^-1\", "
                            "\"x2^-1\"]]\n")
 
 

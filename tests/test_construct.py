@@ -126,7 +126,11 @@ def test_quotient_action_matches_the_loop(Q, family, field):
 # was shown to decode to the same product table and distances as the new;
 # the sofic digests were pinned again when permutation images came to be
 # written as base64 strings, once each old object was shown to decode to
-# the same images as the new.
+# the same images as the new; the fin and wreath-rf digests were pinned
+# again when a table's products came to be written as one base64 string of
+# int32, once each old object, its mul the nested lists of
+# mul_table.tolist(), was shown to keep its old digest and the new to
+# decode to the same products (test_packed_products_are_the_old_table).
 # dumps() is the same object indented; its pure-Python encoder would take
 # most of this test's time on the wreath tables.
 _PINNED_DUMPS = {
@@ -134,14 +138,14 @@ _PINNED_DUMPS = {
         lambda: X_.from_quotient(
             G_.Heisenberg(1), G_.CongruenceMod(G_.Heisenberg(1), 7), 3,
             "fin"),
-        "e130322b05cda834d21afd3a7d74011703f5536395d29d43684af762168f71b9"),
+        "e7b839b3189d9f7c21c819fe5e27bd77e11345cd4299df4bd8568f4477df70b8"),
     "sofic-Z2-mod25": (
         lambda: X_.from_quotient(
             Z2, G_.LatticeHNF(Z2, [(25, 0), (0, 25)]), 12, "sofic"),
         "adc053e0ae504edf81ef7d5fbbb2b0ece7508e275b67e25a77b9d7e6c238b674"),
     "fin-sym3": (
         lambda: X_.exact_finite(G_.FiniteSym(3), 3, "fin"),
-        "9313dd8abb894b8e4c700380cc5615adab177d2864c2fb94d5d115d498af4c79"),
+        "28840298553830b5a0b5cc0a22eeb882fccd716210126983e9eeaca02602af50"),
     "wreath-sofic-Z-by-C3": (
         lambda: X_.wreath_sofic(
             X_.cyclic_Z(1), X_.exact_finite(G_.FiniteCyclic(3), 3), 1)[0],
@@ -150,25 +154,58 @@ _PINNED_DUMPS = {
         lambda: X_.wreath_by_rf(
             X_.exact_finite(G_.FiniteCyclic(2), 5, "fin"), Z, 1,
             G_.LatticeHNF(Z, [(5,)])),
-        "a489c2c212bd90a28acc54f2d0a9842f5058ddbc66f602d84cd96270e52f4662"),
+        "2592c277ad6ca0988853ec6123d5ac74ca40020f8ec4a650f6936f31708e88b6"),
     "wreath-rf-C3-mod5": (
         lambda: X_.wreath_by_rf(
             X_.exact_finite(G_.FiniteCyclic(3), 5, "fin"), Z, 1,
             G_.LatticeHNF(Z, [(5,)])),
-        "d50f484a9bf4606a56b2a3d2b9647f65187e36d1f8ccb1016395890e19be4eac"),
+        "00d2cbcef8471aa6d4ec4238ba605453a21e1acd9fd2c91d65a991ec61827d91"),
     "wreath-rf-C2-mod7": (
         lambda: X_.wreath_by_rf(
             X_.exact_finite(G_.FiniteCyclic(2), 7, "fin"), Z, 1,
             G_.LatticeHNF(Z, [(7,)])),
-        "21191d81aac40f97109787e802e6b1330696db41ed244f84ff460b3e46a64c3b"),
+        "033a89860497f74b0376358a39aeed29cdc9f7abb9980405c2193497a8d1565f"),
 }
+
+
+# the digests of the table certificates while mul was nested lists of ints
+_NESTED_MUL_DUMPS = {
+    "fin-heisenberg-mod7":
+        "e130322b05cda834d21afd3a7d74011703f5536395d29d43684af762168f71b9",
+    "fin-sym3":
+        "9313dd8abb894b8e4c700380cc5615adab177d2864c2fb94d5d115d498af4c79",
+    "wreath-rf-C2-mod5":
+        "a489c2c212bd90a28acc54f2d0a9842f5058ddbc66f602d84cd96270e52f4662",
+    "wreath-rf-C3-mod5":
+        "d50f484a9bf4606a56b2a3d2b9647f65187e36d1f8ccb1016395890e19be4eac",
+    "wreath-rf-C2-mod7":
+        "21191d81aac40f97109787e802e6b1330696db41ed244f84ff460b3e46a64c3b",
+}
+
+
+def _digest(obj):
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", _PINNED_DUMPS)
 def test_table_builders_keep_their_bytes(case):
     build, digest = _PINNED_DUMPS[case]
-    text = json.dumps(build().to_json(), sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _digest(build().to_json()) == digest
+
+
+@pytest.mark.parametrize("case", _NESTED_MUL_DUMPS)
+def test_packed_products_are_the_old_table(case):
+    """Each table certificate with its products spelled as nested lists
+    is the object pinned before they were packed, and the packed products
+    decode to those lists: only the spelling of mul moved."""
+    cert = _PINNED_DUMPS[case][0]()
+    obj = cert.to_json()
+    nested = cert.fin_group.mul_table.tolist()
+    assert T_.TableMetricGroup.from_json(obj["target_group"]) \
+        .mul_table.tolist() == nested
+    obj["target_group"]["mul"] = nested
+    assert _digest(obj) == _NESTED_MUL_DUMPS[case]
 
 
 @pytest.mark.parametrize("G, Q", [

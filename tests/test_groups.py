@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import re
 import sys
 import threading
 import time
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from groupapprox import cli
 from groupapprox import groups as G_
+from groupapprox import profiles as P_
 
 Z = G_.FreeAbelian(1)
 Z2 = G_.FreeAbelian(2)
@@ -99,6 +102,26 @@ CATALOG = {
     "Z/2 wr Z/3": G_.WreathProduct(G_.FiniteCyclic(2), G_.FiniteCyclic(3)),
     "Lamplighter(Z/2)": G_.Lamplighter(G_.FiniteCyclic(2)),
 }
+
+
+@pytest.mark.parametrize("G", [
+    *CATALOG.values(), *(entry.group for entry in P_.CATALOG.values()),
+    G_.FreeAbelian(3), G_.Free(3), G_.Heisenberg(2),
+    G_.DirectProduct(G_.DirectProduct(Z, H3), G_.FiniteSym(3)),
+    G_.WreathProduct(G_.DirectProduct(G_.FiniteCyclic(2), Z),
+                     G_.FiniteSym(3)),
+    G_.Lamplighter(G_.WreathProduct(G_.FiniteCyclic(2),
+                                    G_.FiniteCyclic(3)))], ids=repr)
+def test_a_group_is_named_as_parse_group_reads_it(G):
+    """Messages name a group by repr, which parse_group reads back."""
+    assert G_.parse_group(repr(G)) == G
+
+
+def test_groups_are_named_in_their_short_spelling():
+    assert [repr(G) for G in CATALOG.values()] == [
+        "Z", "Z^2", "F2", "Heisenberg(1)", "Z/5", "Sym(3)",
+        json.dumps(CATALOG["Z x Z/3"].descriptor()), "Wreath(Z/2;Z/3)",
+        "Lamplighter(Z/2)"]
 
 
 def _bfs_reference(G, n):
@@ -256,7 +279,9 @@ def test_only_heisenberg_1_takes_the_intervals(monkeypatch):
 LAZY_GROUPS = [Z, Z2, G_.FreeAbelian(3), H3, G_.Heisenberg(2)]
 
 
-@pytest.mark.parametrize("G", LAZY_GROUPS, ids=repr)
+@pytest.mark.parametrize("G", LAZY_GROUPS, ids=[
+    "FreeAbelian(1)", "FreeAbelian(2)", "FreeAbelian(3)", "Heisenberg(1)",
+    "Heisenberg(2)"])
 def test_lazy_ball_fields_equal_an_eager_reference(G):
     for r in range(7):
         B = G_._bfs_ball(G, r, G_.DEFAULT_BALL_CAP)
@@ -405,7 +430,7 @@ def test_kernel_witness_matches_the_loop_on_congruences(G, m, r):
 
 
 def test_kernel_witness_rejects_a_quotient_of_another_group():
-    with pytest.raises(ValueError, match="quotient of FreeAbelian"):
+    with pytest.raises(ValueError, match=re.escape("quotient of Z^2, not of Z")):
         G_.kernel_witness(Z, G_.LatticeHNF(Z2, [(3, 0), (0, 3)]), 2)
 
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import string
 import struct
 import tracemalloc
 import warnings
@@ -772,13 +773,52 @@ def _set_length(j, value):
     return lambda o: o["length"].__setitem__(j, value)
 
 
+def _products(obj):
+    """The n x n products of a table object, as a list of rows."""
+    n = len(obj["labels"])
+    return np.frombuffer(base64.b64decode(obj["mul"], validate=True),
+                         dtype="<i4").reshape(n, n).tolist()
+
+
+def _set_product(a, b, value):
+    def mutate(obj):
+        M = _products(obj)
+        M[a][b] = value
+        obj["mul"] = T_._images_json(M)
+    return mutate
+
+
+def _set_entries(resize):
+    """The products written as the entries resize(entries), packed."""
+    def mutate(obj):
+        entries = sum(_products(obj), [])
+        obj["mul"] = T_._images_json(resize(entries))
+    return mutate
+
+
 def _old_dist_pairs(obj):
     """The form with a dist table of [numerator, denominator] pairs."""
     length, den = obj.pop("length"), obj.pop("den")
-    M = obj["mul"]
+    M = _products(obj)
     inv = [row.index(obj["identity"]) for row in M]
     obj["dist"] = [[[length[M[inv[a]][b]], den] for b in range(len(M))]
                    for a in range(len(M))]
+
+
+_B64_DIGITS = (string.ascii_uppercase + string.ascii_lowercase
+               + string.digits + "+/")
+
+
+def _padding_bits_set(obj):
+    """The table of Z/2, whose 16 bytes of products end in "==": the digit
+    before the padding carries 4 padding bits, here one set. Lenient
+    base64 decodes it to the same bytes."""
+    obj.update(T_.trivial_metric_group(G_.FiniteCyclic(2)).to_json())
+    text = obj["mul"]
+    assert text.endswith("==") and _B64_DIGITS.index(text[-3]) % 16 == 0
+    bent = text[:-3] + _B64_DIGITS[_B64_DIGITS.index(text[-3]) + 1] + "=="
+    assert base64.b64decode(bent) == base64.b64decode(text)
+    obj["mul"] = bent
 
 
 # formats no writer produces, and tables whose numbers leave int64
@@ -795,7 +835,17 @@ _BAD_TABLE_JSON = {
     # a denominator beyond int64
     "common-denominator-beyond-int64":
         lambda o: o.update(den=2 ** 40 * 3 ** 25),
-    "string-product": lambda o: o["mul"][0].__setitem__(1, "1"),
+    # a product outside range(n); packed, no product can be a string
+    "string-product": _set_product(0, 1, 3),
+    "negative-product": _set_product(1, 2, -1),
+    # the products are one canonical base64 string of n^2 int32
+    "nested-list-mul": lambda o: o.update(mul=_products(o)),
+    "int-mul": lambda o: o.update(mul=12),
+    "non-base64-mul": lambda o: o.update(mul="not base64!"),
+    "noncanonical-base64-mul": _padding_bits_set,
+    "n-squared-minus-one-products": _set_entries(lambda xs: xs[:-1]),
+    "n-plus-one-squared-products":
+        _set_entries(lambda xs: xs + [0] * (4 ** 2 - 3 ** 2)),
     "no-labels": lambda o: o.pop("labels"),
     # one JSON string per element, nothing else
     "int-labels": lambda o: o.update(labels=[0, 1, 2]),
@@ -817,13 +867,70 @@ _BAD_TABLE_JSON = {
 }
 
 
+# the refusal each case of the products meets, not an earlier one
+_BAD_PRODUCTS_ERROR = {
+    "string-product": "product out of range",
+    "negative-product": "product out of range",
+    "nested-list-mul": "must be a base64 string, not list",
+    "int-mul": "must be a base64 string, not int",
+    "non-base64-mul": "are not base64",
+    "noncanonical-base64-mul": "not canonical base64",
+    "n-squared-minus-one-products": r"8 table products are not 3\^2",
+    "n-plus-one-squared-products": r"16 table products are not 3\^2",
+}
+
+
 @pytest.mark.parametrize("case", _BAD_TABLE_JSON)
 def test_table_json_rejects_unwritten_formats(case):
     obj = T_.trivial_metric_group(G_.FiniteCyclic(3)).to_json()
     assert T_.TableMetricGroup.from_json(obj).to_json() == obj
     _BAD_TABLE_JSON[case](obj)
-    with pytest.raises((ValueError, KeyError, OverflowError)):
+    with pytest.raises((ValueError, KeyError, OverflowError),
+                       match=_BAD_PRODUCTS_ERROR.get(case)):
         T_.TableMetricGroup.from_json(obj)
+
+
+def _relabelled(table, data):
+    """The table with its elements renumbered by a drawn permutation."""
+    n = table.order
+    s = np.array(data.draw(st.permutations(range(n))))
+    M, L = np.empty_like(table.mul_table), np.empty_like(table.length_table)
+    M[s[:, None], s[None, :]] = s[table.mul_table]
+    L[s] = table.length_table
+    labels = [None] * n
+    for i, label in zip(s.tolist(), table.labels):
+        labels[i] = label
+    return T_.TableMetricGroup(M, L, table.den,
+                               int(s[table.identity_index]), labels)
+
+
+_ROUND_TRIP_TABLES = {
+    "Z/m": st.integers(1, 12).map(
+        lambda m: T_.trivial_metric_group(G_.FiniteCyclic(m))),
+    "Sym(3)": st.sampled_from([T_.trivial_metric_group(G_.FiniteSym(3)),
+                               T_.TableMetricGroup(*_sym3_hamming())]),
+    "Heisenberg(1) mod p": st.sampled_from([2, 3, 5]).map(
+        lambda p: T_.trivial_metric_group(
+            G_.CongruenceMod(G_.Heisenberg(1), p))),
+    "Z/2 wr Z/3": st.just(T_.wreath_table(
+        *(T_.trivial_metric_group(G_.FiniteCyclic(m)) for m in (2, 3)))),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_ROUND_TRIP_TABLES)), st.data())
+def test_table_json_round_trips(kind, data):
+    """from_json(to_json(T)) is T, field by field, for tables of each
+    kind with their elements renumbered at random."""
+    table = _relabelled(data.draw(_ROUND_TRIP_TABLES[kind]), data)
+    obj = json.loads(json.dumps(table.to_json()))
+    back = T_.TableMetricGroup.from_json(obj)
+    for field in ("mul_table", "length_table", "inv_table"):
+        assert np.array_equal(getattr(back, field), getattr(table, field))
+        assert getattr(back, field).dtype == np.int64
+    assert (back.den, back.labels, back.identity_index) \
+        == (table.den, table.labels, table.identity_index)
+    assert back.to_json() == obj
 
 
 def test_table_common_denominator_round_trips():
@@ -848,7 +955,9 @@ def test_table_json_is_json_native():
     obj = T_.TableMetricGroup(*_sym3_hamming()).to_json()
     assert json.loads(json.dumps(obj)) == obj
     assert {type(x) for x in obj["length"]} == {int}
-    assert {type(x) for row in obj["mul"] for x in row} == {int}
+    # one string of n^2 int32, n = 6
+    assert type(obj["mul"]) is str
+    assert _products(obj) == _sym3_hamming()[0]
     assert type(obj["den"]) is int and type(obj["identity"]) is int
 
 
