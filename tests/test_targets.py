@@ -892,16 +892,12 @@ def test_table_json_rejects_unwritten_formats(case):
 
 def _relabelled(table, data):
     """The table with its elements renumbered by a drawn permutation."""
-    n = table.order
-    s = np.array(data.draw(st.permutations(range(n))))
-    M, L = np.empty_like(table.mul_table), np.empty_like(table.length_table)
-    M[s[:, None], s[None, :]] = s[table.mul_table]
-    L[s] = table.length_table
-    labels = [None] * n
-    for i, label in zip(s.tolist(), table.labels):
-        labels[i] = label
-    return T_.TableMetricGroup(M, L, table.den,
-                               int(s[table.identity_index]), labels)
+    s = np.array(data.draw(st.permutations(range(table.order))))
+    t = np.argsort(s)  # element i becomes s[i]; t undoes it
+    return T_.TableMetricGroup(s[table.mul_table[np.ix_(t, t)]],
+                               table.length_table[t], table.den,
+                               int(s[table.identity_index]),
+                               [table.labels[i] for i in t])
 
 
 _ROUND_TRIP_TABLES = {
