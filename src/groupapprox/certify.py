@@ -1095,17 +1095,29 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
 
     The multiplicativity defect eps0 is measured on pairs with product in the
     ball; tuples of ball slots are sampled so that all signed prefix products
-    stay in the ball. The draws are random.Random(seed)'s, read in bulk
-    (groupapprox.draws). Group products are read from the ball's
-    product table and images composed as rows (targets.batch), all tuples of
-    one sign pattern at once. Exact certificates get a hair above zero so
-    the strict bounds are meaningful.
+    stay in the ball. The draws are numpy's legacy RandomState over
+    MT19937(seed), seed any int >= 0, whose stream numpy keeps fixed across
+    versions (NEP 19); every randint is int64. Attempts run in batches of
+    b = max(1, min(samples, groups.BLOCK >> max_len)), no more than the
+    attempts left before samples * 50: per batch js = randint(2, max_len + 1,
+    size=b), then randint(0, |B|, size=js.sum()) for the slots of each
+    attempt in turn. The attempts whose tuple stays in the ball are kept, in
+    attempt order, until samples are kept; then randint(0, 2) for each factor
+    of each kept tuple gives its sign, 0 for +1. Group products are read
+    from the ball's product table and images composed as rows
+    (targets.batch), all tuples of one sign pattern at once. Conditions
+    3-5 report the worst ratio of a distance to its bound, with the least
+    bound among the sign patterns that reach it. Exact certificates get a
+    hair above zero so the strict bounds are meaningful.
     """
-    # an attempt's draws are read into memory at once
+    # a batch holds at most max(G_.BLOCK, max_len) slots, so G_.BLOCK
     if not 2 <= max_len <= 2 ** 16:
         raise ValueError(f"max_len must be from 2 to 2**16, not {max_len!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, not {samples!r}")
+    # numpy.random is read only here, so a verification without the suite
+    # does not load it; a negative seed raises ValueError
+    rng = np.random.RandomState(np.random.MT19937(seed))
     B = cert.ball
     exact = family_record(cert.family).exact
     X = _rows_on(cert, B)
@@ -1134,24 +1146,28 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
     results["inverses"] = {"value": worst2, "bound": 2 * eps0,
                            "pass": worst2 < 2 * eps0}
 
-    # the sampler is read only here, so a verification without the suite
-    # does not load it
-    from . import draws as D_
-    stream = D_.Stream(seed)
-    tuples = D_.draw_tuples(stream, len(B), max_len, samples,
-                            functools.partial(D_.in_ball, table, inv))
-    # then random.Random.choice((1, -1)) for each factor of each tuple
-    flips = iter(stream.below(2, sum(map(len, tuples))).tolist())
+    tuples, attempts = [], 0
+    step = max(1, min(samples, G_.BLOCK >> max_len))
+    while len(tuples) < samples and attempts < samples * 50:
+        size = min(step, samples * 50 - attempts)
+        js = rng.randint(2, max_len + 1, size=size, dtype=np.int64)
+        flat = rng.randint(0, len(B), size=js.sum(), dtype=np.int64)
+        starts = np.cumsum(js) - js
+        hits = np.flatnonzero(_in_ball(table, inv, flat, js))
+        tuples += [flat[starts[h]:starts[h] + js[h]]
+                   for h in hits[:samples - len(tuples)].tolist()]
+        attempts += size
+    flips = iter(rng.randint(0, 2, size=sum(map(len, tuples)),
+                             dtype=np.int64).tolist())
     signs = [tuple(1 - 2 * next(flips) for _ in tup) for tup in tuples]
 
     # the distances of (3) the plain product, (4) the signed factors and
-    # (5) the signed product, one sign pattern (so one j) at a time: a
-    # _PatternWorst per condition and pattern
+    # (5) the signed product, one sign pattern (so one j) at a time: the
+    # worst ratio and its bound per condition and pattern
     names = ("products", "signed_factors", "signed_products")
     measured = {name: [] for name in names}
     for pattern in dict.fromkeys(signs):
-        ts = [t for t, s in enumerate(signs) if s == pattern]
-        S = np.array([tuples[t] for t in ts]).T
+        S = np.array([t for t, s in zip(tuples, signs) if s == pattern]).T
         signed = np.where(np.array(pattern)[:, None] > 0, S, inv[S])
         plain = _product([X.take(c) for c in S])
         lhs = _product([X.take(c) for c in signed])
@@ -1163,18 +1179,13 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
         for name, pair, bound in zip(
                 names, ((X.take(g), plain), (lhs, rhs), (X.take(sg), rhs)),
                 ((j - 1) * eps0, 2 * j * eps0, (3 * j - 1) * eps0)):
-            d, r = pair[0].extreme(pair[1], max)
-            measured[name].append(
-                _PatternWorst(_ratio(d, bound), bound, ts, r, *pair))
+            d, _ = pair[0].extreme(pair[1], max)
+            measured[name].append((_ratio(d, bound), bound))
     for name in names:
         ratio = bound = None
         if measured[name]:
-            ratio = max(m.ratio for m in measured[name])
-            top = [m for m in measured[name] if m.ratio == ratio]
-            bound = top[0].bound
-            # the bound of the first tuple in draw order at the worst ratio
-            if len({m.bound for m in top}) > 1:
-                bound = min(top, key=lambda m: m.tuples[_first_at(m)]).bound
+            ratio = max(r for r, _ in measured[name])
+            bound = min(b for r, b in measured[name] if r == ratio)
         results[name] = {"worst_ratio": ratio, "bound": bound,
                          "pass": ratio is None or ratio < 1}
     results["epsilon0"] = eps0
@@ -1184,23 +1195,28 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
     return results
 
 
-# one condition of the lemma suite on the tuples of one sign pattern: the
-# worst ratio of a distance to the bound, the tuples' indices in draw
-# order, the first row attaining the greatest distance and the row pairs
-_PatternWorst = collections.namedtuple(
-    "_PatternWorst", ("ratio", "bound", "tuples", "row", "lhs", "rhs"))
-
-
-def _first_at(m):
-    """The first row of the _PatternWorst m at its worst ratio: m.row,
-    unless two distinct distances round to one ratio."""
-    r = m.row
-    while r:
-        d, s = m.lhs.take(range(r)).extreme(m.rhs.take(range(r)), max)
-        if _ratio(d, m.bound) < m.ratio:
-            break
-        r = s
-    return r
+def _in_ball(table, inv, slots, js):
+    """Whether every signed prefix product of each tuple of slots, flat
+    with js (each at least 2) their lengths, lies in the ball of the
+    product table ``table`` (inv the slots' inverses), level by level while
+    a tuple's products stay in the ball. The first level, x and x^-1, does:
+    the ball is closed under inverses."""
+    ok = np.ones(len(js), dtype=bool)
+    alive = np.arange(len(js))
+    offsets = np.cumsum(js) - js
+    x = slots[offsets]
+    level = np.stack((x, inv[x]), axis=1)
+    t = 1
+    while len(alive):
+        x = slots[offsets[alive] + t]
+        level = table[level[:, :, None], np.stack((x, inv[x]), axis=1)[
+            :, None, :]].reshape(len(alive), -1)
+        out = (level < 0).any(axis=1)
+        ok[alive[out]] = False
+        t += 1
+        more = ~out & (js[alive] > t)
+        alive, level = alive[more], level[more]
+    return ok
 
 
 def _ratio(value, bound):

@@ -328,6 +328,8 @@ def cmd_construct(args):
 
 
 def cmd_verify(args):
+    if args.lemma_suite and args.seed < 0:
+        raise UsageError(f"--seed must be an int >= 0, not {args.seed}")
     try:
         cert = load_certificate(args.cert)
         # a --margin from a config file is a default, not a request
@@ -516,7 +518,7 @@ def build_parser():
                             "groups: construct, verify, profile")
     p.add_argument("--config", help="flat key=value config file; flags win")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized checks (default 0)")
+                   help="seed for randomized checks, an int >= 0 (default 0)")
     sub = p.add_subparsers(dest="command", metavar="command")
     p.sub_parsers = {}
 

@@ -1236,7 +1236,11 @@ def _int32_bytes(text, what):
         data = base64.b64decode(text, validate=True)
     except ValueError:  # binascii.Error, or a character beyond ASCII
         raise ValueError(f"{what} are not base64") from None
-    if base64.b64encode(data) != text.encode("ascii"):
+    # the full re-encode's test: each quantum before the last encodes back
+    # to itself, so the text must be the encoding's length and end in what
+    # the last quantum, the one that may carry padding bits, encodes to
+    if len(text) != -(-len(data) // 3) * 4 or base64.b64encode(
+            data[len(data) - (len(data) % 3 or 3):]).decode() != text[-4:]:
         raise ValueError(f"{what} are not canonical base64")
     if not data or len(data) % 4:
         raise ValueError(f"{what} of {len(data)} bytes are not a nonempty "

@@ -1009,6 +1009,9 @@ _BAD_INPUT = {
     "lemma-suite-on-hom-certificate": lambda t: [
         "verify", "--cert", str(_hom_path(t)), "--at-n", "2",
         "--lemma-suite"],
+    "lemma-suite-negative-seed": lambda t: [
+        "--seed", "-1", "verify", "--cert", str(_cyclic_path(t)),
+        "--lemma-suite"],
     "relators-only-on-ball-certificate": lambda t: [
         "verify", "--cert", str(_cyclic_path(t)), "--relators-only"],
     "perm-image-float-entry": lambda t: [
@@ -1107,10 +1110,12 @@ def test_verify_lemma_suite(tmp_path, capsys):
     cert = tmp_path / "c.json"
     run(capsys, "construct", "--method", "cyclic-z", "--n", "4",
         "--out", str(cert))
-    code, out, _ = run(capsys, "verify", "--cert", str(cert),
-                       "--lemma-suite")
-    assert code == 0
-    assert json.loads(out)["lemma_suite"]["pass"] is True
+    # any seed >= 0, past 64 bits too
+    for seed in ("0", str(2 ** 70 + 3)):
+        code, out, _ = run(capsys, "--seed", seed, "verify", "--cert",
+                           str(cert), "--lemma-suite")
+        assert code == 0
+        assert json.loads(out)["lemma_suite"]["pass"] is True
 
 
 def test_word_cap_exits_at_once(tmp_path, capsys):

@@ -1176,6 +1176,43 @@ _BAD_IMAGES = {
 }
 
 
+def _reencodes(text):
+    """The full check _int32_bytes once made: the text decodes strictly
+    and its bytes, a nonzero multiple of 4, encode back to all of it."""
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError:
+        return False
+    return base64.b64encode(data).decode() == text and data \
+        and not len(data) % 4
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.binary(max_size=14), st.data())
+def test_int32_bytes_refuses_what_a_full_reencode_refuses(data, draw):
+    """The last quantum and the length decide as the full re-encode does,
+    on a text and on each single-character edit of it: one character
+    replaced, put in or taken out, padding characters among them."""
+    text = base64.b64encode(data).decode()
+    at = draw.draw(st.integers(0, len(text)))
+    char = draw.draw(st.sampled_from(
+        "AQgw+/=9\n" + string.ascii_letters[::7]))
+    edit = draw.draw(st.sampled_from(["none", "replace", "insert",
+                                      "delete"]))
+    if edit == "replace" and at < len(text):
+        text = text[:at] + char + text[at + 1:]
+    elif edit == "insert":
+        text = text[:at] + char + text[at:]
+    elif edit == "delete":
+        text = text[:at] + text[at + 1:]
+    try:
+        T_._int32_bytes(text, "images")
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == bool(_reencodes(text)), text
+
+
 @pytest.mark.parametrize("case", _BAD_IMAGES)
 def test_images_array_refuses_what_the_writer_never_writes(case):
     with pytest.raises(ValueError):
