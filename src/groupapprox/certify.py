@@ -1110,9 +1110,12 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
     bound among the sign patterns that reach it. Exact certificates get a
     hair above zero so the strict bounds are meaningful.
     """
-    # a batch holds at most max(G_.BLOCK, max_len) slots, so G_.BLOCK
-    if not 2 <= max_len <= 2 ** 16:
-        raise ValueError(f"max_len must be from 2 to 2**16, not {max_len!r}")
+    # an attempt has at most max_len slots and _in_ball keeps at most
+    # 2^max_len of its signed prefix products, so a batch of G_.BLOCK >>
+    # max_len attempts holds at most G_.BLOCK of either while 2^max_len <=
+    # G_.BLOCK = 2^16
+    if not 2 <= max_len <= 16:
+        raise ValueError(f"max_len must be from 2 to 16, not {max_len!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, not {samples!r}")
     # numpy.random is read only here, so a verification without the suite

@@ -328,8 +328,6 @@ def cmd_construct(args):
 
 
 def cmd_verify(args):
-    if args.lemma_suite and args.seed < 0:
-        raise UsageError(f"--seed must be an int >= 0, not {args.seed}")
     try:
         cert = load_certificate(args.cert)
         # a --margin from a config file is a default, not a request
@@ -518,7 +516,8 @@ def build_parser():
                             "groups: construct, verify, profile")
     p.add_argument("--config", help="flat key=value config file; flags win")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized checks, an int >= 0 (default 0)")
+                   help="seed of verify --lemma-suite, the one command "
+                        "that reads it, an int >= 0 (default 0)")
     sub = p.add_subparsers(dest="command", metavar="command")
     p.sub_parsers = {}
 
@@ -606,6 +605,16 @@ def _parser():
     return parser
 
 
+def _check_seed(args, given):
+    """UsageError for a negative seed, from the command line or a config
+    file, and for a --seed on the command line of anything but verify
+    --lemma-suite, the one command that reads it."""
+    if args.seed < 0:
+        raise UsageError(f"--seed must be an int >= 0, not {args.seed}")
+    if given and not getattr(args, "lemma_suite", False):
+        raise UsageError("--seed is read only by verify --lemma-suite")
+
+
 def _joined_slope_windows(argv):
     """argv with each ``--slope-window LO,HI`` whose LO is negative written
     as ``--slope-window=LO,HI``: argparse takes a separate value that starts
@@ -645,8 +654,10 @@ def main(argv=None):
         sp = parser.sub_parsers[args.command]
         args.given = {a.dest for a, _, _ in sp.declared
                       if hasattr(args, a.dest)}
+        seed_given = hasattr(args, "seed")
         _fill_defaults(parser, args, values[None])
         _fill_defaults(sp, args, values[args.command])
+        _check_seed(args, seed_given)
         return args.func(args)
     except (UsageError, C_.CertificateError) as e:
         sys.stderr.write(f"error: {e}\n")

@@ -27,9 +27,10 @@ law on broadcasting int64 arrays of such rows. Their quotients add
 ``map_array`` (the quotient map on rows) and ``slot`` (a residue row's
 position in ``elements()``). For these groups the ball is its elements'
 rows, ``Ball.coords()``, in ball order; its payloads are built only when
-read. The ball of Heisenberg(1) is built from its word-length intervals,
-level by level (``_interval_ball``); the others one BFS level at a time on
-arrays. ``Ball.products()`` and
+read. The ball of Z^d is the l^1 ball in closed form (``_l1_ball``), that
+of Heisenberg(1) is built from its word-length intervals, level by level
+(``_interval_ball``), and that of Heisenberg(l >= 2) one BFS level at a
+time on arrays. ``Ball.products()`` and
 ``kernel_witness`` are array computations. ``Ball.products()`` finds each
 product row in a dense int32 grid of slots over the ball's bounding box, a
 bounds check and a gather, when the box has at most |B|^2 cells (no more
@@ -316,13 +317,14 @@ _balls_lock = threading.Lock()
 
 
 def ball(G, n, cap=DEFAULT_BALL_CAP):
-    """Exact ball of radius n around the identity, BFS over the generating
-    set, or word-length intervals for Heisenberg(1).
+    """Exact ball of radius n around the identity: the l^1 ball for Z^d,
+    word-length intervals for Heisenberg(1), BFS over the generating set
+    otherwise.
 
     Elements are ordered by (word length, payload sort key). Raises
     BallCapExceeded if the ball has more than ``cap`` elements; a ball not
-    yet built stops its BFS as soon as it passes the cap, and the
-    intervals count it before building a row.
+    yet built stops its BFS as soon as it passes the cap, and the closed
+    forms count it before building a row.
 
     Balls are memoized per process by (group descriptor, radius): repeated
     calls return the same read-only Ball. A BFS aborted by the cap is never
@@ -359,9 +361,43 @@ def _radius(n):
 def _bfs_ball(G, n, cap):
     if not hasattr(G, "mul_array"):
         return _bfs_ball_loop(G, n, cap)
+    if isinstance(G, FreeAbelian):
+        return _l1_ball(G, n, cap)
     if isinstance(G, Heisenberg) and G.l == 1:
         return _interval_ball(G, n, cap)
     return _array_bfs_ball(G, n, cap)
+
+
+def _l1_size(d, n):
+    """|B(n)| of Z^d: 2^k C(d, k) C(n, k) elements with k nonzero
+    coordinates."""
+    return sum(2 ** k * math.comb(d, k) * math.comb(n, k)
+               for k in range(min(d, n) + 1))
+
+
+def _l1_ball(G, n, cap):
+    """B(n) of Z^d, the x with |x|_1 <= n, with no BFS. BallCapExceeded is
+    raised from the count, before a row is built. The rows are listed in
+    key (lexicographic) order one coordinate at a time: each prefix is
+    repeated once for every value -b..b of the next coordinate, b the
+    budget n - |prefix|_1 it has left, as _heisenberg_pairs lists its (a,
+    b). A stable sort on the length n - b then gives the ball order."""
+    if _l1_size(G.d, n) > cap:
+        raise BallCapExceeded(G, n, cap)
+    coords = np.zeros((1, G.d), dtype=np.int64)
+    budget = np.array([n], dtype=np.int64)
+    for column in range(G.d):
+        reps = 2 * budget + 1
+        coords = np.repeat(coords, reps, axis=0)
+        # the values -b..b of each prefix, one run of 2b + 1 per prefix
+        budget = np.repeat(budget, reps)
+        values = np.arange(len(coords)) \
+            - np.repeat(np.cumsum(reps) - reps, reps) - budget
+        coords[:, column] = values
+        budget -= np.abs(values)
+    lengths = n - budget
+    return Ball(G, n, coords=coords[np.argsort(lengths, kind="stable")],
+                sizes=np.bincount(lengths).tolist())
 
 
 def _array_bfs_ball(G, n, cap):
@@ -491,12 +527,11 @@ def _bfs_ball_loop(G, n, cap):
 def growth(G, n):
     """|B(n)|, the growth function: len(ball(G, n)), BallCapExceeded above
     DEFAULT_BALL_CAP included. Z^d and Heisenberg(1) count without a ball:
-    Z^d has 2^k C(d, k) C(n, k) elements with k nonzero coordinates, and
-    Heisenberg(1) sums the intervals of _heisenberg_interval."""
+    Z^d by _l1_size, and Heisenberg(1) sums the intervals of
+    _heisenberg_interval."""
     n, cap = _radius(n), DEFAULT_BALL_CAP
     if isinstance(G, FreeAbelian):
-        size = sum(2 ** k * math.comb(G.d, k) * math.comb(n, k)
-                   for k in range(min(G.d, n) + 1))
+        size = _l1_size(G.d, n)
         if size > cap:
             raise BallCapExceeded(G, n, cap)
         return size
@@ -544,8 +579,11 @@ def table(F, xs=None):
         X = np.array([F.parent.coords(y) for y in xs], dtype=np.int64)
         return quotient_action(F, X)
     slot = {p: i for i, p in enumerate(elems)}
-    return np.array([[slot[F.mul(a, b)] for b in elems] for a in xs],
-                    dtype=np.int64)
+    # filled row by row, so no |xs| x |F| list of Python ints is built
+    out = np.empty((len(xs), len(elems)), dtype=np.int64)
+    for i, a in enumerate(xs):
+        out[i] = [slot[F.mul(a, b)] for b in elems]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -711,12 +711,14 @@ class TableMetricGroup:
     bi-invariant metric of a length function: d(a, b) = length[a^-1 b] /
     den, integer lengths over one denominator, brought to lowest terms. On
     a finite group a bi-invariant metric is exactly a conjugation-invariant
-    length, l(g) = d(e, g). The constructor copies the tables once into
-    read-only int64 arrays ``mul_table``, ``length_table`` and
-    ``inv_table``, then proves the group axioms and that the length gives a
-    bi-invariant metric with values in [0, 1], or raises ValueError. Every
-    field is read-only, the labels a tuple: a checked table cannot
-    change."""
+    length, l(g) = d(e, g). The constructor keeps the tables as read-only
+    int64 arrays ``mul_table``, ``length_table`` and ``inv_table``, then
+    proves the group axioms and that the length gives a bi-invariant
+    metric with values in [0, 1], or raises ValueError. A product table
+    handed over read-only and int64, with no writable array under it, is
+    kept as it is; any other is copied, so no caller can write to the
+    checked table. Every field is read-only, the labels a tuple: a checked
+    table cannot change."""
 
     __slots__ = ("order", "identity_index", "mul_table", "length_table",
                  "inv_table", "den", "labels")
@@ -733,7 +735,9 @@ class TableMetricGroup:
         if type(identity) is not int or not 0 <= identity < n:
             raise ValueError(f"identity {identity!r} is not an int in "
                              f"range({n})")
-        M, L = _frozen(M.astype(np.int64)), L.astype(np.int64)
+        if M.dtype != np.int64 or _writable(M):
+            M = _frozen(M.astype(np.int64))
+        L = L.astype(np.int64)
         g = math.gcd(den, int(np.gcd.reduce(L)))
         L, den = _frozen(L // g), den // g
         init = functools.partial(object.__setattr__, self)
@@ -839,8 +843,9 @@ def _check_table(M, L, den, e):
         S.append(int(seen.argmin()))
         frontier = r[seen]
         while frontier.size:
-            frontier = np.unique(M[np.ix_(frontier, S)])
-            frontier = frontier[~seen[frontier]]
+            hit = np.zeros(n, dtype=bool)
+            hit[M[np.ix_(frontier, S)]] = True
+            frontier = np.flatnonzero(hit & ~seen)
             seen[frontier] = True
     # Light's test: the g with (xg)y = x(gy) form a submagma; e, S span T
     for g in S:
@@ -871,7 +876,7 @@ def trivial_metric_group(G):
     e = elems.index(G.identity())
     length = np.ones(len(elems), dtype=np.int64)
     length[e] = 0
-    return TableMetricGroup(G_.table(G), length, 1, e,
+    return TableMetricGroup(_frozen(G_.table(G)), length, 1, e,
                             [G.fmt(p) for p in elems])
 
 
@@ -952,12 +957,10 @@ def wreath_table(base, top):
     # F[c] = the digits f of code c, so that wreath_index(f, h) = c m + h
     weights = b ** np.arange(m - 1, -1, -1)
     F = np.arange(b ** m)[:, None] // weights % b
-    # mul[c0, h0, c1, h1] = code(t -> f0(h1 t) f1(t)) m + h0 h1, in int32
-    # (the order is at most the cap) beside the int64 copy the table keeps
+    # mul[c0, h0, c1, h1] = code(t -> f0(h1 t) f1(t)) m + h0 h1
     code = np.stack([BM[F[:, None, TM[h1]], F[None, :, :]] @ weights
                      for h1 in range(m)], axis=-1)
-    mul = (code * m).astype(np.int32)[:, None, :, :] \
-        + TM.astype(np.int32)[None, :, None, :]
+    mul = _frozen((code * m)[:, None, :, :] + TM[None, :, None, :])
     lamp = base.length_table[F].max(axis=1)
     length = np.where(np.arange(m) == top.identity_index, lamp[:, None],
                       base.den)
@@ -1194,6 +1197,16 @@ def _rank_rows(ones, field):
 def _frozen(a):
     a.flags.writeable = False
     return a
+
+
+def _writable(a):
+    """Whether a, or an array whose memory a views, can be written; memory
+    that no array owns (a buffer of another object) counts as writable."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return True
+        a = a.base
+    return a is not None
 
 
 def _perm_array(P):
@@ -1549,7 +1562,7 @@ class _PermRows(_ExactRows):
 
     def _derive_commutant(self, S):
         P, k = self.P, self.k
-        xs = np.unique(S[:, 0])
+        xs = np.flatnonzero(np.bincount(S[:, 0], minlength=k))
         # C[a, p] = c_x(p) for x = xs[a]; int32 like P
         C = np.empty((len(xs), k), dtype=np.int32)
         C[:, 0] = xs

@@ -1505,6 +1505,12 @@ def _suite_certificates():
     yield "cyclic", cyclic(6)
     # B(1) of Z: few long tuples stay in it
     yield "cyclic at n = 1", cyclic(1)
+    # B(1) of Z^5: fewer still, so that samples * 50 attempts keep fewer
+    # than samples tuples of up to 16 factors
+    Z5 = G_.FreeAbelian(5)
+    yield "Z^5 at n = 1", X_.from_quotient(
+        Z5, G_.LatticeHNF(Z5, [tuple(3 * (i == j) for j in range(5))
+                               for i in range(5)]), 1, "sofic")
     yield "lin", X_.perm_to_lin(cyclic(2), T_.FieldFp(2))
     yield "Z^2 mod 17 sofic", X_.from_quotient(
         Z2, G_.LatticeHNF(Z2, [(17, 0), (0, 17)]), 3, "sofic")
@@ -1551,28 +1557,32 @@ def test_lemma_suite_matches_scalar_reference(name, cert):
                 == C_._ratio(Fraction(2, 9), 4 * eps0) \
                 == C_._ratio(Fraction(1, 3), 6 * eps0)
             assert got["signed_factors"]["bound"] == 4 * eps0
-    if name == "cyclic at n = 1":
+    if name == "Z^5 at n = 1":
         # batches of one attempt, stopped by the cap of samples * 50
-        got = C_.lemma_consistency_suite(cert, max_len=60, samples=20, seed=2)
-        assert got == _scalar_lemma_suite(cert, 60, 20, 2)
-        assert got["tuples_checked"] == 12
+        got = C_.lemma_consistency_suite(cert, max_len=16, samples=20, seed=2)
+        assert got == _scalar_lemma_suite(cert, 16, 20, 2)
+        assert got["tuples_checked"] == 9
     if name == "not unitary":
         assert not C_.lemma_consistency_suite(cert, seed=0)["pass"]
 
 
 def test_lemma_suite_refuses_parameters_that_draw_nothing():
     """max_len below 2 has no tuple length to draw and samples below 1
-    would pass without a tuple; a max_len above 2**16 is refused too, so
-    that a batch of draws holds at most groups.BLOCK slots."""
+    would pass without a tuple; a max_len above 16 is refused too, so that
+    a batch of G_.BLOCK >> max_len attempts, each with up to 2**max_len
+    signed prefix products, holds at most groups.BLOCK = 2**16 of them."""
     cert = cyclic(3)
     for kwargs, name in (({"max_len": 1}, "max_len"),
                          ({"max_len": 0}, "max_len"),
+                         ({"max_len": 17}, "max_len"),
                          ({"max_len": 2 ** 16 + 1}, "max_len"),
                          ({"samples": 0}, "samples"),
                          ({"samples": -3}, "samples")):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             C_.lemma_consistency_suite(cert, **kwargs)
     assert C_.lemma_consistency_suite(cert, max_len=2, samples=1)[
+        "tuples_checked"] == 1
+    assert C_.lemma_consistency_suite(cert, max_len=16, samples=1)[
         "tuples_checked"] == 1
 
 

@@ -916,6 +916,12 @@ def _cyclic_path(tmp_path):
     return path
 
 
+def _config_path(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return path
+
+
 _QUOTIENT = ["construct", "--method", "from-quotient", "--n", "1"]
 
 # each case maps a scratch directory to the argv of one malformed invocation
@@ -1012,6 +1018,18 @@ _BAD_INPUT = {
     "lemma-suite-negative-seed": lambda t: [
         "--seed", "-1", "verify", "--cert", str(_cyclic_path(t)),
         "--lemma-suite"],
+    # --seed is read only by verify --lemma-suite
+    "seed-on-ball": lambda t: ["--seed", "3", "ball", "--group", "Z",
+                               "--n", "1"],
+    "seed-on-verify-without-lemma-suite": lambda t: [
+        "--seed", "3", "verify", "--cert", str(_cyclic_path(t))],
+    "negative-seed-on-ball": lambda t: ["--seed", "-5", "ball", "--group",
+                                        "Z", "--n", "1"],
+    "negative-seed-on-verify": lambda t: [
+        "--seed", "-5", "verify", "--cert", str(_cyclic_path(t))],
+    "negative-seed-in-config": lambda t: [
+        "--config", str(_config_path(t, "seed = -5\n")), "ball", "--group",
+        "Z", "--n", "1"],
     "relators-only-on-ball-certificate": lambda t: [
         "verify", "--cert", str(_cyclic_path(t)), "--relators-only"],
     "perm-image-float-entry": lambda t: [
@@ -1104,6 +1122,16 @@ def test_verify_hom_failure_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(h.to_json()))
     code, _, _ = run(capsys, "verify", "--cert", str(path), "--at-n", "2")
     assert code == 2
+
+
+def test_seed_from_a_config_file_is_a_default(tmp_path, capsys):
+    """A config file's seed is a default that commands other than verify
+    --lemma-suite may ignore; only one given on the command line to them
+    is refused."""
+    cfg = _config_path(tmp_path, "seed = 5\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "ball", "--group", "Z",
+                       "--n", "1")
+    assert code == 0 and json.loads(out)["size"] == 3
 
 
 def test_verify_lemma_suite(tmp_path, capsys):
@@ -1656,3 +1684,31 @@ def test_verifying_permutation_matrices_does_not_import_sympy(tmp_path):
                           timeout=60, env={**os.environ, "PYTHONPATH": env_path})
     assert done.returncode == 0, done.stderr.decode()
     assert json.loads(done.stdout)["separation"] == 6 / 7
+
+
+def test_building_and_verifying_does_not_import_numpy_ma(tmp_path):
+    """Building and verifying a from-quotient hyp certificate (the
+    commutant kernel) and a fin one (the table check), in a fresh
+    interpreter, never imports numpy.ma: numpy >= 2.3 loads it on the first
+    np.unique without return_index, return_inverse or return_counts."""
+    hyp, fin = tmp_path / "hyp.json", tmp_path / "fin.json"
+    env_path = os.pathsep.join(filter(None, [str(_SRC),
+                                             os.environ.get("PYTHONPATH")]))
+    argvs = [
+        ["construct", "--method", "from-quotient", "--group", "Z",
+         "--modulus", "41", "--n", "5", "--family", "hyp", "--out", str(hyp)],
+        ["construct", "--method", "from-quotient", "--group",
+         "Heisenberg(1)", "--modulus", "5", "--n", "2", "--family", "fin",
+         "--out", str(fin)],
+        ["verify", "--cert", str(hyp), "--out", str(tmp_path / "v1.json")],
+        ["verify", "--cert", str(fin), "--out", str(tmp_path / "v2.json")],
+    ]
+    code = ("import sys\n"
+            "from groupapprox import cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    assert 'numpy.ma' not in sys.modules, argv\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": env_path})
+    assert done.returncode == 0, done.stderr.decode()
+    assert json.loads((tmp_path / "v2.json").read_text())["pass"] is True

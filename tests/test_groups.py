@@ -43,7 +43,7 @@ def test_ball_sizes_heisenberg():
 def test_growth_of_Zd_counts_the_array_bfs_without_a_ball(
         d, r_max, monkeypatch):
     G = G_.FreeAbelian(d)
-    sizes = [len(G_._bfs_ball(G, r, G_.DEFAULT_BALL_CAP))
+    sizes = [len(G_._array_bfs_ball(G, r, G_.DEFAULT_BALL_CAP))
              for r in range(r_max + 1)]
     monkeypatch.setattr(G_, "ball", None)  # growth never asks for one
     assert [G_.growth(G, r) for r in range(r_max + 1)] == sizes
@@ -195,6 +195,38 @@ def test_heisenberg_cap_is_counted_before_the_rows_are_built():
     assert len(G_._bfs_ball(H3, 24, count)) == count
 
 
+def test_free_abelian_cap_is_counted_before_the_rows_are_built():
+    G = G_.FreeAbelian(3)
+    count = G_.growth(G, 40)
+    assert count == len(G_.ball(G, 40))
+    tracemalloc.start()
+    try:
+        with pytest.raises(G_.BallCapExceeded) as capped:
+            G_._bfs_ball(G, 40, count - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (capped.value.radius, capped.value.cap) == (40, count - 1)
+    # the rows of B(40) take 24 bytes each; the count none
+    assert peak < 24 * count // 100
+    assert len(G_._bfs_ball(G, 40, count)) == count
+    # a cap above the default one counts the same way
+    over = G_.DEFAULT_BALL_CAP // 2
+    assert len(G_._bfs_ball(Z, over, 2 * over + 1)) == 2 * over + 1
+
+
+def test_a_large_ball_of_Z_takes_no_bfs():
+    """B(40000) of Z (80,001 elements) took 0.8 s as 40,000 BFS levels and
+    takes a few milliseconds in closed form; the bound leaves room for a
+    loaded machine."""
+    G_._l1_ball(Z, 10, G_.DEFAULT_BALL_CAP)  # numpy's first calls
+    start = time.perf_counter()
+    B = G_._bfs_ball(Z, 40000, G_.DEFAULT_BALL_CAP)
+    assert time.perf_counter() - start < 0.2
+    assert len(B) == 80001 and B._sizes == (1,) + (2,) * 40000
+    assert B.coords()[-2:].tolist() == [[-40000], [40000]]
+
+
 def test_huge_radius_stops_at_the_cap(capsys):
     start = time.perf_counter()
     assert cli.main(["ball", "--group", "Heisenberg(1)", "--n", "100000",
@@ -264,6 +296,28 @@ def test_heisenberg_intervals_give_the_array_bfs_ball():
         got = G_._interval_ball(H3, r, G_.DEFAULT_BALL_CAP)
         assert np.array_equal(got.coords(), want.coords()), r
         assert got._sizes == want._sizes, r
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 12))
+def test_l1_ball_is_the_array_bfs_ball(d, r):
+    """The closed form of Z^d's ball against the array BFS: the same rows
+    in the same order, level sizes and labels."""
+    G = G_.FreeAbelian(d)
+    want = G_._array_bfs_ball(G, r, G_.DEFAULT_BALL_CAP)
+    got = G_._l1_ball(G, r, G_.DEFAULT_BALL_CAP)
+    assert np.array_equal(got.coords(), want.coords())
+    assert got._sizes == want._sizes
+    assert got.labels() == want.labels()
+
+
+def test_only_free_abelian_takes_the_l1_ball(monkeypatch):
+    closed = []
+    monkeypatch.setattr(G_, "_l1_ball", lambda *args: closed.append(args))
+    for G in (Z, Z2, H3, G_.Heisenberg(2), G_.Free(2)):
+        G_._bfs_ball(G, 2, G_.DEFAULT_BALL_CAP)
+    assert closed == [(Z, 2, G_.DEFAULT_BALL_CAP),
+                      (Z2, 2, G_.DEFAULT_BALL_CAP)]
 
 
 def test_only_heisenberg_1_takes_the_intervals(monkeypatch):

@@ -341,3 +341,24 @@ def test_every_benchmark_stressor_names_a_definition():
                 missing.append(f"{workload}: {name}")
     assert not missing, "stressors naming no definition in src/: " \
         + ", ".join(missing)
+
+
+_UNIQUE_RETURNS = {"return_index", "return_inverse", "return_counts"}
+
+
+def test_no_bare_np_unique_in_src():
+    """Every np.unique in src/ asks for an index, an inverse or counts:
+    numpy >= 2.3 imports numpy.ma on the first np.unique that asks for
+    none of them. np.flatnonzero over a bincount or a mask gives the same
+    sorted values in O(k) without it."""
+    bare = []
+    for path, tree in _trees("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "unique" \
+                    and isinstance(node.func.value, ast.Name) \
+                    and node.func.value.id in ("np", "numpy") \
+                    and not _UNIQUE_RETURNS & {k.arg for k in node.keywords}:
+                bare.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not bare, "np.unique without return_*: " + ", ".join(bare)
