@@ -80,8 +80,8 @@ Family = collections.namedtuple(
     "Family", ("epsilon", "kinds", "exact", "projective"))
 
 FAMILIES = MappingProxyType({
-    "sofic": Family(Fraction(1), (T_.Permutation, T_.CyclicPerm,
-                                  T_.PermWreathElement), True, False),
+    "sofic": Family(Fraction(1), (T_.Permutation, T_.CyclicPerm), True,
+                    False),
     "hyp": Family(math.sqrt(2.0), (T_.UnitaryMatrix, T_.PermUnitary,
                                    T_.AugmentedUnitary,
                                    T_.ImplicitTensorUnitary), False, False),
@@ -105,15 +105,13 @@ def family_record(name):
 
 def _require_family_kinds(family, targets):
     """Raise CertificateError unless the family is known and every target
-    (every bell of a sofic wreath element too) is of one of its kinds."""
+    is of one of its kinds."""
     kinds = family_record(family).kinds
     for el in targets:
         if not isinstance(el, kinds):
             raise CertificateError(
                 f"a {type(el).__name__} target cannot be in a {family} "
                 f"certificate")
-        if isinstance(el, T_.PermWreathElement):
-            _require_family_kinds(family, el.bells)
 
 
 def _group_of(el):
@@ -127,8 +125,6 @@ def _group_of(el):
         return f"GL({el.k}, {el.field.label})"
     if isinstance(el, T_.ImplicitTensorUnitary):
         return f"U({el.base.k}) to the tensor power {el.power}"
-    if isinstance(el, T_.PermWreathElement):
-        return f"{_target_group(el.bells)} wr Sym({el.size})"
     # a dense, permutation or augmented unitary
     return f"U({el.k})"
 
@@ -165,10 +161,6 @@ def target_identity_like(el):
         return T_.RankMatrix.identity(el.k, el.field)
     if isinstance(el, T_.FiniteGroupElement):
         return el.group.identity_element()
-    if isinstance(el, T_.PermWreathElement):
-        return T_.PermWreathElement(
-            T_.Permutation.identity(el.size),
-            [target_identity_like(b) for b in el.bells])
     raise TypeError(f"unknown target element {el!r}")
 
 
@@ -276,8 +268,8 @@ class ApproxCertificate(_Certificate):
     index arrays, the tuple of target objects, a dense unitary's entries
     and a table group's fields are read-only, so the images of a
     permutation, unitary or table certificate cannot be written in place
-    once built. The images lie in one target group (one degree, field,
-    size or wreath shape; one table group), or CertificateError."""
+    once built. The images lie in one target group (one degree, field or
+    size; one table group), or CertificateError."""
 
     def __init__(self, group, n, family, assignments, epsilon=None,
                  dimension=None, provenance=None):

@@ -436,7 +436,7 @@ _STRATEGY_FLAGS = {"exhaustive": ("r_max", "size_max"), "balls": ("r_max",),
 
 def cmd_folner(args):
     G = _group(args.group)
-    _refuse_unread(args, ("group", "n", "strategy", "controlled",
+    _refuse_unread(args, ("group", "n", "strategy",
                           *_STRATEGY_FLAGS[args.strategy]),
                    f"folner --strategy {args.strategy}")
     try:
@@ -447,13 +447,7 @@ def cmd_folner(args):
     if outcome.witness is None:
         sys.stderr.write(f"no witness: {outcome.note}\n")
         raise ResourceCap(outcome.note)
-    w = outcome.witness
-    if args.controlled:
-        radius = max(len(w.members), args.n)
-        while not all(a in G_.ball(G, radius) for a in w.members):
-            radius += 1
-        w = X_.FolnerWitness(G, args.n, w.members, radius_bound=radius)
-    artifact = w.to_json()
+    artifact = outcome.witness.to_json()
     artifact["strategy"] = args.strategy
     artifact["exact_minimum"] = outcome.exact
     artifact["note"] = outcome.note
@@ -570,8 +564,6 @@ def build_parser():
                     default="balls")
     sp.add_argument("--r-max", type=int, default=None)
     sp.add_argument("--size-max", type=int, default=None)
-    sp.add_argument("--controlled", action="store_true",
-                    help="record the smallest covering radius bound")
 
     sp = add("rfgrowth", cmd_rfgrowth, "full residual finiteness growth")
     sp.add_argument("--group", required=True)

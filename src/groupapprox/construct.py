@@ -92,11 +92,7 @@ def _decode_witness(obj):
     every field that writer writes; other keys are not read."""
     group = G_.group_from_descriptor(obj["group"])
     members = [_payload_from_json(m) for m in obj["members_payload"]]
-    radius = obj["radius_bound"]
-    if radius is not None:
-        T_.json_int(obj, "radius_bound")
-    w = FolnerWitness(group, T_.json_int(obj, "n"), members,
-                      radius_bound=radius)
+    w = FolnerWitness(group, T_.json_int(obj, "n"), members)
     for key, value in w.to_json().items():
         if json.dumps(obj[key], sort_keys=True) != \
                 json.dumps(value, sort_keys=True):
@@ -120,18 +116,16 @@ def folner_defect(group, members, n):
 class FolnerWitness:
     """A finite set A with small boundary under translation by B(n)."""
 
-    def __init__(self, group, n, members, radius_bound=None):
+    def __init__(self, group, n, members):
         self.group = group
         self.n = int(n)
+        if self.n < 1:
+            raise ValueError(f"a Folner witness has radius n >= 1, not "
+                             f"{self.n}")
         self.members = tuple(sorted(set(members), key=group.key))
         if not self.members:
             raise ValueError("empty Folner set")
-        self.radius_bound = radius_bound
         self.defect = folner_defect(group, self.members, self.n)
-
-    @property
-    def valid(self):
-        return self.defect <= Fraction(1, self.n)
 
     def defect_at(self, m):
         return folner_defect(self.group, self.members, m)
@@ -139,21 +133,10 @@ class FolnerWitness:
     def valid_at(self, m):
         return self.defect_at(m) <= Fraction(1, m)
 
-    def controlled_ok(self):
-        """A subset of B(k) with |A| <= k, k the radius bound."""
-        if self.radius_bound is None:
-            return False
-        k = self.radius_bound
-        if len(self.members) > k:
-            return False
-        B = G_.ball(self.group, k)
-        return all(a in B for a in self.members)
-
     def to_json(self):
         return {"group": self.group.descriptor(), "n": self.n,
                 "size": len(self.members),
                 "defect": [self.defect.numerator, self.defect.denominator],
-                "radius_bound": self.radius_bound,
                 "members": [self.group.fmt(a) for a in self.members],
                 "members_payload": [_payload_to_json(a) for a in self.members]}
 
@@ -306,7 +289,7 @@ def induce_finite_index(G, data, c_H, n=None):
             # point j of block i goes to point pi_i(j) of block alpha(i)
             assignments[g] = T_.Permutation(
                 alpha[i] * m + x for i in range(ell)
-                for x in _as_perm(blocks[i]).images)
+                for x in blocks[i].images)
         elif family == "hyp":
             import numpy as np
             M = np.zeros((ell * m, ell * m), dtype=complex)
@@ -394,7 +377,7 @@ def perm_to_hyp(c, n):
     if c.n < 2 * n * n:
         raise BuildError(f"need input radius 2n^2 = {2 * n * n}, have {c.n}")
     _require_verified(c, f"input fails at {c.n}")
-    assignments = {g: T_.PermUnitary(_as_perm(c.target(g)).images)
+    assignments = {g: T_.PermUnitary(c.target(g).images)
                    for g in G_.ball(c.group, n)}
     cert = C_.ApproxCertificate(
         c.group, n, "hyp", assignments,
@@ -411,7 +394,7 @@ def perm_to_lin(c, field=None):
         raise BuildError("input must be a sofic certificate")
     _require_verified(c, f"input fails at {c.n}")
     fld = field or T_.FieldQ()
-    rows = T_.rows_from_array([_as_perm(c.target(g)).images for g in c.ball],
+    rows = T_.rows_from_array([c.target(g).images for g in c.ball],
                               T_.RANK, fld)
     cert = C_.ApproxCertificate(
         c.group, c.n, "lin", rows,
@@ -681,90 +664,3 @@ def _wreath_bullets(cert, c_G, c_H, big_perm, sep):
         "lamps_checked": len(lamps),
         "pass": bullet3 and bullet4 and final <= e0 + e1,
     }
-
-
-# ---------------------------------------------------------------------------
-# extensions by amenable quotients
-
-class CoordinateSplit:
-    """Z^d = N x Q along coordinate axes: N the kernel, Q the quotient."""
-
-    def __init__(self, d, n_axes):
-        self.G = G_.FreeAbelian(d)
-        self.n_axes = tuple(sorted(n_axes))
-        self.q_axes = tuple(i for i in range(d) if i not in self.n_axes)
-        if not self.n_axes or not self.q_axes:
-            raise ValueError("split must be proper")
-        self.N_group = G_.FreeAbelian(len(self.n_axes))
-        self.Q_group = G_.FreeAbelian(len(self.q_axes))
-
-    def project_Q(self, g):
-        return tuple(g[i] for i in self.q_axes)
-
-    def project_N(self, g):
-        return tuple(g[i] for i in self.n_axes)
-
-    def section(self, q):
-        v = [0] * (len(self.n_axes) + len(self.q_axes))
-        for x, i in zip(q, self.q_axes):
-            v[i] = x
-        return tuple(v)
-
-    def in_N(self, g):
-        return all(g[i] == 0 for i in self.q_axes)
-
-
-def extend_by_amenable(c_N, w, split, n):
-    """Certificate for G from one for N and a controlled Folner set of G/N.
-
-    The image lives in Sym(A) x| G_alpha^A: the permutation part translates
-    the Folner set along the quotient, the bell at position a carries the
-    N-part sigma(a g-bar)^{-1} a g through the subgroup certificate.
-    """
-    _element_level("extend_by_amenable", c_N)
-    if w.group.descriptor() != split.Q_group.descriptor():
-        raise BuildError("witness lives on the wrong quotient")
-    if w.n < 10 * n:
-        raise BuildError(f"need a witness at 10n = {10 * n}, have {w.n}")
-    if not w.valid:
-        raise BuildError(f"witness defect {w.defect} exceeds 1/{w.n}")
-    if not w.controlled_ok():
-        raise BuildError("witness is not controlled (A inside B(k), |A| <= k)")
-    k = w.radius_bound
-    if c_N.n < 20 * k:
-        raise BuildError(f"subgroup certificate must reach 20k = {20 * k}")
-
-    G = split.G
-    Q = split.Q_group
-    A = list(w.members)
-    pos = {a: i for i, a in enumerate(A)}
-    size = len(A)
-    e_Q = Q.identity()
-    for a in A[:min(size, 16)]:
-        if split.project_Q(split.section(a)) != a:
-            raise BuildError("section is not a right inverse on A")
-
-    assignments = {}
-    for g in G_.ball(G, n):
-        qg = split.project_Q(g)
-        targets_q = [Q.mul(a, qg) for a in A]
-        perm = _complete_injection([pos.get(aq) for aq in targets_q])
-        bells = []
-        for i, a in enumerate(A):
-            lift = split.section(targets_q[i])
-            arg = G.mul(G.inv(lift), G.mul(split.section(a), g))
-            if not split.in_N(arg):
-                raise BuildError("bell argument escaped the kernel")
-            try:
-                bells.append(c_N.target(split.project_N(arg)))
-            except C_.CertificateError as exc:
-                raise BuildError(f"subgroup certificate too small: {exc}")
-        assignments[g] = T_.PermWreathElement(perm, bells)
-    cert = C_.ApproxCertificate(
-        G, n, "sofic", assignments,
-        provenance=_trace("extend_by_amenable",
-                          {"folner_size": size, "radius_bound": k,
-                           "subgroup_dim": c_N.dimension},
-                          n, 1, size * c_N.dimension,
-                          inputs=[c_N.provenance]))
-    return _check(cert)

@@ -352,7 +352,7 @@ def _folner_balls(G, n, r_max):
         if best is None or d < best:
             best = d
         if d <= Fraction(1, n):
-            w = X_.FolnerWitness(G, n, members, radius_bound=None)
+            w = X_.FolnerWitness(G, n, members)
             return FolnerOutcome(w, False, f"ball of radius {r}")
     return FolnerOutcome(None, False, f"no ball up to r={r_max}", best)
 
@@ -399,7 +399,7 @@ def _folner_boxes(G, n):
     d = G.d
     L = minimal_box_side_Zd(d, n)
     members = [tuple(v) for v in itertools.product(range(L), repeat=d)]
-    w = X_.FolnerWitness(G, n, members, radius_bound=None)
+    w = X_.FolnerWitness(G, n, members)
     return FolnerOutcome(w, False, f"box of side {L}")
 
 
@@ -422,12 +422,11 @@ def folner_box_value_Zd(d, n):
     return minimal_box_side_Zd(d, n) ** d
 
 
-def interval_witness_Z(n, controlled=False):
+def interval_witness_Z(n):
     """Interval witness of the closed-form minimal length 2n^2(n+1)."""
     L = 2 * n * n * (n + 1)
     members = [(i,) for i in range(1, L + 1)]
-    return X_.FolnerWitness(G_.FreeAbelian(1), n, members,
-                            radius_bound=L if controlled else None)
+    return X_.FolnerWitness(G_.FreeAbelian(1), n, members)
 
 
 def folner_bound_nilpotent(d, n):
@@ -790,7 +789,8 @@ def inequality_audit(curves_by_group):
 
     A violation is recorded only when a lower bound on the left strictly
     exceeds an upper bound on the right at comparable radii; these are
-    theorems, so any violation indicates an implementation bug.
+    theorems, so any violation indicates an implementation bug. A check
+    that compared no point says why in ``vacuous`` (null otherwise).
     """
     results = []
     violations = []
@@ -801,18 +801,25 @@ def inequality_audit(curves_by_group):
             if lhs is None or rhs is None:
                 continue
             compared = 0
+            has_lower = False
             for n in lhs.ns():
                 lo = lhs.best_lower(lhs_map(n))
+                if lo is None:
+                    continue
+                has_lower = True
                 hi = rhs.best_upper(rhs_map(n))
-                if lo is None or hi is None or hi == INF:
+                if hi is None or hi == INF:
                     continue
                 compared += 1
                 if lo > hi:
                     violations.append(
                         {"group": group, "check": name, "n": n,
                          "lower": lo, "upper": hi})
+            vacuous = None if compared else (
+                f"no upper point of {rhs_key} at the mapped radii"
+                if has_lower else f"no lower point of {lhs_key}")
             results.append({"group": group, "check": name,
-                            "compared": compared})
+                            "compared": compared, "vacuous": vacuous})
     return {"pass": not violations, "violations": violations,
             "checks": results,
             "points_compared": sum(r["compared"] for r in results)}

@@ -1,8 +1,7 @@
 """Approximating metric groups: permutations with Hamming distance, unitaries
 with Hilbert-Schmidt distance (plain and projective), invertible matrices over
 exact fields with rank distance (plain and projective), finite groups with
-bi-invariant table metrics, implicit tensor powers and permutation-wreath
-elements.
+bi-invariant table metrics, and implicit tensor powers.
 
 On disk a permutation's images, and a table group's products row by row,
 are one string, the base64 of them as little-endian int32, written by
@@ -974,64 +973,6 @@ def wreath_table(base, top):
         wreath_index(base, top, [e] * m, top.identity_index), labels)
 
 
-class PermWreathElement:
-    """Element of Sym(A) x| G_alpha^A with the coordinate-sum metric:
-
-        d((s,b),(s',b')) = (1/|A|) sum_{a: s(a)=s'(a)} d(b(a), b'(a))
-                           + d_Ham(s, s').
-
-    For G_alpha = Sym(m) with Hamming this is exactly the Hamming distance on
-    Sym(A x [m]) under the block identification.
-    """
-
-    __slots__ = ("perm", "bells")
-
-    def __init__(self, perm, bells):
-        self.perm = perm
-        self.bells = tuple(bells)
-        if len(self.bells) != perm.k:
-            raise ValueError("one bell per permutation point required")
-        if any(b.dim != self.bells[0].dim for b in self.bells):
-            raise ValueError("bells differ in degree")
-
-    @property
-    def size(self):
-        return self.perm.k
-
-    @property
-    def dim(self):
-        return self.perm.k * self.bells[0].dim
-
-    def mul(self, other):
-        bells = tuple(self.bells[x].mul(y)
-                      for x, y in zip(other.perm.images, other.bells))
-        return PermWreathElement(self.perm.mul(other.perm), bells)
-
-    def inv(self):
-        pinv = self.perm.inv()
-        bells = tuple(self.bells[x].inv() for x in pinv.images)
-        return PermWreathElement(pinv, bells)
-
-    def dist(self, other):
-        n = self.size
-        acc = Fraction(0)
-        for a, (x, y) in enumerate(zip(self.perm.images, other.perm.images)):
-            if x == y:
-                acc += Fraction(self.bells[a].dist(other.bells[a]))
-        return acc / n + ham_distance(self.perm, other.perm)
-
-    def __eq__(self, other):
-        return (isinstance(other, PermWreathElement)
-                and self.perm == other.perm and self.bells == other.bells)
-
-    def __repr__(self):
-        return f"PermWreathElement(|A|={self.size})"
-
-    def to_json(self):
-        return {"kind": "perm-wreath", "perm": _images_json(self.perm.images),
-                "bells": [b.to_json() for b in self.bells]}
-
-
 # ---------------------------------------------------------------------------
 # image rows
 
@@ -1732,7 +1673,6 @@ _TARGET_KEYS = {
     "tensor-implicit": frozenset({"kind", "base", "power"}),
     "rank": frozenset({"kind", "field", "entries"}),
     "fin": frozenset({"kind", "index"}),
-    "perm-wreath": frozenset({"kind", "perm", "bells"}),
 }
 
 
@@ -1785,13 +1725,10 @@ def target_from_json(obj, fin_group=None):
             raise ValueError("rank entries must be JSON strings")
         rows = [[F.parse(x) for x in r] for r in obj["entries"]]
         return RankMatrix(rows, F)
-    if kind == "fin":
-        if fin_group is None:
-            raise ValueError("finite group element needs its group")
-        return fin_group.element(obj["index"])
-    # a perm-wreath element
-    bells = [target_from_json(b) for b in obj["bells"]]
-    return PermWreathElement(_json_perm(obj["perm"]), bells)
+    # a fin element
+    if fin_group is None:
+        raise ValueError("finite group element needs its group")
+    return fin_group.element(obj["index"])
 
 
 def json_int(obj, key):

@@ -101,7 +101,7 @@ def test_04_folner_value_of_Z_at_one_is_four_and_intervals_convert():
     assert out.witness.members == ((0,), (1,), (2,), (3,))
     for n in range(1, 11):
         w = P_.interval_witness_Z(n)
-        assert w.valid
+        assert w.defect <= Fraction(1, n)
         assert len(w.members) <= 2 * n * n * (n + 1)
         if n >= 2:  # conversion needs validity at twice the target radius
             c = X_.folner_to_sofic(w)

@@ -218,22 +218,6 @@ def _perm(images):
     return T_.Permutation(images).to_json()
 
 
-def _perm_wreath_mixed_bells(obj):
-    """Z/2 at n = 1 into perm-wreath elements whose second bell at 1 has
-    degree 3 where every other bell has degree 2; the first bells agree on
-    the dimension 2 * 2."""
-    def wreath(perm, bells):
-        return {"kind": "perm-wreath", "perm": T_._images_json(perm),
-                "bells": list(map(_perm, bells))}
-    obj.clear()
-    obj.update({
-        "group": G_.FiniteCyclic(2).descriptor(), "family": "sofic",
-        "epsilon": 1.0, "n": 1, "dimension": 4,
-        "assignments": [
-            {"element": "0", "target": wreath([0, 1], [[0, 1], [0, 1]])},
-            {"element": "1", "target": wreath([1, 0], [[1, 0], [0, 2, 1]])}]})
-
-
 def _f2_into_non_group(obj):
     """B(1) of F2 sent injectively into a 5-element table that has the
     identity and inverse laws and the 0/1 metric but sends every other
@@ -372,7 +356,6 @@ _MALFORMED.update({
     "sofic-with-target-group": _sofic_with_target_group,
     "fin-table-kind-nope": _fin_table(kind="nope"),
     "fin-table-extra-key": _fin_table(junk=[1]),
-    "perm-wreath-mixed-degree-bells": _perm_wreath_mixed_bells,
 })
 
 
@@ -404,13 +387,6 @@ def _rank(field, entries):
     return {"kind": "rank", "field": field, "entries": entries}
 
 
-def _wreath(perm, bell):
-    """The perm-wreath object over perm with the permutation bell at every
-    point."""
-    return {"kind": "perm-wreath", "perm": T_._images_json(perm),
-            "bells": [_perm(bell)] * len(perm)}
-
-
 # products or distances across two target groups would end in a traceback
 _MALFORMED.update({
     "lin-mixed-fields": _z2_targets(
@@ -419,14 +395,17 @@ _MALFORMED.update({
     "lin-mixed-sizes": _z2_targets(
         "lin", 2, _rank("Q", [["1", "0"], ["0", "1"]]),
         _rank("Q", [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]])),
-    "permutation-beside-perm-wreath": _z2_targets(
-        "sofic", 4, _perm([0, 1, 2, 3]), _wreath([1, 0], [1, 0])),
-    "perm-wreath-shapes-2x3-3x2": _z2_targets(
-        "sofic", 6, _wreath([0, 1], [0, 1, 2]), _wreath([1, 2, 0], [1, 0])),
-    "perm-wreath-bells-of-two-groups": _z2_targets(
-        "sofic", 8, _wreath([0, 1], [0, 1, 2, 3]),
+    "permutation-beside-cyclic-perm": _z2_targets(
+        "sofic", 4, _perm([0, 1, 2, 3]), T_.CyclicPerm(3, 1).to_json()),
+    # a kind outside the family, beside one of its kinds
+    "permutation-beside-perm-unitary": _z2_targets(
+        "sofic", 2, _perm([0, 1]),
+        T_.PermUnitary(T_.Permutation([1, 0])).to_json()),
+    # no writer writes the kind any more, so it is unknown
+    "perm-wreath-kind-unknown": _z2_targets(
+        "sofic", 4, _perm([0, 1, 2, 3]),
         {"kind": "perm-wreath", "perm": T_._images_json([1, 0]),
-         "bells": [_perm([1, 0, 3, 2]), _wreath([1, 0], [1, 0])]}),
+         "bells": [_perm([1, 0])] * 2}),
 })
 
 
@@ -491,15 +470,26 @@ _MALFORMED_HOM = {
     "hom-missing-images": lambda o: o.pop("images"),
     "hom-unknown-generator": lambda o: o["images"][0].update(generator="y1"),
     "hom-missing-relators": lambda o: o.pop("relators"),
-    "hom-mixed-dimension": lambda o: o["images"].append(
-        {"generator": "x1^-1", "target": T_.CyclicPerm(5, 1).to_json()}),
+    # x1^-1's image replaced: a second image of it is a duplicate generator
+    "hom-mixed-dimension": lambda o: o["images"][1].update(
+        target=T_.CyclicPerm(5, 1).to_json()),
     "hom-epsilon-zero": lambda o: _identity_images(o, 0),
     "hom-epsilon-negative": lambda o: _identity_images(o, -5),
     "hom-float-dimension": lambda o: o.update(dimension=7.0),
-    "hom-permutation-beside-perm-wreath": lambda o: o["images"].append(
-        {"generator": "x1^-1", "target": _wreath([1, 2, 3, 4, 5, 6, 0], [0])}),
+    "hom-permutation-beside-cyclic-perm": lambda o: o["images"][1].update(
+        target=_perm([1, 2, 3, 0])),
 }
 _AT_N = {"at-n-above-n": "3", "at-n-zero": "0", "hom-at-n-zero": "0"}
+_MALFORMED_ERROR.update({
+    "hom-mixed-dimension": "distinct target groups: Sym(5), Sym(7)",
+    "permutation-beside-cyclic-perm": "distinct target groups: Sym(3), "
+                                      "Sym(4)",
+    "hom-permutation-beside-cyclic-perm": "distinct target groups: Sym(4), "
+                                          "Sym(7)",
+    "permutation-beside-perm-unitary": "a PermUnitary target cannot be in a "
+                                       "sofic certificate",
+    "perm-wreath-kind-unknown": "unknown target kind 'perm-wreath'",
+})
 
 
 @pytest.mark.parametrize("case", [*_MALFORMED, *_MALFORMED_HOM, *_AT_N])
@@ -586,29 +576,6 @@ def test_from_quotient_lin_uses_field(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "not prime" in err
-
-
-@pytest.mark.parametrize("argv", [["perm-to-hyp", "--n", "1"],
-                                  ["perm-to-lin"],
-                                  ["direct-product", "--input2", "w.json"]],
-                         ids=["perm-to-hyp", "perm-to-lin", "direct-product"])
-def test_permutation_builders_refuse_perm_wreath_targets(
-        tmp_path, monkeypatch, capsys, argv):
-    """A verified sofic certificate into perm-wreath elements (Z into the
-    shifts of Z/5, every bell the identity of Sym(3)) is no input for the
-    builders that read permutations."""
-    monkeypatch.chdir(tmp_path)
-    wreath = {p: T_.PermWreathElement(
-        T_.Permutation([(i + p[0]) % 5 for i in range(5)]),
-        [T_.Permutation(range(3))] * 5) for p in G_.ball(Z, 2)}
-    cert = C_.ApproxCertificate(Z, 2, "sofic", wreath)
-    assert C_.verify_D(cert).passed
-    Path("w.json").write_text(cert.dumps())
-    code, out, err = run(capsys, "construct", "--method", argv[0],
-                         "--input", "w.json", *argv[1:])
-    assert code == 1
-    assert out == "" and err.startswith("error: ")
-    assert "PermWreathElement" in err
 
 
 def test_direct_product_field_mismatch_is_usage_error(tmp_path, capsys):
@@ -952,8 +919,10 @@ _BAD_INPUT = {
         t, lambda o: o["members_payload"].__setitem__(13, [1.0])),
     "witness-payload-bool": lambda t: _witness_argv(
         t, lambda o: o["members_payload"].__setitem__(13, [True])),
-    "witness-radius-bound-float": lambda t: _witness_argv(
-        t, lambda o: o.update(radius_bound=4.0)),
+    # radius 0, at which B(12) has defect 0: every field is what the
+    # writer would write, were a witness at radius 0 one
+    "witness-n-zero": lambda t: _witness_argv(
+        t, lambda o: o.update(n=0, defect=[0, 1])),
     # B(12) with 0 written twice, in sorted order, as the writer would
     "witness-repeated-member": lambda t: _witness_argv(
         t, lambda o: (o["members"].insert(12, "0"),
@@ -1297,12 +1266,13 @@ def test_folner_failure_exits_3(capsys):
     assert "no witness" in err
 
 
-def test_folner_controlled_records_radius(capsys):
-    code, out, _ = run(capsys, "folner", "--group", "Z", "--n", "2",
-                       "--strategy", "balls", "--controlled")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["radius_bound"] == obj["size"]
+def test_folner_controlled_is_usage_error(capsys):
+    """folner has no --controlled flag: a witness records no radius
+    bound."""
+    code, out, err = run(capsys, "folner", "--group", "Z", "--n", "2",
+                         "--strategy", "balls", "--controlled")
+    assert code == 1 and out == ""
+    assert "--controlled" in err
 
 
 def test_folner_to_sofic_pipeline(tmp_path, capsys):

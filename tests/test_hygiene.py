@@ -109,10 +109,6 @@ _LIBRARY_ONLY = {
                               "quotient of H, library API",
     "construct.wreath_sofic": "sofic builder for G wr H with H finite, "
                               "library API",
-    "construct.CoordinateSplit": "the split Z^d = N x Q that "
-                                 "extend_by_amenable takes",
-    "construct.extend_by_amenable": "builder for an extension by an "
-                                    "amenable quotient, library API",
     "groups.index_subgroup_of_Z": "the coset data of mZ <= Z that "
                                   "induce_finite_index takes",
     "profiles.sofic_exact_oracle": "exact sofic value by backtracking, the "
@@ -362,3 +358,33 @@ def test_no_bare_np_unique_in_src():
                     and not _UNIQUE_RETURNS & {k.arg for k in node.keywords}:
                 bare.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert not bare, "np.unique without return_*: " + ", ".join(bare)
+
+
+def _target_kinds(obj):
+    """Every ``kind`` in a target object and the objects nested in it."""
+    if isinstance(obj, dict):
+        return {obj["kind"]}.union(*map(_target_kinds, obj.values()))
+    return set()
+
+
+def test_every_target_kind_has_a_producer():
+    """Each kind of target the decoder reads is one that a builder writes:
+    one small certificate per builder path covers every kind, so no input
+    format outlives the code that made it."""
+    from groupapprox import construct as X_
+    from groupapprox import groups as G_
+    from groupapprox import targets as T_
+    Z = G_.FreeAbelian(1)
+
+    def quotient(m, n, family):
+        return X_.from_quotient(Z, G_.LatticeHNF(Z, [(m,)]), n, family)
+    certs = [quotient(5, 2, family) for family in ("sofic", "hyp", "lin",
+                                                    "fin")]
+    certs += [X_.cyclic_Z(1),
+              X_.amplify_projective(quotient(641, 320, "hyp"), 8),
+              X_.induce_finite_index(Z, G_.index_subgroup_of_Z(2),
+                                     quotient(5, 2, "hyp"))]
+    written = set().union(*(_target_kinds(a["target"])
+                            for c in certs
+                            for a in c.to_json()["assignments"]))
+    assert written == set(T_._TARGET_KEYS)

@@ -173,7 +173,7 @@ def test_folner_balls_search_up_to_radius_20_only_without_r_max():
 def test_folner_boxes_Z2():
     out = P_.folner_search(Z2, 1, strategy="boxes")
     assert out.size == 64
-    assert out.witness.valid
+    assert out.witness.defect <= 1
 
 
 def test_box_formula_matches_materialized_defect():
@@ -486,3 +486,28 @@ def test_audit_zero_violations_smoke():
     assert report["points_compared"] > 30
     names = {c["check"] for c in report["checks"]}
     assert "dsof(n) <= folner(2n)" in names
+
+
+def test_audit_names_each_vacuous_check():
+    """A check that compared no point says why; every other check has
+    vacuous null, and the points compared are as before."""
+    report = P_.inequality_audit({
+        g: P_.standard_curves(g, 4) for g in ("Z", "Z^2", "Heisenberg(1)")})
+    vacuous = {(c["group"], c["check"]): c["vacuous"]
+               for c in report["checks"] if c["compared"] == 0}
+    assert vacuous == {
+        **{(g, "dlin(n) <= dsof(n)"): "no lower point of lin"
+           for g in ("Z", "Z^2", "Heisenberg(1)")},
+        **{(g, "dhyp(n) <= dsof(2n^2)"): "no lower point of hyp"
+           for g in ("Z", "Z^2")}}
+    assert all(c["vacuous"] is None
+               for c in report["checks"] if c["compared"])
+    assert report["points_compared"] == sum(c["compared"]
+                                            for c in report["checks"])
+    # lower points of the sofic curve, but no upper point of rf at 2n
+    curves = P_.standard_curves("Z", 2)
+    curves["rf"] = P_.ProfileCurve(curves["rf"].group_desc, "rf")
+    rows = {c["check"]: c["vacuous"]
+            for c in P_.inequality_audit({"Z": curves})["checks"]}
+    assert rows["dsof(n) <= phi(2n)"] == \
+        "no upper point of rf at the mapped radii"

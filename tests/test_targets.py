@@ -1264,17 +1264,11 @@ def test_images_of_every_kind_are_one_string():
     text = _packed([2, 0, 1])
     assert perm.to_json() == {"kind": "perm", "images": text}
     assert T_.PermUnitary(perm).to_json()["images"] == text
-    w = T_.PermWreathElement(perm, [T_.Permutation([1, 0])] * 3)
-    assert w.to_json()["perm"] == text
-    assert w.to_json()["bells"][0] == {"kind": "perm",
-                                       "images": _packed([1, 0])}
     rows = T_.batch([perm, T_.Permutation([0, 1, 2])])
     assert rows.to_json(0) == perm.to_json()
     # the older list form is refused wherever images are read
     for obj in ([2, 0, 1], {"kind": "perm", "images": [2, 0, 1]},
-                {"kind": "perm-unitary", "images": [2, 0, 1]},
-                {"kind": "perm-wreath", "perm": [2, 0, 1],
-                 "bells": [T_.Permutation([1, 0]).to_json()] * 3}):
+                {"kind": "perm-unitary", "images": [2, 0, 1]}):
         with pytest.raises(ValueError):
             T_.target_from_json(obj)
         with pytest.raises(ValueError):
@@ -1296,8 +1290,6 @@ def _one_target_of_each_kind():
                             None),
         "rank": (T_.RankMatrix([[1, 2], [3, 4]], T_.FieldQ()), None),
         "fin": (G.element(1), G),
-        "perm-wreath": (T_.PermWreathElement(
-            perm, [T_.Permutation([1, 0])] * 3), None),
     }
 
 
@@ -1326,21 +1318,6 @@ def test_target_keys_are_exactly_the_writers(kind):
         with pytest.raises(ValueError):
             T_.target_from_json({**obj, "tolerance": T_.UNITARY_TOLERANCE},
                                 group)
-
-
-def test_perm_wreath_bells_share_one_degree():
-    bells = [T_.Permutation([1, 0]), T_.Permutation([0, 2, 1])]
-    with pytest.raises(ValueError, match="bells differ in degree"):
-        T_.PermWreathElement(T_.Permutation([1, 0]), bells)
-    with pytest.raises(ValueError, match="bells differ in degree"):
-        T_.target_from_json({"kind": "perm-wreath",
-                             "perm": T_._images_json([1, 0]),
-                             "bells": [b.to_json() for b in bells]})
-    # a shift and a permutation of one degree multiply as images
-    w = T_.PermWreathElement(T_.Permutation([1, 0]),
-                             [T_.CyclicPerm(3, 1), T_.Permutation([0, 2, 1])])
-    assert w.mul(w.inv()) == T_.PermWreathElement(
-        T_.Permutation([0, 1]), [T_.CyclicPerm(3, 0)] * 2)
 
 
 def test_target_json_round_trips():
