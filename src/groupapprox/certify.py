@@ -41,18 +41,19 @@ def _json_dimension(obj):
     return T_.json_int(obj, "dimension")
 
 
-def decoded(decode, obj):
-    """Run a certificate decoder, turning any decoding failure of malformed
-    input into CertificateError."""
+def decoded(decode, obj, what):
+    """Run the decoder of a ``what`` (a certificate, a witness), turning
+    any decoding failure of malformed input into CertificateError that
+    names it."""
     try:
         return decode(obj)
     except CertificateError:
         raise
     except KeyError as e:
-        raise CertificateError(f"certificate lacks field {e}") from e
+        raise CertificateError(f"{what} lacks field {e}") from e
     except (TypeError, ValueError, ArithmeticError, AttributeError,
             IndexError) as e:
-        raise CertificateError(f"malformed certificate: {e}") from e
+        raise CertificateError(f"malformed {what}: {e}") from e
 
 
 class UpstreamVerificationError(RuntimeError):
@@ -66,8 +67,9 @@ class WordCapExceeded(Exception):
 DEFAULT_FLOAT_MARGIN = 1e-9
 DEFAULT_WORD_CAP = 10 ** 6
 
-# the report notes of a verification that took the commutant kernel, and
-# of a word-level one that took the homomorphism kernel
+# the report notes of the kernels: the translation closed form, the
+# commutant kernel, and the homomorphism kernel (ball or word level)
+TRANSLATION_NOTE = "translation-certificate fast path (exact)"
 COMMUTANT_NOTE = "commutant kernel (exact moved-point counts)"
 HOMOMORPHISM_NOTE = "homomorphism kernel (exact)"
 
@@ -224,7 +226,7 @@ class _Certificate:
     @classmethod
     def from_json(cls, obj):
         """Decode a certificate; malformed input raises CertificateError."""
-        return decoded(cls._decode, obj)
+        return decoded(cls._decode, obj, "certificate")
 
     @classmethod
     def _decode(cls, obj):
@@ -595,28 +597,89 @@ def _report(m, n, epsilon, exact, margin, fmt):
         m.separation_pairs, 0.0 if exact else margin, notes=m.notes)
 
 
-def _rows_on(cert, B):
-    """cert's rows of the elements of B, a ball of radius at most cert.n
-    and so a prefix of cert's ball, with the commutant kernel derived from
-    the images of the generators, so that regular actions get it."""
+def _defect(cert, B, zero):
+    """Condition (1) on B, a ball of radius at most cert.n and so a prefix
+    of cert's ball: (rows, max, slots, pairs, notes). ``rows`` are cert's
+    rows of B with the commutant kernel derived from the generators'
+    images, so that regular actions get it. The max is that of d(pi(g)
+    pi(h), pi(gh)) over g, h, gh in B, ``slots`` the (g, h, gh) of the first
+    pair attaining it or None when it is ``zero``, and ``pairs`` the number
+    of pairs (_product_pairs). When the homomorphism kernel holds
+    (_homomorphism_on) the max is exactly ``zero`` and ``notes`` are
+    [HOMOMORPHISM_NOTE]; otherwise rows with a transitive commutant take
+    the one-point kernel, others the row sweep, and ``notes`` are []."""
     rows = cert.rows
     if len(B) < len(rows):
         rows = rows.take(np.arange(len(B)))
-    return rows.with_kernel([B.index(s) for _, s in B.group.generators()
-                             if s in B])
-
-
-def _defect_sweep(B, rows, zero):
-    """Max of d(pi(g) pi(h), pi(gh)) over g, h, gh in B.
-
-    Returns (max, (g, h, gh) slots of the first pair attaining it or None
-    when the max is zero, number of pairs). Rows with a transitive
-    commutant take the one-point kernel, others the row sweep.
-    """
-    table = B.products()
+    gens = [B.index(s) for _, s in B.group.generators() if s in B]
+    if _homomorphism_on(B, rows):
+        return (rows.with_kernel(gens, generated=True), zero, None,
+                _product_pairs(B), [HOMOMORPHISM_NOTE])
+    rows, table = rows.with_kernel(gens), B.products()
     worst, wit = rows.max_defect_all(table, zero) \
         if rows.transitive_commutant else _defect_rows(table, rows, zero)
-    return worst, wit, int(np.count_nonzero(table >= 0))
+    return rows, worst, wit, _product_pairs(B), []
+
+
+def _product_pairs(B):
+    """The number of pairs (g, h) of B with gh in B: on Z, the (a, b) of
+    [-n, n] with a + b in [-n, n], (2n + 1)^2 - n(n + 1); on any other
+    group, read from the ball's product table."""
+    if isinstance(B.group, G_.FreeAbelian) and B.group.d == 1:
+        n = B.radius
+        return (2 * n + 1) ** 2 - n * (n + 1)
+    return int(np.count_nonzero(B.products() >= 0))
+
+
+def _homomorphism_on(B, rows):
+    """Whether ``rows``, the rows of the elements of B in ball order, are
+    exactly phi on B for a homomorphism phi of the group: the ball-level
+    homomorphism kernel. False, for the sweep to measure, unless the group
+    has mul_array and a written presentation (Group.presentation), the
+    rows compare exactly (``equal``: permutation rows of any metric,
+    tensor powers through their bases, and table rows), and, all checked
+    exactly, the identity's row x_e is the identity (x_e x_e = x_e), each
+    x_s^-1 x_s is the identity (_presents), every relator maps to the
+    identity, and each row is its parent's row times its letter's row
+    along the ball's spanning tree (Ball.tree), in blocks of about
+    G_.BLOCK entries. By von Dyck's theorem the generators' images then
+    define phi, and by induction along the tree each row is phi of its
+    element, so d(x_g x_h, x_gh) = 0 for every pair of the sweep."""
+    grp = B.group
+    if grp.presentation() is None or not hasattr(grp, "mul_array") \
+            or not hasattr(rows, "equal") or B.radius < 1:
+        return False
+    letters = _letters(grp)
+    at = B.slots(np.array([grp.coords(p) for _, p, _ in letters],
+                          dtype=np.int64))
+    e = rows.take([0])
+    if not e.mul(e).equal(e).all() \
+            or not _presents(grp, letters, rows.take(np.append(0, at))):
+        return False
+    parent, letter = B.tree()
+    step = max(1, G_.BLOCK // rows.width)
+    for i in range(1, len(B), step):
+        block = np.arange(i, min(i + step, len(B)))
+        if not rows.take(parent[block]).mul(rows.take(at[letter[block]])) \
+                .equal(rows.take(block)).all():
+            return False
+    return True
+
+
+def _presents(grp, letters, R):
+    """Whether the rows R, row 0 the identity and row x + 1 the image of
+    letter x, send each formal inverse x^-1 to the inverse of x's image
+    and every relator of the group's presentation to the identity, all
+    checked exactly (rows with ``equal``): by von Dyck's theorem, whether
+    the images define a homomorphism of the group."""
+    ident = R.take([0])
+    inverse = np.array([i for _, _, i in letters])
+    if not R.take(inverse + 1).mul(R.take(range(1, len(letters) + 1))) \
+            .equal(ident).all():
+        return False
+    row = {lab: x + 1 for x, (lab, _, _) in enumerate(letters)}
+    return all(_product([R.take([row[lab]]) for lab in r] or [ident])
+               .equal(ident).all() for r in grp.presentation())
 
 
 def _defect_rows(table, rows, zero):
@@ -648,19 +711,29 @@ def _separation_rows(rows, projective):
 def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None):
     """Check Def-style conditions (1) and (2) on the ball; strict, fail closed.
 
-    One of three kernels measures the defect and the separation, and
-    _report decides both. Translation certificates on Z take a closed
-    form. Permutation and permutation-unitary certificates whose images
-    commute with a transitive group R, derived from the generators' images
-    and checked exactly, take the commutant kernel, each pair decided at
-    one point (targets._PermRows): every left-regular sofic or hyp
-    certificate (from_quotient, exact_finite, and direct_product or
-    perm_to_hyp of those) does, and its report says so. Every other
-    certificate takes the row sweep: row g of the targets.batch rows is
-    multiplied by the rows h and measured against the rows gh (then
-    against the later rows, for (2)) with the rows' own mul and extreme,
-    whatever the kind of target; permutation matrices as rank rows, by
-    cycle counts.
+    Four kernels measure the defect and the separation, and _report
+    decides both; each but the row sweep names itself in the notes.
+    Translation certificates on Z take a closed form. The homomorphism
+    kernel (_homomorphism_on) decides condition (1) for rows that are
+    exactly a homomorphism phi on B(n), as every certificate through a
+    finite quotient of Z^d or Heisenberg(1) is (from_quotient, and
+    perm_to_hyp, perm_to_lin or amplify_projective of those): the defect
+    is then exactly 0 by von Dyck's theorem, with no pair measured.
+    Permutation and permutation-unitary certificates whose images commute
+    with a transitive group R, derived from the generators' images and
+    checked exactly, take the commutant kernel, each pair decided at one
+    point (targets._PermRows): every left-regular sofic or hyp certificate
+    (from_quotient, exact_finite, and direct_product or perm_to_hyp of
+    those) does. R is checked against every image, or once the
+    homomorphism kernel holds against the generators' images alone:
+    every image is then a product of them, and what commutes with each
+    factor commutes with the product. Every other certificate takes the
+    row sweep: row g of the targets.batch rows is multiplied by the rows h
+    and measured against the rows gh (then against the later rows, for
+    (2)) with the rows' own mul and extreme, whatever the kind of target;
+    permutation matrices as rank rows, by cycle counts. A kernel whose
+    check fails leaves the pairs to the next, so none gives a verdict of
+    its own.
     """
     _require_margin(margin)
     n = cert.n if at_n is None else at_n
@@ -670,18 +743,18 @@ def verify_D(cert, margin=DEFAULT_FLOAT_MARGIN, at_n=None):
         raise CertificateError("cannot verify above the certificate's n")
     B = cert.ball if n == cert.n else G_.ball(cert.group, n)
     family = family_record(cert.family)
-    m = _translation_kernel(cert, B, n) or _sweeps(cert, B, family)
+    m = _translation_kernel(cert, B) or _sweeps(cert, B, family)
     return _report(m, n, cert.epsilon, family.exact, margin,
                    lambda slots: [cert.group.fmt(B.elements[s])
                                   for s in slots])
 
 
 def _sweeps(cert, B, family):
-    """The commutant kernel, or the row sweep where it does not apply,
-    condition (2) in the metric of the FAMILIES record ``family``."""
-    rows = _rows_on(cert, B)
-    worst_def, def_slots, pairs = _defect_sweep(
-        B, rows, Fraction(0) if family.exact else 0.0)
+    """The homomorphism kernel for condition (1), then the commutant
+    kernel, or the row sweep where they do not apply, condition (2) in the
+    metric of the FAMILIES record ``family``."""
+    rows, worst_def, def_slots, pairs, defect_notes = _defect(
+        cert, B, Fraction(0) if family.exact else 0.0)
     worst_sep, sep_slots = rows.min_dist_all() if rows.transitive_commutant \
         else _separation_rows(rows, family.projective)
     notes = ["exact arithmetic" if family.exact
@@ -689,10 +762,10 @@ def _sweeps(cert, B, family):
     if rows.transitive_commutant:
         notes.append(COMMUTANT_NOTE)
     return _Measure(worst_def, def_slots, pairs, worst_sep, sep_slots,
-                    len(B) * (len(B) - 1) // 2, notes)
+                    len(B) * (len(B) - 1) // 2, notes + defect_notes)
 
 
-def _translation_kernel(cert, B, n):
+def _translation_kernel(cert, B):
     """The closed form on Z when every target is a CyclicPerm, of one m,
     with shift g mod m (None from the first target that is not): an exact
     homomorphism, two elements at distance 1 unless their shifts are
@@ -705,13 +778,12 @@ def _translation_kernel(cert, B, n):
             isinstance(t, T_.CyclicPerm) and (t.m, t.shift) == (m, a % m)
             for t, (a,) in zip(map(cert.rows.target, range(len(B))), B)):
         return None
-    # the pairs (a, b) of [-n, n] with a + b in [-n, n]
-    pairs = (2 * n + 1) ** 2 - n * (n + 1)
     v = B.coords()[:, 0] % m
     i, j = T_.first_nearest_pair(v)
-    return _Measure(Fraction(0), None, pairs, Fraction(int(v[i] != v[j])),
+    return _Measure(Fraction(0), None, _product_pairs(B),
+                    Fraction(int(v[i] != v[j])),
                     (i, j), len(B) * (len(B) - 1) // 2,
-                    ["translation-certificate fast path (exact)"])
+                    [TRANSLATION_NOTE])
 
 
 # ---------------------------------------------------------------------------
@@ -782,13 +854,14 @@ def _homomorphism_kernel(h, n, letters, count, relator_mode):
     compare exactly (targets.batch rows with ``equal``: permutation rows of
     any metric, tensor powers through their bases, and table rows), each
     x^-1 image is the inverse of the x image and every relator maps to the
-    identity, all checked exactly. By von Dyck's theorem phi then exists
-    and a word w's image is phi(pi(w)): a trivial word is exactly at 0 from
-    the identity, each relator too, and a nontrivial one at the distance
-    of phi(g), g = pi(w) in B(n). phi is built on B(n) level by level,
-    each element's image its parent's times a letter's image along one
-    edge, in blocks of about G_.BLOCK entries like the walk's (depth first
-    over runs of parents, so memory stays that of a few blocks), and each
+    identity, all checked exactly (_presents). By von Dyck's theorem phi
+    then exists and a word w's image is phi(pi(w)): a trivial word is
+    exactly at 0 from the identity, each relator too, and a nontrivial one
+    at the distance of phi(g), g = pi(w) in B(n). phi is built on B(n)
+    level by level along the ball's spanning tree (Ball.tree), each
+    element's image its parent's times its letter's image, in blocks of
+    about G_.BLOCK entries like the walk's (depth first over runs of
+    parents, so memory stays that of a few blocks), and each
     element's distance to the identity is read once; the words are walked
     on the group side only (_word_blocks without rows), each reading its
     element's distance at its slot in B(n), so values, witnesses and
@@ -798,40 +871,26 @@ def _homomorphism_kernel(h, n, letters, count, relator_mode):
     if presentation is None or not hasattr(grp, "mul_array"):
         return None
     ident, R = _letter_rows(h, letters)
-    if not hasattr(R, "equal"):
+    if not hasattr(R, "equal") or not _presents(grp, letters, R):
         return None
-    row = {lab: x + 1 for x, (lab, _, _) in enumerate(letters)}
-    inverse = np.array([i for _, _, i in letters])
-    if not R.take(inverse + 1).mul(R.take(range(1, len(letters) + 1))) \
-            .equal(ident).all():
-        return None
-    for r in presentation:
-        if not _product([R.take([row[lab]]) for lab in r]
-                        or [ident]).equal(ident).all():
-            return None
     family = family_record(h.family)
     # every element of B(n) is the value of a reduced word of length <= n,
     # so the ball is no larger than the word count
     B = G_.ball(grp, n, cap=count)
-    C = B.coords()
-    gen = np.array([grp.coords(p) for _, p, _ in letters], dtype=np.int64)
-    # the levels of B(n), parent-major: each element's slot with the
-    # position of its parent in the level before and its letter, so the
-    # children of a run of parents are a run of the next level
+    parent, letter = B.tree()
+    # the levels of B(n), each ordered by its parents' places in the level
+    # before: each element's slot with its parent's place and its letter,
+    # so the children of a run of parents are a run of the next level
     levels = [(np.zeros(1, dtype=np.intp), None, None)]
-    seen = np.zeros(len(B), dtype=bool)
-    seen[0] = True
-    for _ in range(n):
-        reached = B.slots(grp.mul_array(C[levels[-1][0]][:, None], gen[None])
-                          .reshape(-1, C.shape[1]))
-        at = np.flatnonzero(reached >= 0)
-        at = at[~seen[reached[at]]]
-        _, first = np.unique(reached[at], return_index=True)
-        edge = at[np.sort(first)]
-        seen[reached[edge]] = True
-        levels.append((reached[edge], *np.divmod(edge, len(letters))))
-    if not seen.all():
-        raise AssertionError(f"the levels miss elements of B({n})")
+    place = np.zeros(len(B), dtype=np.intp)
+    start = 1
+    for size in B.sizes[1:]:
+        par = place[parent[start:start + size]]
+        order = np.argsort(par, kind="stable")
+        slots = start + order
+        place[slots] = np.arange(size)
+        levels.append((slots, par[order], letter[slots]))
+        start += size
     # depth first over those runs, in blocks as the walk's, so that no
     # level's images are held whole
     step = max(1, G_.BLOCK // R.width)
@@ -844,7 +903,7 @@ def _homomorphism_kernel(h, n, letters, count, relator_mode):
         if scores is None:
             scores = np.empty(len(B), dtype=part.dtype)
         scores[levels[r][0][a:b]] = part
-        if r < n:
+        if r + 1 < len(levels):
             _, par, let = levels[r + 1]
             lo, hi = np.searchsorted(par, (a, b))
             for i in range(lo, hi, step):
@@ -852,8 +911,8 @@ def _homomorphism_kernel(h, n, letters, count, relator_mode):
                 stack.append((r + 1, i, j, images.take(par[i:j] - a)
                               .mul(R.take(let[i:j] + 1))))
     best = _word_extremes(family.exact)
-    for W, gs, is_e, _ in _word_blocks(grp, letters, n,
-                                       max(1, G_.BLOCK // C.shape[1])):
+    for W, gs, is_e, _ in _word_blocks(
+            grp, letters, n, max(1, G_.BLOCK // B.coords().shape[1])):
         rows = np.flatnonzero(~is_e)
         if len(rows):
             at = B.slots(gs[rows])
@@ -1086,10 +1145,11 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
     """Empirical check of the five approximate-homomorphism bounds.
 
     The multiplicativity defect eps0 is measured on pairs with product in the
-    ball; tuples of ball slots are sampled so that all signed prefix products
-    stay in the ball. The draws are numpy's legacy RandomState over
-    MT19937(seed), seed any int >= 0, whose stream numpy keeps fixed across
-    versions (NEP 19); every randint is int64. Attempts run in batches of
+    ball, as verify_D measures condition (1) (_defect: the homomorphism
+    kernel, else the sweep); tuples of ball slots are sampled so that all
+    signed prefix products stay in the ball. The draws are numpy's legacy
+    RandomState over MT19937(seed), seed any int >= 0, whose stream numpy
+    keeps fixed across versions (NEP 19); every randint is int64. Attempts run in batches of
     b = max(1, min(samples, groups.BLOCK >> max_len)), no more than the
     attempts left before samples * 50: per batch js = randint(2, max_len + 1,
     size=b), then randint(0, |B|, size=js.sum()) for the slots of each
@@ -1115,8 +1175,7 @@ def lemma_consistency_suite(cert, max_len=4, samples=200, seed=0):
     rng = np.random.RandomState(np.random.MT19937(seed))
     B = cert.ball
     exact = family_record(cert.family).exact
-    X = _rows_on(cert, B)
-    eps0, _, _ = _defect_sweep(B, X, Fraction(0) if exact else 0.0)
+    X, eps0, _, _, _ = _defect(cert, B, Fraction(0) if exact else 0.0)
     if exact:
         eps0 = eps0 + Fraction(1, 10 ** 12)
     else:

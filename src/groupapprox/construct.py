@@ -84,14 +84,22 @@ def _payload_from_json(j):
 
 def witness_from_json(obj):
     """Decode a Folner witness; malformed input raises CertificateError."""
-    return C_.decoded(_decode_witness, obj)
+    return C_.decoded(_decode_witness, obj, "witness")
 
 
 def _decode_witness(obj):
     """The witness whose ``to_json()`` the file is, type for type, in
-    every field that writer writes; other keys are not read."""
+    every field that writer writes; other keys are not read. Each member
+    must be in the group's normal form: the identity times it is itself,
+    and a finite group's member is one of its elements."""
     group = G_.group_from_descriptor(obj["group"])
     members = [_payload_from_json(m) for m in obj["members_payload"]]
+    finite = set(group.elements()) if hasattr(group, "elements") else None
+    for p in members:
+        if group.mul(group.identity(), p) != p \
+                or (finite is not None and p not in finite):
+            raise ValueError(f"member {_payload_to_json(p)} is not in the "
+                             f"normal form of {group!r}")
     w = FolnerWitness(group, T_.json_int(obj, "n"), members)
     for key, value in w.to_json().items():
         if json.dumps(obj[key], sort_keys=True) != \

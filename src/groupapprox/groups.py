@@ -131,16 +131,17 @@ class Ball:
 
     A loop-built ball holds its payloads ``elements`` and their
     ``lengths``. A ball of a group with a coordinate form holds only its
-    rows ``coords()`` and the number of elements of each length; it builds
-    ``elements``, ``lengths`` and the slot dict behind ``in`` and
-    ``index()`` on first read, from the rows. ``len()`` and ``labels()``
-    read the rows and build none of them.
+    rows ``coords()`` and the number of elements of each length,
+    ``sizes``; it builds ``elements``, ``lengths`` and the slot dict behind
+    ``in`` and ``index()`` on first read, from the rows. ``len()``,
+    ``labels()`` and ``tree()`` read the rows and build none of them.
 
     A Ball is shared by every caller of ``ball()`` in the process, so it is
-    read-only: ``elements`` is a tuple, ``lengths`` a read-only mapping and
-    ``coords()`` and ``products()`` read-only arrays. Each field built on
-    demand is stored only once it is complete, so a thread that reads it
-    sees all of it or builds its own equal copy."""
+    read-only: ``elements`` and ``sizes`` are tuples, ``lengths`` a
+    read-only mapping and ``coords()``, ``products()`` and ``tree()``
+    read-only arrays. Each field built on demand is stored only once it is
+    complete, so a thread that reads it sees all of it or builds its own
+    equal copy."""
 
     def __init__(self, group, radius, elements=None, lengths=None,
                  coords=None, sizes=None):
@@ -162,6 +163,7 @@ class Ball:
         self._slots = None
         self._lookup = None
         self._products = None
+        self._tree = None
 
     @property
     def elements(self):
@@ -179,6 +181,15 @@ class Ball:
                     itertools.repeat(r, size)
                     for r, size in enumerate(self._sizes)))))
         return self._lengths
+
+    @property
+    def sizes(self):
+        """The number of elements of each length 0, 1, ..., a tuple; the
+        elements of length r are the slots after those of the lengths
+        below r."""
+        if self._coords is not None:
+            return self._sizes
+        return tuple(np.bincount(list(self._lengths.values())).tolist())
 
     def _slot_dict(self):
         if self._slots is None:
@@ -221,6 +232,19 @@ class Ball:
             self._lookup = _grid_slots(self._coords) \
                 or _sorted_slots(self._coords)
         return self._lookup(R)
+
+    def tree(self):
+        """A spanning tree of the ball along geodesics, for a ball with a
+        coordinate form; None otherwise. (parent, letter), two read-only
+        intp arrays over the slots: for each slot g > 0, elements[parent[g]]
+        has length one less than elements[g], and times the generator at
+        position letter[g] of ``group.generators()`` it is elements[g]; the
+        identity's entries are -1. Each element takes the first generator s
+        whose inverse steps it one length down, its parent being g s^-1.
+        Built on the first call and kept."""
+        if self._tree is None and self._coords is not None:
+            self._tree = _tree(self)
+        return self._tree
 
     def products(self):
         """Product table: an int32 |B| x |B| array whose entry [i, j] is the
@@ -266,6 +290,32 @@ def _products_array(B):
         P = B.group.mul_array(C[i:i + step, None], C[None])
         table[i:i + step] = B.slots(P.reshape(-1, k)).reshape(-1, size)
     return table
+
+
+def _tree(B):
+    """Ball.tree() of the coordinate ball B, in blocks of BLOCK entries of
+    rows: every element but the identity has a geodesic, and its last
+    letter s gives a parent g s^-1 one length down, inside B."""
+    G, C = B.group, B.coords()
+    size, k = C.shape
+    back = np.array([G.coords(G.inv(s)) for _, s in G.generators()],
+                    dtype=np.int64)
+    length = np.repeat(np.arange(len(B.sizes)), B.sizes)
+    parent = np.full(size, -1, dtype=np.intp)
+    letter = np.full(size, -1, dtype=np.intp)
+    step = max(1, BLOCK // k)
+    for i in range(1, size, step):
+        below = length[i:i + step] - 1
+        # views of this block's entries, filled letter by letter
+        par, let = parent[i:i + step], letter[i:i + step]
+        for s, row in enumerate(back):
+            q = B.slots(G.mul_array(C[i:i + step], row[None]))
+            new = (par < 0) & (q >= 0) & (length[q] == below)
+            par[new], let[new] = q[new], s
+    if (parent[1:] < 0).any():
+        raise AssertionError(f"an element of B({B.radius}) has no parent")
+    parent.flags.writeable = letter.flags.writeable = False
+    return parent, letter
 
 
 def _grid_slots(C):

@@ -1005,12 +1005,13 @@ def batch(images):
     object, ``to_json(i)`` its JSON, and ``representatives()`` targets
     with every kind the rows hold, and ``width`` the entries of one row,
     by which a caller sizes blocks of rows.
-    ``with_kernel(gens)`` gives the rows with the commutant kernel derived
-    from the rows at ``gens``, the positions of the images of a generating
-    set (see _PermRows). The array rows compare exactly, and they alone
-    give ``equal(other)`` and ``distances(other, projective=False)``
-    (_ExactRows): permutation rows, tensor powers through their bases, and
-    table rows.
+    ``with_kernel(gens, generated=False)`` gives the rows with the
+    commutant kernel derived from the rows at ``gens``, the positions of
+    the images of a generating set (see _PermRows); ``generated`` says
+    that every row is known to be a product of those rows. The array rows
+    compare exactly, and they alone give ``equal(other)`` and
+    ``distances(other, projective=False)`` (_ExactRows): permutation rows,
+    tensor powers through their bases, and table rows.
     """
     if all(isinstance(t, Permutation) for t in images):
         return _PermRows(_frozen(np.array([t.images for t in images],
@@ -1162,10 +1163,18 @@ def _perm_array(P):
         raise ValueError("not a permutation: an image lies outside "
                          f"range({k})")
     P = P.astype(np.int32)
-    hit = np.zeros(m * k, dtype=bool)
-    hit[(np.arange(m, dtype=np.intp)[:, None] * k + P).ravel()] = True
-    if not hit.all():
-        raise ValueError("not a permutation: a point is hit twice")
+    # each row hits all k points, checked in blocks of rows of about
+    # G_.BLOCK entries: row r of a block hits point p at r k + p, an int32
+    # index below max(G_.BLOCK, k), so no |B| k intp index is built
+    step = max(1, G_.BLOCK // k)
+    offsets = np.arange(0, step * k, k, dtype=np.int32)[:, None]
+    hit = np.empty(step * k, dtype=bool)
+    for i in range(0, m, step):
+        block = P[i:i + step]
+        hit[:block.size] = False
+        hit[(block + offsets[:len(block)]).ravel()] = True
+        if not hit[:block.size].all():
+            raise ValueError("not a permutation: a point is hit twice")
     return _frozen(P)
 
 
@@ -1246,7 +1255,7 @@ class _ScalarRows:
     def representatives(self):
         return self.images
 
-    def with_kernel(self, gens):
+    def with_kernel(self, gens, generated=False):
         return self
 
     def take(self, idx):
@@ -1309,7 +1318,7 @@ class _TableRows(_ExactRows):
     def representatives(self):
         return [self.target(0)]
 
-    def with_kernel(self, gens):
+    def with_kernel(self, gens, generated=False):
         return self
 
     def take(self, idx):
@@ -1435,7 +1444,11 @@ class _PermRows(_ExactRows):
          gens, one level per cycle hop;
       2. for each x in {P_s(0) : s in gens}, c_x(0) = x, and along each
          walked cycle, entered at p, c_x(s^j(p)) = s^j(c_x(p));
-      3. every c_x must commute with every row, checked exactly.
+      3. every c_x must commute with every row, checked exactly; when
+         every row is known to be a product of the rows gens
+         (``generated``: the homomorphism kernel checked each row to be
+         its tree parent's row times a generator's), with the rows gens,
+         since what commutes with each factor commutes with the product.
     Then R = <c_x> is transitive with no further search. The rows gens
     generate a transitive group H, so each c_x, commuting with H, is a
     permutation. And any word w = P_s w' in them has w(0) = P_s(c(0)) =
@@ -1493,16 +1506,19 @@ class _PermRows(_ExactRows):
     def representatives(self):
         return [self.target(0)]
 
-    def with_kernel(self, gens):
+    def with_kernel(self, gens, generated=False):
         if self.metric == RANK or self.power is not None:
             return self
         rows = _PermRows(self.P, self.metric)
+        S = rows.P[list(gens)]
         rows.transitive_commutant = rows._derive_commutant(
-            rows.P[list(gens)])
+            S, S if generated else rows.P)
         return rows
 
-    def _derive_commutant(self, S):
-        P, k = self.P, self.k
+    def _derive_commutant(self, S, P):
+        """Whether the walk from the rows S (step 1 and 2 below) reaches
+        every point and each c_x commutes with every row of P (step 3)."""
+        k = self.k
         xs = np.flatnonzero(np.bincount(S[:, 0], minlength=k))
         # C[a, p] = c_x(p) for x = xs[a]; int32 like P
         C = np.empty((len(xs), k), dtype=np.int32)

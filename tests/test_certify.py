@@ -294,25 +294,156 @@ def _sweep_certificates():
 # the commutant kernel; every other certificate takes the row sweep
 _KERNEL_CASES = {"permutation", "permutation-mutated", "perm-unitary",
                  "perm-unitary-mutated", "perm-unitary-projective"}
+# the unmutated rows that compare exactly on Z^d take the homomorphism
+# kernel for condition (1); Z/5 has no mul_array, and mutated rows fail
+# the tree check
+_HOMOMORPHISM_CASES = {"permutation", "perm-unitary",
+                       "perm-unitary-projective", "rank", "rank-projective",
+                       "rank-quotient", "tensor"}
 
 
 @pytest.mark.parametrize("name,cert", [pytest.param(name, cert, id=name)
                                        for name, cert in _sweep_certificates()])
 def test_sweep_matches_reference_loop(name, cert):
     rep = C_.verify_D(cert)
-    assert not any("fast path" in note for note in rep.notes)
+    assert C_.TRANSLATION_NOTE not in rep.notes
     assert (C_.COMMUTANT_NOTE in rep.notes) == (name in _KERNEL_CASES)
+    assert (C_.HOMOMORPHISM_NOTE in rep.notes) == (
+        name in _HOMOMORPHISM_CASES)
     # shifts and dense unitaries are measured object by object
     assert isinstance(cert.rows, T_._ScalarRows) == (
         name in ("cyclic-nontranslation", "unitary"))
-    want = _reference_verify(cert)
-    got = {"passed": rep.passed, "defect": rep.defect,
-           "defect_witness": rep.defect_witness,
-           "separation": rep.separation,
-           "separation_witness": rep.separation_witness,
-           "pairs_checked": rep.pairs_checked,
-           "separation_pairs": rep.separation_pairs}
-    assert got == want
+    assert _report_fields(rep) == _reference_verify(cert)
+
+
+def _report_fields(rep):
+    """What _reference_verify measures, read from a report."""
+    return {"passed": rep.passed, "defect": rep.defect,
+            "defect_witness": rep.defect_witness,
+            "separation": rep.separation,
+            "separation_witness": rep.separation_witness,
+            "pairs_checked": rep.pairs_checked,
+            "separation_pairs": rep.separation_pairs}
+
+
+def _quotient_certificates():
+    """from_quotient of Z, Z^2 and Heisenberg(1) in each family the
+    builder writes, and amplify_projective of the Z one's hyp form."""
+    Z2, H = G_.FreeAbelian(2), G_.Heisenberg(1)
+    for family in ("sofic", "hyp", "lin", "fin"):
+        yield f"Z-{family}", X_.from_quotient(
+            Z, G_.LatticeHNF(Z, [(7,)]), 3, family)
+        yield f"Z2-{family}", X_.from_quotient(
+            Z2, G_.LatticeHNF(Z2, [(5, 0), (0, 5)]), 2, family)
+        yield f"H-{family}", X_.from_quotient(H, G_.CongruenceMod(H, 3), 1,
+                                              family)
+    yield "Z-amplify", X_.amplify_projective(X_.from_quotient(
+        Z, G_.LatticeHNF(Z, [(643,)]), 320, "hyp"), 8)
+
+
+@pytest.mark.parametrize("name,cert", [
+    pytest.param(name, cert, id=name)
+    for name, cert in _quotient_certificates()])
+def test_homomorphism_kernel_matches_reference_loop(name, cert):
+    """Certificates through a finite quotient are a homomorphism on B(n):
+    the ball-level homomorphism kernel decides condition (1), and the
+    report is the double loop's."""
+    rep = C_.verify_D(cert)
+    assert C_.HOMOMORPHISM_NOTE in rep.notes
+    assert _report_fields(rep) == _reference_verify(cert)
+
+
+def test_homomorphism_kernel_matches_the_sweep_at_a_larger_radius():
+    """from_quotient(Z^2, 41 Z^2, 20): the homomorphism kernel's report is
+    what the sweep's functions, called directly, measure on its rows."""
+    Z2 = G_.FreeAbelian(2)
+    cert = X_.from_quotient(Z2, G_.LatticeHNF(Z2, [(41, 0), (0, 41)]), 20,
+                            "sofic")
+    B = cert.ball
+    rep = C_.verify_D(cert)
+    assert C_.HOMOMORPHISM_NOTE in rep.notes
+    rows = cert.rows.with_kernel([B.index(s) for _, s in Z2.generators()])
+    table = B.products()
+    assert rows.transitive_commutant
+    assert (rep.defect, rep.defect_witness) \
+        == rows.max_defect_all(table, Fraction(0)) == (0, None)
+    assert rep.pairs_checked == np.count_nonzero(table >= 0)
+    sep, (i, j) = rows.min_dist_all()
+    assert (rep.separation, rep.separation_witness) \
+        == (sep, [Z2.fmt(B.elements[i]), Z2.fmt(B.elements[j])])
+    assert rep.separation_pairs == len(B) * (len(B) - 1) // 2
+
+
+def _along_the_tree(group, n, images):
+    """The certificate of B(n) whose identity maps to the identity and
+    each other element to its tree parent's image (Ball.tree) times its
+    letter's image, ``images`` the permutations of the generator labels:
+    the tree check passes whatever the images are."""
+    B = G_.ball(group, n)
+    parent, letter = B.tree()
+    gens = [images[lab] for lab, _ in group.generators()]
+    out = [T_.Permutation.identity(gens[0].k)]
+    for g in range(1, len(B)):
+        out.append(out[parent[g]].mul(gens[letter[g]]))
+    return C_.ApproxCertificate(group, n, "sofic", dict(zip(B, out)))
+
+
+def _falls_through(cert):
+    """cert's report is the sweep's, with a nonzero defect, and the
+    homomorphism kernel's note is not in it."""
+    rep = C_.verify_D(cert)
+    assert C_.HOMOMORPHISM_NOTE not in rep.notes
+    assert rep.defect > 0
+    assert _report_fields(rep) == _reference_verify(cert)
+
+
+def test_non_commuting_images_fall_through_to_the_sweep():
+    """Images of x1 and x2 that do not commute, extended along the tree:
+    x_e = e, each x_s^-1 x_s = e and the tree check hold, and only the
+    commutator, the relator of Z^2, fails."""
+    a, b = T_.Permutation([1, 2, 0, 3]), T_.Permutation([0, 1, 3, 2])
+    assert a.mul(b) != b.mul(a)
+    cert = _along_the_tree(G_.FreeAbelian(2), 2, {
+        "x1": a, "x1^-1": a.inv(), "x2": b, "x2^-1": b.inv()})
+    _falls_through(cert)
+
+
+def test_a_wrong_inverse_image_falls_through_to_the_sweep():
+    """x1^-1's image is not the inverse of x1's: Z has no relator, and the
+    tree check holds, since every row is built along the tree."""
+    a = T_.Permutation([1, 2, 3, 4, 0])
+    cert = _along_the_tree(Z, 3, {"x1": a, "x1^-1": a.mul(a)})
+    _falls_through(cert)
+
+
+def test_one_tampered_row_falls_through_to_the_sweep():
+    """One row of a quotient certificate replaced by another's fails the
+    tree check, whichever row it is, the identity's included."""
+    Z2 = G_.FreeAbelian(2)
+    cert = X_.from_quotient(Z2, G_.LatticeHNF(Z2, [(7, 0), (0, 7)]), 2,
+                            "sofic")
+    for p in ((0, 0), (1, 0), (0, -2), (1, -1)):
+        _falls_through(_replace(cert, p, cert.target((-1, 1))))
+
+
+def test_the_lemma_suite_reads_the_defect_of_the_homomorphism_kernel(
+        monkeypatch):
+    """The lemma suite's epsilon0 comes from the kernel verify_D uses: on
+    a quotient certificate no pair of the sweep is measured, and the
+    results are those of the sweep."""
+    Z2 = G_.FreeAbelian(2)
+    cert = X_.from_quotient(Z2, G_.LatticeHNF(Z2, [(9, 0), (0, 9)]), 3,
+                            "sofic")
+    want = C_.lemma_consistency_suite(cert, seed=5)
+    monkeypatch.setattr(C_, "_homomorphism_on", lambda B, rows: False)
+    assert C_.lemma_consistency_suite(cert, seed=5) == want
+    monkeypatch.undo()
+
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setattr(T_._PermRows, "max_defect_all", no_sweep)
+    monkeypatch.setattr(C_, "_defect_rows", no_sweep)
+    assert C_.lemma_consistency_suite(cert, seed=5) == want
 
 
 def _row_images(kind, perms, shifts):
@@ -484,6 +615,39 @@ def test_commutant_kernel_matches_row_sweep(data):
     verified = C_.verify_D(C_.ApproxCertificate(
         cert.group, cert.n, cert.family, dict(zip(B, images))))
     assert (C_.COMMUTANT_NOTE in verified.notes) == rows.transitive_commutant
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_homomorphism_kernel_matches_the_sweep_on_perturbations(data):
+    """On a regular certificate, as drawn, or with one row replaced by
+    another's or one generator's row by its inverse's, verify_D gives the
+    report the sweep alone gives, but for the homomorphism kernel's note,
+    which only the unperturbed certificates of Z^d and Heisenberg(1)
+    carry: every perturbation falls through."""
+    cert = _regular_certificate(data)
+    B = cert.ball
+    mutation = data.draw(st.sampled_from(["none", "row", "inverse"]))
+    if mutation != "none" and len(B) > 2:
+        if mutation == "row":
+            g = data.draw(st.integers(1, len(B) - 1))
+            h = data.draw(st.integers(0, len(B) - 1).filter(
+                lambda h: h != g))
+            cert = _replace(cert, B.elements[g], cert.target(B.elements[h]))
+        else:
+            s = data.draw(st.sampled_from(
+                [p for _, p in cert.group.generators()]))
+            cert = _replace(cert, s, cert.target(cert.group.inv(s)))
+    else:
+        mutation = "none"
+    rep = C_.verify_D(cert)
+    with mock.patch.object(C_, "_homomorphism_on", lambda B, rows: False):
+        sweep = C_.verify_D(cert)
+    assert _fields(rep) == _fields(sweep)
+    hom = mutation == "none" and hasattr(cert.group, "mul_array")
+    assert rep.notes == sweep.notes + [C_.HOMOMORPHISM_NOTE] * hom
+    if not hom and mutation != "none":
+        assert rep.defect > 0
 
 
 def test_commutant_kernel_keeps_applying(monkeypatch):
@@ -1128,19 +1292,24 @@ def test_homomorphism_kernel_measures_no_word_image(monkeypatch):
 def test_homomorphism_kernel_fails_loudly_on_a_lost_element(monkeypatch,
                                                            lost):
     """Every product the kernel looks up lies in B(n): a lookup that loses
-    an element, while the levels are built or while the words are read,
-    is a fault of the kernel and raises, instead of handing the words to
-    the walk."""
+    an element, while the ball's spanning tree that orders the levels is
+    built (Ball.tree) or while the words are read, is a fault and raises,
+    instead of handing the words to the walk."""
     h = _regular_hom(2, 5, "sofic")
     slots = G_.Ball.slots
     n = 3
-    calls = itertools.count()
+    B = G_.ball(h.group, n)
+    if lost == "level":
+        # the tree is built again, and loses the identity, the parent of
+        # every generator; a nontrivial word never looks it up
+        monkeypatch.setattr(B, "_tree", None)
+    else:
+        # the tree is built first, and the words lose the last element
+        B.tree()
 
     def losing(self, R):
         at = slots(self, R)
-        # the first n lookups build the levels, the later ones read words
-        if (next(calls) < n) == (lost == "level"):
-            at[at == len(self) - 1] = -1
+        at[at == (0 if lost == "level" else len(self) - 1)] = -1
         return at
     monkeypatch.setattr(G_.Ball, "slots", losing)
     with pytest.raises(AssertionError):
@@ -1752,7 +1921,9 @@ def test_images_in_two_target_groups_are_refused():
 
 def test_non_canonical_rank_entries_take_the_dense_path():
     """Rank entries other than exactly "0" and "1" ("1/1" and "01" are 1
-    over Q) decode as dense matrices, with the same report and bytes."""
+    over Q) decode as dense matrices, with the same report and bytes, but
+    for the note of the homomorphism kernel, which dense rows (no
+    ``equal``) never take."""
     cert = X_.perm_to_lin(cyclic(3), T_.FieldQ())
     text = cert.dumps()
     canonical = C_.ApproxCertificate.loads(text)
@@ -1764,8 +1935,10 @@ def test_non_canonical_rank_entries_take_the_dense_path():
     dense = C_.ApproxCertificate.from_json(obj)
     assert isinstance(dense.rows, T_._ScalarRows)
     want = C_.verify_D(cert).to_json()
-    assert C_.verify_D(dense).to_json() == want
     assert C_.verify_D(canonical).to_json() == want
+    got = C_.verify_D(dense).to_json()
+    assert got["notes"] + [C_.HOMOMORPHISM_NOTE] == want["notes"]
+    assert {**got, "notes": want["notes"]} == want
     assert dense.dumps() == canonical.dumps() == text
 
 

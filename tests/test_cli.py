@@ -1060,6 +1060,24 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def test_a_malformed_witness_is_named_a_witness(tmp_path, capsys):
+    """A witness file's decoding errors name a witness, not a certificate:
+    radius 0, a field missing, and a member outside the group's normal
+    form each exit 1 with it."""
+    cases = [
+        (lambda o: o.update(n=0, defect=[0, 1]),
+         "malformed witness: a Folner witness has radius n >= 1, not 0"),
+        (lambda o: o.pop("members_payload"),
+         "witness lacks field 'members_payload'"),
+        (lambda o: o.update(X_.FolnerWitness(
+            G_.FiniteCyclic(5), 1, [5, 6, 7, 8, 9]).to_json()),
+         "malformed witness: member 5 is not in the normal form of Z/5")]
+    for mutate, message in cases:
+        code, out, err = run(capsys, *_witness_argv(tmp_path, mutate))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+
 def test_verify_hom_needs_at_n(tmp_path, capsys):
     h = C_.HomCertificate(G_.FreeAbelian(1), {"x1": T_.CyclicPerm(7, 1)},
                           "sofic")

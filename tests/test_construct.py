@@ -252,6 +252,24 @@ def test_witness_round_trip():
         assert old.to_json() == w.to_json()
 
 
+@pytest.mark.parametrize("group, members", [
+    (G_.FiniteCyclic(5), [5, 6, 7, 8, 9]),
+    (G_.FiniteCyclic(5), [-1, 0, 1]),
+    (G_.Free(2), [(1, -1), (2,)]),
+    (G_.FiniteSym(3), [(0, 0, 1)])], ids=["Z5-beyond", "Z5-negative",
+                                           "F2-unreduced", "S3-not-a-perm"])
+def test_witness_members_outside_the_normal_form_are_refused(group, members):
+    """A witness file whose every field its writer wrote for the members,
+    but whose members are not normal forms of the group (FiniteCyclic(5)
+    takes 5..9 for 0..4 in its products), is malformed: exit 1 in the
+    CLI, not a witness of another set."""
+    obj = X_.FolnerWitness(group, 1, members).to_json()
+    with pytest.raises(C_.CertificateError,
+                       match="malformed witness: member .* is not in the "
+                             "normal form"):
+        X_.witness_from_json(obj)
+
+
 # ---------------------------------------------------------------------------
 # finite-index induction
 

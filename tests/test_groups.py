@@ -39,6 +39,41 @@ def test_ball_sizes_heisenberg():
         assert G_.growth(H3, n) == want
 
 
+@pytest.mark.parametrize("G, n", [(Z, 7), (Z2, 5), (G_.FreeAbelian(3), 3),
+                                  (H3, 4), (G_.Heisenberg(2), 2)])
+def test_ball_tree_is_a_spanning_tree_of_geodesics(G, n, monkeypatch):
+    """Ball.tree(): each element but the identity is its parent times its
+    letter, the parent one length down, the first letter in generator
+    order that steps down; in blocks of rows, the same tree. The sizes
+    are the elements of each length, in ball order."""
+    B = G_.ball(G, n)
+    parent, letter = B.tree()
+    assert B.tree() is B.tree()
+    assert B.sizes == tuple(np.bincount(
+        [B.length(p) for p in B.elements]).tolist())
+    assert (parent[0], letter[0]) == (-1, -1)
+    gens = G.generators()
+    for g in range(1, len(B)):
+        p = B.elements[g]
+        down = [s for s, (_, x) in enumerate(gens)
+                if G.mul(p, G.inv(x)) in B
+                and B.length(G.mul(p, G.inv(x))) == B.length(p) - 1]
+        assert letter[g] == down[0]
+        assert G.mul(B.elements[parent[g]], gens[letter[g]][1]) == p
+    with pytest.raises(ValueError, match="read-only"):
+        parent[1] = 0
+    monkeypatch.setattr(G_, "BLOCK", 2 * B.coords().shape[1])
+    blocked = G_._tree(B)
+    assert all(np.array_equal(a, b) for a, b in zip(blocked, (parent, letter)))
+
+
+def test_a_loop_ball_has_sizes_and_no_tree():
+    """Sym(3) on two transpositions: 1, 2, 2 and 1 elements of length 0 to
+    3, the last the longest element."""
+    B = G_.ball(G_.FiniteSym(3), 3)
+    assert B.sizes == (1, 2, 2, 1) and B.tree() is None
+
+
 @pytest.mark.parametrize("d, r_max", [(1, 30), (2, 12), (3, 7), (4, 5)])
 def test_growth_of_Zd_counts_the_array_bfs_without_a_ball(
         d, r_max, monkeypatch):

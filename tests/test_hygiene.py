@@ -388,3 +388,20 @@ def test_every_target_kind_has_a_producer():
                             for c in certs
                             for a in c.to_json()["assignments"]))
     assert written == set(T_._TARGET_KEYS)
+
+
+def test_every_kernel_note_is_in_the_readme():
+    """A report names the kernels that measured it by their notes, the
+    ``*_NOTE`` constants of certify, and the README names each of them
+    verbatim (on one line), so the docs keep up with every kernel that
+    can run."""
+    certify = importlib.import_module("groupapprox.certify")
+    notes = {name: value for name, value in vars(certify).items()
+             if name.endswith("_NOTE")}
+    assert {"TRANSLATION_NOTE", "COMMUTANT_NOTE",
+            "HOMOMORPHISM_NOTE"} <= notes.keys()
+    readme = (ROOT / "README.md").read_text()
+    missing = sorted(name for name, value in notes.items()
+                     if f"`{value}`" not in readme)
+    assert not missing, "notes the README does not name: " \
+        + ", ".join(missing)
