@@ -6,7 +6,6 @@ is recorded as a small trace dict embedded in the certificate.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from fractions import Fraction
@@ -268,13 +267,6 @@ def induction_data(data, g):
     return tuple(alpha), hs
 
 
-def _as_perm(t):
-    if not isinstance(t, (T_.Permutation, T_.CyclicPerm)):
-        raise BuildError(
-            f"expected a permutation target, got {type(t).__name__}")
-    return t
-
-
 def induce_finite_index(G, data, c_H, n=None):
     """Certificate for G from one for a finite-index subgroup.
 
@@ -454,221 +446,3 @@ def amplify_projective(c, n):
                           inputs=[c.provenance]))
     return _check(cert)
 
-
-# ---------------------------------------------------------------------------
-# wreath products
-
-def wreath_by_rf(c_G, H, n, quotient):
-    """Certificate for G wr H through a finite quotient H/N.
-
-    N must miss B_H(4n) away from the identity, so each coset meets the
-    radius-n window at most once; lamps transport coset-wise and land in
-    the finite wreath product G_alpha wr H/N with its max/jump metric.
-    """
-    _element_level("wreath_by_rf", c_G)
-    if c_G.family != "fin":
-        raise BuildError("base certificate must target a finite metric group")
-    _require_quotient_of(H, quotient)
-    p = G_.kernel_witness(H, quotient, 4 * n)
-    if p is not None:
-        raise BuildError(f"kernel meets B({4 * n}) at {H.fmt(p)}")
-    m = quotient.index
-    if c_G.n < m:
-        raise BuildError(f"base certificate radius {c_G.n} below index {m}")
-    _require_verified(c_G, "base fails")
-
-    # the slot in quotient.elements() of each window point's coset; the
-    # top h of every payload in B(n) is a window point too
-    BH = G_.ball(H, n)
-    window = dict(zip(BH, quotient.slot(
-        quotient.map_array(BH.coords())).tolist()))
-    source = G_.WreathProduct(c_G.group, H)
-    base, top = c_G.fin_group, T_.trivial_metric_group(quotient)
-    try:
-        W = T_.wreath_table(base, top)
-    except ValueError as e:
-        raise BuildError(str(e)) from e
-    assignments = {}
-    for p in G_.ball(source, n):
-        assoc, h = p
-        lamp = dict(assoc)
-        f_hat = [base.identity_index] * m
-        for kp, slot in window.items():
-            g_val = lamp.get(kp, c_G.group.identity())
-            f_hat[slot] = c_G.target(g_val).index
-        assignments[p] = W.element(T_.wreath_index(
-            base, top, f_hat, window[h]))
-    cert = C_.ApproxCertificate(
-        source, n, "fin", assignments,
-        provenance=_trace("wreath_by_rf",
-                          {"quotient_index": m, "base_dim": c_G.dimension},
-                          n, 1, W.order, inputs=[c_G.provenance]))
-    return _check(cert)
-
-
-# wreath_sofic refuses dimensions above _PERM_CAP, and its bullet checks
-# enumerate at most _LAMP_CAP lamp configurations
-_PERM_CAP = 10 ** 6
-_LAMP_CAP = 4096
-
-
-def wreath_sofic(c_G, c_H, n):
-    """Sofic certificate for G wr H from sofic data for G and finite H.
-
-    The composite map sends (f, h) to the permutation of A^B x B given by
-    ((a_b), b) -> ((theta(f(b * beta))(a_beta)), sigma(h)(b)), with sigma the
-    left-regular representation of H. Returns (certificate, report) where the
-    report carries the four structural conditions and the measured-threshold
-    checks.
-    """
-    _element_level("wreath_sofic", c_G, c_H)
-    G = c_G.group
-    H = c_H.group
-    if not hasattr(H, "elements"):
-        raise BuildError("wreath_sofic needs a finite top group")
-    B_list = H.elements()
-    sizeB = len(B_list)
-    # lampmul[a][b] is the slot of B_list[a] * B_list[b]
-    lampmul = G_.table(H)
-    perms = _left_regular(H, lampmul, "sofic")
-    regular = {h: perms.target(i) for i, h in enumerate(B_list)}
-    lampmul = lampmul.tolist()
-    top = c_H.assignments
-    if c_H.dimension != sizeB or any(
-            h not in top or _as_perm(top[h]) != regular[h] for h in B_list):
-        raise BuildError("top certificate must be the regular representation"
-                         " on all of H")
-    A = c_G.dimension
-    dim = (A ** sizeB) * sizeB
-    if dim > _PERM_CAP:
-        raise BuildError(f"dimension {dim} exceeds cap {_PERM_CAP}")
-
-    e_G = G.identity()
-    e_perm = T_.Permutation.identity(A)
-    # filled as the call goes: every lamp value's permutation and every
-    # payload's permutation is built once per call
-    thetas = {}
-    built = {}
-
-    def theta(g):
-        """Images of a lamp value's permutation, the identity outside the
-        base ball."""
-        if g not in thetas:
-            t = c_G.assignments.get(g)
-            thetas[g] = (e_perm if t is None else _as_perm(t)).images
-        return thetas[g]
-
-    powA = [A ** i for i in range(sizeB)]
-
-    def big_perm(p):
-        """p: wreath payload (lamp, h), the lamp a normalized support tuple."""
-        if p in built:
-            return built[p]
-        lamp = dict(p[0])
-        rows = [[theta(lamp.get(B_list[lampmul[b][beta]], e_G))
-                 for beta in range(sizeB)] for b in range(sizeB)]
-        sig = regular[p[1]].images
-        images = [0] * dim
-        for code in range(A ** sizeB):
-            rem = code
-            coords = []
-            for beta in range(sizeB):
-                coords.append(rem % A)
-                rem //= A
-            for b in range(sizeB):
-                new_code = 0
-                row = rows[b]
-                for beta in range(sizeB):
-                    new_code += row[beta][coords[beta]] * powA[beta]
-                images[code * sizeB + b] = new_code * sizeB + sig[b]
-        built[p] = T_.Permutation(tuple(images))
-        return built[p]
-
-    source = G_.WreathProduct(G, H)
-    assignments = {p: big_perm(p) for p in G_.ball(source, n)}
-    cert = C_.ApproxCertificate(
-        source, n, "sofic", assignments,
-        provenance=_trace("wreath_sofic",
-                          {"lamp_dim": A, "top_size": sizeB},
-                          n, 1, dim,
-                          inputs=[c_G.provenance, c_H.provenance]))
-    rep = _require_verified(cert, "builder output failed verification")
-    cert.provenance["verified"] = True
-    report = _wreath_bullets(cert, c_G, c_H, big_perm, rep.separation)
-    cert.provenance["wreath_conditions"] = {
-        k: (v if isinstance(v, (int, float, bool)) else str(v))
-        for k, v in report.items()}
-    return cert, report
-
-
-def _wreath_bullets(cert, c_G, c_H, big_perm, sep):
-    """The four structural conditions of wreath_sofic's certificate and its
-    measured thresholds; ``sep`` is the verified separation."""
-    G = c_G.group
-    H = c_H.group
-    n = cert.n
-    source = cert.group
-    e_H = H.identity()
-    BH_n = G_.ball(H, n).elements
-    combos = itertools.product(G_.ball(G, n).elements, repeat=len(BH_n))
-    lamps = [(source.normalize(dict(zip(BH_n, combo))), e_H)
-             for combo in itertools.islice(combos, _LAMP_CAP)]
-    tops = [((), y) for y in BH_n]
-
-    def inside(p):
-        return all(v in c_G.assignments for _, v in p[0])
-
-    def defect(xs, ys):
-        """Max Hamming distance of big_perm(x) big_perm(y) from
-        big_perm(xy) over the pairs whose lamp values, and those of xy, lie
-        in the base certificate's ball: like verify_D, only products inside
-        the ball are scored."""
-        ys = [y for y in ys if inside(y)]
-        worst = 0
-        for x in xs:
-            if not inside(x):
-                continue
-            px = big_perm(x).images
-            for y in ys:
-                xy = source.mul(x, y)
-                if inside(xy):
-                    pxy = big_perm(xy).images
-                    worst = max(worst, sum(px[j] != t for j, t in
-                                           zip(big_perm(y).images, pxy)))
-        return Fraction(worst, cert.dimension)
-
-    # measured input quality on B(4n)
-    def input_epsilon(c):
-        rep = C_.verify_D(c, at_n=min(4 * n, c.n))
-        return max(rep.defect, 1 - rep.separation)
-    eps_in = max(input_epsilon(c_G), input_epsilon(c_H))
-
-    e1 = defect(lamps, lamps)
-    e0 = defect(tops, tops)
-    # (x,1)(1,y) carries the lamp t -> x(y t), support shifted by y^-1;
-    # (1,y)(x,1) is (x, y)
-    bullet3 = defect(lamps, tops) == 0
-    bullet4 = defect(tops, lamps) == 0
-    Bw = G_.ball(source, n)
-    final = defect(Bw, Bw)
-    bh4 = G_.growth(H, min(4 * n, 10))
-    bh1 = G_.growth(H, n)
-    mult_threshold = 48 * bh4 * bh4 * eps_in
-    inj_threshold = 1 - 48 * bh1 * bh1 * eps_in
-    return {
-        "lamp_pair_defect": e1,
-        "top_pair_defect": e0,
-        "shift_identity_exact": bullet3,
-        "split_identity_exact": bullet4,
-        "final_defect": final,
-        "final_defect_bound": e0 + e1,
-        "final_defect_ok": final <= e0 + e1,
-        "separation": sep,
-        "measured_epsilon": eps_in,
-        "multiplicativity_threshold": mult_threshold,
-        "multiplicativity_ok": final < mult_threshold or final <= e0 + e1,
-        "injectivity_threshold": inj_threshold,
-        "injectivity_ok": sep >= inj_threshold,
-        "lamps_checked": len(lamps),
-        "pass": bullet3 and bullet4 and final <= e0 + e1,
-    }

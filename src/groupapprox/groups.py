@@ -1145,6 +1145,15 @@ def group_from_descriptor(d):
     return G
 
 
+def _spec_int(digits, text):
+    """The integer in the group spec ``text``; a parse error names the
+    spec."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"cannot parse group {text!r}") from None
+
+
 def parse_group(text):
     """Parse a short group spec like 'Z', 'Z^2', 'Heisenberg(1)', 'F2', or
     a JSON descriptor; repr(G) of every group G parses back to G."""
@@ -1152,21 +1161,22 @@ def parse_group(text):
     if t in ("Z", "Z^1"):
         return FreeAbelian(1)
     if t.startswith("Z^"):
-        return FreeAbelian(int(t[2:]))
+        return FreeAbelian(_spec_int(t[2:], text))
     if t.startswith("F") and t[1:].isdigit():
         return Free(int(t[1:]))
     if t.startswith("Heisenberg"):
         inner = t[len("Heisenberg"):].strip("()")
-        return Heisenberg(int(inner) if inner else 1)
+        return Heisenberg(_spec_int(inner, text) if inner else 1)
     if t.startswith("Z/"):
-        return FiniteCyclic(int(t[2:]))
+        return FiniteCyclic(_spec_int(t[2:], text))
     if t.startswith("Sym"):
-        return FiniteSym(int(t.strip("Sym()")))
+        return FiniteSym(_spec_int(t.strip("Sym()"), text))
     if t.startswith("Lamplighter(") and t.endswith(")"):
         return Lamplighter(parse_group(t[len("Lamplighter("):-1]))
     if t.startswith("Wreath(") and t.endswith(")"):
-        base, top = _split_top(t[len("Wreath("):-1], ";")
-        return WreathProduct(parse_group(base), parse_group(top))
+        parts = _split_top(t[len("Wreath("):-1], ";")
+        if len(parts) == 2:
+            return WreathProduct(*map(parse_group, parts))
     try:
         return group_from_descriptor(json.loads(t))
     except json.JSONDecodeError:

@@ -466,7 +466,7 @@ def full_rf_growth(G, n, quotient_family="auto"):
         if quotient_family == "congruence-least":
             return _rf_growth_heis_least(G, n)
         raise ValueError(f"unknown quotient family {quotient_family!r}")
-    raise NotImplementedError(f"no quotient enumeration for {G.descriptor()}")
+    raise NotImplementedError(f"no quotient enumeration for {G!r}")
 
 
 def _rf_growth_lattice(G, n):

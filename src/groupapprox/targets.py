@@ -11,9 +11,8 @@ exactly the keys its writer writes.
 Exact metrics (Hamming, rank, tables) return fractions.Fraction; the
 Hilbert-Schmidt family returns floats, and unitarity is checked at the one
 UNITARY_TOLERANCE. A matrix entry over Q is an int or a Fraction, over F_p
-an int in range(p). A finite metric group, a wreath product of two included,
-is its integer product table and length function, checked whenever one is
-built.
+an int in range(p). A finite metric group is its integer product table and
+length function, checked whenever one is built.
 """
 from __future__ import annotations
 
@@ -923,54 +922,6 @@ class FiniteGroupElement:
 
     def to_json(self):
         return {"kind": "fin", "index": self.index}
-
-
-# largest wreath_table order that is built
-_WREATH_TABLE_CAP = 4096
-
-
-def wreath_index(base, top, f, h):
-    """Index in wreath_table(base, top) of (f, h): f, the base indices at
-    the top elements, read as base-|base| digits, most significant first,
-    then h."""
-    code = 0
-    for x in f:
-        code = code * base.order + x
-    return code * top.order + h
-
-
-def wreath_table(base, top):
-    """base wr top for finite table groups, with the canonical metric
-
-        d((f, h), (f', h')) = max_t d(f(t), f'(t)) if h = h', else 1,
-
-    the length l(f, h) = den if h != e, else max_t l_base(f(t)), and the
-    product (f0, h0)(f1, h1) = (t -> f0(h1 t) f1(t), h0 h1). Indices follow
-    wreath_index; above _WREATH_TABLE_CAP elements, ValueError."""
-    b, m = base.order, top.order
-    order = b ** m * m
-    if order > _WREATH_TABLE_CAP:
-        raise ValueError(f"wreath order {order} above the table cap "
-                         f"{_WREATH_TABLE_CAP}")
-    BM, TM = base.mul_table, top.mul_table
-    # F[c] = the digits f of code c, so that wreath_index(f, h) = c m + h
-    weights = b ** np.arange(m - 1, -1, -1)
-    F = np.arange(b ** m)[:, None] // weights % b
-    # mul[c0, h0, c1, h1] = code(t -> f0(h1 t) f1(t)) m + h0 h1
-    code = np.stack([BM[F[:, None, TM[h1]], F[None, :, :]] @ weights
-                     for h1 in range(m)], axis=-1)
-    mul = _frozen((code * m)[:, None, :, :] + TM[None, :, None, :])
-    lamp = base.length_table[F].max(axis=1)
-    length = np.where(np.arange(m) == top.identity_index, lamp[:, None],
-                      base.den)
-    e = base.identity_index
-    labels = ["{" + ",".join(f"{top.labels[t]}:{base.labels[x]}"
-                             for t, x in enumerate(f.tolist()) if x != e)
-              + "|" + top.labels[h] + "}"
-              for f in F for h in range(m)]
-    return TableMetricGroup(
-        mul.reshape(order, order), length.reshape(order), base.den,
-        wreath_index(base, top, [e] * m, top.identity_index), labels)
 
 
 # ---------------------------------------------------------------------------

@@ -1331,6 +1331,31 @@ def test_rfgrowth_heisenberg_quotient_choice(capsys):
     assert (least, recipe) == (27, 64)
 
 
+def test_rfgrowth_names_a_group_without_quotients_as_parsed(capsys):
+    code, out, err = run(capsys, "rfgrowth", "--group", "Lamplighter(Z/2)",
+                         "--n", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: no quotient enumeration for Lamplighter(Z/2)\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("Wreath(Z/2)", "cannot parse group 'Wreath(Z/2)'"),
+    ("Wreath(Z/2;Z/3;Z/4)", "cannot parse group 'Wreath(Z/2;Z/3;Z/4)'"),
+    ("Sym(x)", "cannot parse group 'Sym(x)'"),
+    ("Z^x", "cannot parse group 'Z^x'"),
+    ("Heisenberg(x)", "cannot parse group 'Heisenberg(x)'"),
+    ("Z/x", "cannot parse group 'Z/x'"),
+    ("Z^0", "d must be >= 1"),
+    ("Sym(0)", "k must be >= 1"),
+])
+def test_a_group_spec_that_does_not_parse_is_named(capsys, spec, message):
+    """A spec that cannot be read is named as given; a spec that reads
+    but names no group keeps its range error."""
+    code, out, err = run(capsys, "ball", "--group", spec, "--n", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_audit_passes_and_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

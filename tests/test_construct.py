@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 import random
@@ -121,18 +120,16 @@ def test_quotient_action_matches_the_loop(Q, family, field):
 
 # sha256 of each certificate's to_json(), encoded compactly, for builders
 # that read groups.table, pinned from the scalar table loops they replaced;
-# the fin and wreath-rf digests were pinned again when a table came to be
-# written as its product table and length function, once each old object
-# was shown to decode to the same product table and distances as the new;
-# the sofic digests were pinned again when permutation images came to be
-# written as base64 strings, once each old object was shown to decode to
-# the same images as the new; the fin and wreath-rf digests were pinned
-# again when a table's products came to be written as one base64 string of
-# int32, once each old object, its mul the nested lists of
-# mul_table.tolist(), was shown to keep its old digest and the new to
-# decode to the same products (test_packed_products_are_the_old_table).
-# dumps() is the same object indented; its pure-Python encoder would take
-# most of this test's time on the wreath tables.
+# the fin digests were pinned again when a table came to be written as its
+# product table and length function, once each old object was shown to
+# decode to the same product table and distances as the new; the sofic
+# digests were pinned again when permutation images came to be written as
+# base64 strings, once each old object was shown to decode to the same
+# images as the new; the fin digests were pinned again when a table's
+# products came to be written as one base64 string of int32, once each old
+# object, its mul the nested lists of mul_table.tolist(), was shown to keep
+# its old digest and the new to decode to the same products
+# (test_packed_products_are_the_old_table).
 _PINNED_DUMPS = {
     "fin-heisenberg-mod7": (
         lambda: X_.from_quotient(
@@ -146,25 +143,6 @@ _PINNED_DUMPS = {
     "fin-sym3": (
         lambda: X_.exact_finite(G_.FiniteSym(3), 3, "fin"),
         "28840298553830b5a0b5cc0a22eeb882fccd716210126983e9eeaca02602af50"),
-    "wreath-sofic-Z-by-C3": (
-        lambda: X_.wreath_sofic(
-            X_.cyclic_Z(1), X_.exact_finite(G_.FiniteCyclic(3), 3), 1)[0],
-        "dbe07403be6fa7bb1adae4cc41cfeaff71063278a58eb088436e0b4cb1fb5d66"),
-    "wreath-rf-C2-mod5": (
-        lambda: X_.wreath_by_rf(
-            X_.exact_finite(G_.FiniteCyclic(2), 5, "fin"), Z, 1,
-            G_.LatticeHNF(Z, [(5,)])),
-        "2592c277ad6ca0988853ec6123d5ac74ca40020f8ec4a650f6936f31708e88b6"),
-    "wreath-rf-C3-mod5": (
-        lambda: X_.wreath_by_rf(
-            X_.exact_finite(G_.FiniteCyclic(3), 5, "fin"), Z, 1,
-            G_.LatticeHNF(Z, [(5,)])),
-        "00d2cbcef8471aa6d4ec4238ba605453a21e1acd9fd2c91d65a991ec61827d91"),
-    "wreath-rf-C2-mod7": (
-        lambda: X_.wreath_by_rf(
-            X_.exact_finite(G_.FiniteCyclic(2), 7, "fin"), Z, 1,
-            G_.LatticeHNF(Z, [(7,)])),
-        "033a89860497f74b0376358a39aeed29cdc9f7abb9980405c2193497a8d1565f"),
 }
 
 
@@ -174,12 +152,6 @@ _NESTED_MUL_DUMPS = {
         "e130322b05cda834d21afd3a7d74011703f5536395d29d43684af762168f71b9",
     "fin-sym3":
         "9313dd8abb894b8e4c700380cc5615adab177d2864c2fb94d5d115d498af4c79",
-    "wreath-rf-C2-mod5":
-        "a489c2c212bd90a28acc54f2d0a9842f5058ddbc66f602d84cd96270e52f4662",
-    "wreath-rf-C3-mod5":
-        "d50f484a9bf4606a56b2a3d2b9647f65187e36d1f8ccb1016395890e19be4eac",
-    "wreath-rf-C2-mod7":
-        "21191d81aac40f97109787e802e6b1330696db41ed244f84ff460b3e46a64c3b",
 }
 
 
@@ -381,128 +353,6 @@ def test_amplify_full_instance():
 
 
 # ---------------------------------------------------------------------------
-# wreath products
-
-def test_wreath_by_rf():
-    base = X_.exact_finite(G_.FiniteCyclic(2), 5, family="fin")
-    quot = G_.LatticeHNF(Z, [(5,)])
-    cert = X_.wreath_by_rf(base, Z, 1, quot)
-    assert isinstance(cert.fin_group, T_.TableMetricGroup)
-    assert cert.fin_group.order == 160
-    assert cert.dimension == 160
-    assert C_.verify_D(cert).passed
-
-
-def test_wreath_by_rf_kernel_guard():
-    base = X_.exact_finite(G_.FiniteCyclic(2), 5, family="fin")
-    quot = G_.LatticeHNF(Z, [(3,)])  # 3 inside B(4)
-    with pytest.raises(X_.BuildError, match="kernel meets"):
-        X_.wreath_by_rf(base, Z, 1, quot)
-
-
-def test_wreath_by_rf_rejects_a_quotient_of_another_group():
-    base = X_.exact_finite(G_.FiniteCyclic(2), 5, family="fin")
-    with pytest.raises(X_.BuildError, match="is a quotient of"):
-        X_.wreath_by_rf(base, Z, 1, G_.LatticeHNF(Z2, [(5, 0), (0, 5)]))
-
-
-def test_wreath_by_rf_above_table_cap():
-    # Z/2 wr Z/9 has order 2^9 * 9 = 4608
-    base = X_.exact_finite(G_.FiniteCyclic(2), 9, family="fin")
-    with pytest.raises(X_.BuildError, match="4608 above the table cap"):
-        X_.wreath_by_rf(base, Z, 2, G_.LatticeHNF(Z, [(9,)]))
-
-
-# (base certificate, top certificate, n) builders with the pinned dimension
-# and number of lamps checked by wreath_sofic
-_WREATH_CASES = {
-    "cyclic-Z1-by-C2": (
-        lambda: (X_.cyclic_Z(1), X_.exact_finite(G_.FiniteCyclic(2), 1), 1),
-        18, 9),
-    "cyclic-Z2-by-C2": (
-        lambda: (X_.cyclic_Z(2), X_.exact_finite(G_.FiniteCyclic(2), 2), 1),
-        50, 9),
-    "C2-by-C3": (
-        lambda: (X_.exact_finite(G_.FiniteCyclic(2), 2),
-                 X_.exact_finite(G_.FiniteCyclic(3), 2), 1),
-        24, 8),
-    "Z-mod-5-by-C2": (
-        lambda: (X_.from_quotient(Z, G_.LatticeHNF(Z, [(5,)]), 2),
-                 X_.exact_finite(G_.FiniteCyclic(2), 2), 1),
-        50, 9),
-}
-
-
-@pytest.mark.parametrize("case", _WREATH_CASES)
-def test_wreath_sofic_bullets(case):
-    build, dim, lamps = _WREATH_CASES[case]
-    c_G, c_H, n = build()
-    cert, report = X_.wreath_sofic(c_G, c_H, n)
-    assert cert.dimension == dim
-    assert C_.verify_D(cert).passed
-    assert report["lamps_checked"] == lamps
-    # every input is exact and only lamp products inside the base ball are
-    # scored (in cyclic-Z1-by-C2, 1 + 1 = 2 leaves B_Z(1)), so no defect
-    assert report["lamp_pair_defect"] == 0
-    assert report["top_pair_defect"] == 0
-    assert report["final_defect"] == 0
-    assert report["final_defect_bound"] == 0
-    assert report["shift_identity_exact"]
-    assert report["split_identity_exact"]
-    assert report["separation"] == 1
-    # every input is exact, so the thresholds are the sharp ones
-    assert report["measured_epsilon"] == 0
-    assert report["multiplicativity_threshold"] == 0
-    assert report["injectivity_threshold"] == 1
-    assert report["multiplicativity_ok"] and report["injectivity_ok"]
-    assert report["pass"]
-
-
-def test_wreath_sofic_builds_each_payload_once(monkeypatch):
-    c_G, c_H = X_.cyclic_Z(3), X_.exact_finite(G_.FiniteCyclic(3), 3)
-    dim = 7 ** 3 * 3
-    built = []
-    init = T_.Permutation.__init__
-
-    def counting(self, images):
-        init(self, images)
-        if self.k == dim:
-            built.append(self.images)
-    monkeypatch.setattr(T_.Permutation, "__init__", counting)
-    cert, report = X_.wreath_sofic(c_G, c_H, 1)
-    monkeypatch.undo()
-    # every payload the bullet sweeps reach: the lamps on B_H(1) with values
-    # in B_Z(1), the tops, the ball B(1) and their products
-    source = cert.group
-    BH = G_.ball(c_H.group, 1).elements
-    lamps = {(source.normalize(dict(zip(BH, vals))), 0)
-             for vals in itertools.product(G_.ball(Z, 1).elements,
-                                           repeat=len(BH))}
-    tops = {((), y) for y in BH}
-    Bw = set(G_.ball(source, 1))
-    payloads = lamps | tops | Bw | {
-        source.mul(x, y) for xs, ys in ((lamps, lamps), (tops, tops),
-                                        (lamps, tops), (tops, lamps),
-                                        (Bw, Bw))
-        for x in xs for y in ys}
-    assert len(built) <= len(payloads)
-    assert report["lamps_checked"] == 27
-    assert report["lamp_pair_defect"] == report["final_defect"] == 0
-    assert report["pass"]
-
-
-def test_wreath_sofic_requires_regular_top():
-    c_G = X_.cyclic_Z(1)
-    c_H = X_.cyclic_Z(1)  # Z top is not finite
-    with pytest.raises(X_.BuildError, match="finite top"):
-        X_.wreath_sofic(c_G, c_H, 1)
-    # B(1) of Z/5 misses 2 and 3, so the top certificate does not cover H
-    c_H = X_.exact_finite(G_.FiniteCyclic(5), 1)
-    with pytest.raises(X_.BuildError, match="all of H"):
-        X_.wreath_sofic(c_G, c_H, 1)
-
-
-# ---------------------------------------------------------------------------
 # Z x Z from a shift certificate and a Folner one
 
 def test_direct_product_of_a_shift_and_a_folner_certificate():
@@ -531,9 +381,6 @@ _BALL_READERS = {
     "perm_to_hyp": lambda: X_.perm_to_hyp(_WORD, 1),
     "perm_to_lin": lambda: X_.perm_to_lin(_WORD),
     "amplify_projective": lambda: X_.amplify_projective(_WORD, 8),
-    "wreath_by_rf": lambda: X_.wreath_by_rf(
-        _WORD, Z, 1, G_.LatticeHNF(Z, [(5,)])),
-    "wreath_sofic": lambda: X_.wreath_sofic(X_.cyclic_Z(2), _WORD, 1),
 }
 
 

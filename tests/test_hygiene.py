@@ -105,10 +105,6 @@ _LIBRARY_ONLY = {
     "certify.W_from_D": "README quick start",
     "construct.induce_finite_index": "builder from a finite-index subgroup, "
                                      "library API without a CLI method",
-    "construct.wreath_by_rf": "fin builder for G wr H through a finite "
-                              "quotient of H, library API",
-    "construct.wreath_sofic": "sofic builder for G wr H with H finite, "
-                              "library API",
     "groups.index_subgroup_of_Z": "the coset data of mZ <= Z that "
                                   "induce_finite_index takes",
     "profiles.sofic_exact_oracle": "exact sofic value by backtracking, the "

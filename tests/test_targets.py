@@ -721,22 +721,18 @@ def test_table_check_in_row_blocks_matches_dense_reference(data):
 
 
 def test_table_check_runs_in_row_blocks():
-    """The check of an order-2,048 table, 32 MB of int64, adds no more
-    than a few blocks to the table itself: wreath_table(Z/2, Z/8) peaked at
+    """The check of an order-2,197 table, 37 MB of int64, adds no more
+    than a few blocks to the table itself: an order-2,048 table peaked at
     143 MB when the check built whole-table temporaries."""
-    base, top = (T_.trivial_metric_group(G_.FiniteCyclic(m)) for m in (2, 8))
+    W = T_.trivial_metric_group(G_.CongruenceMod(G_.Heisenberg(1), 13))
     tracemalloc.start()
     try:
-        W = T_.wreath_table(base, top)
-        built = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
         T_._check_table(W.mul_table, W.length_table, W.den, W.identity_index)
         checked = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert W.order == 2048
-    assert built < 143e6 / 2
+    assert W.order == 2197
     assert checked < 8 * 8 * G_.BLOCK
 
 
@@ -934,6 +930,51 @@ def _relabelled(table, data):
                                [table.labels[i] for i in t])
 
 
+def _wreath_reference(base, H):
+    """base wr H for a catalog finite group H, pair by pair: payloads (f, h)
+    over H's elements sorted by key, in sorted order, with
+    (f0, h0)(f1, h1) = (t -> f0(h1 t) f1(t), h0 h1), the max/jump metric
+    and the support labels."""
+    top = sorted(H.elements(), key=H.key)
+    at = {x: i for i, x in enumerate(top)}
+    payloads = sorted(itertools.product(
+        itertools.product(range(base.order), repeat=len(top)),
+        range(len(top))))
+
+    def mul(p, q):
+        (f0, h0), (f1, h1) = p, q
+        f = tuple(base.mul_table.item(f0[at[H.mul(top[h1], t)]], f1[i])
+                  for i, t in enumerate(top))
+        return f, at[H.mul(top[h0], top[h1])]
+
+    def dist(p, q):
+        if p[1] != q[1]:
+            return Fraction(1)
+        return max(base.element(x).dist(base.element(y))
+                   for x, y in zip(p[0], q[0]))
+
+    def label(p):
+        f, h = p
+        return "{" + ",".join(f"{H.fmt(top[i])}:{base.labels[x]}"
+                              for i, x in enumerate(f)
+                              if x != base.identity_index) \
+            + "|" + H.fmt(top[h]) + "}"
+    return payloads, mul, dist, label
+
+
+def _wreath_group(base, H):
+    """base wr H as a table group, built from _wreath_reference pair by
+    pair."""
+    payloads, mul, dist, label = _wreath_reference(base, H)
+    idx = {p: i for i, p in enumerate(payloads)}
+    top = sorted(H.elements(), key=H.key)
+    e = ((base.identity_index,) * len(top), top.index(H.identity()))
+    return T_.TableMetricGroup(
+        [[idx[mul(p, q)] for q in payloads] for p in payloads],
+        [int(dist(e, p) * base.den) for p in payloads], base.den, idx[e],
+        [label(p) for p in payloads])
+
+
 _ROUND_TRIP_TABLES = {
     "Z/m": st.integers(1, 12).map(
         lambda m: T_.trivial_metric_group(G_.FiniteCyclic(m))),
@@ -942,8 +983,8 @@ _ROUND_TRIP_TABLES = {
     "Heisenberg(1) mod p": st.sampled_from([2, 3, 5]).map(
         lambda p: T_.trivial_metric_group(
             G_.CongruenceMod(G_.Heisenberg(1), p))),
-    "Z/2 wr Z/3": st.just(T_.wreath_table(
-        *(T_.trivial_metric_group(G_.FiniteCyclic(m)) for m in (2, 3)))),
+    "Z/2 wr Z/3": st.just(_wreath_group(
+        T_.trivial_metric_group(G_.FiniteCyclic(2)), G_.FiniteCyclic(3))),
 }
 
 
@@ -991,88 +1032,6 @@ def test_table_json_is_json_native():
     assert type(obj["den"]) is int and type(obj["identity"]) is int
 
 
-def _wreath_reference(base, H):
-    """base wr H for a catalog finite group H, pair by pair: payloads (f, h)
-    over H's elements sorted by key, in sorted order, with
-    (f0, h0)(f1, h1) = (t -> f0(h1 t) f1(t), h0 h1), the max/jump metric
-    and the support labels."""
-    top = sorted(H.elements(), key=H.key)
-    at = {x: i for i, x in enumerate(top)}
-    payloads = sorted(itertools.product(
-        itertools.product(range(base.order), repeat=len(top)),
-        range(len(top))))
-
-    def mul(p, q):
-        (f0, h0), (f1, h1) = p, q
-        f = tuple(base.mul_table.item(f0[at[H.mul(top[h1], t)]], f1[i])
-                  for i, t in enumerate(top))
-        return f, at[H.mul(top[h0], top[h1])]
-
-    def dist(p, q):
-        if p[1] != q[1]:
-            return Fraction(1)
-        return max(base.element(x).dist(base.element(y))
-                   for x, y in zip(p[0], q[0]))
-
-    def label(p):
-        f, h = p
-        return "{" + ",".join(f"{H.fmt(top[i])}:{base.labels[x]}"
-                              for i, x in enumerate(f)
-                              if x != base.identity_index) \
-            + "|" + H.fmt(top[h]) + "}"
-    return payloads, mul, dist, label
-
-
-# Sym(3)-Hamming has distances over 3, and Sym(3) is a non-abelian top
-_WREATH_TABLE_CASES = {
-    "Z2-wr-Z3": lambda: (T_.trivial_metric_group(G_.FiniteCyclic(2)),
-                         G_.FiniteCyclic(3)),
-    "Sym3-Hamming-wr-Z2": lambda: (T_.TableMetricGroup(*_sym3_hamming()),
-                                   G_.FiniteCyclic(2)),
-    "Z2-wr-Sym3": lambda: (T_.trivial_metric_group(G_.FiniteCyclic(2)),
-                           G_.FiniteSym(3)),
-    "Z3-wr-Z2-lattice": lambda: (
-        T_.trivial_metric_group(G_.FiniteCyclic(3)),
-        G_.LatticeHNF(G_.FreeAbelian(2), [(2, 0), (0, 1)])),
-}
-
-
-@pytest.mark.parametrize("case", _WREATH_TABLE_CASES)
-def test_wreath_table_matches_scalar_reference(case):
-    base, H = _WREATH_TABLE_CASES[case]()
-    top = T_.trivial_metric_group(H)
-    W = T_.wreath_table(base, top)
-    payloads, mul, dist, label = _wreath_reference(base, H)
-    idx = {p: i for i, p in enumerate(payloads)}
-    assert [T_.wreath_index(base, top, f, h) for f, h in payloads] \
-        == list(range(W.order))
-    assert list(W.labels) == [label(p) for p in payloads]
-    e = ((base.identity_index,) * top.order, top.identity_index)
-    assert W.identity_index == idx[e]
-    for p in payloads:
-        for q in payloads:
-            x, y = W.element(idx[p]), W.element(idx[q])
-            assert x.mul(y).index == idx[mul(p, q)]
-            assert x.dist(y) == dist(p, q)
-
-
-@pytest.mark.parametrize("case", _WREATH_TABLE_CASES)
-def test_wreath_length_is_the_max_over_lamps(case):
-    """The O(order) length of wreath_table is the dense max/jump distance
-    from the identity."""
-    base, H = _WREATH_TABLE_CASES[case]()
-    W = T_.wreath_table(base, T_.trivial_metric_group(H))
-    payloads, _, dist, _ = _wreath_reference(base, H)
-    e = payloads[W.identity_index]
-    assert [Fraction(x, W.den) for x in W.length_table.tolist()] \
-        == [dist(e, p) for p in payloads]
-
-
-def _sym3_hamming_wr_z2():
-    return T_.wreath_table(T_.TableMetricGroup(*_sym3_hamming()),
-                           T_.trivial_metric_group(G_.FiniteCyclic(2)))
-
-
 # trivial tables of Z/m and Sym(3), the Sym(3) Hamming table (distances
 # over 3) and a wreath table (order 72, distances over 3)
 _ROW_TABLES = {
@@ -1080,7 +1039,8 @@ _ROW_TABLES = {
        for m in (1, 2, 5)},
     "Sym3": lambda: T_.trivial_metric_group(G_.FiniteSym(3)),
     "Sym3-Hamming": lambda: T_.TableMetricGroup(*_sym3_hamming()),
-    "Sym3-Hamming-wr-Z2": _sym3_hamming_wr_z2,
+    "Sym3-Hamming-wr-Z2": lambda: _wreath_group(
+        T_.TableMetricGroup(*_sym3_hamming()), G_.FiniteCyclic(2)),
 }
 
 
