@@ -164,8 +164,6 @@ def _group(text):
         return G_.parse_group(text)
     except ValueError as e:
         raise UsageError(str(e))
-    except (KeyError, TypeError) as e:
-        raise UsageError(f"malformed group descriptor {text!r}: {e!r}")
 
 
 def _load_json(path):
@@ -208,7 +206,7 @@ def cmd_ball(args):
         raise UsageError("--n must be nonnegative")
     B = G_.ball(G, args.n, cap=args.cap)
     artifact = {"group": G.descriptor(), "n": args.n, "size": len(B),
-                "elements": B.labels()}
+                "elements": J_.Chunks(B.label_text())}
     _write_json(artifact, args.out)
     return EXIT_OK
 

@@ -5,7 +5,9 @@ symmetric generating set, and deterministic element ordering, so that
 word-metric balls, certificates and searches are reproducible byte for byte.
 
 An element's one written form is its label: ``fmt(p)``, ``fmt_rows(X)`` on
-coordinate rows, ``Ball.labels()`` for a ball. No group parses a label; a
+coordinate rows, ``Ball.labels()`` for a ball (``row_text(X)`` and
+``Ball.label_text()`` give the same labels as NUL-ended text chunks, the
+form ``canonical.Chunks`` writes). No group parses a label; a
 reader looks it up among its ball's labels. ``group_from_descriptor``
 reads back exactly a group's ``descriptor()``.
 
@@ -22,7 +24,8 @@ of F).
 
 ``FreeAbelian`` and ``Heisenberg`` have a coordinate form: ``coords(p)`` is
 a payload's ints in ``key`` order, ``payloads(X)`` its inverse row by row,
-``fmt_rows(X)`` the ``fmt`` of each row, and ``mul_array(X, Y)`` the group
+``fmt_rows(X)`` the ``fmt`` of each row (``row_text(X)`` the same as text
+chunks), and ``mul_array(X, Y)`` the group
 law on broadcasting int64 arrays of such rows. Their quotients add
 ``map_array`` (the quotient map on rows) and ``slot`` (a residue row's
 position in ``elements()``). For these groups the ball is its elements'
@@ -54,6 +57,7 @@ import itertools
 import json
 import math
 import operator
+import re
 import threading
 from collections import OrderedDict
 from types import MappingProxyType
@@ -134,7 +138,8 @@ class Ball:
     rows ``coords()`` and the number of elements of each length,
     ``sizes``; it builds ``elements``, ``lengths`` and the slot dict behind
     ``in`` and ``index()`` on first read, from the rows. ``len()``,
-    ``labels()`` and ``tree()`` read the rows and build none of them.
+    ``labels()``, ``label_text()`` and ``tree()`` read the rows and build
+    none of them.
 
     A Ball is shared by every caller of ``ball()`` in the process, so it is
     read-only: ``elements`` and ``sizes`` are tuples, ``lengths`` a
@@ -217,6 +222,15 @@ class Ball:
         if self._coords is None:
             return [self.group.fmt(p) for p in self._elements]
         return self.group.fmt_rows(self._coords)
+
+    def label_text(self):
+        """The labels in ball order as an iterable of text chunks, each
+        label ended by NUL (no label holds one), as ``canonical.Chunks``
+        writes a list of strs. A group with a coordinate form formats the
+        rows block by block, with no str per label."""
+        if self._coords is None:
+            return ["".join([label + "\0" for label in self.labels()])]
+        return self.group.row_text(self._coords)
 
     def coords(self):
         """The elements' coordinate rows in ball order, an int64 |B| x k
@@ -663,15 +677,40 @@ def _template(n):
     return "(" + ",".join(["%d"] * n) + ")"
 
 
-def _fmt_rows(template, X):
-    """``template % row`` for each row of the int64 array X, with one ``%``
-    over each block of rows (BLOCK ints), so that no temporary grows with
-    the ball."""
+def _row_text(template, X):
+    """The labels ``template % row`` of the rows of the int64 array X as
+    text chunks, one per block of rows (BLOCK ints), each label ended by
+    NUL, so that no temporary grows with the ball. A block whose columns
+    repeat their values is one gather from a table that holds each value
+    of each column's range once, already formatted with its piece of the
+    template, and one join. A block whose columns hardly repeat, such as
+    one of Z's, is one ``%`` over its ints: a table entry costs about as
+    much as two formatted ints, so the table pays only when it has fewer
+    entries than half the block's ints."""
+    parts = template.split("%d")
+    ends = [""] * (len(parts) - 2) + [parts[-1] + "\0"]
     step = BLOCK // X.shape[1]
-    labels = []
     for i in range(0, len(X), step):
         Y = X[i:i + step]
-        text = (template + "\0") * len(Y) % tuple(Y.ravel().tolist())
+        lo, hi = Y.min(axis=0), Y.max(axis=0)
+        entries = sum(hi.tolist()) - sum(lo.tolist()) + len(lo)
+        if 2 * entries > Y.size:
+            yield (template + "\0") * len(Y) % tuple(Y.ravel().tolist())
+            continue
+        pieces, start = [], []
+        for pre, end, a, b in zip(parts, ends, lo.tolist(), hi.tolist()):
+            start.append(len(pieces))
+            pieces += [f"{pre}{v}{end}" for v in range(a, b + 1)]
+        index = Y - lo
+        index += start
+        yield "".join(np.array(pieces, dtype=object)[index].ravel().tolist())
+
+
+def _fmt_rows(template, X):
+    """``template % row`` for each row of the int64 array X, read off
+    _row_text's chunks."""
+    labels = []
+    for text in _row_text(template, X):
         labels += text.split("\0")[:-1]
     return labels
 
@@ -688,7 +727,8 @@ class FreeAbelian(Group):
         if d < 1:
             raise ValueError("d must be >= 1")
         self.d = d
-        # fmt and fmt_rows share it, so a row and its payload print alike
+        # fmt, fmt_rows and row_text share it, so a row and its payload
+        # print alike
         self._template = "%d" if d == 1 else _template(d)
 
     def identity(self):
@@ -731,6 +771,9 @@ class FreeAbelian(Group):
 
     def fmt_rows(self, X):
         return _fmt_rows(self._template, X)
+
+    def row_text(self, X):
+        return _row_text(self._template, X)
 
     def descriptor(self):
         return {"kind": self.kind, "params": {"d": self.d}}
@@ -809,7 +852,8 @@ class Heisenberg(Group):
         if l < 1:
             raise ValueError("l must be >= 1")
         self.l = l
-        # fmt and fmt_rows share it, so a row and its payload print alike
+        # fmt, fmt_rows and row_text share it, so a row and its payload
+        # print alike
         self._template = _template(2 * l + 1)
 
     def identity(self):
@@ -873,6 +917,9 @@ class Heisenberg(Group):
 
     def fmt_rows(self, X):
         return _fmt_rows(self._template, X)
+
+    def row_text(self, X):
+        return _row_text(self._template, X)
 
     def descriptor(self):
         return {"kind": self.kind, "params": {"l": self.l}}
@@ -1109,14 +1156,38 @@ def Lamplighter(base):
     return WreathProduct(base, FreeAbelian(1), kind="Lamplighter")
 
 
+# the params each kind's descriptor holds; a size (d, rank, l, m or k) is
+# an exact JSON int: true and 1.0 are no ranks
+_SIZES = ("d", "rank", "l", "m", "k")
+_PARAMS = {"FreeAbelian": ("d",), "Free": ("rank",), "Heisenberg": ("l",),
+           "FiniteCyclic": ("m",), "FiniteSym": ("k",),
+           "DirectProduct": ("left", "right"),
+           "WreathFiniteTop": ("base", "top"), "Lamplighter": ("base", "top")}
+
+
 def group_from_descriptor(d):
     """The group whose ``descriptor()`` is d, read exactly as written: a
-    field its writer does not write, or another value of one it does (a
-    ``Lamplighter`` top other than Z), is a ValueError."""
-    kind, params = d["kind"], d.get("params", {})
-    # a size is an exact JSON int: true and 1.0 are no ranks
-    for key in ("d", "rank", "l", "m", "k"):
-        if key in params and type(params[key]) is not int:
+    value that is not a JSON object, a missing field, a field its writer
+    does not write, or another value of one it does (a ``Lamplighter`` top
+    other than Z), is a ValueError naming it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"group descriptor {json.dumps(d)} is not a JSON "
+                         f"object")
+    if "kind" not in d:
+        raise ValueError(f"group descriptor {json.dumps(d)} lacks field "
+                         f"'kind'")
+    kind = d["kind"]
+    if not isinstance(kind, str) or kind not in _PARAMS:
+        raise ValueError(f"unknown group kind {kind!r}")
+    params = d.get("params")
+    if not isinstance(params, dict):
+        raise ValueError(f"group descriptor {json.dumps(d)} has no params "
+                         f"object")
+    for key in _PARAMS[kind]:
+        if key not in params:
+            raise ValueError(f"group descriptor {json.dumps(d)} lacks "
+                             f"field {key!r}")
+        if key in _SIZES and type(params[key]) is not int:
             raise ValueError(
                 f"{key} must be a JSON integer, not {params[key]!r}")
     if kind == "FreeAbelian":
@@ -1135,52 +1206,46 @@ def group_from_descriptor(d):
     elif kind == "WreathFiniteTop":
         G = WreathProduct(group_from_descriptor(params["base"]),
                           group_from_descriptor(params["top"]))
-    elif kind == "Lamplighter":
-        G = Lamplighter(group_from_descriptor(params["base"]))
     else:
-        raise ValueError(f"unknown group kind {kind!r}")
+        G = Lamplighter(group_from_descriptor(params["base"]))
     if G.descriptor() != d:
         raise ValueError(f"group descriptor {json.dumps(d)} is not "
                          f"{json.dumps(G.descriptor())}, that of its group")
     return G
 
 
-def _spec_int(digits, text):
-    """The integer in the group spec ``text``; a parse error names the
-    spec."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise ValueError(f"cannot parse group {text!r}") from None
+# the short specs of groups of one size, as repr writes them: the size is
+# plain ASCII digits, without a sign or leading zeros
+_SHORT_SPECS = [
+    (re.compile(pattern.replace("N", "(0|[1-9][0-9]*)")), make)
+    for pattern, make in [
+        (r"Z\^N", FreeAbelian), (r"FN", Free),
+        (r"Heisenberg\(N\)", Heisenberg), (r"Z/N", FiniteCyclic),
+        (r"Sym\(N\)", FiniteSym)]]
 
 
 def parse_group(text):
-    """Parse a short group spec like 'Z', 'Z^2', 'Heisenberg(1)', 'F2', or
-    a JSON descriptor; repr(G) of every group G parses back to G."""
-    t = text.strip()
-    if t in ("Z", "Z^1"):
+    """Parse a group spec as repr writes it, like 'Z', 'Z^2',
+    'Heisenberg(1)', 'Z/5', 'Sym(3)', 'F2', 'Lamplighter(Z/2)' or
+    'Wreath(Z/2;Z/3)' ('Z^1' also reads as Z), or a JSON descriptor;
+    repr(G) of every group G parses back to G. Any other spelling is a
+    ValueError naming the spec."""
+    if text == "Z":
         return FreeAbelian(1)
-    if t.startswith("Z^"):
-        return FreeAbelian(_spec_int(t[2:], text))
-    if t.startswith("F") and t[1:].isdigit():
-        return Free(int(t[1:]))
-    if t.startswith("Heisenberg"):
-        inner = t[len("Heisenberg"):].strip("()")
-        return Heisenberg(_spec_int(inner, text) if inner else 1)
-    if t.startswith("Z/"):
-        return FiniteCyclic(_spec_int(t[2:], text))
-    if t.startswith("Sym"):
-        return FiniteSym(_spec_int(t.strip("Sym()"), text))
-    if t.startswith("Lamplighter(") and t.endswith(")"):
-        return Lamplighter(parse_group(t[len("Lamplighter("):-1]))
-    if t.startswith("Wreath(") and t.endswith(")"):
-        parts = _split_top(t[len("Wreath("):-1], ";")
+    for pattern, make in _SHORT_SPECS:
+        match = pattern.fullmatch(text)
+        if match:
+            return make(int(match[1]))
+    if text.startswith("Lamplighter(") and text.endswith(")"):
+        return Lamplighter(parse_group(text[len("Lamplighter("):-1]))
+    if text.startswith("Wreath(") and text.endswith(")"):
+        parts = _split_top(text[len("Wreath("):-1], ";")
         if len(parts) == 2:
             return WreathProduct(*map(parse_group, parts))
     try:
-        return group_from_descriptor(json.loads(t))
+        return group_from_descriptor(json.loads(text))
     except json.JSONDecodeError:
-        raise ValueError(f"cannot parse group {text!r}")
+        raise ValueError(f"cannot parse group {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,31 @@ _README_ARTIFACTS = [
 ]
 
 
+# sha256 of `ball --group G --n n`, as the writer gave it before a
+# coordinate ball's labels came to be written as text chunks
+_BALL_ARTIFACTS = [
+    ("Heisenberg(1)", 20,
+     "f8a4768c05d81c0334b62ad69ff00d666ec6faeb7d0249d31a47217c580ae7fc"),
+    ("Lamplighter(Z/2)", 2,
+     "99e389d99980d38d30b777ce1ccd4654f98770c9f4de1c9f63156e2f2496640e"),
+    ("Wreath(Z/2;Z/3)", 2,
+     "5bb1aea58be2a1d9671cad85a6543aed278f67335318e95b2bf70059b8c2f6b7"),
+    ("F2", 3,
+     "c6570547bb5d163d2776f23b8b1c27a6e13c73794f4aea7312a46dd5dae68770"),
+    ("Sym(3)", 3,
+     "c0e5adb91a9f6827ce47023f6521ad7f3f3c5d95666c0e6019cefa851a6e3e7c"),
+]
+
+
+@pytest.mark.parametrize("group, n, digest", _BALL_ARTIFACTS,
+                         ids=[g for g, _, _ in _BALL_ARTIFACTS])
+def test_ball_artifacts_keep_their_bytes(tmp_path, group, n, digest):
+    path = tmp_path / "ball.json"
+    assert cli.main(["ball", "--group", group, "--n", str(n),
+                     "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_readme_construct_artifacts_keep_their_bytes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, argv, digest in _README_ARTIFACTS:
@@ -62,8 +87,27 @@ def _written(obj):
     return buf.getvalue()
 
 
-_texts = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
-    ["", "\x00\x1f\x7f", "é \U0001f600", '"\\/', "\n\t\r\b\f"])
+# a str json writes as it is, and one character it escapes
+_plain = st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                       exclude_characters='"\\')
+_escaped = st.sampled_from(['"', "\\", "\x7f", "\x01", "\n", "é",
+                            "\U0001f600"])
+
+
+def _plain_or_one_escape(min_size, max_size):
+    """Plain text, or plain text with one escaped character in it."""
+    return st.tuples(st.text(_plain, min_size=min_size, max_size=max_size),
+                     st.integers(0, max_size), st.just("") | _escaped).map(
+        lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:])
+
+
+# long strs sit on both sides of the length past which the writer tests a
+# str for plain text
+_long_texts = _plain_or_one_escape(canonical._LONG - 4, canonical._LONG + 300)
+_texts = (st.text(st.characters(codec="utf-8"), max_size=8)
+          | st.sampled_from(["", "\x00\x1f\x7f", "é \U0001f600", '"\\/',
+                             "\n\t\r\b\f", "\x00" * (canonical._LONG + 1)])
+          | _long_texts)
 _scalars = (st.none() | st.booleans()
             | st.integers(-2 ** 70, 2 ** 70)
             | st.floats(allow_nan=True, allow_infinity=True)
@@ -73,6 +117,7 @@ _scalars = (st.none() | st.booleans()
 _objects = st.recursive(
     _scalars,
     lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(_plain_or_one_escape(0, 12), max_size=6)
                    | st.lists(inner, max_size=4).map(tuple)
                    | st.dictionaries(_texts, inner, max_size=5)),
     max_leaves=30)
@@ -122,3 +167,38 @@ def test_scalar_keys_are_written_as_json_writes_them():
     for keys in ([1, -3, 10], [2.5, float("nan"), -0.0], [True, False]):
         obj = {k: [k] for k in keys}
         assert _written(obj) == _reference(obj)
+
+
+# ---------------------------------------------------------------------------
+# a list of strs given as NUL-ended text chunks
+
+_items = _plain_or_one_escape(0, 12) | st.sampled_from(["", "\x1f", "é"])
+
+
+def _chunked(items, cuts):
+    """The items as text chunks, cut before each index in cuts."""
+    bounds = [0, *sorted(cuts), len(items)]
+    return ["".join(x + "\0" for x in items[a:b])
+            for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_items, max_size=20), st.lists(st.integers(0, 20),
+                                               max_size=4))
+def test_chunks_are_written_as_the_list_they_stand_for(items, cuts):
+    """Chunks, empty ones and ones that need escaping included, anywhere in
+    an object, give the bytes of the list of their items."""
+    chunks = _chunked(items, [min(c, len(items)) for c in cuts])
+    obj = {"a": canonical.Chunks(chunks), "b": [canonical.Chunks(
+        iter(chunks)), 1]}
+    assert _written(obj) == _reference({"a": items, "b": [items, 1]})
+
+
+@pytest.mark.parametrize("chunks, items", [
+    ([], []), ([""], []), (["", ""], []), (["\0"], [""]),
+    (["a\0b\0", "", "c\0"], ["a", "b", "c"]),
+    (["a\0", 'x"y\0\\\0', "\x7f\0é\0"], ["a", 'x"y', "\\", "\x7f", "é"]),
+    (["(0,0,0)\0(-1,0,0)\0"], ["(0,0,0)", "(-1,0,0)"])])
+def test_chunks_match_their_list(chunks, items):
+    assert _written(canonical.Chunks(chunks)) == _reference(items)
+    assert _written([canonical.Chunks(chunks)]) == _reference([items])

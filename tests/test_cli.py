@@ -1345,12 +1345,45 @@ def test_rfgrowth_names_a_group_without_quotients_as_parsed(capsys):
     ("Z^x", "cannot parse group 'Z^x'"),
     ("Heisenberg(x)", "cannot parse group 'Heisenberg(x)'"),
     ("Z/x", "cannot parse group 'Z/x'"),
+    ("SymmS(3", "cannot parse group 'SymmS(3'"),
+    ("Heisenberg((1", "cannot parse group 'Heisenberg((1'"),
+    ("Heisenberg)1(", "cannot parse group 'Heisenberg)1('"),
+    ("Heisenberg", "cannot parse group 'Heisenberg'"),
+    ("Z/ 5", "cannot parse group 'Z/ 5'"),
+    ("Z/\u0665", "cannot parse group 'Z/\u0665'"),
+    ("Z^02", "cannot parse group 'Z^02'"),
+    ("Z^-1", "cannot parse group 'Z^-1'"),
+    (" Z", "cannot parse group ' Z'"),
+    ("Lamplighter(Z/ 2)", "cannot parse group 'Z/ 2'"),
+    ("5", "group descriptor 5 is not a JSON object"),
+    ("[1]", "group descriptor [1] is not a JSON object"),
+    ("{}", "group descriptor {} lacks field 'kind'"),
+    ('{"kind": "FreeAbelian"}',
+     'group descriptor {"kind": "FreeAbelian"} has no params object'),
+    ('{"kind": "FreeAbelian", "params": {}}',
+     'group descriptor {"kind": "FreeAbelian", "params": {}} lacks field '
+     '\'d\''),
+    ('{"kind": "FreeAbelian", "params": [2]}',
+     'group descriptor {"kind": "FreeAbelian", "params": [2]} has no params '
+     'object'),
+    ('{"kind": "Lamplighter", "params": {"base": {"kind": "FiniteCyclic", '
+     '"params": {"m": 2}}}}', 'group descriptor {"kind": "Lamplighter", '
+     '"params": {"base": {"kind": "FiniteCyclic", "params": {"m": 2}}}} '
+     'lacks field \'top\''),
+    ('{"kind": "LatticeHNF", "rows": [[2]], "parent": {"kind": '
+     '"FreeAbelian", "params": {"d": 1}}}', "unknown group kind 'LatticeHNF'"),
+    ('{"kind": ["Free"], "params": {}}', "unknown group kind ['Free']"),
+    ('{"kind": "DirectProduct", "params": {"left": 1, "right": 2}}',
+     "group descriptor 1 is not a JSON object"),
     ("Z^0", "d must be >= 1"),
     ("Sym(0)", "k must be >= 1"),
 ])
 def test_a_group_spec_that_does_not_parse_is_named(capsys, spec, message):
-    """A spec that cannot be read is named as given; a spec that reads
-    but names no group keeps its range error."""
+    """A spec that cannot be read is named as given, and a JSON value that
+    is no group descriptor by what is wrong with it; a spec that reads but
+    names no group keeps its range error. Only repr's spellings read:
+    digits are plain ASCII, without a sign or leading zero, and nothing
+    but the spec is stripped."""
     code, out, err = run(capsys, "ball", "--group", spec, "--n", "1")
     assert (code, out) == (1, "")
     assert err == f"error: {message}\n"

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -390,6 +391,46 @@ def test_lazy_ball_fields_equal_an_eager_reference(G):
         assert len(B) == len(want)
 
 
+@pytest.mark.parametrize("G, n", [
+    (Z, 40000), (Z2, 130), (G_.FreeAbelian(3), 26), (H3, 20),
+    (G_.Heisenberg(2), 8)])
+def test_labels_are_the_fmt_of_each_element(G, n):
+    """Ball.labels() and the chunks of Ball.label_text() spell every
+    element as fmt does, over balls of more than one block of rows (Z^2
+    at n = 130 has 34,061 > BLOCK // 2 rows): Z's blocks are one % each,
+    the others' are gathers from tables of column values."""
+    B = G_.ball(G, n)
+    want = [G.fmt(p) for p in G.payloads(B.coords())]
+    assert len(B) > G_.BLOCK // B.coords().shape[1]
+    assert B.labels() == want
+    assert "".join(B.label_text()) == "".join(x + "\0" for x in want)
+    assert B._elements is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(LAZY_GROUPS), st.sampled_from([1, 3, 2 ** 62]),
+       st.sampled_from([1, 4, 1 << 16]), st.data())
+def test_fmt_rows_is_fmt_on_any_rows(G, bound, rows_per_block, data):
+    """fmt_rows and row_text on arbitrary rows, in blocks of 1, 4 or many
+    rows, gathered or formatted with one %: fmt of each row."""
+    k = len(G.coords(G.identity()))
+    rows = data.draw(st.lists(st.lists(st.integers(-bound, bound),
+                                       min_size=k, max_size=k), max_size=30))
+    X = np.array(rows, dtype=np.int64).reshape(-1, k)
+    want = [G.fmt(p) for p in G.payloads(X)]
+    with mock.patch.object(G_, "BLOCK", rows_per_block * k):
+        assert G.fmt_rows(X) == want
+        assert "".join(G.row_text(X)) == "".join(x + "\0" for x in want)
+
+
+def test_a_loop_ball_gives_its_labels_as_one_chunk():
+    for G, n in ((G_.Free(2), 3), (G_.FiniteSym(3), 3),
+                 (G_.parse_group("Lamplighter(Z/2)"), 2)):
+        B = G_.ball(G, n)
+        assert list(B.label_text()) == [
+            "".join(G.fmt(p) + "\0" for p in B)]
+
+
 def test_built_fields_stay_read_only():
     B = G_._bfs_ball(H3, 3, G_.DEFAULT_BALL_CAP)
     assert B.index(B.elements[-1]) == len(B) - 1
@@ -610,7 +651,9 @@ def test_direct_product_ball():
 
 
 def test_parse_group_round_trip():
-    for text in ("Z", "Z^2", "Z^3", "F2", "Heisenberg(1)", "Z/7", "Sym(4)"):
+    for text in ("Z", "Z^1", "Z^2", "Z^3", "F2", "F10", "Heisenberg(1)",
+                 "Z/5", "Z/7", "Sym(4)", "Lamplighter(Z/2)",
+                 "Wreath(Z/2;Z/3)"):
         G = G_.parse_group(text)
         again = G_.group_from_descriptor(G.descriptor())
         assert again.descriptor() == G.descriptor()
